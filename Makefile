@@ -1,4 +1,4 @@
-.PHONY: all build test bench bench-parallel microbench arena-bench pacer-smoke pacer-bench profile-smoke bench-json benchdiff mem-smoke mem-bench trace-smoke stats-smoke whylate-smoke lint lint-json lint-baseline sanitize-smoke determinism clean
+.PHONY: all build test bench bench-parallel microbench arena-bench pacer-smoke pacer-bench perfbench-smoke profile-smoke bench-json benchdiff mem-smoke mem-bench trace-smoke stats-smoke whylate-smoke lint lint-json lint-baseline sanitize-smoke determinism clean
 
 all: build
 
@@ -18,8 +18,9 @@ bench:
 bench-parallel: build
 	dune exec bench/main.exe -- --quick --jobs 0
 
-# Bechamel microbenchmarks of the engine/event-queue hot path (the
-# numbers the PR-4 overhaul is judged by; table in EXPERIMENTS.md).
+# The Bechamel microbenchmark suite: engine/event-queue hot path (the
+# numbers the PR-4 overhaul is judged by; table in EXPERIMENTS.md),
+# soft-timer schedule+fire and check, obs taps, per-store fast paths.
 microbench: build
 	dune exec bench/microbench.exe -- --quota 2
 
@@ -46,6 +47,14 @@ PACER_OUT ?= /tmp/softtimers-pacer.json
 PACER_REPEAT ?= 3
 pacer-bench: build
 	dune exec bench/pacer_bench.exe -- --repeat $(PACER_REPEAT) --json $(PACER_OUT)
+
+# Host-cost benchmark smoke: builds perfbench/bench.exe in its own
+# release build tree, runs web-soft, web-irq and pacer-1m at reduced
+# size and checks each run's simulation outputs against
+# perfbench/expected.json — so a store or engine swap that changes
+# what the simulation computes fails here.
+perfbench-smoke:
+	python3 perfbench/run.py --smoke
 
 # Cycle-attribution profiler smoke: run table3 under the profiler and
 # export both the text report and a collapsed-stack flamegraph.

@@ -1,6 +1,6 @@
 (* The full benchmark harness: regenerates every table and figure of the
-   paper (printing measured values next to the paper's), then runs
-   Bechamel microbenchmarks of the core data structures.
+   paper, printing measured values next to the paper's.  The Bechamel
+   microbenchmarks live in microbench.ml.
 
    Pass --quick for a fast, noisier pass (used by CI); pass an
    experiment id to run just one (see softtimers-cli for the list);
@@ -29,77 +29,6 @@ let experiments =
     ("livelock", Exp_livelock.run);
     ("sensitivity", Exp_sensitivity.run);
   ]
-
-(* ------------------------------------------------------------------ *)
-(* Bechamel microbenchmarks: the operations on the soft-timer fast     *)
-(* path whose cost the paper's argument depends on.                    *)
-
-let bench_timing_wheel_schedule () =
-  let wheel = Timing_wheel.create ~tick:(Time_ns.of_us 10.0) () in
-  let counter = ref 0L in
-  Bechamel.Staged.stage (fun () ->
-      counter := Int64.add !counter 9_973L;
-      let h = Timing_wheel.schedule wheel ~at:!counter () in
-      Timing_wheel.cancel wheel h)
-
-let bench_timing_wheel_check () =
-  (* The per-trigger-state check: next_deadline on a wheel with pending
-     entries (cache-hit path). *)
-  let wheel = Timing_wheel.create ~tick:(Time_ns.of_us 10.0) () in
-  for i = 1 to 64 do
-    ignore
-      (Timing_wheel.schedule wheel ~at:(Int64.of_int (i * 100_000)) () : Timing_wheel.handle)
-  done;
-  Bechamel.Staged.stage (fun () -> ignore (Timing_wheel.next_deadline wheel : Time_ns.t option))
-
-let bench_heap_push_pop () =
-  let heap = Heap.create ~cmp:Int64.compare in
-  let counter = ref 0L in
-  Bechamel.Staged.stage (fun () ->
-      counter := Int64.add !counter 7_919L;
-      Heap.push heap !counter;
-      ignore (Heap.pop heap : int64 option))
-
-let bench_softtimer_fire () =
-  (* Schedule + fire one soft event through the whole facility. *)
-  let engine = Engine.create () in
-  let machine = Machine.create engine in
-  let st = Softtimer.attach machine in
-  Bechamel.Staged.stage (fun () ->
-      ignore (Softtimer.schedule_soft_event st ~ticks:0L (fun _ -> ()) : Softtimer.handle);
-      Machine.fire_trigger machine Trigger.Syscall;
-      Engine.run_until engine Time_ns.(Engine.now engine + Time_ns.of_us 5.0))
-
-let run_microbenchmarks () =
-  let open Bechamel in
-  let open Toolkit in
-  print_string (Exp_config.header "Microbenchmarks (Bechamel): soft-timer fast path");
-  let test =
-    Test.make_grouped ~name:"softtimers"
-      [
-        Test.make ~name:"timing_wheel.schedule+cancel" (bench_timing_wheel_schedule ());
-        Test.make ~name:"timing_wheel.next_deadline" (bench_timing_wheel_check ());
-        Test.make ~name:"heap.push+pop" (bench_heap_push_pop ());
-        Test.make ~name:"softtimer.schedule+fire" (bench_softtimer_fire ());
-      ]
-  in
-  let benchmark test =
-    let instances = Instance.[ monotonic_clock ] in
-    let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:(Some 1000) () in
-    Benchmark.all cfg instances test
-  in
-  let analyze results =
-    let ols = Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |] in
-    Analyze.all ols Instance.monotonic_clock results
-  in
-  let results = analyze (benchmark test) in
-  Hashtbl.iter
-    (fun name ols ->
-      match Analyze.OLS.estimates ols with
-      | Some [ est ] -> Printf.printf "  %-40s %10.1f ns/op\n" name est
-      | Some _ | None -> Printf.printf "  %-40s (no estimate)\n" name)
-    results;
-  print_newline ()
 
 (* ------------------------------------------------------------------ *)
 (* --json FILE: machine-readable baseline.                             *)
@@ -530,5 +459,4 @@ let () =
     Profile.install p;
     Fun.protect ~finally:Profile.uninstall (fun () ->
         emit_json ~path ~cfg ~quick:!quick ~timings ~profile:p);
-    Printf.printf "wrote %s\n" path);
-  if wanted = [] then run_microbenchmarks ()
+    Printf.printf "wrote %s\n" path)

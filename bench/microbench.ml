@@ -1,11 +1,13 @@
-(* Focused Bechamel microbenchmarks of the discrete-event hot path:
-   the operations every experiment cell spends most of its cycles in
-   (Engine.schedule / fire / cancel and the backing event queue).
+(* The Bechamel microbenchmark suite: the operations every experiment
+   cell spends most of its cycles in — Engine.schedule / fire / cancel
+   and the backing event queue, the soft-timer schedule + fire path and
+   its per-trigger-state check, the always-on observability taps, and
+   each timer store's fast paths.
 
    dune exec bench/microbench.exe [-- --quota SECONDS]
 
-   These are the numbers the PR-4 engine overhaul is judged by; the
-   before/after table lives in EXPERIMENTS.md. *)
+   The engine rows are the numbers the PR-4 engine overhaul is judged
+   by; the before/after table lives in EXPERIMENTS.md. *)
 
 let bench_engine_schedule_fire () =
   (* Steady-state schedule+fire through the public API: one event in
@@ -59,8 +61,8 @@ let bench_engine_churn64 () =
       ignore (Engine.step e : bool))
 
 let bench_eventq_push_pop () =
-  (* The specialized int-keyed 4-ary heap, same shape as heap.push+pop
-     below: 64 resident entries, one push+pop per iteration. *)
+  (* The specialized int-keyed 4-ary heap: 64 resident entries, one
+     push+pop per iteration. *)
   let q = Eventq.create () in
   for i = 1 to 64 do
     Eventq.push q ~time:(1_000_000_000 + i) ~seq:i ~payload:i
@@ -71,17 +73,24 @@ let bench_eventq_push_pop () =
       Eventq.push q ~time:!counter ~seq:!counter ~payload:0;
       Eventq.drop_min q)
 
-let bench_heap_push_pop () =
-  (* The generic closure-compared heap, for comparison. *)
-  let heap = Heap.create ~cmp:Int64.compare in
-  for i = 1 to 64 do
-    Heap.push heap (Int64.of_int (1_000_000_000 + i))
-  done;
-  let counter = ref 0L in
+let bench_softtimer_fire () =
+  (* Schedule + fire one soft event through the whole facility. *)
+  let engine = Engine.create () in
+  let machine = Machine.create engine in
+  let st = Softtimer.attach machine in
   Bechamel.Staged.stage (fun () ->
-      counter := Int64.add !counter 7_919L;
-      Heap.push heap !counter;
-      ignore (Heap.pop heap : int64 option))
+      ignore (Softtimer.schedule_soft_event st ~ticks:0L (fun _ -> ()) : Softtimer.handle);
+      Machine.fire_trigger machine Trigger.Syscall;
+      Engine.run_until engine Time_ns.(Engine.now engine + Time_ns.of_us 5.0))
+
+let bench_timing_wheel_check () =
+  (* The per-trigger-state check: next_deadline on a wheel with pending
+     entries (cache-hit path). *)
+  let wheel = Timing_wheel.create ~tick:(Time_ns.of_us 10.0) () in
+  for i = 1 to 64 do
+    ignore (Timing_wheel.schedule wheel ~at:(Int64.of_int (i * 100_000)) () : unit Timing_wheel.handle)
+  done;
+  Bechamel.Staged.stage (fun () -> ignore (Timing_wheel.next_deadline wheel : Time_ns.t option))
 
 let bench_hdr_record () =
   (* The PR-5 always-on histogram path: every soft-timer fire and
@@ -219,14 +228,15 @@ let () =
   let open Bechamel in
   let open Toolkit in
   let test =
-    Test.make_grouped ~name:"engine"
+    Test.make_grouped ~name:"softtimers"
       ([
         Test.make ~name:"engine.schedule+fire" (bench_engine_schedule_fire ());
         Test.make ~name:"engine.churn(sched+cancel+sched+fire)" (bench_engine_churn ());
         Test.make ~name:"engine.schedule+fire@64pending" (bench_engine_pending64 ());
         Test.make ~name:"engine.churn@64pending" (bench_engine_churn64 ());
         Test.make ~name:"eventq.push+pop@64" (bench_eventq_push_pop ());
-        Test.make ~name:"heap.push+pop@64" (bench_heap_push_pop ());
+        Test.make ~name:"softtimer.schedule+fire" (bench_softtimer_fire ());
+        Test.make ~name:"timing_wheel.next_deadline" (bench_timing_wheel_check ());
         Test.make ~name:"hdr.record" (bench_hdr_record ());
         Test.make ~name:"timeseries.on_event" (bench_timeseries_event ());
         Test.make ~name:"timeseries.window-flush" (bench_timeseries_window_flush ());

@@ -11,7 +11,7 @@
      rearm_churn    re-arm a random live timer per op (the rate-clock /
                     TCP-retransmit pattern; stresses rearm, which the
                     grouped sorting queue serves in place and the wheel
-                    as cancel+schedule).
+                    by re-placing the entry under a fresh tie position).
      cancel_churn   cancel a random live timer and schedule a fresh one
                     per op (stresses cancellation residency: lazy-cancel
                     stores must compact, physical stores must unlink).
@@ -21,9 +21,9 @@
    realistic bucket count rather than a degenerate one-bucket-per-timer
    universe.
 
-   The ns/op figures are wall-clock (allowlisted for lint DET001, like
-   timer_ablation.ml); the fired/rearm/resident counts are deterministic
-   functions of (--seed, --n, --ops). *)
+   The ns/op figures are wall-clock (allowlisted for lint DET001); the
+   fired/rearm/resident counts are deterministic functions of (--seed,
+   --n, --ops). *)
 
 (* DET001: ns/op is wall-clock by definition here; every reproducible
    output (fired/rearm/resident counts) derives only from the seeded
@@ -36,14 +36,6 @@ let durations_us =
      25_000.0; 50_000.0; 100_000.0; 250_000.0; 500_000.0 |]
 
 let pick_duration rng = Time_ns.of_us durations_us.(Prng.int rng (Array.length durations_us))
-
-(* O(n)-insert stores cannot reach millions of live timers in reasonable
-   time; cap them and say so rather than silently shrinking the arena. *)
-let population_cap name = match name with "sorted-list" -> 20_000 | _ -> max_int
-
-(* ...and even at the capped population their per-op cost is ~1000x the
-   others', so give them fewer ops too (ns/op is unaffected). *)
-let ops_cap name = match name with "sorted-list" -> 5_000 | _ -> max_int
 
 type metrics = {
   ns_per_op : float;
@@ -149,8 +141,6 @@ let run_cell (module M : Timer_store.S) ~which ~n ~ops ~seed =
   }
 
 let run_store (module M : Timer_store.S) ~n ~ops ~seed =
-  let n = min n (population_cap M.name) in
-  let ops = min ops (ops_cap M.name) in
   List.map
     (fun which -> (which, n, ops, run_cell (module M) ~which ~n ~ops ~seed))
     [ Schedule_fire; Rearm_churn; Cancel_churn ]
@@ -192,9 +182,6 @@ let () =
   line "|---|---|---:|---:|---:|---:|---:|---:|---:|---:|---:|";
   List.iter
     (fun (module M : Timer_store.S) ->
-      if population_cap M.name < !n then
-        Printf.eprintf "note: %s capped at %d live timers (O(n) insertion)\n%!" M.name
-          (population_cap M.name);
       List.iter
         (fun (which, live, ops, m) ->
           line "| %s | %s | %d | %d | %.0f | %d | %d | %d | %d | %.1f | %.1f |" M.name

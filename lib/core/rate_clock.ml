@@ -113,7 +113,7 @@ let intervals t = t.intervals
    The closure-per-flow shape above is right for a handful of paced
    senders but wrong at datacenter-egress scale: a boxed record, a
    [send] closure, an optional handle and (formerly) a private Hdr per
-   flow is hundreds of bytes of pointer-chased state, and a binary-heap
+   flow is hundreds of bytes of pointer-chased state, and a binary heap
    store underneath makes every send O(log n).  The pool keeps all flow
    state in parallel unboxed int arrays (struct-of-arrays, nanoseconds
    as native ints), drives whichever [Timer_store.S] it is built over

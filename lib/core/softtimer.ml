@@ -4,11 +4,54 @@ let m_scheduled = Metrics.dcounter Metrics.default "softtimer.scheduled"
 let m_cancelled = Metrics.dcounter Metrics.default "softtimer.cancelled"
 let h_fire_delay = Metrics.dhistogram Metrics.default "softtimer.fire_delay_us"
 
-type pending_event = { id : int; due : Time_ns.t; handler : Time_ns.t -> unit }
+(* The payload the store holds per event; the store hands the due time
+   back on expiry. *)
+type pending_event = { id : int; handler : Time_ns.t -> unit }
+
+(* One store instance at payload [pending_event]: the chosen
+   [Timer_store.S] together with the state [attach] created, its handle
+   type left abstract.  Operations go straight to the store's own
+   functions, so nothing is allocated per call to pack them. *)
+module type STORE = sig
+  type s
+  type h
+
+  val s : s
+  val name : string
+  val schedule : s -> at:Time_ns.t -> pending_event -> h
+  val cancel : s -> h -> unit
+  val rearm : s -> h -> at:Time_ns.t -> bool
+  val pending : s -> int
+  val resident : s -> int
+  val next_deadline : s -> Time_ns.t option
+  val handle_pending : s -> h -> bool
+  val handle_deadline : s -> h -> Time_ns.t
+
+  val fire_due :
+    s ->
+    ?prefetch:(pending_event -> unit) ->
+    now:Time_ns.t ->
+    limit:int ->
+    (Time_ns.t -> pending_event -> unit) ->
+    Fire_outcome.t
+end
+
+type store = Store : (module STORE with type h = 'h) -> store
+
+let instance (module M : Timer_store.S) ~tick =
+  let module I = struct
+    include M
+
+    type s = pending_event M.t
+    type h = pending_event M.handle
+
+    let s : s = M.create ~tick ()
+  end in
+  Store (module I : STORE with type h = I.h)
 
 type t = {
   machine : Machine.t;
-  store : pending_event Timer_store.inst;
+  store : store;
   store_slots : int;  (* slot figure reported to the sanitizer *)
   measure_hz : int64;
   intr_hz : int64;
@@ -22,9 +65,30 @@ type t = {
   delays : Stats.Sample.t;
 }
 
-(* The ticket plus the trace identity: cancel and re-arm must stamp the
-   same [id] the schedule carried, so the audit can chain them. *)
-type handle = { ticket : Timer_store.ticket; ev_id : int }
+(* The store's own handle plus the trace identity: cancel and re-arm
+   must stamp the same [id] the schedule carried, so the audit can chain
+   them.  The instance rides along because the handle's type is only
+   known to it. *)
+type handle =
+  | Handle : { inst : (module STORE with type h = 'h); sh : 'h; ev_id : int } -> handle
+
+let next_deadline t =
+  match t.store with
+  | Store inst ->
+    let module S = (val inst) in
+    S.next_deadline S.s
+
+let pending t =
+  match t.store with
+  | Store inst ->
+    let module S = (val inst) in
+    S.pending S.s
+
+let resident t =
+  match t.store with
+  | Store inst ->
+    let module S = (val inst) in
+    S.resident S.s
 
 (* Process-wide default store, consulted when [attach] is not given an
    explicit one.  Lets the CLI (or a test) swap the facility's pending
@@ -74,23 +138,27 @@ let a_fire = Profile.intern [ "softtimer"; "fire" ]
 let check t kind now =
   t.checks <- t.checks + 1;
   Metrics.dincr m_checks;
-  match t.store.Timer_store.i_next_deadline () with
+  match next_deadline t with
   | Some d when Time_ns.(d <= now) ->
     let fire_cost = (Machine.profile t.machine).Costs.softtimer_fire_us in
     let fire_attr = if Profile.enabled () then Some a_fire else None in
     let source = Trigger.name kind in
+    let on_fire due ev =
+      t.fired <- t.fired + 1;
+      Metrics.dincr m_fired;
+      Trace.soft_fire ~at:now ~id:ev.id ~due;
+      Profile.dispatch ~source ~delay:Time_ns.(now - due);
+      if t.record_delays then Stats.Sample.add t.delays (Time_ns.to_us Time_ns.(now - due));
+      Metrics.drecord h_fire_delay (Time_ns.to_us Time_ns.(now - due));
+      Machine.submit_quantum t.machine ?attr:fire_attr ~prio:Cpu.prio_intr
+        ~klass:Cpu.klass_timer ~work_us:fire_cost ~trigger:None (fun _ -> ());
+      ev.handler now
+    in
     let outcome =
-      t.store.Timer_store.i_fire_due ~now ~limit:t.check_budget (fun due ev ->
-          t.fired <- t.fired + 1;
-          Metrics.dincr m_fired;
-          Trace.soft_fire ~at:now ~id:ev.id ~due;
-          Profile.dispatch ~source ~delay:Time_ns.(now - due);
-          if t.record_delays then
-            Stats.Sample.add t.delays (Time_ns.to_us Time_ns.(now - due));
-          Metrics.drecord h_fire_delay (Time_ns.to_us Time_ns.(now - due));
-          Machine.submit_quantum t.machine ?attr:fire_attr ~prio:Cpu.prio_intr
-            ~klass:Cpu.klass_timer ~work_us:fire_cost ~trigger:None (fun _ -> ());
-          ev.handler now)
+      match t.store with
+      | Store inst ->
+        let module S = (val inst) in
+        S.fire_due S.s ~now ~limit:t.check_budget on_fire
     in
     (* One record per check that found work: the audit uses
        [scanned > fired] to see that a check reached the store but a
@@ -116,7 +184,7 @@ let attach ?store ?(wheel_tick = Time_ns.of_us 10.0) ?(wheel_slots = 512) machin
   let t =
     {
       machine;
-      store = Timer_store.instantiate store_mod ~tick:wheel_tick ();
+      store = instance store_mod ~tick:wheel_tick;
       store_slots = wheel_slots;
       measure_hz = Int64.of_float (profile.Costs.cpu_mhz *. 1e6);
       intr_hz = Int64.of_float profile.Costs.interrupt_clock_hz;
@@ -131,7 +199,7 @@ let attach ?store ?(wheel_tick = Time_ns.of_us 10.0) ?(wheel_slots = 512) machin
     }
   in
   Machine.set_check_hook machine (Some (check t));
-  Machine.set_idle_deadline_fn machine (Some (fun () -> t.store.Timer_store.i_next_deadline ()));
+  Machine.set_idle_deadline_fn machine (Some (fun () -> next_deadline t));
   Machine.start_interrupt_clock machine;
   (* Pull-style store stats: the sanitizer (lib/check) reads these to
      assert the residency bound during runs.  The slots figure is the
@@ -139,9 +207,9 @@ let attach ?store ?(wheel_tick = Time_ns.of_us 10.0) ?(wheel_slots = 512) machin
      below it, so the sanitizer's [resident <= 2 * max pending slots]
      invariant is store-independent. *)
   Metrics.probe Metrics.default "softtimer.wheel_resident" (fun () ->
-      float_of_int (t.store.Timer_store.i_resident ()));
+      float_of_int (resident t));
   Metrics.probe Metrics.default "softtimer.wheel_pending" (fun () ->
-      float_of_int (t.store.Timer_store.i_pending ()));
+      float_of_int (pending t));
   Metrics.probe Metrics.default "softtimer.wheel_slots" (fun () ->
       float_of_int t.store_slots);
   t
@@ -153,12 +221,16 @@ let detach t =
     Machine.set_idle_deadline_fn t.machine None
   end
 
-let store_name t = t.store.Timer_store.i_name
+let store_name t =
+  match t.store with
+  | Store inst ->
+    let module S = (val inst) in
+    S.name
 
 let notify_if_earliest t due =
   (* If this event became the earliest, an idle checking CPU may be
      armed for a later (or no) deadline: wake it up for this one. *)
-  match t.store.Timer_store.i_next_deadline () with
+  match next_deadline t with
   | Some d when t.attached && Time_ns.(d = due) -> Machine.notify_deadline_changed t.machine
   | _ -> ()
 
@@ -172,48 +244,50 @@ let schedule_soft_event t ~ticks handler =
   t.next_id <- id + 1;
   Metrics.dincr m_scheduled;
   Trace.soft_sched ~at:(Engine.now (Machine.engine t.machine)) ~id ~due;
-  let ticket = t.store.Timer_store.i_schedule ~at:due { id; due; handler } in
-  notify_if_earliest t due;
-  { ticket; ev_id = id }
+  match t.store with
+  | Store inst ->
+    let module S = (val inst) in
+    let sh = S.schedule S.s ~at:due { id; handler } in
+    notify_if_earliest t due;
+    Handle { inst; sh; ev_id = id }
 
 let schedule_after t span handler =
   let span = Time_ns.max span 0L in
   let ticks = Int64.of_float (Float.ceil (Int64.to_float span /. t.ns_per_tick)) in
   schedule_soft_event t ~ticks handler
 
-let cancel t h =
-  if h.ticket.Timer_store.tk_pending () then begin
+let cancel t (Handle { inst; sh; ev_id }) =
+  let module S = (val inst) in
+  if S.handle_pending S.s sh then begin
     Metrics.dincr m_cancelled;
     Trace.soft_cancel
       ~at:(Engine.now (Machine.engine t.machine))
-      ~id:h.ev_id
-      ~due:(h.ticket.Timer_store.tk_deadline ())
+      ~id:ev_id
+      ~due:(S.handle_deadline S.s sh)
   end;
-  h.ticket.Timer_store.tk_cancel ()
+  S.cancel S.s sh
 
-let rearm t h ~ticks =
+let rearm t (Handle { inst; sh; ev_id }) ~ticks =
   if Int64.compare ticks 0L < 0 then invalid_arg "Softtimer.rearm: negative ticks";
-  if not (h.ticket.Timer_store.tk_pending ()) then false
+  let module S = (val inst) in
+  if not (S.handle_pending S.s sh) then false
   else begin
     let at = Engine.now (Machine.engine t.machine) in
-    Trace.soft_cancel ~at ~id:h.ev_id ~due:(h.ticket.Timer_store.tk_deadline ());
+    Trace.soft_cancel ~at ~id:ev_id ~due:(S.handle_deadline S.s sh);
     let sched = measure_time t in
     let due = ns_of_tick t (Int64.add sched (Int64.add ticks 1L)) in
     (* A re-arm is cancel + schedule with the handle kept; the trace
        records it as exactly that pair — same id, so the audit keeps
        one causal chain per handle — and digests are independent of
        whether a client re-arms or reschedules. *)
-    Trace.soft_sched ~at ~id:h.ev_id ~due;
+    Trace.soft_sched ~at ~id:ev_id ~due;
     Metrics.dincr m_scheduled;
-    let moved = h.ticket.Timer_store.tk_rearm due in
+    let moved = S.rearm S.s sh ~at:due in
     if moved then notify_if_earliest t due;
     moved
   end
 
-let pending t = t.store.Timer_store.i_pending ()
-
-let wheel_stats t =
-  (t.store.Timer_store.i_resident (), t.store.Timer_store.i_pending (), t.store_slots)
+let wheel_stats t = (resident t, pending t, t.store_slots)
 let fired t = t.fired
 let checks t = t.checks
 let set_record_delays t b = t.record_delays <- b

@@ -6,7 +6,7 @@
     fraction, fire-delay quantiles and resident bytes per flow.
 
     Runs entirely on simulated time with seeded randomness — the
-    [--store] flag does not affect it (the sweep instantiates its own
+    [--store] flag does not affect it (the sweep builds its own
     stores, that comparison being the experiment).  Wall-clock ns per
     flow per tick is measured separately by [bench/pacer_bench.exe]. *)
 

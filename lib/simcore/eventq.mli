@@ -1,8 +1,8 @@
 (** Specialized event-queue heap for the simulation engine.
 
     A 4-ary min-heap over [(time, seq)] keys with an [int] payload,
-    stored as three parallel unboxed [int array]s.  Compared to the
-    generic {!Heap} (closure comparison over boxed records whose
+    stored as three parallel unboxed [int array]s.  Compared to a
+    generic binary heap (closure comparison over boxed records whose
     [int64] time field lives behind a pointer), every comparison here
     is a monomorphic immediate-int compare against a flat array — no
     indirection, no allocation, and a 4-ary layout that halves the

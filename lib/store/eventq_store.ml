@@ -23,6 +23,7 @@ type 'a t = {
   mutable live : int;
   mutable dead : int;  (* stale queue entries awaiting compaction *)
   mutable next_seq : int;
+  mutable batch : int array;  (* fire_due's due snapshot, (time, seq, idx) triples *)
 }
 
 let create ~tick () =
@@ -35,6 +36,7 @@ let create ~tick () =
     live = 0;
     dead = 0;
     next_seq = 0;
+    batch = [||];
   }
 
 let fresh_seq t =
@@ -125,7 +127,10 @@ let resident t = Eventq.length t.q
 (* Record (8) + Eventq (record 5 + three int arrays of its capacity)
    + slot array (cap + 1) + a 4-word record per allocated slot (all
    created eagerly on growth) + per live slot a boxed deadline (3) and
-   a [Some] box (2) + a free-list cons (3) per recycled slot. *)
+   a [Some] box (2) + a free-list cons (3) per recycled slot.  The
+   [batch] field and its buffer are left out: they are fire_due scratch,
+   sized by the largest due batch seen rather than by the population
+   held. *)
 let words t =
   let qcap = Eventq.capacity t.q in
   let scap = Array.length t.slots in
@@ -154,59 +159,68 @@ let next_deadline t =
   shed_stale t;
   if Eventq.is_empty t.q then None else Some (Int64.of_int (Eventq.min_time t.q))
 
-(* ALLOC001/2/3 below: the body is the snapshot-batch contract of
-   timer_store.mli — the due prefix is popped into a list before any
-   callback runs, so every allocation here (cons + tuple per due entry,
-   the collect/dispatch closures, the re-boxed deadline) is
-   proportional to the fired batch, never to a trigger-state check that
-   finds nothing due. *)
+(* Key of the earliest queued entry as an immediate int ([max_int] when
+   empty), so the due test is an int comparison (DET003 targets boxed
+   Time_ns). *)
+let head t = if Eventq.is_empty t.q then max_int else Eventq.min_time t.q
+
+(* Append one (time, seq, idx) triple at position [n] of the due
+   snapshot, doubling the buffer when it is full.  The buffer lives as
+   long as the store, so a steady state allocates nothing. *)
+let push_due t n ~time ~seq ~idx =
+  let k = 3 * n in
+  if k + 3 > Array.length t.batch then begin
+    let grown = Array.make (Int.max 48 (2 * Array.length t.batch)) 0 in
+    Array.blit t.batch 0 grown 0 k;
+    t.batch <- grown
+  end;
+  t.batch.(k) <- time;
+  t.batch.(k + 1) <- seq;
+  t.batch.(k + 2) <- idx
+
 let[@hot] fire_due t ?prefetch:_ ~now ~limit f =
   let now_i = Int64.to_int now in
-  (* Pop the whole due prefix before running any callback: the popped
-     list is the snapshot, already in (deadline, tie) order; entries
+  (* Pop the whole due prefix into the snapshot buffer before running
+     any callback: it is already in (deadline, tie) order, and entries
      pushed by callbacks land in the queue for the next call.
      [shed_stale] runs before every pop, so every collected triple was
      pending at collect time — the batch length is exactly the scanned
      count the other stores report. *)
-  let rec collect acc =
-    shed_stale t;
-    (* Immediate-int key comparison (DET003 targets boxed Time_ns). *)
-    let head = if Eventq.is_empty t.q then max_int else Eventq.min_time t.q in
-    if head <= now_i then begin
-      let time = Eventq.min_time t.q in
-      let seq = Eventq.min_seq t.q in
-      let idx = Eventq.min_payload t.q in
-      Eventq.drop_min t.q;
-      collect ((time, seq, idx) :: acc)
-    end
-    else List.rev acc
-  in
-  let batch = collect [] in
-  let scanned = List.length batch in
+  let scanned = ref 0 in
+  shed_stale t;
+  while head t <= now_i do
+    push_due t !scanned ~time:(Eventq.min_time t.q) ~seq:(Eventq.min_seq t.q)
+      ~idx:(Eventq.min_payload t.q);
+    Eventq.drop_min t.q;
+    incr scanned;
+    shed_stale t
+  done;
   let fired = ref 0 in
-  List.iter
-    (fun (time, seq, idx) ->
-      let s = t.slots.(idx) in
-      (* Generation still matching = not cancelled or re-armed by an
-         earlier callback in this batch. *)
-      if s.sseq = seq then begin
-        if !fired < limit then begin
-          let v = match s.sval with Some v -> v | None -> assert false in
-          free_slot t idx;
-          t.live <- t.live - 1;
-          incr fired;
-          f (Int64.of_int time) v
-        end
-        else
-          (* Budget exhausted: push the popped entry back verbatim —
-             same time, same generation, same slot — so the next call
-             dispatches the remainder in the same (deadline, tie)
-             order. *)
-          Eventq.push t.q ~time ~seq ~payload:idx
+  for k = 0 to !scanned - 1 do
+    let time = t.batch.(3 * k) and seq = t.batch.((3 * k) + 1) and idx = t.batch.((3 * k) + 2) in
+    let s = t.slots.(idx) in
+    (* Generation still matching = not cancelled or re-armed by an
+       earlier callback in this batch. *)
+    if s.sseq = seq then begin
+      if !fired < limit then begin
+        let v = match s.sval with Some v -> v | None -> assert false in
+        (* The slot's boxed deadline is this entry's: a re-arm would
+           have changed the generation. *)
+        let at = s.sat in
+        free_slot t idx;
+        t.live <- t.live - 1;
+        incr fired;
+        f at v
       end
-      else if t.dead > 0 then
-        (* The cancel/re-arm counted a corpse we had already popped. *)
-        t.dead <- t.dead - 1)
-    batch;
-  Fire_outcome.pack ~scanned ~fired:!fired
-[@@lint.allow "ALLOC001"] [@@lint.allow "ALLOC002"] [@@lint.allow "ALLOC003"]
+      else
+        (* Budget exhausted: push the popped entry back verbatim —
+           same time, same generation, same slot — so the next call
+           dispatches the remainder in the same (deadline, tie)
+           order. *)
+        Eventq.push t.q ~time ~seq ~payload:idx
+    end
+    else if t.dead > 0 then
+      (* The cancel/re-arm counted a corpse we had already popped. *)
+      t.dead <- t.dead - 1
+  done;
+  Fire_outcome.pack ~scanned:!scanned ~fired:!fired

@@ -1,9 +1,6 @@
 let exact : (module Timer_store.S) list =
   [
     Timer_store.wheel ~slots:512 ();
-    (module Timer_store.Of_base (Timer_backend.Sorted_list));
-    (module Timer_store.Of_base (Timer_backend.Binary_heap));
-    (module Timer_store.Of_base (Timer_backend.Hier));
     (module Eventq_store);
     (module Lawn);
     (module Grouped_sorting);

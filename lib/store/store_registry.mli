@@ -3,9 +3,8 @@
     The arena bench, the cross-backend equivalence suite and the CLI's
     [--store] flag all draw from this one list:
 
-    - ["wheel"] — the production hashed {!Timing_wheel} (512 slots);
-    - ["sorted-list"], ["binary-heap"], ["hierarchical-wheel"] — the
-      [Timer_backend] references, lifted via {!Timer_store.Of_base};
+    - ["wheel"] — the production hashed {!Timing_wheel} (512 slots),
+      the paper's structure and the default;
     - ["eventq"] — the engine slot-table technique ({!Eventq_store});
     - ["lawn"] — per-duration FIFO buckets ({!Lawn});
     - ["grouped-sorting"] — range-partitioned groups with in-place

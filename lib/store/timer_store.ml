@@ -130,107 +130,15 @@ module Reference : S = struct
 end
 
 (* ------------------------------------------------------------------ *)
-(* Lifting a Timer_backend.S into a Timer_store.S.                     *)
-
-module Of_base (B : Timer_backend.S) : S = struct
-  let name = B.name
-
-  type cstate = Pending | Cancelled | Fired
-
-  type 'a cell = {
-    mutable cat : Time_ns.t;
-    cval : 'a;
-    mutable cgen : int;  (* bumped on every re-arm *)
-    mutable cbh : B.handle option;  (* [None] only during construction *)
-    mutable cstate : cstate;
-  }
-
-  type 'a handle = 'a cell
-
-  type 'a t = { b : ('a cell * int) B.t; mutable live : int }
-
-  let create ~tick () = { b = B.create ~tick (); live = 0 }
-
-  let schedule t ~at v =
-    let cell = { cat = at; cval = v; cgen = 0; cbh = None; cstate = Pending } in
-    cell.cbh <- Some (B.schedule t.b ~at (cell, 0));
-    t.live <- t.live + 1;
-    cell
-
-  (* The cell boxes the deadline anyway; nothing to save here. *)
-  let schedule_i t ~at_i v = schedule t ~at:(Int64.of_int at_i) v
-
-  let cancel_base t cell =
-    match cell.cbh with Some bh -> B.cancel t.b bh | None -> ()
-
-  let cancel t cell =
-    if cell.cstate = Pending then begin
-      cell.cstate <- Cancelled;
-      t.live <- t.live - 1;
-      cancel_base t cell
-    end
-
-  let rearm t cell ~at =
-    if cell.cstate <> Pending then false
-    else begin
-      (* Cancel + schedule in the base store: the old entry becomes a
-         corpse (reclaimed by the base's compaction), the new one takes
-         a fresh tie position, and the generation stamp keeps any
-         already-extracted old entry from firing. *)
-      cancel_base t cell;
-      cell.cgen <- cell.cgen + 1;
-      cell.cat <- at;
-      cell.cbh <- Some (B.schedule t.b ~at (cell, cell.cgen));
-      true
-    end
-
-  let pending t = t.live
-  let resident t = B.resident t.b
-  let next_deadline t = B.next_deadline t.b
-  let handle_pending _t cell = cell.cstate = Pending
-  let handle_deadline _t cell = cell.cat
-
-  (* Base store + our record (3) + per base-resident payload tuple (3)
-     + per live cell: record (6) + [Some] box (2); the cell's boxed
-     deadline is the same box the base already counted. *)
-  let words t = B.words t.b + 3 + (3 * B.resident t.b) + (8 * t.live)
-
-  (* ALLOC001: one dispatch-wrapper closure per fire_due call, shared
-     by every timer in the batch.  [cancel_base] keeps the base store in
-     sync with the cell states, so every base-level fire of a current
-     generation is a store-level fire: the base's outcome (scanned and
-     fired counts, budget accounting) is ours verbatim. *)
-  let[@hot] fire_due t ?prefetch:_ ~now ~limit f =
-    B.fire_due t.b ~now ~limit (fun d (cell, gen) ->
-        if gen = cell.cgen && cell.cstate = Pending then begin
-          cell.cstate <- Fired;
-          t.live <- t.live - 1;
-          f d cell.cval
-        end)
-  [@@lint.allow "ALLOC001"]
-end
-
-(* ------------------------------------------------------------------ *)
 (* The production wheel, with configurable slot count.                 *)
 
 let wheel ?(slots = 512) () : (module S) =
-  let module W = struct
-    let name = "wheel"
+  let sized ~tick () = Timing_wheel.create ~slots ~tick () in
+  (module struct
+    include Timing_wheel
 
-    type 'a t = 'a Timing_wheel.t
-
-    type handle = Timing_wheel.handle
-
-    let create ~tick () = Timing_wheel.create ~slots ~tick ()
-    let schedule t ~at v = Timing_wheel.schedule t ~at v
-    let cancel = Timing_wheel.cancel
-    let pending = Timing_wheel.pending
-    let resident = Timing_wheel.resident
-    let next_deadline = Timing_wheel.next_deadline
-    let words = Timing_wheel.words
-    let fire_due t ~now ~limit f = Timing_wheel.fire_due t ~now ~limit f
-  end in
-  (module Of_base (W))
+    let create = sized
+  end)
 
 (* ------------------------------------------------------------------ *)
 (* Approximate-firing oracle: any store M with every deadline rounded
@@ -269,45 +177,3 @@ module Quantize (M : S) : S = struct
      deadline has arrived, reported at that rounded deadline. *)
   let fire_due t ?prefetch ~now ~limit f = M.fire_due t.inner ?prefetch ~now ~limit f
 end
-
-(* ------------------------------------------------------------------ *)
-(* Closure-based instances: let a consumer hold one store of each kind
-   without threading first-class module types through its own API.     *)
-
-type ticket = {
-  tk_cancel : unit -> unit;
-  tk_rearm : Time_ns.t -> bool;
-  tk_pending : unit -> bool;
-  tk_deadline : unit -> Time_ns.t;
-}
-
-type 'a inst = {
-  i_name : string;
-  i_schedule : at:Time_ns.t -> 'a -> ticket;
-  i_next_deadline : unit -> Time_ns.t option;
-  i_fire_due :
-    now:Time_ns.t -> limit:int -> (Time_ns.t -> 'a -> unit) -> Fire_outcome.t;
-  i_pending : unit -> int;
-  i_resident : unit -> int;
-  i_words : unit -> int;
-}
-
-let instantiate (type a) (module M : S) ~tick () : a inst =
-  let t : a M.t = M.create ~tick () in
-  {
-    i_name = M.name;
-    i_schedule =
-      (fun ~at v ->
-        let h = M.schedule t ~at v in
-        {
-          tk_cancel = (fun () -> M.cancel t h);
-          tk_rearm = (fun at -> M.rearm t h ~at);
-          tk_pending = (fun () -> M.handle_pending t h);
-          tk_deadline = (fun () -> M.handle_deadline t h);
-        });
-    i_next_deadline = (fun () -> M.next_deadline t);
-    i_fire_due = (fun ~now ~limit f -> M.fire_due t ~now ~limit f);
-    i_pending = (fun () -> M.pending t);
-    i_resident = (fun () -> M.resident t);
-    i_words = (fun () -> M.words t);
-  }

@@ -1,6 +1,6 @@
-(** The pluggable pending-timer store: the [Timer_backend] operations
-    plus {e re-arm} (dynamic deadline update) and stable per-entry
-    handles.
+(** The pluggable pending-timer store: schedule, cancel, the
+    earliest-deadline query and batched expiry, plus {e re-arm} (dynamic
+    deadline update) and stable per-entry handles.
 
     The soft-timer clients that matter — TCP retransmit and delayed-ACK
     timers — re-arm far more often than they fire: every ACK pushes the
@@ -112,15 +112,8 @@ module Reference : S
 (** Naive model: an unordered list, linear everything.  The oracle the
     equivalence suite compares every real store against. *)
 
-module Of_base (_ : Timer_backend.S) : S
-(** Lift a [Timer_backend.S] (ground handles, no re-arm) into the full
-    signature.  Re-arm is implemented as base-level cancel + schedule
-    behind a stable wrapper cell; a generation stamp keeps a stale base
-    entry that was already extracted into a fire batch from firing. *)
-
 val wheel : ?slots:int -> unit -> (module S)
-(** The production {!Timing_wheel} with [slots] slots (default 512),
-    lifted via {!Of_base}. *)
+(** The production {!Timing_wheel} with [slots] slots (default 512). *)
 
 module Quantize (_ : S) : S
 (** The approximate-firing contract extension (§7.2): the wrapped store
@@ -130,30 +123,3 @@ module Quantize (_ : S) : S
     approximate store such as {!Pacing_wheel} must be observationally
     identical to [Quantize (Reference)]; rounding up means entries
     never fire before their requested deadline. *)
-
-(** {2 Closure-based instances}
-
-    [Softtimer] holds one store chosen at attach time; packing the
-    choice as closures avoids threading first-class-module types through
-    its API. *)
-
-type ticket = {
-  tk_cancel : unit -> unit;
-  tk_rearm : Time_ns.t -> bool;
-  tk_pending : unit -> bool;
-  tk_deadline : unit -> Time_ns.t;
-}
-
-type 'a inst = {
-  i_name : string;
-  i_schedule : at:Time_ns.t -> 'a -> ticket;
-  i_next_deadline : unit -> Time_ns.t option;
-  i_fire_due :
-    now:Time_ns.t -> limit:int -> (Time_ns.t -> 'a -> unit) -> Fire_outcome.t;
-  i_pending : unit -> int;
-  i_resident : unit -> int;
-  i_words : unit -> int;
-}
-
-val instantiate : (module S) -> tick:Time_ns.span -> unit -> 'a inst
-(** A fresh store of the given kind, packed as closures. *)

@@ -1,15 +1,26 @@
+let name = "wheel"
+
 type state = Pending | Cancelled | Fired
 
-type handle = { mutable hstate : state; hdeadline : Time_ns.t }
+type 'a handle = {
+  mutable hstate : state;
+  mutable hdeadline : Time_ns.t;
+  mutable hseq : int;  (* tie position of the handle's current placement *)
+  value : 'a;
+}
 
-type 'a entry = { deadline : Time_ns.t; seq : int; value : 'a; h : handle }
+(* One bucket placement of a handle.  A re-arm places the handle again
+   under a fresh tie position and leaves the old placement behind as a
+   corpse: a placement is live iff its handle is pending and still
+   carries the placement's tie position. *)
+type 'a entry = { seq : int; h : 'a handle }
 
 type 'a t = {
   slots_n : int;
   tick_span : Time_ns.span;
   buckets : 'a entry list array;
   mutable count : int;
-  mutable cancelled : int;  (* cancelled entries not yet physically removed *)
+  mutable cancelled : int;  (* corpse placements not yet physically removed *)
   mutable next_seq : int;
   mutable last_tick : int64;  (* tick index up to (and incl.) which slots were swept *)
   mutable cached_min : Time_ns.t;  (* meaningful only when [min_valid] *)
@@ -35,8 +46,9 @@ let slots t = t.slots_n
 let tick t = t.tick_span
 let pending t = t.count
 let resident t = t.count + t.cancelled
-let handle_deadline h = h.hdeadline
-let handle_pending h = h.hstate = Pending
+let handle_deadline _t h = h.hdeadline
+let handle_pending _t h = h.hstate = Pending
+let live e = e.h.hstate = Pending && e.h.hseq = e.seq
 
 (* ALLOC003: deadlines are int64 nanoseconds at the wheel API, so tick
    math boxes its result — a handful of boxes per fire_due/schedule
@@ -47,13 +59,14 @@ let slot_of t tk =
   Int64.to_int ((Int64.rem tk (Int64.of_int t.slots_n) [@lint.allow "ALLOC003"]))
   [@@lint.allow "ALLOC003"]
 
-(* Cancelled entries are normally reclaimed lazily when their slot is
-   swept, but a schedule/cancel churn loop targeting slots far ahead of
-   the sweep horizon would otherwise grow bucket lists without bound
-   (the cancel-leak).  Once the corpses outnumber both the live entries
-   and the slot count, one O(resident) pass removes them all; the
-   thresholds make that pass amortized O(1) per cancellation while
-   keeping [resident t <= 2 * max (pending t) (slots t)]. *)
+(* Corpses (cancelled or re-armed-away placements) are normally
+   reclaimed lazily when their slot is swept, but a schedule/cancel
+   churn loop targeting slots far ahead of the sweep horizon would
+   otherwise grow bucket lists without bound (the cancel-leak).  Once
+   the corpses outnumber both the live entries and the slot count, one
+   O(resident) pass removes them all; the thresholds make that pass
+   amortized O(1) per cancellation while keeping
+   [resident t <= 2 * max (pending t) (slots t)]. *)
 let e_compact = Profile.intern [ "wheel"; "compact_pass" ]
 let e_sweep = Profile.intern [ "wheel"; "sweep_min_scan" ]
 
@@ -62,38 +75,60 @@ let e_sweep = Profile.intern [ "wheel"; "sweep_min_scan" ]
 let compact t =
   Profile.event e_compact;
   for i = 0 to t.slots_n - 1 do
-    t.buckets.(i) <- List.filter (fun e -> e.h.hstate = Pending) t.buckets.(i)
+    t.buckets.(i) <- List.filter live t.buckets.(i)
   done;
   t.cancelled <- 0
 [@@lint.allow "ALLOC001"]
 
 let maybe_compact t = if t.cancelled >= t.slots_n && t.cancelled > t.count then compact t
 
-let schedule t ~at value =
+(* Give [h] a fresh tie position and a placement in the slot of its
+   deadline.  The new tie position is taken first, so a compaction pass
+   triggered here already sees a re-armed handle's old placement as a
+   corpse. *)
+let place t h =
+  let seq = t.next_seq in
+  t.next_seq <- seq + 1;
+  h.hseq <- seq;
   maybe_compact t;
+  let at = h.hdeadline in
   (* Deadlines before the sweep horizon land in the current slot so they
      are found by the next sweep; the exact deadline is preserved. *)
-  let tk = Int64.max (tick_of t at) t.last_tick in
-  let idx = slot_of t tk in
-  let h = { hstate = Pending; hdeadline = at } in
-  let entry = { deadline = at; seq = t.next_seq; value; h } in
-  t.next_seq <- t.next_seq + 1;
-  t.buckets.(idx) <- entry :: t.buckets.(idx);
+  let idx = slot_of t (Int64.max (tick_of t at) t.last_tick) in
+  t.buckets.(idx) <- { seq; h } :: t.buckets.(idx);
   if t.min_valid then
     if t.count = 0 then t.cached_min <- at else t.cached_min <- Time_ns.min t.cached_min at;
-  t.count <- t.count + 1;
+  t.count <- t.count + 1
+
+let schedule t ~at value =
+  let h = { hstate = Pending; hdeadline = at; hseq = 0; value } in
+  place t h;
   h
+
+let schedule_i t ~at_i value = schedule t ~at:(Int64.of_int at_i) value
+
+(* Turn a pending handle's placement into a corpse.  Only removing the
+   (possibly) earliest entry can change the minimum. *)
+let unplace t h =
+  t.count <- t.count - 1;
+  t.cancelled <- t.cancelled + 1;
+  if t.min_valid && t.count > 0 && Time_ns.(h.hdeadline <= t.cached_min) then
+    t.min_valid <- false
 
 let cancel t h =
   if h.hstate = Pending then begin
     h.hstate <- Cancelled;
-    t.count <- t.count - 1;
-    t.cancelled <- t.cancelled + 1;
-    (* Only a cancellation of the (possibly) earliest entry can change
-       the minimum. *)
-    if t.min_valid && t.count > 0 && Time_ns.(h.hdeadline <= t.cached_min) then
-      t.min_valid <- false
+    unplace t h
   end
+
+let rearm t h ~at =
+  h.hstate = Pending
+  && begin
+       unplace t h;
+       h.hdeadline <- at;
+       place t h;
+       true
+     end
 
 (* Earliest pending deadline: scan slots in time order starting at the
    sweep horizon.  An entry due within the slot currently being visited
@@ -108,10 +143,10 @@ let sweep_min t =
   Profile.event e_sweep;
   let best = ref None in
   let consider e =
-    if e.h.hstate = Pending then
+    if live e then
       match !best with
-      | None -> best := Some e.deadline
-      | Some m -> if Time_ns.(e.deadline < m) then best := Some e.deadline
+      | None -> best := Some e.h.hdeadline
+      | Some m -> if Time_ns.(e.h.hdeadline < m) then best := Some e.h.hdeadline
   in
   let exception Found in
   (try
@@ -147,7 +182,7 @@ let[@hot] next_deadline t =
    filter/sort/dispatch closures and tick boxes are proportional to the
    swept slots and fired batch; the nothing-due case exits after the
    O(1) next_deadline check. *)
-let[@hot] fire_due t ~now ~limit f =
+let[@hot] fire_due t ?prefetch:_ ~now ~limit f =
   maybe_compact t;
   let now_tick = tick_of t now in
   match next_deadline t with
@@ -172,24 +207,22 @@ let[@hot] fire_due t ~now ~limit f =
       let keep =
         List.filter
           (fun e ->
-            match e.h.hstate with
-            | Cancelled ->
+            if not (live e) then begin
               t.cancelled <- t.cancelled - 1;
               false
-            | Fired -> false
-            | Pending ->
-              if Time_ns.(e.deadline <= now) then begin
-                due := e :: !due;
-                false
-              end
-              else true)
+            end
+            else if Time_ns.(e.h.hdeadline <= now) then begin
+              due := e :: !due;
+              false
+            end
+            else true)
           t.buckets.(idx)
       in
       t.buckets.(idx) <- keep
     done;
     t.last_tick <- Int64.max t.last_tick now_tick;
     let due = List.sort (fun a b ->
-      let c = Time_ns.compare a.deadline b.deadline in
+      let c = Time_ns.compare a.h.hdeadline b.h.hdeadline in
       if c <> 0 then c else Int.compare a.seq b.seq) !due
     in
     t.min_valid <- false;
@@ -198,20 +231,21 @@ let[@hot] fire_due t ~now ~limit f =
     List.iter
       (fun e ->
         (* Re-check before dispatch: an earlier callback in this batch
-           may have cancelled this entry after it left its bucket. *)
-        if e.h.hstate = Pending then
+           may have cancelled or re-armed this entry after it left its
+           bucket. *)
+        if live e then
           if !fired < limit then begin
             e.h.hstate <- Fired;
             t.count <- t.count - 1;
             incr fired;
-            f e.deadline e.value
+            f e.h.hdeadline e.h.value
           end
           else begin
             (* Budget exhausted: the entry goes back into the wheel with
-               its deadline and sequence number intact, so the next check
+               its deadline and tie position intact, so the next check
                dispatches the remainder in the same order.  [last_tick]
                already advanced past its slot, hence the clamp. *)
-            let idx = slot_of t (Int64.max (tick_of t e.deadline) t.last_tick) in
+            let idx = slot_of t (Int64.max (tick_of t e.h.hdeadline) t.last_tick) in
             t.buckets.(idx) <- e :: t.buckets.(idx)
           end
         else if t.cancelled > 0 then t.cancelled <- t.cancelled - 1)
@@ -219,13 +253,15 @@ let[@hot] fire_due t ~now ~limit f =
     Fire_outcome.pack ~scanned ~fired:!fired
 [@@lint.allow "ALLOC001"] [@@lint.allow "ALLOC002"] [@@lint.allow "ALLOC003"]
 
-(* Analytic heap-footprint estimate, 64-bit words.  Per resident entry:
-   cons cell (3) + entry record (5) + handle (3) + one shared boxed
-   int64 deadline (3) = 14 words; the wheel itself is its record (10),
-   the bucket array (slots+1) and three boxed int64 fields (9). *)
+(* Analytic heap-footprint estimate, 64-bit words.  Per resident
+   placement: cons cell (3) + entry record (3) + handle (5) + one
+   shared boxed int64 deadline (3) = 14 words (a re-arm corpse shares
+   its live handle, so it is over-counted by 8); the wheel itself is
+   its record (10), the bucket array (slots+1) and three boxed int64
+   fields (9). *)
 let words t = 19 + (t.slots_n + 1) + (14 * (t.count + t.cancelled))
 
 let iter_pending t f =
   Array.iter
-    (fun bucket -> List.iter (fun e -> if e.h.hstate = Pending then f e.deadline e.value) bucket)
+    (fun bucket -> List.iter (fun e -> if live e then f e.h.hdeadline e.h.value) bucket)
     t.buckets

@@ -13,12 +13,19 @@
     that is invalidated only when the minimum could have changed.
 
     The wheel is agnostic to what an event is: it stores values of an
-    arbitrary payload type and hands them back on expiry. *)
+    arbitrary payload type and hands them back on expiry.  It
+    implements [Timer_store.S] natively (re-arm, stable handles,
+    snapshot batches, budgets), except that [create] also takes the slot
+    count; [Timer_store.wheel ?slots ()] fixes that count and packs the
+    wheel as the production store. *)
+
+val name : string
+(** ["wheel"]. *)
 
 type 'a t
 
-type handle
-(** Identifies a scheduled entry for cancellation. *)
+type 'a handle
+(** Identifies a scheduled entry; stays valid across re-arms. *)
 
 val create : ?slots:int -> tick:Time_ns.span -> unit -> 'a t
 (** [create ~tick ()] builds an empty wheel whose slots each cover
@@ -32,25 +39,40 @@ val pending : 'a t -> int
 (** Number of scheduled, uncancelled, unfired entries. *)
 
 val resident : 'a t -> int
-(** Entries physically present in the wheel's buckets: pending entries
-    plus cancelled entries awaiting lazy reclamation.  Bounded by
-    [2 * max (pending t) (slots t)] regardless of cancel churn (once
-    cancelled corpses dominate, a compaction pass reclaims them). *)
+(** Placements physically present in the wheel's buckets: pending
+    entries plus cancelled or re-armed-away placements (corpses)
+    awaiting lazy reclamation.  Every schedule, re-arm and [fire_due]
+    first runs one compaction pass if corpses number at least both
+    [slots t] and [pending t], so right after a schedule or re-arm
+    [resident t <= 2 * max (pending t) (slots t)] however long the
+    churn.  Cancels, and fires of entries in other slots than the
+    corpses, lower [pending t] without reclaiming anything, so the
+    bound can be exceeded until the next such call. *)
 
-val handle_deadline : handle -> Time_ns.t
-(** The absolute deadline the entry was scheduled for (valid in any
-    state). *)
+val handle_deadline : 'a t -> 'a handle -> Time_ns.t
+(** The absolute deadline the entry was last scheduled or re-armed for
+    (valid in any state). *)
 
-val handle_pending : handle -> bool
+val handle_pending : 'a t -> 'a handle -> bool
 (** Whether the entry is still scheduled (not cancelled, not fired). *)
 
-val schedule : 'a t -> at:Time_ns.t -> 'a -> handle
-(** [schedule t ~at v] registers [v] to expire at absolute time [at].
-    O(1). *)
+val schedule : 'a t -> at:Time_ns.t -> 'a -> 'a handle
+(** [schedule t ~at v] registers [v] to expire at absolute time [at]
+    under a fresh tie position.  O(1). *)
 
-val cancel : 'a t -> handle -> unit
+val schedule_i : 'a t -> at_i:int -> 'a -> 'a handle
+(** [schedule] with the deadline in integer nanoseconds. *)
+
+val cancel : 'a t -> 'a handle -> unit
 (** Remove an entry.  Cancelling twice, or after expiry, is a no-op.
     O(1) (lazy removal from the slot list). *)
+
+val rearm : 'a t -> 'a handle -> at:Time_ns.t -> bool
+(** Move a pending entry to deadline [at] under a fresh tie position,
+    exactly like cancel + schedule of the same value, but the handle
+    stays valid; the old placement becomes a corpse.  O(1).  [false]
+    (and nothing happens) when the entry already fired or was
+    cancelled. *)
 
 val next_deadline : 'a t -> Time_ns.t option
 (** Earliest pending deadline, or [None] when the wheel is empty.  This
@@ -59,18 +81,23 @@ val next_deadline : 'a t -> Time_ns.t option
     expiry, in which case the wheel is swept once. *)
 
 val fire_due :
-  'a t -> now:Time_ns.t -> limit:int -> (Time_ns.t -> 'a -> unit) -> Fire_outcome.t
+  'a t ->
+  ?prefetch:('a -> unit) ->
+  now:Time_ns.t ->
+  limit:int ->
+  (Time_ns.t -> 'a -> unit) ->
+  Fire_outcome.t
 (** [fire_due t ~now ~limit f] removes every entry with deadline
     [<= now] and calls [f deadline value] on each, in deadline order
-    (ties broken by scheduling order), invoking at most [limit]
-    callbacks; entries beyond the budget are re-inserted with deadline
-    and sequence number preserved, so the next call dispatches them in
-    the same order.  Returns the packed batch size and callback count
-    ({!Fire_outcome}).  Handlers may schedule new entries, including
-    ones already due; those fire on the next call.  Each entry's state
-    is re-checked immediately before its callback runs, so a handler
-    that cancels a later same-batch entry suppresses its dispatch (see
-    the [fire_due] contract in [Timer_backend.S]). *)
+    (ties broken by tie position), invoking at most [limit] callbacks;
+    entries beyond the budget are re-inserted with deadline and tie
+    position preserved, so the next call dispatches them in the same
+    order.  Returns the packed batch size and callback count
+    ({!Fire_outcome}).  Handlers may schedule or re-arm entries,
+    including to deadlines already due; those fire on the next call.
+    Each entry's state is re-checked immediately before its callback
+    runs, so a handler that cancels or re-arms a later same-batch entry
+    suppresses its dispatch.  [prefetch] is ignored. *)
 
 val iter_pending : 'a t -> (Time_ns.t -> 'a -> unit) -> unit
 (** Visit every pending entry in unspecified order (for tests). *)
@@ -78,4 +105,4 @@ val iter_pending : 'a t -> (Time_ns.t -> 'a -> unit) -> unit
 val words : 'a t -> int
 (** Analytic estimate of the wheel's heap footprint in 64-bit words
     (excluding payloads): record + bucket array + 14 words per resident
-    entry.  Cross-checked against [Obj.reachable_words] in tests. *)
+    placement.  Cross-checked against [Obj.reachable_words] in tests. *)

@@ -15,7 +15,7 @@ let cfg = Exp_config.quick
    bench hot paths.  It must still track reality: drive each store to a
    mixed live/cancelled population and require the analytic count to be
    within 30% of the words the GC can actually reach from the root.
-   (Measured ratios are 0.93..1.00 across all eight stores; 30% leaves
+   (Measured ratios are 0.95..1.00 across all five stores; 30% leaves
    room for allocator-policy differences, not for a broken formula.) *)
 
 let test_words_vs_reachable () =

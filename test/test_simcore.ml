@@ -148,45 +148,6 @@ let test_dist_pareto_infinite_mean () =
     && Dist.mean (Dist.Pareto { scale = 1.0; shape = 0.9 }) = infinity)
 
 (* ------------------------------------------------------------------ *)
-(* Heap *)
-
-let test_heap_ordering () =
-  let h = Heap.create ~cmp:compare in
-  List.iter (Heap.push h) [ 5; 3; 8; 1; 9; 2; 7; 4; 6; 0 ];
-  Alcotest.(check int) "length" 10 (Heap.length h);
-  let drained = List.init 10 (fun _ -> Heap.pop_exn h) in
-  Alcotest.(check (list int)) "sorted drain" [ 0; 1; 2; 3; 4; 5; 6; 7; 8; 9 ] drained;
-  Alcotest.(check bool) "empty after" true (Heap.is_empty h)
-
-let test_heap_peek_and_clear () =
-  let h = Heap.create ~cmp:compare in
-  Alcotest.(check (option int)) "peek empty" None (Heap.peek h);
-  Heap.push h 3;
-  Heap.push h 1;
-  Alcotest.(check (option int)) "peek min" (Some 1) (Heap.peek h);
-  Heap.clear h;
-  Alcotest.(check int) "cleared" 0 (Heap.length h);
-  Alcotest.check_raises "pop_exn empty" (Invalid_argument "Heap.pop_exn: empty heap") (fun () ->
-      ignore (Heap.pop_exn h))
-
-let test_heap_to_sorted_nondestructive () =
-  let h = Heap.create ~cmp:compare in
-  List.iter (Heap.push h) [ 4; 2; 9 ];
-  Alcotest.(check (list int)) "sorted view" [ 2; 4; 9 ] (Heap.to_sorted_list h);
-  Alcotest.(check int) "still populated" 3 (Heap.length h)
-
-let test_heap_matches_sort =
-  QCheck.Test.make ~name:"heap drain = List.sort" ~count:200
-    QCheck.(list int)
-    (fun xs ->
-      let h = Heap.create ~cmp:compare in
-      List.iter (Heap.push h) xs;
-      let rec drain acc =
-        match Heap.pop h with None -> List.rev acc | Some x -> drain (x :: acc)
-      in
-      drain [] = List.sort compare xs)
-
-(* ------------------------------------------------------------------ *)
 (* Engine *)
 
 let test_engine_ordering () =
@@ -822,13 +783,6 @@ let () =
           Alcotest.test_case "means match analytic" `Slow test_dist_means_match_analytic;
           Alcotest.test_case "pareto infinite mean" `Quick test_dist_pareto_infinite_mean;
           qc test_dist_non_negative;
-        ] );
-      ( "heap",
-        [
-          Alcotest.test_case "ordering" `Quick test_heap_ordering;
-          Alcotest.test_case "peek and clear" `Quick test_heap_peek_and_clear;
-          Alcotest.test_case "sorted view non-destructive" `Quick test_heap_to_sorted_nondestructive;
-          qc test_heap_matches_sort;
         ] );
       ( "eventq",
         [

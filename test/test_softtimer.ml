@@ -108,6 +108,29 @@ let test_negative_ticks_rejected () =
   Alcotest.check_raises "negative" (Invalid_argument "Softtimer.schedule_soft_event: negative ticks")
     (fun () -> ignore (Softtimer.schedule_soft_event st ~ticks:(-1L) (fun _ -> ())))
 
+(* Allocation regression: a schedule + cancel on the default store
+   allocates the event payload, the facility handle, the wheel's handle,
+   placement and cons cell, and the int64 boxes of the tick arithmetic —
+   no closures.  Measured at 50.9 minor words per op (dune's default
+   dev profile, x86-64); the bound pins that figure with a small margin.
+   The closure-packed store instance this replaced cost 87.9. *)
+let test_schedule_cancel_alloc () =
+  let _, _, st = fresh () in
+  let handler _ = () in
+  let op () = Softtimer.cancel st (Softtimer.schedule_soft_event st ~ticks:1_000L handler) in
+  for _ = 1 to 1_000 do
+    op ()
+  done;
+  let n = 20_000 in
+  let before = Gc.minor_words () in
+  for _ = 1 to n do
+    op ()
+  done;
+  let per_op = (Gc.minor_words () -. before) /. float_of_int n in
+  Alcotest.(check bool)
+    (Printf.sprintf "schedule + cancel allocates %.1f minor words (bound 53)" per_op)
+    true (per_op <= 53.0)
+
 let test_delay_recording () =
   let e, m, st = fresh () in
   start_triggers m 4;
@@ -518,6 +541,7 @@ let () =
           Alcotest.test_case "idle cpu rescues busy machine" `Quick
             test_idle_cpu_rescues_busy_machine;
           qc test_bounds_property;
+          Alcotest.test_case "schedule + cancel allocation" `Quick test_schedule_cancel_alloc;
         ] );
       ("delay_audit", [ qc test_audit_conservation_property ]);
       ( "rate_clock",

@@ -133,19 +133,26 @@ let op_gen =
 let ops_arbitrary =
   QCheck.make ~print:pp_ops QCheck.Gen.(list_size (int_range 1 120) op_gen)
 
+(* The registry's exact stores plus an 8-slot wheel: with a one-rotation
+   horizon of 80 us, re-arm corpses and live entries share slots across
+   wrap-around, which the 512-slot default rarely reaches. *)
+let exact_inputs =
+  List.map (fun (module M : Timer_store.S) -> (M.name, (module M : Timer_store.S))) Store_registry.exact
+  @ [ ("wheel[8]", Timer_store.wheel ~slots:8 ()) ]
+
 let equivalence_tests =
   List.map
-    (fun (module M : Timer_store.S) ->
+    (fun (label, (module M : Timer_store.S)) ->
       QCheck.Test.make
-        ~name:(Printf.sprintf "%s = reference model" M.name)
+        ~name:(Printf.sprintf "%s = reference model" label)
         ~count:200 ops_arbitrary
         (fun ops ->
           let got = run_store (module M) ops in
           let want = run_store (module Timer_store.Reference) ops in
           if String.equal got want then true
-          else QCheck.Test.fail_reportf "%s diverged:\n--- %s\n%s\n--- reference\n%s" M.name
-              M.name got want))
-    Store_registry.exact
+          else QCheck.Test.fail_reportf "%s diverged:\n--- %s\n%s\n--- reference\n%s" label
+              label got want))
+    exact_inputs
 
 (* The approximate store fires at bucket-rounded deadlines, so its
    oracle is the reference model behind the same quantization
@@ -188,9 +195,9 @@ let approx_equivalence_tests =
    workload — the generalisation of the cancel-leak regression. *)
 let residency_tests =
   List.map
-    (fun (module M : Timer_store.S) ->
+    (fun (label, (module M : Timer_store.S)) ->
       QCheck.Test.make
-        ~name:(Printf.sprintf "%s residency O(live)" M.name)
+        ~name:(Printf.sprintf "%s residency O(live)" label)
         ~count:100 ops_arbitrary
         (fun ops ->
           let t = M.create ~tick:(us 10.0) () in
@@ -223,7 +230,10 @@ let residency_tests =
               check ())
             ops;
           !ok))
-    Store_registry.all
+    (exact_inputs
+    @ List.map
+        (fun (module M : Timer_store.S) -> (M.name, (module M : Timer_store.S)))
+        Store_registry.approximate)
 
 (* ------------------------------------------------------------------ *)
 (* Deterministic unit regressions.                                     *)

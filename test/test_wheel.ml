@@ -1,5 +1,7 @@
 (* Tests for the hashed timing wheel, including a property-based
-   equivalence check against a sorted-list reference implementation. *)
+   equivalence check against a sorted reference model
+   that covers re-arm on a small wheel, where corpses and live entries
+   share slots across wrap-around. *)
 
 let us = Time_ns.of_us
 
@@ -12,8 +14,8 @@ let test_basic_fire () =
   let w = Timing_wheel.create ~tick:(us 10.0) () in
   Alcotest.(check int) "empty" 0 (Timing_wheel.pending w);
   Alcotest.(check (option int64)) "no deadline" None (Timing_wheel.next_deadline w);
-  ignore (Timing_wheel.schedule w ~at:(us 25.0) "a" : Timing_wheel.handle);
-  ignore (Timing_wheel.schedule w ~at:(us 55.0) "b" : Timing_wheel.handle);
+  ignore (Timing_wheel.schedule w ~at:(us 25.0) "a" : _ Timing_wheel.handle);
+  ignore (Timing_wheel.schedule w ~at:(us 55.0) "b" : _ Timing_wheel.handle);
   Alcotest.(check int) "pending 2" 2 (Timing_wheel.pending w);
   Alcotest.(check (option int64)) "earliest" (Some (us 25.0)) (Timing_wheel.next_deadline w);
   let n, fired = collect_fired w ~now:(us 30.0) in
@@ -27,9 +29,9 @@ let test_basic_fire () =
 
 let test_fire_order_and_ties () =
   let w = Timing_wheel.create ~tick:(us 10.0) () in
-  ignore (Timing_wheel.schedule w ~at:(us 40.0) "second" : Timing_wheel.handle);
-  ignore (Timing_wheel.schedule w ~at:(us 20.0) "first" : Timing_wheel.handle);
-  ignore (Timing_wheel.schedule w ~at:(us 40.0) "third" : Timing_wheel.handle);
+  ignore (Timing_wheel.schedule w ~at:(us 40.0) "second" : _ Timing_wheel.handle);
+  ignore (Timing_wheel.schedule w ~at:(us 20.0) "first" : _ Timing_wheel.handle);
+  ignore (Timing_wheel.schedule w ~at:(us 40.0) "third" : _ Timing_wheel.handle);
   let _, fired = collect_fired w ~now:(us 50.0) in
   Alcotest.(check (list string)) "deadline then insertion order" [ "first"; "second"; "third" ]
     (List.map snd fired)
@@ -37,7 +39,7 @@ let test_fire_order_and_ties () =
 let test_cancel () =
   let w = Timing_wheel.create ~tick:(us 10.0) () in
   let h = Timing_wheel.schedule w ~at:(us 20.0) "x" in
-  ignore (Timing_wheel.schedule w ~at:(us 30.0) "y" : Timing_wheel.handle);
+  ignore (Timing_wheel.schedule w ~at:(us 30.0) "y" : _ Timing_wheel.handle);
   Timing_wheel.cancel w h;
   Alcotest.(check int) "pending after cancel" 1 (Timing_wheel.pending w);
   Alcotest.(check (option int64)) "min recomputed" (Some (us 30.0)) (Timing_wheel.next_deadline w);
@@ -49,10 +51,10 @@ let test_cancel () =
 let test_far_future_rotations () =
   (* An entry many rotations ahead must not fire early. *)
   let w = Timing_wheel.create ~slots:8 ~tick:(us 10.0) () in
-  ignore (Timing_wheel.schedule w ~at:(us 25.0) "near" : Timing_wheel.handle);
+  ignore (Timing_wheel.schedule w ~at:(us 25.0) "near" : _ Timing_wheel.handle);
   (* 8 slots x 10 us = one rotation is 80 us; 1000 us is 12 rotations out
      and hashes to the same region of the wheel. *)
-  ignore (Timing_wheel.schedule w ~at:(us 1_005.0) "far" : Timing_wheel.handle);
+  ignore (Timing_wheel.schedule w ~at:(us 1_005.0) "far" : _ Timing_wheel.handle);
   let _, fired = collect_fired w ~now:(us 100.0) in
   Alcotest.(check (list string)) "only near fires" [ "near" ] (List.map snd fired);
   let _, fired = collect_fired w ~now:(us 2_000.0) in
@@ -62,19 +64,19 @@ let test_overdue_schedule_fires () =
   let w = Timing_wheel.create ~tick:(us 10.0) () in
   ignore (collect_fired w ~now:(us 500.0));
   (* Deadline in the past relative to the sweep horizon. *)
-  ignore (Timing_wheel.schedule w ~at:(us 100.0) "late" : Timing_wheel.handle);
+  ignore (Timing_wheel.schedule w ~at:(us 100.0) "late" : _ Timing_wheel.handle);
   let _, fired = collect_fired w ~now:(us 500.0) in
   Alcotest.(check (list string)) "overdue entry still fires" [ "late" ] (List.map snd fired)
 
 let test_schedule_during_fire () =
   let w = Timing_wheel.create ~tick:(us 10.0) () in
-  ignore (Timing_wheel.schedule w ~at:(us 20.0) "a" : Timing_wheel.handle);
+  ignore (Timing_wheel.schedule w ~at:(us 20.0) "a" : _ Timing_wheel.handle);
   let rescheduled = ref false in
   let n =
     Timing_wheel.fire_due w ~now:(us 30.0) ~limit:max_int (fun _ _ ->
         if not !rescheduled then begin
           rescheduled := true;
-          ignore (Timing_wheel.schedule w ~at:(us 25.0) "b" : Timing_wheel.handle)
+          ignore (Timing_wheel.schedule w ~at:(us 25.0) "b" : _ Timing_wheel.handle)
         end)
   in
   Alcotest.(check int) "one fired this round" 1 (Fire_outcome.fired n);
@@ -85,9 +87,9 @@ let test_schedule_during_fire () =
 
 let test_iter_pending () =
   let w = Timing_wheel.create ~tick:(us 10.0) () in
-  ignore (Timing_wheel.schedule w ~at:(us 10.0) 1 : Timing_wheel.handle);
+  ignore (Timing_wheel.schedule w ~at:(us 10.0) 1 : _ Timing_wheel.handle);
   let h = Timing_wheel.schedule w ~at:(us 20.0) 2 in
-  ignore (Timing_wheel.schedule w ~at:(us 30.0) 3 : Timing_wheel.handle);
+  ignore (Timing_wheel.schedule w ~at:(us 30.0) 3 : _ Timing_wheel.handle);
   Timing_wheel.cancel w h;
   let seen = ref [] in
   Timing_wheel.iter_pending w (fun _ v -> seen := v :: !seen);
@@ -109,7 +111,7 @@ let test_cancel_churn_bounded () =
   let slots = 64 in
   let w = Timing_wheel.create ~slots ~tick:(us 10.0) () in
   (* A long-lived entry keeps the wheel non-empty throughout. *)
-  ignore (Timing_wheel.schedule w ~at:(us 1e9) "keeper" : Timing_wheel.handle);
+  ignore (Timing_wheel.schedule w ~at:(us 1e9) "keeper" : _ Timing_wheel.handle);
   let worst = ref 0 in
   for i = 1 to 50_000 do
     let h = Timing_wheel.schedule w ~at:(us (100_000.0 +. float_of_int i)) "churn" in
@@ -126,12 +128,31 @@ let test_cancel_churn_bounded () =
   let _, fired = collect_fired w ~now:(us 2e9) in
   Alcotest.(check (list string)) "keeper fires" [ "keeper" ] (List.map snd fired)
 
-(* Property: against a sorted-list oracle, under a random schedule of
-   operations (schedule / cancel / advance), fire_due produces exactly
-   the same (deadline, id) multiset in the same deadline order, and
-   next_deadline always agrees. *)
+(* Re-arm corpses across slot wrap-around: on an 8-slot wheel (one
+   rotation = 80 us) a re-arm one rotation later lands in the same slot
+   as the old placement, which must stay a corpse — never fire, and be
+   reclaimed when its slot is swept. *)
+let test_rearm_wraparound () =
+  let w = Timing_wheel.create ~slots:8 ~tick:(us 10.0) () in
+  let h = Timing_wheel.schedule w ~at:(us 25.0) "x" in
+  Alcotest.(check bool) "rearm ok" true (Timing_wheel.rearm w h ~at:(us 105.0));
+  Alcotest.(check int) "corpse resident" 2 (Timing_wheel.resident w);
+  Alcotest.(check (option int64)) "min moved" (Some (us 105.0)) (Timing_wheel.next_deadline w);
+  let n, _ = collect_fired w ~now:(us 30.0) in
+  Alcotest.(check int) "old deadline does not fire" 0 n;
+  let n, fired = collect_fired w ~now:(us 110.0) in
+  Alcotest.(check int) "fires once at the new deadline" 1 n;
+  Alcotest.(check (list (pair int64 string))) "at 105 us" [ (us 105.0, "x") ] fired;
+  Alcotest.(check int) "corpse reclaimed" 0 (Timing_wheel.resident w);
+  Alcotest.(check bool) "rearm after fire refused" false (Timing_wheel.rearm w h ~at:(us 500.0))
 
-type op = Schedule of int | Cancel of int | Advance of int
+(* Property: against a sorted model, under a random schedule of
+   operations (schedule / cancel / re-arm / advance) on a 16-slot
+   wheel, fire_due produces exactly the same (deadline, id) sequence in
+   (deadline, tie) order, re-arm succeeds exactly when the entry is
+   live, and pending count and next_deadline agree. *)
+
+type op = Schedule of int | Cancel of int | Rearm of int * int | Advance of int
 
 let op_gen =
   QCheck.Gen.(
@@ -139,6 +160,7 @@ let op_gen =
       [
         (5, map (fun d -> Schedule d) (int_range 0 2_000));
         (2, map (fun i -> Cancel i) (int_range 0 50));
+        (2, map2 (fun i d -> Rearm (i, d)) (int_range 0 50) (int_range 0 2_000));
         (3, map (fun d -> Advance d) (int_range 1 500));
       ])
 
@@ -150,251 +172,94 @@ let ops_arbitrary =
            (function
              | Schedule d -> Printf.sprintf "S%d" d
              | Cancel i -> Printf.sprintf "C%d" i
+             | Rearm (i, d) -> Printf.sprintf "R%d,%d" i d
              | Advance d -> Printf.sprintf "A%d" d)
            ops))
     QCheck.Gen.(list_size (int_range 1 120) op_gen)
 
-let test_oracle_equivalence =
-  QCheck.Test.make ~name:"wheel = sorted-list oracle" ~count:300 ops_arbitrary (fun ops ->
-      let w = Timing_wheel.create ~slots:16 ~tick:(us 10.0) () in
-      (* Oracle: (deadline, id, cancelled ref) list. *)
-      let oracle : (Time_ns.t * int * bool ref) list ref = ref [] in
-      let handles : (int * Timing_wheel.handle * bool ref) list ref = ref [] in
-      let now = ref Time_ns.zero in
-      let next_id = ref 0 in
-      let ok = ref true in
-      List.iter
-        (fun op ->
-          match op with
-          | Schedule offset_us ->
-            let at = Time_ns.(!now + us (float_of_int offset_us)) in
-            let id = !next_id in
-            incr next_id;
-            let h = Timing_wheel.schedule w ~at id in
-            let alive = ref true in
-            oracle := (at, id, alive) :: !oracle;
-            handles := (id, h, alive) :: !handles
-          | Cancel idx -> begin
-            match List.nth_opt !handles (idx mod max 1 (List.length !handles)) with
-            | Some (_, h, alive) when !handles <> [] ->
-              Timing_wheel.cancel w h;
-              alive := false
-            | _ -> ()
-          end
-          | Advance d ->
-            now := Time_ns.(!now + us (float_of_int d));
-            let fired = ref [] in
-            ignore
-              (Timing_wheel.fire_due w ~now:!now ~limit:max_int (fun due v -> fired := (due, v) :: !fired)
-                : Fire_outcome.t);
-            let fired = List.rev !fired in
-            let expected =
-              !oracle
-              |> List.filter (fun (at, _, alive) -> !alive && Time_ns.(at <= !now))
-              |> List.map (fun (at, id, _) -> (at, id))
-              |> List.sort (fun (a, i) (b, j) ->
-                     let c = Time_ns.compare a b in
-                     if c <> 0 then c else compare i j)
-            in
-            oracle :=
-              List.filter (fun (at, _, alive) -> (not !alive) || Time_ns.(at > !now)) !oracle;
-            (* Fired entries are spent: drop them from the oracle; also
-               mark them dead so later cancels are no-ops. *)
-            List.iter
-              (fun (_, id) ->
-                match List.find_opt (fun (i, _, _) -> i = id) !handles with
-                | Some (_, _, alive) -> alive := false
-                | None -> ())
-              expected;
-            if fired <> expected then ok := false)
-        ops;
-      (* Final consistency of pending count and next_deadline. *)
-      let live = List.filter (fun (_, _, alive) -> !alive) !oracle in
-      let expected_min =
-        List.fold_left
-          (fun acc (at, _, _) ->
-            match acc with None -> Some at | Some m -> Some (Time_ns.min m at))
-          None live
-      in
-      !ok
-      && Timing_wheel.pending w = List.length live
-      && Timing_wheel.next_deadline w = expected_min)
+type model = {
+  id : int;
+  h : int Timing_wheel.handle;
+  mutable at : Time_ns.t;
+  mutable tie : int;  (* bumped on schedule and re-arm *)
+  mutable alive : bool;
+}
 
-
-(* Property: [next_deadline] equals the true minimum pending deadline
-   after EVERY operation (the oracle test above only checks it at the
-   end), including the lazy min-cache invalidation paths exercised by
-   cancel-of-minimum and by firing. *)
-let test_next_deadline_always_min =
-  QCheck.Test.make ~name:"next_deadline = true min after every op" ~count:300 ops_arbitrary
-    (fun ops ->
-      let w = Timing_wheel.create ~slots:16 ~tick:(us 10.0) () in
-      let entries : (Time_ns.t * Timing_wheel.handle * bool ref) list ref = ref [] in
-      let now = ref Time_ns.zero in
-      let ok = ref true in
-      let check_min () =
-        let expected =
-          List.fold_left
-            (fun acc (at, _, alive) ->
-              if not !alive then acc
-              else match acc with None -> Some at | Some m -> Some (Time_ns.min m at))
-            None !entries
-        in
-        if Timing_wheel.next_deadline w <> expected then ok := false
-      in
-      List.iter
-        (fun op ->
-          (match op with
-          | Schedule offset_us ->
-            let at = Time_ns.(!now + us (float_of_int offset_us)) in
-            let h = Timing_wheel.schedule w ~at 0 in
-            entries := (at, h, ref true) :: !entries
-          | Cancel idx -> begin
-            match List.nth_opt !entries (idx mod max 1 (List.length !entries)) with
-            | Some (_, h, alive) when !entries <> [] ->
-              Timing_wheel.cancel w h;
-              alive := false
-            | _ -> ()
-          end
-          | Advance d ->
-            now := Time_ns.(!now + us (float_of_int d));
-            ignore (Timing_wheel.fire_due w ~now:!now ~limit:max_int (fun _ _ -> ()) : Fire_outcome.t);
-            List.iter
-              (fun (at, _, alive) -> if !alive && Time_ns.(at <= !now) then alive := false)
-              !entries);
-          check_min ())
-        ops;
-      !ok)
-
-(* ------------------------------------------------------------------ *)
-(* Timer_backend: the same oracle, over all four backends. *)
-
-let backend_oracle (module B : Timer_backend.S) ops =
-  let w = B.create ~tick:(us 10.0) () in
-  let oracle : (Time_ns.t * int * bool ref) list ref = ref [] in
-  let handles : (int * B.handle * bool ref) list ref = ref [] in
+(* Drive [ops] against a 16-slot wheel and the sorted model; with
+   [each_op], next_deadline is compared after every operation rather
+   than only at the end. *)
+let agrees_with_oracle ~each_op ops =
+  let w = Timing_wheel.create ~slots:16 ~tick:(us 10.0) () in
+  let entries = ref [] in
   let now = ref Time_ns.zero in
-  let next_id = ref 0 in
+  let ties = ref 0 in
   let ok = ref true in
+  let fresh_tie () =
+    incr ties;
+    !ties
+  in
+  let pick idx = List.nth_opt !entries (idx mod max 1 (List.length !entries)) in
+  let expected_min () =
+    List.fold_left
+      (fun acc e ->
+        if not e.alive then acc
+        else match acc with None -> Some e.at | Some m -> Some (Time_ns.min m e.at))
+      None !entries
+  in
   List.iter
     (fun op ->
-      match op with
+      (match op with
       | Schedule offset_us ->
         let at = Time_ns.(!now + us (float_of_int offset_us)) in
-        let id = !next_id in
-        incr next_id;
-        let h = B.schedule w ~at id in
-        let alive = ref true in
-        oracle := (at, id, alive) :: !oracle;
-        handles := (id, h, alive) :: !handles
-      | Cancel idx -> begin
-        match List.nth_opt !handles (idx mod max 1 (List.length !handles)) with
-        | Some (_, h, alive) when !handles <> [] ->
-          B.cancel w h;
-          alive := false
-        | _ -> ()
-      end
+        let id = List.length !entries in
+        let h = Timing_wheel.schedule w ~at id in
+        entries := { id; h; at; tie = fresh_tie (); alive = true } :: !entries
+      | Cancel idx ->
+        Option.iter
+          (fun e ->
+            Timing_wheel.cancel w e.h;
+            e.alive <- false)
+          (pick idx)
+      | Rearm (idx, offset_us) ->
+        Option.iter
+          (fun e ->
+            let at = Time_ns.(!now + us (float_of_int offset_us)) in
+            let moved = Timing_wheel.rearm w e.h ~at in
+            if moved <> e.alive then ok := false;
+            if moved then begin
+              e.at <- at;
+              e.tie <- fresh_tie ()
+            end)
+          (pick idx)
       | Advance d ->
         now := Time_ns.(!now + us (float_of_int d));
         let fired = ref [] in
-        ignore (B.fire_due w ~now:!now ~limit:max_int (fun due v -> fired := (due, v) :: !fired) : Fire_outcome.t);
-        let fired = List.rev !fired in
-        let expected =
-          !oracle
-          |> List.filter (fun (at, _, alive) -> !alive && Time_ns.(at <= !now))
-          |> List.map (fun (at, id, _) -> (at, id))
-          |> List.sort (fun (a, i) (b, j) ->
-                 let c = Time_ns.compare a b in
-                 if c <> 0 then c else compare i j)
+        ignore
+          (Timing_wheel.fire_due w ~now:!now ~limit:max_int (fun due id ->
+               fired := (due, id) :: !fired)
+            : Fire_outcome.t);
+        let due =
+          List.filter (fun e -> e.alive && Time_ns.(e.at <= !now)) !entries
+          |> List.sort (fun a b -> compare (a.at, a.tie) (b.at, b.tie))
         in
-        oracle :=
-          List.filter (fun (at, _, alive) -> (not !alive) || Time_ns.(at > !now)) !oracle;
-        List.iter
-          (fun (_, id) ->
-            match List.find_opt (fun (i, _, _) -> i = id) !handles with
-            | Some (_, _, alive) -> alive := false
-            | None -> ())
-          expected;
-        if fired <> expected then ok := false)
+        List.iter (fun e -> e.alive <- false) due;
+        if List.rev !fired <> List.map (fun e -> (e.at, e.id)) due then ok := false);
+      if each_op && Timing_wheel.next_deadline w <> expected_min () then ok := false)
     ops;
-  let live = List.filter (fun (_, _, alive) -> !alive) !oracle in
-  let expected_min =
-    List.fold_left
-      (fun acc (at, _, _) -> match acc with None -> Some at | Some m -> Some (Time_ns.min m at))
-      None live
-  in
-  !ok && B.pending w = List.length live && B.next_deadline w = expected_min
+  !ok
+  && Timing_wheel.pending w = List.length (List.filter (fun e -> e.alive) !entries)
+  && Timing_wheel.next_deadline w = expected_min ()
 
-(* The hierarchical wheel's overflow list holds entries beyond 64^4
-   ticks; with a 100 ns tick that is ~1.7 s out. *)
-let test_hier_overflow_path () =
-  let module H = Timer_backend.Hier in
-  let w = H.create ~tick:100L () in
-  ignore (H.schedule w ~at:(Time_ns.of_sec 2.0) "overflow" : H.handle);
-  ignore (H.schedule w ~at:(us 50.0) "near" : H.handle);
-  Alcotest.(check (option int64)) "min is near" (Some (us 50.0)) (H.next_deadline w);
-  let fired = ref [] in
-  ignore (H.fire_due w ~now:(Time_ns.of_sec 0.5) ~limit:max_int (fun _ v -> fired := v :: !fired) : Fire_outcome.t);
-  Alcotest.(check (list string)) "near fires, overflow waits" [ "near" ] (List.rev !fired);
-  Alcotest.(check (option int64)) "overflow is the min now" (Some (Time_ns.of_sec 2.0))
-    (H.next_deadline w);
-  ignore (H.fire_due w ~now:(Time_ns.of_sec 3.0) ~limit:max_int (fun _ v -> fired := v :: !fired) : Fire_outcome.t);
-  Alcotest.(check (list string)) "overflow fires after cascades" [ "near"; "overflow" ]
-    (List.rev !fired);
-  Alcotest.(check int) "drained" 0 (H.pending w)
+let test_oracle_equivalence =
+  QCheck.Test.make ~name:"wheel = sorted model" ~count:300 ops_arbitrary
+    (agrees_with_oracle ~each_op:false)
 
-(* Exercise fast_forward with long quiet gaps between sparse timers. *)
-let test_hier_long_gaps =
-  QCheck.Test.make ~name:"hier survives long idle gaps" ~count:100
-    QCheck.(list_of_size Gen.(int_range 1 20) (pair (int_range 0 5_000_000) (int_range 1 5_000_000)))
-    (fun ops ->
-      let module H = Timer_backend.Hier in
-      let w = H.create ~tick:(us 10.0) () in
-      let now = ref Time_ns.zero in
-      let scheduled = ref [] in
-      let fired = ref [] in
-      List.iter
-        (fun (offset_us, advance_us) ->
-          let at = Time_ns.(!now + us (float_of_int offset_us)) in
-          let id = List.length !scheduled in
-          ignore (H.schedule w ~at id : H.handle);
-          scheduled := (at, id) :: !scheduled;
-          now := Time_ns.(!now + us (float_of_int advance_us));
-          ignore (H.fire_due w ~now:!now ~limit:max_int (fun _ v -> fired := v :: !fired) : Fire_outcome.t))
-        ops;
-      (* Drain everything far in the future; every entry must fire
-         exactly once. *)
-      now := Time_ns.(!now + Time_ns.of_sec 100_000.0);
-      ignore (H.fire_due w ~now:!now ~limit:max_int (fun _ v -> fired := v :: !fired) : Fire_outcome.t);
-      List.sort compare !fired = List.init (List.length !scheduled) Fun.id
-      && H.pending w = 0)
-
-let backend_tests =
-  List.map
-    (fun (module B : Timer_backend.S) ->
-      QCheck.Test.make
-        ~name:(Printf.sprintf "%s = sorted-list oracle" B.name)
-        ~count:150 ops_arbitrary
-        (fun ops -> backend_oracle (module B) ops))
-    Timer_backend.all
-
-let test_backends_basic () =
-  List.iter
-    (fun (module B : Timer_backend.S) ->
-      let w = B.create ~tick:(us 10.0) () in
-      ignore (B.schedule w ~at:(us 25.0) "a" : B.handle);
-      let h = B.schedule w ~at:(us 55.0) "b" in
-      ignore (B.schedule w ~at:(us 7_777.0) "far" : B.handle);
-      Alcotest.(check int) (B.name ^ " pending") 3 (B.pending w);
-      Alcotest.(check (option int64)) (B.name ^ " earliest") (Some (us 25.0)) (B.next_deadline w);
-      B.cancel w h;
-      let fired = ref [] in
-      ignore (B.fire_due w ~now:(us 100.0) ~limit:max_int (fun _ v -> fired := v :: !fired) : Fire_outcome.t);
-      Alcotest.(check (list string)) (B.name ^ " fires only a") [ "a" ] (List.rev !fired);
-      ignore (B.fire_due w ~now:(us 10_000.0) ~limit:max_int (fun _ v -> fired := v :: !fired) : Fire_outcome.t);
-      Alcotest.(check (list string)) (B.name ^ " far fires later") [ "a"; "far" ] (List.rev !fired);
-      Alcotest.(check int) (B.name ^ " drained") 0 (B.pending w))
-    Timer_backend.all
+(* [next_deadline] equals the true minimum pending deadline after every
+   operation, including the lazy min-cache invalidation paths exercised
+   by cancel- or re-arm-of-minimum and by firing. *)
+let test_next_deadline_always_min =
+  QCheck.Test.make ~name:"next_deadline = true min after every op" ~count:300 ops_arbitrary
+    (agrees_with_oracle ~each_op:true)
 
 let () =
   let qc = QCheck_alcotest.to_alcotest in
@@ -411,11 +276,7 @@ let () =
           Alcotest.test_case "iter_pending" `Quick test_iter_pending;
           Alcotest.test_case "invalid args" `Quick test_invalid_args;
           Alcotest.test_case "cancel churn stays bounded" `Quick test_cancel_churn_bounded;
+          Alcotest.test_case "rearm across slot wrap-around" `Quick test_rearm_wraparound;
         ] );
       ("property", [ qc test_oracle_equivalence; qc test_next_deadline_always_min ]);
-      ( "backends",
-        Alcotest.test_case "basic semantics (all backends)" `Quick test_backends_basic
-        :: Alcotest.test_case "hier overflow path" `Quick test_hier_overflow_path
-        :: qc test_hier_long_gaps
-        :: List.map qc backend_tests );
     ]

@@ -1,4 +1,4 @@
-.PHONY: all build test bench bench-parallel microbench arena-bench pacer-smoke pacer-bench perfbench-smoke profile-smoke bench-json benchdiff mem-smoke mem-bench trace-smoke stats-smoke whylate-smoke lint lint-json lint-baseline sanitize-smoke determinism clean
+.PHONY: all build test bench bench-parallel microbench arena-bench pacer-smoke pacer-bench perfbench-smoke report-smoke bench-json benchdiff mem-bench trace-smoke lint lint-json lint-baseline sanitize-smoke determinism clean
 
 all: build
 
@@ -56,12 +56,27 @@ pacer-bench: build
 perfbench-smoke:
 	python3 perfbench/run.py --smoke
 
-# Cycle-attribution profiler smoke: run table3 under the profiler and
-# export both the text report and a collapsed-stack flamegraph.
-profile-smoke: build
-	dune exec bin/softtimers_cli.exe -- profile table3 --quick --out /tmp/softtimers-table3-profile.txt
-	dune exec bin/softtimers_cli.exe -- profile table3 --quick --flame --out /tmp/softtimers-table3.folded
-	@echo "profile-smoke: report and /tmp/softtimers-table3.folded written"
+# Run-report smoke: one report per experiment (fig1, table3 and the
+# pacer-scale census), each from a single execution, plus table3's
+# profile as a collapsed-stack flamegraph.  Checks the JSON: schema
+# marker, a complete ring, why-late / spans / metrics agreeing on the
+# fired count, zero conservation violations (the command itself also
+# exits nonzero on one), and a pacer census over at least two stores.
+# CI uploads the reports.
+report-smoke: build
+	dune exec bin/softtimers_cli.exe -- report fig1 --quick --json --buf 4194304 --out /tmp/softtimers-fig1-report.json
+	dune exec bin/softtimers_cli.exe -- report table3 --quick --json --buf 4194304 --out /tmp/softtimers-table3-report.json --flame /tmp/softtimers-table3.folded
+	dune exec bin/softtimers_cli.exe -- report pacer-scale --quick --json --buf 4194304 --out /tmp/softtimers-pacer-report.json
+	python3 -c "import json; \
+	ds = {e: json.load(open('/tmp/softtimers-%s-report.json' % e)) for e in ('fig1', 'table3', 'pacer')}; \
+	assert all(d['schema'] == 'softtimers-report/1' for d in ds.values()), 'schema'; \
+	assert all(d['trace']['dropped'] == 0 for d in ds.values()), 'trace ring overflowed'; \
+	fired = {e: (d['whylate']['fired'], d['stats']['spans']['timers']['fired'], d['stats']['metrics'].get('softtimer.fired', 0)) for e, d in ds.items()}; \
+	assert all(len(set(f)) == 1 for f in fired.values()), fired; \
+	assert all(d['whylate']['conservation_violations'] == 0 and d['mem']['conservation_ok'] for d in ds.values()), 'conservation'; \
+	stores = {s['path'].split(';')[2] for s in ds['pacer']['mem']['sources'] if s['path'].startswith('mem;pacer;')}; \
+	assert len(stores) >= 2, stores; \
+	print('report-smoke: fired %s, pacer census over %d stores' % ({e: f[0] for e, f in fired.items()}, len(stores)))"
 
 # Machine-readable bench baseline (BENCH_<tag>.json).  BENCH_JSON names
 # the output; the three structured tables are printed and their cells
@@ -78,28 +93,12 @@ bench-json: build
 benchdiff: bench-json
 	dune exec tools/benchdiff/benchdiff.exe -- --strict --threshold 0 --mem-threshold 0 bench/BENCH_baseline.json $(BENCH_JSON)
 
-# Memory-observatory smoke: run the mem report over fig1 and the
-# pacer-scale sweep (quick sizes) and validate the JSON shape — schema
-# marker, census sources with live flags, the conservation verdict
-# (the subcommand itself exits nonzero on a violation), and per-store
-# store/pool words for at least two stores.
-mem-smoke: build
-	dune exec bin/softtimers_cli.exe -- mem fig1 --quick --json --out /tmp/softtimers-fig1-mem.json
-	dune exec bin/softtimers_cli.exe -- mem pacer-scale --quick --json --out /tmp/softtimers-pacer-mem.json
-	python3 -c "import json; d = json.load(open('/tmp/softtimers-pacer-mem.json')); \
-	assert d['schema'] == 'softtimers-mem/1', d['schema']; \
-	ms = d['memstats']; assert ms['conservation_ok'], 'conservation violated'; \
-	stores = {s['path'].split(';')[2] for s in ms['sources'] if s['path'].startswith('mem;pacer;')}; \
-	assert len(stores) >= 2, stores; \
-	assert all(s['words'] > 0 for s in ms['sources'] if s['path'].endswith(';store')), 'empty store source'; \
-	print('mem-smoke: %d sources over %d stores, conservation ok' % (len(ms['sources']), len(stores)))"
-
 # Full-size memory sweep: per-store words/flow at 10^3..10^6 flows
-# (the EXPERIMENTS.md memory-gap table).  Writes MEM_OUT; CI uploads
-# the quick variant as an artifact.
+# (the EXPERIMENTS.md memory-gap table), as the run report's census.
+# Writes MEM_OUT; report-smoke covers the quick variant.
 MEM_OUT ?= /tmp/softtimers-pacer-mem.json
 mem-bench: build
-	dune exec bin/softtimers_cli.exe -- mem pacer-scale --json --out $(MEM_OUT)
+	dune exec bin/softtimers_cli.exe -- report pacer-scale --json --out $(MEM_OUT)
 	@echo "mem-bench: wrote $(MEM_OUT)"
 
 # Export a quick fig1 trace and check the Chrome trace_event JSON is
@@ -111,36 +110,8 @@ trace-smoke: build
 	python3 -m json.tool /tmp/softtimers-fig1.json > /dev/null
 	@echo "trace-smoke: /tmp/softtimers-fig1.json is valid trace_event JSON"
 
-# Windowed time-series smoke: run the stats subcommand on table3 and
-# validate the JSON report's shape (schema marker, non-empty window
-# list, span summaries, metrics registry).  CI uploads the report as
-# an artifact.
-stats-smoke: build
-	dune exec bin/softtimers_cli.exe -- stats table3 --quick --window 1000 --json --out /tmp/softtimers-table3-stats.json
-	python3 -c "import json; d = json.load(open('/tmp/softtimers-table3-stats.json')); \
-	assert d['schema'] == 'softtimers-stats/1', d['schema']; \
-	assert isinstance(d['windows'], list) and d['windows'], 'windows missing/empty'; \
-	assert {'timers', 'packets'} <= set(d['spans']), 'span summaries missing'; \
-	assert isinstance(d['metrics'], dict) and d['metrics'], 'metrics missing/empty'; \
-	assert d['window_us'] == 1000, d['window_us']; \
-	print('stats-smoke: %d windows, %d metrics' % (len(d['windows']), len(d['metrics'])))"
-
-# Late-fire forensics smoke: run the why-late audit over fig1 and
-# validate the JSON report — schema marker, non-empty cause breakdown,
-# and the conservation contract (zero violations; the subcommand also
-# exits nonzero on any violation).  CI uploads the report.
-whylate-smoke: build
-	dune exec bin/softtimers_cli.exe -- why-late fig1 --quick --json --buf 4194304 --out /tmp/softtimers-fig1-whylate.json
-	python3 -c "import json; d = json.load(open('/tmp/softtimers-fig1-whylate.json')); \
-	assert d['schema'] == 'softtimers-whylate/1', d['schema']; \
-	assert d['conservation_violations'] == 0, d['conservation_violations']; \
-	assert d['late'] > 0 and isinstance(d['causes'], list) and d['causes'], 'no late fires attributed'; \
-	assert isinstance(d['worst'], list) and d['worst'], 'worst exemplars missing'; \
-	assert all(sum(w['segs'].values()) == w['delay_ns'] for w in d['worst']), 'exemplar segments do not sum'; \
-	print('whylate-smoke: %d late fires, %d causes, worst %d' % (d['late'], len(d['causes']), len(d['worst'])))"
-
 # Static-analysis suite (tools/lint): determinism (DET001..DET004,
-# MLI001), Gc.Memprof confinement (MEM001), domain races
+# MLI001), domain races
 # (RACE001..RACE004) and hot-path allocations (ALLOC001..ALLOC003) over
 # lib/ bin/ examples/ bench/ tools/, with file:line:RULE diagnostics,
 # ratcheted against tools/lint/BASELINE.json (empty since the RACE002

@@ -113,30 +113,6 @@ let table2_json (res : Exp_trigger_sources.result) =
            ])
        res.sources)
 
-let attribution_json p =
-  (* Re-sort by name: [roots_ns] is largest-first and [dispatch_rows]
-     is first-dispatch order, both of which shuffle between seeds —
-     benchdiff keys array elements by index, so the JSON needs an order
-     that only depends on which categories exist. *)
-  let by_name (a, _) (b, _) = String.compare a b in
-  jobj
-    [
-      ("total_attributed_ns", Printf.sprintf "%Ld" (Profile.total_attributed_ns p));
-      ("cpus", string_of_int (Profile.cpu_count p));
-      ("fired_total", string_of_int (Profile.fired_total p));
-      ( "categories",
-        jlist
-          (List.map
-             (fun (name, ns) -> jobj [ ("path", jstr name); ("ns", Printf.sprintf "%Ld" ns) ])
-             (List.sort by_name (Profile.roots_ns p))) );
-      ( "dispatch",
-        jlist
-          (List.map
-             (fun (source, fires) ->
-               jobj [ ("source", jstr source); ("fires", string_of_int fires) ])
-             (List.sort by_name (Profile.dispatch_rows p))) );
-    ]
-
 (* Late-fire attribution over the Table 3 workload, audited live
    through a trace tap (the audit emits no events, so digests and the
    table cells themselves are unchanged).  Only exact counts and
@@ -289,7 +265,7 @@ let emit_json ~path ~cfg ~quick ~timings ~profile =
         ("stores", stores_cells);
         ("mem", mem_section);
         ("whylate", whylate_json da);
-        ("attribution", attribution_json profile);
+        ("attribution", Profile.to_json profile);
       ]
   in
   let oc = open_out path in
@@ -301,15 +277,13 @@ let emit_json ~path ~cfg ~quick ~timings ~profile =
 
 let usage () =
   prerr_endline
-    "usage: main.exe [--quick|-q] [--metrics] [--timeseries] [--window US] [--seed N] \
-     [--jobs N] [--json FILE] [EXPERIMENT...]";
+    "usage: main.exe [--quick|-q] [--metrics] [--seed N] [--jobs N] [--json FILE] \
+     [EXPERIMENT...]";
   exit 2
 
 let () =
   let quick = ref false in
   let metrics = ref false in
-  let timeseries = ref false in
-  let window_us = ref 1000.0 in
   let seed = ref None in
   let jobs = ref None in
   let json = ref None in
@@ -321,16 +295,6 @@ let () =
       parse rest
     | "--metrics" :: rest ->
       metrics := true;
-      parse rest
-    | "--timeseries" :: rest ->
-      timeseries := true;
-      parse rest
-    | "--window" :: v :: rest ->
-      (match float_of_string_opt v with
-      | Some w when w > 0.0 -> window_us := w
-      | Some _ | None ->
-        Printf.eprintf "bench: --window expects a positive number of microseconds, got %S\n" v;
-        usage ());
       parse rest
     | "--seed" :: v :: rest ->
       (match int_of_string_opt v with
@@ -349,7 +313,7 @@ let () =
     | "--json" :: path :: rest ->
       json := Some path;
       parse rest
-    | [ ("--seed" | "--json" | "--jobs" | "--window") ] -> usage ()
+    | [ ("--seed" | "--json" | "--jobs") ] -> usage ()
     | a :: rest ->
       wanted := a :: !wanted;
       parse rest
@@ -375,17 +339,6 @@ let () =
     Runner.set_default_jobs 1;
     Metrics.reset Metrics.default
   end;
-  (* --timeseries taps the event stream into a windowed collector; the
-     tap makes Runner.map_sim run sequentially, so the summary printed
-     after the runs is deterministic at every --jobs value. *)
-  let series =
-    if not !timeseries then None
-    else begin
-      let ts = Timeseries.create ~window:(Time_ns.of_us !window_us) () in
-      Trace.set_tap (Some (Timeseries.on_event ts));
-      Some ts
-    end
-  in
   (* Every experiment is an independent deterministic simulation;
      fan the cells across domains and print in list order.  Wall-clock
      timings are taken inside each job (they overlap under parallelism
@@ -398,11 +351,6 @@ let () =
         (name, out, Unix.gettimeofday () -. t0))
       to_run
   in
-  (match series with
-  | None -> ()
-  | Some ts ->
-    Trace.set_tap None;
-    Timeseries.close ts);
   let timings = List.map (fun (name, _, dt) -> (name, dt)) outputs in
   List.iter
     (fun (_, out, _) ->
@@ -414,40 +362,6 @@ let () =
     print_string (Metrics.dump Metrics.default);
     print_newline ()
   end;
-  (match series with
-  | None -> ()
-  | Some ts ->
-    print_string
-      (Exp_config.header
-         (Printf.sprintf "Time series (window %g us of simulated time)" !window_us));
-    let snaps = Timeseries.snapshots ts in
-    Printf.printf "events %d, windows %d (%d evicted), epochs %d\n" (Timeseries.event_count ts)
-      (List.length snaps)
-      (Timeseries.evicted_windows ts)
-      (Timeseries.epochs ts);
-    let d = Timeseries.overall_delay ts in
-    if Hdr.count d > 0 then
-      Printf.printf "fire delay us: n=%d p50=%.3f p99=%.3f max=%.3f\n" (Hdr.count d)
-        (Hdr.quantile d 0.5) (Hdr.quantile d 0.99) (Hdr.max d);
-    (* Busiest windows by fired timers: a compact, deterministic digest
-       of where the action was (full rows via softtimers-cli stats --csv). *)
-    let by_fired =
-      List.sort
-        (fun (a : Timeseries.snapshot) b ->
-          match compare b.s_fired a.s_fired with
-          | 0 -> compare (a.s_epoch, a.s_index) (b.s_epoch, b.s_index)
-          | c -> c)
-        snaps
-    in
-    List.iteri
-      (fun i (s : Timeseries.snapshot) ->
-        if i < 5 && s.Timeseries.s_fired > 0 then
-          Printf.printf
-            "  window e%d/%d @%.0fus: fired=%d sched=%d polls=%d rx=%d p99=%.3fus\n"
-            s.s_epoch s.s_index s.s_start_us s.s_fired s.s_sched s.s_polls s.s_pkt_rx_pkts
-            s.s_delay_p99_us)
-      by_fired;
-    print_newline ());
   (match !json with
   | None -> ()
   | Some path ->

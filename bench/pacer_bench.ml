@@ -188,7 +188,7 @@ let () =
     cells;
   (* Retention census: note each cell's analytic store + pool footprint
      under mem;pacer;<store>;<flows> so the JSON mem section attributes
-     retained words the same way `softtimers-cli mem` does. *)
+     retained words the same way `softtimers-cli report pacer-scale` does. *)
   List.iter
     (fun c ->
       Memstats.note ~path:[ "pacer"; c.store; string_of_int c.flows ]

@@ -131,32 +131,30 @@ let run_verify cfg buf jobs id =
       `Error (false, "verify-determinism: same-seed runs differ — determinism broken")
     end
 
+(* Output paths are checked before any time is spent simulating. *)
+let unwritable path = try close_out (open_out path); false with Sys_error _ -> true
+
 (* Run one experiment with the tracing/metrics layer armed, then export
    the ring buffer as Chrome trace_event JSON (or CSV).  JSON exports
    also carry async span events (timer and packet lifecycles recovered
    from the ring) and, with --window, per-window counter tracks. *)
-let run_trace cfg id out csv buf metrics window_us max_windows =
+let run_trace cfg id out csv buf metrics window_us =
   match List.find_opt (fun (name, _, _) -> name = id) experiments with
-  | None ->
-    `Error
-      ( false,
-        Printf.sprintf "unknown experiment %S; known: %s" id
-          (String.concat ", " (List.map (fun (n, _, _) -> n) experiments)) )
+  | None -> unknown_experiment id
   | Some _ when buf <= 0 -> `Error (false, "--buf must be positive")
   | Some _ when window_us < 0.0 -> `Error (false, "--window must be non-negative")
   | Some _ when window_us > 0.0 && Trace.tap_installed () ->
     (* Both the sanitizer and the time-series collector need the single
        synchronous trace tap. *)
     `Error (false, "--window cannot be combined with --sanitize (both need the trace tap)")
-  | Some _ when (try close_out (open_out out); false with Sys_error _ -> true) ->
-    (* Fail on an unwritable --out before spending time simulating. *)
+  | Some _ when unwritable out ->
     `Error (false, Printf.sprintf "cannot write trace output %S" out)
   | Some (_, _, f) ->
     let tr = Trace.create ~capacity:buf () in
     Metrics.reset Metrics.default;
     let series =
       if window_us > 0.0 then
-        Some (Timeseries.create ~window:(Time_ns.of_us window_us) ~max_windows ())
+        Some (Timeseries.create ~window:(Time_ns.of_us window_us) ())
       else None
     in
     Trace.install tr;
@@ -193,375 +191,41 @@ let run_trace cfg id out csv buf metrics window_us max_windows =
     end;
     `Ok ()
 
-(* Run one experiment with the cycle-attribution profiler installed and
-   print (or export) the attribution report: the tree, the per-interrupt
-   cost split (save/restore vs pollution vs handler) and the per-trigger
-   dispatch breakdown.  --flame switches to collapsed-stack flamegraph
-   lines instead (inferno / flamegraph.pl / speedscope). *)
-let run_profile cfg id out flame metrics =
+(* One execution under every observer, rendered as one report (see
+   lib/experiments/run_report.mli): the experiment's table is
+   suppressed, so the report can be byte-compared across --jobs values
+   and piped into tooling. *)
+let run_report cfg id opts ~json ~out ~flame =
   match List.find_opt (fun (name, _, _) -> name = id) experiments with
   | None -> unknown_experiment id
-  | Some _
-    when match out with
-         | None -> false
-         | Some f -> ( try close_out (open_out f); false with Sys_error _ -> true) ->
-    `Error (false, Printf.sprintf "cannot write profile output %S" (Option.get out))
-  | Some (_, _, f) ->
-    let p = Profile.create () in
-    Metrics.reset Metrics.default;
-    Profile.install p;
-    let output =
-      try f cfg
-      with e ->
-        Profile.uninstall ();
-        raise e
-    in
-    Profile.uninstall ();
-    print_string output;
-    print_newline ();
-    Printf.printf "profile %s (seed %d%s)\n\n" id cfg.Exp_config.seed
-      (if cfg.Exp_config.quick then ", quick" else "");
-    let body = if flame then Profile.to_collapsed p else Profile.report p in
-    (match out with
-    | None -> print_string body
-    | Some file ->
-      let oc = open_out file in
-      Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc body);
-      Printf.printf "profile: %s -> %s\n"
-        (if flame then "collapsed-stack flamegraph" else "attribution report")
-        file;
-      if flame then print_string (Profile.to_table p));
-    if metrics then begin
-      print_newline ();
-      print_string (Metrics.dump Metrics.default)
-    end;
-    `Ok ()
-
-(* --- stats: windowed time-series + span + metrics report ------------ *)
-
-let jfloat v = if Float.is_nan v then "null" else Printf.sprintf "%.6g" v
-
-let jstring s =
-  let b = Buffer.create (String.length s + 2) in
-  Buffer.add_char b '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.add_char b '"';
-  Buffer.contents b
-
-let hdr_json h =
-  Printf.sprintf "{\"count\":%d,\"mean\":%s,\"p50\":%s,\"p99\":%s,\"max\":%s}"
-    (Hdr.count h) (jfloat (Hdr.mean h))
-    (jfloat (Hdr.quantile h 0.5))
-    (jfloat (Hdr.quantile h 0.99))
-    (jfloat (Hdr.max h))
-
-let metrics_json m =
-  let parts = ref [] in
-  Metrics.iter m (fun name v ->
-      let rendered =
-        match v with
-        | Metrics.Counter c -> string_of_int c
-        | Metrics.Gauge g | Metrics.Probe g -> jfloat g
-        | Metrics.Histogram h -> hdr_json h
-      in
-      parts := Printf.sprintf "%s:%s" (jstring name) rendered :: !parts);
-  "{" ^ String.concat "," (List.rev !parts) ^ "}"
-
-let spans_json sp =
-  Printf.sprintf
-    "{\"timers\":{\"total\":%d,\"fired\":%d,\"cancelled\":%d,\"open\":%d,\"latency_us\":%s},\"packets\":{\"total\":%d,\"delivered\":%d,\"open\":%d,\"latency_us\":%s}}"
-    (Span.timers_total sp) (Span.timers_fired sp) (Span.timers_cancelled sp)
-    (Span.timers_open sp)
-    (hdr_json (Span.timer_latency sp))
-    (Span.packets_total sp) (Span.packets_delivered sp) (Span.packets_open sp)
-    (hdr_json (Span.packet_latency sp))
-
-let stats_json cfg id window_us ts sp da =
-  Printf.sprintf
-    "{\"schema\":\"softtimers-stats/1\",\"experiment\":%s,\"seed\":%d,\"quick\":%b,\"window_us\":%s,\"events\":%d,\"epochs\":%d,\"windows_dropped\":%d,\"windows\":%s,\"spans\":%s,\"whylate\":%s,\"metrics\":%s}"
-    (jstring id) cfg.Exp_config.seed cfg.Exp_config.quick (jfloat window_us)
-    (Timeseries.event_count ts) (Timeseries.epochs ts) (Timeseries.evicted_windows ts)
-    (Timeseries.to_json ts) (spans_json sp) (Delay_audit.to_json da)
-    (metrics_json Metrics.default)
-
-let stats_human cfg id window_us ts sp da =
-  let b = Buffer.create 2048 in
-  let addf fmt = Printf.ksprintf (Buffer.add_string b) fmt in
-  addf "stats %s (seed %d%s, window %g us)\n" id cfg.Exp_config.seed
-    (if cfg.Exp_config.quick then ", quick" else "")
-    window_us;
-  let windows = Timeseries.snapshots ts in
-  addf "  events: %d across %d window(s), %d epoch(s)" (Timeseries.event_count ts)
-    (List.length windows) (Timeseries.epochs ts);
-  if Timeseries.evicted_windows ts > 0 then
-    addf " (%d oldest windows evicted)" (Timeseries.evicted_windows ts);
-  addf "\n";
-  let d = Timeseries.overall_delay ts in
-  if Hdr.count d > 0 then
-    addf "  fire delay us: n=%d p50=%.3f p99=%.3f max=%.3f\n" (Hdr.count d)
-      (Hdr.quantile d 0.5) (Hdr.quantile d 0.99) (Hdr.max d);
-  addf "  timer spans: %d scheduled, %d fired, %d cancelled, %d open\n" (Span.timers_total sp)
-    (Span.timers_fired sp) (Span.timers_cancelled sp) (Span.timers_open sp);
-  addf "  packet spans: %d enqueued, %d delivered, %d open\n" (Span.packets_total sp)
-    (Span.packets_delivered sp) (Span.packets_open sp);
-  let pl = Span.packet_latency sp in
-  if Hdr.count pl > 0 then
-    addf "  packet latency us: n=%d p50=%.3f p99=%.3f max=%.3f\n" (Hdr.count pl)
-      (Hdr.quantile pl 0.5) (Hdr.quantile pl 0.99) (Hdr.max pl);
-  (* Fire-delay attribution summary; `why-late` has the full report. *)
-  addf "  late fires: %d of %d" (Delay_audit.late da) (Delay_audit.fired da);
-  if Delay_audit.pending_at_exit da > 0 then
-    addf " (%d pending at exit)" (Delay_audit.pending_at_exit da);
-  let total = Delay_audit.total_late_ns da in
-  if Int64.compare total 0L > 0 then begin
-    let top = ref 0 in
-    for k = 1 to Delay_audit.nseg - 1 do
-      if Time_ns.(Delay_audit.cause_ns da k > Delay_audit.cause_ns da !top) then top := k
-    done;
-    addf "; dominant cause %s (%.1f%% of %.3f ms late)"
-      (Delay_audit.seg_label !top)
-      (100.0 *. Int64.to_float (Delay_audit.cause_ns da !top) /. Int64.to_float total)
-      (Int64.to_float total /. 1e6)
-  end;
-  addf "\n";
-  addf "\n%s" (Metrics.dump Metrics.default);
-  Buffer.contents b
-
-(* Run one experiment with the windowed time-series collector tapping
-   the event stream, reconstruct spans from the ring afterwards, and
-   report: JSON (machine), Prometheus exposition, per-window CSV, or a
-   human summary.  The experiment's own table is suppressed — the
-   report is the output, so it can be byte-compared across --jobs
-   values and piped into tooling. *)
-let run_stats cfg id window_us max_windows fmt out buf =
-  match List.find_opt (fun (name, _, _) -> name = id) experiments with
-  | None -> unknown_experiment id
-  | Some _ when buf <= 0 -> `Error (false, "--buf must be positive")
-  | Some _ when window_us <= 0.0 -> `Error (false, "--window must be positive")
-  | Some _ when max_windows <= 0 -> `Error (false, "--max-windows must be positive")
-  | Some _ when Trace.tap_installed () ->
-    `Error (false, "stats needs the trace tap, which is already occupied")
-  | Some _
-    when match out with
-         | None -> false
-         | Some f -> ( try close_out (open_out f); false with Sys_error _ -> true) ->
-    `Error (false, Printf.sprintf "cannot write stats output %S" (Option.get out))
-  | Some (_, _, f) ->
-    let tr = Trace.create ~capacity:buf () in
-    Metrics.reset Metrics.default;
-    let ts = Timeseries.create ~window:(Time_ns.of_us window_us) ~max_windows () in
-    Trace.install tr;
-    Trace.set_tap (Some (Timeseries.on_event ts));
-    let table =
-      try f cfg
-      with e ->
-        Trace.set_tap None;
-        Trace.uninstall ();
-        raise e
-    in
-    Trace.set_tap None;
-    Trace.uninstall ();
-    Timeseries.close ts;
-    ignore (table : string);
-    let sp = Span.collect tr in
-    let da = Delay_audit.collect tr in
-    let body =
-      match fmt with
-      | `Json -> stats_json cfg id window_us ts sp da
-      | `Prom -> Metrics.to_prometheus Metrics.default ^ Delay_audit.to_prometheus da
-      | `Csv -> Timeseries.to_csv ts
-      | `Human -> stats_human cfg id window_us ts sp da
-    in
-    (match out with
-    | None -> print_string body
-    | Some file ->
-      let oc = open_out file in
-      Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc body);
-      Printf.printf "stats: %s report -> %s\n"
-        (match fmt with `Json -> "json" | `Prom -> "prometheus" | `Csv -> "csv" | `Human -> "text")
-        file);
-    `Ok ()
-
-(* --- why-late: fire-delay attribution forensics --------------------- *)
-
-(* Run one experiment with the ring armed, then replay the trace
-   through {!Delay_audit}: every fired timer's delay is partitioned
-   into trigger-gap (sub-attributed to the CPU activity that held off
-   the checks), check-skipped (budget withheld it) and batch-queueing
-   segments, with a conservation check per fire.  Reports aggregate
-   cause tables, the per-ending-trigger cross-tab (paper §4.1) and the
-   worst-N exemplars with full causal chains. *)
-let run_whylate cfg id worst fmt out buf budget =
-  match List.find_opt (fun (name, _, _) -> name = id) experiments with
-  | None -> unknown_experiment id
-  | Some _ when buf <= 0 -> `Error (false, "--buf must be positive")
-  | Some _ when worst < 0 -> `Error (false, "--worst must be non-negative")
-  | Some _ when (match budget with Some b -> b < 1 | None -> false) ->
-    `Error (false, "--check-budget must be at least 1")
-  | Some _
-    when match out with
-         | None -> false
-         | Some f -> ( try close_out (open_out f); false with Sys_error _ -> true) ->
-    `Error (false, Printf.sprintf "cannot write why-late output %S" (Option.get out))
-  | Some (_, _, f) ->
-    (match budget with Some b -> Softtimer.set_default_check_budget b | None -> ());
-    let restore_budget () = Softtimer.set_default_check_budget max_int in
-    Fun.protect ~finally:restore_budget (fun () ->
-        let tr = Trace.create ~capacity:buf () in
-        Metrics.reset Metrics.default;
-        Trace.install tr;
-        let table =
-          try f cfg
-          with e ->
-            Trace.uninstall ();
-            raise e
-        in
-        Trace.uninstall ();
-        ignore (table : string);
-        let da = Delay_audit.collect ~worst tr in
-        let body =
-          match fmt with
-          | `Json -> Delay_audit.to_json da
-          | `Prom -> Delay_audit.to_prometheus da
-          | `Human ->
-            Printf.sprintf "why-late %s (seed %d%s%s)\n%s" id cfg.Exp_config.seed
-              (if cfg.Exp_config.quick then ", quick" else "")
-              (match budget with
-              | Some b -> Printf.sprintf ", check budget %d" b
-              | None -> "")
-              (Delay_audit.to_text da)
+  | Some (_, _, f) -> (
+    match List.find_opt unwritable (Option.to_list out @ Option.to_list flame) with
+    | Some file -> `Error (false, Printf.sprintf "cannot write report output %S" file)
+    | None -> (
+      match Run_report.run cfg ~id f opts with
+      | Error msg -> `Error (false, msg)
+      | Ok r ->
+        let body = if json then Run_report.to_json r else Run_report.to_text r in
+        let write file text =
+          let oc = open_out file in
+          Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc text)
         in
         (match out with
         | None -> print_string body
         | Some file ->
-          let oc = open_out file in
-          Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc body);
-          Printf.printf "why-late: %s report -> %s\n"
-            (match fmt with `Json -> "json" | `Prom -> "prometheus" | `Human -> "text")
-            file);
-        if Trace.dropped tr > 0 then
+          write file body;
+          Printf.printf "report: %s -> %s\n" (if json then "json" else "text") file);
+        Option.iter
+          (fun file ->
+            write file (Run_report.to_collapsed r);
+            Printf.printf "report: collapsed-stack flamegraph -> %s\n" file)
+          flame;
+        if Run_report.dropped r > 0 then
           Printf.eprintf
-            "WARNING: trace ring overflowed (%d events dropped); attribution is computed \
-             from a truncated stream (raise --buf)\n"
-            (Trace.dropped tr);
-        if Delay_audit.violations da > 0 then
-          `Error
-            ( false,
-              Printf.sprintf "why-late: %d conservation violation(s) — attribution bug"
-                (Delay_audit.violations da) )
-        else `Ok ())
-
-(* --- mem: memory observatory ---------------------------------------- *)
-
-(* Arm the memory observatory around [f]: register the observatory's
-   own self-census, start the statistical allocation profiler when the
-   runtime engine supports it (best-effort — on OCaml 5.0-5.2 the
-   status marker reports it unavailable and the site table stays
-   empty), and take GC samples at the run boundaries.  The report goes
-   to stderr: nothing here emits a trace event or touches
-   Metrics.default, so stdout, digests and tables are byte-identical
-   with or without --mem. *)
-let with_mem enabled f =
-  if not enabled then f ()
-  else begin
-    Memstats.reset_census ();
-    Memstats.reset_samples ();
-    Memprof.reset ();
-    (* The observatory accounts for itself: the interned category
-       registry is retained heap like any store's. *)
-    Memstats.register ~path:[ "obs"; "profile-registry" ] Profile.registry_words;
-    ignore (Memprof.start () : (unit, string) result);
-    Memstats.sample ~label:"start";
-    let finish () =
-      Memprof.stop ();
-      Memstats.sample ~label:"end"
-    in
-    let r =
-      try f ()
-      with e ->
-        finish ();
-        raise e
-    in
-    finish ();
-    prerr_newline ();
-    prerr_string (Memprof.table ~n:10);
-    prerr_newline ();
-    prerr_string (Memstats.report ());
-    r
-  end
-
-(* Run one experiment under the full observatory and print the memory
-   report instead of the experiment's table (mirroring `stats`): top-N
-   allocation sites, the per-subsystem live-word tree, the retention
-   table with its conservation verdict, GC samples and counters.
-   pacer-scale runs through its census entry point, which registers
-   every fleet as a live source — `mem pacer-scale` is the per-store
-   words/flow report at 10^3..10^6. *)
-let run_mem cfg id top fmt out =
-  match List.find_opt (fun (name, _, _) -> name = id) experiments with
-  | None -> unknown_experiment id
-  | Some _ when top <= 0 -> `Error (false, "--top must be positive")
-  | Some _
-    when match out with
-         | None -> false
-         | Some f -> ( try close_out (open_out f); false with Sys_error _ -> true) ->
-    `Error (false, Printf.sprintf "cannot write mem output %S" (Option.get out))
-  | Some (_, _, f) ->
-    Memstats.reset_census ();
-    Memstats.reset_samples ();
-    Memprof.reset ();
-    Memstats.register ~path:[ "obs"; "profile-registry" ] Profile.registry_words;
-    ignore (Memprof.start () : (unit, string) result);
-    Memstats.sample ~label:"start";
-    (if id = "pacer-scale" then
-       ignore
-         (Memprof.with_context [ "experiment"; id ] (fun () ->
-              Exp_pacer_scale.run_census cfg)
-           : Exp_pacer_scale.cell list)
-     else
-       ignore (Memprof.with_context [ "experiment"; id ] (fun () -> f cfg) : string));
-    Memprof.stop ();
-    Memstats.sample ~label:"end";
-    let body =
-      match fmt with
-      | `Json ->
-        Printf.sprintf
-          "{\"schema\":\"softtimers-mem/1\",\"experiment\":%s,\"seed\":%d,\"quick\":%b,\
-           \"memprof\":%s,\"memstats\":%s}"
-          (jstring id) cfg.Exp_config.seed cfg.Exp_config.quick
-          (Memprof.to_json ~n:top) (Memstats.to_json ())
-      | `Prom -> Memstats.to_prometheus ()
-      | `Human ->
-        Printf.sprintf "mem %s (seed %d%s) — memprof %s\n\n%s\n%s" id cfg.Exp_config.seed
-          (if cfg.Exp_config.quick then ", quick" else "")
-          (Memprof.status ())
-          (Memprof.table ~n:top) (Memstats.report ())
-    in
-    (match out with
-    | None -> print_string body
-    | Some file ->
-      let oc = open_out file in
-      Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc body);
-      Printf.printf "mem: %s report -> %s\n"
-        (match fmt with `Json -> "json" | `Prom -> "prometheus" | `Human -> "text")
-        file);
-    let ok = Memstats.conservation_ok () in
-    (* Drop the census (and with it the fleets the providers keep alive). *)
-    Memstats.reset_census ();
-    if ok then `Ok ()
-    else
-      `Error
-        ( false,
-          "mem: conservation violated — attributed live words exceed GC live words \
-           (double-counted or stale census provider)" )
+            "WARNING: trace ring overflowed (%d events dropped); spans are computed from a \
+             truncated ring (raise --buf)\n"
+            (Run_report.dropped r);
+        match Run_report.check r with Ok () -> `Ok () | Error msg -> `Error (false, msg)))
 
 open Cmdliner
 
@@ -588,15 +252,6 @@ let sanitize =
      is printed after the run and violations exit nonzero."
   in
   Arg.(value & flag & info [ "sanitize" ] ~doc)
-
-let mem_flag =
-  let doc =
-    "Arm the memory observatory for the run: statistical allocation profiling (when the \
-     runtime engine supports it) plus the live-word census and GC samples, reported to \
-     stderr after the run.  stdout, tables and trace digests are byte-identical with or \
-     without this flag."
-  in
-  Arg.(value & flag & info [ "mem" ] ~doc)
 
 let store_arg =
   let doc =
@@ -673,139 +328,69 @@ let trace_cmd =
     in
     Arg.(value & opt float 0.0 & info [ "window" ] ~doc ~docv:"US")
   in
-  let max_windows =
-    let doc = "Retain at most this many closed windows (oldest evicted first)." in
-    Arg.(value & opt int 4096 & info [ "max-windows" ] ~doc ~docv:"N")
-  in
   let term =
     Term.(
       ret
-        (const (fun quick seed jobs store id out csv buf metrics window max_windows sanitize ->
+        (const (fun quick seed jobs store id out csv buf metrics window sanitize ->
              Runner.set_default_jobs jobs;
              with_store store (fun () ->
                  with_sanitizer sanitize (fun () ->
-                     run_trace (cfg_of quick seed) id out csv buf metrics window max_windows)))
+                     run_trace (cfg_of quick seed) id out csv buf metrics window)))
         $ quick $ seed $ jobs $ store_arg $ exp_id $ out $ csv $ buf $ metrics $ window
-        $ max_windows $ sanitize))
+        $ sanitize))
   in
   Cmd.v (Cmd.info "trace" ~doc ~man) term
 
-let stats_cmd =
-  let doc = "Run one experiment and report windowed time-series, span and metrics statistics" in
+let report_cmd =
+  let doc = "Run one experiment once under every observer and report profile, stats, why-late and mem" in
   let man =
     [
       `S Manpage.s_description;
       `P
-        "Taps the simulator's event stream, aggregates it into fixed windows of simulated \
-         time (counters, gauges and a constant-memory latency histogram per window), \
-         reconstructs per-entity spans (soft timers schedule->fire/cancel, packets \
-         enqueue->rx) from the trace ring, and prints a report instead of the experiment's \
-         table.  The report contains no wall-clock data and the tap forces sequential \
-         execution, so the bytes are identical at every $(b,--jobs) value.";
+        "Arms the cycle-attribution profiler, a trace ring, a tap feeding windowed time \
+         series and fire-delay attribution, and the live-word census, runs the given \
+         experiment once, and prints one report instead of the experiment's table.  Its \
+         sections: $(b,profile) (attribution tree, per-interrupt cost split behind the \
+         paper's Tables 2-4, per-trigger dispatch breakdown of Table 1); $(b,stats) \
+         (windowed counters and fire delays, timer and packet spans rebuilt from the \
+         ring, the metrics registry); $(b,why-late) (every fired timer's delay \
+         partitioned into trigger gap by CPU work class, check-skipped and \
+         batch-queueing, with the ending-trigger cross-tab and the worst exemplars); \
+         $(b,mem) (census of registered word providers and GC samples).  \
+         $(b,report pacer-scale) registers every fleet of the sweep as a census source: \
+         the per-store words/flow report.";
       `P
-        "Formats: $(b,--json) (schema softtimers-stats/1: windows, spans and the metrics \
-         registry), $(b,--prom) (Prometheus text exposition of the metrics registry), \
-         $(b,--csv) (one row per window), or a human summary by default.";
+        "$(b,--json) emits schema softtimers-report/1, which carries no wall-clock or GC \
+         data and is byte-identical at every $(b,--jobs) value.  The exit status is \
+         nonzero on a why-late or census conservation violation.  A ring too small for \
+         the run truncates the spans; the report says so (JSON $(b,trace.dropped), a \
+         text banner, a warning on stderr).";
     ]
   in
   let exp_id =
-    let doc = "Experiment id (one id, not 'all')." in
+    let doc = "Experiment id to report on (one id, not 'all')." in
     Arg.(required & pos 0 (some string) None & info [] ~doc ~docv:"EXPERIMENT")
+  in
+  let d = Run_report.default_options in
+  let json =
+    let doc = "Emit the JSON report (schema softtimers-report/1) instead of text." in
+    Arg.(value & flag & info [ "json" ] ~doc)
+  in
+  let out =
+    let doc = "Write the report to this file instead of stdout." in
+    Arg.(value & opt (some string) None & info [ "out"; "o" ] ~doc ~docv:"FILE")
+  in
+  let buf =
+    let doc = "Trace ring-buffer capacity in events (spans are rebuilt from the ring)." in
+    Arg.(value & opt int d.buf & info [ "buf" ] ~doc ~docv:"EVENTS")
   in
   let window =
-    let doc = "Aggregation window in microseconds of simulated time." in
-    Arg.(value & opt float 1000.0 & info [ "window" ] ~doc ~docv:"US")
-  in
-  let max_windows =
-    let doc = "Retain at most this many closed windows (oldest evicted first)." in
-    Arg.(value & opt int 4096 & info [ "max-windows" ] ~doc ~docv:"N")
-  in
-  let json =
-    let doc = "Emit the full JSON report (schema softtimers-stats/1)." in
-    Arg.(value & flag & info [ "json" ] ~doc)
-  in
-  let prom =
-    let doc = "Emit the metrics registry as Prometheus text exposition." in
-    Arg.(value & flag & info [ "prom" ] ~doc)
-  in
-  let csv =
-    let doc = "Emit the window table as CSV." in
-    Arg.(value & flag & info [ "csv" ] ~doc)
-  in
-  let out =
-    let doc = "Write the report to this file instead of stdout." in
-    Arg.(value & opt (some string) None & info [ "out"; "o" ] ~doc ~docv:"FILE")
-  in
-  let buf =
-    let doc = "Trace ring-buffer capacity in events (spans are recovered from the ring)." in
-    Arg.(value & opt int 1_048_576 & info [ "buf" ] ~doc ~docv:"EVENTS")
-  in
-  let term =
-    Term.(
-      ret
-        (const (fun quick seed jobs store id window max_windows json prom csv out buf ->
-             Runner.set_default_jobs jobs;
-             with_store store (fun () ->
-                 match (json, prom, csv) with
-                 | true, false, false ->
-                   run_stats (cfg_of quick seed) id window max_windows `Json out buf
-                 | false, true, false ->
-                   run_stats (cfg_of quick seed) id window max_windows `Prom out buf
-                 | false, false, true ->
-                   run_stats (cfg_of quick seed) id window max_windows `Csv out buf
-                 | false, false, false ->
-                   run_stats (cfg_of quick seed) id window max_windows `Human out buf
-                 | _ -> `Error (false, "--json, --prom and --csv are mutually exclusive")))
-        $ quick $ seed $ jobs $ store_arg $ exp_id $ window $ max_windows $ json $ prom $ csv
-        $ out $ buf))
-  in
-  Cmd.v (Cmd.info "stats" ~doc ~man) term
-
-let whylate_cmd =
-  let doc = "Explain every late soft-timer fire: exact, conservation-checked delay attribution" in
-  let man =
-    [
-      `S Manpage.s_description;
-      `P
-        "Runs the given experiment with tracing armed, then partitions every fired timer's \
-         delay (fire time minus due time) into an exact breakdown: $(b,trigger-gap) — no \
-         trigger state was reached since the deadline, sub-attributed to what CPU 0 was \
-         doing (interrupt handler, softintr/protocol work, syscall body, user or background \
-         compute, another timer's handler, or idle-before-wakeup); $(b,check-skipped) — a \
-         check reached the store but the per-check dispatch budget withheld this timer; and \
-         $(b,batch-queueing).  Segments provably sum to the delay for every fire \
-         (violations exit nonzero).";
-      `P
-        "The report shows the aggregate per-cause table with histograms, the \
-         per-ending-trigger-state cross-tab (which trigger finally dispatched each late \
-         timer — the paper's §4.1 question), and the worst-$(b,--worst) exemplars with \
-         their causal chains.  $(b,--check-budget N) caps dispatches per check to make \
-         budget-induced lateness observable.";
-    ]
-  in
-  let exp_id =
-    let doc = "Experiment id to audit (one id, not 'all')." in
-    Arg.(required & pos 0 (some string) None & info [] ~doc ~docv:"EXPERIMENT")
+    let doc = "Time-series window in microseconds of simulated time." in
+    Arg.(value & opt float d.window_us & info [ "window" ] ~doc ~docv:"US")
   in
   let worst =
-    let doc = "Number of worst-late exemplar timers to show." in
-    Arg.(value & opt int 10 & info [ "worst" ] ~doc ~docv:"N")
-  in
-  let json =
-    let doc = "Emit the JSON report (schema softtimers-whylate/1)." in
-    Arg.(value & flag & info [ "json" ] ~doc)
-  in
-  let prom =
-    let doc = "Emit the attribution as Prometheus text exposition." in
-    Arg.(value & flag & info [ "prom" ] ~doc)
-  in
-  let out =
-    let doc = "Write the report to this file instead of stdout." in
-    Arg.(value & opt (some string) None & info [ "out"; "o" ] ~doc ~docv:"FILE")
-  in
-  let buf =
-    let doc = "Trace ring-buffer capacity in events (attribution replays the ring)." in
-    Arg.(value & opt int 1_048_576 & info [ "buf" ] ~doc ~docv:"EVENTS")
+    let doc = "Number of worst-late exemplar timers in the why-late section." in
+    Arg.(value & opt int d.worst & info [ "worst" ] ~doc ~docv:"N")
   in
   let check_budget =
     let doc =
@@ -814,129 +399,26 @@ let whylate_cmd =
     in
     Arg.(value & opt (some int) None & info [ "check-budget" ] ~doc ~docv:"N")
   in
-  let term =
-    Term.(
-      ret
-        (const (fun quick seed jobs store id worst json prom out buf check_budget ->
-             Runner.set_default_jobs jobs;
-             with_store store (fun () ->
-                 match (json, prom) with
-                 | true, false ->
-                   run_whylate (cfg_of quick seed) id worst `Json out buf check_budget
-                 | false, true ->
-                   run_whylate (cfg_of quick seed) id worst `Prom out buf check_budget
-                 | false, false ->
-                   run_whylate (cfg_of quick seed) id worst `Human out buf check_budget
-                 | true, true -> `Error (false, "--json and --prom are mutually exclusive")))
-        $ quick $ seed $ jobs $ store_arg $ exp_id $ worst $ json $ prom $ out $ buf
-        $ check_budget))
-  in
-  Cmd.v (Cmd.info "why-late" ~doc ~man) term
-
-let profile_cmd =
-  let doc = "Run one experiment with the cycle-attribution profiler and report who spent what" in
-  let man =
-    [
-      `S Manpage.s_description;
-      `P
-        "Installs the cycle-attribution profiler (lib/obs Profile), runs the given \
-         experiment and prints three reports: the hierarchical attribution tree (every \
-         charged CPU cycle by category), the per-interrupt cost split (save/restore vs. \
-         cache/TLB pollution vs. handler body — the decomposition behind the paper's \
-         Tables 2-4), and the per-trigger-state soft-timer dispatch breakdown with \
-         latencies (paper Table 1).  $(b,--flame) exports collapsed-stack lines for \
-         inferno, flamegraph.pl or speedscope instead.";
-    ]
-  in
-  let exp_id =
-    let doc = "Experiment id to profile (one id, not 'all')." in
-    Arg.(required & pos 0 (some string) None & info [] ~doc ~docv:"EXPERIMENT")
-  in
-  let out =
-    let doc = "Write the report (or, with --flame, the collapsed stacks) to this file." in
-    Arg.(value & opt (some string) None & info [ "out"; "o" ] ~doc ~docv:"FILE")
-  in
   let flame =
-    let doc = "Emit collapsed-stack flamegraph lines (cpuN;category;... <ns>) instead of \
-               the text report." in
-    Arg.(value & flag & info [ "flame" ] ~doc)
-  in
-  let metrics =
-    let doc = "Also dump the metrics registry after the run." in
-    Arg.(value & flag & info [ "metrics" ] ~doc)
+    let doc =
+      "Also write the profile as collapsed-stack flamegraph lines (cpuN;category;... <ns>) \
+       to FILE, for inferno, flamegraph.pl or speedscope."
+    in
+    Arg.(value & opt (some string) None & info [ "flame" ] ~doc ~docv:"FILE")
   in
   let term =
     Term.(
       ret
-        (const (fun quick seed jobs store id out flame metrics sanitize ->
+        (const (fun quick seed jobs store id json out buf window_us worst check_budget flame ->
              Runner.set_default_jobs jobs;
              with_store store (fun () ->
-                 with_sanitizer sanitize (fun () ->
-                     run_profile (cfg_of quick seed) id out flame metrics)))
-        $ quick $ seed $ jobs $ store_arg $ exp_id $ out $ flame $ metrics $ sanitize))
+                 run_report (cfg_of quick seed) id
+                   { Run_report.buf; window_us; worst; check_budget }
+                   ~json ~out ~flame))
+        $ quick $ seed $ jobs $ store_arg $ exp_id $ json $ out $ buf $ window $ worst
+        $ check_budget $ flame))
   in
-  Cmd.v (Cmd.info "profile" ~doc ~man) term
-
-let mem_cmd =
-  let doc = "Run one experiment under the memory observatory and report where the words live" in
-  let man =
-    [
-      `S Manpage.s_description;
-      `P
-        "Arms the memory observatory (lib/obs Memstats + Memprof), runs the given \
-         experiment, and prints the memory report instead of the experiment's table: the \
-         top-$(b,--top) statistical allocation sites (when the runtime's statmemprof \
-         engine is available — on OCaml 5.0-5.2 it is not, and the report says so), the \
-         per-subsystem live-word tree and retention table over the census of registered \
-         word providers, the GC sample track and the GC counter registry.  The retention \
-         numbers come from each subsystem's analytic $(b,words) accounting \
-         (cross-checked against Obj.reachable_words in the test suite), attributed to \
-         the same interned category tree the cycle profiler uses.";
-      `P
-        "$(b,mem pacer-scale) registers every fleet of the sweep as a live census \
-         source, making it the per-store memory-gap report: store and pool words per \
-         flow at 10^3..10^6 flows.  Conservation (attributed live words <= GC live \
-         words) is checked on every run; violations exit nonzero.";
-      `P
-        "The observatory emits no trace events and never touches the default metrics \
-         registry, so determinism digests, tables and stats reports are byte-identical \
-         whether or not it is armed.";
-    ]
-  in
-  let exp_id =
-    let doc = "Experiment id to observe (one id, not 'all')." in
-    Arg.(required & pos 0 (some string) None & info [] ~doc ~docv:"EXPERIMENT")
-  in
-  let top =
-    let doc = "Number of top allocation sites to report." in
-    Arg.(value & opt int 10 & info [ "top" ] ~doc ~docv:"N")
-  in
-  let json =
-    let doc = "Emit the JSON report (schema softtimers-mem/1)." in
-    Arg.(value & flag & info [ "json" ] ~doc)
-  in
-  let prom =
-    let doc = "Emit the observatory's GC registry as Prometheus text exposition." in
-    Arg.(value & flag & info [ "prom" ] ~doc)
-  in
-  let out =
-    let doc = "Write the report to this file instead of stdout." in
-    Arg.(value & opt (some string) None & info [ "out"; "o" ] ~doc ~docv:"FILE")
-  in
-  let term =
-    Term.(
-      ret
-        (const (fun quick seed jobs store id top json prom out ->
-             Runner.set_default_jobs jobs;
-             with_store store (fun () ->
-                 match (json, prom) with
-                 | true, false -> run_mem (cfg_of quick seed) id top `Json out
-                 | false, true -> run_mem (cfg_of quick seed) id top `Prom out
-                 | false, false -> run_mem (cfg_of quick seed) id top `Human out
-                 | true, true -> `Error (false, "--json and --prom are mutually exclusive")))
-        $ quick $ seed $ jobs $ store_arg $ exp_id $ top $ json $ prom $ out))
-  in
-  Cmd.v (Cmd.info "mem" ~doc ~man) term
+  Cmd.v (Cmd.info "report" ~doc ~man) term
 
 let verify_cmd =
   let doc = "Replay-diff: run an experiment twice with the same seed and diff the results" in
@@ -976,9 +458,9 @@ let man =
     `S Manpage.s_description;
     `P
       "Each experiment regenerates one table or figure of the paper on the simulated \
-       testbed and prints measured values next to the paper's.  The $(b,trace) \
-       subcommand additionally exports a Chrome trace_event JSON of everything the \
-       simulator did.";
+       testbed and prints measured values next to the paper's.  The $(b,report) \
+       subcommand explains one run (profile, stats, why-late, mem), and $(b,trace) \
+       exports a Chrome trace_event JSON of everything the simulator did.";
     `S "EXPERIMENTS";
   ]
   @ List.map (fun (n, d, _) -> `P (Printf.sprintf "$(b,%s): %s" n d)) experiments
@@ -986,18 +468,17 @@ let man =
 let default =
   Term.(
     ret
-      (const (fun quick seed jobs store sanitize mem id ->
+      (const (fun quick seed jobs store sanitize id ->
            Runner.set_default_jobs jobs;
            let cfg = cfg_of quick seed in
            with_store store (fun () ->
-               with_mem mem (fun () ->
-                   if id = "all" then run_all cfg sanitize else run_one cfg sanitize id)))
-      $ quick $ seed $ jobs $ store_arg $ sanitize $ mem_flag $ id))
+               if id = "all" then run_all cfg sanitize else run_one cfg sanitize id))
+      $ quick $ seed $ jobs $ store_arg $ sanitize $ id))
 
 let group_cmd =
   Cmd.group ~default
     (Cmd.info "softtimers-cli" ~version:"1.0.0" ~doc ~man)
-    [ trace_cmd; profile_cmd; verify_cmd; stats_cmd; whylate_cmd; mem_cmd ]
+    [ trace_cmd; report_cmd; verify_cmd ]
 
 (* [Cmd.group ~default] rejects any first positional that is not a
    subcommand name, which would break the documented
@@ -1013,8 +494,8 @@ let () =
      seed value must never be mistaken for a subcommand name. *)
   let value_flags =
     [
-      "--seed"; "-s"; "--out"; "-o"; "--buf"; "--jobs"; "-j"; "--window"; "--max-windows";
-      "--store"; "--worst"; "--check-budget"; "--top";
+      "--seed"; "-s"; "--out"; "-o"; "--buf"; "--jobs"; "-j"; "--window"; "--store";
+      "--worst"; "--check-budget"; "--flame";
     ]
   in
   let first_positional =
@@ -1028,7 +509,7 @@ let () =
   in
   let is_subcommand =
     match first_positional with
-    | Some ("trace" | "profile" | "verify-determinism" | "stats" | "why-late" | "mem") -> true
+    | Some ("trace" | "report" | "verify-determinism") -> true
     | Some _ -> false
     | None -> false
   in

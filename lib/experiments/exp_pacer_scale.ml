@@ -223,7 +223,7 @@ let render cells =
    census).
 
    Main-domain-only (census registration mutates the Profile category
-   registry): `softtimers-cli mem` calls it directly, never from a
+   registry): the run report calls it directly, never from a
    Runner.map/map_sim job — which is why [run] does not. *)
 let run_census cfg =
   List.concat_map

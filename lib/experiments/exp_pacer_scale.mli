@@ -36,7 +36,7 @@ val run_census : Exp_config.t -> cell list
     (split store vs pool) and kept alive by the provider closures until
     [Memstats.reset_census] — so the conservation invariant holds over
     the registered words.  Main-domain-only (census registration
-    mutates the Profile category registry): call it from the CLI [mem]
+    mutates the Profile category registry): call it from the run report
     path, never inside a Runner job. *)
 
 val run : Exp_config.t -> string

@@ -15,11 +15,8 @@ let run_cell (cfg : Exp_config.t) ~kind ~pacing =
   in
   let t = Webserver.create wcfg in
   Webserver.run t ~warmup:(Exp_config.warmup cfg) ~measure:(Exp_config.measure cfg);
-  let iv =
-    let s = Webserver.pacing_intervals t in
-    if Stats.Sample.count s = 0 then nan else Stats.Sample.mean s
-  in
-  (Webserver.requests_per_sec t, iv)
+  (* [Online.mean] is [nan] when nothing was paced. *)
+  (Webserver.requests_per_sec t, Stats.Online.mean (Webserver.pacing_intervals t))
 
 let compute cfg =
   let per_server kind =

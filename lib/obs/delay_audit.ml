@@ -581,47 +581,3 @@ let to_json t =
     t.exemplars;
   addf "]}";
   Buffer.contents b
-
-let prom_sanitize s =
-  String.map
-    (fun c ->
-      match c with 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' -> c | _ -> '_')
-    s
-
-let to_prometheus t =
-  let b = Buffer.create 2048 in
-  let addf fmt = Printf.ksprintf (Buffer.add_string b) fmt in
-  addf "# TYPE softtimer_whylate_fired counter\nsofttimer_whylate_fired %d\n" t.fired;
-  addf "# TYPE softtimer_whylate_late counter\nsofttimer_whylate_late %d\n" t.late;
-  addf "# TYPE softtimer_whylate_untracked counter\nsofttimer_whylate_untracked %d\n"
-    t.untracked;
-  addf
-    "# TYPE softtimer_whylate_pending_at_exit gauge\nsofttimer_whylate_pending_at_exit %d\n"
-    (pending_at_exit t);
-  addf
-    "# TYPE softtimer_whylate_violations counter\nsofttimer_whylate_violations %d\n"
-    t.violations;
-  addf "# TYPE softtimer_whylate_cause_ns counter\n";
-  for k = 0 to nseg - 1 do
-    addf "softtimer_whylate_cause_ns{cause=\"%s\"} %Ld\n" (prom_sanitize (seg_label k))
-      t.cause_ns.(k)
-  done;
-  addf "# TYPE softtimer_whylate_cause_us summary\n";
-  for k = 0 to nseg - 1 do
-    let h = t.cause_hdr.(k) in
-    if Hdr.count h > 0 then begin
-      let c = prom_sanitize (seg_label k) in
-      List.iter
-        (fun q ->
-          addf "softtimer_whylate_cause_us{cause=\"%s\",quantile=\"%g\"} %.6g\n" c q
-            (Hdr.quantile h q))
-        [ 0.5; 0.9; 0.99; 1.0 ];
-      addf "softtimer_whylate_cause_us_count{cause=\"%s\"} %d\n" c (Hdr.count h)
-    end
-  done;
-  addf "# TYPE softtimer_whylate_end_trigger counter\n";
-  List.iter
-    (fun (name, fires, _, _) ->
-      addf "softtimer_whylate_end_trigger{trigger=\"%s\"} %d\n" (prom_sanitize name) fires)
-    (trigger_rows t);
-  Buffer.contents b

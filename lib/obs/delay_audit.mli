@@ -133,6 +133,3 @@ val to_text : t -> string
 
 val to_json : t -> string
 (** Single-line JSON, schema ["softtimers-whylate/1"]. *)
-
-val to_prometheus : t -> string
-(** Prometheus text exposition ([softtimer_whylate_*] families). *)

@@ -8,12 +8,12 @@
    the rate-clock pool, obs itself) under a category path, and the
    census samples every provider at report time.  Nothing here touches
    a hot path, emits a trace event, or feeds the default metrics
-   registry, so determinism digests, tables and stats JSON stay
+   registry, so determinism digests, tables and run reports stay
    byte-identical whether the observatory is consulted or not. *)
 
 (* GC probes live in a dedicated registry, NOT [Metrics.default]: GC
    word counts are not jobs-invariant (each domain allocates its own
-   minor heaps), and the [stats] subcommand's exposition of the default
+   minor heaps), and the run report's rendering of the default
    registry must stay byte-identical at any [--jobs]. *)
 let registry = Metrics.create ()
 
@@ -39,7 +39,6 @@ let () =
       float_of_int (Gc.stat ()).Gc.live_words)
 
 let live_words () = (Gc.stat ()).Gc.live_words
-let to_prometheus () = Metrics.to_prometheus registry
 let dump () = Metrics.dump registry
 
 (* ---- census sources ----------------------------------------------- *)
@@ -242,9 +241,10 @@ let report () =
   String.concat "\n" [ retention_table (); tree_table (); samples_table (); dump () ]
 
 (* JSON fragment (an object, no trailing newline) with the census,
-   conservation verdict and GC counters — embedded by the CLI [mem]
-   report and the bench harnesses' [mem] sections. *)
-let to_json () =
+   conservation verdict and, unless [~gc:false], the GC live-word count
+   and counters — embedded by the run report (census only: GC numbers
+   vary between runs) and the pacer bench. *)
+let to_json ?(gc = true) () =
   let buf = Buffer.create 512 in
   let rows = List.map (fun s -> (s.src_full, s.src_words (), s.src_live)) !sources in
   let attributed = List.fold_left (fun acc (_, w, _) -> acc + w) 0 rows in
@@ -261,15 +261,15 @@ let to_json () =
         (Printf.sprintf "{\"path\":%S,\"words\":%d,\"live\":%b}" full w is_live))
     rows;
   Buffer.add_string buf
-    (Printf.sprintf
-       "],\"attributed_words\":%d,\"live_attributed_words\":%d,\"live_words\":%d,\
-        \"conservation_ok\":%b,"
-       attributed live_sum live (live_sum <= live));
-  Buffer.add_string buf
-    (Printf.sprintf
-       "\"gc\":{\"minor_words\":%.0f,\"promoted_words\":%.0f,\"major_words\":%.0f,\
-        \"heap_words\":%d,\"compactions\":%d,\"minor_collections\":%d,\
-        \"major_collections\":%d}}"
-       s.Gc.minor_words s.Gc.promoted_words s.Gc.major_words s.Gc.heap_words
-       s.Gc.compactions s.Gc.minor_collections s.Gc.major_collections);
+    (Printf.sprintf "],\"attributed_words\":%d,\"live_attributed_words\":%d" attributed
+       live_sum);
+  if gc then
+    Buffer.add_string buf
+      (Printf.sprintf
+         ",\"live_words\":%d,\"conservation_ok\":%b,\"gc\":{\"minor_words\":%.0f,\
+          \"promoted_words\":%.0f,\"major_words\":%.0f,\"heap_words\":%d,\"compactions\":%d,\
+          \"minor_collections\":%d,\"major_collections\":%d}}"
+         live (live_sum <= live) s.Gc.minor_words s.Gc.promoted_words s.Gc.major_words
+         s.Gc.heap_words s.Gc.compactions s.Gc.minor_collections s.Gc.major_collections)
+  else Buffer.add_string buf (Printf.sprintf ",\"conservation_ok\":%b}" (live_sum <= live));
   Buffer.contents buf

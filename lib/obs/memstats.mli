@@ -9,7 +9,7 @@
     samples every provider at report time.
 
     Nothing here touches a hot path, emits a trace event, or writes to
-    {!Metrics.default}, so determinism digests, tables and stats JSON
+    {!Metrics.default}, so determinism digests, tables and run reports
     stay byte-identical whether the observatory is consulted or not.
     GC probes live in a dedicated registry because GC word counts are
     not jobs-invariant.
@@ -28,9 +28,6 @@ val registry : Metrics.t
 val live_words : unit -> int
 (** Exact words live on the major heap ([Gc.stat] — walks the heap;
     report-time cost). *)
-
-val to_prometheus : unit -> string
-(** Prometheus text exposition of {!registry}. *)
 
 val dump : unit -> string
 (** Human-readable table of {!registry}. *)
@@ -103,7 +100,8 @@ val report : unit -> string
 (** {!retention_table}, {!tree_table}, {!samples_table} and the GC
     probe dump, concatenated. *)
 
-val to_json : unit -> string
-(** JSON object: census sources, attributed/live words, conservation
-    verdict and GC counters.  Embedded by [softtimers-cli mem --json]
-    and the bench harnesses' [mem] sections. *)
+val to_json : ?gc:bool -> unit -> string
+(** JSON object: census sources, attributed words and the conservation
+    verdict, plus (unless [~gc:false]) GC live words and counters.
+    The run report embeds it with [~gc:false], keeping its JSON
+    byte-identical across runs; the pacer bench embeds all of it. *)

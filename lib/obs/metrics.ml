@@ -230,43 +230,3 @@ let dump t =
             (Printf.sprintf "%-42s n=%d mean=%.3f p50=%.3f p99=%.3f max=%.3f\n" name n
                (Hdr.mean h) (Hdr.quantile h 0.5) (Hdr.quantile h 0.99) (Hdr.max h)));
   Buffer.contents b
-
-(* ------------------------------------------------------------------ *)
-(* Prometheus text exposition (version 0.0.4).                         *)
-
-let prom_name name =
-  String.map
-    (fun c ->
-      match c with
-      | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' | ':' -> c
-      | _ -> '_')
-    name
-
-let prom_float v =
-  if Float.is_nan v then "NaN"
-  else if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.0f" v
-  else Printf.sprintf "%.9g" v
-
-let to_prometheus t =
-  let b = Buffer.create 2048 in
-  let addf fmt = Printf.ksprintf (Buffer.add_string b) fmt in
-  iter t (fun name v ->
-      let n = prom_name name in
-      match v with
-      | Counter c ->
-        addf "# TYPE %s counter\n%s %d\n" n n c
-      | Gauge g ->
-        if not (Float.is_nan g) then addf "# TYPE %s gauge\n%s %s\n" n n (prom_float g)
-      | Probe p -> addf "# TYPE %s gauge\n%s %s\n" n n (prom_float p)
-      | Histogram h ->
-        addf "# TYPE %s summary\n" n;
-        if Hdr.count h > 0 then begin
-          List.iter
-            (fun q ->
-              addf "%s{quantile=\"%s\"} %s\n" n
-                (Printf.sprintf "%g" q)
-                (prom_float (Hdr.quantile h q)))
-            [ 0.5; 0.9; 0.99; 1.0 ]
-        end;
-        addf "%s_sum %s\n%s_count %d\n" n (prom_float (Hdr.sum h)) n (Hdr.count h));
-  Buffer.contents b

@@ -65,9 +65,8 @@ val probe : t -> string -> (unit -> float) -> unit
     order, so totals are deterministic at any [--jobs].
 
     Register at module initialisation (before any domain fan-out):
-    the id space is fixed once workers exist.  {!iter}, {!dump},
-    {!to_prometheus} and {!reset} act on the {e calling} domain's
-    values. *)
+    the id space is fixed once workers exist.  {!iter}, {!dump}
+    and {!reset} act on the {e calling} domain's values. *)
 
 type dcounter
 type dhistogram
@@ -128,10 +127,3 @@ val iter : t -> (string -> value -> unit) -> unit
 val dump : t -> string
 (** Human-readable table of every instrument, in name order; histograms
     show count/mean/p50/p99/max. *)
-
-val to_prometheus : t -> string
-(** Prometheus text exposition (format 0.0.4): counters as [counter],
-    gauges and probes as [gauge] (unset gauges skipped), histograms as
-    [summary] with p50/p90/p99/p100 quantiles plus [_sum]/[_count].
-    Dots in metric names become underscores.  Deterministic: name-sorted
-    and free of timestamps. *)

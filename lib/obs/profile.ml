@@ -489,9 +489,42 @@ let interrupt_table p =
 let report p =
   String.concat "\n" [ to_table p; interrupt_table p; trigger_table p ]
 
+let json_string s =
+  let b = Buffer.create (String.length s + 2) in
+  Buffer.add_char b '"';
+  String.iter
+    (fun c ->
+      match c with
+      | '"' -> Buffer.add_string b "\\\""
+      | '\\' -> Buffer.add_string b "\\\\"
+      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char b c)
+    s;
+  Buffer.add_char b '"';
+  Buffer.contents b
+
+(* Rows re-sorted by name: [roots_ns] is largest-first and
+   [dispatch_rows] first-dispatch order, both of which shuffle between
+   seeds, and benchdiff keys array elements by index — so the JSON needs
+   an order that only depends on which categories exist. *)
+let to_json p =
+  let rows render l =
+    String.concat "," (List.map render (List.sort (fun (a, _) (b, _) -> String.compare a b) l))
+  in
+  Printf.sprintf
+    "{\"total_attributed_ns\":%Ld,\"cpus\":%d,\"fired_total\":%d,\"categories\":[%s],\"dispatch\":[%s]}"
+    (total_attributed_ns p) (cpu_count p) (fired_total p)
+    (rows
+       (fun (name, ns) -> Printf.sprintf "{\"path\":%s,\"ns\":%Ld}" (json_string name) ns)
+       (roots_ns p))
+    (rows
+       (fun (source, fires) ->
+         Printf.sprintf "{\"source\":%s,\"fires\":%d}" (json_string source) fires)
+       (dispatch_rows p))
+
 (* ---- Category-registry readers ------------------------------------
 
-   The memory observatory (Memstats / Memprof) attributes words to the
+   The memory observatory (Memstats) attributes words to the
    same interned category tree the cycle profiler charges time to; it
    keeps its own id-indexed side tables and renders by walking the
    registry through these readers. *)

@@ -122,11 +122,18 @@ val interrupt_table : t -> string
 val report : t -> string
 (** {!to_table}, {!interrupt_table} and {!trigger_table} concatenated. *)
 
+val to_json : t -> string
+(** One-line JSON object: total attributed ns, CPU count, fired total,
+    top-level categories ([path], [ns]) and per-trigger dispatch counts
+    ([source], [fires]), both sorted by name so the order depends only
+    on which categories exist.  Shared by the bench baseline's
+    [attribution] section and the run report's [profile] section. *)
+
 (** {1 Category-registry readers}
 
     The interned category tree is shared infrastructure: the cycle
     profiler charges nanoseconds to it, and the memory observatory
-    ([Memstats]/[Memprof]) attributes words to it.  These readers
+    ([Memstats]) attributes words to it.  These readers
     expose the registry itself — node ids are dense ints, stable for
     the process lifetime, and enumeration order is registration order
     (deterministic). *)

@@ -247,34 +247,6 @@ let snapshots t =
 (* ------------------------------------------------------------------ *)
 (* Exporters                                                           *)
 
-let csv_header =
-  "epoch,index,start_us,triggers,sched,fired,cancelled,polls,poll_found,rbc_sends,pkt_enqueued,pkt_tx,pkt_rx_batches,pkt_rx_pkts,pkt_drop,irqs,irq_us,cpu_wakeups,qlen_last,delay_count,delay_p50_us,delay_p99_us,delay_max_us"
-
-let fnum v = if Float.is_nan v then "" else Printf.sprintf "%.6g" v
-
-let csv_row s =
-  Printf.sprintf "%d,%d,%.6g,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%.6g,%d,%s,%d,%s,%s,%s"
-    s.s_epoch s.s_index s.s_start_us s.s_triggers s.s_sched s.s_fired s.s_cancelled
-    s.s_polls s.s_poll_found s.s_rbc_sends s.s_pkt_enqueued s.s_pkt_tx s.s_pkt_rx_batches
-    s.s_pkt_rx_pkts s.s_pkt_drop s.s_irqs s.s_irq_us s.s_cpu_wakeups
-    (match s.s_qlen_last with None -> "" | Some q -> string_of_int q)
-    s.s_delay_count (fnum s.s_delay_p50_us) (fnum s.s_delay_p99_us)
-    (fnum s.s_delay_max_us)
-
-let to_csv t =
-  let b = Buffer.create 4096 in
-  if t.evicted > 0 then
-    Buffer.add_string b
-      (Printf.sprintf "# WARNING: %d oldest windows evicted (bounded ring)\n" t.evicted);
-  Buffer.add_string b csv_header;
-  Buffer.add_char b '\n';
-  List.iter
-    (fun s ->
-      Buffer.add_string b (csv_row s);
-      Buffer.add_char b '\n')
-    (snapshots t);
-  Buffer.contents b
-
 let jnum v = if Float.is_nan v then "null" else Printf.sprintf "%.6g" v
 
 let json_of_snapshot s =

@@ -83,12 +83,7 @@ val snapshots : t -> snapshot list
     window if {!close} has not been called.  Windows with no events are
     absent (the series is sparse). *)
 
-(** {2 Exporters} *)
-
-val to_csv : t -> string
-(** One header line then one row per window; a leading [# WARNING]
-    banner reports evictions.  Empty delay quantiles render as empty
-    cells. *)
+(** {2 Exporter} *)
 
 val to_json : t -> string
 (** JSON array of window objects (same fields as {!snapshot}; [nan]

@@ -178,6 +178,16 @@ let push_due t n ~time ~seq ~idx =
   t.batch.(k + 1) <- seq;
   t.batch.(k + 2) <- idx
 
+(* Snapshot entry [k] that the batch does not dispatch (budget
+   exhausted, or an earlier callback raised): a still-pending entry is
+   pushed back verbatim — same time, same generation, same slot — so
+   the next call dispatches it in the same (deadline, tie) order.  A
+   corpse was counted by its cancel or re-arm, which we already popped. *)
+let withhold t k =
+  let time = t.batch.(3 * k) and seq = t.batch.((3 * k) + 1) and idx = t.batch.((3 * k) + 2) in
+  if t.slots.(idx).sseq = seq then Eventq.push t.q ~time ~seq ~payload:idx
+  else if t.dead > 0 then t.dead <- t.dead - 1
+
 let[@hot] fire_due t ?prefetch:_ ~now ~limit f =
   let now_i = Int64.to_int now in
   (* Pop the whole due prefix into the snapshot buffer before running
@@ -197,30 +207,28 @@ let[@hot] fire_due t ?prefetch:_ ~now ~limit f =
   done;
   let fired = ref 0 in
   for k = 0 to !scanned - 1 do
-    let time = t.batch.(3 * k) and seq = t.batch.((3 * k) + 1) and idx = t.batch.((3 * k) + 2) in
+    let seq = t.batch.((3 * k) + 1) and idx = t.batch.((3 * k) + 2) in
     let s = t.slots.(idx) in
     (* Generation still matching = not cancelled or re-armed by an
        earlier callback in this batch. *)
-    if s.sseq = seq then begin
-      if !fired < limit then begin
-        let v = match s.sval with Some v -> v | None -> assert false in
-        (* The slot's boxed deadline is this entry's: a re-arm would
-           have changed the generation. *)
-        let at = s.sat in
-        free_slot t idx;
-        t.live <- t.live - 1;
-        incr fired;
-        f at v
-      end
-      else
-        (* Budget exhausted: push the popped entry back verbatim —
-           same time, same generation, same slot — so the next call
-           dispatches the remainder in the same (deadline, tie)
-           order. *)
-        Eventq.push t.q ~time ~seq ~payload:idx
+    if s.sseq = seq && !fired < limit then begin
+      let v = match s.sval with Some v -> v | None -> assert false in
+      (* The slot's boxed deadline is this entry's: a re-arm would
+         have changed the generation. *)
+      let at = s.sat in
+      free_slot t idx;
+      t.live <- t.live - 1;
+      incr fired;
+      try f at v
+      with exn ->
+        (* A raising callback withholds the rest of the batch, as an
+           exhausted budget would, before the exception leaves. *)
+        let bt = Printexc.get_raw_backtrace () in
+        for j = k + 1 to !scanned - 1 do
+          withhold t j
+        done;
+        Printexc.raise_with_backtrace exn bt
     end
-    else if t.dead > 0 then
-      (* The cancel/re-arm counted a corpse we had already popped. *)
-      t.dead <- t.dead - 1
+    else withhold t k
   done;
   Fire_outcome.pack ~scanned:!scanned ~fired:!fired

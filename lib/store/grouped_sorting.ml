@@ -278,6 +278,14 @@ let next_deadline t =
     | None -> None  (* unreachable: count > 0 implies a linked node *)
   end
 
+(* A due node the batch does not dispatch (budget exhausted, or a
+   callback raised) is relinked into the covering group with [gseq]
+   untouched (and [t.count] never decremented), so the next call's
+   expiry sort dispatches it in the same (deadline, tie) order.  Groups
+   are unsorted inside, so append position is irrelevant.  A node no
+   longer Extracted was cancelled or re-armed by an earlier callback. *)
+let withhold t n = if n.gstate = Extracted then group_append (target_group t.groups n.gat) n
+
 (* ALLOC001/2: snapshot-batch contract (timer_store.mli) — the sweep
    extracts due nodes into a list before any callback runs; the cons
    cells, the sweep/extract closures and the replacement group for a
@@ -335,23 +343,27 @@ let[@hot] fire_due t ?prefetch:_ ~now ~limit f =
   (match due with [] -> () | _ :: _ -> t.min_valid <- false);
   let scanned = List.length due in
   let fired = ref 0 in
-  List.iter
-    (fun n ->
-      if n.gstate = Extracted then
-        if !fired < limit then begin
-          n.gstate <- Done;
-          t.count <- t.count - 1;
-          incr fired;
-          f n.gat n.gval
-        end
-        else begin
-          (* Budget exhausted: relink into the covering group with
-             [gseq] untouched (and [t.count] never decremented), so the
-             next call's expiry sort dispatches the remainder in the
-             same (deadline, tie) order.  Groups are unsorted inside, so
-             append position is irrelevant. *)
-          group_append (target_group t.groups n.gat) n
-        end)
-    due;
+  let rec dispatch = function
+    | [] -> ()
+    | n :: rest ->
+      if n.gstate = Extracted && !fired < limit then begin
+        n.gstate <- Done;
+        t.count <- t.count - 1;
+        incr fired;
+        (try f n.gat n.gval
+         with exn ->
+           (* A raising callback withholds the rest of the batch, as an
+              exhausted budget would, before the exception leaves. *)
+           let bt = Printexc.get_raw_backtrace () in
+           List.iter (withhold t) rest;
+           Printexc.raise_with_backtrace exn bt);
+        dispatch rest
+      end
+      else begin
+        withhold t n;
+        dispatch rest
+      end
+  in
+  dispatch due;
   Fire_outcome.pack ~scanned ~fired:!fired
 [@@lint.allow "ALLOC001"] [@@lint.allow "ALLOC002"]

@@ -209,6 +209,20 @@ let next_deadline t =
     | None -> None  (* unreachable: count > 0 implies a linked node *)
   end
 
+(* Relink the due nodes a batch did not dispatch (budget exhausted, or
+   a callback raised) at the head of their original bucket, latest first
+   so the earliest ends up at the head — the next call pops them in the
+   same (deadline, tie) order ([nseq] untouched, [t.count] never
+   decremented for them).  ALLOC001: the closure is one per batch, like
+   the dispatch loop's. *)
+let relink_withheld latest_first =
+  List.iter
+    (fun n ->
+      n.nstate <- Linked;
+      link_head n.nbucket n)
+    latest_first
+[@@lint.allow "ALLOC001"]
+
 (* ALLOC001/2: snapshot-batch contract (timer_store.mli) — due nodes
    are unlinked into a list before any callback runs, so the cons cells
    and local walk/pop/extract closures are per-batch work amortized
@@ -262,27 +276,32 @@ let[@hot] fire_due t ?prefetch:_ ~now ~limit f =
   let scanned = List.length due in
   let fired = ref 0 in
   let withheld = ref [] in
-  List.iter
-    (fun n ->
-      (* Still Extracted = not cancelled or re-armed by an earlier
-         callback in this batch. *)
-      if n.nstate = Extracted then
-        if !fired < limit then begin
-          n.nstate <- Done;
-          t.count <- t.count - 1;
-          incr fired;
-          f n.nat n.nval
-        end
-        else withheld := n :: !withheld)
-    due;
-  (* Budget exhausted: relink withheld nodes at the head of their
-     original bucket, latest first so the earliest ends up at the head —
-     the next call pops the remainder in the same (deadline, tie) order
-     ([nseq] untouched, [t.count] never decremented for them). *)
-  List.iter
-    (fun n ->
-      n.nstate <- Linked;
-      link_head n.nbucket n)
-    !withheld;
+  (* Still Extracted = not cancelled or re-armed by an earlier callback
+     in this batch. *)
+  let withhold n = if n.nstate = Extracted then withheld := n :: !withheld in
+  let rec dispatch = function
+    | [] -> ()
+    | n :: rest ->
+      if n.nstate = Extracted && !fired < limit then begin
+        n.nstate <- Done;
+        t.count <- t.count - 1;
+        incr fired;
+        (try f n.nat n.nval
+         with exn ->
+           (* A raising callback withholds the rest of the batch, as an
+              exhausted budget would, before the exception leaves. *)
+           let bt = Printexc.get_raw_backtrace () in
+           List.iter withhold rest;
+           relink_withheld !withheld;
+           Printexc.raise_with_backtrace exn bt);
+        dispatch rest
+      end
+      else begin
+        withhold n;
+        dispatch rest
+      end
+  in
+  dispatch due;
+  relink_withheld !withheld;
   Fire_outcome.pack ~scanned ~fired:!fired
 [@@lint.allow "ALLOC001"] [@@lint.allow "ALLOC002"]

@@ -35,9 +35,18 @@
       size and callback count ({!Fire_outcome}); [Fire_outcome.scanned]
       counts the whole due batch, withheld entries included.  [fire_due]
       must not be called from within a callback.
+    - A callback that raises ends the batch: its own entry counts as
+      fired, the undispatched rest of the snapshot is withheld exactly
+      as an exhausted budget would withhold it (deadline and tie
+      position kept, still pending), and only then does the exception
+      propagate out of [fire_due].  The next call dispatches the
+      remainder in the same (deadline, tie) order.
     - [resident] (entries physically held, including any lazily-cancelled
-      corpses) stays within [2 * max (pending t) floor] for a small
-      per-store constant [floor] — no store leaks cancelled entries.
+      corpses) is within [2 * max (pending t) floor], for a small
+      per-store constant [floor], right after a [schedule] or [rearm] —
+      no store leaks cancelled entries.  A run of cancels (or fires)
+      lowers [pending] without reclaiming corpses, so the bound can be
+      exceeded until the next [schedule] or [rearm].
     - Deadlines must be non-negative and [now] must not go backwards
       across [fire_due] calls. *)
 

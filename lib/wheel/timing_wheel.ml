@@ -177,6 +177,21 @@ let[@hot] next_deadline t =
   end
 [@@lint.allow "ALLOC002"]
 
+(* A due entry the batch does not dispatch (budget exhausted, or an
+   earlier callback raised) goes back into the wheel with its deadline
+   and tie position intact, so the next call dispatches it in the same
+   order; [last_tick] already advanced past its slot, hence the clamp.
+   A corpse met here was counted by its cancel or re-arm.
+   ALLOC002/3: the cons cell and tick box are paid only by withheld
+   entries — the truncated tail of a batch, never a fully fired one. *)
+let withhold t e =
+  if live e then begin
+    let idx = slot_of t (Int64.max (tick_of t e.h.hdeadline) t.last_tick) in
+    t.buckets.(idx) <- e :: t.buckets.(idx)
+  end
+  else if t.cancelled > 0 then t.cancelled <- t.cancelled - 1
+[@@lint.allow "ALLOC002"] [@@lint.allow "ALLOC003"]
+
 (* ALLOC001/2/3: snapshot-batch contract — due entries leave their
    buckets into a list before any callback runs, so the cons cells,
    filter/sort/dispatch closures and tick boxes are proportional to the
@@ -228,28 +243,31 @@ let[@hot] fire_due t ?prefetch:_ ~now ~limit f =
     t.min_valid <- false;
     let scanned = List.length due in
     let fired = ref 0 in
-    List.iter
-      (fun e ->
+    let rec dispatch = function
+      | [] -> ()
+      | e :: rest ->
         (* Re-check before dispatch: an earlier callback in this batch
            may have cancelled or re-armed this entry after it left its
            bucket. *)
-        if live e then
-          if !fired < limit then begin
-            e.h.hstate <- Fired;
-            t.count <- t.count - 1;
-            incr fired;
-            f e.h.hdeadline e.h.value
-          end
-          else begin
-            (* Budget exhausted: the entry goes back into the wheel with
-               its deadline and tie position intact, so the next check
-               dispatches the remainder in the same order.  [last_tick]
-               already advanced past its slot, hence the clamp. *)
-            let idx = slot_of t (Int64.max (tick_of t e.h.hdeadline) t.last_tick) in
-            t.buckets.(idx) <- e :: t.buckets.(idx)
-          end
-        else if t.cancelled > 0 then t.cancelled <- t.cancelled - 1)
-      due;
+        if live e && !fired < limit then begin
+          e.h.hstate <- Fired;
+          t.count <- t.count - 1;
+          incr fired;
+          (try f e.h.hdeadline e.h.value
+           with exn ->
+             (* A raising callback withholds the rest of the batch, as
+                an exhausted budget would, before the exception leaves. *)
+             let bt = Printexc.get_raw_backtrace () in
+             List.iter (withhold t) rest;
+             Printexc.raise_with_backtrace exn bt);
+          dispatch rest
+        end
+        else begin
+          withhold t e;
+          dispatch rest
+        end
+    in
+    dispatch due;
     Fire_outcome.pack ~scanned ~fired:!fired
 [@@lint.allow "ALLOC001"] [@@lint.allow "ALLOC002"] [@@lint.allow "ALLOC003"]
 

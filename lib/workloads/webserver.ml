@@ -201,7 +201,7 @@ type t = {
   mutable pace_in_train : bool;
   mutable pace_last : Time_ns.t;
   mutable pace_sends : int;
-  pace_intervals : Stats.Sample.t;
+  pace_intervals : Stats.Online.t;
   mutable hw_pacer : Hw_pacer.t option;
   mutable started : bool;
 }
@@ -289,7 +289,7 @@ let tx_items t conn pkt =
 
 let pace_record t now =
   if t.pace_in_train then
-    Stats.Sample.add t.pace_intervals (Time_ns.to_us Time_ns.(now - t.pace_last));
+    Stats.Online.add t.pace_intervals (Time_ns.to_us Time_ns.(now - t.pace_last));
   t.pace_last <- now;
   t.pace_sends <- t.pace_sends + 1
 
@@ -588,7 +588,7 @@ let create cfg =
       pace_in_train = false;
       pace_last = Time_ns.zero;
       pace_sends = 0;
-      pace_intervals = Stats.Sample.create ();
+      pace_intervals = Stats.Online.create ();
       hw_pacer = None;
       started = false;
     }

@@ -85,7 +85,7 @@ val requests_per_sec : t -> float
 
 val completed_requests : t -> int
 
-val pacing_intervals : t -> Stats.Sample.t
+val pacing_intervals : t -> Stats.Online.t
 (** Gaps between consecutive paced transmissions within continuous
     backlog, in microseconds (Table 3's "avg xmit interval"). *)
 

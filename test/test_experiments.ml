@@ -287,6 +287,87 @@ let test_renders_do_not_raise () =
   let s2 = Exp_fig1.run cfg in
   Alcotest.(check bool) "fig1 render non-empty" true (String.length s2 > 100)
 
+(* ------------------------------------------------------------------ *)
+(* Run report: one execution, four sections.                           *)
+
+let contains hay needle =
+  let n = String.length needle and m = String.length hay in
+  let rec go i = i + n <= m && (String.sub hay i n = needle || go (i + 1)) in
+  go 0
+
+(* The integer right after the first [key] at or after [anchor]. *)
+let int_after json ~anchor key =
+  let find from needle =
+    let n = String.length needle in
+    let rec go i =
+      if i + n > String.length json then Alcotest.failf "%S not in report" needle
+      else if String.sub json i n = needle then i + n
+      else go (i + 1)
+    in
+    go from
+  in
+  let i = find (find 0 anchor) key in
+  let j = ref i in
+  while !j < String.length json && json.[!j] >= '0' && json.[!j] <= '9' do
+    incr j
+  done;
+  int_of_string (String.sub json i (!j - i))
+
+let report ?(buf = Run_report.default_options.buf) () =
+  match Run_report.run cfg ~id:"fig1" Exp_fig1.run { Run_report.default_options with buf } with
+  | Ok r -> r
+  | Error msg -> Alcotest.fail msg
+
+let test_report_sections_agree () =
+  let r = report () in
+  Alcotest.(check bool) "conservation holds" true (Run_report.check r = Ok ());
+  Alcotest.(check int) "nothing dropped" 0 (Run_report.dropped r);
+  let json = Run_report.to_json r in
+  Alcotest.(check bool) "schema" true (contains json "{\"schema\":\"softtimers-report/1\"");
+  let fired = int_after json ~anchor:"\"whylate\":" "\"fired\":" in
+  Alcotest.(check bool) "timers fired" true (fired > 0);
+  Alcotest.(check int) "spans agree with why-late" fired
+    (int_after json ~anchor:"\"timers\":" "\"fired\":");
+  Alcotest.(check int) "metrics agree with why-late" fired
+    (int_after json ~anchor:"\"metrics\":" "\"softtimer.fired\":");
+  let text = Run_report.to_text r in
+  List.iter
+    (fun section -> Alcotest.(check bool) section true (contains text section))
+    [ "== profile =="; "== stats"; "== why-late =="; "== mem ==" ];
+  Alcotest.(check bool) "no truncation banner" false (contains text "WARNING")
+
+(* A ring too small for the run truncates the spans rebuilt from it;
+   the report must say so rather than print disagreeing counts. *)
+let test_report_ring_truncation () =
+  let r = report ~buf:4096 () in
+  let dropped = Run_report.dropped r in
+  Alcotest.(check bool) "events dropped" true (dropped > 0);
+  let json = Run_report.to_json r in
+  Alcotest.(check int) "json carries the drop count" dropped
+    (int_after json ~anchor:"\"trace\":" "\"dropped\":");
+  Alcotest.(check int) "json carries the ring capacity" 4096
+    (int_after json ~anchor:"\"trace\":" "\"capacity\":");
+  Alcotest.(check bool) "text banner" true
+    (contains (Run_report.to_text r) "WARNING: trace ring overflowed");
+  (* The tap saw every event: why-late is not truncated. *)
+  Alcotest.(check int) "why-late complete"
+    (int_after json ~anchor:"\"metrics\":" "\"softtimer.fired\":")
+    (int_after json ~anchor:"\"whylate\":" "\"fired\":")
+
+let test_report_rejects_bad_options () =
+  let bad opts =
+    match Run_report.run cfg ~id:"fig1" Exp_fig1.run opts with Ok _ -> false | Error _ -> true
+  in
+  let d = Run_report.default_options in
+  Alcotest.(check bool) "buf" true (bad { d with buf = 0 });
+  Alcotest.(check bool) "window" true (bad { d with window_us = 0.0 });
+  Alcotest.(check bool) "worst" true (bad { d with worst = -1 });
+  Alcotest.(check bool) "check budget" true (bad { d with check_budget = Some 0 });
+  Trace.set_tap (Some (fun ~at:_ _ -> ()));
+  let occupied = bad d in
+  Trace.set_tap None;
+  Alcotest.(check bool) "occupied tap" true occupied
+
 let () =
   Alcotest.run "experiments"
     [
@@ -306,5 +387,11 @@ let () =
           Alcotest.test_case "sensitivity extension shape" `Slow test_sensitivity_shape;
           Alcotest.test_case "pacer-scale extension shape" `Slow test_pacer_scale_shape;
           Alcotest.test_case "renders" `Slow test_renders_do_not_raise;
+        ] );
+      ( "report",
+        [
+          Alcotest.test_case "sections agree on one run" `Slow test_report_sections_agree;
+          Alcotest.test_case "ring truncation is reported" `Slow test_report_ring_truncation;
+          Alcotest.test_case "bad options rejected" `Quick test_report_rejects_bad_options;
         ] );
     ]

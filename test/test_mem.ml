@@ -92,27 +92,22 @@ let test_bench_mem_measure () =
     (d.Bench_mem.d_top_heap_words >= d.Bench_mem.d_heap_words)
 
 (* ------------------------------------------------------------------ *)
-(* Determinism: arming the whole observatory (census registration, a
-   Memprof.start attempt, heap samples, an attribution context) around
-   an experiment must leave its rendered output byte-identical, and so
-   must the jobs count — the same contract verify-determinism checks at
-   the CLI level for --mem / --jobs. *)
+(* Determinism: arming the observatory (census registration, heap
+   samples) around an experiment must leave its rendered output
+   byte-identical, and so must the jobs count. *)
 
 let with_observatory f =
   Memstats.reset_census ();
   Memstats.reset_samples ();
-  Memprof.reset ();
   let ballast = Array.make 1024 0 in
   Memstats.register ~path:[ "test"; "ballast" ] (fun () -> Array.length ballast + 1);
-  ignore (Memprof.start () : (unit, string) result);
   Memstats.sample ~label:"start";
   Fun.protect
     ~finally:(fun () ->
-      Memprof.stop ();
       Memstats.reset_census ();
       Memstats.reset_samples ())
     (fun () ->
-      let r = Memprof.with_context [ "test"; "sensitivity" ] f in
+      let r = f () in
       Memstats.sample ~label:"end";
       r)
 

@@ -128,34 +128,6 @@ let test_metrics_reset_keeps_probes () =
   Metrics.probe m "wheel.resident" (fun () -> float_of_int !resident');
   Alcotest.(check (option (float 0.0))) "re-registration replaces" (Some 11.0) (read ())
 
-let test_metrics_prometheus () =
-  let m = Metrics.create () in
-  Metrics.incr ~by:42 (Metrics.counter m "softtimer.fired");
-  Metrics.set_gauge (Metrics.gauge m "cpu.load") 0.5;
-  Metrics.probe m "wheel.resident" (fun () -> 9.0);
-  ignore (Metrics.gauge m "never.set" : Metrics.gauge);
-  let h = Metrics.hdr m "softtimer.fire_delay_us" in
-  List.iter (Hdr.record h) [ 1.0; 2.0; 3.0; 4.0 ];
-  let text = Metrics.to_prometheus m in
-  let has needle =
-    let n = String.length needle and m' = String.length text in
-    let rec go i = i + n <= m' && (String.sub text i n = needle || go (i + 1)) in
-    go 0
-  in
-  Alcotest.(check bool) "counter typed" true (has "# TYPE softtimer_fired counter");
-  Alcotest.(check bool) "counter value" true (has "softtimer_fired 42");
-  Alcotest.(check bool) "gauge" true (has "cpu_load 0.5");
-  Alcotest.(check bool) "probe as gauge" true (has "# TYPE wheel_resident gauge");
-  Alcotest.(check bool) "unset gauge skipped" false (has "never_set");
-  Alcotest.(check bool) "summary typed" true
-    (has "# TYPE softtimer_fire_delay_us summary");
-  Alcotest.(check bool) "quantile label" true
-    (has "softtimer_fire_delay_us{quantile=\"0.5\"}");
-  Alcotest.(check bool) "count series" true (has "softtimer_fire_delay_us_count 4");
-  Alcotest.(check bool) "sum series" true (has "softtimer_fire_delay_us_sum 10");
-  (* Byte-identical on a second rendering: no timestamps, name-sorted. *)
-  Alcotest.(check string) "deterministic" text (Metrics.to_prometheus m)
-
 (* ------------------------------------------------------------------ *)
 (* Hdr: constant-memory streaming histogram. *)
 
@@ -309,25 +281,13 @@ let test_timeseries_bounded_ring () =
   let snaps = Timeseries.snapshots ts in
   Alcotest.(check int) "ring bounded" 4 (List.length snaps);
   Alcotest.(check int) "keeps newest" 9
-    (List.nth snaps 3).Timeseries.s_index;
-  (* The CSV export banners the eviction so truncation is never silent. *)
-  let csv = Timeseries.to_csv ts in
-  Alcotest.(check bool) "csv warns" true
-    (String.length csv > 0 && csv.[0] = '#')
+    (List.nth snaps 3).Timeseries.s_index
 
-let test_timeseries_csv_json_shape () =
+let test_timeseries_json_shape () =
   let ts = Timeseries.create ~window:(us 10.0) () in
   Timeseries.on_event ts ~at:(us 1.0) (Trace.Soft_fire { id = 0; due = us 1.0; delay = Time_ns.zero });
   Timeseries.close ts;
-  let csv = Timeseries.to_csv ts in
-  (match String.split_on_char '\n' (String.trim csv) with
-  | header :: rows ->
-    let cols s = List.length (String.split_on_char ',' s) in
-    Alcotest.(check int) "one row" 1 (List.length rows);
-    List.iter
-      (fun r -> Alcotest.(check int) "row arity matches header" (cols header) (cols r))
-      rows
-  | [] -> Alcotest.fail "empty csv");
+  Alcotest.(check int) "one window" 1 (List.length (Timeseries.snapshots ts));
   let json = Timeseries.to_json ts in
   Alcotest.(check bool) "json array" true
     (String.length json >= 2 && json.[0] = '[' && json.[String.length json - 1] = ']')
@@ -651,7 +611,6 @@ let () =
           Alcotest.test_case "gauges and probes" `Quick test_metrics_gauges_probes;
           Alcotest.test_case "reset keeps instruments live" `Quick test_metrics_reset;
           Alcotest.test_case "reset keeps probes" `Quick test_metrics_reset_keeps_probes;
-          Alcotest.test_case "prometheus exposition" `Quick test_metrics_prometheus;
         ] );
       ( "hdr",
         [
@@ -667,7 +626,7 @@ let () =
           Alcotest.test_case "windowing" `Quick test_timeseries_windows;
           Alcotest.test_case "epoch rollover" `Quick test_timeseries_epoch_rollover;
           Alcotest.test_case "bounded ring" `Quick test_timeseries_bounded_ring;
-          Alcotest.test_case "csv/json shape" `Quick test_timeseries_csv_json_shape;
+          Alcotest.test_case "json shape" `Quick test_timeseries_json_shape;
         ] );
       ( "span",
         [

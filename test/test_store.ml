@@ -518,6 +518,43 @@ let digest_with (module M : Timer_store.S) =
   Trace.uninstall ();
   (Trace_digest.digest tr, Trace.total tr, Softtimer.fired st, Softtimer.store_name st)
 
+(* A raising callback must not strand the rest of its batch: the
+   exception propagates, and the undispatched entries stay pending and
+   fire on the next call in (deadline, tie) order. *)
+exception Boom
+
+let test_raising_callback_requeues () =
+  List.iter
+    (fun (label, (module M : Timer_store.S)) ->
+      let t = M.create ~tick:(us 10.0) () in
+      List.iter
+        (fun (at, v) -> ignore (M.schedule t ~at:(us at) v : string M.handle))
+        [ (30.0, "c"); (10.0, "a"); (20.0, "b"); (20.0, "b2") ];
+      let order = ref [] in
+      let raised =
+        try
+          ignore
+            (M.fire_due t ~now:(us 40.0) ~limit:max_int (fun _ v ->
+                 order := v :: !order;
+                 if v = "a" then raise Boom)
+              : Fire_outcome.t);
+          false
+        with Boom -> true
+      in
+      Alcotest.(check bool) (label ^ ": exception propagates") true raised;
+      Alcotest.(check (list string)) (label ^ ": stopped at the raiser") [ "a" ] !order;
+      Alcotest.(check int) (label ^ ": remainder still pending") 3 (M.pending t);
+      Alcotest.(check bool) (label ^ ": remainder resident") true (M.resident t >= 3);
+      order := [];
+      let o = M.fire_due t ~now:(us 40.0) ~limit:max_int (fun _ v -> order := v :: !order) in
+      Alcotest.(check int) (label ^ ": remainder fires") 3 (Fire_outcome.fired o);
+      Alcotest.(check (list string)) (label ^ ": in (deadline, tie) order") [ "b"; "b2"; "c" ]
+        (List.rev !order);
+      Alcotest.(check int) (label ^ ": drained") 0 (M.pending t))
+    (List.map (fun (module M : Timer_store.S) -> (M.name, (module M : Timer_store.S)))
+       Store_registry.all
+    @ [ ("wheel[8]", Timer_store.wheel ~slots:8 ()) ])
+
 (* Exact stores only: the approximate store legitimately shifts fire
    times to bucket boundaries, so its trace digest differs by design
    (its own oracle is the quantized-equivalence suite above). *)
@@ -546,6 +583,7 @@ let () =
           Alcotest.test_case "rearm tie position" `Quick test_rearm_tie_position;
           Alcotest.test_case "fire budget withholds" `Quick test_fire_budget_withholds;
           Alcotest.test_case "fire budget tie order" `Quick test_fire_budget_tie_order;
+          Alcotest.test_case "raising callback requeues" `Quick test_raising_callback_requeues;
           Alcotest.test_case "cancel churn bounded" `Quick test_cancel_churn_bounded;
           Alcotest.test_case "rearm churn bounded" `Quick test_rearm_churn_bounded;
           Alcotest.test_case "digest independent of store" `Quick test_digest_store_independent;

@@ -135,7 +135,6 @@ let () =
     (fun f ->
       Rules_det.scan ~det004_scope f;
       Rules_det.check_mli f;
-      Rules_mem.scan f;
       Rules_race.scan graph f)
     sources;
   Rules_alloc.scan_all graph;

@@ -22,7 +22,6 @@ let catalogue =
     ("DET003", "polymorphic comparison on a time-valued operand");
     ("DET004", "Obj.magic / order-leaking Hashtbl iteration");
     ("MLI001", "lib/ module without an .mli");
-    ("MEM001", "Gc.Memprof use outside lib/obs/memprof");
     ("RACE001", "parallel closure captures unprotected mutable toplevel state");
     ("RACE002", "parallel closure reaches unprotected mutable toplevel state");
     ("RACE003", "Domain.spawn outside lib/parallel");

@@ -57,6 +57,10 @@ type t = {
   intr_hz : int64;
   ns_per_tick : float;
   check_budget : int;  (* max handler dispatches per trigger-state check *)
+  fire_work_us : float;  (* dispatch cost charged per fire (boxed once, here) *)
+  mutable fire_now : Time_ns.t;  (* [now] of the check in progress *)
+  mutable fire_source : string;  (* its trigger state's name *)
+  mutable on_fire : Time_ns.t -> pending_event -> unit;  (* [fire t], built once *)
   mutable next_id : int;  (* timer identity carried by the trace events *)
   mutable fired : int;
   mutable checks : int;
@@ -119,47 +123,74 @@ let measure_resolution t = t.measure_hz
 let interrupt_clock_resolution t = t.intr_hz
 let x_ratio t = Int64.div t.measure_hz t.intr_hz
 
-let measure_time t =
-  let now = Engine.now (Machine.engine t.machine) in
-  Int64.of_float (Int64.to_float now /. t.ns_per_tick)
+(* Measurement-clock arithmetic stays in unboxed floats and Int64
+   temporaries; only the deadline handed to the store is boxed.
+   ALLOC003: the Int64 intermediates are unboxed once inlined. *)
+let[@inline] measure_time t =
+  Int64.of_float (Int64.to_float (Engine.now (Machine.engine t.machine)) /. t.ns_per_tick)
+[@@lint.allow "ALLOC003"]
 
-let ns_of_tick t tick =
-  (* Round up: a tick boundary maps to the first instant at or after it. *)
+(* The instant of the first measurement tick at least [ticks + 1] ticks
+   after now; a tick boundary maps to the first instant at or after it
+   (round up). *)
+let[@inline] due_after t ticks =
+  let tick = Int64.add (measure_time t) (Int64.add ticks 1L) in
   Int64.of_float (Float.ceil (Int64.to_float tick *. t.ns_per_tick))
+[@@lint.allow "ALLOC003"]
 
 let a_fire = Profile.intern [ "softtimer"; "fire" ]
+let fire_attr = Some a_fire
+let klass_timer = Some Cpu.klass_timer
+
+(* One dispatch of a check's batch: charge the dispatch cost (a
+   procedure call) to the CPU and run the handler inline.  The check in
+   progress left its [now] and trigger source in [t].  ALLOC003: the
+   delay is one unboxed subtraction and a float division; the profiler
+   and the delay sample see it only when enabled. *)
+let[@hot] fire t due ev =
+  let now = t.fire_now in
+  t.fired <- t.fired + 1;
+  Metrics.dincr m_fired;
+  Trace.soft_fire ~at:now ~id:ev.id ~due;
+  if Profile.enabled () then
+    Profile.dispatch ~source:t.fire_source ~delay:(Time_ns.(now - due) [@lint.allow "ALLOC003"]);
+  let delay_us = (Int64.to_float (Int64.sub now due) /. 1e3 [@lint.allow "ALLOC003"]) in
+  if t.record_delays then Stats.Sample.add t.delays delay_us;
+  Metrics.drecord h_fire_delay delay_us;
+  Machine.submit_quantum t.machine
+    ?attr:(if Profile.enabled () then fire_attr else None)
+    ~prio:Cpu.prio_intr ?klass:klass_timer ~work_us:t.fire_work_us ~trigger:None ignore;
+  ev.handler now
 
 (* The per-trigger-state check: compare the cached earliest deadline with
-   now and fire anything due.  Firing charges the dispatch cost (a
-   procedure call) to the CPU and runs the handler inline.  [kind] is
-   the trigger state that performed this check — the profiler's
-   per-trigger dispatch breakdown (paper Table 1) records which state
-   fired each event and at what latency. *)
-let check t kind now =
+   now and fire anything due.  [kind] is the trigger state that performed
+   this check — the profiler's per-trigger dispatch breakdown (paper
+   Table 1) records which state fired each event and at what latency.  A
+   handler may reach a trigger state of its own, so a nested check saves
+   and restores the outer one's [fire_now]/[fire_source]. *)
+let[@hot] check t kind now =
   t.checks <- t.checks + 1;
   Metrics.dincr m_checks;
   match next_deadline t with
   | Some d when Time_ns.(d <= now) ->
-    let fire_cost = (Machine.profile t.machine).Costs.softtimer_fire_us in
-    let fire_attr = if Profile.enabled () then Some a_fire else None in
+    let outer_now = t.fire_now and outer_source = t.fire_source in
     let source = Trigger.name kind in
-    let on_fire due ev =
-      t.fired <- t.fired + 1;
-      Metrics.dincr m_fired;
-      Trace.soft_fire ~at:now ~id:ev.id ~due;
-      Profile.dispatch ~source ~delay:Time_ns.(now - due);
-      if t.record_delays then Stats.Sample.add t.delays (Time_ns.to_us Time_ns.(now - due));
-      Metrics.drecord h_fire_delay (Time_ns.to_us Time_ns.(now - due));
-      Machine.submit_quantum t.machine ?attr:fire_attr ~prio:Cpu.prio_intr
-        ~klass:Cpu.klass_timer ~work_us:fire_cost ~trigger:None (fun _ -> ());
-      ev.handler now
-    in
+    t.fire_now <- now;
+    t.fire_source <- source;
     let outcome =
       match t.store with
-      | Store inst ->
+      | Store inst -> (
         let module S = (val inst) in
-        S.fire_due S.s ~now ~limit:t.check_budget on_fire
+        match S.fire_due S.s ~now ~limit:t.check_budget t.on_fire with
+        | o -> o
+        | exception exn ->
+          let bt = Printexc.get_raw_backtrace () in
+          t.fire_now <- outer_now;
+          t.fire_source <- outer_source;
+          Printexc.raise_with_backtrace exn bt)
     in
+    t.fire_now <- outer_now;
+    t.fire_source <- outer_source;
     (* One record per check that found work: the audit uses
        [scanned > fired] to see that a check reached the store but a
        budget kept it from this timer.  Emitted after the batch's
@@ -190,6 +221,10 @@ let attach ?store ?(wheel_tick = Time_ns.of_us 10.0) ?(wheel_slots = 512) machin
       intr_hz = Int64.of_float profile.Costs.interrupt_clock_hz;
       ns_per_tick = 1e9 /. (profile.Costs.cpu_mhz *. 1e6);
       check_budget = Atomic.get default_check_budget;
+      fire_work_us = profile.Costs.softtimer_fire_us;
+      fire_now = Time_ns.zero;
+      fire_source = "";
+      on_fire = (fun _ _ -> ());
       next_id = 0;
       fired = 0;
       checks = 0;
@@ -198,6 +233,7 @@ let attach ?store ?(wheel_tick = Time_ns.of_us 10.0) ?(wheel_slots = 512) machin
       delays = Stats.Sample.create ();
     }
   in
+  t.on_fire <- fire t;
   Machine.set_check_hook machine (Some (check t));
   Machine.set_idle_deadline_fn machine (Some (fun () -> next_deadline t));
   Machine.start_interrupt_clock machine;
@@ -237,9 +273,8 @@ let notify_if_earliest t due =
 let schedule_soft_event t ~ticks handler =
   if Int64.compare ticks 0L < 0 then
     invalid_arg "Softtimer.schedule_soft_event: negative ticks";
-  let sched = measure_time t in
   (* Fires once measure_time > sched + ticks, i.e. at tick sched+ticks+1. *)
-  let due = ns_of_tick t (Int64.add sched (Int64.add ticks 1L)) in
+  let due = due_after t ticks in
   let id = t.next_id in
   t.next_id <- id + 1;
   Metrics.dincr m_scheduled;
@@ -274,8 +309,7 @@ let rearm t (Handle { inst; sh; ev_id }) ~ticks =
   else begin
     let at = Engine.now (Machine.engine t.machine) in
     Trace.soft_cancel ~at ~id:ev_id ~due:(S.handle_deadline S.s sh);
-    let sched = measure_time t in
-    let due = ns_of_tick t (Int64.add sched (Int64.add ticks 1L)) in
+    let due = due_after t ticks in
     (* A re-arm is cancel + schedule with the handle kept; the trace
        records it as exactly that pair — same id, so the audit keeps
        one causal chain per handle — and digests are independent of

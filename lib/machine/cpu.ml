@@ -44,123 +44,160 @@ let default_attr prio =
   | 3 -> ua_user
   | _ -> ua_background
 
+(* A quantum.  [remaining] is integer nanoseconds; [trigger] is the
+   trigger state its completion reports (through the CPU's trigger hook)
+   before [cb] runs. *)
 type task = {
   prio : int;
   klass : int;  (* work class for Trace.Cpu_run; defaults to [prio] *)
   attr : Profile.attr;
-  mutable remaining : Time_ns.span;
+  mutable remaining : int;
+  trigger : Trigger.kind option;
   cb : Time_ns.t -> unit;
 }
 
-type running = {
-  task : task;
-  started : Time_ns.t;
-  handle : Engine.handle;
-}
-
+(* The running quantum lives in mutable fields rather than in a fresh
+   record per dispatch: [current] is the CPU's own [none] sentinel while
+   nothing runs, and [on_complete] is the one completion closure every
+   dispatch schedules. *)
 type t = {
   engine : Engine.t;
   cpu_id : int;
   fronts : task list ref array;  (* resumed quanta, run before the queue *)
   queues : task Queue.t array;
-  mutable current : running option;
-  mutable busy : Time_ns.span;
-  busy_by_prio : Time_ns.span array;
+  none : task;
+  mutable current : task;
+  mutable started : int;  (* dispatch instant of [current], ns *)
+  mutable handle : Engine.handle;  (* completion event of [current] *)
+  mutable on_complete : unit -> unit;
+  mutable busy : int;
+  busy_by_prio : int array;
   mutable idle_hook : Time_ns.t -> unit;
   mutable resume_hook : Time_ns.t -> unit;
+  mutable trigger_hook : Trigger.kind -> unit;
   mutable depth : int;
 }
 
-let create ?(id = 0) engine =
-  {
-    engine;
-    cpu_id = id;
-    fronts = Array.init prio_count (fun _ -> ref []);
-    queues = Array.init prio_count (fun _ -> Queue.create ());
-    current = None;
-    busy = 0L;
-    busy_by_prio = Array.make prio_count 0L;
-    idle_hook = (fun _ -> ());
-    resume_hook = (fun _ -> ());
-    depth = 0;
-  }
+let running t = t.current != t.none
 
 let id t = t.cpu_id
 
-let is_idle t = t.current = None && t.depth = 0
-let busy_ns t = t.busy
-let busy_ns_at t prio = t.busy_by_prio.(prio)
+let is_idle t = (not (running t)) && t.depth = 0
+let busy_ns t = Int64.of_int t.busy
+let busy_ns_at t prio = Int64.of_int t.busy_by_prio.(prio)
 let set_idle_hook t f = t.idle_hook <- f
 let set_resume_hook t f = t.resume_hook <- f
+let set_trigger_hook t f = t.trigger_hook <- f
 let queue_depth t = t.depth
 
-let take_next t =
-  let rec scan prio =
-    if prio >= prio_count then None
-    else
-      match !(t.fronts.(prio)) with
-      | task :: rest ->
-        t.fronts.(prio) := rest;
-        Some task
-      | [] ->
-        if Queue.is_empty t.queues.(prio) then scan (prio + 1)
-        else Some (Queue.pop t.queues.(prio))
-  in
-  scan 0
+(* Most urgent priority with a resumed or queued quantum; -1 if none. *)
+let rec ready_prio t prio =
+  if prio >= prio_count then -1
+  else
+    match !(t.fronts.(prio)) with
+    | _ :: _ -> prio
+    | [] -> if Queue.is_empty t.queues.(prio) then ready_prio t (prio + 1) else prio
+
+let pop t prio =
+  let front = t.fronts.(prio) in
+  match !front with
+  | task :: rest ->
+    front := rest;
+    task
+  | [] -> Queue.pop t.queues.(prio)
 
 (* The single point through which all busy time flows — attribution
    here is what makes the Profile conservation invariant structural, and
    emitting [Cpu_run] here is what makes the why-late busy coverage
    complete: every charged interval [now - span, now] reaches the trace
-   exactly once, tagged with its work class. *)
-let charge t task span =
-  t.busy <- Time_ns.(t.busy + span);
-  t.busy_by_prio.(task.prio) <- Time_ns.(t.busy_by_prio.(task.prio) + span);
-  Profile.charge task.attr ~cpu:t.cpu_id span;
-  if Time_ns.(span > 0L) then
-    Trace.cpu_run ~at:(Engine.now t.engine) ~cpu:t.cpu_id ~klass:task.klass ~dur:span
+   exactly once, tagged with its work class.  The boxed span is built
+   only for a live profiler or trace. *)
+let[@hot] charge t task span =
+  t.busy <- t.busy + span;
+  t.busy_by_prio.(task.prio) <- t.busy_by_prio.(task.prio) + span;
+  if Profile.enabled () then
+    Profile.charge task.attr ~cpu:t.cpu_id (Int64.of_int span [@lint.allow "ALLOC003"]);
+  if span > 0 && Trace.armed () then
+    Trace.cpu_run ~at:(Engine.now t.engine) ~cpu:t.cpu_id ~klass:task.klass
+      ~dur:(Int64.of_int span [@lint.allow "ALLOC003"])
 
-let rec dispatch t =
-  match take_next t with
-  | None ->
-    t.current <- None;
+let[@hot] rec dispatch t =
+  let prio = ready_prio t 0 in
+  if prio < 0 then begin
+    t.current <- t.none;
     let now = Engine.now t.engine in
     Trace.cpu_idle ~at:now ~cpu:t.cpu_id;
     t.idle_hook now
-  | Some task ->
+  end
+  else begin
+    let task = pop t prio in
     t.depth <- t.depth - 1;
-    let started = Engine.now t.engine in
-    let handle =
-      Engine.schedule_after t.engine task.remaining (fun () -> complete t task)
-    in
-    t.current <- Some { task; started; handle }
+    t.current <- task;
+    t.started <- Engine.now_i t.engine;
+    t.handle <- Engine.schedule_after_i t.engine task.remaining t.on_complete
+  end
 
-and complete t task =
+(* The completion event of [current]: a preempted quantum's event is
+   cancelled, so the one that fires is always the running quantum's. *)
+and[@hot] complete t =
+  let task = t.current in
   charge t task task.remaining;
-  task.remaining <- 0L;
-  t.current <- None;
+  task.remaining <- 0;
+  t.current <- t.none;
+  (match task.trigger with Some kind -> t.trigger_hook kind | None -> ());
   task.cb (Engine.now t.engine);
   (* The callback may have submitted work and triggered a dispatch; only
      dispatch here if the CPU is still unoccupied. *)
-  if t.current = None then dispatch t
+  if not (running t) then dispatch t
 
-let preempt t r =
-  Engine.cancel t.engine r.handle;
-  let now = Engine.now t.engine in
-  let elapsed = Time_ns.(now - r.started) in
-  charge t r.task elapsed;
-  r.task.remaining <- Time_ns.(r.task.remaining - elapsed);
-  t.fronts.(r.task.prio) := r.task :: !(t.fronts.(r.task.prio));
+let create ?(id = 0) engine =
+  let none =
+    { prio = prio_background; klass = prio_background; attr = ua_background; remaining = 0;
+      trigger = None; cb = ignore }
+  in
+  let t =
+    {
+      engine;
+      cpu_id = id;
+      fronts = Array.init prio_count (fun _ -> ref []);
+      queues = Array.init prio_count (fun _ -> Queue.create ());
+      none;
+      current = none;
+      started = 0;
+      handle = Engine.null_handle;
+      on_complete = ignore;
+      busy = 0;
+      busy_by_prio = Array.make prio_count 0;
+      idle_hook = (fun _ -> ());
+      resume_hook = (fun _ -> ());
+      trigger_hook = (fun _ -> ());
+      depth = 0;
+    }
+  in
+  t.on_complete <- (fun () -> complete t);
+  t
+
+(* ALLOC002: the resumed-front cell, once per preemption. *)
+let[@hot] preempt t =
+  let task = t.current in
+  Engine.cancel t.engine t.handle;
+  let elapsed = Engine.now_i t.engine - t.started in
+  charge t task elapsed;
+  task.remaining <- task.remaining - elapsed;
+  let front = t.fronts.(task.prio) in
+  (front := task :: !front) [@lint.allow "ALLOC002"];
   t.depth <- t.depth + 1;
-  t.current <- None
+  t.current <- t.none
 
-let submit t ?attr ?klass ~prio ~work cb =
+(* ALLOC002: the task record is the quantum itself — one per submission,
+   like the queue cell that holds it. *)
+let[@hot] submit_i t ?attr ?klass ~prio ~work_i ~trigger cb =
   if prio < 0 || prio >= prio_count then invalid_arg "Cpu.submit: bad priority";
-  if Time_ns.(work < 0L) then invalid_arg "Cpu.submit: negative work";
+  if work_i < 0 then invalid_arg "Cpu.submit: negative work";
   let was_idle = is_idle t in
   let attr = match attr with Some a -> a | None -> default_attr prio in
   let klass = match klass with Some k -> k | None -> prio in
-  let task = { prio; klass; attr; remaining = work; cb } in
+  let task = { prio; klass; attr; remaining = work_i; trigger; cb } [@lint.allow "ALLOC002"] in
   Queue.add task t.queues.(prio);
   t.depth <- t.depth + 1;
   if was_idle then begin
@@ -168,10 +205,11 @@ let submit t ?attr ?klass ~prio ~work cb =
     Trace.cpu_busy ~at:now ~cpu:t.cpu_id;
     t.resume_hook now
   end;
-  match t.current with
-  | None -> dispatch t
-  | Some r when preemptible r.task.prio && prio < r.task.prio -> begin
-    preempt t r;
+  if not (running t) then dispatch t
+  else if preemptible t.current.prio && prio < t.current.prio then begin
+    preempt t;
     dispatch t
   end
-  | Some _ -> ()
+
+let submit t ?attr ?klass ~prio ~work cb =
+  submit_i t ?attr ?klass ~prio ~work_i:(Int64.to_int work) ~trigger:None cb

@@ -77,6 +77,26 @@ val submit :
     {!klass_timer} for soft-timer handler execution.
     @raise Invalid_argument for out-of-range priority or negative work. *)
 
+val submit_i :
+  t ->
+  ?attr:Profile.attr ->
+  ?klass:int ->
+  prio:int ->
+  work_i:int ->
+  trigger:Trigger.kind option ->
+  (Time_ns.t -> unit) ->
+  unit
+(** {!submit} with the work in integer nanoseconds and a trigger state:
+    at completion a [Some kind] trigger is reported to the hook set by
+    {!set_trigger_hook}, and then the callback runs.  The quantum path
+    behind it allocates only the quantum and its queue cell.
+    @raise Invalid_argument for out-of-range priority or negative work. *)
+
+val set_trigger_hook : t -> (Trigger.kind -> unit) -> unit
+(** Receives the trigger kind of every completing quantum submitted
+    with [~trigger:(Some kind)] ({!Machine} installs its trigger-state
+    dispatch here). *)
+
 val default_attr : int -> Profile.attr
 (** Fallback attribution ([unattributed;<prio-name>]) used for quanta
     submitted without [?attr]. *)

@@ -58,15 +58,6 @@ let user m ~work_us cb =
     ?attr:(attr_of ~entry_us:0.0 ~entry_attr:a_user ~attr:a_user)
     ~prio:Cpu.prio_user ~work_us:(scaled m work_us) ~trigger:None cb
 
-let softintr m ~source ~work_us cb =
-  let attr =
-    if Profile.enabled () then
-      Some (Profile.intern [ "softintr"; Trigger.name source ])
-    else None
-  in
-  Machine.submit_quantum m ?attr ~prio:Cpu.prio_softintr ~work_us:(scaled m work_us)
-    ~trigger:(Some source) cb
-
 let context_switch m cb =
   Machine.submit_quantum m
     ?attr:(attr_of ~entry_us:0.0 ~entry_attr:a_ctx_switch ~attr:a_ctx_switch)
@@ -134,12 +125,3 @@ let step_ctx_switch m =
     entry_us = 0.0;
     entry_attr = a_ctx_switch;
   }
-
-let run_script m steps k =
-  let rec go = function
-    | [] -> k (Engine.now (Machine.engine m))
-    | s :: rest ->
-      Machine.submit_quantum m ?attr:(step_attr s) ~prio:s.prio ~work_us:s.work_us
-        ~trigger:s.trigger (fun _now -> go rest)
-  in
-  go steps

@@ -3,10 +3,10 @@
 
     Workload models describe what a process does as a {e script}: a
     sequence of steps, each a priority + duration + optional trigger
-    kind.  Running a script submits the steps one after another, so
-    interrupts and higher-priority work interleave naturally between
-    steps — exactly the granularity at which real kernels reach trigger
-    states. *)
+    kind.  Running a script ({!Exec.run}) submits the steps one after
+    another, so interrupts and higher-priority work interleave naturally
+    between steps — exactly the granularity at which real kernels reach
+    trigger states. *)
 
 type step = {
   prio : int;
@@ -35,12 +35,6 @@ val trap : Machine.t -> work_us:float -> (Time_ns.t -> unit) -> unit
 val user : Machine.t -> work_us:float -> (Time_ns.t -> unit) -> unit
 (** User-mode computation; no trigger state. *)
 
-val softintr :
-  Machine.t -> source:Trigger.kind -> work_us:float -> (Time_ns.t -> unit) -> unit
-(** Software-interrupt-level protocol processing (non-preemptible),
-    ending in a trigger of the given kind (e.g. [Ip_output] for the IP
-    transmission loop, [Tcpip_other] for the TCP timer loop). *)
-
 val context_switch : Machine.t -> (Time_ns.t -> unit) -> unit
 (** A process context switch (kernel priority, no trigger state of its
     own). *)
@@ -62,7 +56,3 @@ val step_ip_output : ?work_us:float -> Machine.t -> step
 
 val step_tcp_timer : ?work_us:float -> Machine.t -> step
 val step_ctx_switch : Machine.t -> step
-
-val run_script : Machine.t -> step list -> (Time_ns.t -> unit) -> unit
-(** Execute the steps in order (each step's completion submits the
-    next), then call the continuation. *)

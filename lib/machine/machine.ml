@@ -15,7 +15,7 @@ type t = {
   profile : Costs.profile;
   cpus : Cpu.t array;
   idle : bool array;  (* per-CPU idle state *)
-  mutable checker : int option;  (* the one idle CPU checking (§5.2) *)
+  mutable checker : int;  (* the one idle CPU checking (§5.2); -1 if none *)
   mutable intc : Interrupt.t option;  (* set right after creation *)
   mutable locality : Cache.locality;
   mutable check_hook : (Trigger.kind -> Time_ns.t -> unit) option;
@@ -44,7 +44,7 @@ let any_cpu_idle t = Array.exists Fun.id t.idle
 let total_busy_ns t =
   Array.fold_left (fun acc c -> Time_ns.(acc + Cpu.busy_ns c)) 0L t.cpus
 
-let checking_cpu t = t.checker
+let checking_cpu t = if t.checker < 0 then None else Some t.checker
 let profile t = t.profile
 
 let interrupts t =
@@ -82,12 +82,17 @@ let trigger_total t = Array.fold_left ( + ) 0 t.counts
 
 let check_attr = Profile.intern [ "softtimer"; "check" ]
 
-let submit_quantum t ?(cpu = 0) ?attr ?klass ~prio ~work_us ~trigger cb =
+(* Microseconds of work to integer nanoseconds, as [Time_ns.of_us] of
+   the work clamped at zero.  NaN and infinity have no conversion, so
+   they are rejected before it. *)
+let[@inline] ns_of_work_us ~what us =
+  if not (Float.is_finite us) then invalid_arg what;
+  Float.to_int (Float.round ((if us > 0.0 then us else 0.0) *. 1e3))
+
+let[@hot] submit_quantum t ?(cpu = 0) ?attr ?klass ~prio ~work_us ~trigger cb =
   if cpu < 0 || cpu >= Array.length t.cpus then
     invalid_arg "Machine.submit_quantum: bad cpu";
-  let checked =
-    match (trigger, t.check_hook) with Some _, Some _ -> true | _ -> false
-  in
+  let checked = Option.is_some trigger && Option.is_some t.check_hook in
   let work_us =
     if checked then work_us +. t.profile.Costs.softtimer_check_us else work_us
   in
@@ -101,12 +106,11 @@ let submit_quantum t ?(cpu = 0) ?attr ?klass ~prio ~work_us ~trigger cb =
         (Profile.seq
            [ (check_attr, Time_ns.of_us t.profile.Costs.softtimer_check_us) ]
            ~tail:base)
+      [@lint.allow "ALLOC002"]
     else attr
   in
-  let work = Time_ns.of_us (Float.max 0.0 work_us) in
-  Cpu.submit t.cpus.(cpu) ?attr ?klass ~prio ~work (fun now ->
-      (match trigger with Some kind -> fire_trigger t kind | None -> ());
-      cb now)
+  let work_i = ns_of_work_us ~what:"Machine.submit_quantum: non-finite work" work_us in
+  Cpu.submit_i t.cpus.(cpu) ?attr ?klass ~prio ~work_i ~trigger cb
 
 let interrupt_line t ~name ~source ?latch_depth ?spl_blockable ?cpu ~handler () =
   Interrupt.line (interrupts t) ~name ~source ?latch_depth ?spl_blockable ?cpu ~handler ()
@@ -116,7 +120,9 @@ let start_spl_sections t ?rate_per_sec ?duration_us ~seed () =
     ?duration_us ()
 
 let raise_irq t ln ?(handler_work_us = 0.0) () =
-  let handler_work = Time_ns.of_us (Float.max 0.0 handler_work_us) in
+  let handler_work =
+    Time_ns.of_ns (ns_of_work_us ~what:"Machine.raise_irq: non-finite work" handler_work_us)
+  in
   Interrupt.raise_irq (interrupts t) ln ~handler_work ()
 
 (* Idle-loop machinery.  At most one idle CPU -- the checker (§5.2) --
@@ -126,7 +132,7 @@ let raise_irq t ln ?(handler_work_us = 0.0) () =
    epoch counter discards events armed before the last checker change. *)
 
 let checker_still t epoch i =
-  t.idle_epoch = epoch && t.checker = Some i && Cpu.is_idle t.cpus.(i)
+  t.idle_epoch = epoch && t.checker = i && Cpu.is_idle t.cpus.(i)
 
 let rec arm_idle_poll t epoch i =
   match t.idle_poll with
@@ -159,31 +165,29 @@ let rec arm_idle_deadline t epoch i =
           : Engine.handle)
   end
 
+let rec first_idle t i =
+  if i >= Array.length t.idle then -1 else if t.idle.(i) then i else first_idle t (i + 1)
+
 (* Elect an idle CPU as the checker.  Bumping the epoch kills any chain
    armed for a previous election, so re-entry can never double-arm. *)
 let assign_checker t =
   t.idle_epoch <- t.idle_epoch + 1;
   let epoch = t.idle_epoch in
-  let rec first_idle i =
-    if i >= Array.length t.idle then None
-    else if t.idle.(i) then Some i
-    else first_idle (i + 1)
-  in
-  t.checker <- first_idle 0;
-  match t.checker with
-  | None -> ()
-  | Some i ->
+  let i = first_idle t 0 in
+  t.checker <- i;
+  if i >= 0 then begin
     arm_idle_poll t epoch i;
     arm_idle_deadline t epoch i
+  end
 
 let on_idle t i _now =
   t.idle.(i) <- true;
   (* A newly idle CPU only matters if nobody is checking yet. *)
-  if t.checker = None then assign_checker t
+  if t.checker < 0 then assign_checker t
 
 let on_resume t i _now =
   t.idle.(i) <- false;
-  if t.checker = Some i then assign_checker t
+  if t.checker = i then assign_checker t
 
 let create ?(profile = Costs.pentium_ii_300) ?(cpus = 1) engine =
   if cpus < 1 then invalid_arg "Machine.create: need at least one cpu";
@@ -195,7 +199,7 @@ let create ?(profile = Costs.pentium_ii_300) ?(cpus = 1) engine =
       profile;
       cpus = cpu_arr;
       idle = Array.make cpus true;
-      checker = None;
+      checker = -1;
       intc = None;
       locality = Cache.neutral;
       check_hook = None;
@@ -216,8 +220,10 @@ let create ?(profile = Costs.pentium_ii_300) ?(cpus = 1) engine =
       ()
   in
   t.intc <- Some intc;
+  let on_trigger kind = fire_trigger t kind in
   Array.iteri
     (fun i cpu ->
+      Cpu.set_trigger_hook cpu on_trigger;
       Cpu.set_idle_hook cpu (on_idle t i);
       Cpu.set_resume_hook cpu (on_resume t i))
     cpu_arr;
@@ -226,6 +232,8 @@ let create ?(profile = Costs.pentium_ii_300) ?(cpus = 1) engine =
 let add_periodic_timer t ~hz ?(handler_work_us = 0.0) handler =
   if hz <= 0.0 then invalid_arg "Machine.add_periodic_timer: hz must be positive";
   let period = Time_ns.of_sec (1.0 /. hz) in
+  if not (Float.is_finite handler_work_us) then
+    invalid_arg "Machine.add_periodic_timer: non-finite work";
   let handler_work = Time_ns.of_us handler_work_us in
   let ln =
     (* A fast-interrupt handler: serviced even inside spl sections, like
@@ -252,7 +260,7 @@ let start_interrupt_clock t =
 
 let interrupt_clock_running t = t.clock_running
 
-let notify_deadline_changed t = if t.checker <> None then assign_checker t
+let notify_deadline_changed t = if t.checker >= 0 then assign_checker t
 
 let set_idle_poll t poll =
   t.idle_poll <- poll;

@@ -89,7 +89,9 @@ val submit_quantum :
     live the surcharge is attributed to [softtimer;check] and the rest
     of the quantum to [attr] (default: the priority's
     {!Cpu.default_attr}).  [klass] is passed through to {!Cpu.submit}
-    (the work class on the quantum's [Cpu_run] trace records). *)
+    (the work class on the quantum's [Cpu_run] trace records).
+    @raise Invalid_argument if [work_us] is NaN or infinite (negative
+    work counts as zero). *)
 
 val interrupt_line :
   t ->
@@ -109,7 +111,8 @@ val start_spl_sections : t -> ?rate_per_sec:float -> ?duration_us:Dist.t -> seed
     ticks of spl-blockable timer lines. *)
 
 val raise_irq : t -> Interrupt.line -> ?handler_work_us:float -> unit -> bool
-(** Assert a line; [false] when the interrupt was lost. *)
+(** Assert a line; [false] when the interrupt was lost.
+    @raise Invalid_argument if [handler_work_us] is NaN or infinite. *)
 
 (** {2 Clocks} *)
 
@@ -125,7 +128,9 @@ val add_periodic_timer :
 (** An additional periodic hardware timer (the paper's §5.1 experiment
     adds one with a null handler at 0–100 kHz).  Returns the line so
     callers can read loss statistics.  Ticks raise interrupts
-    unconditionally; latch-full ticks are lost, as on real hardware. *)
+    unconditionally; latch-full ticks are lost, as on real hardware.
+    @raise Invalid_argument if [hz <= 0] or [handler_work_us] is NaN
+    or infinite. *)
 
 (** {2 Idle loop} *)
 

@@ -34,6 +34,8 @@ type t = {
   moments : float array;  (* indexed by [m_sum] .. [m_max] *)
 }
 
+(* ALLOC002: hot code reaches [create] only through first-use growth
+   (a new [Profile.dispatch] row, [Metrics.ensure_lh]). *)
 let create ?(rel_error = 0.01) ?(lowest = 1e-3) () =
   if not (rel_error > 0.0 && rel_error <= 0.5) then
     invalid_arg "Hdr.create: rel_error must be in (0, 0.5]";
@@ -51,6 +53,7 @@ let create ?(rel_error = 0.01) ?(lowest = 1e-3) () =
     total = 0;
     moments = [| 0.0; 0.0; infinity; neg_infinity |];
   }
+[@@lint.allow "ALLOC002"]
 
 let rel_error t = t.rel_error
 let lowest t = t.lowest

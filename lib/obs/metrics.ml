@@ -47,6 +47,7 @@ let ensure_lc l n =
     l.lc <- a
   end
 
+(* ALLOC001: growth, once per newly registered histogram. *)
 let ensure_lh l n =
   if Array.length l.lh < n then begin
     let old = l.lh in
@@ -58,6 +59,7 @@ let ensure_lh l n =
     in
     l.lh <- a
   end
+[@@lint.allow "ALLOC001"]
 
 let dincr ?(by = 1) (id : dcounter) =
   let l = Domain.DLS.get local_key in

@@ -82,6 +82,8 @@ and seq = { mutable parts : (int * Time_ns.span) list; tail : attr }
 
 let intern segs = Leaf (intern_path segs)
 
+(* ALLOC001/2: hot callers build a seq per quantum only after
+   [enabled ()] said a profiler is installed. *)
 let seq parts ~tail =
   let parts =
     List.filter_map
@@ -94,6 +96,7 @@ let seq parts ~tail =
       parts
   in
   Seq { parts; tail }
+[@@lint.allow "ALLOC001"] [@@lint.allow "ALLOC002"]
 
 (* ------------------------------------------------------------------ *)
 (* Profiler instances                                                  *)
@@ -122,11 +125,27 @@ let create () = { cells = [||]; events = [||]; disp = []; ndisp = 0 }
    independently, and worker simulations can never race on a profiler
    installed by the main domain. *)
 let sink : t option ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref None)
-let install p = Domain.DLS.get sink := Some p
-let uninstall () = Domain.DLS.get sink := None
-let installed () = !(Domain.DLS.get sink)
-let enabled () = Option.is_some !(Domain.DLS.get sink)
 
+(* Process-wide count of installed profilers, over all domains: while it
+   is zero every charge site skips its [Domain.DLS] lookup (the same
+   guard as [Trace]'s emitters). *)
+let installs = Atomic.make 0
+
+let set_sink v =
+  let cell = Domain.DLS.get sink in
+  (match (!cell, v) with
+  | None, Some _ -> Atomic.incr installs
+  | Some _, None -> Atomic.decr installs
+  | None, None | Some _, Some _ -> ());
+  cell := v
+
+let install p = set_sink (Some p)
+let uninstall () = set_sink None
+let[@inline] installed () = if Atomic.get installs = 0 then None else !(Domain.DLS.get sink)
+let[@inline] [@hot] enabled () = Atomic.get installs > 0 && Option.is_some !(Domain.DLS.get sink)
+
+(* ALLOC001/2: row growth, once per CPU and per newly interned path, with
+   a profiler installed. *)
 let cpu_row p cpu =
   if cpu >= Array.length p.cells then begin
     let grown = Array.make (cpu + 1) [||] in
@@ -135,7 +154,7 @@ let cpu_row p cpu =
   end;
   let row = p.cells.(cpu) in
   if Array.length row < !reg_n then begin
-    let n = max !reg_n (2 * Array.length row) in
+    let n = Int.max !reg_n (2 * Array.length row) in
     let grown =
       Array.init n (fun i ->
           if i < Array.length row then row.(i) else { self = 0L; charges = 0 })
@@ -144,6 +163,7 @@ let cpu_row p cpu =
     grown
   end
   else row
+[@@lint.allow "ALLOC001"] [@@lint.allow "ALLOC002"]
 
 let bump p ~cpu id span =
   let row = cpu_row p cpu in
@@ -154,7 +174,8 @@ let bump p ~cpu id span =
 (* Consume a [Seq]'s parts in order; whatever exceeds the declared parts
    flows to the tail.  A partially-charged quantum (preemption) resumes
    exactly where it left off because the remaining budget is written
-   back into the mutable parts list. *)
+   back into the mutable parts list.  ALLOC002: the re-consed part is
+   paid by a partly charged part, with a profiler installed. *)
 let rec charge_inner p ~cpu attr span =
   if Int64.compare (Time_ns.to_ns span) 0L > 0 then
     match attr with
@@ -169,9 +190,10 @@ let rec charge_inner p ~cpu attr span =
         if Int64.compare (Time_ns.to_ns left) 0L <= 0 then s.parts <- rest
         else s.parts <- (id, left) :: rest;
         charge_inner p ~cpu attr Time_ns.(span - used))
+[@@lint.allow "ALLOC002"]
 
 let charge attr ~cpu span =
-  match !(Domain.DLS.get sink) with None -> () | Some p -> charge_inner p ~cpu attr span
+  match installed () with None -> () | Some p -> charge_inner p ~cpu attr span
 
 let record_event p id =
   if id >= Array.length p.events then begin
@@ -182,12 +204,14 @@ let record_event p id =
   p.events.(id) <- p.events.(id) + 1
 
 let event attr =
-  match !(Domain.DLS.get sink) with
+  match installed () with
   | None -> ()
   | Some p -> ( match attr with Leaf id -> record_event p id | Seq _ -> ())
 
+(* ALLOC001/2: with a profiler installed; a row is created once per
+   trigger source. *)
 let dispatch ~source ~delay =
-  match !(Domain.DLS.get sink) with
+  match installed () with
   | None -> ()
   | Some p ->
     let row =
@@ -214,6 +238,7 @@ let dispatch ~source ~delay =
     row.delay_sum <- Time_ns.(row.delay_sum + delay);
     row.delay_max <- Time_ns.max row.delay_max delay;
     Hdr.record row.delays (Time_ns.to_us delay)
+[@@lint.allow "ALLOC001"] [@@lint.allow "ALLOC002"]
 
 (* ------------------------------------------------------------------ *)
 (* Readers                                                             *)

@@ -49,7 +49,9 @@ val uninstall : unit -> unit
 val installed : unit -> t option
 
 val enabled : unit -> bool
-(** [true] iff a profiler is installed.  Guard allocations with this. *)
+(** [true] iff a profiler is installed in this domain.  Guard
+    allocations with this.  While no domain has a profiler installed it
+    is one atomic load and a branch (no [Domain.DLS] lookup). *)
 
 (** {1 Hot-path recording} *)
 

@@ -46,12 +46,31 @@ let sink : t option ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref None)
 let tap : (at:Time_ns.t -> event -> unit) option ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref None)
 
-let install t = Domain.DLS.get sink := Some t
-let uninstall () = Domain.DLS.get sink := None
-let installed () = !(Domain.DLS.get sink)
-let enabled () = !(Domain.DLS.get sink) <> None
-let set_tap f = Domain.DLS.get tap := f
-let tap_installed () = Option.is_some !(Domain.DLS.get tap)
+(* Process-wide count of installed sinks and taps, over all domains.
+   While it is zero no domain can hold a consumer, so the emitters skip
+   their two [Domain.DLS] lookups: one atomic load and a branch.  A
+   nonzero count only sends the emitters on to the domain-local check,
+   so which domain sees which consumer is unchanged. *)
+let consumers = Atomic.make 0
+
+(* Install or remove one domain-local consumer, keeping [consumers] in
+   step with how many are present. *)
+let set_consumer cell v =
+  (match (!cell, v) with
+  | None, Some _ -> Atomic.incr consumers
+  | Some _, None -> Atomic.decr consumers
+  | None, None | Some _, Some _ -> ());
+  cell := v
+
+let install t = set_consumer (Domain.DLS.get sink) (Some t)
+let uninstall () = set_consumer (Domain.DLS.get sink) None
+let set_tap f = set_consumer (Domain.DLS.get tap) f
+
+let installed () = if Atomic.get consumers = 0 then None else !(Domain.DLS.get sink)
+let enabled () = Option.is_some (installed ())
+
+let tap_installed () =
+  Atomic.get consumers > 0 && Option.is_some !(Domain.DLS.get tap)
 
 let capacity t = Array.length t.buf
 let length t = t.len
@@ -94,33 +113,42 @@ let to_list t =
   List.rev !acc
 
 (* Emitters.  Each one checks for consumers before constructing the
-   record, so a disabled trace costs two loads and a branch. *)
+   record, so a disabled trace costs one atomic load and a branch.
+   ALLOC002 on [emit] and the emitters the [@hot] CPU and soft-timer
+   paths call: the record is built only behind [armed ()]. *)
 
-let[@inline] armed () =
-  Option.is_some !(Domain.DLS.get sink) || Option.is_some !(Domain.DLS.get tap)
+let[@inline] [@hot] armed () =
+  Atomic.get consumers > 0
+  && (Option.is_some !(Domain.DLS.get sink) || Option.is_some !(Domain.DLS.get tap))
 
 let emit ~at ev =
-  (match !(Domain.DLS.get tap) with None -> () | Some f -> f ~at ev);
-  match !(Domain.DLS.get sink) with None -> () | Some t -> push t { at; ev }
+  if Atomic.get consumers > 0 then begin
+    (match !(Domain.DLS.get tap) with None -> () | Some f -> f ~at ev);
+    match !(Domain.DLS.get sink) with None -> () | Some t -> push t { at; ev }
+  end
+[@@lint.allow "ALLOC002"]
 
 let trigger ~at kind = if armed () then emit ~at (Trigger kind)
 let soft_sched ~at ~id ~due = if armed () then emit ~at (Soft_sched { id; due })
 
 let soft_fire ~at ~id ~due =
   if armed () then emit ~at (Soft_fire { id; due; delay = Time_ns.(at - due) })
+[@@lint.allow "ALLOC002"]
 
 let soft_cancel ~at ~id ~due = if armed () then emit ~at (Soft_cancel { id; due })
 
 let soft_check ~at ~src ~scanned ~fired =
   if armed () then emit ~at (Soft_check { src; scanned; fired })
+[@@lint.allow "ALLOC002"]
 
 let cpu_run ~at ~cpu ~klass ~dur =
   if armed () then emit ~at (Cpu_run { cpu; klass; dur })
+[@@lint.allow "ALLOC002"]
 let irq ~at ~line ~cpu ~dur = if armed () then emit ~at (Irq { line; cpu; dur })
 let irq_raised ~at ~line = if armed () then emit ~at (Irq_raised { line })
 let irq_lost ~at ~line = if armed () then emit ~at (Irq_lost { line })
-let cpu_busy ~at ~cpu = if armed () then emit ~at (Cpu_busy { cpu })
-let cpu_idle ~at ~cpu = if armed () then emit ~at (Cpu_idle { cpu })
+let cpu_busy ~at ~cpu = if armed () then emit ~at (Cpu_busy { cpu }) [@@lint.allow "ALLOC002"]
+let cpu_idle ~at ~cpu = if armed () then emit ~at (Cpu_idle { cpu }) [@@lint.allow "ALLOC002"]
 let pkt_enqueue ~at ~nic ~qlen = if armed () then emit ~at (Pkt_enqueue { nic; qlen })
 let pkt_tx ~at ~nic = if armed () then emit ~at (Pkt_tx { nic })
 let pkt_rx ~at ~nic ~batch = if armed () then emit ~at (Pkt_rx { nic; batch })

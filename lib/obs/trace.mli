@@ -72,6 +72,12 @@ val installed : unit -> t option
 val enabled : unit -> bool
 (** Whether a ring buffer is installed. *)
 
+val armed : unit -> bool
+(** Whether this domain has a consumer (ring or tap), i.e. whether an
+    emitter would record anything.  Callers guard event arguments that
+    cost work to build (boxed times, spans) with it.  While no domain
+    has a consumer this is one atomic load and a branch. *)
+
 val set_tap : (at:Time_ns.t -> event -> unit) option -> unit
 (** Install (or, with [None], remove) a synchronous tap.  The tap is
     called with every emitted event — whether or not a ring buffer is

@@ -35,6 +35,10 @@ let idx_mask = (1 lsl idx_bits) - 1
 
 type handle = int
 
+(* Its index [idx_mask] lies beyond any slot table ([grow_slots] stops
+   below it), so every handle operation treats it as stale. *)
+let null_handle = -1
+
 type t = {
   mutable clock : Time_ns.t;  (* boxed mirror of [clock_i] *)
   mutable clock_i : int;
@@ -63,6 +67,7 @@ let create () =
   }
 
 let now t = t.clock
+let now_i t = t.clock_i
 let pending t = t.live
 
 let queue_length t = Eventq.length t.q
@@ -143,10 +148,11 @@ let[@hot] schedule_at t time f =
 
 (* All-immediate arithmetic: no boxed intermediates on the relative
    scheduling path every subsystem uses. *)
-let[@hot] schedule_after t d f =
-  let d_i = Int64.to_int d in
+let[@hot] schedule_after_i t d_i f =
   let d_i = if d_i < 0 then 0 else d_i in
   schedule_i t (t.clock_i + d_i) f
+
+let[@hot] schedule_after t d f = schedule_after_i t (Int64.to_int d) f
 
 (* An entry is live iff its seq still matches the slot occupant's:
    firing and cancelling invalidate the slot, and slot reuse installs

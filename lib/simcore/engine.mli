@@ -24,11 +24,18 @@ type handle
     event has run or been cancelled: every operation on a stale handle
     is a no-op. *)
 
+val null_handle : handle
+(** A handle that names no event: cancelling it is a no-op and it is
+    never scheduled.  An initial value for a handle-holding field. *)
+
 val create : unit -> t
 (** A fresh engine with the clock at {!Time_ns.zero} and no events. *)
 
 val now : t -> Time_ns.t
 (** Current virtual time. *)
+
+val now_i : t -> int
+(** [now t] in integer nanoseconds, without the boxed [Time_ns.t]. *)
 
 val pending : t -> int
 (** Number of scheduled, not-yet-run, not-cancelled events. *)
@@ -45,6 +52,11 @@ val schedule_at : t -> Time_ns.t -> (unit -> unit) -> handle
 
 val schedule_after : t -> Time_ns.span -> (unit -> unit) -> handle
 (** [schedule_after t d f] is [schedule_at t (now t + max d 0)]. *)
+
+val schedule_after_i : t -> int -> (unit -> unit) -> handle
+(** [schedule_after] with the delay in integer nanoseconds: the entry
+    point for callers that keep their spans as ints, so scheduling
+    boxes no [Int64]. *)
 
 val cancel : t -> handle -> unit
 (** Prevent the event from running.  Cancelling an already-run or

@@ -1,4 +1,10 @@
-type t = { mutable s0 : int64; mutable s1 : int64; mutable s2 : int64; mutable s3 : int64 }
+(* The xoshiro256++ state lives unboxed in 32 bytes (s0..s3 at offsets
+   0, 8, 16, 24).  Int64 record fields would box every updated word:
+   four allocations and four write barriers per draw.  Reading and
+   writing the words through [Bytes.get/set_int64_ne] keeps the whole
+   step in registers, so a draw whose result is consumed unboxed (as
+   [float] and [int] do) allocates nothing. *)
+type t = Bytes.t
 
 (* splitmix64: used only to expand the seed into the xoshiro state, per
    the xoshiro authors' recommendation. *)
@@ -10,42 +16,49 @@ let splitmix64 state =
   let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in
   logxor z (shift_right_logical z 31)
 
-let create ~seed =
-  let st = ref (Int64.of_int seed) in
-  let s0 = splitmix64 st in
-  let s1 = splitmix64 st in
-  let s2 = splitmix64 st in
-  let s3 = splitmix64 st in
-  { s0; s1; s2; s3 }
+let of_splitmix st =
+  let t = Bytes.create 32 in
+  for i = 0 to 3 do
+    Bytes.set_int64_ne t (8 * i) (splitmix64 st)
+  done;
+  t
 
-let rotl x k = Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
+let create ~seed = of_splitmix (ref (Int64.of_int seed))
 
-let bits64 t =
+(* ALLOC003: inlined into [bits64], where its operands stay unboxed. *)
+let[@inline] rotl x k = Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
+[@@lint.allow "ALLOC003"]
+
+(* [@inline] so callers ([float], [int], [bool]) consume the result
+   unboxed.  ALLOC003: every Int64 here is an unboxed temporary. *)
+let[@inline] [@hot] bits64 t =
   let open Int64 in
-  let result = add (rotl (add t.s0 t.s3) 23) t.s0 in
-  let tmp = shift_left t.s1 17 in
-  t.s2 <- logxor t.s2 t.s0;
-  t.s3 <- logxor t.s3 t.s1;
-  t.s1 <- logxor t.s1 t.s2;
-  t.s0 <- logxor t.s0 t.s3;
-  t.s2 <- logxor t.s2 tmp;
-  t.s3 <- rotl t.s3 45;
+  let s0 = Bytes.get_int64_ne t 0 in
+  let s1 = Bytes.get_int64_ne t 8 in
+  let s2 = Bytes.get_int64_ne t 16 in
+  let s3 = Bytes.get_int64_ne t 24 in
+  let result = add (rotl (add s0 s3) 23) s0 in
+  let tmp = shift_left s1 17 in
+  let s2 = logxor s2 s0 in
+  let s3 = logxor s3 s1 in
+  let s1 = logxor s1 s2 in
+  let s0 = logxor s0 s3 in
+  let s2 = logxor s2 tmp in
+  let s3 = rotl s3 45 in
+  Bytes.set_int64_ne t 0 s0;
+  Bytes.set_int64_ne t 8 s1;
+  Bytes.set_int64_ne t 16 s2;
+  Bytes.set_int64_ne t 24 s3;
   result
+[@@lint.allow "ALLOC003"]
 
-let split t =
-  let st = ref (bits64 t) in
-  let s0 = splitmix64 st in
-  let s1 = splitmix64 st in
-  let s2 = splitmix64 st in
-  let s3 = splitmix64 st in
-  { s0; s1; s2; s3 }
+let split t = of_splitmix (ref (bits64 t))
+let copy t = Bytes.copy t
 
-let copy t = { s0 = t.s0; s1 = t.s1; s2 = t.s2; s3 = t.s3 }
-
-let float t =
-  (* 53 high bits -> uniform double in [0,1). *)
-  let bits = Int64.shift_right_logical (bits64 t) 11 in
-  Int64.to_float bits *. 0x1.0p-53
+(* 53 high bits -> uniform double in [0,1).  ALLOC003: as in [bits64]. *)
+let[@inline] [@hot] float t =
+  Int64.to_float (Int64.shift_right_logical (bits64 t) 11) *. 0x1.0p-53
+[@@lint.allow "ALLOC003"]
 
 let float_range t lo hi =
   if hi < lo then invalid_arg "Prng.float_range: hi < lo";

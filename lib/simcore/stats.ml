@@ -1,6 +1,9 @@
 module Online = struct
+  (* All fields float (the count too, exact below 2^53), so the record
+     is stored flat and [add] boxes nothing (ALLOC003 cannot see that a
+     record is all-float). *)
   type t = {
-    mutable n : int;
+    mutable n : float;
     mutable mean : float;
     mutable m2 : float;
     mutable min : float;
@@ -9,44 +12,42 @@ module Online = struct
   }
 
   let create () =
-    { n = 0; mean = 0.0; m2 = 0.0; min = infinity; max = neg_infinity; sum = 0.0 }
+    { n = 0.0; mean = 0.0; m2 = 0.0; min = infinity; max = neg_infinity; sum = 0.0 }
 
   let add t x =
-    t.n <- t.n + 1;
+    t.n <- t.n +. 1.0;
     let delta = x -. t.mean in
-    t.mean <- t.mean +. (delta /. float_of_int t.n);
+    t.mean <- t.mean +. (delta /. t.n);
     t.m2 <- t.m2 +. (delta *. (x -. t.mean));
     if x < t.min then t.min <- x;
     if x > t.max then t.max <- x;
     t.sum <- t.sum +. x
+  [@@lint.allow "ALLOC003"]
 
   let clear t =
-    t.n <- 0;
+    t.n <- 0.0;
     t.mean <- 0.0;
     t.m2 <- 0.0;
     t.min <- infinity;
     t.max <- neg_infinity;
     t.sum <- 0.0
 
-  let count t = t.n
-  let mean t = if t.n = 0 then nan else t.mean
-  let variance t = if t.n < 2 then nan else t.m2 /. float_of_int (t.n - 1)
+  let count t = int_of_float t.n
+  let mean t = if t.n = 0.0 then nan else t.mean
+  let variance t = if t.n < 2.0 then nan else t.m2 /. (t.n -. 1.0)
   let stddev t = sqrt (variance t)
   let min t = t.min
   let max t = t.max
   let sum t = t.sum
 
   let merge a b =
-    if a.n = 0 then { b with n = b.n }
-    else if b.n = 0 then { a with n = a.n }
+    if a.n = 0.0 then { b with n = b.n }
+    else if b.n = 0.0 then { a with n = a.n }
     else begin
-      let n = a.n + b.n in
+      let n = a.n +. b.n in
       let delta = b.mean -. a.mean in
-      let mean = a.mean +. (delta *. float_of_int b.n /. float_of_int n) in
-      let m2 =
-        a.m2 +. b.m2
-        +. (delta *. delta *. float_of_int a.n *. float_of_int b.n /. float_of_int n)
-      in
+      let mean = a.mean +. (delta *. b.n /. n) in
+      let m2 = a.m2 +. b.m2 +. (delta *. delta *. a.n *. b.n /. n) in
       {
         n;
         mean;

@@ -2,17 +2,26 @@ type item =
   | Quantum of Kernel.step
   | Emit of (Time_ns.t -> unit)
 
+(* One cursor per script: [rest] holds the items not yet started, and
+   [step] is the single completion callback every quantum of the script
+   shares, so running a script allocates its cursor once rather than a
+   closure per item. *)
 let run m items k =
-  let rec go = function
-    | [] -> k (Engine.now (Machine.engine m))
-    | Quantum s :: rest ->
+  let engine = Machine.engine m in
+  let rest = ref items in
+  let rec go () =
+    match !rest with
+    | [] -> k (Engine.now engine)
+    | Quantum s :: tl ->
+      rest := tl;
       Machine.submit_quantum m ?attr:(Kernel.step_attr s) ~prio:s.Kernel.prio
-        ~work_us:s.Kernel.work_us ~trigger:s.Kernel.trigger (fun _now -> go rest)
-    | Emit f :: rest ->
-      f (Engine.now (Machine.engine m));
-      go rest
-  in
-  go items
+        ~work_us:s.Kernel.work_us ~trigger:s.Kernel.trigger step
+    | Emit f :: tl ->
+      rest := tl;
+      f (Engine.now engine);
+      go ()
+  and step _now = go () in
+  go ()
 
 let quantum s = Quantum s
 let emit f = Emit f

@@ -620,14 +620,13 @@ let create cfg =
        locality-sensitive server - the residual 2-6% overhead of the
        paper's Table 3. *)
     let handler_touch_us = 0.5 *. anatomy.locality.Cache.sensitivity in
-    let rec arm () =
-      ignore
-        (Softtimer.schedule_soft_event st ~ticks:0L (fun now ->
-             Machine.submit_quantum machine ~attr:a_pace_touch ~prio:Cpu.prio_intr
-               ~work_us:handler_touch_us ~trigger:None (fun _ -> ());
-             ignore (pace_send t now : bool);
-             arm ())
-          : Softtimer.handle)
+    let touch_attr = Some a_pace_touch in
+    let rec arm () = ignore (Softtimer.schedule_soft_event st ~ticks:0L on_fire : Softtimer.handle)
+    and on_fire now =
+      Machine.submit_quantum machine ?attr:touch_attr ~prio:Cpu.prio_intr
+        ~work_us:handler_touch_us ~trigger:None ignore;
+      ignore (pace_send t now : bool);
+      arm ()
     in
     arm ()
   | Soft_pacing, None -> assert false

@@ -234,20 +234,100 @@ let test_kernel_entry_costs () =
 let test_kernel_script_order () =
   let e, m = fresh () in
   let steps =
-    [
-      Kernel.step_user m ~work_us:10.0;
-      Kernel.step_syscall ~work_us:2.0 m;
-      Kernel.step_ip_output m;
-      Kernel.step_tcp_timer m;
-    ]
+    List.map Exec.quantum
+      [
+        Kernel.step_user m ~work_us:10.0;
+        Kernel.step_syscall ~work_us:2.0 m;
+        Kernel.step_ip_output m;
+        Kernel.step_tcp_timer m;
+      ]
   in
   let done_at = ref Time_ns.zero in
-  Kernel.run_script m steps (fun t -> done_at := t);
+  Exec.run m steps (fun t -> done_at := t);
   Engine.run e;
   Alcotest.(check bool) "script completed" true Time_ns.(!done_at > Time_ns.zero);
   Alcotest.(check int) "ip-output trigger" 1 (Machine.trigger_count m Trigger.Ip_output);
   Alcotest.(check int) "tcpip trigger" 1 (Machine.trigger_count m Trigger.Tcpip_other);
   Alcotest.(check int) "syscall trigger" 1 (Machine.trigger_count m Trigger.Syscall)
+
+(* NaN and infinity have no nanosecond conversion: every float-work
+   entry point rejects them before converting, while negative work
+   still counts as zero. *)
+let test_non_finite_work_rejected () =
+  let e, m = fresh () in
+  List.iter
+    (fun w ->
+      Alcotest.check_raises "submit_quantum"
+        (Invalid_argument "Machine.submit_quantum: non-finite work") (fun () ->
+          Machine.submit_quantum m ~prio:Cpu.prio_kernel ~work_us:w ~trigger:None ignore))
+    [ nan; infinity; neg_infinity ];
+  let ln = Machine.interrupt_line m ~name:"dev" ~source:Trigger.Dev_intr ~handler:ignore () in
+  Alcotest.check_raises "raise_irq" (Invalid_argument "Machine.raise_irq: non-finite work")
+    (fun () -> ignore (Machine.raise_irq m ln ~handler_work_us:nan () : bool));
+  Alcotest.check_raises "add_periodic_timer"
+    (Invalid_argument "Machine.add_periodic_timer: non-finite work") (fun () ->
+      ignore (Machine.add_periodic_timer m ~hz:1000.0 ~handler_work_us:infinity ignore
+              : Interrupt.line));
+  Alcotest.(check bool) "nothing submitted" true (Cpu.is_idle (Machine.cpu m));
+  let done_at = ref (-1L) in
+  Machine.submit_quantum m ~prio:Cpu.prio_kernel ~work_us:(-5.0) ~trigger:None (fun t ->
+      done_at := t);
+  Engine.run e;
+  Alcotest.(check int64) "negative work counts as zero" 0L !done_at;
+  Alcotest.check_raises "int-ns path keeps the negative-work check"
+    (Invalid_argument "Cpu.submit: negative work") (fun () ->
+      Cpu.submit_i (Machine.cpu m) ~prio:Cpu.prio_kernel ~work_i:(-1) ~trigger:None ignore)
+
+(* Minor words per iteration of [f], after a warm-up. *)
+let words_per ~n f =
+  for _ = 1 to 100 do
+    f ()
+  done;
+  let before = Gc.minor_words () in
+  for _ = 1 to n do
+    f ()
+  done;
+  (Gc.minor_words () -. before) /. float_of_int n
+
+(* One quantum through completion on an idle machine allocates the
+   quantum (7 words), its run-queue cell (3) and the engine's boxed clock
+   as time advances (3): no running record, option, per-dispatch
+   completion closure or boxed busy counter, and nothing for the idle
+   transitions. *)
+let quantum_words_bound = 14.0
+
+let test_submit_quantum_alloc () =
+  let e, m = fresh () in
+  let cb _ = () in
+  let per =
+    words_per ~n:10_000 (fun () ->
+        Machine.submit_quantum m ~prio:Cpu.prio_kernel ~work_us:5.0 ~trigger:None cb;
+        Engine.run e)
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "submit_quantum + completion allocates %.1f minor words (bound %.0f)" per
+       quantum_words_bound)
+    true (per <= quantum_words_bound)
+
+(* A script's items share one completion cursor, so a 20-item script
+   allocates the closures of a 1-item one: the 19 extra items cost 19
+   quanta and nothing per item on top. *)
+let test_exec_cursor_alloc () =
+  let e, m = fresh () in
+  let step = Kernel.step_user m ~work_us:5.0 in
+  let script k = List.init k (fun _ -> Exec.quantum step) in
+  let run items () =
+    Exec.run m items ignore;
+    Engine.run e
+  in
+  let w1 = words_per ~n:2_000 (run (script 1)) in
+  let w20 = words_per ~n:2_000 (run (script 20)) in
+  let per_item = (w20 -. w1) /. 19.0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "per extra script item %.2f minor words (bound %.0f, one quantum)" per_item
+       quantum_words_bound)
+    true
+    (per_item <= quantum_words_bound)
 
 let test_kernel_scaling_with_profile () =
   let e = Engine.create () in
@@ -472,6 +552,9 @@ let () =
           Alcotest.test_case "check hook" `Quick test_check_hook_runs_at_triggers;
           Alcotest.test_case "kernel entry costs" `Quick test_kernel_entry_costs;
           Alcotest.test_case "script order" `Quick test_kernel_script_order;
+          Alcotest.test_case "non-finite work rejected" `Quick test_non_finite_work_rejected;
+          Alcotest.test_case "submit_quantum allocation" `Quick test_submit_quantum_alloc;
+          Alcotest.test_case "script cursor allocation" `Quick test_exec_cursor_alloc;
           Alcotest.test_case "profile scaling" `Quick test_kernel_scaling_with_profile;
           Alcotest.test_case "periodic clock" `Quick test_periodic_clock_ticks;
           Alcotest.test_case "extra timer frequency" `Quick test_extra_timer_frequency;

@@ -94,6 +94,61 @@ let test_prng_shuffle_permutes () =
   Array.sort compare sorted;
   Alcotest.(check (array int)) "same multiset" (Array.init 50 Fun.id) sorted
 
+(* Today's stream for seed 42, pinned so a change to the generator's
+   state representation cannot drift a single draw. *)
+let test_prng_golden_stream () =
+  let draws g n = List.init n (fun _ -> Prng.bits64 g) in
+  let r = Prng.create ~seed:42 in
+  Alcotest.(check (list int64))
+    "first 8 bits64"
+    [
+      -3425465463722317665L; 5881210131331364753L; -297100157724070516L;
+      -5513075133950446152L; -3809169831026726285L; -7598242172641419651L;
+      2312344417745909078L; -7284205130074240186L;
+    ]
+    (draws r 8);
+  Alcotest.(check int64) "float" (Int64.bits_of_float 0x1.a9679ed784ae4p-3)
+    (Int64.bits_of_float (Prng.float r));
+  Alcotest.(check int) "int 1000" 234 (Prng.int r 1000);
+  let s = Prng.split r in
+  Alcotest.(check (list int64))
+    "split stream"
+    [ -7291636266145416776L; 7731169024499593719L; -1513777059292119380L; 265803321712101849L ]
+    (draws s 4);
+  let c = Prng.copy r in
+  let next4 =
+    [ -2766461413404756467L; -5902838741940724840L; 1282610804685344189L; 7435390023275438269L ]
+  in
+  Alcotest.(check (list int64)) "copy stream" next4 (draws c 4);
+  Alcotest.(check (list int64)) "original after copy" next4 (draws r 4)
+
+(* A draw allocates nothing.  [Prng.float] hands back a float, which a
+   call that is not inlined (the dev profile compiles against opaque
+   interfaces) boxes in 2 words; inlined, as in release builds, it is 0.
+   [Prng.int] returns an immediate. *)
+let test_prng_draw_alloc () =
+  let r = Prng.create ~seed:1 in
+  let n = 100_000 in
+  let acc = ref 0.0 in
+  let before = Gc.minor_words () in
+  for _ = 1 to n do
+    acc := !acc +. Prng.float r
+  done;
+  let per_float = (Gc.minor_words () -. before) /. float_of_int n in
+  let k = ref 0 in
+  let before = Gc.minor_words () in
+  for _ = 1 to n do
+    k := !k + Prng.int r 1000
+  done;
+  let per_int = (Gc.minor_words () -. before) /. float_of_int n in
+  Alcotest.(check bool) "draws ran" true (!acc > 0.0 && !k > 0);
+  Alcotest.(check bool)
+    (Printf.sprintf "Prng.float allocates %.2f minor words (bound 2)" per_float)
+    true (per_float <= 2.0);
+  Alcotest.(check bool)
+    (Printf.sprintf "Prng.int allocates %.2f minor words (bound 0)" per_int)
+    true (per_int <= 0.01)
+
 (* ------------------------------------------------------------------ *)
 (* Dist *)
 
@@ -776,6 +831,8 @@ let () =
           Alcotest.test_case "copy replays" `Quick test_prng_copy_replays;
           Alcotest.test_case "split independent" `Quick test_prng_split_independent;
           Alcotest.test_case "shuffle permutes" `Quick test_prng_shuffle_permutes;
+          Alcotest.test_case "golden stream (seed 42)" `Quick test_prng_golden_stream;
+          Alcotest.test_case "draw allocation" `Quick test_prng_draw_alloc;
         ] );
       ( "dist",
         [

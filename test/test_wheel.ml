@@ -95,6 +95,27 @@ let test_iter_pending () =
   Timing_wheel.iter_pending w (fun _ v -> seen := v :: !seen);
   Alcotest.(check (list int)) "pending values" [ 1; 3 ] (List.sort compare !seen)
 
+(* A deadline whose tick index lies beyond the int range (1 ns ticks,
+   [Int64.max_int]) keeps its exact deadline: the minimum reports it
+   and it fires once due, after the nearer entry. *)
+let test_extreme_deadline () =
+  let w = Timing_wheel.create ~slots:8 ~tick:1L () in
+  ignore (Timing_wheel.schedule w ~at:Int64.max_int "far" : _ Timing_wheel.handle);
+  ignore (Timing_wheel.schedule w ~at:10L "near" : _ Timing_wheel.handle);
+  let fire now =
+    let fired = ref [] in
+    ignore
+      (Timing_wheel.fire_due w ~now ~limit:max_int (fun _ v -> fired := v :: !fired)
+        : Fire_outcome.t);
+    !fired
+  in
+  Alcotest.(check (list string)) "near first" [ "near" ] (fire 10L);
+  Alcotest.(check (option int64)) "far is the minimum" (Some Int64.max_int)
+    (Timing_wheel.next_deadline w);
+  Alcotest.(check (list string)) "not before its time" [] (fire (Int64.sub Int64.max_int 1L));
+  Alcotest.(check (list string)) "far fires when due" [ "far" ] (fire Int64.max_int);
+  Alcotest.(check int) "empty" 0 (Timing_wheel.pending w)
+
 let test_invalid_args () =
   Alcotest.check_raises "tick<=0" (Invalid_argument "Timing_wheel.create: tick must be positive")
     (fun () -> ignore (Timing_wheel.create ~tick:0L () : unit Timing_wheel.t));
@@ -275,6 +296,7 @@ let () =
           Alcotest.test_case "schedule during fire" `Quick test_schedule_during_fire;
           Alcotest.test_case "iter_pending" `Quick test_iter_pending;
           Alcotest.test_case "invalid args" `Quick test_invalid_args;
+          Alcotest.test_case "deadline beyond the int tick range" `Quick test_extreme_deadline;
           Alcotest.test_case "cancel churn stays bounded" `Quick test_cancel_churn_bounded;
           Alcotest.test_case "rearm across slot wrap-around" `Quick test_rearm_wraparound;
         ] );

@@ -1,4 +1,4 @@
-.PHONY: all build test bench bench-parallel microbench arena-bench pacer-smoke pacer-bench perfbench-smoke report-smoke bench-json benchdiff mem-bench trace-smoke lint lint-json lint-baseline sanitize-smoke determinism clean
+.PHONY: all build test bench bench-parallel microbench arena-bench pacer-smoke pacer-bench perfbench-smoke perf-pairs report-smoke bench-json benchdiff mem-bench trace-smoke lint lint-json lint-baseline sanitize-smoke determinism clean
 
 all: build
 
@@ -55,6 +55,18 @@ pacer-bench: build
 # what the simulation computes fails here.
 perfbench-smoke:
 	python3 perfbench/run.py --smoke
+
+# Paired host-cost comparison: the working tree against revision BASE
+# on one perfbench workload, one pair of --trace 0 runs per seed, the
+# side that goes first alternating.  Prints each end-to-end metric's
+# median, quartiles and change against its BENCHMARK.json bound, and
+# flags any run with failed > 0.  BASE is checked out in a temporary
+# git worktree under .bench_build/.  Ten pairs at 15 s take ~6 min.
+BASE ?= HEAD
+WORKLOAD ?= web-soft
+SEEDS ?= 1 2 3 4 5 6 7 8 9 10
+perf-pairs:
+	python3 tools/perf_pairs.py --base $(BASE) --workload $(WORKLOAD) --seeds "$(SEEDS)"
 
 # Run-report smoke: one report per experiment (fig1, table3 and the
 # pacer-scale census), each from a single execution, plus table3's

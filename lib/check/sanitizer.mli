@@ -21,10 +21,11 @@
       hard-clock periods, plus the longest interrupt dispatch observed
       so far, after its deadline (the paper's [T + X + 1] bound, with
       one extra period of slack for a latch-lost backup tick).
-    - {b WHEEL_RESIDENCY}: the timing wheel's physically resident entry
-      count stays within [2 * max pending slots] (the cancel-churn bound
-      documented in {!Timing_wheel.resident}); read from the
-      [softtimer.wheel_*] metrics probes on the counter cadence.
+    - {b WHEEL_RESIDENCY}: the store's physically resident entry count
+      stays within [2 * max pending slots] (the cancel-churn bound of
+      [Timer_store.S]; the default wheel keeps resident = pending, see
+      {!Timing_wheel.resident}); read from the [softtimer.wheel_*]
+      metrics probes on the counter cadence.
     - {b COUNTER_MONOTONE}: every registry counter is non-negative and
       never decreases (checked every [counter_check_every] events).
 

@@ -19,6 +19,7 @@ module type STORE = sig
   val s : s
   val name : string
   val schedule : s -> at:Time_ns.t -> pending_event -> h
+  val schedule_i : s -> at_i:int -> pending_event -> h
   val cancel : s -> h -> unit
   val rearm : s -> h -> at:Time_ns.t -> bool
   val pending : s -> int
@@ -131,12 +132,15 @@ let[@inline] measure_time t =
 [@@lint.allow "ALLOC003"]
 
 (* The instant of the first measurement tick at least [ticks + 1] ticks
-   after now; a tick boundary maps to the first instant at or after it
-   (round up). *)
-let[@inline] due_after t ticks =
+   after now, in ns as an integral float; a tick boundary maps to the
+   first instant at or after it (round up).  ALLOC003: as
+   [measure_time]. *)
+let[@inline] due_ns t ticks =
   let tick = Int64.add (measure_time t) (Int64.add ticks 1L) in
-  Int64.of_float (Float.ceil (Int64.to_float tick *. t.ns_per_tick))
+  Float.ceil (Int64.to_float tick *. t.ns_per_tick)
 [@@lint.allow "ALLOC003"]
+
+let due_after t ticks = Int64.of_float (due_ns t ticks)
 
 let a_fire = Profile.intern [ "softtimer"; "fire" ]
 let fire_attr = Some a_fire
@@ -233,7 +237,7 @@ let attach ?store ?(wheel_tick = Time_ns.of_us 10.0) ?(wheel_slots = 512) machin
       delays = Stats.Sample.create ();
     }
   in
-  t.on_fire <- fire t;
+  t.on_fire <- (fun due ev -> fire t due ev);
   Machine.set_check_hook machine (Some (check t));
   Machine.set_idle_deadline_fn machine (Some (fun () -> next_deadline t));
   Machine.start_interrupt_clock machine;
@@ -263,27 +267,46 @@ let store_name t =
     let module S = (val inst) in
     S.name
 
-let notify_if_earliest t due =
-  (* If this event became the earliest, an idle checking CPU may be
-     armed for a later (or no) deadline: wake it up for this one. *)
+(* If this event became the earliest, an idle checking CPU may be armed
+   for a later (or no) deadline: wake it up for this one.  Inlined, so
+   [due] stays unboxed when the caller builds it from an int. *)
+let[@inline] notify_if_earliest t due =
   match next_deadline t with
-  | Some d when t.attached && Time_ns.(d = due) -> Machine.notify_deadline_changed t.machine
+  | Some d when t.attached && Int64.equal d due -> Machine.notify_deadline_changed t.machine
   | _ -> ()
 
+(* A deadline inside the int range goes to the store as an int, so the
+   tick arithmetic boxes nothing; the trace gets a boxed copy only while
+   it is armed. *)
 let schedule_soft_event t ~ticks handler =
   if Int64.compare ticks 0L < 0 then
     invalid_arg "Softtimer.schedule_soft_event: negative ticks";
   (* Fires once measure_time > sched + ticks, i.e. at tick sched+ticks+1. *)
-  let due = due_after t ticks in
+  let due_f = due_ns t ticks in
   let id = t.next_id in
   t.next_id <- id + 1;
   Metrics.dincr m_scheduled;
-  Trace.soft_sched ~at:(Engine.now (Machine.engine t.machine)) ~id ~due;
+  if Trace.armed () then
+    Trace.soft_sched ~at:(Engine.now (Machine.engine t.machine)) ~id
+      ~due:(Int64.of_float due_f);
   match t.store with
   | Store inst ->
     let module S = (val inst) in
-    let sh = S.schedule S.s ~at:due { id; handler } in
-    notify_if_earliest t due;
+    let ev = { id; handler } in
+    let sh =
+      if due_f < 0x1p62 then begin
+        let due_i = Float.to_int due_f in
+        let sh = S.schedule_i S.s ~at_i:due_i ev in
+        notify_if_earliest t (Int64.of_int due_i);
+        sh
+      end
+      else begin
+        let due = Int64.of_float due_f in
+        let sh = S.schedule S.s ~at:due ev in
+        notify_if_earliest t due;
+        sh
+      end
+    in
     Handle { inst; sh; ev_id = id }
 
 let schedule_after t span handler =

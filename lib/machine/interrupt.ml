@@ -12,6 +12,11 @@ type line = {
   cpu : int;
   handler : Time_ns.t -> unit;
   mutable in_flight : int;  (* delivered-but-unfinished, at most latch_depth *)
+  works : int array;
+      (* work (ns) of the deliveries in flight, a ring from [oldest]:
+         they share one priority and CPU, so they complete in order *)
+  mutable oldest : int;
+  mutable complete : Time_ns.t -> unit;  (* the deliveries' callback, built once *)
   mutable deferred : bool;  (* a tick is waiting for the spl window to end *)
   mutable raised : int;
   mutable lost : int;
@@ -28,10 +33,16 @@ type t = {
   cpus : Cpu.t array;
   profile : Costs.profile;
   on_trigger : Trigger.kind -> Time_ns.t -> unit;
-  mutable locality : Cache.locality;
+  mutable overhead_ns : int;  (* per-delivery overhead at the current locality *)
   mutable spl_until : Time_ns.t;  (* end of the current disabled window *)
-  mutable spl_deferred : (line * Time_ns.span) list;  (* with handler work *)
+  mutable spl_deferred : (line * int) list;  (* with handler work, ns *)
 }
+
+(* A delivery's save/restore and cache-pollution overhead, rounded to
+   int ns as [Time_ns.of_us] rounds. *)
+let delivery_overhead_ns profile locality =
+  Float.to_int
+    (Float.round (Costs.intr_total_us profile ~locality:locality.Cache.sensitivity *. 1e3))
 
 let create ~engine ~cpus ~profile ~on_trigger () =
   {
@@ -39,45 +50,67 @@ let create ~engine ~cpus ~profile ~on_trigger () =
     cpus;
     profile;
     on_trigger;
-    locality = Cache.neutral;
+    overhead_ns = delivery_overhead_ns profile Cache.neutral;
     spl_until = Time_ns.zero;
     spl_deferred = [];
   }
 
-let set_locality t l = t.locality <- l
+let set_locality t l = t.overhead_ns <- delivery_overhead_ns t.profile l
+
+(* A delivery's completion: its handler runs, then the trigger state. *)
+let complete t ln now =
+  let work = ln.works.(ln.oldest) in
+  ln.oldest <- (if ln.oldest + 1 = ln.latch_depth then 0 else ln.oldest + 1);
+  ln.in_flight <- ln.in_flight - 1;
+  ln.delivered <- ln.delivered + 1;
+  Metrics.dincr m_delivered;
+  if Trace.armed () then
+    Trace.irq ~at:now ~line:ln.name ~cpu:ln.cpu ~dur:(Time_ns.of_ns work [@lint.allow "ALLOC003"]);
+  ln.handler now;
+  t.on_trigger ln.source now
 
 let line t ~name ~source ?(latch_depth = 2) ?(spl_blockable = false) ?(cpu = 0) ~handler () =
-  ignore t.engine;
   if latch_depth < 1 then invalid_arg "Interrupt.line: latch_depth must be >= 1";
   if cpu < 0 || cpu >= Array.length t.cpus then invalid_arg "Interrupt.line: bad cpu";
-  {
-    name;
-    source;
-    latch_depth;
-    spl_blockable;
-    cpu;
-    handler;
-    in_flight = 0;
-    deferred = false;
-    raised = 0;
-    lost = 0;
-    delivered = 0;
-    a_save = Profile.intern [ "interrupt"; name; "save_restore" ];
-    a_pollution = Profile.intern [ "interrupt"; name; "pollution" ];
-    a_handler = Profile.intern [ "interrupt"; name; "handler" ];
-  }
-
-let deliver t ln handler_work =
-  ln.in_flight <- ln.in_flight + 1;
-  let overhead =
-    Time_ns.of_us (Costs.intr_total_us t.profile ~locality:t.locality.Cache.sensitivity)
+  let ln =
+    {
+      name;
+      source;
+      latch_depth;
+      spl_blockable;
+      cpu;
+      handler;
+      in_flight = 0;
+      works = Array.make latch_depth 0;
+      oldest = 0;
+      complete = ignore;
+      deferred = false;
+      raised = 0;
+      lost = 0;
+      delivered = 0;
+      a_save = Profile.intern [ "interrupt"; name; "save_restore" ];
+      a_pollution = Profile.intern [ "interrupt"; name; "pollution" ];
+      a_handler = Profile.intern [ "interrupt"; name; "handler" ];
+    }
   in
-  let work = Time_ns.(overhead + Time_ns.max handler_work 0L) in
+  ln.complete <- (fun now -> complete t ln now);
+  ln
+
+(* Work stays in int ns and the completion callback is the line's, so a
+   delivery allocates nothing beyond its quantum. *)
+let[@hot] deliver t ln handler_work =
+  let overhead = t.overhead_ns in
+  let work = overhead + Int.max handler_work 0 in
+  let slot = ln.oldest + ln.in_flight in
+  ln.works.(if slot >= ln.latch_depth then slot - ln.latch_depth else slot) <- work;
+  ln.in_flight <- ln.in_flight + 1;
   let attr =
     (* Split the delivery into save/restore, pollution refill and handler
        body.  The pollution share is [overhead - save] so the parts sum
-       exactly to the charged overhead regardless of float rounding. *)
+       exactly to the charged overhead regardless of float rounding.
+       ALLOC002: only while profiling. *)
     if Profile.enabled () then begin
+      let overhead = Time_ns.of_ns overhead in
       let save =
         Time_ns.min (Time_ns.of_us t.profile.Costs.intr_save_restore_us) overhead
       in
@@ -85,23 +118,18 @@ let deliver t ln handler_work =
         (Profile.seq
            [ (ln.a_save, save); (ln.a_pollution, Time_ns.(overhead - save)) ]
            ~tail:ln.a_handler)
+      [@lint.allow "ALLOC002"]
     end
     else None
   in
-  Cpu.submit t.cpus.(ln.cpu) ?attr ~prio:Cpu.prio_intr ~work (fun now ->
-      ln.in_flight <- ln.in_flight - 1;
-      ln.delivered <- ln.delivered + 1;
-      Metrics.dincr m_delivered;
-      Trace.irq ~at:now ~line:ln.name ~cpu:ln.cpu ~dur:work;
-      ln.handler now;
-      t.on_trigger ln.source now)
+  Cpu.submit_i t.cpus.(ln.cpu) ?attr ~prio:Cpu.prio_intr ~work_i:work ~trigger:None ln.complete
 
 let lose ln ~at =
   ln.lost <- ln.lost + 1;
   Metrics.dincr m_lost;
   Trace.irq_lost ~at ~line:ln.name
 
-let raise_irq t ln ?(handler_work = 0L) () =
+let raise_irq t ln ~handler_work_ns:handler_work =
   ln.raised <- ln.raised + 1;
   Metrics.dincr m_raised;
   let now = Engine.now t.engine in

@@ -64,10 +64,10 @@ val start_spl_sections :
     (callout processing, scheduler, console).  Only [spl_blockable]
     lines are affected. *)
 
-val raise_irq : t -> line -> ?handler_work:Time_ns.span -> unit -> bool
+val raise_irq : t -> line -> handler_work_ns:int -> bool
 (** Assert the line.  Returns [false] when the interrupt was lost to
-    the latch limit.  [handler_work] is the device handler's own
-    processing time, default 0. *)
+    the latch limit.  [handler_work_ns] is the device handler's own
+    processing time in ns. *)
 
 val raised : line -> int
 (** Interrupts asserted on this line so far. *)

@@ -20,8 +20,9 @@ type step = {
 }
 
 (* A Profile.seq consumes its parts statefully, so it must be built
-   fresh for every submitted quantum — steps are reusable values. *)
-let step_attr s =
+   fresh for every submitted quantum — steps are reusable values.
+   ALLOC002: only while profiling. *)
+let[@lint.allow "ALLOC002"] step_attr s =
   if Profile.enabled () then
     Some
       (if s.entry_us > 0.0 then

@@ -120,10 +120,8 @@ let start_spl_sections t ?rate_per_sec ?duration_us ~seed () =
     ?duration_us ()
 
 let raise_irq t ln ?(handler_work_us = 0.0) () =
-  let handler_work =
-    Time_ns.of_ns (ns_of_work_us ~what:"Machine.raise_irq: non-finite work" handler_work_us)
-  in
-  Interrupt.raise_irq (interrupts t) ln ~handler_work ()
+  Interrupt.raise_irq (interrupts t) ln
+    ~handler_work_ns:(ns_of_work_us ~what:"Machine.raise_irq: non-finite work" handler_work_us)
 
 (* Idle-loop machinery.  At most one idle CPU -- the checker (§5.2) --
    polls for soft-timer events and runs the idle measurement poll; the
@@ -234,7 +232,7 @@ let add_periodic_timer t ~hz ?(handler_work_us = 0.0) handler =
   let period = Time_ns.of_sec (1.0 /. hz) in
   if not (Float.is_finite handler_work_us) then
     invalid_arg "Machine.add_periodic_timer: non-finite work";
-  let handler_work = Time_ns.of_us handler_work_us in
+  let handler_work_ns = Int64.to_int (Time_ns.of_us handler_work_us) in
   let ln =
     (* A fast-interrupt handler: serviced even inside spl sections, like
        the paper's null-handler measurement timer (Â§5.1). *)
@@ -242,7 +240,7 @@ let add_periodic_timer t ~hz ?(handler_work_us = 0.0) handler =
       ~latch_depth:1 ~handler ()
   in
   let rec tick () =
-    ignore (Interrupt.raise_irq (interrupts t) ln ~handler_work () : bool);
+    ignore (Interrupt.raise_irq (interrupts t) ln ~handler_work_ns : bool);
     ignore (Engine.schedule_after t.engine period tick : Engine.handle)
   in
   ignore (Engine.schedule_after t.engine period tick : Engine.handle);

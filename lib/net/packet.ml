@@ -1,8 +1,11 @@
 type 'a t = { size_bytes : int; meta : 'a; born : Time_ns.t }
 
+(* ALLOC002: a fresh record per packet is this constructor's contract
+   ([Pool] recycles cells where that matters). *)
 let create ~size_bytes ~meta ~born =
   if size_bytes < 0 then invalid_arg "Packet.create: negative size";
   { size_bytes; meta; born }
+[@@lint.allow "ALLOC002"]
 
 let bits p = p.size_bytes * 8
 let mtu_payload = 1448

@@ -14,6 +14,46 @@ let normal rng =
   let u2 = Prng.float rng in
   sqrt (-2.0 *. log u1) *. cos (2.0 *. Float.pi *. u2)
 
+(* The mixture branch a uniform [u] selects: the first whose cumulative
+   weight exceeds [u] times the total, the last one otherwise.  Loops
+   over refs keep the float sums unboxed, so a draw allocates no
+   closure or float. *)
+let pick_branch branches u =
+  let total = ref 0.0 and l = ref branches in
+  while
+    match !l with
+    | [] -> false
+    | (w, _) :: rest ->
+      total := !total +. w;
+      l := rest;
+      true
+  do
+    ()
+  done;
+  (* ALLOC002: a constant constructor is a static value. *)
+  let pick = ref (Constant 0.0 [@lint.allow "ALLOC002"]) in
+  let x = u *. !total and acc = ref 0.0 and l = ref branches in
+  while
+    match !l with
+    | [] -> invalid_arg "Dist.draw: empty mixture"
+    | [ (_, d) ] ->
+      pick := d;
+      false
+    | (w, d) :: rest ->
+      if x < !acc +. w then begin
+        pick := d;
+        false
+      end
+      else begin
+        acc := !acc +. w;
+        l := rest;
+        true
+      end
+  do
+    ()
+  done;
+  !pick
+
 let rec draw_raw t rng =
   match t with
   | Constant c -> c
@@ -33,15 +73,7 @@ let rec draw_raw t rng =
       acc := !acc -. (log u /. rate)
     done;
     !acc
-  | Mixture branches ->
-    let total = List.fold_left (fun acc (w, _) -> acc +. w) 0.0 branches in
-    let x = Prng.float rng *. total in
-    let rec pick acc = function
-      | [] -> invalid_arg "Dist.draw: empty mixture"
-      | [ (_, d) ] -> draw_raw d rng
-      | (w, d) :: rest -> if x < acc +. w then draw_raw d rng else pick (acc +. w) rest
-    in
-    pick 0.0 branches
+  | Mixture branches -> draw_raw (pick_branch branches (Prng.float rng)) rng
   | Shifted (c, d) -> c +. draw_raw d rng
 
 let draw t rng = Float.max 0.0 (draw_raw t rng)

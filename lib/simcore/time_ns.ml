@@ -12,9 +12,9 @@ let ( >= ) a b = Int64.compare a b >= 0
 let ( = ) a b = Int64.equal a b
 let min a b = if a <= b then a else b
 let max a b = if a >= b then a else b
-let of_ns n = Int64.of_int n
 (* ALLOC003: a [Time_ns.t] result is boxed by contract; hot paths that
    must not box keep their spans in int nanoseconds instead. *)
+let of_ns n = Int64.of_int n [@@lint.allow "ALLOC003"]
 let round_float f = Int64.of_float (Float.round f) [@@lint.allow "ALLOC003"]
 let of_us us = round_float (us *. 1e3)
 let of_ms ms = round_float (ms *. 1e6)

@@ -123,56 +123,6 @@ let[@inline] set_gen t i v = t.slab.((i lsl 3) + 5) <- v
 let[@inline] s_pos t i = t.slab.((i lsl 3) + 6)
 let[@inline] set_pos t i v = t.slab.((i lsl 3) + 6) <- v
 
-(* ---- occupancy bitmaps -------------------------------------------- *)
-
-let set_bit occ i = occ.(i lsr 5) <- occ.(i lsr 5) lor (1 lsl (i land 31))
-let clear_bit occ i = occ.(i lsr 5) <- occ.(i lsr 5) land lnot (1 lsl (i land 31))
-
-(* Index of the lowest set bit of a nonzero 32-bit word. *)
-let lsb w =
-  let x = ref (w land (-w)) in
-  let n = ref 0 in
-  if !x land 0xFFFF = 0 then begin
-    n := 16;
-    x := !x lsr 16
-  end;
-  if !x land 0xFF = 0 then begin
-    n := !n + 8;
-    x := !x lsr 8
-  end;
-  if !x land 0xF = 0 then begin
-    n := !n + 4;
-    x := !x lsr 4
-  end;
-  if !x land 0x3 = 0 then begin
-    n := !n + 2;
-    x := !x lsr 2
-  end;
-  if !x land 0x1 = 0 then incr n;
-  !n
-
-(* First occupied bucket in the inclusive index range [from, upto], or
-   -1.  Epochs are aligned, so a scan never wraps: it masks the first
-   word below [from] and walks whole words up to [upto]'s word. *)
-let ffs_in_range occ ~from ~upto =
-  if from > upto then -1
-  else begin
-    let res = ref (-1) in
-    let iw = ref (from lsr 5) in
-    let last_w = upto lsr 5 in
-    let first = occ.(!iw) land ((-1) lsl (from land 31)) in
-    if first <> 0 then res := (!iw lsl 5) + lsb first
-    else begin
-      incr iw;
-      while !res < 0 && !iw <= last_w do
-        let w = occ.(!iw) in
-        if w <> 0 then res := (!iw lsl 5) + lsb w;
-        incr iw
-      done
-    end;
-    if !res >= 0 && !res <= upto then !res else -1
-  end
-
 (* ---- construction -------------------------------------------------- *)
 
 let rec pow2_at_least k n = if k >= n then k else pow2_at_least (k * 2) n
@@ -308,7 +258,7 @@ let link1_tail t b i =
   set_loc t i b;
   set_pos t i pos;
   t.f1.(b) <- pos + 1;
-  if t.c1.(b) = 0 then set_bit t.occ1 b;
+  if t.c1.(b) = 0 then Bitmap.set_bit t.occ1 b;
   t.c1.(b) <- t.c1.(b) + 1;
   t.n1_count <- t.n1_count + 1
 
@@ -333,7 +283,7 @@ let link2_tail t b i =
   if t.t2.(b) >= 0 then set_next t t.t2.(b) i
   else begin
     t.h2.(b) <- i;
-    set_bit t.occ2 b
+    Bitmap.set_bit t.occ2 b
   end;
   t.t2.(b) <- i;
   set_loc t i (t.n1 + b);
@@ -375,7 +325,7 @@ let unlink t i =
     if loc <> t.dispatching then begin
       if t.c1.(loc) = 0 then begin
         t.f1.(loc) <- 0;
-        clear_bit t.occ1 loc;
+        Bitmap.clear_bit t.occ1 loc;
         (* Retire the buffer: a bucket drains once per lap, and holding
            its peak capacity for the next 4096 ticks would retain a
            whole lap's worth of dead vectors.  Park it in the spare ring
@@ -401,7 +351,7 @@ let unlink t i =
       let b = loc - t.n1 in
       if p < 0 then t.h2.(b) <- n;
       if n < 0 then t.t2.(b) <- p;
-      if t.h2.(b) < 0 then clear_bit t.occ2 b;
+      if t.h2.(b) < 0 then Bitmap.clear_bit t.occ2 b;
       t.c2.(b) <- t.c2.(b) - 1;
       t.n2_count <- t.n2_count - 1
     end
@@ -531,7 +481,7 @@ let next_deadline t =
     (* level 1: buckets are single-tick, so the first occupied bucket is
        the level minimum *)
     let base = epoch1_base t in
-    let idx = ffs_in_range t.occ1 ~from:(t.cur_tick - base) ~upto:(t.n1 - 1) in
+    let idx = Bitmap.ffs_in_range t.occ1 ~from:(t.cur_tick - base) ~upto:(t.n1 - 1) in
     if idx >= 0 then begin
       let cand = (base + idx) * t.gns in
       if cand < !best then best := cand
@@ -539,7 +489,7 @@ let next_deadline t =
     (* level 2: the first occupied bucket spans n1 ticks, unsorted —
        walk that one chain *)
     let cur2 = t.cur_tick / t.n1 in
-    let idx2 = ffs_in_range t.occ2 ~from:((cur2 land (t.n2 - 1)) + 1) ~upto:(t.n2 - 1) in
+    let idx2 = Bitmap.ffs_in_range t.occ2 ~from:((cur2 land (t.n2 - 1)) + 1) ~upto:(t.n2 - 1) in
     if idx2 >= 0 then begin
       let j = ref t.h2.(idx2) in
       while !j >= 0 do
@@ -567,7 +517,7 @@ let cascade_bucket t idx2 =
   t.h2.(idx2) <- -1;
   t.t2.(idx2) <- -1;
   t.c2.(idx2) <- 0;
-  clear_bit t.occ2 idx2;
+  Bitmap.clear_bit t.occ2 idx2;
   while !h >= 0 do
     let i = !h in
     h := s_next t i;
@@ -659,10 +609,10 @@ let count_due t ~now_i ~target =
       let lap = base + t.n1 - 1 in
       if target < lap then target - base else t.n1 - 1
     in
-    let idx = ref (ffs_in_range t.occ1 ~from:(t.cur_tick - base) ~upto) in
+    let idx = ref (Bitmap.ffs_in_range t.occ1 ~from:(t.cur_tick - base) ~upto) in
     while !idx >= 0 do
       scanned := !scanned + t.c1.(!idx);
-      idx := if !idx + 1 > upto then -1 else ffs_in_range t.occ1 ~from:(!idx + 1) ~upto
+      idx := if !idx + 1 > upto then -1 else Bitmap.ffs_in_range t.occ1 ~from:(!idx + 1) ~upto
     done
   end;
   if target >= base + t.n1 && t.n2_count > 0 then begin
@@ -670,7 +620,7 @@ let count_due t ~now_i ~target =
     let cur2 = t.cur_tick / t.n1 in
     let base2 = cur2 - (cur2 land (t.n2 - 1)) in
     let from2 = (cur2 land (t.n2 - 1)) + 1 in
-    let idx2 = ref (ffs_in_range t.occ2 ~from:from2 ~upto:(t.n2 - 1)) in
+    let idx2 = ref (Bitmap.ffs_in_range t.occ2 ~from:from2 ~upto:(t.n2 - 1)) in
     let stop = ref false in
     while (not !stop) && !idx2 >= 0 do
       let tick2 = base2 + !idx2 in
@@ -688,7 +638,7 @@ let count_due t ~now_i ~target =
         end;
         idx2 :=
           if !idx2 + 1 > t.n2 - 1 then -1
-          else ffs_in_range t.occ2 ~from:(!idx2 + 1) ~upto:(t.n2 - 1)
+          else Bitmap.ffs_in_range t.occ2 ~from:(!idx2 + 1) ~upto:(t.n2 - 1)
       end
     done
   end;
@@ -786,7 +736,7 @@ let[@hot] fire_due t ?prefetch ~now ~limit f =
         let lap_end = if target < base + t.n1 - 1 then target else base + t.n1 - 1 in
         let scanning = ref true in
         while !scanning do
-          let idx = ffs_in_range t.occ1 ~from:(t.cur_tick - base) ~upto:(lap_end - base) in
+          let idx = Bitmap.ffs_in_range t.occ1 ~from:(t.cur_tick - base) ~upto:(lap_end - base) in
           if idx < 0 then begin
             t.cur_tick <- lap_end + 1;
             scanning := false
@@ -892,7 +842,7 @@ let[@hot] fire_due t ?prefetch ~now ~limit f =
             t.n1_count <- t.n1_count - !fired_here;
             if t.c1.(idx) = 0 then begin
               t.f1.(idx) <- 0;
-              clear_bit t.occ1 idx;
+              Bitmap.clear_bit t.occ1 idx;
               let vec = t.v1.(idx) in
               if Array.length vec > 64 then begin
                 if t.spare_n < Array.length t.spares then begin

@@ -1,33 +1,57 @@
 let name = "wheel"
 
-type state = Pending | Cancelled | Fired
+(* Entries live in an int slab: one stride-6 row per entry holding its
+   deadline (ns), tie position, chain links, generation and location,
+   plus one value array.  Each slot chains its rows through prev/next
+   (order within a slot carries no meaning: a batch is sorted, a sweep
+   takes a minimum), and an occupancy bitmap over the slots lets sweeps
+   skip empty ones.  A handle is an immediate int, (generation << 24) |
+   row; a row's generation is bumped when it is freed, so a stale
+   handle never validates.  Cancel and re-arm unlink physically, so
+   resident = pending and nothing is ever compacted.
 
-type 'a handle = {
-  mutable hstate : state;
-  mutable hdeadline : Time_ns.t;
-  mutable hseq : int;  (* tie position of the handle's current placement *)
-  value : 'a;
-}
+   Rows hold int deadlines.  A deadline at or beyond the int range's
+   ends is held as the saturated bound, and its exact [Time_ns.t] in
+   [big]; every comparison of two such rows reads [big]. *)
 
-(* One bucket placement of a handle.  A re-arm places the handle again
-   under a fresh tie position and leaves the old placement behind as a
-   corpse: a placement is live iff its handle is pending and still
-   carries the placement's tie position. *)
-type 'a entry = { seq : int; h : 'a handle }
+(* Location codes: a slot index in [0, slots), or one of these. *)
+let loc_free = -1
+let loc_batch = -2 (* gathered by a [fire_due] in progress *)
+
+let row_bits = 24
+let max_rows = 1 lsl row_bits
+let stride = 6
+
+(* [min_row] codes besides a row index. *)
+let min_unknown = -1
+let min_none = -2 (* no bucketed row: the answer is [Int64.max_int] *)
+
+type 'a handle = int
 
 type 'a t = {
   slots_n : int;
   tick_span : Time_ns.span;
-  buckets : 'a entry list array;
+  gran : int;  (* tick, ns *)
+  heads : int array;  (* per-slot chain head row, -1 when empty *)
+  occ : int array;  (* occupancy bitmap over slots, 32 bits per word *)
   mutable count : int;
-  mutable cancelled : int;  (* corpse placements not yet physically removed *)
   mutable next_seq : int;
   mutable last_tick : int;  (* tick index up to (and incl.) which slots were swept *)
+  mutable min_row : int;
+      (* earliest bucketed row, [min_unknown] until the next query scans,
+         or [min_none] *)
   mutable min_cache : Time_ns.t option;
-      (* [Some m]: [m] is the earliest pending deadline (while any is
-         pending); [None]: unknown until the next [next_deadline]
-         sweeps.  Held as the option [next_deadline] returns, so a
-         cached answer allocates nothing. *)
+      (* the last [Some] [next_deadline] returned, reused while the
+         minimum keeps its value *)
+  mutable cache_ok : bool;  (* [min_cache] answers for [min_row] as it is *)
+  mutable cap : int;
+  mutable slab : int array;
+  mutable vals : 'a array;  (* length 0 until the first schedule *)
+  mutable free_top : int;
+  mutable free_stk : int array;
+  mutable big : Time_ns.t array;  (* exact deadlines of saturated rows; lazy *)
+  mutable scratch : int array;  (* due batches as handles, stacked *)
+  mutable scratch_top : int;
 }
 
 let create ?(slots = 256) ~tick () =
@@ -36,270 +60,456 @@ let create ?(slots = 256) ~tick () =
   {
     slots_n = slots;
     tick_span = tick;
-    buckets = Array.make slots [];
+    gran = Int64.to_int tick;
+    heads = Array.make slots (-1);
+    occ = Array.make ((slots + 31) / 32) 0;
     count = 0;
-    cancelled = 0;
     next_seq = 0;
     last_tick = 0;
+    min_row = min_unknown;
     min_cache = None;
+    cache_ok = false;
+    cap = 0;
+    slab = [||];
+    vals = [||];
+    free_top = 0;
+    free_stk = [||];
+    big = [||];
+    scratch = Array.make 16 0;
+    scratch_top = 0;
   }
 
 let slots t = t.slots_n
 let tick t = t.tick_span
 let pending t = t.count
-let resident t = t.count + t.cancelled
-let handle_deadline _t h = h.hdeadline
-let handle_pending _t h = h.hstate = Pending
-let live e = e.h.hstate = Pending && e.h.hseq = e.seq
+let resident t = t.count
+let[@inline] row_of h = h land (max_rows - 1)
+let[@inline] gen_of h = h lsr row_bits
 
-(* Tick indices are immediate ints.  A quotient beyond the int range
-   (a deadline past 2^62 ticks) saturates; such an entry keeps its exact
-   deadline and is found by the full-pass sweeps.  ALLOC003: the Int64
-   intermediates are unboxed once inlined. *)
-let[@inline] tick_of t at =
-  let q = Int64.div at t.tick_span in
-  if Int64.compare q (Int64.of_int max_int) > 0 then max_int
-  else if Int64.compare q (Int64.of_int min_int) < 0 then min_int
-  else Int64.to_int q
+(* ---- rows ----------------------------------------------------------- *)
+
+let[@inline] s_at t i = t.slab.(i * stride)
+let[@inline] set_at t i v = t.slab.(i * stride) <- v
+let[@inline] s_tie t i = t.slab.((i * stride) + 1)
+let[@inline] set_tie t i v = t.slab.((i * stride) + 1) <- v
+let[@inline] s_prev t i = t.slab.((i * stride) + 2)
+let[@inline] set_prev t i v = t.slab.((i * stride) + 2) <- v
+let[@inline] s_next t i = t.slab.((i * stride) + 3)
+let[@inline] set_next t i v = t.slab.((i * stride) + 3) <- v
+let[@inline] s_gen t i = t.slab.((i * stride) + 4)
+let[@inline] set_gen t i v = t.slab.((i * stride) + 4) <- v
+let[@inline] s_loc t i = t.slab.((i * stride) + 5)
+let[@inline] set_loc t i v = t.slab.((i * stride) + 5) <- v
+let[@inline] saturated d = d = max_int || d = min_int
+
+let grow t v =
+  let cap = if t.cap = 0 then 16 else t.cap * 2 in
+  if cap > max_rows then failwith "Timing_wheel: more than 2^24 pending entries";
+  let slab = Array.make (cap * stride) 0 in
+  Array.blit t.slab 0 slab 0 (t.cap * stride);
+  for i = t.cap to cap - 1 do
+    slab.((i * stride) + 5) <- loc_free
+  done;
+  t.slab <- slab;
+  (* A freed row keeps its last value alive until reuse, bounded by the
+     capacity: the price of a non-optional value array. *)
+  let vals = Array.make cap v in
+  Array.blit t.vals 0 vals 0 t.cap;
+  t.vals <- vals;
+  if Array.length t.big > 0 then begin
+    let big = Array.make cap Time_ns.zero in
+    Array.blit t.big 0 big 0 t.cap;
+    t.big <- big
+  end;
+  let stk = Array.make cap 0 in
+  Array.blit t.free_stk 0 stk 0 t.free_top;
+  for i = cap - 1 downto t.cap do
+    stk.(t.free_top + (cap - 1 - i)) <- i
+  done;
+  t.free_stk <- stk;
+  t.free_top <- t.free_top + (cap - t.cap);
+  t.cap <- cap
+
+let[@inline] alloc_row t v =
+  if t.free_top = 0 then grow t v;
+  t.free_top <- t.free_top - 1;
+  let i = t.free_stk.(t.free_top) in
+  t.vals.(i) <- v;
+  i
+
+let free_row t i =
+  set_gen t i (s_gen t i + 1);
+  set_loc t i loc_free;
+  t.free_stk.(t.free_top) <- i;
+  t.free_top <- t.free_top + 1
+
+let[@inline] valid t h =
+  let i = row_of h in
+  i < t.cap && s_gen t i = gen_of h && s_loc t i <> loc_free
+
+let set_big t i at =
+  if Array.length t.big = 0 then t.big <- Array.make t.cap Time_ns.zero;
+  t.big.(i) <- at
+
+(* Row [i]'s deadline, boxed.  A row whose deadline equals the cached
+   minimum's shares that box. *)
+let deadline_box t i =
+  let d = s_at t i in
+  if saturated d then t.big.(i)
+  else
+    match t.min_cache with
+    | Some c when Int64.equal c (Int64.of_int d) -> c
+    | Some _ | None -> Int64.of_int d
 [@@lint.allow "ALLOC003"]
+
+(* Strict (deadline) order of rows [a] and [b], and the (deadline, tie)
+   dispatch order. *)
+let[@inline] earlier t a b =
+  let da = s_at t a and db = s_at t b in
+  da < db || (da = db && saturated da && Time_ns.(t.big.(a) < t.big.(b)))
+
+let before t a b = earlier t a b || ((not (earlier t b a)) && s_tie t a < s_tie t b)
+
+(* Whether row [i] is due at [now] ([now_i] is [now] saturated). *)
+let[@inline] due t i ~now ~now_i =
+  let d = s_at t i in
+  d < now_i || (d = now_i && ((not (saturated d)) || Time_ns.(t.big.(i) <= now)))
+
+(* [at] clamped into the int range; the literals are [max_int] and
+   [min_int]. *)
+let[@inline] saturate at =
+  if Int64.compare at 0x3FFF_FFFF_FFFF_FFFFL >= 0 then max_int
+  else if Int64.compare at (-0x4000_0000_0000_0000L) <= 0 then min_int
+  else Int64.to_int at
+
+(* ---- slots and their occupancy bitmap ------------------------------- *)
 
 let[@inline] slot_of t tk =
   let r = tk mod t.slots_n in
   if r < 0 then r + t.slots_n else r
 
-(* Corpses (cancelled or re-armed-away placements) are normally
-   reclaimed lazily when their slot is swept, but a schedule/cancel
-   churn loop targeting slots far ahead of the sweep horizon would
-   otherwise grow bucket lists without bound (the cancel-leak).  Once
-   the corpses outnumber both the live entries and the slot count, one
-   O(resident) pass removes them all; the thresholds make that pass
-   amortized O(1) per cancellation while keeping
-   [resident t <= 2 * max (pending t) (slots t)]. *)
-let e_compact = Profile.intern [ "wheel"; "compact_pass" ]
+let[@inline] tick_of t d = d / t.gran
+
+(* The tick a row at deadline [d] is linked under: its own, or the
+   sweep horizon's when that is later. *)
+let[@inline] link_tick t d = Int.max (tick_of t d) t.last_tick
+
+(* The first occupied slot at an offset in [off, lim) from the sweep
+   horizon's slot [s0], as an offset, or [lim] when there is none. *)
+let rec next_occupied t s0 off lim =
+  if off >= lim then lim
+  else begin
+    let n = t.slots_n in
+    let s = s0 + off in
+    let s = if s >= n then s - n else s in
+    if t.heads.(s) >= 0 then off
+    else begin
+      let upto = Int.min (if s >= s0 then n - 1 else s0 - 1) (s + lim - off - 1) in
+      let f = Bitmap.ffs_in_range t.occ ~from:s ~upto in
+      if f < 0 then next_occupied t s0 (off + upto - s + 1) lim else off + f - s
+    end
+  end
+
+let link t s i =
+  let h = t.heads.(s) in
+  set_prev t i (-1);
+  set_next t i h;
+  if h >= 0 then set_prev t h i else Bitmap.set_bit t.occ s;
+  t.heads.(s) <- i;
+  set_loc t i s
+
+let unlink t i =
+  let s = s_loc t i and p = s_prev t i and n = s_next t i in
+  if n >= 0 then set_prev t n p;
+  if p >= 0 then set_next t p n
+  else begin
+    t.heads.(s) <- n;
+    if n < 0 then Bitmap.clear_bit t.occ s
+  end
+
+(* Link row [i] into the slot of its deadline.  Deadlines before the
+   sweep horizon land in the current slot so the next sweep finds them;
+   the exact deadline is kept. *)
+let[@inline] link_due t i = link t (slot_of t (link_tick t (s_at t i))) i
+
+(* ---- the earliest deadline ------------------------------------------ *)
+
 let e_sweep = Profile.intern [ "wheel"; "sweep_min_scan" ]
 
-let compact t =
-  Profile.event e_compact;
-  for i = 0 to t.slots_n - 1 do
-    t.buckets.(i) <- List.filter live t.buckets.(i)
-  done;
-  t.cancelled <- 0
+let rec chain_min t i best =
+  if i < 0 then best
+  else chain_min t (s_next t i) (if best < 0 || earlier t i best then i else best)
 
-let maybe_compact t = if t.cancelled >= t.slots_n && t.cancelled > t.count then compact t
+(* Earliest bucketed row: visit occupied slots in time order from the
+   sweep horizon.  A row due within the slot being visited dominates
+   every later slot, so the scan usually stops at the first occupied
+   slot; a full pass is the worst case. *)
+let rec scan_from t s0 off best =
+  let off = next_occupied t s0 off t.slots_n in
+  if off >= t.slots_n then best
+  else begin
+    let best = chain_min t t.heads.(slot_of t (s0 + off)) best in
+    let tk = t.last_tick + off in
+    if tk < max_int / t.gran && s_at t best < (tk + 1) * t.gran then best
+    else scan_from t s0 (off + 1) best
+  end
 
-(* Give [h] a fresh tie position and a placement in the slot of its
-   deadline.  The new tie position is taken first, so a compaction pass
-   triggered here already sees a re-armed handle's old placement as a
-   corpse.  The sole pending entry is its own minimum, whatever the
-   cache held. *)
-let place t h =
-  let seq = t.next_seq in
-  t.next_seq <- seq + 1;
-  h.hseq <- seq;
-  maybe_compact t;
-  let at = h.hdeadline in
-  (* Deadlines before the sweep horizon land in the current slot so they
-     are found by the next sweep; the exact deadline is preserved. *)
-  let idx = slot_of t (Int.max (tick_of t at) t.last_tick) in
-  t.buckets.(idx) <- { seq; h } :: t.buckets.(idx);
-  (if t.count = 0 then t.min_cache <- Some at
+let scan_min t =
+  Profile.event e_sweep;
+  let r = scan_from t (slot_of t t.last_tick) 0 (-1) in
+  if r < 0 then min_none else r
+
+let[@inline] set_min t r =
+  t.min_row <- r;
+  t.cache_ok <- false
+
+let[@inline] known_min t =
+  if t.min_row = min_unknown then set_min t (scan_min t);
+  t.min_row
+
+(* ALLOC002: a changed minimum allocates the new cached [Some]; every
+   later query until the minimum's value moves answers with that cell. *)
+let[@hot] next_deadline t =
+  if t.count = 0 then None
+  else if t.cache_ok then t.min_cache
+  else begin
+    let r = known_min t in
+    let fresh =
+      match t.min_cache with
+      | None -> true
+      | Some c ->
+        if r = min_none then not (Int64.equal c Int64.max_int)
+        else
+          let d = s_at t r in
+          if saturated d then not (Int64.equal c t.big.(r))
+          else not (Int64.equal c (Int64.of_int d) [@lint.allow "ALLOC003"])
+    in
+    if fresh then
+      t.min_cache <-
+        (Some (if r = min_none then Int64.max_int else deadline_box t r) [@lint.allow "ALLOC002"]);
+    t.cache_ok <- true;
+    t.min_cache
+  end
+
+(* ---- schedule, cancel, re-arm --------------------------------------- *)
+
+(* Give row [i] a fresh tie position and link it.  The sole pending
+   entry is its own minimum, whatever the cache held. *)
+let place t i =
+  set_tie t i t.next_seq;
+  t.next_seq <- t.next_seq + 1;
+  link_due t i;
+  (if t.count = 0 then set_min t i
    else
-     match t.min_cache with
-     | Some m when Time_ns.(at < m) -> t.min_cache <- Some at
-     | Some _ | None -> ());
+     let m = t.min_row in
+     if m = min_none then begin
+       if not (saturated (s_at t i) && Int64.equal t.big.(i) Int64.max_int) then set_min t i
+     end
+     else if m >= 0 && earlier t i m then set_min t i);
   t.count <- t.count + 1
 
-let schedule t ~at value =
-  let h = { hstate = Pending; hdeadline = at; hseq = 0; value } in
-  place t h;
-  h
-
-let schedule_i t ~at_i value = schedule t ~at:(Int64.of_int at_i) value
-
-(* Turn a pending handle's placement into a corpse.  Only removing the
-   (possibly) earliest entry can change the minimum. *)
-let unplace t h =
+(* Take pending row [i] out of its slot (or its batch).  Only removing
+   the (possibly) earliest entry can change the minimum. *)
+let unplace t i =
+  if s_loc t i >= 0 then unlink t i;
   t.count <- t.count - 1;
-  t.cancelled <- t.cancelled + 1;
-  match t.min_cache with
-  | Some m when t.count > 0 && Time_ns.(h.hdeadline <= m) -> t.min_cache <- None
-  | Some _ | None -> ()
+  let m = t.min_row in
+  if t.count > 0 && (m = min_none || (m >= 0 && not (earlier t m i))) then set_min t min_unknown
+
+let set_deadline t i at =
+  let d = saturate at in
+  set_at t i d;
+  if saturated d then set_big t i at
+
+let[@hot] schedule_i t ~at_i v =
+  let i = alloc_row t v in
+  set_at t i at_i;
+  if saturated at_i then set_big t i (Int64.of_int at_i [@lint.allow "ALLOC003"]);
+  place t i;
+  (s_gen t i lsl row_bits) lor i
+
+let schedule t ~at v =
+  let i = alloc_row t v in
+  set_deadline t i at;
+  place t i;
+  (s_gen t i lsl row_bits) lor i
 
 let cancel t h =
-  if h.hstate = Pending then begin
-    h.hstate <- Cancelled;
-    unplace t h
+  if valid t h then begin
+    let i = row_of h in
+    unplace t i;
+    free_row t i
   end
 
 let rearm t h ~at =
-  h.hstate = Pending
+  valid t h
   && begin
-       unplace t h;
-       h.hdeadline <- at;
-       place t h;
+       let i = row_of h in
+       unplace t i;
+       set_deadline t i at;
+       place t i;
        true
      end
 
-(* Earliest live deadline in [l], or [best] if none is earlier; returns
-   one of the existing boxes. *)
-let rec bucket_min best l =
-  match l with
-  | [] -> best
-  | e :: rest ->
-    bucket_min (if live e && Time_ns.(e.h.hdeadline < best) then e.h.hdeadline else best) rest
+let handle_pending t h = valid t h
+let handle_deadline t h = if valid t h then deadline_box t (row_of h) else Time_ns.zero
 
-(* Earliest pending deadline: scan slots in time order starting at the
-   sweep horizon.  An entry due within the slot currently being visited
-   dominates everything in later slots, so the scan usually exits after
-   a handful of slots; a full pass (visiting every bucket once) is the
-   worst case and yields the exact minimum.  Called with entries
-   pending, so a full pass that finds nothing below [Int64.max_int]
-   means every pending deadline is [Int64.max_int].  ALLOC003: the slot
-   end is an unboxed Int64 temporary, compared and dropped. *)
-let rec sweep_from t i best =
-  if i >= t.slots_n then best
-  else begin
-    let tk = t.last_tick + i in
-    let best = bucket_min best t.buckets.(slot_of t tk) in
-    let slot_end = Int64.mul (Int64.of_int (tk + 1)) t.tick_span in
-    if Int64.compare best slot_end < 0 then best else sweep_from t (i + 1) best
+(* ---- expiry ----------------------------------------------------------- *)
+
+let push_scratch t h =
+  if t.scratch_top = Array.length t.scratch then begin
+    let a = Array.make (2 * t.scratch_top) 0 in
+    Array.blit t.scratch 0 a 0 t.scratch_top;
+    t.scratch <- a
+  end;
+  t.scratch.(t.scratch_top) <- h;
+  t.scratch_top <- t.scratch_top + 1
+
+(* Move the due rows of the chain starting at [i] into the batch. *)
+let rec gather t i ~now ~now_i =
+  if i >= 0 then begin
+    let next = s_next t i in
+    if due t i ~now ~now_i then begin
+      unlink t i;
+      set_loc t i loc_batch;
+      push_scratch t ((s_gen t i lsl row_bits) lor i)
+    end;
+    gather t next ~now ~now_i
   end
-[@@lint.allow "ALLOC003"]
 
-let sweep_min t =
-  Profile.event e_sweep;
-  sweep_from t 0 Int64.max_int
+let[@inline] lt t x y = before t (row_of x) (row_of y)
 
-(* ALLOC002: a cache miss (a cancel or a batch invalidated the minimum)
-   allocates the new cached [Some]; every later check until the
-   minimum moves answers with that same cell. *)
-let[@hot] next_deadline t =
-  if t.count = 0 then None
-  else
-    match t.min_cache with
-    | Some _ as cached -> cached
-    | None ->
-      let m = Some (sweep_min t) [@lint.allow "ALLOC002"] in
-      t.min_cache <- m;
-      m
-
-(* A due entry the batch does not dispatch (budget exhausted, or an
-   earlier callback raised) goes back into the wheel with its deadline
-   and tie position intact, so the next call dispatches it in the same
-   order; [last_tick] already advanced past its slot, hence the clamp.
-   A corpse met here was counted by its cancel or re-arm.  ALLOC002:
-   the cons cell is paid only by withheld entries — the truncated tail
-   of a batch, never a fully fired one. *)
-let withhold t e =
-  if live e then begin
-    let idx = slot_of t (Int.max (tick_of t e.h.hdeadline) t.last_tick) in
-    t.buckets.(idx) <- (e :: t.buckets.(idx) [@lint.allow "ALLOC002"])
-  end
-  else if t.cancelled > 0 then t.cancelled <- t.cancelled - 1
-
-let rec withhold_all t l =
-  match l with
-  | [] -> ()
-  | e :: rest ->
-    withhold t e;
-    withhold_all t rest
-
-let rec has_removable now l =
-  match l with
-  | [] -> false
-  | e :: rest -> (not (live e)) || Time_ns.(e.h.hdeadline <= now) || has_removable now rest
-
-(* Empty bucket [idx] (whose entries are the list being walked): drop
-   its corpses, push its due entries onto [due] and put the rest back.
-   Bucket order carries no meaning (a batch is sorted, a sweep takes a
-   minimum), so the survivors go back reversed.  ALLOC002: the cons
-   cells are the batch and the survivors of a bucket that held due
-   entries or corpses. *)
-let rec sift t now idx keep due l =
-  match l with
-  | [] ->
-    t.buckets.(idx) <- keep;
-    due
-  | e :: rest ->
-    if not (live e) then begin
-      t.cancelled <- t.cancelled - 1;
-      sift t now idx keep due rest
+(* Heap order over [scratch.(lo .. lo + n - 1)]: restore it below [k]. *)
+let rec sift t lo k n =
+  let a = t.scratch in
+  let c = (2 * k) + 1 in
+  if c < n then begin
+    let c = if c + 1 < n && lt t a.(lo + c) a.(lo + c + 1) then c + 1 else c in
+    if lt t a.(lo + k) a.(lo + c) then begin
+      let x = a.(lo + k) in
+      a.(lo + k) <- a.(lo + c);
+      a.(lo + c) <- x;
+      sift t lo c n
     end
-    else if Time_ns.(e.h.hdeadline <= now) then
-      sift t now idx keep (e :: due [@lint.allow "ALLOC002"]) rest
-    else sift t now idx (e :: keep [@lint.allow "ALLOC002"]) due rest
+  end
 
-let by_deadline a b =
-  let c = Time_ns.compare a.h.hdeadline b.h.hdeadline in
-  if c <> 0 then c else Int.compare a.seq b.seq
+(* Heapsort the batch [scratch.(lo .. hi - 1)] into (deadline, tie)
+   order, in place. *)
+let sort_batch t lo hi =
+  let a = t.scratch and n = hi - lo in
+  for k = (n / 2) - 1 downto 0 do
+    sift t lo k n
+  done;
+  for m = n - 1 downto 1 do
+    let x = a.(lo) in
+    a.(lo) <- a.(lo + m);
+    a.(lo + m) <- x;
+    sift t lo 0 m
+  done
 
-(* Run the sorted batch, at most [limit] callbacks; returns the count. *)
-let rec dispatch t f limit fired batch =
-  match batch with
-  | [] -> fired
-  | e :: rest ->
-    (* Re-check before dispatch: an earlier callback in this batch may
-       have cancelled or re-armed this entry after it left its bucket. *)
-    if live e && fired < limit then begin
-      e.h.hstate <- Fired;
+(* A batch row the call does not dispatch (budget exhausted, or an
+   earlier callback raised) goes back into its slot with deadline and
+   tie position intact, so the next call dispatches it in the same
+   order.  Rows an earlier callback cancelled or re-armed are gone from
+   the batch already. *)
+let[@inline] in_batch t h = valid t h && s_loc t (row_of h) = loc_batch
+
+(* A withheld row rejoins the minimum a callback may have cached. *)
+let withhold t i =
+  link_due t i;
+  let m = t.min_row in
+  if m = min_none || (m >= 0 && earlier t i m) then set_min t i
+
+let withhold_from t k stop =
+  for k = k to stop - 1 do
+    let h = t.scratch.(k) in
+    if in_batch t h then withhold t (row_of h)
+  done
+
+(* Run the sorted batch [scratch.(k .. stop - 1)], at most [limit]
+   callbacks; returns the count and pops the batch, which starts at
+   [base].  Each row is re-checked first: an earlier callback may have
+   cancelled or re-armed it.  [t.scratch] is re-read every step, since a
+   nested call may have grown it. *)
+let rec dispatch t f limit fired k base stop =
+  if k >= stop then begin
+    t.scratch_top <- base;
+    fired
+  end
+  else begin
+    let h = t.scratch.(k) in
+    if not (in_batch t h) then dispatch t f limit fired (k + 1) base stop
+    else if fired >= limit then begin
+      withhold t (row_of h);
+      dispatch t f limit fired (k + 1) base stop
+    end
+    else begin
+      let i = row_of h in
+      let d = deadline_box t i and v = t.vals.(i) in
+      free_row t i;
       t.count <- t.count - 1;
-      (match f e.h.hdeadline e.h.value with
+      (match f d v with
       | () -> ()
       | exception exn ->
         (* A raising callback withholds the rest of the batch, as an
            exhausted budget would, before the exception leaves. *)
         let bt = Printexc.get_raw_backtrace () in
-        withhold_all t rest;
+        withhold_from t (k + 1) stop;
+        t.scratch_top <- base;
         Printexc.raise_with_backtrace exn bt);
-      dispatch t f limit (fired + 1) rest
+      dispatch t f limit (fired + 1) (k + 1) base stop
     end
-    else begin
-      withhold t e;
-      dispatch t f limit fired rest
-    end
+  end
 
-(* Snapshot-batch contract: due entries leave their buckets into a list
-   before any callback runs.  A batch of one needs no sort.  ALLOC002:
-   the sort's cells are paid only by batches of two or more. *)
+(* Snapshot-batch contract: due rows leave their slots for the scratch
+   stack before any callback runs.  A batch of one needs no sort. *)
 let[@hot] fire_due t ?prefetch:_ ~now ~limit f =
-  maybe_compact t;
-  let now_tick = tick_of t now in
-  match next_deadline t with
-  | Some m when Time_ns.(m <= now) ->
+  let now_i = saturate now in
+  let now_tick = link_tick t now_i in
+  let m = if t.count = 0 then min_none else known_min t in
+  if t.count > 0 && (if m = min_none then Int64.equal now Int64.max_int else due t m ~now ~now_i)
+  then begin
     let first = t.last_tick in
     let span = now_tick - first in
     let sweep_count = if span >= t.slots_n - 1 then t.slots_n else span + 1 in
-    let due = ref [] in
-    for i = 0 to sweep_count - 1 do
-      let idx = slot_of t (first + i) in
-      let bucket = t.buckets.(idx) in
-      if has_removable now bucket then due := sift t now idx [] !due bucket
+    let base = t.scratch_top in
+    let s0 = slot_of t first in
+    let off = ref (next_occupied t s0 0 sweep_count) in
+    while !off < sweep_count do
+      gather t t.heads.(slot_of t (s0 + !off)) ~now ~now_i;
+      off := next_occupied t s0 (!off + 1) sweep_count
     done;
-    t.last_tick <- Int.max t.last_tick now_tick;
-    t.min_cache <- None;
-    let batch =
-      match !due with
-      | ([] | [ _ ]) as one -> one
-      | many -> (List.sort by_deadline many [@lint.allow "ALLOC002"])
-    in
-    let scanned = List.length batch in
-    Fire_outcome.pack ~scanned ~fired:(dispatch t f limit 0 batch)
-  | Some _ | None ->
+    t.last_tick <- now_tick;
+    set_min t min_unknown;
+    let stop = t.scratch_top in
+    if stop - base >= 2 then sort_batch t base stop;
+    let fired = dispatch t f limit 0 base base stop in
+    Fire_outcome.pack ~scanned:(stop - base) ~fired
+  end
+  else begin
     (* Nothing due: intermediate slots can hold no due entries, so the
        sweep horizon may jump ahead in O(1). *)
-    t.last_tick <- Int.max t.last_tick now_tick;
+    t.last_tick <- now_tick;
     Fire_outcome.pack ~scanned:0 ~fired:0
+  end
 
-(* Analytic heap-footprint estimate, 64-bit words.  Per resident
-   placement: cons cell (3) + entry record (3) + handle (5) + one
-   shared boxed int64 deadline (3) = 14 words (a re-arm corpse shares
-   its live handle, so it is over-counted by 8); the wheel itself is
-   its record (9), the bucket array (slots+1), the boxed tick (3) and
-   the cached minimum's option cell and its deadline box (5; the box
-   is usually a handle's, counted again there). *)
-let words t = 17 + (t.slots_n + 1) + (14 * (t.count + t.cancelled))
+(* Heap footprint, 64-bit words: the record (19 fields + header), the
+   boxed tick, the slot and bitmap arrays, the slab, value, free-stack
+   and scratch arrays, the saturated-deadline array and the cached
+   minimum (option cell and box; the box may be shared). *)
+let words t =
+  let arr n = if n = 0 then 0 else n + 1 in
+  20 + 3
+  + arr t.slots_n
+  + arr (Array.length t.occ)
+  + arr (Array.length t.slab)
+  + arr (Array.length t.vals)
+  + arr (Array.length t.free_stk)
+  + arr (Array.length t.scratch)
+  + arr (Array.length t.big)
+  + match t.min_cache with Some _ -> 5 | None -> 0
 
 let iter_pending t f =
-  Array.iter
-    (fun bucket -> List.iter (fun e -> if live e then f e.h.hdeadline e.h.value) bucket)
-    t.buckets
+  for i = 0 to t.cap - 1 do
+    if s_loc t i <> loc_free then f (deadline_box t i) t.vals.(i)
+  done

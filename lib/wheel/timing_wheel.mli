@@ -9,8 +9,12 @@
     duration each; an entry due at absolute time [d] lives in slot
     [(d / tick) mod slots] and carries its exact deadline, so entries
     more than one rotation away are simply skipped when their slot is
-    swept.  The earliest-deadline query is served from a monotone cache
-    that is invalidated only when the minimum could have changed.
+    swept.  Entries are rows of an int slab, chained per slot; an
+    occupancy bitmap over the slots lets sweeps and the minimum search
+    skip empty ones, and handles are immediate ints, so a schedule
+    allocates nothing.  The earliest-deadline query is served from a
+    cache that is invalidated only when the minimum could have
+    changed.
 
     The wheel is agnostic to what an event is: it stores values of an
     arbitrary payload type and hands them back on expiry.  It
@@ -25,7 +29,9 @@ val name : string
 type 'a t
 
 type 'a handle
-(** Identifies a scheduled entry; stays valid across re-arms. *)
+(** Identifies a scheduled entry; stays valid across re-arms.  Once the
+    entry fires or is cancelled the handle is stale for good, even after
+    its row holds another entry. *)
 
 val create : ?slots:int -> tick:Time_ns.span -> unit -> 'a t
 (** [create ~tick ()] builds an empty wheel whose slots each cover
@@ -39,46 +45,42 @@ val pending : 'a t -> int
 (** Number of scheduled, uncancelled, unfired entries. *)
 
 val resident : 'a t -> int
-(** Placements physically present in the wheel's buckets: pending
-    entries plus cancelled or re-armed-away placements (corpses)
-    awaiting lazy reclamation.  Every schedule, re-arm and [fire_due]
-    first runs one compaction pass if corpses number at least both
-    [slots t] and [pending t], so right after a schedule or re-arm
-    [resident t <= 2 * max (pending t) (slots t)] however long the
-    churn.  Cancels, and fires of entries in other slots than the
-    corpses, lower [pending t] without reclaiming anything, so the
-    bound can be exceeded until the next such call. *)
+(** Entries physically held: always [pending t], since cancel and
+    re-arm unlink at once and leave nothing behind. *)
 
 val handle_deadline : 'a t -> 'a handle -> Time_ns.t
-(** The absolute deadline the entry was last scheduled or re-armed for
-    (valid in any state). *)
+(** The absolute deadline a pending entry was last scheduled or
+    re-armed for; [Time_ns.zero] on a stale handle. *)
 
 val handle_pending : 'a t -> 'a handle -> bool
 (** Whether the entry is still scheduled (not cancelled, not fired). *)
 
 val schedule : 'a t -> at:Time_ns.t -> 'a -> 'a handle
 (** [schedule t ~at v] registers [v] to expire at absolute time [at]
-    under a fresh tie position.  O(1). *)
+    under a fresh tie position.  O(1).  Deadlines stay exact over the
+    whole [Time_ns.t] range. *)
 
 val schedule_i : 'a t -> at_i:int -> 'a -> 'a handle
-(** [schedule] with the deadline in integer nanoseconds. *)
+(** [schedule] with the deadline in integer nanoseconds; allocates
+    nothing once the slab has room. *)
 
 val cancel : 'a t -> 'a handle -> unit
-(** Remove an entry.  Cancelling twice, or after expiry, is a no-op.
-    O(1) (lazy removal from the slot list). *)
+(** Remove an entry.  Cancelling twice, after expiry, or through a
+    stale handle is a no-op.  O(1). *)
 
 val rearm : 'a t -> 'a handle -> at:Time_ns.t -> bool
 (** Move a pending entry to deadline [at] under a fresh tie position,
     exactly like cancel + schedule of the same value, but the handle
-    stays valid; the old placement becomes a corpse.  O(1).  [false]
-    (and nothing happens) when the entry already fired or was
-    cancelled. *)
+    stays valid.  O(1).  [false] (and nothing happens) when the entry
+    already fired or was cancelled. *)
 
 val next_deadline : 'a t -> Time_ns.t option
 (** Earliest pending deadline, or [None] when the wheel is empty.  This
     is the comparison the soft-timer facility performs at every trigger
     state; it costs a cached read unless the cache was invalidated by an
-    expiry, in which case the wheel is swept once. *)
+    expiry or by removing the earliest entry, in which case the occupied
+    slots are searched from the sweep horizon, nearest first.  The
+    returned [Some] is rebuilt only when the minimum's value changes. *)
 
 val fire_due :
   'a t ->
@@ -97,12 +99,16 @@ val fire_due :
     including to deadlines already due; those fire on the next call.
     Each entry's state is re-checked immediately before its callback
     runs, so a handler that cancels or re-arms a later same-batch entry
-    suppresses its dispatch.  [prefetch] is ignored. *)
+    suppresses its dispatch.  Due entries are gathered into an int
+    array, sorted only when there are two or more; beyond the deadline
+    handed to [f], a call allocates nothing.  [prefetch] is ignored. *)
 
 val iter_pending : 'a t -> (Time_ns.t -> 'a -> unit) -> unit
 (** Visit every pending entry in unspecified order (for tests). *)
 
 val words : 'a t -> int
 (** Analytic estimate of the wheel's heap footprint in 64-bit words
-    (excluding payloads): record + bucket array + 14 words per resident
-    placement.  Cross-checked against [Obj.reachable_words] in tests. *)
+    (excluding payloads): record, slot and bitmap arrays, the batch
+    scratch array, and 8 words per row of slab capacity (6 row fields,
+    the value and its free-stack entry).  O(1).  Cross-checked against
+    [Obj.reachable_words] in tests. *)

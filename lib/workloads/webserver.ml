@@ -204,6 +204,19 @@ type t = {
   pace_intervals : Stats.Online.t;
   mutable hw_pacer : Hw_pacer.t option;
   mutable started : bool;
+  (* Script items constant for this server, built once in [create]. *)
+  q_ip_output : Exec.item;
+  q_ip_output_handler : Exec.item;  (* IP output inside a timer handler *)
+  q_ctx : Exec.item;
+  q_copy : Exec.item;  (* socket copy + checksum of one data packet *)
+  q_conn_setup : Exec.item;
+  q_pcb : Exec.item;  (* PCB allocation for a SYN *)
+  q_teardown_user : Exec.item;
+  q_trap : Exec.item;
+  q_rx : Exec.item array;  (* input processing: cold, cold + trigger, warm, warm + trigger *)
+  syscall_tmpl : Kernel.step;  (* templates of the drawn steps *)
+  user_tmpl : Kernel.step;
+  draws : float array;  (* one script's variates, in draw order *)
 }
 
 let config t = t.cfg
@@ -221,10 +234,11 @@ let rx_interrupts t =
 let rx_packets t = Array.fold_left (fun acc nic -> acc + Nic.rx_packets nic) 0 t.nics
 let rx_batches t = Array.fold_left (fun acc nic -> acc + Nic.rx_batches nic) 0 t.nics
 
-let small_packet t conn wkind =
+(* ALLOC002: a packet and its metadata are the transmission itself. *)
+let[@lint.allow "ALLOC002"] small_packet t conn wkind =
   Packet.create ~size_bytes:64 ~meta:{ conn; wkind } ~born:(Engine.now t.engine)
 
-let data_packet t conn i =
+let[@lint.allow "ALLOC002"] data_packet t conn i =
   Packet.create ~size_bytes:1500 ~meta:{ conn; wkind = Data i } ~born:(Engine.now t.engine)
 
 let nic_of t conn = t.nics.(conn mod Array.length t.nics)
@@ -263,29 +277,47 @@ let step_kernel_work ?(attr = a_kernel_work) m ~work_us =
     entry_attr = attr;
   }
 
-let syscall_steps t n body =
-  List.init n (fun _ -> Exec.quantum (Kernel.step_syscall ~work_us:(Dist.draw body t.rng) t.machine))
+(* Script building.  Every constant step is one item built in [create];
+   a drawn step copies its template, sharing the entry-cost float.
+   Scripts are consed back to front in one pass, after their variates
+   are drawn into [t.draws] in each builder's fixed draw order, which
+   the server's random stream depends on. *)
 
-let interleave xs ys =
-  (* x1 y1 x2 y2 ... with leftovers appended *)
-  let rec go acc xs ys =
-    match (xs, ys) with
-    | [], rest | rest, [] -> List.rev_append acc rest
-    | x :: xs, y :: ys -> go (y :: x :: acc) xs ys
-  in
-  go [] xs ys
+(* ALLOC002 (here and in the builders below): the script's own cells,
+   drawn steps and emit closures are what a builder produces. *)
+let[@inline] [@lint.allow "ALLOC002"] syscall_item t us =
+  let tmpl = t.syscall_tmpl in
+  Exec.Quantum
+    { tmpl with Kernel.work_us = tmpl.Kernel.entry_us +. Costs.scale_us t.cfg.profile us }
 
-let user_steps t n dist =
-  List.init n (fun _ ->
-      Exec.quantum (Kernel.step_user t.machine ~work_us:(Dist.draw dist t.rng)))
+let[@inline] [@lint.allow "ALLOC002"] user_item t us =
+  Exec.Quantum { t.user_tmpl with Kernel.work_us = Costs.scale_us t.cfg.profile us }
+
+let draw_n t dist base n =
+  for i = base to base + n - 1 do
+    t.draws.(i) <- Dist.draw dist t.rng
+  done
+
+(* Cons [x1 y1 x2 y2 ...] (leftovers of the longer side last) onto
+   [acc]: [nx] steps drawn at [t.draws.(xb ..)], syscalls when [x_sys]
+   and user steps otherwise, and [ny] steps of the other kind drawn at
+   [t.draws.(yb ..)]. *)
+let[@lint.allow "ALLOC002"] interleave_onto t ~x_sys ~xb ~nx ~yb ~ny acc =
+  let m = Int.min nx ny in
+  let acc = ref acc in
+  for p = nx + ny - 1 downto 0 do
+    let from_x = if p < 2 * m then p land 1 = 0 else nx > ny in
+    let j = if p < 2 * m then p lsr 1 else p - m in
+    let us = if from_x then t.draws.(xb + j) else t.draws.(yb + j) in
+    acc := (if from_x = x_sys then syscall_item t us else user_item t us) :: !acc
+  done;
+  !acc
 
 (* Transmit one packet: the IP output loop's work and trigger state,
    then the wire. *)
-let tx_items t conn pkt =
-  [
-    Exec.quantum (Kernel.step_ip_output t.machine);
-    Exec.emit (fun _now -> Nic.transmit (nic_of t conn) pkt);
-  ]
+let[@lint.allow "ALLOC001"] [@lint.allow "ALLOC002"] tx_onto t conn pkt acc =
+  let nic = nic_of t conn in
+  t.q_ip_output :: Exec.emit (fun _now -> Nic.transmit nic pkt) :: acc
 
 let pace_record t now =
   if t.pace_in_train then
@@ -306,95 +338,87 @@ let pace_send t now =
     do_tx now;
     true
 
-(* Transmission performed from inside a timer handler: the IP output
-   work is charged, but it happens within the handler's context rather
-   than ending in a fresh trigger state of its own. *)
-let tx_items_in_handler t conn pkt =
-  [
-    Exec.quantum
-      {
-        Kernel.prio = Cpu.prio_kernel;
-        work_us = Costs.scale_us (Machine.profile t.machine) 7.0;
-        trigger = None;
-        attr = a_ip_output_handler;
-        entry_us = 0.0;
-        entry_attr = a_ip_output_handler;
-      };
-    Exec.emit (fun _now -> Nic.transmit (nic_of t conn) pkt);
-  ]
-
-(* Emission of a data packet: inline, or deferred through the pacer. *)
-let data_tx_item t conn i =
+(* Emission of a data packet: inline, or deferred through the pacer.  An
+   inline packet goes on the wire when the script reaches it, and its IP
+   output quantum runs after that.  A paced packet is transmitted from
+   inside a timer handler: the IP output work is charged, but within the
+   handler's context rather than ending in a fresh trigger state of its
+   own. *)
+let[@lint.allow "ALLOC001"] [@lint.allow "ALLOC002"] data_tx_onto t conn i acc =
   match t.cfg.pacing with
-  | No_pacing -> tx_items t conn (data_packet t conn i)
+  | No_pacing ->
+    let nic = nic_of t conn and pkt = data_packet t conn i in
+    Exec.emit (fun _now -> Nic.transmit nic pkt) :: t.q_ip_output :: acc
   | Soft_pacing | Hw_pacing _ ->
-    [
-      Exec.emit
-        (fun _now ->
-          let pkt = data_packet t conn i in
-          Queue.add
-            (fun _send_time -> Exec.run t.machine (tx_items_in_handler t conn pkt) ignore)
-            t.pace_queue);
-    ]
+    Exec.emit (fun _now ->
+        let pkt = data_packet t conn i in
+        let nic = nic_of t conn in
+        Queue.add
+          (fun _send_time ->
+            Exec.run t.machine
+              [ t.q_ip_output_handler; Exec.emit (fun _now -> Nic.transmit nic pkt) ]
+              ignore)
+          t.pace_queue)
+    :: acc
 
-let write_phase_items t conn =
+let write_syscalls a = (a.data_packets + a.writev_every - 1) / a.writev_every
+
+(* The server's handling of one GET: TCP ACKs the request, then the
+   application serves it.  Draw order: pre-phase syscalls, pre-phase
+   user, post-phase user, post-phase syscalls, write-phase syscalls. *)
+let[@hot] [@lint.allow "ALLOC002"] get_script t conn =
   let a = t.anatomy in
-  let items = ref [] in
-  for i = 0 to a.data_packets - 1 do
-    if i mod a.writev_every = 0 then
-      items :=
-        Exec.quantum (Kernel.step_syscall ~work_us:(Dist.draw a.pre_syscall_body t.rng) t.machine)
-        :: !items;
-    items :=
-      Exec.quantum
-        (step_kernel_work ~attr:a_socket_copy t.machine ~work_us:a.copy_per_packet_us)
-      :: !items;
-    items := List.rev_append (List.rev (data_tx_item t conn i)) !items
+  let pre_s = 0 in
+  let pre_u = pre_s + a.pre_syscalls in
+  let post_u = pre_u + a.pre_user_segments in
+  let post_s = post_u + a.post_user_segments in
+  let wr = post_s + a.post_syscalls in
+  draw_n t a.pre_syscall_body pre_s a.pre_syscalls;
+  draw_n t a.pre_user pre_u a.pre_user_segments;
+  draw_n t a.post_user post_u a.post_user_segments;
+  draw_n t a.post_syscall_body post_s a.post_syscalls;
+  draw_n t a.pre_syscall_body wr (write_syscalls a);
+  let acc = ref [] in
+  for _ = 2 to a.request_ctx_switches do
+    acc := t.q_ctx :: !acc
   done;
-  List.rev !items
+  if a.window_updates >= 2 then acc := tx_onto t conn (small_packet t conn Ack_small) !acc;
+  acc :=
+    interleave_onto t ~x_sys:true ~xb:post_s ~nx:a.post_syscalls ~yb:post_u
+      ~ny:a.post_user_segments !acc;
+  if a.window_updates >= 1 then acc := tx_onto t conn (small_packet t conn Ack_small) !acc;
+  for i = a.data_packets - 1 downto 0 do
+    acc := t.q_copy :: data_tx_onto t conn i !acc;
+    if i mod a.writev_every = 0 then acc := syscall_item t t.draws.(wr + (i / a.writev_every)) :: !acc
+  done;
+  acc :=
+    interleave_onto t ~x_sys:false ~xb:pre_u ~nx:a.pre_user_segments ~yb:pre_s ~ny:a.pre_syscalls
+      !acc;
+  if a.request_ctx_switches >= 1 then acc := t.q_ctx :: !acc;
+  tx_onto t conn (small_packet t conn Ack_small) !acc
 
-let maybe_trap t p =
-  if Prng.float t.rng < p then [ Exec.quantum (Kernel.step_trap t.machine) ] else []
-
-let ctx_steps t n = List.init n (fun _ -> Exec.quantum (Kernel.step_ctx_switch t.machine))
-
-(* The application-level handling of one GET. *)
-let request_items t conn =
+(* Connection setup when the application accepts.  Draw order: the
+   page-fault coin, then syscalls, then user. *)
+let[@hot] [@lint.allow "ALLOC002"] setup_script t =
   let a = t.anatomy in
-  let pre =
-    interleave (user_steps t a.pre_user_segments a.pre_user) (syscall_steps t a.pre_syscalls a.pre_syscall_body)
+  let trap = Prng.float t.rng < a.setup_traps in
+  let su = a.setup_syscalls in
+  draw_n t a.setup_syscall_body 0 a.setup_syscalls;
+  draw_n t a.setup_user su a.setup_user_segments;
+  let acc = t.q_conn_setup :: (if trap then [ t.q_trap ] else []) in
+  let acc =
+    interleave_onto t ~x_sys:false ~xb:su ~nx:a.setup_user_segments ~yb:0 ~ny:a.setup_syscalls acc
   in
-  let post =
-    interleave (syscall_steps t a.post_syscalls a.post_syscall_body) (user_steps t a.post_user_segments a.post_user)
-  in
-  let ctx = ctx_steps t a.request_ctx_switches in
-  let ctx_in, ctx_out =
-    match ctx with [] -> ([], []) | [ c ] -> ([ c ], []) | c1 :: rest -> ([ c1 ], rest)
-  in
-  let window_update =
-    if a.window_updates >= 1 then tx_items t conn (small_packet t conn Ack_small) else []
-  in
-  let window_update2 =
-    if a.window_updates >= 2 then tx_items t conn (small_packet t conn Ack_small) else []
-  in
-  ctx_in @ pre @ write_phase_items t conn @ window_update @ post @ window_update2 @ ctx_out
+  match t.cfg.kind with Apache -> t.q_ctx :: acc | Flash -> acc
 
-let setup_items t =
+let[@hot] [@lint.allow "ALLOC002"] teardown_script t conn =
   let a = t.anatomy in
-  ctx_steps t (match t.cfg.kind with Apache -> 1 | Flash -> 0)
-  @ interleave (user_steps t a.setup_user_segments a.setup_user) (syscall_steps t a.setup_syscalls a.setup_syscall_body)
-  @ [
-      Exec.quantum
-        (step_kernel_work ~attr:a_conn_setup t.machine ~work_us:a.setup_kernel_extra_us);
-    ]
-  @ maybe_trap t a.setup_traps
-
-let teardown_items t conn =
-  let a = t.anatomy in
-  tx_items t conn (small_packet t conn Ack_small)
-  @ syscall_steps t a.teardown_syscalls a.teardown_syscall_body
-  @ [ Exec.quantum (Kernel.step_user t.machine ~work_us:a.teardown_user_us) ]
-  @ tx_items t conn (small_packet t conn Fin_ack)
+  draw_n t a.teardown_syscall_body 0 a.teardown_syscalls;
+  let acc = ref (t.q_teardown_user :: tx_onto t conn (small_packet t conn Fin_ack) []) in
+  for i = a.teardown_syscalls - 1 downto 0 do
+    acc := syscall_item t t.draws.(i) :: !acc
+  done;
+  tx_onto t conn (small_packet t conn Ack_small) !acc
 
 (* ------------------------------------------------------------------ *)
 (* Client behaviour (runs on the client machines: pure engine events). *)
@@ -450,20 +474,17 @@ let server_dispatch t pkt =
   | Syn ->
     (* PCB allocation + SYN-ACK transmission. *)
     Exec.run t.machine
-      (Exec.quantum (step_kernel_work t.machine ~work_us:14.0)
-       :: tx_items t conn (small_packet t conn Synack))
+      (t.q_pcb :: tx_onto t conn (small_packet t conn Synack) [] [@lint.allow "ALLOC002"])
       ignore
   | Handshake_ack ->
     (* Completes the handshake; connection setup work happens when the
        server application accepts. *)
-    Exec.run t.machine (setup_items t) ignore
+    Exec.run t.machine (setup_script t) ignore
   | Get ->
     (* TCP ACKs the request, then the application handles it. *)
-    Exec.run t.machine
-      (tx_items t conn (small_packet t conn Ack_small) @ request_items t conn)
-      ignore
+    Exec.run t.machine (get_script t conn) ignore
   | Data_ack -> ()
-  | Fin -> Exec.run t.machine (teardown_items t conn) ignore
+  | Fin -> Exec.run t.machine (teardown_script t conn) ignore
   | Last_ack -> ()
   | Synack | Ack_small | Data _ | Fin_ack ->
     (* Client-bound kinds never reach the server. *)
@@ -471,45 +492,18 @@ let server_dispatch t pkt =
 
 (* Input protocol processing of one received batch: the first packet
    pays the full per-packet cost, the rest run warm (aggregation
-   benefit, §5.9). *)
-let on_rx_batch t _now batch =
-  let a = t.anatomy in
-  (* In interrupt mode the batch is processed from a software interrupt:
-     its dispatch and the cold-cache protocol processing cost extra
-     compared with polled processing, which runs in an
-     already-locality-shifted trigger state (the paper's Â§4.2
-     argument). *)
-  let intr_mode = match t.cfg.net with Interrupts -> true | Soft_polling _ -> false in
-  let softintr_surcharge =
-    if intr_mode then 2.5 +. (2.0 *. a.locality.Cache.sensitivity) else 0.0
-  in
-  let items =
-    List.concat
-      (List.mapi
-         (fun i pkt ->
-           let cost =
-             if i = 0 then a.rx_process_us +. softintr_surcharge
-             else a.rx_process_us *. a.locality.Cache.warm_fraction
-           in
-           let trigger =
-             if Prng.float t.rng < a.p_tcpip_trigger then Some Trigger.Tcpip_other else None
-           in
-           let attr = if i = 0 then a_rx_cold else a_rx_warm in
-           [
-             Exec.Quantum
-               {
-                 Kernel.prio = Cpu.prio_softintr;
-                 work_us = cost;
-                 trigger;
-                 attr;
-                 entry_us = 0.0;
-                 entry_attr = attr;
-               };
-             Exec.emit (fun _ -> server_dispatch t pkt);
-           ])
-         batch)
-  in
-  Exec.run t.machine items ignore
+   benefit, §5.9).  Each packet draws whether its quantum ends in one of
+   the network subsystem's additional trigger states. *)
+let[@tail_mod_cons] [@lint.allow "ALLOC001"] [@lint.allow "ALLOC002"] rec rx_items t i batch =
+  match batch with
+  | [] -> []
+  | pkt :: rest ->
+    let trig = Prng.float t.rng < t.anatomy.p_tcpip_trigger in
+    t.q_rx.((if i = 0 then 0 else 2) + if trig then 1 else 0)
+    :: Exec.emit (fun _ -> server_dispatch t pkt)
+    :: rx_items t (i + 1) rest
+
+let[@hot] on_rx_batch t _now batch = Exec.run t.machine (rx_items t 0 batch) ignore
 
 (* ------------------------------------------------------------------ *)
 
@@ -568,6 +562,41 @@ let create cfg =
           ~on_rx_batch:(fun now batch -> on_rx_batch (the_t ()) now batch)
           ~tx_intr_coalesce:8 ~rx_intr_delay:(Time_ns.of_us 25.0) ())
   in
+  let a = anatomy in
+  let kernel_work attr us = Exec.Quantum (step_kernel_work ~attr machine ~work_us:us) in
+  let rx work_us attr trigger =
+    Exec.Quantum
+      {
+        Kernel.prio = Cpu.prio_softintr;
+        work_us;
+        trigger;
+        attr;
+        entry_us = 0.0;
+        entry_attr = attr;
+      }
+  in
+  (* In interrupt mode a batch is processed from a software interrupt:
+     its dispatch and the cold-cache protocol processing cost extra
+     compared with polled processing, which runs in an
+     already-locality-shifted trigger state (the paper's §4.2
+     argument). *)
+  let softintr_surcharge =
+    match cfg.net with
+    | Interrupts -> 2.5 +. (2.0 *. a.locality.Cache.sensitivity)
+    | Soft_polling _ -> 0.0
+  in
+  let cold = a.rx_process_us +. softintr_surcharge in
+  let warm = a.rx_process_us *. a.locality.Cache.warm_fraction in
+  let tcpip = Some Trigger.Tcpip_other in
+  let max_draws =
+    List.fold_left Int.max 0
+      [
+        a.pre_syscalls + a.pre_user_segments + a.post_user_segments + a.post_syscalls
+        + write_syscalls a;
+        a.setup_syscalls + a.setup_user_segments;
+        a.teardown_syscalls;
+      ]
+  in
   let t =
     {
       cfg;
@@ -591,6 +620,24 @@ let create cfg =
       pace_intervals = Stats.Online.create ();
       hw_pacer = None;
       started = false;
+      q_ip_output = Exec.Quantum (Kernel.step_ip_output machine);
+      q_ip_output_handler = kernel_work a_ip_output_handler 7.0;
+      q_ctx = Exec.Quantum (Kernel.step_ctx_switch machine);
+      q_copy = kernel_work a_socket_copy a.copy_per_packet_us;
+      q_conn_setup = kernel_work a_conn_setup a.setup_kernel_extra_us;
+      q_pcb = kernel_work a_kernel_work 14.0;
+      q_teardown_user = Exec.Quantum (Kernel.step_user machine ~work_us:a.teardown_user_us);
+      q_trap = Exec.Quantum (Kernel.step_trap machine);
+      q_rx =
+        [|
+          rx cold a_rx_cold None;
+          rx cold a_rx_cold tcpip;
+          rx warm a_rx_warm None;
+          rx warm a_rx_warm tcpip;
+        |];
+      syscall_tmpl = Kernel.step_syscall machine;
+      user_tmpl = Kernel.step_user machine ~work_us:0.0;
+      draws = Array.make max_draws 0.0;
     }
   in
   t_ref := Some t;
@@ -664,3 +711,7 @@ let run t ~warmup ~measure =
   t.measure_span <- measure;
   Engine.run_until t.engine Time_ns.(warmup + measure);
   t.measuring <- false
+
+module For_testing = struct
+  let get_script = get_script
+end

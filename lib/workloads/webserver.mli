@@ -96,3 +96,12 @@ val rx_interrupts : t -> int
 
 val rx_packets : t -> int
 val rx_batches : t -> int
+
+(** Test-only hooks; not part of the stable interface. *)
+module For_testing : sig
+  val get_script : t -> int -> Exec.item list
+  (** The script that serves one GET on connection [conn]: TCP's ACK,
+      then the application's work and transmissions.  Draws from the
+      server's random stream exactly as serving a request does, so a
+      test can measure what building one script costs. *)
+end

@@ -309,6 +309,24 @@ let test_submit_quantum_alloc () =
        quantum_words_bound)
     true (per <= quantum_words_bound)
 
+(* One interrupt raised and delivered: the line's completion callback is
+   built once and the overhead and handler work stay in int ns, so a
+   delivery costs its quantum (13.0 words measured) and nothing more —
+   no closure over the delivery and no int64 boxes, which made it 34. *)
+let irq_words_bound = quantum_words_bound
+
+let test_irq_delivery_alloc () =
+  let e, m = fresh () in
+  let ln = Machine.interrupt_line m ~name:"dev" ~source:Trigger.Dev_intr ~handler:ignore () in
+  let per =
+    words_per ~n:10_000 (fun () ->
+        ignore (Machine.raise_irq m ln () : bool);
+        Engine.run e)
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "raise + delivery allocates %.1f minor words (bound %.0f)" per irq_words_bound)
+    true (per <= irq_words_bound)
+
 (* A script's items share one completion cursor, so a 20-item script
    allocates the closures of a 1-item one: the 19 extra items cost 19
    quanta and nothing per item on top. *)
@@ -555,6 +573,7 @@ let () =
           Alcotest.test_case "non-finite work rejected" `Quick test_non_finite_work_rejected;
           Alcotest.test_case "submit_quantum allocation" `Quick test_submit_quantum_alloc;
           Alcotest.test_case "script cursor allocation" `Quick test_exec_cursor_alloc;
+          Alcotest.test_case "interrupt delivery allocation" `Quick test_irq_delivery_alloc;
           Alcotest.test_case "profile scaling" `Quick test_kernel_scaling_with_profile;
           Alcotest.test_case "periodic clock" `Quick test_periodic_clock_ticks;
           Alcotest.test_case "extra timer frequency" `Quick test_extra_timer_frequency;

@@ -1,7 +1,7 @@
 (* Tests for the hashed timing wheel, including a property-based
-   equivalence check against a sorted reference model
-   that covers re-arm on a small wheel, where corpses and live entries
-   share slots across wrap-around. *)
+   equivalence check against a sorted reference model that covers
+   re-arm on a small wheel, where entries of different rotations share
+   slots across wrap-around. *)
 
 let us = Time_ns.of_us
 
@@ -122,12 +122,11 @@ let test_invalid_args () =
   Alcotest.check_raises "slots<=0" (Invalid_argument "Timing_wheel.create: slots must be positive")
     (fun () -> ignore (Timing_wheel.create ~slots:0 ~tick:1L () : unit Timing_wheel.t))
 
-(* Regression (cancel-leak): cancelled entries are reclaimed lazily when
-   their slot is swept, so a schedule/cancel churn loop far ahead of the
-   sweep horizon — a rate clock retiming its one outstanding event, say
-   — used to grow bucket lists without bound.  With compaction the
-   resident count (pending + not-yet-reclaimed cancelled) stays bounded
-   by the compaction threshold no matter how many entries churn. *)
+(* Regression (cancel-leak): a schedule/cancel churn loop far ahead of
+   the sweep horizon — a rate clock retiming its one outstanding event,
+   say — once grew bucket lists without bound.  Cancel unlinks
+   physically, so the resident count stays at the pending count no
+   matter how many entries churn. *)
 let test_cancel_churn_bounded () =
   let slots = 64 in
   let w = Timing_wheel.create ~slots ~tick:(us 10.0) () in
@@ -144,28 +143,126 @@ let test_cancel_churn_bounded () =
     true
     (!worst <= (2 * slots) + 2);
   Alcotest.(check int) "only the keeper is pending" 1 (Timing_wheel.pending w);
-  Alcotest.(check (option int64)) "min survives compaction" (Some (us 1e9))
+  Alcotest.(check int) "only the keeper is resident" 1 (Timing_wheel.resident w);
+  Alcotest.(check (option int64)) "min survives the churn" (Some (us 1e9))
     (Timing_wheel.next_deadline w);
   let _, fired = collect_fired w ~now:(us 2e9) in
   Alcotest.(check (list string)) "keeper fires" [ "keeper" ] (List.map snd fired)
 
-(* Re-arm corpses across slot wrap-around: on an 8-slot wheel (one
-   rotation = 80 us) a re-arm one rotation later lands in the same slot
-   as the old placement, which must stay a corpse — never fire, and be
-   reclaimed when its slot is swept. *)
+(* Re-arm across slot wrap-around: on an 8-slot wheel (one rotation =
+   80 us) a re-arm one rotation later lands in the same slot as the old
+   deadline, which must not fire.  Re-arm unlinks, so resident = pending
+   throughout. *)
 let test_rearm_wraparound () =
   let w = Timing_wheel.create ~slots:8 ~tick:(us 10.0) () in
   let h = Timing_wheel.schedule w ~at:(us 25.0) "x" in
   Alcotest.(check bool) "rearm ok" true (Timing_wheel.rearm w h ~at:(us 105.0));
-  Alcotest.(check int) "corpse resident" 2 (Timing_wheel.resident w);
+  Alcotest.(check int) "resident = pending" (Timing_wheel.pending w) (Timing_wheel.resident w);
+  Alcotest.(check int) "one entry resident" 1 (Timing_wheel.resident w);
   Alcotest.(check (option int64)) "min moved" (Some (us 105.0)) (Timing_wheel.next_deadline w);
   let n, _ = collect_fired w ~now:(us 30.0) in
   Alcotest.(check int) "old deadline does not fire" 0 n;
   let n, fired = collect_fired w ~now:(us 110.0) in
   Alcotest.(check int) "fires once at the new deadline" 1 n;
   Alcotest.(check (list (pair int64 string))) "at 105 us" [ (us 105.0, "x") ] fired;
-  Alcotest.(check int) "corpse reclaimed" 0 (Timing_wheel.resident w);
+  Alcotest.(check int) "nothing resident" 0 (Timing_wheel.resident w);
   Alcotest.(check bool) "rearm after fire refused" false (Timing_wheel.rearm w h ~at:(us 500.0))
+
+(* A stale handle — its entry fired or was cancelled, and its row now
+   holds another entry — is a no-op for cancel and re-arm, reports not
+   pending, and its deadline reads as zero. *)
+let test_stale_handle () =
+  let w = Timing_wheel.create ~slots:8 ~tick:(us 10.0) () in
+  let fired_h = Timing_wheel.schedule_i w ~at_i:20_000 "fired" in
+  ignore (collect_fired w ~now:(us 30.0) : int * (Time_ns.t * string) list);
+  let cancelled_h = Timing_wheel.schedule_i w ~at_i:40_000 "cancelled" in
+  Timing_wheel.cancel w cancelled_h;
+  (* Both rows are free again: these two reuse them. *)
+  let a = Timing_wheel.schedule_i w ~at_i:50_000 "a" in
+  let b = Timing_wheel.schedule_i w ~at_i:60_000 "b" in
+  List.iter
+    (fun (what, h) ->
+      Alcotest.(check bool) (what ^ ": not pending") false (Timing_wheel.handle_pending w h);
+      Alcotest.(check int64) (what ^ ": deadline zero") Time_ns.zero
+        (Timing_wheel.handle_deadline w h);
+      Alcotest.(check bool) (what ^ ": rearm refused") false
+        (Timing_wheel.rearm w h ~at:(us 500.0));
+      Timing_wheel.cancel w h)
+    [ ("fired", fired_h); ("cancelled", cancelled_h) ];
+  Alcotest.(check int) "reusers still pending" 2 (Timing_wheel.pending w);
+  Alcotest.(check bool) "a pending" true (Timing_wheel.handle_pending w a);
+  Alcotest.(check int64) "b keeps its deadline" (us 60.0) (Timing_wheel.handle_deadline w b);
+  let _, fired = collect_fired w ~now:(us 100.0) in
+  Alcotest.(check (list string)) "reusers fire in order" [ "a"; "b" ] (List.map snd fired)
+
+(* A budget-withheld entry rejoins the minimum: here the first
+   callback's [next_deadline] caches a later entry's deadline while the
+   withheld one is out of its slot. *)
+let test_withheld_rejoins_minimum () =
+  let w = Timing_wheel.create ~slots:8 ~tick:10L () in
+  ignore (Timing_wheel.schedule w ~at:10L "a" : _ Timing_wheel.handle);
+  ignore (Timing_wheel.schedule w ~at:20L "b" : _ Timing_wheel.handle);
+  let o =
+    Timing_wheel.fire_due w ~now:30L ~limit:1 (fun _ v ->
+        if v = "a" then begin
+          ignore (Timing_wheel.schedule w ~at:100L "c" : _ Timing_wheel.handle);
+          ignore (Timing_wheel.next_deadline w : Time_ns.t option)
+        end)
+  in
+  Alcotest.(check int) "one fired" 1 (Fire_outcome.fired o);
+  Alcotest.(check (option int64)) "b is the minimum" (Some 20L) (Timing_wheel.next_deadline w);
+  let _, fired = collect_fired w ~now:30L in
+  Alcotest.(check (list string)) "b fires next" [ "b" ] (List.map snd fired)
+
+(* Deadlines at the ends of the int range through [schedule_i]: 0 fires
+   at once, and [max_int] and [max_int - 1] keep their exact values and
+   order. *)
+let test_schedule_i_extremes () =
+  let w = Timing_wheel.create ~slots:8 ~tick:(us 10.0) () in
+  ignore (Timing_wheel.schedule_i w ~at_i:max_int "max" : _ Timing_wheel.handle);
+  let h = Timing_wheel.schedule_i w ~at_i:(max_int - 1) "max-1" in
+  ignore (Timing_wheel.schedule_i w ~at_i:0 "zero" : _ Timing_wheel.handle);
+  Alcotest.(check int64) "exact near max_int" (Int64.of_int (max_int - 1))
+    (Timing_wheel.handle_deadline w h);
+  Alcotest.(check (option int64)) "zero is the minimum" (Some 0L) (Timing_wheel.next_deadline w);
+  let _, fired = collect_fired w ~now:0L in
+  Alcotest.(check (list (pair int64 string))) "zero fires at 0" [ (0L, "zero") ] fired;
+  Alcotest.(check (option int64)) "then max_int - 1" (Some (Int64.of_int (max_int - 1)))
+    (Timing_wheel.next_deadline w);
+  let _, fired = collect_fired w ~now:(Int64.of_int (max_int - 1)) in
+  Alcotest.(check (list string)) "max_int - 1 alone" [ "max-1" ] (List.map snd fired);
+  let _, fired = collect_fired w ~now:Int64.max_int in
+  Alcotest.(check (list (pair int64 string))) "max_int last" [ (Int64.of_int max_int, "max") ]
+    fired;
+  Alcotest.(check int) "empty" 0 (Timing_wheel.pending w)
+
+(* One schedule plus a [fire_due] that fires it allocates nothing but
+   the deadline handed to the callback (a boxed int64, 3 words); the
+   list-bucket wheel's handle, placement, cons and batch cells made it
+   19. *)
+let test_cycle_alloc () =
+  let w = Timing_wheel.create ~slots:512 ~tick:(us 10.0) () in
+  let cb _ _ = () in
+  let now = ref 0L in
+  let cycle () =
+    let at_i = Int64.to_int !now + 20_000 in
+    ignore (Timing_wheel.schedule_i w ~at_i () : unit Timing_wheel.handle);
+    now := Int64.of_int at_i;
+    ignore (Timing_wheel.fire_due w ~now:!now ~limit:max_int cb : Fire_outcome.t)
+  in
+  for _ = 1 to 1_000 do
+    cycle ()
+  done;
+  let n = 10_000 in
+  let before = Gc.minor_words () in
+  for _ = 1 to n do
+    cycle ()
+  done;
+  (* The loop's own [now] box is 3 more words per cycle. *)
+  let per = ((Gc.minor_words () -. before) /. float_of_int n) -. 3.0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "schedule + fire_due allocates %.1f minor words (bound 3)" per)
+    true (per <= 3.0)
 
 (* Property: against a sorted model, under a random schedule of
    operations (schedule / cancel / re-arm / advance) on a 16-slot
@@ -299,6 +396,10 @@ let () =
           Alcotest.test_case "deadline beyond the int tick range" `Quick test_extreme_deadline;
           Alcotest.test_case "cancel churn stays bounded" `Quick test_cancel_churn_bounded;
           Alcotest.test_case "rearm across slot wrap-around" `Quick test_rearm_wraparound;
+          Alcotest.test_case "stale handle after row reuse" `Quick test_stale_handle;
+          Alcotest.test_case "schedule_i at the int range's ends" `Quick test_schedule_i_extremes;
+          Alcotest.test_case "withheld entry rejoins the minimum" `Quick test_withheld_rejoins_minimum;
+          Alcotest.test_case "schedule + fire allocation" `Quick test_cycle_alloc;
         ] );
       ("property", [ qc test_oracle_equivalence; qc test_next_deadline_always_min ]);
     ]

@@ -253,6 +253,42 @@ let test_synthetic_traps_present () =
   Alcotest.(check bool) "page-fault storms produce traps" true
     (Machine.trigger_count m Trigger.Trap > 100)
 
+(* ------------------------------------------------------------------ *)
+(* Allocation *)
+
+(* Building one Apache GET script: 45 items, of which the drawn steps
+   copy a per-server template, the constant steps are shared, and each
+   transmission allocates its packet and emit closure.  Measured at 690
+   minor words (dune's default dev profile, x86-64); the list-built
+   script with fresh constant steps and intermediate lists cost 1,366. *)
+let test_get_script_words () =
+  let t = Webserver.create base_cfg in
+  let build () = ignore (Webserver.For_testing.get_script t 0 : Exec.item list) in
+  for _ = 1 to 100 do
+    build ()
+  done;
+  let n = 2_000 in
+  let before = Gc.minor_words () in
+  for _ = 1 to n do
+    build ()
+  done;
+  let per = (Gc.minor_words () -. before) /. float_of_int n in
+  Alcotest.(check bool)
+    (Printf.sprintf "one GET script allocates %.0f minor words (bound 720)" per)
+    true (per <= 720.0)
+
+(* End to end: minor words per completed request over a short web-soft
+   run (Apache, soft-timer pacing), set-up included.  Measured at 4,565;
+   before shared script steps and the slab-backed wheel it was 6,533. *)
+let test_web_soft_words_per_request () =
+  let t = Webserver.create { base_cfg with Webserver.pacing = Webserver.Soft_pacing } in
+  let before = Gc.minor_words () in
+  Webserver.run t ~warmup:(sec 0.1) ~measure:(sec 0.5);
+  let per = (Gc.minor_words () -. before) /. float_of_int (Webserver.completed_requests t) in
+  Alcotest.(check bool)
+    (Printf.sprintf "web-soft allocates %.0f minor words per request (bound 4700)" per)
+    true (per <= 4_700.0)
+
 let () =
   Alcotest.run "workloads"
     [
@@ -264,6 +300,11 @@ let () =
           Alcotest.test_case "deterministic per seed" `Slow test_deterministic_per_seed;
           Alcotest.test_case "background compute harmless" `Slow test_background_compute_harmless;
           Alcotest.test_case "run once" `Quick test_run_only_once;
+        ] );
+      ( "webserver-allocation",
+        [
+          Alcotest.test_case "GET script words" `Quick test_get_script_words;
+          Alcotest.test_case "web-soft words per request" `Quick test_web_soft_words_per_request;
         ] );
       ( "webserver-triggers",
         [

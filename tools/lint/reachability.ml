@@ -274,7 +274,7 @@ let refs_of_expr (t : t) (f : Lint_source.file) ~current_module (e : expression)
    [expand_init] controls whether the search continues THROUGH
    zero-arity bindings.  Their initializers run once at module load,
    so for the ALLOC rules a mention inside one is not a call made by
-   the hot path ([Timing_wheel.e_compact = Profile.intern [...]] must
+   the hot path ([Timing_wheel.e_sweep = Profile.intern [...]] must
    not drag the whole interner into the hot set); the RACE rules keep
    the default over-approximation. *)
 let reach_from ?(expand_init = true) (t : t) (roots : (string * string) list) :

@@ -80,7 +80,25 @@ let run_all cfg sanitize =
    order-sensitive hash of every event).  Any divergence means some
    hidden state — wall clock, global Random, hash order — leaked into
    the run, which is exactly what the determinism contract forbids. *)
-let run_verify cfg buf jobs id =
+(* Committed run-1 trace digests and event counts of the quick runs at
+   the default seed, ring size and store (the runs `make determinism`
+   makes), so a pass also proves a change left the simulation itself
+   unchanged, not only reproducible.  pacer-scale emits no trace
+   events: its digest is FNV-1a's empty-input value and pins only that
+   the trace stays empty, and its tables are checked run against run.
+   Change an entry only with a change meant to alter the simulation. *)
+let golden_digests =
+  [
+    ("table3", ("15268fe37ca0eb66", 2_161_691));
+    ("table8", ("45c65ef54de30442", 2_877_705));
+    ("livelock", ("8dbd9c5a766475e6", 2_010_833));
+    ("sensitivity", ("d0ec73f8418aa3e5", 3_836_919));
+    ("pacer-scale", ("cbf29ce484222325", 0));
+  ]
+
+let default_buf = 1_048_576
+
+let run_verify ~pinned cfg buf jobs id =
   match List.find_opt (fun (name, _, _) -> name = id) experiments with
   | None -> unknown_experiment id
   | Some _ when buf <= 0 -> `Error (false, "--buf must be positive")
@@ -109,7 +127,21 @@ let run_verify cfg buf jobs id =
     let traces_eq = Int64.equal d1 d2 && n1 = n2 in
     Printf.printf "  tables: %s\n" (if tables_eq then "identical" else "DIFFER");
     Printf.printf "  traces: %s\n" (if traces_eq then "identical" else "DIFFER");
-    if tables_eq && traces_eq then begin
+    let golden_ok =
+      match List.assoc_opt id golden_digests with
+      | Some (hex, n)
+        when pinned && cfg.Exp_config.quick && cfg.Exp_config.seed = Exp_config.quick.seed ->
+        let ok = String.equal hex (Trace_digest.hex d1) && n = n1 in
+        Printf.printf "  golden: %s (committed %s, %d events%s)\n"
+          (if ok then "matches" else "DIFFERS")
+          hex n
+          (if n = 0 then "; table-only, the experiment traces no events" else "");
+        ok
+      | _ -> true
+    in
+    if tables_eq && traces_eq && not golden_ok then
+      `Error (false, "verify-determinism: run 1 differs from the committed golden digest")
+    else if tables_eq && traces_eq then begin
       Printf.printf "  PASS: two same-seed runs are bit-for-bit identical\n";
       `Ok ()
     end
@@ -431,7 +463,10 @@ let verify_cmd =
          trace digests (an order-sensitive FNV-1a over every event).  Exits nonzero on any \
          divergence: two same-seed runs of a correct simulation are bit-for-bit identical.  \
          Run 1 is always sequential; with --jobs N the second run fans parallelizable work \
-         across N domains, so a pass also proves parallel execution changes nothing.";
+         across N domains, so a pass also proves parallel execution changes nothing.  With \
+         --quick at the default seed, ring size and store, run 1's digest and event count \
+         must also equal the committed golden values of table3, table8, livelock, \
+         sensitivity and pacer-scale, so a pass proves the simulation itself is unchanged.";
     ]
   in
   let exp_id =
@@ -440,13 +475,14 @@ let verify_cmd =
   in
   let buf =
     let doc = "Trace ring-buffer capacity in events for each run." in
-    Arg.(value & opt int 1_048_576 & info [ "buf" ] ~doc ~docv:"EVENTS")
+    Arg.(value & opt int default_buf & info [ "buf" ] ~doc ~docv:"EVENTS")
   in
   let term =
     Term.(
       ret
         (const (fun quick seed jobs store buf id ->
-             with_store store (fun () -> run_verify (cfg_of quick seed) buf jobs id))
+             let pinned = Option.is_none store && buf = default_buf in
+             with_store store (fun () -> run_verify ~pinned (cfg_of quick seed) buf jobs id))
         $ quick $ seed $ jobs $ store_arg $ buf $ exp_id))
   in
   Cmd.v (Cmd.info "verify-determinism" ~doc ~man) term

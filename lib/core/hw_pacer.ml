@@ -1,6 +1,6 @@
 type t = {
   machine : Machine.t;
-  interval : Time_ns.span;
+  interval_i : int;  (* ns *)
   send : Time_ns.t -> bool;
   dispatch_work_us : float;
   mutable line : Interrupt.line option;
@@ -8,12 +8,24 @@ type t = {
   mutable dispatch_pending : bool;
   mutable epoch : int;
   mutable sends : int;
-  mutable last_send : Time_ns.t option;
+  mutable last_send : int;  (* ns; -1 before the first send *)
   intervals : Hdr.t;  (* constant-memory, like Rate_clock.intervals *)
+  mutable dispatch : Time_ns.t -> unit;  (* the softintr quantum's callback, built once *)
+  mutable k_tick : Engine.kind;
 }
 
 let a_dispatch = Profile.intern [ "softintr"; "hw_pacer" ]
 let e_coalesced = Profile.intern [ "hw_pacer"; "tick_coalesced" ]
+
+let[@hot] on_dispatch t now =
+  t.dispatch_pending <- false;
+  if t.running && t.send now then begin
+    let now_i = Int64.to_int now in
+    if t.last_send >= 0 then
+      Hdr.record t.intervals (float_of_int (now_i - t.last_send) /. 1e3);
+    t.last_send <- now_i;
+    t.sends <- t.sends + 1
+  end
 
 (* The interrupt handler only wakes the software interrupt; the packet
    is transmitted from softintr context, like the BSD thread dispatch
@@ -26,15 +38,18 @@ let on_tick t _now =
   else begin
     t.dispatch_pending <- true;
     Machine.submit_quantum t.machine ~attr:a_dispatch ~prio:Cpu.prio_softintr
-      ~work_us:t.dispatch_work_us ~trigger:None (fun now ->
-        t.dispatch_pending <- false;
-        if t.running && t.send now then begin
-        (match t.last_send with
-        | Some prev -> Hdr.record t.intervals (Time_ns.to_us Time_ns.(now - prev))
-        | None -> ());
-          t.last_send <- Some now;
-          t.sends <- t.sends + 1
-        end)
+      ~work_us:t.dispatch_work_us ~trigger:None t.dispatch
+  end
+
+let the_line t = match t.line with Some l -> l | None -> assert false
+
+(* One tick of the timer started in [epoch]; a stop or restart since
+   then ends the chain. *)
+let[@hot] tick t epoch =
+  if t.running && t.epoch = epoch then begin
+    ignore (Machine.raise_irq t.machine (the_line t) ~handler_work_us:0.4 () : bool);
+    ignore (Engine.post_after_i (Machine.engine t.machine) t.interval_i t.k_tick epoch
+        : Engine.handle)
   end
 
 let create machine ~interval ~send ?(dispatch_work_us = 1.2) () =
@@ -42,7 +57,7 @@ let create machine ~interval ~send ?(dispatch_work_us = 1.2) () =
   let t =
     {
       machine;
-      interval;
+      interval_i = Int64.to_int interval;
       send;
       dispatch_work_us;
       line = None;
@@ -50,8 +65,10 @@ let create machine ~interval ~send ?(dispatch_work_us = 1.2) () =
       dispatch_pending = false;
       epoch = 0;
       sends = 0;
-      last_send = None;
+      last_send = -1;
       intervals = Hdr.create ~lowest:0.01 ();
+      dispatch = ignore;
+      k_tick = Engine.null_kind;
     }
   in
   let line =
@@ -61,24 +78,16 @@ let create machine ~interval ~send ?(dispatch_work_us = 1.2) () =
       ()
   in
   t.line <- Some line;
+  t.dispatch <- on_dispatch t;
+  t.k_tick <- Engine.register (Machine.engine machine) ~name:"hw_pacer.tick" (tick t);
   t
-
-let the_line t = match t.line with Some l -> l | None -> assert false
-
-let rec tick_loop t epoch () =
-  if t.running && t.epoch = epoch then begin
-    ignore (Machine.raise_irq t.machine (the_line t) ~handler_work_us:0.4 () : bool);
-    ignore
-      (Engine.schedule_after (Machine.engine t.machine) t.interval (tick_loop t epoch)
-        : Engine.handle)
-  end
 
 let start t =
   if not t.running then begin
     t.running <- true;
     t.epoch <- t.epoch + 1;
     ignore
-      (Engine.schedule_after (Machine.engine t.machine) t.interval (tick_loop t t.epoch)
+      (Engine.post_after_i (Machine.engine t.machine) t.interval_i t.k_tick t.epoch
         : Engine.handle)
   end
 

@@ -58,8 +58,7 @@ type task = {
 
 (* The running quantum lives in mutable fields rather than in a fresh
    record per dispatch: [current] is the CPU's own [none] sentinel while
-   nothing runs, and [on_complete] is the one completion closure every
-   dispatch schedules. *)
+   nothing runs, and every dispatch posts the CPU's one completion kind. *)
 type t = {
   engine : Engine.t;
   cpu_id : int;
@@ -69,7 +68,7 @@ type t = {
   mutable current : task;
   mutable started : int;  (* dispatch instant of [current], ns *)
   mutable handle : Engine.handle;  (* completion event of [current] *)
-  mutable on_complete : unit -> unit;
+  mutable k_complete : Engine.kind;
   mutable busy : int;
   busy_by_prio : int array;
   mutable idle_hook : Time_ns.t -> unit;
@@ -134,7 +133,7 @@ let[@hot] rec dispatch t =
     t.depth <- t.depth - 1;
     t.current <- task;
     t.started <- Engine.now_i t.engine;
-    t.handle <- Engine.schedule_after_i t.engine task.remaining t.on_complete
+    t.handle <- Engine.post_after_i t.engine task.remaining t.k_complete 0
   end
 
 (* The completion event of [current]: a preempted quantum's event is
@@ -165,7 +164,7 @@ let create ?(id = 0) engine =
       current = none;
       started = 0;
       handle = Engine.null_handle;
-      on_complete = ignore;
+      k_complete = Engine.null_kind;
       busy = 0;
       busy_by_prio = Array.make prio_count 0;
       idle_hook = (fun _ -> ());
@@ -174,7 +173,7 @@ let create ?(id = 0) engine =
       depth = 0;
     }
   in
-  t.on_complete <- (fun () -> complete t);
+  t.k_complete <- Engine.register engine ~name:"cpu.complete" (fun _ -> complete t);
   t
 
 (* ALLOC002: the resumed-front cell, once per preemption. *)

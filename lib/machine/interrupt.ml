@@ -34,7 +34,7 @@ type t = {
   profile : Costs.profile;
   on_trigger : Trigger.kind -> Time_ns.t -> unit;
   mutable overhead_ns : int;  (* per-delivery overhead at the current locality *)
-  mutable spl_until : Time_ns.t;  (* end of the current disabled window *)
+  mutable spl_until : int;  (* end of the current disabled window, ns *)
   mutable spl_deferred : (line * int) list;  (* with handler work, ns *)
 }
 
@@ -51,7 +51,7 @@ let create ~engine ~cpus ~profile ~on_trigger () =
     profile;
     on_trigger;
     overhead_ns = delivery_overhead_ns profile Cache.neutral;
-    spl_until = Time_ns.zero;
+    spl_until = 0;
     spl_deferred = [];
   }
 
@@ -134,7 +134,7 @@ let raise_irq t ln ~handler_work_ns:handler_work =
   Metrics.dincr m_raised;
   let now = Engine.now t.engine in
   Trace.irq_raised ~at:now ~line:ln.name;
-  if ln.spl_blockable && Time_ns.(now < t.spl_until) then begin
+  if ln.spl_blockable && Engine.now_i t.engine < t.spl_until then begin
     (* Interrupts disabled: latch one tick; further ticks are gone. *)
     if ln.deferred then begin
       lose ln ~at:now;
@@ -142,7 +142,9 @@ let raise_irq t ln ~handler_work_ns:handler_work =
     end
     else begin
       ln.deferred <- true;
-      t.spl_deferred <- (ln, handler_work) :: t.spl_deferred;
+      (* ALLOC002: one cell per tick an spl window defers, at most one
+         per line and window. *)
+      t.spl_deferred <- ((ln, handler_work) :: t.spl_deferred [@lint.allow "ALLOC002"]);
       true
     end
   end
@@ -155,34 +157,45 @@ let raise_irq t ln ~handler_work_ns:handler_work =
     true
   end
 
+(* The deferred ticks, newest first: deliver them oldest first. *)
+let rec flush_deferred t pending =
+  match pending with
+  | [] -> ()
+  | (ln, work) :: older ->
+    flush_deferred t older;
+    ln.deferred <- false;
+    if ln.in_flight >= ln.latch_depth then lose ln ~at:(Engine.now t.engine)
+    else deliver t ln work
+
 let flush_spl t =
-  let pending = List.rev t.spl_deferred in
+  let pending = t.spl_deferred in
   t.spl_deferred <- [];
-  List.iter
-    (fun (ln, work) ->
-      ln.deferred <- false;
-      if ln.in_flight >= ln.latch_depth then lose ln ~at:(Engine.now t.engine)
-      else deliver t ln work)
-    pending
+  flush_deferred t pending
+
+(* A draw of [dist] in int ns, rounded as [Dist.span] rounds. *)
+let span_ns dist rng = Float.to_int (Float.round (Dist.draw dist rng *. 1e3))
+
+(* Disabled windows: one engine kind whose payload says which edge is
+   due, 0 for a window opening after its gap, 1 for its end. *)
+let[@hot] spl_edge t ~rng ~gap ~duration kind code =
+  if code = 0 then begin
+    let d = span_ns duration rng in
+    t.spl_until <- Engine.now_i t.engine + d;
+    ignore (Engine.post_after_i t.engine d kind 1 : Engine.handle)
+  end
+  else begin
+    flush_spl t;
+    ignore (Engine.post_after_i t.engine (span_ns gap rng) kind 0 : Engine.handle)
+  end
 
 let start_spl_sections t ~rng ?(rate_per_sec = 1_300.0)
     ?(duration_us = Dist.Uniform (40.0, 180.0)) () =
-  let gap_dist = Dist.Exponential (1e6 /. rate_per_sec) in
-  let rec next_window () =
-    let gap = Dist.span gap_dist rng in
-    ignore
-      (Engine.schedule_after t.engine gap (fun () ->
-           let d = Dist.span duration_us rng in
-           let now = Engine.now t.engine in
-           t.spl_until <- Time_ns.(now + d);
-           ignore
-             (Engine.schedule_after t.engine d (fun () ->
-                  flush_spl t;
-                  next_window ())
-               : Engine.handle))
-        : Engine.handle)
-  in
-  next_window ()
+  let gap = Dist.Exponential (1e6 /. rate_per_sec) in
+  let kind = ref Engine.null_kind in
+  kind :=
+    Engine.register t.engine ~name:"irq.spl" (fun code ->
+        spl_edge t ~rng ~gap ~duration:duration_us !kind code);
+  ignore (Engine.post_after_i t.engine (span_ns gap rng) !kind 0 : Engine.handle)
 
 let raised ln = ln.raised
 let lost ln = ln.lost

@@ -29,6 +29,8 @@ type t = {
   mutable idle_poll : Time_ns.span option;
   mutable idle_deadline_fn : (unit -> Time_ns.t option) option;
   mutable idle_epoch : int;  (* bumped on checker changes; invalidates stale pokes *)
+  mutable k_idle_poll : Engine.kind;
+  mutable k_idle_deadline : Engine.kind;
 }
 
 let engine t = t.engine
@@ -126,25 +128,27 @@ let raise_irq t ln ?(handler_work_us = 0.0) () =
 (* Idle-loop machinery.  At most one idle CPU -- the checker (§5.2) --
    polls for soft-timer events and runs the idle measurement poll; the
    other idle CPUs halt.  Both the poll and the facility's deadline poke
-   are one-shot events re-armed while that CPU stays the checker; the
-   epoch counter discards events armed before the last checker change. *)
+   are one-shot events re-armed while that CPU stays the checker; their
+   payload is the epoch they were armed in, and the epoch counter
+   discards events armed before the last checker change (only an
+   election changes the checker, and it bumps the epoch). *)
 
-let checker_still t epoch i =
-  t.idle_epoch = epoch && t.checker = i && Cpu.is_idle t.cpus.(i)
+let checker_still t epoch =
+  t.idle_epoch = epoch && t.checker >= 0 && Cpu.is_idle t.cpus.(t.checker)
 
-let rec arm_idle_poll t epoch i =
+let arm_idle_poll t epoch =
   match t.idle_poll with
   | None -> ()
   | Some dt ->
-    ignore
-      (Engine.schedule_after t.engine dt (fun () ->
-           if checker_still t epoch i then begin
-             fire_trigger t Trigger.Idle;
-             if checker_still t epoch i then arm_idle_poll t epoch i
-           end)
-        : Engine.handle)
+    ignore (Engine.post_after_i t.engine (Int64.to_int dt) t.k_idle_poll epoch : Engine.handle)
 
-let rec arm_idle_deadline t epoch i =
+let[@hot] idle_poll_event t epoch =
+  if checker_still t epoch then begin
+    fire_trigger t Trigger.Idle;
+    if checker_still t epoch then arm_idle_poll t epoch
+  end
+
+let arm_idle_deadline t epoch =
   match t.idle_deadline_fn with
   | None -> ()
   | Some next_deadline -> begin
@@ -152,15 +156,16 @@ let rec arm_idle_deadline t epoch i =
     | None -> ()
     | Some d ->
       ignore
-        (Engine.schedule_at t.engine d (fun () ->
-             if checker_still t epoch i then begin
-               (* The check hook fires the due event; if the handler
-                  spawned no CPU work we are still idle and must re-arm
-                  for the next deadline ourselves. *)
-               fire_trigger t Trigger.Idle;
-               if checker_still t epoch i then arm_idle_deadline t epoch i
-             end)
-          : Engine.handle)
+        (Engine.post_at_i t.engine (Int64.to_int d) t.k_idle_deadline epoch : Engine.handle)
+  end
+
+let[@hot] idle_deadline_event t epoch =
+  if checker_still t epoch then begin
+    (* The check hook fires the due event; if the handler spawned no CPU
+       work we are still idle and must re-arm for the next deadline
+       ourselves. *)
+    fire_trigger t Trigger.Idle;
+    if checker_still t epoch then arm_idle_deadline t epoch
   end
 
 let rec first_idle t i =
@@ -174,8 +179,8 @@ let assign_checker t =
   let i = first_idle t 0 in
   t.checker <- i;
   if i >= 0 then begin
-    arm_idle_poll t epoch i;
-    arm_idle_deadline t epoch i
+    arm_idle_poll t epoch;
+    arm_idle_deadline t epoch
   end
 
 let on_idle t i _now =
@@ -208,8 +213,13 @@ let create ?(profile = Costs.pentium_ii_300) ?(cpus = 1) engine =
       idle_poll = None;
       idle_deadline_fn = None;
       idle_epoch = 0;
+      k_idle_poll = Engine.null_kind;
+      k_idle_deadline = Engine.null_kind;
     }
   in
+  t.k_idle_poll <- Engine.register engine ~name:"machine.idle_poll" (idle_poll_event t);
+  t.k_idle_deadline <-
+    Engine.register engine ~name:"machine.idle_deadline" (idle_deadline_event t);
   let intc =
     Interrupt.create ~engine ~cpus:cpu_arr ~profile
       ~on_trigger:(fun kind now ->
@@ -227,6 +237,10 @@ let create ?(profile = Costs.pentium_ii_300) ?(cpus = 1) engine =
     cpu_arr;
   t
 
+let[@hot] periodic_tick t ln ~handler_work_ns ~period_i kind =
+  ignore (Interrupt.raise_irq (interrupts t) ln ~handler_work_ns : bool);
+  ignore (Engine.post_after_i t.engine period_i kind 0 : Engine.handle)
+
 let add_periodic_timer t ~hz ?(handler_work_us = 0.0) handler =
   if hz <= 0.0 then invalid_arg "Machine.add_periodic_timer: hz must be positive";
   let period = Time_ns.of_sec (1.0 /. hz) in
@@ -239,11 +253,12 @@ let add_periodic_timer t ~hz ?(handler_work_us = 0.0) handler =
     interrupt_line t ~name:(Printf.sprintf "timer-%.0fHz" hz) ~source:Trigger.Clock_tick
       ~latch_depth:1 ~handler ()
   in
-  let rec tick () =
-    ignore (Interrupt.raise_irq (interrupts t) ln ~handler_work_ns : bool);
-    ignore (Engine.schedule_after t.engine period tick : Engine.handle)
-  in
-  ignore (Engine.schedule_after t.engine period tick : Engine.handle);
+  let period_i = Int64.to_int period in
+  let kind = ref Engine.null_kind in
+  kind :=
+    Engine.register t.engine ~name:"machine.periodic_tick" (fun _ ->
+        periodic_tick t ln ~handler_work_ns ~period_i !kind);
+  ignore (Engine.post_after_i t.engine period_i !kind 0 : Engine.handle);
   ln
 
 let start_interrupt_clock t =

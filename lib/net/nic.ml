@@ -24,6 +24,7 @@ type 'a t = {
   mutable rx_packets : int;
   mutable rx_batches : int;
   mutable rx_dropped : int;
+  mutable k_rx_intr : Engine.kind;  (* the delayed receive interrupt *)
 }
 
 let drain_ring t now =
@@ -42,6 +43,16 @@ let drain_ring t now =
     Trace.pkt_rx ~at:now ~nic:t.name ~batch:n;
     t.on_rx_batch now batch;
     n
+
+let the_link t = match t.link with Some l -> l | None -> assert false
+let rx_line t = match t.rx_line with Some l -> l | None -> assert false
+let tx_line t = match t.tx_line with Some l -> l | None -> assert false
+
+let[@hot] fire_rx_intr t =
+  t.rx_intr_armed <- false;
+  if not (Queue.is_empty t.rx_ring) then
+    ignore
+      (Machine.raise_irq t.machine (rx_line t) ~handler_work_us:t.rx_handler_work_us () : bool)
 
 let create machine ~name ~bandwidth_bps ~wire_latency ~tx_deliver ~on_rx_batch
     ?(tx_intr_coalesce = 0) ?(rx_handler_work_us = 1.0) ?(rx_intr_delay = 0L)
@@ -66,6 +77,7 @@ let create machine ~name ~bandwidth_bps ~wire_latency ~tx_deliver ~on_rx_batch
       rx_packets = 0;
       rx_batches = 0;
       rx_dropped = 0;
+      k_rx_intr = Engine.null_kind;
     }
   in
   let rx_line =
@@ -97,14 +109,12 @@ let create machine ~name ~bandwidth_bps ~wire_latency ~tx_deliver ~on_rx_batch
   t.rx_line <- Some rx_line;
   t.tx_line <- Some tx_line;
   t.link <- Some link;
+  t.k_rx_intr <-
+    Engine.register (Machine.engine machine) ~name:"nic.rx_intr" (fun _ -> fire_rx_intr t);
   t
 
 let set_mode t m = t.mode <- m
 let mode t = t.mode
-
-let the_link t = match t.link with Some l -> l | None -> assert false
-let rx_line t = match t.rx_line with Some l -> l | None -> assert false
-let tx_line t = match t.tx_line with Some l -> l | None -> assert false
 
 let transmit t p = Link.send (the_link t) p
 
@@ -113,17 +123,11 @@ let transmit t p = Link.send (the_link t) p
 let maybe_arm_rx_intr t =
   if (not t.rx_intr_armed) && not (Queue.is_empty t.rx_ring) then begin
     t.rx_intr_armed <- true;
-    let fire () =
-      t.rx_intr_armed <- false;
-      if not (Queue.is_empty t.rx_ring) then
-        ignore
-          (Machine.raise_irq t.machine (rx_line t) ~handler_work_us:t.rx_handler_work_us ()
-            : bool)
-    in
-    if Time_ns.(t.rx_intr_delay <= 0L) then fire ()
+    if Time_ns.(t.rx_intr_delay <= 0L) then fire_rx_intr t
     else
       ignore
-        (Engine.schedule_after (Machine.engine t.machine) t.rx_intr_delay (fun () -> fire ())
+        (Engine.post_after_i (Machine.engine t.machine) (Int64.to_int t.rx_intr_delay)
+           t.k_rx_intr 0
           : Engine.handle)
   end
 

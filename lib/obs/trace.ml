@@ -129,6 +129,7 @@ let emit ~at ev =
 [@@lint.allow "ALLOC002"]
 
 let trigger ~at kind = if armed () then emit ~at (Trigger kind)
+[@@lint.allow "ALLOC002"]
 let soft_sched ~at ~id ~due = if armed () then emit ~at (Soft_sched { id; due })
 
 let soft_fire ~at ~id ~due =
@@ -146,13 +147,17 @@ let cpu_run ~at ~cpu ~klass ~dur =
 [@@lint.allow "ALLOC002"]
 let irq ~at ~line ~cpu ~dur = if armed () then emit ~at (Irq { line; cpu; dur })
 let irq_raised ~at ~line = if armed () then emit ~at (Irq_raised { line })
+[@@lint.allow "ALLOC002"]
 let irq_lost ~at ~line = if armed () then emit ~at (Irq_lost { line })
+[@@lint.allow "ALLOC002"]
 let cpu_busy ~at ~cpu = if armed () then emit ~at (Cpu_busy { cpu }) [@@lint.allow "ALLOC002"]
 let cpu_idle ~at ~cpu = if armed () then emit ~at (Cpu_idle { cpu }) [@@lint.allow "ALLOC002"]
 let pkt_enqueue ~at ~nic ~qlen = if armed () then emit ~at (Pkt_enqueue { nic; qlen })
+[@@lint.allow "ALLOC002"]
 let pkt_tx ~at ~nic = if armed () then emit ~at (Pkt_tx { nic })
 let pkt_rx ~at ~nic ~batch = if armed () then emit ~at (Pkt_rx { nic; batch })
 let pkt_drop ~at ~nic = if armed () then emit ~at (Pkt_drop { nic })
+[@@lint.allow "ALLOC002"]
 let poll ~at ~found = if armed () then emit ~at (Poll { found })
 let rbc_send ~at = if armed () then emit ~at Rbc_send
 let mark ~at s = if armed () then emit ~at (Mark s)

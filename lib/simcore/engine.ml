@@ -1,30 +1,31 @@
 (* The event queue is an {!Eventq} (4-ary heap over unboxed (time,
-   seq) int keys) whose payloads index a slot table of pooled event
-   records.  Scheduling allocates nothing beyond the caller's closure:
-   a slot is popped from the freelist, mutated in place, and its index
-   pushed into the heap; firing or cancelling returns it.
+   seq) int keys) whose payloads index a slot table of plain int
+   arrays: the occupant's seq, its kind and its int payload.  An event
+   is those two ints; what it does is its kind's handler, registered
+   once when the component that owns the kind is created.  Scheduling
+   allocates nothing: a slot index is popped from the freelist, three
+   ints are written, and the index is pushed into the heap; firing or
+   cancelling returns it.
+
+   Closure events ([schedule_at] and friends) are one built-in kind,
+   [closure_kind], whose payload is the slot's own index into a
+   per-slot closure array, so the engine keeps one dispatch path:
+   [handlers.(kind) payload].
 
    Handles are immediate ints packing (seq, slot index).  [seq] is
    unique per engine, so a handle stays valid across slot reuse: a
    stale handle's seq no longer matches the slot's occupant and every
-   handle operation degrades to a no-op, exactly the semantics the old
-   record-per-event representation had.
+   handle operation degrades to a no-op.
 
    Cancellation is lazy (the heap entry stays behind and is skipped on
    pop) with threshold-triggered compaction: once dead entries exceed
    both a floor and half the queue, one O(n) {!Eventq.rebuild} sheds
    them, so cancel-heavy workloads (rate-based clocking reschedules
-   per packet) keep O(live) residency — the same fix PR 1 applied to
-   the timing wheel.
+   per packet) keep O(live) residency.
 
    Times ride as immediate ints internally ([Time_ns.t] is int64 at
    the API); the boxed clock is refreshed only when the clock actually
    advances, so same-instant event cascades re-box nothing. *)
-
-type slot = {
-  mutable seq : int;  (* unique id of the occupant; -1 when free *)
-  mutable action : unit -> unit;
-}
 
 (* Handle layout: [seq lsl idx_bits | idx].  25 index bits allow 33M
    concurrent events; the remaining 37 seq bits allow 1.4e11 schedules
@@ -34,10 +35,14 @@ let idx_bits = 25
 let idx_mask = (1 lsl idx_bits) - 1
 
 type handle = int
+type kind = int
 
 (* Its index [idx_mask] lies beyond any slot table ([grow_slots] stops
    below it), so every handle operation treats it as stale. *)
 let null_handle = -1
+
+let closure_kind = 0
+let null_kind = -1
 
 type t = {
   mutable clock : Time_ns.t;  (* boxed mirror of [clock_i] *)
@@ -46,25 +51,67 @@ type t = {
   mutable live : int;  (* scheduled, not yet run, not cancelled *)
   mutable dead : int;  (* cancelled entries still in the heap *)
   q : Eventq.t;
-  mutable slots : slot array;
+  (* The slot table, one entry per index in each array. *)
+  mutable seqs : int array;  (* occupant's seq; -1 when free *)
+  mutable kinds : int array;
+  mutable payloads : int array;
+  mutable actions : (unit -> unit) array;  (* closure events' closures *)
   mutable free : int array;  (* stack of free slot indices *)
   mutable free_top : int;
+  (* The kind table, indexed by kind. *)
+  mutable handlers : (int -> unit) array;
+  mutable names : string array;
+  mutable runs : int array;
+  mutable n_kinds : int;
 }
 
 let nop () = ()
 
+(* [a]'s first [n] elements in a fresh array of length [ncap]. *)
+let grown a n ncap fill =
+  let b = Array.make ncap fill in
+  Array.blit a 0 b 0 n;
+  b
+
+let register t ~name handler =
+  let k = t.n_kinds in
+  if k = Array.length t.handlers then begin
+    let ncap = if k = 0 then 16 else 2 * k in
+    t.handlers <- grown t.handlers k ncap handler;
+    t.names <- grown t.names k ncap name;
+    t.runs <- grown t.runs k ncap 0
+  end;
+  t.handlers.(k) <- handler;
+  t.names.(k) <- name;
+  t.n_kinds <- k + 1;
+  k
+
 let create () =
-  {
-    clock = Time_ns.zero;
-    clock_i = 0;
-    next_seq = 0;
-    live = 0;
-    dead = 0;
-    q = Eventq.create ();
-    slots = [||];
-    free = [||];
-    free_top = 0;
-  }
+  let t =
+    {
+      clock = Time_ns.zero;
+      clock_i = 0;
+      next_seq = 0;
+      live = 0;
+      dead = 0;
+      q = Eventq.create ();
+      seqs = [||];
+      kinds = [||];
+      payloads = [||];
+      actions = [||];
+      free = [||];
+      free_top = 0;
+      handlers = [||];
+      names = [||];
+      runs = [||];
+      n_kinds = 0;
+    }
+  in
+  (* A closure event's payload is its own slot index.  The slot is free
+     by the time this runs, but nothing reuses it before the call. *)
+  let k = register t ~name:"closure" (fun idx -> (Array.unsafe_get t.actions idx) ()) in
+  assert (k = closure_kind);
+  t
 
 let now t = t.clock
 let now_i t = t.clock_i
@@ -74,53 +121,39 @@ let queue_length t = Eventq.length t.q
 (* Heap residency including dead entries; exposed so tests can bound
    the lazy-cancellation overhead. *)
 
-(* Array.make needs a fill element; every new index is immediately
-   overwritten with a fresh record by [alloc_slot].  RACE002: written
-   once at module init and never mutated afterwards (its fields only
-   exist to satisfy the slot type), so sharing it across domains is
-   safe. *)
-let dummy_slot = { seq = -1; action = nop } [@@lint.allow "RACE002"]
+let kind_runs t = List.init t.n_kinds (fun k -> (t.names.(k), t.runs.(k)))
 
 let grow_slots t =
-  let cap = Array.length t.slots in
+  let cap = Array.length t.seqs in
   let ncap = if cap = 0 then 16 else cap * 2 in
   if ncap > idx_mask then invalid_arg "Engine: too many concurrent events";
-  let nslots = Array.make ncap dummy_slot in
-  Array.blit t.slots 0 nslots 0 cap;
-  t.slots <- nslots
+  t.seqs <- grown t.seqs cap ncap (-1);
+  t.kinds <- grown t.kinds cap ncap 0;
+  t.payloads <- grown t.payloads cap ncap 0;
+  t.actions <- grown t.actions cap ncap nop
 
 (* [t.free_top <= Array.length t.free] always; the unsafe accesses
    below stay inside the in-capacity branches. *)
 let free_push t idx =
   let cap = Array.length t.free in
-  if t.free_top = cap then begin
-    let ncap = if cap = 0 then 16 else cap * 2 in
-    let nfree = Array.make ncap 0 in
-    Array.blit t.free 0 nfree 0 t.free_top;
-    t.free <- nfree
-  end;
+  if t.free_top = cap then t.free <- grown t.free cap (if cap = 0 then 16 else cap * 2) 0;
   Array.unsafe_set t.free t.free_top idx;
   t.free_top <- t.free_top + 1
 
-(* The freed slot keeps its action closure until the slot is reused:
+(* A freed closure slot keeps its closure until the slot is reused:
    clearing it to [nop] would cost a write barrier per event, and the
    retention is bounded by the engine's peak concurrency. *)
-let release t idx (s : slot) =
-  s.seq <- -1;
+let release t idx =
+  Array.unsafe_set t.seqs idx (-1);
   free_push t idx
 
 (* Pop a free slot index, growing the table when exhausted. *)
 let alloc_slot t =
   if t.free_top = 0 then begin
-    let cap = Array.length t.slots in
+    let cap = Array.length t.seqs in
     grow_slots t;
-    let ncap = Array.length t.slots in
-    (* Push new indices high-to-low so the lowest pops first.
-       ALLOC002: the fresh records are pool growth — amortized O(1)
-       per schedule and precisely the allocation the pool exists to
-       front-load. *)
-    for i = ncap - 1 downto cap do
-      t.slots.(i) <- ({ seq = -1; action = nop } [@lint.allow "ALLOC002"]);
+    (* Push new indices high-to-low so the lowest pops first. *)
+    for i = Array.length t.seqs - 1 downto cap do
       free_push t i
     done
   end;
@@ -128,16 +161,32 @@ let alloc_slot t =
   t.free_top <- top;
   Array.unsafe_get t.free top
 
-let[@hot] schedule_i t time_i f =
-  let idx = alloc_slot t in
-  let s = Array.unsafe_get t.slots idx in
+(* [idx] comes from [alloc_slot], so it indexes every slot array. *)
+let[@hot] enqueue t time_i kind payload idx =
   let seq = t.next_seq in
   t.next_seq <- seq + 1;
-  s.seq <- seq;
-  s.action <- f;
+  Array.unsafe_set t.seqs idx seq;
+  Array.unsafe_set t.kinds idx kind;
+  Array.unsafe_set t.payloads idx payload;
   t.live <- t.live + 1;
   Eventq.push t.q ~time:time_i ~seq ~payload:idx;
   (seq lsl idx_bits) lor idx
+
+let[@hot] post_at_i t time_i kind payload =
+  if kind <= closure_kind || kind >= t.n_kinds then invalid_arg "Engine.post: unknown kind";
+  (* Clamp times in the past to the current instant. *)
+  let time_i = if time_i < t.clock_i then t.clock_i else time_i in
+  enqueue t time_i kind payload (alloc_slot t)
+
+(* All-immediate arithmetic: no boxed intermediates on the relative
+   scheduling path every subsystem uses. *)
+let[@hot] post_after_i t d_i kind payload =
+  post_at_i t (if d_i < 0 then t.clock_i else t.clock_i + d_i) kind payload
+
+let[@hot] schedule_i t time_i f =
+  let idx = alloc_slot t in
+  Array.unsafe_set t.actions idx f;
+  enqueue t time_i closure_kind idx idx
 
 let[@hot] schedule_at t time f =
   let time_i = Int64.to_int time in
@@ -146,8 +195,6 @@ let[@hot] schedule_at t time f =
   let time_i = if time_i < t.clock_i then t.clock_i else time_i in
   schedule_i t time_i f
 
-(* All-immediate arithmetic: no boxed intermediates on the relative
-   scheduling path every subsystem uses. *)
 let[@hot] schedule_after_i t d_i f =
   let d_i = if d_i < 0 then 0 else d_i in
   schedule_i t (t.clock_i + d_i) f
@@ -156,12 +203,12 @@ let[@hot] schedule_after t d f = schedule_after_i t (Int64.to_int d) f
 
 (* An entry is live iff its seq still matches the slot occupant's:
    firing and cancelling invalidate the slot, and slot reuse installs
-   a fresh seq.  Payloads in the queue always index within [t.slots]
-   (the table never shrinks), so the lookups are unsafe-safe. *)
+   a fresh seq.  Payloads in the queue always index within the slot
+   arrays (they never shrink), so the lookups are unsafe-safe. *)
 
 let is_scheduled t h =
   let idx = h land idx_mask in
-  idx < Array.length t.slots && (Array.unsafe_get t.slots idx).seq = h lsr idx_bits
+  idx < Array.length t.seqs && Array.unsafe_get t.seqs idx = h lsr idx_bits
 
 (* Shed dead heap entries once they exceed both a floor (compaction is
    O(n); don't bother for small queues) and half the residency (so the
@@ -173,20 +220,17 @@ let maybe_compact t =
     (* ALLOC001: the [~keep] closure is one allocation per O(n)
        compaction, not per cancel — amortized away by the threshold. *)
     Eventq.rebuild t.q
-      ~keep:((fun ~seq ~payload -> t.slots.(payload).seq = seq) [@lint.allow "ALLOC001"]);
+      ~keep:((fun ~seq ~payload -> t.seqs.(payload) = seq) [@lint.allow "ALLOC001"]);
     t.dead <- 0
   end
 
 let[@hot] cancel t h =
   let idx = h land idx_mask in
-  if idx < Array.length t.slots then begin
-    let s = Array.unsafe_get t.slots idx in
-    if s.seq = h lsr idx_bits then begin
-      release t idx s;
-      t.live <- t.live - 1;
-      t.dead <- t.dead + 1;
-      maybe_compact t
-    end
+  if idx < Array.length t.seqs && Array.unsafe_get t.seqs idx = h lsr idx_bits then begin
+    release t idx;
+    t.live <- t.live - 1;
+    t.dead <- t.dead + 1;
+    maybe_compact t
   end
 
 (* The single choke point that skips lazily-cancelled entries: after
@@ -196,24 +240,26 @@ let[@hot] drop_stale t =
   let q = t.q in
   while
     (not (Eventq.is_empty q))
-    && (Array.unsafe_get t.slots (Eventq.min_payload q)).seq <> Eventq.min_seq q
+    && Array.unsafe_get t.seqs (Eventq.min_payload q) <> Eventq.min_seq q
   do
     Eventq.drop_min q;
     t.dead <- t.dead - 1
   done
 
 (* Fire the head event (caller guarantees it is live): advance the
-   clock, release the slot, then run the action.  The slot is released
-   before the action runs so the handle reads as no-longer-scheduled
-   inside its own handler, matching the old state-machine order. *)
+   clock, release the slot, then dispatch to the kind's handler.  The
+   slot is released and the heap entry dropped before the handler
+   runs, so the handle reads as no-longer-scheduled inside its own
+   handler, and a handler that raises leaves the queue consistent:
+   the next [step] or [run_until] resumes with the remaining events. *)
 let[@hot] fire_head t =
   let q = t.q in
   let time = Eventq.min_time q in
   let idx = Eventq.min_payload q in
   Eventq.drop_min q;
-  let s = Array.unsafe_get t.slots idx in
-  let action = s.action in
-  release t idx s;
+  let kind = Array.unsafe_get t.kinds idx in
+  let payload = Array.unsafe_get t.payloads idx in
+  release t idx;
   t.live <- t.live - 1;
   if time > t.clock_i then begin
     t.clock_i <- time;
@@ -221,7 +267,8 @@ let[@hot] fire_head t =
        actually advances; same-instant cascades skip this branch. *)
     t.clock <- (Int64.of_int time [@lint.allow "ALLOC003"])
   end;
-  action ()
+  Array.unsafe_set t.runs kind (Array.unsafe_get t.runs kind + 1);
+  (Array.unsafe_get t.handlers kind) payload
 
 let[@hot] step t =
   drop_stale t;

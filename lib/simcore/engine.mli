@@ -1,20 +1,31 @@
 (** Discrete-event simulation engine.
 
-    A single-threaded engine with a virtual clock: events are closures
-    scheduled at absolute instants and executed in time order.  Ties are
-    broken by scheduling order (FIFO among simultaneous events), which
+    A single-threaded engine with a virtual clock: events are scheduled
+    at absolute instants and executed in time order.  Ties are broken
+    by scheduling order (FIFO among simultaneous events), which
     together with the explicit {!Prng} streams makes whole simulations
     bit-for-bit reproducible.
 
+    An event is a {!kind} and an [int] payload.  A kind is registered
+    once, when the component that owns it is created, and carries the
+    handler every event of that kind runs with its payload; posting an
+    event ({!post_after_i}) writes two ints into a pooled slot and
+    allocates nothing.  {!schedule_at} and friends take a closure
+    instead, for cold sites and tests: they are one built-in kind whose
+    payload indexes a per-slot closure array, so every event goes
+    through the same dispatch.
+
     Handlers may schedule and cancel further events freely, including at
-    the current instant (such events run before the clock advances).
+    the current instant (such events run before the clock advances).  A
+    handler that raises leaves the engine consistent: the event counts
+    as run, and the next {!step} or {!run_until} resumes with the
+    remaining events in order.
 
     The queue is a specialized 4-ary heap over unboxed integer keys
-    ({!Eventq}) backed by a pool of event slots, so scheduling performs
-    no allocation beyond the caller's closure and cancellation is lazy
-    with threshold-triggered compaction (residency stays proportional
-    to the number of pending events even under heavy cancel/reschedule
-    churn).  See DESIGN.md §8.4. *)
+    ({!Eventq}); cancellation is lazy with threshold-triggered
+    compaction (residency stays proportional to the number of pending
+    events even under heavy cancel/reschedule churn).  See DESIGN.md
+    §8.4. *)
 
 type t
 
@@ -28,8 +39,38 @@ val null_handle : handle
 (** A handle that names no event: cancelling it is a no-op and it is
     never scheduled.  An initial value for a handle-holding field. *)
 
+type kind
+(** An event kind of one engine: a handler registered with {!register}.
+    A kind is only meaningful to the engine that registered it. *)
+
+val null_kind : kind
+(** A kind that names no handler: posting it raises.  An initial value
+    for a kind-holding field, set once the kind is registered. *)
+
 val create : unit -> t
 (** A fresh engine with the clock at {!Time_ns.zero} and no events. *)
+
+val register : t -> name:string -> (int -> unit) -> kind
+(** [register t ~name h] adds a kind whose events run [h payload].
+    Call it once per component, at creation, never per event; [name]
+    labels the kind in {!kind_runs}. *)
+
+val post_at_i : t -> int -> kind -> int -> handle
+(** [post_at_i t time kind payload] runs [kind]'s handler on [payload]
+    when the clock reaches [time] (integer nanoseconds; times in the
+    past are clamped to [now t]).  Allocates nothing once the slot pool
+    has grown to the engine's peak concurrency.
+    @raise Invalid_argument if [kind] is not one of [t]'s registered
+    kinds. *)
+
+val post_after_i : t -> int -> kind -> int -> handle
+(** [post_after_i t d kind payload] is [post_at_i t (now_i t + max d 0)
+    kind payload]. *)
+
+val kind_runs : t -> (string * int) list
+(** Every kind's name and number of events run so far, in registration
+    order; the built-in kind of closure events comes first, named
+    ["closure"]. *)
 
 val now : t -> Time_ns.t
 (** Current virtual time. *)
@@ -46,7 +87,8 @@ val queue_length : t -> int
     the compaction policy; not part of the simulation semantics. *)
 
 val schedule_at : t -> Time_ns.t -> (unit -> unit) -> handle
-(** [schedule_at t time f] runs [f] when the clock reaches [time].
+(** [schedule_at t time f] runs [f] when the clock reaches [time]: a
+    closure event, for cold sites that are not worth a kind.
     Times in the past are clamped to [now t] (the event runs as soon as
     control returns to the event loop). *)
 

@@ -283,8 +283,14 @@ let next_deadline t =
    untouched (and [t.count] never decremented), so the next call's
    expiry sort dispatches it in the same (deadline, tie) order.  Groups
    are unsorted inside, so append position is irrelevant.  A node no
-   longer Extracted was cancelled or re-armed by an earlier callback. *)
-let withhold t n = if n.gstate = Extracted then group_append (target_group t.groups n.gat) n
+   longer Extracted was cancelled or re-armed by an earlier callback.
+   A callback's [next_deadline] may have cached a minimum while the node
+   was out of every group, so the cache is dropped. *)
+let withhold t n =
+  if n.gstate = Extracted then begin
+    group_append (target_group t.groups n.gat) n;
+    t.min_valid <- false
+  end
 
 (* ALLOC001/2: snapshot-batch contract (timer_store.mli) — the sweep
    extracts due nodes into a list before any callback runs; the cons

@@ -213,15 +213,17 @@ let next_deadline t =
    a callback raised) at the head of their original bucket, latest first
    so the earliest ends up at the head — the next call pops them in the
    same (deadline, tie) order ([nseq] untouched, [t.count] never
-   decremented for them).  ALLOC001: the closure is one per batch, like
-   the dispatch loop's. *)
-let relink_withheld latest_first =
-  List.iter
-    (fun n ->
-      n.nstate <- Linked;
-      link_head n.nbucket n)
-    latest_first
-[@@lint.allow "ALLOC001"]
+   decremented for them).  A callback's [next_deadline] may have cached
+   a minimum while they were out of every bucket, so the cache is
+   dropped. *)
+let rec relink_withheld t latest_first =
+  match latest_first with
+  | [] -> ()
+  | n :: rest ->
+    n.nstate <- Linked;
+    link_head n.nbucket n;
+    t.min_valid <- false;
+    relink_withheld t rest
 
 (* ALLOC001/2: snapshot-batch contract (timer_store.mli) — due nodes
    are unlinked into a list before any callback runs, so the cons cells
@@ -292,7 +294,7 @@ let[@hot] fire_due t ?prefetch:_ ~now ~limit f =
               exhausted budget would, before the exception leaves. *)
            let bt = Printexc.get_raw_backtrace () in
            List.iter withhold rest;
-           relink_withheld !withheld;
+           relink_withheld t !withheld;
            Printexc.raise_with_backtrace exn bt);
         dispatch rest
       end
@@ -302,6 +304,6 @@ let[@hot] fire_due t ?prefetch:_ ~now ~limit f =
       end
   in
   dispatch due;
-  relink_withheld !withheld;
+  relink_withheld t !withheld;
   Fire_outcome.pack ~scanned ~fired:!fired
 [@@lint.allow "ALLOC001"] [@@lint.allow "ALLOC002"]

@@ -170,10 +170,12 @@ let anatomy_of = function Apache -> apache_anatomy | Flash -> flash_anatomy
 
 (* Client-side latencies (not CPU-scaled: they belong to the LAN and the
    client machines, which are never the bottleneck). *)
-let wire_latency = Time_ns.of_us 30.0
-let client_turnaround = Time_ns.of_us 50.0
-let client_think = Time_ns.of_us 80.0
-let client_restart = Time_ns.of_us 120.0
+let wire_latency_ns = 30_000
+let wire_latency = Time_ns.of_ns wire_latency_ns
+let client_turnaround = 50_000
+let client_think = 80_000
+let client_restart = 120_000
+let client_stagger = 37_000  (* between the first connections' starts *)
 
 (* ------------------------------------------------------------------ *)
 
@@ -204,6 +206,7 @@ type t = {
   pace_intervals : Stats.Online.t;
   mutable hw_pacer : Hw_pacer.t option;
   mutable started : bool;
+  mutable k_client : Engine.kind;  (* payload [conn * 8 + code], see [code_of_wkind] *)
   (* Script items constant for this server, built once in [create]. *)
   q_ip_output : Exec.item;
   q_ip_output_handler : Exec.item;  (* IP output inside a timer handler *)
@@ -243,13 +246,33 @@ let[@lint.allow "ALLOC002"] data_packet t conn i =
 
 let nic_of t conn = t.nics.(conn mod Array.length t.nics)
 
-(* Client -> server, after the client's turnaround and the wire. *)
+(* Client events: a packet of a client -> server kind, delivered to
+   the server's NIC, or a connection (re)start. *)
+let code_restart = 6
+
+let code_of_wkind = function
+  | Syn -> 0
+  | Handshake_ack -> 1
+  | Get -> 2
+  | Data_ack -> 3
+  | Fin -> 4
+  | Last_ack -> 5
+  | Synack | Ack_small | Data _ | Fin_ack -> invalid_arg "Webserver: not a client kind"
+
+let wkind_of_code = function
+  | 0 -> Syn
+  | 1 -> Handshake_ack
+  | 2 -> Get
+  | 3 -> Data_ack
+  | 4 -> Fin
+  | _ -> Last_ack
+
+(* Client -> server, [after] ns of the client's turnaround plus the
+   wire. *)
 let client_send t conn ~after wkind =
-  let nic = nic_of t conn in
   ignore
-    (Engine.schedule_after t.engine
-       Time_ns.(after + wire_latency)
-       (fun () -> Nic.deliver nic (small_packet t conn wkind))
+    (Engine.post_after_i t.engine (after + wire_latency_ns) t.k_client
+       ((conn * 8) + code_of_wkind wkind)
       : Engine.handle)
 
 (* ------------------------------------------------------------------ *)
@@ -434,14 +457,20 @@ let on_response_complete t conn =
   end
   else client_send t conn ~after:client_turnaround Fin
 
-let rec client_handle t now pkt =
+let start_connection t conn =
+  let st = t.clients.(conn) in
+  st.data_got <- 0;
+  st.reqs_left <- (match t.cfg.http with Http -> 0 | Persistent n -> Int.max 0 (n - 1));
+  client_send t conn ~after:0 Syn
+
+let client_handle t now pkt =
   ignore now;
   let conn = pkt.Packet.meta.conn in
   let st = t.clients.(conn) in
   match pkt.Packet.meta.wkind with
   | Synack ->
     client_send t conn ~after:client_turnaround Handshake_ack;
-    client_send t conn ~after:Time_ns.(client_turnaround + Time_ns.of_us 8.0) Get
+    client_send t conn ~after:(client_turnaround + 8_000) Get
   | Data i ->
     ignore i;
     st.data_got <- st.data_got + 1;
@@ -453,17 +482,16 @@ let rec client_handle t now pkt =
     client_send t conn ~after:client_turnaround Last_ack;
     (* Connection over: this client starts a fresh one. *)
     ignore
-      (Engine.schedule_after t.engine client_restart (fun () -> start_connection t conn)
+      (Engine.post_after_i t.engine client_restart t.k_client ((conn * 8) + code_restart)
         : Engine.handle)
   | Syn | Handshake_ack | Get | Data_ack | Fin | Last_ack ->
     (* Server-bound kinds never reach the client. *)
     ()
 
-and start_connection t conn =
-  let st = t.clients.(conn) in
-  st.data_got <- 0;
-  st.reqs_left <- (match t.cfg.http with Http -> 0 | Persistent n -> max 0 (n - 1));
-  client_send t conn ~after:Time_ns.zero Syn
+let[@hot] client_event t payload =
+  let conn = payload lsr 3 and code = payload land 7 in
+  if code = code_restart then start_connection t conn
+  else Nic.deliver (nic_of t conn) (small_packet t conn (wkind_of_code code))
 
 (* ------------------------------------------------------------------ *)
 (* Server-side packet dispatch (after input protocol processing).      *)
@@ -620,6 +648,7 @@ let create cfg =
       pace_intervals = Stats.Online.create ();
       hw_pacer = None;
       started = false;
+      k_client = Engine.null_kind;
       q_ip_output = Exec.Quantum (Kernel.step_ip_output machine);
       q_ip_output_handler = kernel_work a_ip_output_handler 7.0;
       q_ctx = Exec.Quantum (Kernel.step_ctx_switch machine);
@@ -641,6 +670,7 @@ let create cfg =
     }
   in
   t_ref := Some t;
+  t.k_client <- Engine.register engine ~name:"web.client" (client_event t);
   (* Network polling. *)
   (match (cfg.net, facility) with
   | Soft_polling quota, Some st ->
@@ -700,9 +730,8 @@ let run t ~warmup ~measure =
   Array.iteri
     (fun conn _ ->
       ignore
-        (Engine.schedule_after t.engine
-           (Time_ns.mul (Time_ns.of_us 37.0) conn)
-           (fun () -> start_connection t conn)
+        (Engine.post_after_i t.engine (client_stagger * conn) t.k_client
+           ((conn * 8) + code_restart)
           : Engine.handle))
     t.clients;
   Engine.run_until t.engine warmup;

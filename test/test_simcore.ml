@@ -812,6 +812,78 @@ let test_engine_churn_residency () =
      ~128k entries. *)
   Alcotest.(check bool) "heap residency stays O(live)" true (!max_len <= 256)
 
+(* Registered kinds: an event is a kind and an int payload, dispatched
+   in (time, seq) order among closure events, with per-kind run counts. *)
+let test_engine_kinds () =
+  let e = Engine.create () in
+  let log = ref [] in
+  let a = Engine.register e ~name:"a" (fun p -> log := Printf.sprintf "a%d" p :: !log) in
+  let b = Engine.register e ~name:"b" (fun p -> log := Printf.sprintf "b%d" p :: !log) in
+  ignore (Engine.post_at_i e 20 a 1 : Engine.handle);
+  ignore (Engine.schedule_at e 10L (fun () -> log := "c" :: !log) : Engine.handle);
+  ignore (Engine.post_after_i e 20 b 2 : Engine.handle);
+  let h = Engine.post_at_i e 30 a 3 in
+  ignore (Engine.post_after_i e (-5) b 4 : Engine.handle);
+  Engine.cancel e h;
+  Engine.run e;
+  Alcotest.(check (list string)) "time, then scheduling order" [ "b4"; "c"; "a1"; "b2" ]
+    (List.rev !log);
+  Alcotest.(check (list (pair string int))) "runs per kind"
+    [ ("closure", 1); ("a", 1); ("b", 2) ]
+    (Engine.kind_runs e);
+  ignore (Engine.post_at_i e 5 a 5 : Engine.handle);
+  Engine.run e;
+  Alcotest.(check string) "past clamped to now" "a5" (List.hd !log);
+  Alcotest.(check int64) "clock unchanged" 20L (Engine.now e);
+  Alcotest.check_raises "null kind rejected" (Invalid_argument "Engine.post: unknown kind")
+    (fun () -> ignore (Engine.post_at_i e 40 Engine.null_kind 0 : Engine.handle))
+
+exception Boom
+
+(* The raise contract: an event whose handler raises counts as run and
+   leaves the queue consistent (pending, residency, every handle), and
+   the next [run_until] resumes the remaining events in (time, seq)
+   order.  Checked for a registered kind and for a closure event. *)
+let test_engine_raise_contract () =
+  List.iter
+    (fun registered ->
+      let what = if registered then "kind" else "closure" in
+      let e = Engine.create () in
+      let log = ref [] in
+      let k =
+        Engine.register e ~name:"k" (fun p -> if p < 0 then raise Boom else log := p :: !log)
+      in
+      let post at p = Engine.post_at_i e at k p in
+      let h1 = post 10 1 in
+      let h3 = Engine.schedule_at e 15L (fun () -> log := 3 :: !log) in
+      let hr =
+        if registered then post 20 (-1) else Engine.schedule_at e 20L (fun () -> raise Boom)
+      in
+      let h2 = post 20 2 in
+      let h4 = post 30 4 in
+      Alcotest.check_raises (what ^ ": the raise escapes run_until") Boom (fun () ->
+          Engine.run_until e 100L);
+      Alcotest.(check (list int)) (what ^ ": events before the raise ran") [ 1; 3 ]
+        (List.rev !log);
+      Alcotest.(check int64) (what ^ ": clock at the raising event") 20L (Engine.now e);
+      Alcotest.(check int) (what ^ ": pending") 2 (Engine.pending e);
+      Alcotest.(check int) (what ^ ": residency") 2 (Engine.queue_length e);
+      Alcotest.(check (list bool)) (what ^ ": handles")
+        [ false; false; false; true; true ]
+        (List.map (Engine.is_scheduled e) [ h1; h3; hr; h2; h4 ]);
+      Engine.cancel e hr;
+      Alcotest.(check int) (what ^ ": stale cancel is a no-op") 2 (Engine.pending e);
+      Alcotest.(check bool) (what ^ ": tie still scheduled") true (Engine.is_scheduled e h2);
+      Engine.run_until e 100L;
+      Alcotest.(check (list int)) (what ^ ": resumed in order") [ 1; 3; 2; 4 ] (List.rev !log);
+      Alcotest.(check int) (what ^ ": drained") 0 (Engine.pending e);
+      Alcotest.(check int64) (what ^ ": clock at the limit") 100L (Engine.now e);
+      let runs = Engine.kind_runs e in
+      Alcotest.(check (pair int int)) (what ^ ": the raising event counts as run")
+        (if registered then (1, 4) else (2, 3))
+        (List.assoc "closure" runs, List.assoc "k" runs))
+    [ true; false ]
+
 let () =
   let qc = QCheck_alcotest.to_alcotest in
   Alcotest.run "simcore"
@@ -860,6 +932,8 @@ let () =
           Alcotest.test_case "stale handles after slot reuse" `Quick
             test_engine_stale_handle_after_reuse;
           Alcotest.test_case "churn keeps residency bounded" `Quick test_engine_churn_residency;
+          Alcotest.test_case "registered kinds" `Quick test_engine_kinds;
+          Alcotest.test_case "raising handler" `Quick test_engine_raise_contract;
           qc test_engine_replay_deterministic;
           qc test_engine_matches_model;
         ] );

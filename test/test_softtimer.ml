@@ -110,11 +110,12 @@ let test_negative_ticks_rejected () =
 
 (* Allocation regression: a schedule + cancel on the default store
    allocates the event payload and the facility handle; the wheel's
-   handle is an immediate int and the deadline reaches it as an int.
-   Measured at 18.8 minor words per op (dune's default dev profile,
-   x86-64); the bound pins that figure with a small margin.  The
-   list-bucket wheel with boxed tick arithmetic cost 40.8, the
-   closure-packed store instance before it 87.9. *)
+   handle is an immediate int and the deadline reaches it as an int,
+   and the idle loop's deadline poke is an engine kind.  Measured at
+   7.0 minor words per op (dune's default dev profile, x86-64); 18.8
+   while the poke was a closure event.  The list-bucket wheel with
+   boxed tick arithmetic cost 40.8, the closure-packed store instance
+   before it 87.9. *)
 let test_schedule_cancel_alloc () =
   let _, _, st = fresh () in
   let handler _ = () in

@@ -337,6 +337,26 @@ let test_fire_budget_tie_order () =
       Alcotest.(check (list string)) (M.name ^ ": tie order survives withholding") [ "x"; "y" ]
         (List.rev !fired))
 
+(* Regression: a callback that queries [next_deadline] while a budget
+   withholds the rest of its batch must not leave that answer cached:
+   the withheld entry (20 us) is the minimum again once it is back,
+   not the callback's fresh entry (100 us).  [lawn] and
+   [grouped-sorting] used to answer 100. *)
+let test_withheld_minimum () =
+  List.iter
+    (fun (module M : Timer_store.S) ->
+      let t = M.create ~tick:(us 10.0) () in
+      let _ = M.schedule t ~at:(us 10.0) "a" in
+      let _ = M.schedule t ~at:(us 20.0) "b" in
+      ignore
+        (M.fire_due t ~now:(us 30.0) ~limit:1 (fun _ _ ->
+             let _ = M.schedule t ~at:(us 100.0) "c" in
+             ignore (M.next_deadline t : Time_ns.t option))
+          : Fire_outcome.t);
+      Alcotest.(check (option int64)) (M.name ^ ": withheld entry is the minimum")
+        (Some (us 20.0)) (M.next_deadline t))
+    Store_registry.exact
+
 (* Regression (cancel-leak, store-wide): schedule/cancel churn of
    far-future timers must not grow residency past the compaction bound.
    This is the Sorted_list leak the issue names, checked on every
@@ -584,6 +604,7 @@ let () =
           Alcotest.test_case "fire budget withholds" `Quick test_fire_budget_withholds;
           Alcotest.test_case "fire budget tie order" `Quick test_fire_budget_tie_order;
           Alcotest.test_case "raising callback requeues" `Quick test_raising_callback_requeues;
+          Alcotest.test_case "withheld entry stays the minimum" `Quick test_withheld_minimum;
           Alcotest.test_case "cancel churn bounded" `Quick test_cancel_churn_bounded;
           Alcotest.test_case "rearm churn bounded" `Quick test_rearm_churn_bounded;
           Alcotest.test_case "digest independent of store" `Quick test_digest_store_independent;

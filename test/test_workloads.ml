@@ -277,17 +277,60 @@ let test_get_script_words () =
     (Printf.sprintf "one GET script allocates %.0f minor words (bound 720)" per)
     true (per <= 720.0)
 
-(* End to end: minor words per completed request over a short web-soft
-   run (Apache, soft-timer pacing), set-up included.  Measured at 4,565;
-   before shared script steps and the slab-backed wheel it was 6,533. *)
-let test_web_soft_words_per_request () =
-  let t = Webserver.create { base_cfg with Webserver.pacing = Webserver.Soft_pacing } in
+(* End to end: minor words per completed request over a short run,
+   set-up included.  The Table 3 Apache server paced by soft timers
+   (web-soft) or by a 20 us hardware timer (web-irq), as perfbench runs
+   them. *)
+let web_cfg pacing = { base_cfg with Webserver.pacing }
+let web_soft = web_cfg Webserver.Soft_pacing
+let web_irq = web_cfg (Webserver.Hw_pacing (Time_ns.of_us 20.0))
+
+let words_per_request cfg =
+  let t = Webserver.create cfg in
   let before = Gc.minor_words () in
   Webserver.run t ~warmup:(sec 0.1) ~measure:(sec 0.5);
-  let per = (Gc.minor_words () -. before) /. float_of_int (Webserver.completed_requests t) in
+  (Gc.minor_words () -. before) /. float_of_int (Webserver.completed_requests t)
+
+(* Measured at 4,182; 4,565 while client arrivals, links and the CPU's
+   completions were closure events, 6,533 before shared script steps
+   and the slab-backed wheel. *)
+let test_web_soft_words_per_request () =
+  let per = words_per_request web_soft in
   Alcotest.(check bool)
-    (Printf.sprintf "web-soft allocates %.0f minor words per request (bound 4700)" per)
-    true (per <= 4_700.0)
+    (Printf.sprintf "web-soft allocates %.0f minor words per request (bound 4300)" per)
+    true (per <= 4_300.0)
+
+(* Measured at 5,206; 6,421 with closure events (the pacer's tick and
+   its per-tick dispatch callback, links, client arrivals). *)
+let test_web_irq_words_per_request () =
+  let per = words_per_request web_irq in
+  Alcotest.(check bool)
+    (Printf.sprintf "web-irq allocates %.0f minor words per request (bound 5350)" per)
+    true (per <= 5_350.0)
+
+(* Every per-request engine event of the web workloads is a registered
+   kind: the only closure events left are the 200 ms TCP timer sweeps
+   (0.002 per request; about 190 on web-soft and 420 on web-irq while
+   the CPU's completions, links, clients and timers were closure
+   events). *)
+let closure_runs e = List.assoc "closure" (Engine.kind_runs e)
+
+let test_closure_events_per_request () =
+  List.iter
+    (fun (name, cfg) ->
+      let t = Webserver.create cfg in
+      Webserver.run t ~warmup:(sec 0.05) ~measure:(sec 0.05);
+      let e = Webserver.engine t in
+      let c0 = closure_runs e and r0 = Webserver.completed_requests t in
+      Engine.run_until e Time_ns.(Engine.now e + sec 0.6);
+      let per =
+        float_of_int (closure_runs e - c0)
+        /. float_of_int (Webserver.completed_requests t - r0)
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s runs %.4f closure events per request (bound 0.05)" name per)
+        true (per <= 0.05))
+    [ ("web-soft", web_soft); ("web-irq", web_irq) ]
 
 let () =
   Alcotest.run "workloads"
@@ -305,6 +348,9 @@ let () =
         [
           Alcotest.test_case "GET script words" `Quick test_get_script_words;
           Alcotest.test_case "web-soft words per request" `Quick test_web_soft_words_per_request;
+          Alcotest.test_case "web-irq words per request" `Quick test_web_irq_words_per_request;
+          Alcotest.test_case "closure events per request" `Quick
+            test_closure_events_per_request;
         ] );
       ( "webserver-triggers",
         [

@@ -62,11 +62,15 @@ perfbench-smoke:
 # median, quartiles and change against its BENCHMARK.json bound, and
 # flags any run with failed > 0.  BASE is checked out in a temporary
 # git worktree under .bench_build/.  Ten pairs at 15 s take ~6 min.
+# TRACE=1 pairs traced runs instead and prints both sides' medians of
+# the GC metrics (minor and promoted words per op, minor collections,
+# major cycles), to trace a heap_mb move to promotion.
 BASE ?= HEAD
 WORKLOAD ?= web-soft
 SEEDS ?= 1 2 3 4 5 6 7 8 9 10
+TRACE ?= 0
 perf-pairs:
-	python3 tools/perf_pairs.py --base $(BASE) --workload $(WORKLOAD) --seeds "$(SEEDS)"
+	python3 tools/perf_pairs.py --base $(BASE) --workload $(WORKLOAD) --seeds "$(SEEDS)" --trace $(TRACE)
 
 # Run-report smoke: one report per experiment (fig1, table3 and the
 # pacer-scale census), each from a single execution, plus table3's

@@ -28,7 +28,7 @@ let run ~app_read_delay ~paced =
   let transmit _now p = Wan.forward wan_fwd p in
   let receiver =
     Receiver.create engine params ~send_ack:(fun now ~ack_upto ->
-        Wan.forward wan_rev (Tcp_types.make_ack ~ack_upto ~born:now))
+        Wan.forward wan_rev (Tcp_types.make_ack ~ack_upto ~born:(Int64.to_int now)))
   in
   Receiver.set_app_read_delay receiver app_read_delay;
   let finish = ref Time_ns.zero in
@@ -54,7 +54,7 @@ let run ~app_read_delay ~paced =
     (fun now p ->
       if not p.Packet.meta.Tcp_types.is_ack then begin
         Receiver.on_data receiver ~seq:p.Packet.meta.Tcp_types.seq;
-        if Receiver.delivered receiver >= segments then finish := now
+        if Receiver.delivered receiver >= segments then finish := Time_ns.of_ns now
       end);
   Engine.run_until engine (Time_ns.of_sec 30.0);
   Receiver.stop receiver;

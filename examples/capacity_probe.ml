@@ -15,7 +15,7 @@ let probe ~bottleneck_bps ~bursts ~burst_len =
   let est = Capacity.create ~packet_bits:(1500 * 8) () in
   let wan =
     Wan.create engine ~bottleneck_bps ~one_way_delay:(Time_ns.of_ms 50.0)
-      ~deliver:(fun now _ -> Capacity.on_arrival est now)
+      ~deliver:(fun now _ -> Capacity.on_arrival est (Time_ns.of_ns now))
       ()
   in
   (* Access link at 1 Gbps: probe pairs leave truly back-to-back. *)
@@ -32,7 +32,7 @@ let probe ~bottleneck_bps ~bursts ~burst_len =
            Capacity.reset_burst est;
            for _ = 1 to burst_len do
              Link.send access
-               (Packet.create ~size_bytes:1500 ~meta:() ~born:(Engine.now engine))
+               (Packet.create ~size_bytes:1500 ~meta:() ~born:(Engine.now_i engine))
            done)
         : Engine.handle)
   done;

@@ -45,7 +45,7 @@ let () =
     let think = Dist.draw (Dist.Exponential 25.0) rng in
     Kernel.user machine ~work_us:think (fun _ -> Kernel.syscall machine ~work_us:3.0 chatter)
   in
-  chatter Time_ns.zero;
+  chatter 0;
   let sent_at = Stats.Sample.create () in
   let last = ref None in
   let sender, clock =

@@ -29,7 +29,7 @@ let first_transfer_and_estimate () =
   let params = Tcp_types.default in
   let receiver =
     Receiver.create engine params ~send_ack:(fun now ~ack_upto ->
-        Wan.forward wan_rev (Tcp_types.make_ack ~ack_upto ~born:now))
+        Wan.forward wan_rev (Tcp_types.make_ack ~ack_upto ~born:(Int64.to_int now)))
   in
   let segments = 200 in
   let sender =
@@ -45,9 +45,9 @@ let first_transfer_and_estimate () =
     (fun now p ->
       if not p.Packet.meta.Tcp_types.is_ack then begin
         (* The receiver-side estimator sees every data arrival. *)
-        Capacity.on_arrival est now;
+        Capacity.on_arrival est (Time_ns.of_ns now);
         Receiver.on_data receiver ~seq:p.Packet.meta.Tcp_types.seq;
-        if Receiver.delivered receiver >= segments then finish := now
+        if Receiver.delivered receiver >= segments then finish := Time_ns.of_ns now
       end);
   Sender.start sender;
   Engine.run_until engine (Time_ns.of_sec 30.0);

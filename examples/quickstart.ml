@@ -27,7 +27,7 @@ let () =
     let think = Dist.draw (Dist.Exponential 22.0) rng in
     Kernel.user machine ~work_us:think (fun _ -> Kernel.syscall machine ~work_us:3.0 busy_process)
   in
-  busy_process Time_ns.zero;
+  busy_process 0;
 
   (* Schedule events at various delays and report their firing error. *)
   let delays_us = [ 10.0; 50.0; 100.0; 500.0; 2_000.0 ] in
@@ -37,7 +37,7 @@ let () =
       let scheduled_at = Engine.now engine in
       ignore
         (Softtimer.schedule_after facility requested (fun now ->
-             let actual = Time_ns.(now - scheduled_at) in
+             let actual = Time_ns.(of_ns now - scheduled_at) in
              Printf.printf "requested %8.1f us -> fired after %8.1f us  (late by %6.2f us)\n"
                d (Time_ns.to_us actual)
                (Time_ns.to_us actual -. d))
@@ -54,7 +54,7 @@ let () =
     let scheduled_at = Engine.now engine in
     ignore
       (Softtimer.schedule_after facility period (fun now ->
-           Stats.Sample.add lateness (Time_ns.to_us Time_ns.(now - scheduled_at) -. 100.0);
+           Stats.Sample.add lateness (Time_ns.to_us Time_ns.(of_ns now - scheduled_at) -. 100.0);
            periodic ())
         : Softtimer.handle)
   in

@@ -21,7 +21,7 @@ let measure_lateness ~cpus ~busy_cpus =
     let rec hog _now =
       Machine.submit_quantum machine ~cpu ~prio:Cpu.prio_user ~work_us:800.0 ~trigger:None hog
     in
-    hog Time_ns.zero
+    hog 0
   done;
   let lateness = Stats.Sample.create () in
   let period = Time_ns.of_us 100.0 in
@@ -29,7 +29,7 @@ let measure_lateness ~cpus ~busy_cpus =
     let scheduled = Engine.now engine in
     ignore
       (Softtimer.schedule_after facility period (fun now ->
-           Stats.Sample.add lateness (Time_ns.to_us Time_ns.(now - scheduled) -. 100.0);
+           Stats.Sample.add lateness (Time_ns.to_us Time_ns.(of_ns now - scheduled) -. 100.0);
            periodic ())
         : Softtimer.handle)
   in

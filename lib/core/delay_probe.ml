@@ -31,6 +31,7 @@ module Gap_recorder = struct
     in
     Machine.add_observer machine (fun kind now ->
         if t.included kind then begin
+          let now = Time_ns.of_ns now in
           incr (List.assq kind t.counts);
           t.total <- t.total + 1;
           (match t.last with
@@ -79,6 +80,7 @@ module Event_delay = struct
       let due_ns = Int64.of_float (Float.ceil (Int64.to_float due_tick *. tick_ns)) in
       ignore
         (Softtimer.schedule_soft_event st ~ticks:t.ticks (fun now ->
+             let now = Time_ns.of_ns now in
              t.fired <- t.fired + 1;
              Stats.Sample.add t.delays (Time_ns.to_us Time_ns.(now - due_ns));
              (match t.last_fire with

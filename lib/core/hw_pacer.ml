@@ -1,7 +1,7 @@
 type t = {
   machine : Machine.t;
   interval_i : int;  (* ns *)
-  send : Time_ns.t -> bool;
+  send : int -> bool;
   dispatch_work_us : float;
   mutable line : Interrupt.line option;
   mutable running : bool;
@@ -10,7 +10,7 @@ type t = {
   mutable sends : int;
   mutable last_send : int;  (* ns; -1 before the first send *)
   intervals : Hdr.t;  (* constant-memory, like Rate_clock.intervals *)
-  mutable dispatch : Time_ns.t -> unit;  (* the softintr quantum's callback, built once *)
+  mutable dispatch : int -> unit;  (* the softintr quantum's callback, built once *)
   mutable k_tick : Engine.kind;
 }
 
@@ -20,10 +20,9 @@ let e_coalesced = Profile.intern [ "hw_pacer"; "tick_coalesced" ]
 let[@hot] on_dispatch t now =
   t.dispatch_pending <- false;
   if t.running && t.send now then begin
-    let now_i = Int64.to_int now in
     if t.last_send >= 0 then
-      Hdr.record t.intervals (float_of_int (now_i - t.last_send) /. 1e3);
-    t.last_send <- now_i;
+      Hdr.record t.intervals (float_of_int (now - t.last_send) /. 1e3);
+    t.last_send <- now;
     t.sends <- t.sends + 1
   end
 

@@ -15,12 +15,13 @@ type t
 val create :
   Machine.t ->
   interval:Time_ns.span ->
-  send:(Time_ns.t -> bool) ->
+  send:(int -> bool) ->
   ?dispatch_work_us:float ->
   unit ->
   t
-(** [send] transmits one pending packet ([false] = nothing pending; the
-    tick is then idle but still paid for).  [dispatch_work_us] is the
+(** [send now] transmits one pending packet at [now] (integer
+    nanoseconds); [false] = nothing pending, the tick is then idle but
+    still paid for.  [dispatch_work_us] is the
     software-interrupt dispatch cost per tick (default 1.2). *)
 
 val start : t -> unit

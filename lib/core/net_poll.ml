@@ -10,7 +10,7 @@ let e_clamp_max = Profile.intern [ "net_poll"; "interval_clamped_max" ]
 type t = {
   st : Softtimer.t;
   quota : float;
-  poll : Time_ns.t -> int;
+  poll : int -> int;  (* given the instant, ns *)
   min_interval : Time_ns.span;
   max_interval : Time_ns.span;
   mutable interval : Time_ns.span;

@@ -17,13 +17,14 @@ type t
 val create :
   Softtimer.t ->
   quota:float ->
-  poll:(Time_ns.t -> int) ->
+  poll:(int -> int) ->
   ?min_interval:Time_ns.span ->
   ?max_interval:Time_ns.span ->
   ?initial_interval:Time_ns.span ->
   unit ->
   t
-(** [quota] is the target mean packets-per-poll (the paper evaluates 1,
+(** [poll now] receives the instant in integer nanoseconds.  [quota]
+    is the target mean packets-per-poll (the paper evaluates 1,
     2, 5, 10, 15).  The interval is bounded to
     [[min_interval, max_interval]] (defaults 10 us and 1 ms — the
     backup-clock granularity).  [initial_interval] defaults to 50 us.

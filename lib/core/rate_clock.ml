@@ -53,9 +53,10 @@ let create ?(intervals = cohort_intervals) st ~target_interval ~min_interval ~se
     intervals;
   }
 
-let rec on_event t now =
+let rec on_event t now_i =
   t.outstanding <- None;
   if t.active then begin
+    let now = Time_ns.of_ns now_i in
     if t.send now then begin
       if t.sent_in_train > 0 then begin
         let gap_us = Time_ns.to_us Time_ns.(now - t.last_send) in
@@ -66,7 +67,7 @@ let rec on_event t now =
       t.sent_in_train <- t.sent_in_train + 1;
       t.sends <- t.sends + 1;
       Metrics.dincr m_sends;
-      Trace.rbc_send ~at:now;
+      Trace.rbc_send ~at:now_i;
       schedule_next t now
     end
     else

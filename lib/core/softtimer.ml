@@ -5,8 +5,8 @@ let m_cancelled = Metrics.dcounter Metrics.default "softtimer.cancelled"
 let h_fire_delay = Metrics.dhistogram Metrics.default "softtimer.fire_delay_us"
 
 (* The payload the store holds per event; the store hands the due time
-   back on expiry. *)
-type pending_event = { id : int; handler : Time_ns.t -> unit }
+   back on expiry.  The handler receives the firing instant in ns. *)
+type pending_event = { id : int; handler : int -> unit }
 
 (* One store instance at payload [pending_event]: the chosen
    [Timer_store.S] together with the state [attach] created, its handle
@@ -59,7 +59,7 @@ type t = {
   ns_per_tick : float;
   check_budget : int;  (* max handler dispatches per trigger-state check *)
   fire_work_us : float;  (* dispatch cost charged per fire (boxed once, here) *)
-  mutable fire_now : Time_ns.t;  (* [now] of the check in progress *)
+  mutable fire_now : int;  (* [now] of the check in progress, ns *)
   mutable fire_source : string;  (* its trigger state's name *)
   mutable on_fire : Time_ns.t -> pending_event -> unit;  (* [fire t], built once *)
   mutable next_id : int;  (* timer identity carried by the trace events *)
@@ -128,7 +128,7 @@ let x_ratio t = Int64.div t.measure_hz t.intr_hz
    temporaries; only the deadline handed to the store is boxed.
    ALLOC003: the Int64 intermediates are unboxed once inlined. *)
 let[@inline] measure_time t =
-  Int64.of_float (Int64.to_float (Engine.now (Machine.engine t.machine)) /. t.ns_per_tick)
+  Int64.of_float (float_of_int (Engine.now_i (Machine.engine t.machine)) /. t.ns_per_tick)
 [@@lint.allow "ALLOC003"]
 
 (* The instant of the first measurement tick at least [ticks + 1] ticks
@@ -148,17 +148,18 @@ let klass_timer = Some Cpu.klass_timer
 
 (* One dispatch of a check's batch: charge the dispatch cost (a
    procedure call) to the CPU and run the handler inline.  The check in
-   progress left its [now] and trigger source in [t].  ALLOC003: the
-   delay is one unboxed subtraction and a float division; the profiler
-   and the delay sample see it only when enabled. *)
+   progress left its [now] and trigger source in [t].  The delay is one
+   int subtraction and a float division; the profiler sees it boxed
+   (ALLOC003) only when enabled. *)
 let[@hot] fire t due ev =
   let now = t.fire_now in
+  let delay = now - Int64.to_int due in
   t.fired <- t.fired + 1;
   Metrics.dincr m_fired;
   Trace.soft_fire ~at:now ~id:ev.id ~due;
   if Profile.enabled () then
-    Profile.dispatch ~source:t.fire_source ~delay:(Time_ns.(now - due) [@lint.allow "ALLOC003"]);
-  let delay_us = (Int64.to_float (Int64.sub now due) /. 1e3 [@lint.allow "ALLOC003"]) in
+    Profile.dispatch ~source:t.fire_source ~delay:(Int64.of_int delay [@lint.allow "ALLOC003"]);
+  let delay_us = float_of_int delay /. 1e3 in
   if t.record_delays then Stats.Sample.add t.delays delay_us;
   Metrics.drecord h_fire_delay delay_us;
   Machine.submit_quantum t.machine
@@ -171,20 +172,24 @@ let[@hot] fire t due ev =
    this check — the profiler's per-trigger dispatch breakdown (paper
    Table 1) records which state fired each event and at what latency.  A
    handler may reach a trigger state of its own, so a nested check saves
-   and restores the outer one's [fire_now]/[fire_source]. *)
-let[@hot] check t kind now =
+   and restores the outer one's [fire_now]/[fire_source].  [now] is int
+   ns; the store's [fire_due] takes it boxed, once per check that finds
+   work: the engine's box of the instant if it has one, else a fresh
+   one. *)
+let[@hot] check t kind now_i =
   t.checks <- t.checks + 1;
   Metrics.dincr m_checks;
   match next_deadline t with
-  | Some d when Time_ns.(d <= now) ->
+  | Some d when Fire_outcome.saturate d <= now_i ->
     let outer_now = t.fire_now and outer_source = t.fire_source in
     let source = Trigger.name kind in
-    t.fire_now <- now;
+    t.fire_now <- now_i;
     t.fire_source <- source;
     let outcome =
       match t.store with
       | Store inst -> (
         let module S = (val inst) in
+        let now = Engine.now_shared (Machine.engine t.machine) in
         match S.fire_due S.s ~now ~limit:t.check_budget t.on_fire with
         | o -> o
         | exception exn ->
@@ -201,7 +206,7 @@ let[@hot] check t kind now =
        [Soft_fire]s — same timestamp, dispatch order. *)
     let scanned = Fire_outcome.scanned outcome in
     if scanned > 0 then
-      Trace.soft_check ~at:now ~src:source ~scanned ~fired:(Fire_outcome.fired outcome)
+      Trace.soft_check ~at:now_i ~src:source ~scanned ~fired:(Fire_outcome.fired outcome)
   | Some _ | None -> ()
 
 let attach ?store ?(wheel_tick = Time_ns.of_us 10.0) ?(wheel_slots = 512) machine =
@@ -226,7 +231,7 @@ let attach ?store ?(wheel_tick = Time_ns.of_us 10.0) ?(wheel_slots = 512) machin
       ns_per_tick = 1e9 /. (profile.Costs.cpu_mhz *. 1e6);
       check_budget = Atomic.get default_check_budget;
       fire_work_us = profile.Costs.softtimer_fire_us;
-      fire_now = Time_ns.zero;
+      fire_now = 0;
       fire_source = "";
       on_fire = (fun _ _ -> ());
       next_id = 0;
@@ -287,7 +292,7 @@ let schedule_soft_event t ~ticks handler =
   t.next_id <- id + 1;
   Metrics.dincr m_scheduled;
   if Trace.armed () then
-    Trace.soft_sched ~at:(Engine.now (Machine.engine t.machine)) ~id
+    Trace.soft_sched ~at:(Engine.now_i (Machine.engine t.machine)) ~id
       ~due:(Int64.of_float due_f);
   match t.store with
   | Store inst ->
@@ -319,7 +324,7 @@ let cancel t (Handle { inst; sh; ev_id }) =
   if S.handle_pending S.s sh then begin
     Metrics.dincr m_cancelled;
     Trace.soft_cancel
-      ~at:(Engine.now (Machine.engine t.machine))
+      ~at:(Engine.now_i (Machine.engine t.machine))
       ~id:ev_id
       ~due:(S.handle_deadline S.s sh)
   end;
@@ -330,7 +335,7 @@ let rearm t (Handle { inst; sh; ev_id }) ~ticks =
   let module S = (val inst) in
   if not (S.handle_pending S.s sh) then false
   else begin
-    let at = Engine.now (Machine.engine t.machine) in
+    let at = Engine.now_i (Machine.engine t.machine) in
     Trace.soft_cancel ~at ~id:ev_id ~due:(S.handle_deadline S.s sh);
     let due = due_after t ticks in
     (* A re-arm is cancel + schedule with the handle kept; the trace

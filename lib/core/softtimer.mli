@@ -74,9 +74,10 @@ val interrupt_clock_resolution : t -> int64
 (** Frequency (Hz) of the periodic timer interrupt that schedules
     overdue soft-timer events — the facility's worst-case granularity. *)
 
-val schedule_soft_event : t -> ticks:int64 -> (Time_ns.t -> unit) -> handle
+val schedule_soft_event : t -> ticks:int64 -> (int -> unit) -> handle
 (** [schedule_soft_event t ~ticks handler] arranges for [handler] to be
-    called at least [ticks] measurement-clock ticks in the future: at
+    called, with the firing instant in integer nanoseconds, at least
+    [ticks] measurement-clock ticks in the future: at
     the first trigger state at which [measure_time] exceeds its
     schedule-time value by at least [ticks + 1] (the +1 accounts for the
     schedule instant not coinciding with a tick edge), and in any case
@@ -85,7 +86,7 @@ val schedule_soft_event : t -> ticks:int64 -> (Time_ns.t -> unit) -> handle
 
 (** {2 Convenience and introspection} *)
 
-val schedule_after : t -> Time_ns.span -> (Time_ns.t -> unit) -> handle
+val schedule_after : t -> Time_ns.span -> (int -> unit) -> handle
 (** Like {!schedule_soft_event} with the delay given as a span (rounded
     up to whole measurement ticks). *)
 

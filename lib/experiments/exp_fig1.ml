@@ -15,7 +15,7 @@ let start_sparse_triggers machine rng =
     let u = Dist.draw gap rng in
     Kernel.user machine ~work_us:u (fun _ -> Kernel.syscall machine ~work_us:2.0 loop)
   in
-  loop Time_ns.zero
+  loop 0
 
 let compute (cfg : Exp_config.t) =
   let trials = if cfg.Exp_config.quick then 300 else 3_000 in
@@ -36,7 +36,7 @@ let compute (cfg : Exp_config.t) =
         ignore
           (Softtimer.schedule_soft_event st ~ticks (fun now ->
                let actual_ticks =
-                 Int64.to_float now /. 1e9 *. tick_hz -. Int64.to_float sched
+                 float_of_int now /. 1e9 *. tick_hz -. Int64.to_float sched
                in
                incr events;
                if actual_ticks < !min_d then min_d := actual_ticks;

@@ -80,7 +80,7 @@ let goodput (cfg : Exp_config.t) ~mode ~rate_pps =
     ignore
       (Engine.schedule_after engine (Dist.span gap_dist rng) (fun () ->
            Nic.deliver nic
-             (Packet.create ~size_bytes:1500 ~meta:() ~born:(Engine.now engine));
+             (Packet.create ~size_bytes:1500 ~meta:() ~born:(Engine.now_i engine));
            flood ())
         : Engine.handle)
   in

@@ -53,7 +53,7 @@ type task = {
   attr : Profile.attr;
   mutable remaining : int;
   trigger : Trigger.kind option;
-  cb : Time_ns.t -> unit;
+  cb : int -> unit;  (* receives the completion instant, ns *)
 }
 
 (* The running quantum lives in mutable fields rather than in a fresh
@@ -71,8 +71,8 @@ type t = {
   mutable k_complete : Engine.kind;
   mutable busy : int;
   busy_by_prio : int array;
-  mutable idle_hook : Time_ns.t -> unit;
-  mutable resume_hook : Time_ns.t -> unit;
+  mutable idle_hook : int -> unit;
+  mutable resume_hook : int -> unit;
   mutable trigger_hook : Trigger.kind -> unit;
   mutable depth : int;
 }
@@ -110,21 +110,20 @@ let pop t prio =
    emitting [Cpu_run] here is what makes the why-late busy coverage
    complete: every charged interval [now - span, now] reaches the trace
    exactly once, tagged with its work class.  The boxed span is built
-   only for a live profiler or trace. *)
+   only for a live profiler. *)
 let[@hot] charge t task span =
   t.busy <- t.busy + span;
   t.busy_by_prio.(task.prio) <- t.busy_by_prio.(task.prio) + span;
   if Profile.enabled () then
     Profile.charge task.attr ~cpu:t.cpu_id (Int64.of_int span [@lint.allow "ALLOC003"]);
-  if span > 0 && Trace.armed () then
-    Trace.cpu_run ~at:(Engine.now t.engine) ~cpu:t.cpu_id ~klass:task.klass
-      ~dur:(Int64.of_int span [@lint.allow "ALLOC003"])
+  if span > 0 then
+    Trace.cpu_run ~at:(Engine.now_i t.engine) ~cpu:t.cpu_id ~klass:task.klass ~dur:span
 
 let[@hot] rec dispatch t =
   let prio = ready_prio t 0 in
   if prio < 0 then begin
     t.current <- t.none;
-    let now = Engine.now t.engine in
+    let now = Engine.now_i t.engine in
     Trace.cpu_idle ~at:now ~cpu:t.cpu_id;
     t.idle_hook now
   end
@@ -144,7 +143,7 @@ and[@hot] complete t =
   task.remaining <- 0;
   t.current <- t.none;
   (match task.trigger with Some kind -> t.trigger_hook kind | None -> ());
-  task.cb (Engine.now t.engine);
+  task.cb (Engine.now_i t.engine);
   (* The callback may have submitted work and triggered a dispatch; only
      dispatch here if the CPU is still unoccupied. *)
   if not (running t) then dispatch t
@@ -200,7 +199,7 @@ let[@hot] submit_i t ?attr ?klass ~prio ~work_i ~trigger cb =
   Queue.add task t.queues.(prio);
   t.depth <- t.depth + 1;
   if was_idle then begin
-    let now = Engine.now t.engine in
+    let now = Engine.now_i t.engine in
     Trace.cpu_busy ~at:now ~cpu:t.cpu_id;
     t.resume_hook now
   end;

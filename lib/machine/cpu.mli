@@ -64,10 +64,11 @@ val submit :
   ?klass:int ->
   prio:int ->
   work:Time_ns.span ->
-  (Time_ns.t -> unit) ->
+  (int -> unit) ->
   unit
 (** [submit t ~prio ~work cb] enqueues a quantum; [cb] runs when its
-    cumulative execution reaches [work], receiving the completion time.
+    cumulative execution reaches [work], receiving the completion time
+    in integer nanoseconds.
     Zero-work quanta complete as soon as they are dispatched.  [attr]
     names the quantum's cycle-attribution category (defaults to
     {!default_attr} for its priority); all of the quantum's execution
@@ -84,7 +85,7 @@ val submit_i :
   prio:int ->
   work_i:int ->
   trigger:Trigger.kind option ->
-  (Time_ns.t -> unit) ->
+  (int -> unit) ->
   unit
 (** {!submit} with the work in integer nanoseconds and a trigger state:
     at completion a [Some kind] trigger is reported to the hook set by
@@ -110,12 +111,13 @@ val busy_ns : t -> Time_ns.span
 val busy_ns_at : t -> int -> Time_ns.span
 (** Cumulative execution time of quanta submitted at one priority. *)
 
-val set_idle_hook : t -> (Time_ns.t -> unit) -> unit
-(** Called at every transition to idle (after the last completion
-    callback has run and found nothing to dispatch). *)
+val set_idle_hook : t -> (int -> unit) -> unit
+(** Called, with the instant in ns, at every transition to idle (after
+    the last completion callback has run and found nothing to
+    dispatch). *)
 
-val set_resume_hook : t -> (Time_ns.t -> unit) -> unit
-(** Called at every transition out of idle. *)
+val set_resume_hook : t -> (int -> unit) -> unit
+(** Called, with the instant in ns, at every transition out of idle. *)
 
 val queue_depth : t -> int
 (** Quanta queued but not running (diagnostics). *)

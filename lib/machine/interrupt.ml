@@ -10,13 +10,13 @@ type line = {
   latch_depth : int;
   spl_blockable : bool;
   cpu : int;
-  handler : Time_ns.t -> unit;
+  handler : int -> unit;  (* receives the completion instant, ns *)
   mutable in_flight : int;  (* delivered-but-unfinished, at most latch_depth *)
   works : int array;
       (* work (ns) of the deliveries in flight, a ring from [oldest]:
          they share one priority and CPU, so they complete in order *)
   mutable oldest : int;
-  mutable complete : Time_ns.t -> unit;  (* the deliveries' callback, built once *)
+  mutable complete : int -> unit;  (* the deliveries' callback, built once *)
   mutable deferred : bool;  (* a tick is waiting for the spl window to end *)
   mutable raised : int;
   mutable lost : int;
@@ -32,7 +32,7 @@ type t = {
   engine : Engine.t;
   cpus : Cpu.t array;
   profile : Costs.profile;
-  on_trigger : Trigger.kind -> Time_ns.t -> unit;
+  on_trigger : Trigger.kind -> int -> unit;
   mutable overhead_ns : int;  (* per-delivery overhead at the current locality *)
   mutable spl_until : int;  (* end of the current disabled window, ns *)
   mutable spl_deferred : (line * int) list;  (* with handler work, ns *)
@@ -64,8 +64,7 @@ let complete t ln now =
   ln.in_flight <- ln.in_flight - 1;
   ln.delivered <- ln.delivered + 1;
   Metrics.dincr m_delivered;
-  if Trace.armed () then
-    Trace.irq ~at:now ~line:ln.name ~cpu:ln.cpu ~dur:(Time_ns.of_ns work [@lint.allow "ALLOC003"]);
+  Trace.irq ~at:now ~line:ln.name ~cpu:ln.cpu ~dur:work;
   ln.handler now;
   t.on_trigger ln.source now
 
@@ -132,12 +131,12 @@ let lose ln ~at =
 let raise_irq t ln ~handler_work_ns:handler_work =
   ln.raised <- ln.raised + 1;
   Metrics.dincr m_raised;
-  let now = Engine.now t.engine in
-  Trace.irq_raised ~at:now ~line:ln.name;
-  if ln.spl_blockable && Engine.now_i t.engine < t.spl_until then begin
+  let now_i = Engine.now_i t.engine in
+  Trace.irq_raised ~at:now_i ~line:ln.name;
+  if ln.spl_blockable && now_i < t.spl_until then begin
     (* Interrupts disabled: latch one tick; further ticks are gone. *)
     if ln.deferred then begin
-      lose ln ~at:now;
+      lose ln ~at:now_i;
       false
     end
     else begin
@@ -149,7 +148,7 @@ let raise_irq t ln ~handler_work_ns:handler_work =
     end
   end
   else if ln.in_flight >= ln.latch_depth then begin
-    lose ln ~at:now;
+    lose ln ~at:now_i;
     false
   end
   else begin
@@ -164,7 +163,7 @@ let rec flush_deferred t pending =
   | (ln, work) :: older ->
     flush_deferred t older;
     ln.deferred <- false;
-    if ln.in_flight >= ln.latch_depth then lose ln ~at:(Engine.now t.engine)
+    if ln.in_flight >= ln.latch_depth then lose ln ~at:(Engine.now_i t.engine)
     else deliver t ln work
 
 let flush_spl t =

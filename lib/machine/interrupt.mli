@@ -23,7 +23,7 @@ val create :
   engine:Engine.t ->
   cpus:Cpu.t array ->
   profile:Costs.profile ->
-  on_trigger:(Trigger.kind -> Time_ns.t -> unit) ->
+  on_trigger:(Trigger.kind -> int -> unit) ->
   unit ->
   t
 
@@ -39,13 +39,14 @@ val line :
   ?latch_depth:int ->
   ?spl_blockable:bool ->
   ?cpu:int ->
-  handler:(Time_ns.t -> unit) ->
+  handler:(int -> unit) ->
   unit ->
   line
 (** Register an interrupt line.  [source] is the trigger-state kind
     observed when the handler returns; [handler] receives the completion
-    time of each delivered interrupt.  [latch_depth] is the number of
-    in-flight interrupts the line can hold before losing new ones:
+    time of each delivered interrupt, in integer nanoseconds.
+    [latch_depth] is the number of in-flight interrupts the line can
+    hold before losing new ones:
     2 (default) for ordinary device lines (one in service + one latched
     in the PIC), 1 for periodic timers whose tick is simply gone if the
     previous one has not been serviced in time.  A [spl_blockable] line

@@ -25,17 +25,18 @@ val step_attr : step -> Profile.attr option
     otherwise.  Must be called once per submitted quantum — seqs consume
     their parts statefully. *)
 
-val syscall : Machine.t -> work_us:float -> (Time_ns.t -> unit) -> unit
+val syscall : Machine.t -> work_us:float -> (int -> unit) -> unit
 (** One system call: kernel entry cost + [work_us] of kernel work, ends
-    in a [Syscall] trigger state. *)
+    in a [Syscall] trigger state.  Like every entry point below, the
+    callback receives the completion instant in integer nanoseconds. *)
 
-val trap : Machine.t -> work_us:float -> (Time_ns.t -> unit) -> unit
+val trap : Machine.t -> work_us:float -> (int -> unit) -> unit
 (** One exception (page fault etc.): entry cost + work, [Trap] trigger. *)
 
-val user : Machine.t -> work_us:float -> (Time_ns.t -> unit) -> unit
+val user : Machine.t -> work_us:float -> (int -> unit) -> unit
 (** User-mode computation; no trigger state. *)
 
-val context_switch : Machine.t -> (Time_ns.t -> unit) -> unit
+val context_switch : Machine.t -> (int -> unit) -> unit
 (** A process context switch (kernel priority, no trigger state of its
     own). *)
 

@@ -18,11 +18,11 @@ type t = {
   mutable checker : int;  (* the one idle CPU checking (§5.2); -1 if none *)
   mutable intc : Interrupt.t option;  (* set right after creation *)
   mutable locality : Cache.locality;
-  mutable check_hook : (Trigger.kind -> Time_ns.t -> unit) option;
+  mutable check_hook : (Trigger.kind -> int -> unit) option;
   (* Observers in registration order in [observers.(0 .. n_observers-1)];
      a growable array keeps registration O(1) amortised and notification
      an indexed loop (this runs at every trigger state). *)
-  mutable observers : (Trigger.kind -> Time_ns.t -> unit) array;
+  mutable observers : (Trigger.kind -> int -> unit) array;
   mutable n_observers : int;
   counts : int array;
   mutable clock_running : bool;
@@ -59,7 +59,7 @@ let set_locality t l =
 let locality t = t.locality
 
 let fire_trigger t kind =
-  let now = Engine.now t.engine in
+  let now = Engine.now_i t.engine in
   t.counts.(kind_index kind) <- t.counts.(kind_index kind) + 1;
   Metrics.dincr m_triggers;
   Trace.trigger ~at:now (Trigger.name kind);
@@ -195,7 +195,7 @@ let on_resume t i _now =
 let create ?(profile = Costs.pentium_ii_300) ?(cpus = 1) engine =
   if cpus < 1 then invalid_arg "Machine.create: need at least one cpu";
   let cpu_arr = Array.init cpus (fun i -> Cpu.create ~id:i engine) in
-  Trace.sim_start ~at:(Engine.now engine);
+  Trace.sim_start ~at:(Engine.now_i engine);
   let t =
     {
       engine;

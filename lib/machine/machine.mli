@@ -51,12 +51,14 @@ val fire_trigger : t -> Trigger.kind -> unit
     Normally called by {!Kernel} and {!Interrupt}; exposed for tests and
     for synthetic trigger-process generators. *)
 
-val add_observer : t -> (Trigger.kind -> Time_ns.t -> unit) -> unit
-(** Measurement tap: called at every trigger state, before the check
-    hook. *)
+val add_observer : t -> (Trigger.kind -> int -> unit) -> unit
+(** Measurement tap: called at every trigger state, with its kind and
+    the instant in integer nanoseconds, before the check hook. *)
 
-val set_check_hook : t -> (Trigger.kind -> Time_ns.t -> unit) option -> unit
-(** The soft-timer facility's per-trigger-state check; it receives the
+val set_check_hook : t -> (Trigger.kind -> int -> unit) option -> unit
+(** The soft-timer facility's per-trigger-state check, called with the
+    current instant (the engine's clock) in integer nanoseconds; it
+    receives the
     kind of the trigger state that reached it, so dispatches can be
     attributed to their trigger source (paper Table 1).  While a hook is
     attached, every trigger-bearing quantum is lengthened by the
@@ -80,11 +82,12 @@ val submit_quantum :
   prio:int ->
   work_us:float ->
   trigger:Trigger.kind option ->
-  (Time_ns.t -> unit) ->
+  (int -> unit) ->
   unit
 (** Submit CPU work (to CPU 0 unless [cpu] says otherwise); when it
     completes, fire the given trigger kind (if any) and then run the
-    callback.  The soft-timer check surcharge is added automatically
+    callback with the completion instant in integer nanoseconds.  The
+    soft-timer check surcharge is added automatically
     when a hook is attached and [trigger] is [Some _]; with profiling
     live the surcharge is attributed to [softtimer;check] and the rest
     of the quantum to [attr] (default: the priority's
@@ -100,7 +103,7 @@ val interrupt_line :
   ?latch_depth:int ->
   ?spl_blockable:bool ->
   ?cpu:int ->
-  handler:(Time_ns.t -> unit) ->
+  handler:(int -> unit) ->
   unit ->
   Interrupt.line
 (** Register a device interrupt line (see {!Interrupt.line}). *)
@@ -124,7 +127,7 @@ val start_interrupt_clock : t -> unit
 val interrupt_clock_running : t -> bool
 
 val add_periodic_timer :
-  t -> hz:float -> ?handler_work_us:float -> (Time_ns.t -> unit) -> Interrupt.line
+  t -> hz:float -> ?handler_work_us:float -> (int -> unit) -> Interrupt.line
 (** An additional periodic hardware timer (the paper's §5.1 experiment
     adds one with a null handler at 0–100 kHz).  Returns the line so
     callers can read loss statistics.  Ticks raise interrupts

@@ -8,8 +8,8 @@ type 'a t = {
   engine : Engine.t;
   bandwidth_bps : float;
   latency_i : int;  (* ns *)
-  deliver : Time_ns.t -> 'a Packet.t -> unit;
-  on_sent : Time_ns.t -> 'a Packet.t -> unit;
+  deliver : int -> 'a Packet.t -> unit;
+  on_sent : int -> 'a Packet.t -> unit;
   mutable ring : 'a Packet.t array;
   mutable head : int;
   mutable count : int;
@@ -44,7 +44,7 @@ let[@hot] start_next t =
 let[@hot] on_serialised t _ =
   let p = Array.unsafe_get t.ring (at t t.n_prop) in
   t.sent <- t.sent + 1;
-  t.on_sent (Engine.now t.engine) p;
+  t.on_sent (Engine.now_i t.engine) p;
   t.n_prop <- t.n_prop + 1;
   ignore (Engine.post_after_i t.engine t.latency_i t.k_deliver 0 : Engine.handle);
   start_next t
@@ -54,7 +54,7 @@ let[@hot] on_delivered t _ =
   t.head <- at t 1;
   t.count <- t.count - 1;
   t.n_prop <- t.n_prop - 1;
-  t.deliver (Engine.now t.engine) p
+  t.deliver (Engine.now_i t.engine) p
 
 let create engine ~bandwidth_bps ~latency ?(on_sent = fun _ _ -> ()) ~deliver () =
   if bandwidth_bps <= 0.0 then invalid_arg "Link.create: bandwidth must be positive";

@@ -12,12 +12,13 @@ val create :
   Engine.t ->
   bandwidth_bps:float ->
   latency:Time_ns.span ->
-  ?on_sent:(Time_ns.t -> 'a Packet.t -> unit) ->
-  deliver:(Time_ns.t -> 'a Packet.t -> unit) ->
+  ?on_sent:(int -> 'a Packet.t -> unit) ->
+  deliver:(int -> 'a Packet.t -> unit) ->
   unit ->
   'a t
 (** [on_sent] fires when a packet finishes serialising (before
     propagation) — the moment a NIC would signal transmit completion.
+    Both callbacks receive the instant in integer nanoseconds.
     @raise Invalid_argument if [bandwidth_bps <= 0] or [latency < 0]. *)
 
 val send : 'a t -> 'a Packet.t -> unit

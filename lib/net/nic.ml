@@ -13,7 +13,7 @@ type 'a t = {
   mutable rx_line : Interrupt.line option;
   mutable tx_line : Interrupt.line option;
   mutable link : 'a Link.t option;
-  on_rx_batch : Time_ns.t -> 'a Packet.t list -> unit;
+  on_rx_batch : int -> 'a Packet.t list -> unit;
   tx_intr_coalesce : int;
   rx_handler_work_us : float;
   rx_intr_delay : Time_ns.span;
@@ -135,12 +135,12 @@ let deliver t p =
   if Queue.length t.rx_ring >= t.rx_ring_capacity then begin
     t.rx_dropped <- t.rx_dropped + 1;
     Metrics.dincr m_drop;
-    Trace.pkt_drop ~at:(Engine.now (Machine.engine t.machine)) ~nic:t.name
+    Trace.pkt_drop ~at:(Engine.now_i (Machine.engine t.machine)) ~nic:t.name
   end
   else begin
     Queue.add p t.rx_ring;
     Trace.pkt_enqueue
-      ~at:(Engine.now (Machine.engine t.machine))
+      ~at:(Engine.now_i (Machine.engine t.machine))
       ~nic:t.name ~qlen:(Queue.length t.rx_ring)
   end;
   let interrupt_mode =
@@ -161,7 +161,7 @@ let deliver t p =
   in
   if interrupt_mode then maybe_arm_rx_intr t
 
-let poll t = drain_ring t (Engine.now (Machine.engine t.machine))
+let poll t = drain_ring t (Engine.now_i (Machine.engine t.machine))
 
 let hybrid_done t =
   if Queue.is_empty t.rx_ring then begin
@@ -170,7 +170,7 @@ let hybrid_done t =
   end
   else begin
     t.hybrid_processing <- true;
-    drain_ring t (Engine.now (Machine.engine t.machine))
+    drain_ring t (Engine.now_i (Machine.engine t.machine))
   end
 
 let rx_dropped t = t.rx_dropped

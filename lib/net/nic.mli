@@ -25,17 +25,18 @@ val create :
   name:string ->
   bandwidth_bps:float ->
   wire_latency:Time_ns.span ->
-  tx_deliver:(Time_ns.t -> 'a Packet.t -> unit) ->
-  on_rx_batch:(Time_ns.t -> 'a Packet.t list -> unit) ->
+  tx_deliver:(int -> 'a Packet.t -> unit) ->
+  on_rx_batch:(int -> 'a Packet.t list -> unit) ->
   ?tx_intr_coalesce:int ->
   ?rx_handler_work_us:float ->
   ?rx_intr_delay:Time_ns.span ->
   ?rx_ring_capacity:int ->
   unit ->
   'a t
-(** [tx_intr_coalesce] = raise a transmit-complete interrupt every k
-    serialisation completions in interrupt mode (0, the default,
-    disables transmit interrupts).  [rx_handler_work_us] is the receive
+(** [tx_deliver] and [on_rx_batch] receive the instant in integer
+    nanoseconds.  [tx_intr_coalesce] = raise a transmit-complete
+    interrupt every k serialisation completions in interrupt mode (0,
+    the default, disables transmit interrupts).  [rx_handler_work_us] is the receive
     interrupt handler's own ring-drain work (default 1.0).
     [rx_intr_delay] models hardware interrupt mitigation: the receive
     interrupt is asserted this long after the first packet lands in an

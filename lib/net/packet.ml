@@ -1,4 +1,4 @@
-type 'a t = { size_bytes : int; meta : 'a; born : Time_ns.t }
+type 'a t = { size_bytes : int; meta : 'a; born : int }
 
 (* ALLOC002: a fresh record per packet is this constructor's contract
    ([Pool] recycles cells where that matters). *)
@@ -25,7 +25,7 @@ module Pool = struct
   type 'a cell = {
     mutable size_bytes : int;
     mutable meta : 'a;
-    mutable born : Time_ns.t;
+    mutable born : int;
     mutable in_use : bool;
   }
 

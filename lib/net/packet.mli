@@ -5,10 +5,11 @@
     connection-level event) and the packet-level TCP simulator (whose
     metadata is a TCP segment). *)
 
-type 'a t = { size_bytes : int; meta : 'a; born : Time_ns.t }
+type 'a t = { size_bytes : int; meta : 'a; born : int }
 
-val create : size_bytes:int -> meta:'a -> born:Time_ns.t -> 'a t
-(** @raise Invalid_argument if [size_bytes < 0]. *)
+val create : size_bytes:int -> meta:'a -> born:int -> 'a t
+(** [born] is the creation instant in integer nanoseconds.
+    @raise Invalid_argument if [size_bytes < 0]. *)
 
 val bits : 'a t -> int
 (** Size on the wire, in bits. *)
@@ -40,7 +41,7 @@ module Pool : sig
   type 'a cell = {
     mutable size_bytes : int;
     mutable meta : 'a;
-    mutable born : Time_ns.t;
+    mutable born : int;
     mutable in_use : bool;
   }
 
@@ -48,7 +49,7 @@ module Pool : sig
 
   val create : unit -> 'a t
 
-  val acquire : 'a t -> size_bytes:int -> meta:'a -> born:Time_ns.t -> 'a cell
+  val acquire : 'a t -> size_bytes:int -> meta:'a -> born:int -> 'a cell
   (** Pop a recycled cell (or box a fresh one on pool miss) and fill
       it.  The cell is live until {!release}.
       @raise Invalid_argument if [size_bytes < 0]. *)

@@ -14,10 +14,11 @@ val create :
   bottleneck_bps:float ->
   one_way_delay:Time_ns.span ->
   ?queue_capacity:int ->
-  deliver:(Time_ns.t -> 'a Packet.t -> unit) ->
+  deliver:(int -> 'a Packet.t -> unit) ->
   unit ->
   'a t
-(** [queue_capacity] defaults to 2048 packets. *)
+(** [queue_capacity] defaults to 2048 packets.  [deliver] receives the
+    arrival instant in integer nanoseconds. *)
 
 val forward : 'a t -> 'a Packet.t -> unit
 (** Hand a packet to the emulator; it is delivered to [deliver] after

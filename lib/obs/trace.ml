@@ -113,9 +113,11 @@ let to_list t =
   List.rev !acc
 
 (* Emitters.  Each one checks for consumers before constructing the
-   record, so a disabled trace costs one atomic load and a branch.
-   ALLOC002 on [emit] and the emitters the [@hot] CPU and soft-timer
-   paths call: the record is built only behind [armed ()]. *)
+   record, so a disabled trace costs one atomic load and a branch.  The
+   typed emitters take [at] and spans as int ns and box them ([ns])
+   only behind [armed ()]; a soft event's [due] is the store's own
+   boxed deadline.  ALLOC002 on [emit] and the emitters the [@hot]
+   paths call, ALLOC003 on [ns]: records and boxes are built only then. *)
 
 let[@inline] [@hot] armed () =
   Atomic.get consumers > 0
@@ -128,39 +130,49 @@ let emit ~at ev =
   end
 [@@lint.allow "ALLOC002"]
 
-let trigger ~at kind = if armed () then emit ~at (Trigger kind)
+let ns n = Int64.of_int n [@@lint.allow "ALLOC003"]
+
+let trigger ~at kind = if armed () then emit ~at:(ns at) (Trigger kind)
 [@@lint.allow "ALLOC002"]
-let soft_sched ~at ~id ~due = if armed () then emit ~at (Soft_sched { id; due })
+
+let soft_sched ~at ~id ~due =
+  if armed () then emit ~at:(ns at) (Soft_sched { id; due })
 
 let soft_fire ~at ~id ~due =
-  if armed () then emit ~at (Soft_fire { id; due; delay = Time_ns.(at - due) })
+  if armed () then emit ~at:(ns at) (Soft_fire { id; due; delay = Time_ns.(ns at - due) })
 [@@lint.allow "ALLOC002"]
 
-let soft_cancel ~at ~id ~due = if armed () then emit ~at (Soft_cancel { id; due })
+let soft_cancel ~at ~id ~due =
+  if armed () then emit ~at:(ns at) (Soft_cancel { id; due })
 
 let soft_check ~at ~src ~scanned ~fired =
-  if armed () then emit ~at (Soft_check { src; scanned; fired })
+  if armed () then emit ~at:(ns at) (Soft_check { src; scanned; fired })
 [@@lint.allow "ALLOC002"]
 
 let cpu_run ~at ~cpu ~klass ~dur =
-  if armed () then emit ~at (Cpu_run { cpu; klass; dur })
+  if armed () then emit ~at:(ns at) (Cpu_run { cpu; klass; dur = ns dur })
 [@@lint.allow "ALLOC002"]
-let irq ~at ~line ~cpu ~dur = if armed () then emit ~at (Irq { line; cpu; dur })
-let irq_raised ~at ~line = if armed () then emit ~at (Irq_raised { line })
+
+let irq ~at ~line ~cpu ~dur =
+  if armed () then emit ~at:(ns at) (Irq { line; cpu; dur = ns dur })
+
+let irq_raised ~at ~line = if armed () then emit ~at:(ns at) (Irq_raised { line })
 [@@lint.allow "ALLOC002"]
-let irq_lost ~at ~line = if armed () then emit ~at (Irq_lost { line })
+let irq_lost ~at ~line = if armed () then emit ~at:(ns at) (Irq_lost { line })
 [@@lint.allow "ALLOC002"]
-let cpu_busy ~at ~cpu = if armed () then emit ~at (Cpu_busy { cpu }) [@@lint.allow "ALLOC002"]
-let cpu_idle ~at ~cpu = if armed () then emit ~at (Cpu_idle { cpu }) [@@lint.allow "ALLOC002"]
-let pkt_enqueue ~at ~nic ~qlen = if armed () then emit ~at (Pkt_enqueue { nic; qlen })
+let cpu_busy ~at ~cpu = if armed () then emit ~at:(ns at) (Cpu_busy { cpu })
 [@@lint.allow "ALLOC002"]
-let pkt_tx ~at ~nic = if armed () then emit ~at (Pkt_tx { nic })
-let pkt_rx ~at ~nic ~batch = if armed () then emit ~at (Pkt_rx { nic; batch })
-let pkt_drop ~at ~nic = if armed () then emit ~at (Pkt_drop { nic })
+let cpu_idle ~at ~cpu = if armed () then emit ~at:(ns at) (Cpu_idle { cpu })
 [@@lint.allow "ALLOC002"]
-let poll ~at ~found = if armed () then emit ~at (Poll { found })
-let rbc_send ~at = if armed () then emit ~at Rbc_send
-let mark ~at s = if armed () then emit ~at (Mark s)
+let pkt_enqueue ~at ~nic ~qlen = if armed () then emit ~at:(ns at) (Pkt_enqueue { nic; qlen })
+[@@lint.allow "ALLOC002"]
+let pkt_tx ~at ~nic = if armed () then emit ~at:(ns at) (Pkt_tx { nic })
+let pkt_rx ~at ~nic ~batch = if armed () then emit ~at:(ns at) (Pkt_rx { nic; batch })
+let pkt_drop ~at ~nic = if armed () then emit ~at:(ns at) (Pkt_drop { nic })
+[@@lint.allow "ALLOC002"]
+let poll ~at ~found = if armed () then emit ~at:(ns at) (Poll { found })
+let rbc_send ~at = if armed () then emit ~at:(ns at) Rbc_send
+let mark ~at s = if armed () then emit ~at:(ns at) (Mark s)
 
 let sim_start_mark = "sim.start"
 let sim_start ~at = mark ~at sim_start_mark

@@ -109,27 +109,32 @@ val to_list : t -> record list
 (** {2 Emitters}
 
     Each is a no-op unless a trace is installed.  [at] is the current
-    simulation time. *)
+    simulation time.  {!emit} takes it as a {!Time_ns.t}, like the
+    records and the tap; the typed emitters after it take [at] and
+    [dur] as integer nanoseconds and box them only while the trace is
+    {!armed}, so the per-event path can call them without boxing a
+    time.  A soft event's [due] is the timer store's own boxed
+    deadline. *)
 
 val emit : at:Time_ns.t -> event -> unit
-val trigger : at:Time_ns.t -> string -> unit
-val soft_sched : at:Time_ns.t -> id:int -> due:Time_ns.t -> unit
-val soft_fire : at:Time_ns.t -> id:int -> due:Time_ns.t -> unit
-val soft_cancel : at:Time_ns.t -> id:int -> due:Time_ns.t -> unit
-val soft_check : at:Time_ns.t -> src:string -> scanned:int -> fired:int -> unit
-val cpu_run : at:Time_ns.t -> cpu:int -> klass:int -> dur:Time_ns.span -> unit
-val irq : at:Time_ns.t -> line:string -> cpu:int -> dur:Time_ns.span -> unit
-val irq_raised : at:Time_ns.t -> line:string -> unit
-val irq_lost : at:Time_ns.t -> line:string -> unit
-val cpu_busy : at:Time_ns.t -> cpu:int -> unit
-val cpu_idle : at:Time_ns.t -> cpu:int -> unit
-val pkt_enqueue : at:Time_ns.t -> nic:string -> qlen:int -> unit
-val pkt_tx : at:Time_ns.t -> nic:string -> unit
-val pkt_rx : at:Time_ns.t -> nic:string -> batch:int -> unit
-val pkt_drop : at:Time_ns.t -> nic:string -> unit
-val poll : at:Time_ns.t -> found:int -> unit
-val rbc_send : at:Time_ns.t -> unit
-val mark : at:Time_ns.t -> string -> unit
+val trigger : at:int -> string -> unit
+val soft_sched : at:int -> id:int -> due:Time_ns.t -> unit
+val soft_fire : at:int -> id:int -> due:Time_ns.t -> unit
+val soft_cancel : at:int -> id:int -> due:Time_ns.t -> unit
+val soft_check : at:int -> src:string -> scanned:int -> fired:int -> unit
+val cpu_run : at:int -> cpu:int -> klass:int -> dur:int -> unit
+val irq : at:int -> line:string -> cpu:int -> dur:int -> unit
+val irq_raised : at:int -> line:string -> unit
+val irq_lost : at:int -> line:string -> unit
+val cpu_busy : at:int -> cpu:int -> unit
+val cpu_idle : at:int -> cpu:int -> unit
+val pkt_enqueue : at:int -> nic:string -> qlen:int -> unit
+val pkt_tx : at:int -> nic:string -> unit
+val pkt_rx : at:int -> nic:string -> batch:int -> unit
+val pkt_drop : at:int -> nic:string -> unit
+val poll : at:int -> found:int -> unit
+val rbc_send : at:int -> unit
+val mark : at:int -> string -> unit
 
 val sim_start_mark : string
 (** The [Mark] payload that declares "a fresh simulation begins here".
@@ -138,7 +143,7 @@ val sim_start_mark : string
     code that builds a fresh {!Engine} outside those paths should emit
     it too. *)
 
-val sim_start : at:Time_ns.t -> unit
+val sim_start : at:int -> unit
 (** [mark ~at sim_start_mark]. *)
 
 val absorb : t -> unit

@@ -23,9 +23,11 @@
    them, so cancel-heavy workloads (rate-based clocking reschedules
    per packet) keep O(live) residency.
 
-   Times ride as immediate ints internally ([Time_ns.t] is int64 at
-   the API); the boxed clock is refreshed only when the clock actually
-   advances, so same-instant event cascades re-box nothing. *)
+   Time is an immediate int inside the engine ([clock_i]); [Time_ns.t]
+   is int64 only at the API.  The boxed clock is built on demand by
+   [now] and cached until the clock next advances, so an advance no
+   one asks the box of allocates nothing, and repeated calls at one
+   instant share one box. *)
 
 (* Handle layout: [seq lsl idx_bits | idx].  25 index bits allow 33M
    concurrent events; the remaining 37 seq bits allow 1.4e11 schedules
@@ -45,8 +47,9 @@ let closure_kind = 0
 let null_kind = -1
 
 type t = {
-  mutable clock : Time_ns.t;  (* boxed mirror of [clock_i] *)
   mutable clock_i : int;
+  mutable boxed : Time_ns.t;  (* [boxed_at] boxed, built by [now] *)
+  mutable boxed_at : int;
   mutable next_seq : int;
   mutable live : int;  (* scheduled, not yet run, not cancelled *)
   mutable dead : int;  (* cancelled entries still in the heap *)
@@ -89,8 +92,9 @@ let register t ~name handler =
 let create () =
   let t =
     {
-      clock = Time_ns.zero;
       clock_i = 0;
+      boxed = Time_ns.zero;
+      boxed_at = 0;
       next_seq = 0;
       live = 0;
       dead = 0;
@@ -113,7 +117,23 @@ let create () =
   assert (k = closure_kind);
   t
 
-let now t = t.clock
+(* The clock never moves backwards, so a box built at the current
+   instant stays right until the next advance. *)
+let now t =
+  if t.boxed_at = t.clock_i then t.boxed
+  else begin
+    let b = Int64.of_int t.clock_i in
+    t.boxed <- b;
+    t.boxed_at <- t.clock_i;
+    b
+  end
+
+(* For a per-event consumer that must hand a boxed time to a frozen API
+   edge: [now]'s cached box when one is current, else a fresh box that
+   is not cached, so a miss costs that one box and no write barrier. *)
+let now_shared t =
+  if t.boxed_at = t.clock_i then t.boxed else Time_ns.of_ns t.clock_i
+
 let now_i t = t.clock_i
 let pending t = t.live
 
@@ -261,12 +281,7 @@ let[@hot] fire_head t =
   let payload = Array.unsafe_get t.payloads idx in
   release t idx;
   t.live <- t.live - 1;
-  if time > t.clock_i then begin
-    t.clock_i <- time;
-    (* ALLOC003: the boxed mirror is refreshed only when the clock
-       actually advances; same-instant cascades skip this branch. *)
-    t.clock <- (Int64.of_int time [@lint.allow "ALLOC003"])
-  end;
+  if time > t.clock_i then t.clock_i <- time;
   Array.unsafe_set t.runs kind (Array.unsafe_get t.runs kind + 1);
   (Array.unsafe_get t.handlers kind) payload
 
@@ -296,7 +311,8 @@ let[@hot] run_until t limit =
   done;
   if limit_i > t.clock_i then begin
     t.clock_i <- limit_i;
-    t.clock <- limit
+    t.boxed <- limit;
+    t.boxed_at <- limit_i
   end
 
 let run t = while step t do () done

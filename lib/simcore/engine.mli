@@ -21,6 +21,11 @@
     as run, and the next {!step} or {!run_until} resumes with the
     remaining events in order.
 
+    Time is an immediate [int] of nanoseconds on the per-event path
+    (the engine's clock, {!post_at_i}, {!now_i}) and a boxed
+    {!Time_ns.t} only at API edges ({!now}, {!schedule_at},
+    {!run_until}).
+
     The queue is a specialized 4-ary heap over unboxed integer keys
     ({!Eventq}); cancellation is lazy with threshold-triggered
     compaction (residency stays proportional to the number of pending
@@ -73,10 +78,22 @@ val kind_runs : t -> (string * int) list
     ["closure"]. *)
 
 val now : t -> Time_ns.t
-(** Current virtual time. *)
+(** Current virtual time, boxed.  The box is built on the first call
+    after the clock advances and cached until the next advance: calls at
+    one instant return the physically same value, and an advance no one
+    asks the box of allocates nothing.  The per-event path reads
+    {!now_i} instead; [now] is for API edges and cold code. *)
+
+val now_shared : t -> Time_ns.t
+(** [now t] without caching: the box {!now} or {!run_until} left for the
+    current instant if there is one, else a fresh box that the engine
+    does not keep.  For per-event code that must pass the time boxed to
+    an API edge (the soft-timer check's [Timer_store.S.fire_due]); it
+    allocates at most that one box and never writes the engine. *)
 
 val now_i : t -> int
-(** [now t] in integer nanoseconds, without the boxed [Time_ns.t]. *)
+(** Current virtual time in integer nanoseconds: what every per-event
+    consumer of time reads.  Never allocates. *)
 
 val pending : t -> int
 (** Number of scheduled, not-yet-run, not-cancelled events. *)

@@ -1,11 +1,23 @@
 (** Simulation timestamps and durations, in integer nanoseconds.
 
-    All simulation time in this project is carried as [int64] nanoseconds
-    since the start of the simulation.  Nanosecond resolution comfortably
-    expresses both the paper's measurement clock (CPU cycles at a few
-    hundred MHz, i.e. a handful of ns per tick) and its interrupt clock
-    (1 kHz, i.e. 1 ms), while [int64] gives ~292 years of range, far more
-    than any simulated run. *)
+    All simulation time in this project is nanoseconds since the start of
+    the simulation.  Nanosecond resolution comfortably expresses both the
+    paper's measurement clock (CPU cycles at a few hundred MHz, i.e. a
+    handful of ns per tick) and its interrupt clock (1 kHz, i.e. 1 ms).
+
+    Time has two representations, split by where it is used:
+    - {b int ns on the per-event path.}  The engine's clock
+      ([Engine.now_i]), event times ([Engine.post_at_i]) and every
+      per-event consumer of time — CPU completions and idle hooks,
+      kernel and script callbacks, trigger observers and the soft-timer
+      check, interrupt handlers, link and NIC deliveries, soft-event
+      handlers, the typed [Trace] emitters — take a plain [int], which
+      never allocates.  An OCaml [int] holds ~146 years of nanoseconds.
+    - {b [t], boxed [int64], at API edges} ([Engine.now], [run_until],
+      [schedule_at], [Timer_store.S], configuration spans, results).
+      [Engine.now] boxes its clock lazily, once per instant it is asked
+      at, so a per-event path that never asks allocates nothing for
+      time. *)
 
 type t = int64
 (** A point in simulated time, in nanoseconds since simulation start. *)

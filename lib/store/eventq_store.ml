@@ -24,6 +24,7 @@ type 'a t = {
   mutable dead : int;  (* stale queue entries awaiting compaction *)
   mutable next_seq : int;
   mutable batch : int array;  (* fire_due's due snapshot, (time, seq, idx) triples *)
+  mutable last_now : int;  (* previous [fire_due]'s [now], saturated *)
 }
 
 let create ~tick () =
@@ -37,6 +38,7 @@ let create ~tick () =
     dead = 0;
     next_seq = 0;
     batch = [||];
+    last_now = min_int;
   }
 
 let fresh_seq t =
@@ -124,7 +126,7 @@ let rearm t h ~at =
 let pending t = t.live
 let resident t = Eventq.length t.q
 
-(* Record (8) + Eventq (record 5 + three int arrays of its capacity)
+(* Record (9) + Eventq (record 5 + three int arrays of its capacity)
    + slot array (cap + 1) + a 4-word record per allocated slot (all
    created eagerly on growth) + per live slot a boxed deadline (3) and
    a [Some] box (2) + a free-list cons (3) per recycled slot.  The
@@ -134,7 +136,7 @@ let resident t = Eventq.length t.q
 let words t =
   let qcap = Eventq.capacity t.q in
   let scap = Array.length t.slots in
-  8 + 5
+  9 + 5
   + (3 * (qcap + 1))
   + (scap + 1)
   + (4 * scap)
@@ -189,7 +191,8 @@ let withhold t k =
   else if t.dead > 0 then t.dead <- t.dead - 1
 
 let[@hot] fire_due t ?prefetch:_ ~now ~limit f =
-  let now_i = Int64.to_int now in
+  let now_i = Fire_outcome.checked_now ~previous:t.last_now now in
+  t.last_now <- now_i;
   (* Pop the whole due prefix into the snapshot buffer before running
      any callback: it is already in (deadline, tie) order, and entries
      pushed by callbacks land in the queue for the next call.

@@ -35,6 +35,7 @@ type 'a t = {
   mutable next_seq : int;
   mutable cached_min : Time_ns.t;
   mutable min_valid : bool;
+  mutable last_now : int;  (* previous [fire_due]'s [now], saturated *)
 }
 
 type 'a handle = 'a node
@@ -64,6 +65,7 @@ let create ~tick () =
     next_seq = 0;
     cached_min = Time_ns.zero;
     min_valid = true;
+    last_now = min_int;
   }
 
 let fresh_seq t =
@@ -234,7 +236,7 @@ let rearm t n ~at =
 let pending t = t.count
 let resident t = t.count  (* cancellation is a physical swap-pop *)
 
-(* Record (6) + boxed cached_min (3) + per group: record (7) + groups
+(* Record (7) + boxed cached_min (3) + per group: record (7) + groups
    cons (3) + range/first boxes (~6) + its item array (capacity + 1) +
    per linked node: record (7) + boxed deadline (3) + [Some] item box
    (2) + [Some] group box (2). *)
@@ -242,7 +244,7 @@ let words t =
   let groups =
     List.fold_left (fun acc g -> acc + 17 + Array.length g.gitems) 0 t.groups
   in
-  6 + 3 + groups + (14 * t.count)
+  7 + 3 + groups + (14 * t.count)
 
 let handle_pending _t n = n.gstate <> Done
 let handle_deadline _t n = n.gat
@@ -297,6 +299,7 @@ let withhold t n =
    cells, the sweep/extract closures and the replacement group for a
    drained range are per-batch work, not per trigger-state check. *)
 let[@hot] fire_due t ?prefetch:_ ~now ~limit f =
+  t.last_now <- Fire_outcome.checked_now ~previous:t.last_now now;
   let batch = ref [] in
   let extract n =
     n.ggroup <- None;

@@ -231,6 +231,7 @@ let rec relink_withheld t latest_first =
    over the fired timers; a check that fires nothing allocates nothing
    (the buckets are walked in place). *)
 let[@hot] fire_due t ?prefetch:_ ~now ~limit f =
+  ignore (Fire_outcome.checked_now ~previous:(Fire_outcome.saturate t.last_now) now : int);
   t.last_now <- Time_ns.max t.last_now now;
   (* Collect the due snapshot: pop each positive-duration bucket from the
      head while due (FIFO order = deadline order within a bucket), walk

@@ -93,6 +93,7 @@ type 'a t = {
   spares : int array array;  (* parked level-1 vector buffers, see [link1_tail] *)
   mutable spare_n : int;
   mutable dispatching : int;  (* bucket being dispatched (-1 none): see [unlink] *)
+  mutable last_now : int;  (* previous [fire_due]'s [now], saturated *)
 }
 
 type 'a handle = int
@@ -167,6 +168,7 @@ let create_sized ~buckets ~tick () =
     spares = Array.make 64 [||];
     spare_n = 0;
     dispatching = -1;
+    last_now = min_int;
   }
 
 let create ~tick () = create_sized ~buckets:default_buckets ~tick ()
@@ -448,14 +450,14 @@ let resident t = t.count (* cancellation unlinks and frees: no corpses *)
 
 (* Analytic heap footprint, 64-bit words.  Everything is flat int
    arrays, so this is exact up to a few shared empty-array atoms:
-   record (37) + the fixed per-level arrays + the slot arena
+   record (38) + the fixed per-level arrays + the slot arena
    (stride-8 slab, value array, free stack) + the live level-1 pair
    vectors and parked spare buffers. *)
 let words t =
   let arr a = if Array.length a = 0 then 0 else Array.length a + 1 in
   let vecs = Array.fold_left (fun acc v -> acc + arr v) 0 t.v1 in
   let spare = Array.fold_left (fun acc v -> acc + arr v) 0 t.spares in
-  37
+  38
   + (Array.length t.v1 + 1)
   + arr t.f1 + arr t.h2 + arr t.t2 + arr t.c1 + arr t.c2
   + arr t.occ1 + arr t.occ2
@@ -701,7 +703,8 @@ let dispatch_past t ~seq_limit ~limit ~fired f =
 let[@hot] fire_due t ?prefetch ~now ~limit f =
   let pf = match prefetch with Some g -> g | None -> ignore in
   let seq_limit = t.next_seq in
-  let now_i = Int64.to_int now in
+  let now_i = Fire_outcome.checked_now ~previous:t.last_now now in
+  t.last_now <- now_i;
   let target = now_i / t.gns in
   if t.count = 0 then begin
     (* Nothing anywhere: retire the whole range in O(1).  The wheel and

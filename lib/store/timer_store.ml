@@ -1,3 +1,5 @@
+exception Time_went_backwards = Fire_outcome.Time_went_backwards
+
 module type S = sig
   type 'a t
 
@@ -44,11 +46,12 @@ module Reference : S = struct
   type 'a t = {
     mutable entries : 'a handle list;  (* pending entries, unordered *)
     mutable next_seq : int;
+    mutable last_now : int;  (* previous [fire_due]'s [now], saturated *)
   }
 
   let create ~tick () =
     ignore tick;
-    { entries = []; next_seq = 0 }
+    { entries = []; next_seq = 0; last_now = min_int }
 
   let fresh_seq t =
     let s = t.next_seq in
@@ -92,10 +95,11 @@ module Reference : S = struct
   let handle_pending _t h = h.rstate = Pending
   let handle_deadline _t h = h.rat
 
-  (* Record (3) + per entry: cons (3) + handle (5) + int64 box (3). *)
-  let words t = 3 + (11 * List.length t.entries)
+  (* Record (4) + per entry: cons (3) + handle (5) + int64 box (3). *)
+  let words t = 4 + (11 * List.length t.entries)
 
   let fire_due t ?prefetch:_ ~now ~limit f =
+    t.last_now <- Fire_outcome.checked_now ~previous:t.last_now now;
     (* Snapshot: only entries that existed (and were due) at call time
        are candidates; [seq_limit] excludes anything scheduled or
        re-armed by a callback during this call. *)

@@ -48,7 +48,15 @@
       lowers [pending] without reclaiming corpses, so the bound can be
       exceeded until the next [schedule] or [rearm].
     - Deadlines must be non-negative and [now] must not go backwards
-      across [fire_due] calls. *)
+      across [fire_due] calls: every store's [fire_due] raises
+      {!Time_went_backwards}, before it touches any entry, when [now]
+      is earlier than the previous call's. *)
+
+exception Time_went_backwards of { previous : int; now : int }
+(** Raised by [fire_due] on a [now] earlier than the previous call's
+    [now] on the same store.  Both are integer nanoseconds, saturated
+    into the int range.  Declared outside {!S} so that every store
+    signature keeps its shape; it is {!Fire_outcome.Time_went_backwards}. *)
 
 module type S = sig
   type 'a t

@@ -12,7 +12,7 @@ let create engine params ~total_segments ~interval ~transmit ?(jitter = fun () -
   let rec send_one ideal () =
     if t.sent < t.total then begin
       let now = Engine.now engine in
-      transmit now (Tcp_types.make_data params ~seq:t.sent ~born:now);
+      transmit now (Tcp_types.make_data params ~seq:t.sent ~born:(Int64.to_int now));
       t.sent <- t.sent + 1;
       if t.sent = t.total then on_last_sent now
       else begin
@@ -41,7 +41,7 @@ let create_with_rate_clock st params ~total_segments ~target_interval ~min_inter
       ~send:(fun now ->
         if t.sent >= t.total then false
         else begin
-          transmit now (Tcp_types.make_data params ~seq:t.sent ~born:now);
+          transmit now (Tcp_types.make_data params ~seq:t.sent ~born:(Int64.to_int now));
           t.sent <- t.sent + 1;
           if t.sent = t.total then on_last_sent now;
           true
@@ -72,13 +72,13 @@ module Fleet (M : Timer_store.S) = struct
     packets : int Packet.Pool.t;  (* meta = segment seq *)
     seg_bytes : int;
     transmit : int -> int Packet.Pool.cell -> unit;
-    mutable now : Time_ns.t;  (* boxed once per check; stamped into cells *)
+    mutable now_i : int;  (* [now] of the current check, ns; stamped into cells *)
   }
 
   (* One pacing event for flow [fid]: run a segment through the packet
      pool and keep the train alive until the transfer completes.  No
      allocation: the cell is recycled, the meta is an int, and [born]
-     reuses the boxed [now] of the current check.  No extra memory
+     is the current check's [now] in int ns.  No extra memory
      traffic either: the remaining-segment count lives in the pool
      row's scratch word and the segment seq is the pool's own send
      counter — both on the cache line the firing pool just touched —
@@ -90,7 +90,7 @@ module Fleet (M : Timer_store.S) = struct
     else begin
       let seq = P.flow_sends t.pool fid in
       let c =
-        Packet.Pool.acquire t.packets ~size_bytes:t.seg_bytes ~meta:seq ~born:t.now
+        Packet.Pool.acquire t.packets ~size_bytes:t.seg_bytes ~meta:seq ~born:t.now_i
       in
       t.transmit fid c;
       Packet.Pool.release t.packets c;
@@ -118,7 +118,7 @@ module Fleet (M : Timer_store.S) = struct
         packets = Packet.Pool.create ();
         seg_bytes = params.Tcp_types.mss + Packet.frame_overhead;
         transmit;
-        now = Time_ns.zero;
+        now_i = 0;
       }
     in
     t.pool <-
@@ -138,7 +138,7 @@ module Fleet (M : Timer_store.S) = struct
   let stop t fid = P.stop t.pool fid
 
   let[@hot] check t ~now ~limit =
-    t.now <- now;
+    t.now_i <- Int64.to_int now;
     P.check t.pool ~now ~limit
 
   let flows t = P.flows t.pool

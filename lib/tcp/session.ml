@@ -21,7 +21,7 @@ let run_transfer ?(params = Tcp_types.default) ?(access_bps = 100e6) ?(wan_queue
     ~bottleneck_bps ~one_way_delay ~segments mode =
   if segments <= 0 then invalid_arg "Session.run_transfer: segments must be positive";
   let engine = Engine.create () in
-  Trace.sim_start ~at:(Engine.now engine);
+  Trace.sim_start ~at:(Engine.now_i engine);
   let finish_time = ref None in
   let biggest_ack = ref 0 in
   let max_burst = ref 0 in
@@ -29,10 +29,10 @@ let run_transfer ?(params = Tcp_types.default) ?(access_bps = 100e6) ?(wan_queue
   (* Forward path: server NIC -> access link -> WAN (bottleneck + delay)
      -> client.  Reverse path: client -> WAN (delay; bottleneck idle in
      that direction) -> server. *)
-  let client_rx : (Time_ns.t -> Tcp_types.segment Packet.t -> unit) ref =
+  let client_rx : (int -> Tcp_types.segment Packet.t -> unit) ref =
     ref (fun _ _ -> ())
   in
-  let server_rx : (Time_ns.t -> Tcp_types.segment Packet.t -> unit) ref =
+  let server_rx : (int -> Tcp_types.segment Packet.t -> unit) ref =
     ref (fun _ _ -> ())
   in
   let wan_fwd =
@@ -53,12 +53,11 @@ let run_transfer ?(params = Tcp_types.default) ?(access_bps = 100e6) ?(wan_queue
   let transmit _now p = Link.send access p in
   let receiver =
     Receiver.create engine params ~send_ack:(fun now ~ack_upto ->
-        Wan.forward wan_rev (Tcp_types.make_ack ~ack_upto ~born:now))
+        Wan.forward wan_rev (Tcp_types.make_ack ~ack_upto ~born:(Int64.to_int now)))
   in
   (* Server side: dispatch on transfer mode once the request arrives. *)
   let started = ref false in
-  let start_server now =
-    ignore now;
+  let start_server () =
     match mode with
     | `Regular ->
       let sender =
@@ -101,15 +100,15 @@ let run_transfer ?(params = Tcp_types.default) ?(access_bps = 100e6) ?(wan_queue
       end);
   (* The client's request: one small packet across the reverse path. *)
   server_rx :=
-    (fun now _p ->
+    (fun _now _p ->
       if not !started then begin
         started := true;
-        start_server now
+        start_server ()
       end);
   Wan.forward wan_rev
     (Packet.create ~size_bytes:200
        ~meta:{ Tcp_types.seq = -1; is_ack = false; ack_upto = 0 }
-       ~born:Time_ns.zero);
+       ~born:0);
   (* Run until the transfer completes (bounded safety horizon). *)
   let horizon = Time_ns.of_sec 3600.0 in
   let rec pump () =

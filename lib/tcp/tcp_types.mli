@@ -35,8 +35,8 @@ type segment = {
   ack_upto : int;  (** Cumulative: all segments below this are acked. *)
 }
 
-val make_data : params -> seq:int -> born:Time_ns.t -> segment Packet.t
+val make_data : params -> seq:int -> born:int -> segment Packet.t
 (** A full-size data segment (payload + 52 bytes of headers). *)
 
-val make_ack : ack_upto:int -> born:Time_ns.t -> segment Packet.t
+val make_ack : ack_upto:int -> born:int -> segment Packet.t
 (** A bare cumulative ACK. *)

@@ -15,3 +15,25 @@ type t = int
 val pack : scanned:int -> fired:int -> t
 val scanned : t -> int
 val fired : t -> int
+
+(** {2 The [now] clause}
+
+    Every [fire_due] rejects a [now] earlier than the [now] of its
+    previous call.  {!Timer_store.Time_went_backwards} re-exports this
+    exception. *)
+
+exception Time_went_backwards of { previous : int; now : int }
+(** [previous] and [now] are the two calls' [now]s in integer
+    nanoseconds, saturated into the int range (so [now]s beyond it
+    compare equal). *)
+
+val saturate : Time_ns.t -> int
+(** A time clamped into the int range ([max_int] / [min_int] beyond
+    it). *)
+
+val checked_now : previous:int -> Time_ns.t -> int
+(** [checked_now ~previous now] is [saturate now], the value a store
+    keeps for its next call's check.  [previous] is the previous call's
+    value; before the first call it is a floor, [min_int] (the lawn store
+    passes its duration origin, time zero, instead).
+    @raise Time_went_backwards if [saturate now < previous]. *)

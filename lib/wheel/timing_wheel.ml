@@ -52,6 +52,7 @@ type 'a t = {
   mutable big : Time_ns.t array;  (* exact deadlines of saturated rows; lazy *)
   mutable scratch : int array;  (* due batches as handles, stacked *)
   mutable scratch_top : int;
+  mutable last_now : int;  (* previous [fire_due]'s [now], saturated *)
 }
 
 let create ?(slots = 256) ~tick () =
@@ -77,6 +78,7 @@ let create ?(slots = 256) ~tick () =
     big = [||];
     scratch = Array.make 16 0;
     scratch_top = 0;
+    last_now = min_int;
   }
 
 let slots t = t.slots_n
@@ -175,12 +177,7 @@ let[@inline] due t i ~now ~now_i =
   let d = s_at t i in
   d < now_i || (d = now_i && ((not (saturated d)) || Time_ns.(t.big.(i) <= now)))
 
-(* [at] clamped into the int range; the literals are [max_int] and
-   [min_int]. *)
-let[@inline] saturate at =
-  if Int64.compare at 0x3FFF_FFFF_FFFF_FFFFL >= 0 then max_int
-  else if Int64.compare at (-0x4000_0000_0000_0000L) <= 0 then min_int
-  else Int64.to_int at
+let saturate = Fire_outcome.saturate
 
 (* ---- slots and their occupancy bitmap ------------------------------- *)
 
@@ -464,7 +461,8 @@ let rec dispatch t f limit fired k base stop =
 (* Snapshot-batch contract: due rows leave their slots for the scratch
    stack before any callback runs.  A batch of one needs no sort. *)
 let[@hot] fire_due t ?prefetch:_ ~now ~limit f =
-  let now_i = saturate now in
+  let now_i = Fire_outcome.checked_now ~previous:t.last_now now in
+  t.last_now <- now_i;
   let now_tick = link_tick t now_i in
   let m = if t.count = 0 then min_none else known_min t in
   if t.count > 0 && (if m = min_none then Int64.equal now Int64.max_int else due t m ~now ~now_i)
@@ -493,13 +491,13 @@ let[@hot] fire_due t ?prefetch:_ ~now ~limit f =
     Fire_outcome.pack ~scanned:0 ~fired:0
   end
 
-(* Heap footprint, 64-bit words: the record (19 fields + header), the
+(* Heap footprint, 64-bit words: the record (20 fields + header), the
    boxed tick, the slot and bitmap arrays, the slab, value, free-stack
    and scratch arrays, the saturated-deadline array and the cached
    minimum (option cell and box; the box may be shared). *)
 let words t =
   let arr n = if n = 0 then 0 else n + 1 in
-  20 + 3
+  21 + 3
   + arr t.slots_n
   + arr (Array.length t.occ)
   + arr (Array.length t.slab)

@@ -1,6 +1,6 @@
 type item =
   | Quantum of Kernel.step
-  | Emit of (Time_ns.t -> unit)
+  | Emit of (int -> unit)
 
 (* One cursor per script: [rest] holds the items not yet started, and
    [step] is the single completion callback every quantum of the script
@@ -11,14 +11,14 @@ let[@lint.allow "ALLOC001"] run m items k =
   let rest = ref items in
   let rec go () =
     match !rest with
-    | [] -> k (Engine.now engine)
+    | [] -> k (Engine.now_i engine)
     | Quantum s :: tl ->
       rest := tl;
       Machine.submit_quantum m ?attr:(Kernel.step_attr s) ~prio:s.Kernel.prio
         ~work_us:s.Kernel.work_us ~trigger:s.Kernel.trigger step
     | Emit f :: tl ->
       rest := tl;
-      f (Engine.now engine);
+      f (Engine.now_i engine);
       go ()
   and step _now = go () in
   go ()

@@ -9,11 +9,13 @@
 
 type item =
   | Quantum of Kernel.step
-  | Emit of (Time_ns.t -> unit)
-      (** Zero-time side effect performed when reached. *)
+  | Emit of (int -> unit)
+      (** Zero-time side effect performed when reached, given the
+          instant in integer nanoseconds. *)
 
-val run : Machine.t -> item list -> (Time_ns.t -> unit) -> unit
-(** Execute items in order, then the continuation. *)
+val run : Machine.t -> item list -> (int -> unit) -> unit
+(** Execute items in order, then the continuation (given the instant
+    in integer nanoseconds). *)
 
 val quantum : Kernel.step -> item
-val emit : (Time_ns.t -> unit) -> item
+val emit : (int -> unit) -> item

@@ -199,9 +199,9 @@ type t = {
   mutable measured : int;
   mutable measure_span : Time_ns.span;
   (* pacing *)
-  pace_queue : (Time_ns.t -> unit) Queue.t;
+  pace_queue : (int -> unit) Queue.t;
   mutable pace_in_train : bool;
-  mutable pace_last : Time_ns.t;
+  mutable pace_last : int;  (* ns *)
   mutable pace_sends : int;
   pace_intervals : Stats.Online.t;
   mutable hw_pacer : Hw_pacer.t option;
@@ -239,10 +239,10 @@ let rx_batches t = Array.fold_left (fun acc nic -> acc + Nic.rx_batches nic) 0 t
 
 (* ALLOC002: a packet and its metadata are the transmission itself. *)
 let[@lint.allow "ALLOC002"] small_packet t conn wkind =
-  Packet.create ~size_bytes:64 ~meta:{ conn; wkind } ~born:(Engine.now t.engine)
+  Packet.create ~size_bytes:64 ~meta:{ conn; wkind } ~born:(Engine.now_i t.engine)
 
 let[@lint.allow "ALLOC002"] data_packet t conn i =
-  Packet.create ~size_bytes:1500 ~meta:{ conn; wkind = Data i } ~born:(Engine.now t.engine)
+  Packet.create ~size_bytes:1500 ~meta:{ conn; wkind = Data i } ~born:(Engine.now_i t.engine)
 
 let nic_of t conn = t.nics.(conn mod Array.length t.nics)
 
@@ -344,7 +344,7 @@ let[@lint.allow "ALLOC001"] [@lint.allow "ALLOC002"] tx_onto t conn pkt acc =
 
 let pace_record t now =
   if t.pace_in_train then
-    Stats.Online.add t.pace_intervals (Time_ns.to_us Time_ns.(now - t.pace_last));
+    Stats.Online.add t.pace_intervals (float_of_int (now - t.pace_last) /. 1e3);
   t.pace_last <- now;
   t.pace_sends <- t.pace_sends + 1
 
@@ -554,7 +554,7 @@ let start_background_compute t =
     Machine.submit_quantum t.machine ~attr:a_background ~prio:Cpu.prio_background
       ~work_us:400.0 ~trigger:None churn
   in
-  churn Time_ns.zero
+  churn 0
 
 let create cfg =
   let engine = Engine.create () in
@@ -643,7 +643,7 @@ let create cfg =
       measure_span = 0L;
       pace_queue = Queue.create ();
       pace_in_train = false;
-      pace_last = Time_ns.zero;
+      pace_last = 0;
       pace_sends = 0;
       pace_intervals = Stats.Online.create ();
       hw_pacer = None;

@@ -69,6 +69,6 @@ let start machine ~seed =
           Kernel.user machine ~work_us:u (fun _ -> entry churn)
         end
       in
-      churn Time_ns.zero
+      churn 0
   in
   run_phase Exec_storm

@@ -22,7 +22,7 @@ let start machine ~seed =
     let b = Dist.draw syscall_body rng in
     Kernel.user machine ~work_us:u (fun _ -> Kernel.syscall machine ~work_us:b loop)
   in
-  loop Time_ns.zero;
+  loop 0;
   (* The live audio stream: ~40 packets/s of receive interrupts. *)
   let line =
     Machine.interrupt_line machine ~name:"audio-rx" ~source:Trigger.Ip_intr

@@ -2,6 +2,7 @@
    replay-diff trace digest. *)
 
 let us = Time_ns.of_us
+let ius x = Int64.to_int (us x)
 
 (* ------------------------------------------------------------------ *)
 (* Injected violations: each invariant must trip on a bad history. *)
@@ -121,10 +122,10 @@ let test_tap_sees_events_without_ring_buffer () =
   Trace.set_tap (Some (fun ~at:_ _ -> incr seen));
   Alcotest.(check bool) "tap installed" true (Trace.tap_installed ());
   Alcotest.(check bool) "no ring buffer" false (Trace.enabled ());
-  Trace.trigger ~at:(us 1.0) "syscall";
-  Trace.soft_sched ~at:(us 1.0) ~id:0 ~due:(us 2.0);
+  Trace.trigger ~at:(ius 1.0) "syscall";
+  Trace.soft_sched ~at:(ius 1.0) ~id:0 ~due:(us 2.0);
   Trace.set_tap None;
-  Trace.trigger ~at:(us 3.0) "syscall";
+  Trace.trigger ~at:(ius 3.0) "syscall";
   Alcotest.(check int) "two events seen while tapped" 2 !seen;
   Alcotest.(check bool) "tap removed" false (Trace.tap_installed ())
 
@@ -210,8 +211,8 @@ let test_digest_sensitive_to_order () =
     Trace.uninstall ();
     Trace_digest.digest tr
   in
-  let a = mk [ (us 1.0, "syscall"); (us 1.0, "trap") ] in
-  let b = mk [ (us 1.0, "trap"); (us 1.0, "syscall") ] in
+  let a = mk [ (ius 1.0, "syscall"); (ius 1.0, "trap") ] in
+  let b = mk [ (ius 1.0, "trap"); (ius 1.0, "syscall") ] in
   Alcotest.(check bool) "order matters" true (not (Int64.equal a b))
 
 let () =

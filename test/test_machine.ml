@@ -3,6 +3,7 @@
    dispatch, kernel scripts and the periodic clock. *)
 
 let us = Time_ns.of_us
+let ius x = Int64.to_int (us x)
 
 let fresh () =
   let e = Engine.create () in
@@ -34,28 +35,28 @@ let test_cpu_intr_preempts_user () =
   let e = Engine.create () in
   let cpu = Cpu.create e in
   let finish = Hashtbl.create 4 in
-  Cpu.submit cpu ~prio:Cpu.prio_user ~work:(us 100.0) (fun t -> Hashtbl.add finish "user" t);
+  Cpu.submit cpu ~prio:Cpu.prio_user ~work:(us 100.0) (Hashtbl.add finish "user");
   (* Arrives mid-way through the user quantum; must preempt. *)
   ignore
     (Engine.schedule_at e (us 30.0) (fun () ->
-         Cpu.submit cpu ~prio:Cpu.prio_intr ~work:(us 5.0) (fun t -> Hashtbl.add finish "intr" t))
+         Cpu.submit cpu ~prio:Cpu.prio_intr ~work:(us 5.0) (Hashtbl.add finish "intr"))
       : Engine.handle);
   Engine.run e;
-  Alcotest.(check int64) "interrupt done at 35us" (us 35.0) (Hashtbl.find finish "intr");
-  Alcotest.(check int64) "user resumed, done at 105us" (us 105.0) (Hashtbl.find finish "user")
+  Alcotest.(check int) "interrupt done at 35us" (ius 35.0) (Hashtbl.find finish "intr");
+  Alcotest.(check int) "user resumed, done at 105us" (ius 105.0) (Hashtbl.find finish "user")
 
 let test_cpu_intr_does_not_preempt_softintr () =
   let e = Engine.create () in
   let cpu = Cpu.create e in
   let finish = Hashtbl.create 4 in
-  Cpu.submit cpu ~prio:Cpu.prio_softintr ~work:(us 50.0) (fun t -> Hashtbl.add finish "si" t);
+  Cpu.submit cpu ~prio:Cpu.prio_softintr ~work:(us 50.0) (Hashtbl.add finish "si");
   ignore
     (Engine.schedule_at e (us 10.0) (fun () ->
-         Cpu.submit cpu ~prio:Cpu.prio_intr ~work:(us 5.0) (fun t -> Hashtbl.add finish "intr" t))
+         Cpu.submit cpu ~prio:Cpu.prio_intr ~work:(us 5.0) (Hashtbl.add finish "intr"))
       : Engine.handle);
   Engine.run e;
-  Alcotest.(check int64) "softintr runs to completion" (us 50.0) (Hashtbl.find finish "si");
-  Alcotest.(check int64) "interrupt delayed until then" (us 55.0) (Hashtbl.find finish "intr")
+  Alcotest.(check int) "softintr runs to completion" (ius 50.0) (Hashtbl.find finish "si");
+  Alcotest.(check int) "interrupt delayed until then" (ius 55.0) (Hashtbl.find finish "intr")
 
 let test_cpu_busy_accounting () =
   let e = Engine.create () in
@@ -75,8 +76,8 @@ let test_cpu_idle_resume_hooks () =
   let e = Engine.create () in
   let cpu = Cpu.create e in
   let events = ref [] in
-  Cpu.set_idle_hook cpu (fun t -> events := ("idle", t) :: !events);
-  Cpu.set_resume_hook cpu (fun t -> events := ("resume", t) :: !events);
+  Cpu.set_idle_hook cpu (fun t -> events := ("idle", Time_ns.of_ns t) :: !events);
+  Cpu.set_resume_hook cpu (fun t -> events := ("resume", Time_ns.of_ns t) :: !events);
   ignore
     (Engine.schedule_at e (us 5.0) (fun () ->
          Cpu.submit cpu ~prio:Cpu.prio_user ~work:(us 10.0) (fun _ -> ()))
@@ -243,7 +244,7 @@ let test_kernel_script_order () =
       ]
   in
   let done_at = ref Time_ns.zero in
-  Exec.run m steps (fun t -> done_at := t);
+  Exec.run m steps (fun t -> done_at := Time_ns.of_ns t);
   Engine.run e;
   Alcotest.(check bool) "script completed" true Time_ns.(!done_at > Time_ns.zero);
   Alcotest.(check int) "ip-output trigger" 1 (Machine.trigger_count m Trigger.Ip_output);
@@ -271,7 +272,7 @@ let test_non_finite_work_rejected () =
   Alcotest.(check bool) "nothing submitted" true (Cpu.is_idle (Machine.cpu m));
   let done_at = ref (-1L) in
   Machine.submit_quantum m ~prio:Cpu.prio_kernel ~work_us:(-5.0) ~trigger:None (fun t ->
-      done_at := t);
+      done_at := Time_ns.of_ns t);
   Engine.run e;
   Alcotest.(check int64) "negative work counts as zero" 0L !done_at;
   Alcotest.check_raises "int-ns path keeps the negative-work check"
@@ -290,11 +291,11 @@ let words_per ~n f =
   (Gc.minor_words () -. before) /. float_of_int n
 
 (* One quantum through completion on an idle machine allocates the
-   quantum (7 words), its run-queue cell (3) and the engine's boxed clock
-   as time advances (3): no running record, option, per-dispatch
-   completion closure or boxed busy counter, and nothing for the idle
-   transitions. *)
-let quantum_words_bound = 14.0
+   quantum (7 words) and its run-queue cell (3), 10.0 measured: no
+   running record, option, per-dispatch completion closure, boxed busy
+   counter or boxed engine clock (3 more while the engine boxed its clock
+   at every advance), and nothing for the idle transitions. *)
+let quantum_words_bound = 11.0
 
 let test_submit_quantum_alloc () =
   let e, m = fresh () in
@@ -310,9 +311,10 @@ let test_submit_quantum_alloc () =
     true (per <= quantum_words_bound)
 
 (* One interrupt raised and delivered: the line's completion callback is
-   built once and the overhead and handler work stay in int ns, so a
-   delivery costs its quantum (13.0 words measured) and nothing more —
-   no closure over the delivery and no int64 boxes, which made it 34. *)
+   built once and the overhead, handler work and clock stay in int ns, so
+   a delivery costs its quantum (10.0 words measured; 13.0 with the
+   boxed engine clock) and nothing more — no closure over the delivery
+   and no int64 boxes, which made it 34. *)
 let irq_words_bound = quantum_words_bound
 
 let test_irq_delivery_alloc () =
@@ -389,6 +391,7 @@ let test_idle_deadline_fires_exactly () =
   Machine.set_check_hook m
     (Some
        (fun _kind now ->
+         let now = Time_ns.of_ns now in
          match !armed with
          | Some d when Time_ns.(now >= d) ->
            armed := None;
@@ -406,12 +409,12 @@ let test_smp_parallel_execution () =
   let m = Machine.create ~cpus:2 e in
   let done_at = Hashtbl.create 2 in
   Machine.submit_quantum m ~cpu:0 ~prio:Cpu.prio_user ~work_us:100.0 ~trigger:None
-    (fun t -> Hashtbl.add done_at "a" t);
+    (Hashtbl.add done_at "a");
   Machine.submit_quantum m ~cpu:1 ~prio:Cpu.prio_user ~work_us:100.0 ~trigger:None
-    (fun t -> Hashtbl.add done_at "b" t);
+    (Hashtbl.add done_at "b");
   Engine.run e;
-  Alcotest.(check int64) "a at 100us" (us 100.0) (Hashtbl.find done_at "a");
-  Alcotest.(check int64) "b in parallel" (us 100.0) (Hashtbl.find done_at "b");
+  Alcotest.(check int) "a at 100us" (ius 100.0) (Hashtbl.find done_at "a");
+  Alcotest.(check int) "b in parallel" (ius 100.0) (Hashtbl.find done_at "b");
   Alcotest.(check int64) "busy sums both" (us 200.0) (Machine.total_busy_ns m);
   Alcotest.(check int) "cpu count" 2 (Machine.cpu_count m)
 

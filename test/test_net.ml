@@ -3,7 +3,7 @@
 
 let us = Time_ns.of_us
 
-let mk_packet ?(size = 1500) meta = Packet.create ~size_bytes:size ~meta ~born:Time_ns.zero
+let mk_packet ?(size = 1500) meta = Packet.create ~size_bytes:size ~meta ~born:0
 
 (* ------------------------------------------------------------------ *)
 (* Packet *)
@@ -25,7 +25,7 @@ let test_link_serialization_and_latency () =
   (* 1500 B at 100 Mbps = 120 us on the wire; +30 us propagation. *)
   let link =
     Link.create e ~bandwidth_bps:100e6 ~latency:(us 30.0)
-      ~deliver:(fun now p -> deliveries := (now, p.Packet.meta) :: !deliveries)
+      ~deliver:(fun now p -> deliveries := (Time_ns.of_ns now, p.Packet.meta) :: !deliveries)
       ()
   in
   Link.send link (mk_packet "a");
@@ -44,8 +44,8 @@ let test_link_on_sent_fires_before_delivery () =
   let log = ref [] in
   let link =
     Link.create e ~bandwidth_bps:100e6 ~latency:(us 30.0)
-      ~on_sent:(fun now _ -> log := ("sent", now) :: !log)
-      ~deliver:(fun now _ -> log := ("delivered", now) :: !log)
+      ~on_sent:(fun now _ -> log := ("sent", Time_ns.of_ns now) :: !log)
+      ~deliver:(fun now _ -> log := ("delivered", Time_ns.of_ns now) :: !log)
       ()
   in
   Link.send link (mk_packet "a");
@@ -70,10 +70,11 @@ let test_link_idle_restarts () =
 
 (* Allocation: bursts of 64 packets sent back to back and run to
    delivery.  Each packet's serialise and deliver events are the link's
-   own kinds and the packets wait in the link's ring, so what remains
-   is the engine's boxed clock at the two instants a packet reaches
-   (6.00 minor words measured; 25.00 when each event was a fresh
-   closure and the waiting packets sat in a [Queue]). *)
+   own kinds, the packets wait in the link's ring and the clock and the
+   delivery callback's time are ints, so nothing remains (0.00 minor
+   words measured; 6.00 while the engine boxed its clock at the two
+   instants a packet reaches, 25.00 when each event was a fresh closure
+   and the waiting packets sat in a [Queue]). *)
 let test_link_send_deliver_words () =
   let e = Engine.create () in
   let delivered = ref 0 in
@@ -97,8 +98,8 @@ let test_link_send_deliver_words () =
   let per = (Gc.minor_words () -. before) /. float_of_int (64 * n) in
   Alcotest.(check int) "all delivered" (64 * (n + 2)) !delivered;
   Alcotest.(check bool)
-    (Printf.sprintf "send -> deliver allocates %.2f minor words per packet (bound 7)" per)
-    true (per <= 7.0)
+    (Printf.sprintf "send -> deliver allocates %.2f minor words per packet (bound 0.5)" per)
+    true (per <= 0.5)
 
 (* ------------------------------------------------------------------ *)
 (* Droptail *)
@@ -122,7 +123,7 @@ let test_wan_delay_and_bandwidth () =
   let arrivals = ref [] in
   let wan =
     Wan.create e ~bottleneck_bps:50e6 ~one_way_delay:(Time_ns.of_ms 50.0)
-      ~deliver:(fun now _ -> arrivals := now :: !arrivals)
+      ~deliver:(fun now _ -> arrivals := Time_ns.of_ns now :: !arrivals)
       ()
   in
   (* 1500 B at 50 Mbps = 240 us serialisation. *)
@@ -159,7 +160,8 @@ let make_nic ?(rx_intr_delay = 0L) ?(tx_intr_coalesce = 0) machine =
   let tx_delivered = ref [] in
   let nic =
     Nic.create machine ~name:"test0" ~bandwidth_bps:100e6 ~wire_latency:(us 30.0)
-      ~tx_deliver:(fun now p -> tx_delivered := (now, p.Packet.meta) :: !tx_delivered)
+      ~tx_deliver:(fun now p ->
+        tx_delivered := (Time_ns.of_ns now, p.Packet.meta) :: !tx_delivered)
       ~on_rx_batch:(fun _now batch -> batches := List.map (fun p -> p.Packet.meta) batch :: !batches)
       ~tx_intr_coalesce ~rx_intr_delay ()
   in
@@ -192,7 +194,7 @@ let test_nic_polled_mode_accumulates () =
   Nic.set_mode nic Nic.Polled;
   (* Keep the CPU busy so the idle fall-back does not kick in. *)
   let rec hog _ = Machine.submit_quantum m ~prio:Cpu.prio_background ~work_us:100.0 ~trigger:None hog in
-  hog Time_ns.zero;
+  hog 0;
   ignore (Engine.schedule_at e (us 10.0) (fun () -> Nic.deliver nic (mk_packet "p1")) : Engine.handle);
   ignore (Engine.schedule_at e (us 20.0) (fun () -> Nic.deliver nic (mk_packet "p2")) : Engine.handle);
   Engine.run_until e (us 200.0);
@@ -275,7 +277,7 @@ let test_nic_ring_capacity_drops () =
   Nic.set_mode nic Nic.Polled;
   (* CPU busy: no idle fallback, the ring fills. *)
   let rec hog _ = Machine.submit_quantum m ~prio:Cpu.prio_background ~work_us:100.0 ~trigger:None hog in
-  hog Time_ns.zero;
+  hog 0;
   for i = 1 to 5 do
     Nic.deliver nic (mk_packet (string_of_int i))
   done;

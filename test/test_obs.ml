@@ -2,6 +2,7 @@
    the metrics registry, and the exporters. *)
 
 let us = Time_ns.of_us
+let ius x = Int64.to_int (us x)
 
 (* ------------------------------------------------------------------ *)
 (* Trace ring buffer. *)
@@ -23,15 +24,15 @@ let event_names tr =
 let test_trace_disabled_is_noop () =
   Alcotest.(check bool) "disabled at start" false (Trace.enabled ());
   (* Emitting with no sink installed must simply do nothing. *)
-  Trace.mark ~at:Time_ns.zero "ignored";
-  Trace.trigger ~at:Time_ns.zero "syscall";
+  Trace.mark ~at:0 "ignored";
+  Trace.trigger ~at:0 "syscall";
   Alcotest.(check bool) "still disabled" false (Trace.enabled ())
 
 let test_trace_basic () =
   with_trace (fun tr ->
       Alcotest.(check bool) "enabled" true (Trace.enabled ());
-      Trace.mark ~at:(us 1.0) "a";
-      Trace.mark ~at:(us 2.0) "b";
+      Trace.mark ~at:(ius 1.0) "a";
+      Trace.mark ~at:(ius 2.0) "b";
       Alcotest.(check int) "length" 2 (Trace.length tr);
       Alcotest.(check int) "dropped" 0 (Trace.dropped tr);
       Alcotest.(check (list string)) "oldest first" [ "a"; "b" ] (event_names tr);
@@ -42,7 +43,7 @@ let test_trace_basic () =
 let test_trace_wraparound () =
   with_trace ~capacity:4 (fun tr ->
       for i = 1 to 10 do
-        Trace.mark ~at:(us (float_of_int i)) (string_of_int i)
+        Trace.mark ~at:(ius (float_of_int i)) (string_of_int i)
       done;
       Alcotest.(check int) "length capped" 4 (Trace.length tr);
       Alcotest.(check int) "dropped counts overwrites" 6 (Trace.dropped tr);
@@ -297,16 +298,16 @@ let test_timeseries_json_shape () =
 
 let test_span_timers_and_packets () =
   with_trace (fun tr ->
-      Trace.soft_sched ~at:(us 1.0) ~id:0 ~due:(us 5.0);
-      Trace.soft_sched ~at:(us 2.0) ~id:1 ~due:(us 5.0);
-      Trace.soft_sched ~at:(us 3.0) ~id:2 ~due:(us 9.0);
+      Trace.soft_sched ~at:(ius 1.0) ~id:0 ~due:(us 5.0);
+      Trace.soft_sched ~at:(ius 2.0) ~id:1 ~due:(us 5.0);
+      Trace.soft_sched ~at:(ius 3.0) ~id:2 ~due:(us 9.0);
       (* FIFO per due time: the fire at due=5 closes the span opened at 1us. *)
-      Trace.soft_fire ~at:(us 6.0) ~id:0 ~due:(us 5.0);
-      Trace.soft_cancel ~at:(us 7.0) ~id:1 ~due:(us 5.0);
-      Trace.pkt_enqueue ~at:(us 1.0) ~nic:"nic0" ~qlen:1;
-      Trace.pkt_enqueue ~at:(us 2.0) ~nic:"nic0" ~qlen:2;
-      Trace.pkt_drop ~at:(us 2.5) ~nic:"nic0";
-      Trace.pkt_rx ~at:(us 4.0) ~nic:"nic0" ~batch:2;
+      Trace.soft_fire ~at:(ius 6.0) ~id:0 ~due:(us 5.0);
+      Trace.soft_cancel ~at:(ius 7.0) ~id:1 ~due:(us 5.0);
+      Trace.pkt_enqueue ~at:(ius 1.0) ~nic:"nic0" ~qlen:1;
+      Trace.pkt_enqueue ~at:(ius 2.0) ~nic:"nic0" ~qlen:2;
+      Trace.pkt_drop ~at:(ius 2.5) ~nic:"nic0";
+      Trace.pkt_rx ~at:(ius 4.0) ~nic:"nic0" ~batch:2;
       let sp = Span.collect tr in
       Alcotest.(check int) "timers total" 3 (Span.timers_total sp);
       Alcotest.(check int) "timers fired" 1 (Span.timers_fired sp);
@@ -325,10 +326,10 @@ let test_span_timers_and_packets () =
 
 let test_span_epoch_reset () =
   with_trace (fun tr ->
-      Trace.soft_sched ~at:(us 1.0) ~id:0 ~due:(us 5.0);
+      Trace.soft_sched ~at:(ius 1.0) ~id:0 ~due:(us 5.0);
       (* A fresh simulation begins: the old open span must stay open. *)
-      Trace.sim_start ~at:Time_ns.zero;
-      Trace.soft_fire ~at:(us 5.0) ~id:0 ~due:(us 5.0);
+      Trace.sim_start ~at:0;
+      Trace.soft_fire ~at:(ius 5.0) ~id:0 ~due:(us 5.0);
       let sp = Span.collect tr in
       Alcotest.(check int) "old span stays open" 1 (Span.timers_open sp);
       Alcotest.(check int) "new run's fire closes nothing" 0 (Span.timers_fired sp))
@@ -339,13 +340,13 @@ let test_span_epoch_reset () =
    span.mli as [test/test_obs.ml:span_fifo_tie]. *)
 let test_span_fifo_tie () =
   with_trace (fun tr ->
-      Trace.soft_sched ~at:(us 1.0) ~id:10 ~due:(us 5.0);
-      Trace.soft_sched ~at:(us 2.0) ~id:11 ~due:(us 5.0);
+      Trace.soft_sched ~at:(ius 1.0) ~id:10 ~due:(us 5.0);
+      Trace.soft_sched ~at:(ius 2.0) ~id:11 ~due:(us 5.0);
       (* The stores dispatch equal deadlines in schedule order, so the
          first fire is timer 10 — it must close the span opened at 1us,
          and the second the span opened at 2us. *)
-      Trace.soft_fire ~at:(us 6.0) ~id:10 ~due:(us 5.0);
-      Trace.soft_fire ~at:(us 6.5) ~id:11 ~due:(us 5.0);
+      Trace.soft_fire ~at:(ius 6.0) ~id:10 ~due:(us 5.0);
+      Trace.soft_fire ~at:(ius 6.5) ~id:11 ~due:(us 5.0);
       let sp = Span.collect tr in
       match Span.spans sp with
       | [ s0; s1 ] ->
@@ -483,10 +484,10 @@ let test_delay_audit_lifecycle () =
 
 let test_export_chrome_json () =
   with_trace (fun tr ->
-      Trace.trigger ~at:(us 1.0) "syscall";
-      Trace.irq ~at:(us 10.0) ~line:"nic0" ~cpu:0 ~dur:(us 4.0);
-      Trace.cpu_idle ~at:(us 12.0) ~cpu:0;
-      Trace.mark ~at:(us 13.0) "quote\"and\\slash";
+      Trace.trigger ~at:(ius 1.0) "syscall";
+      Trace.irq ~at:(ius 10.0) ~line:"nic0" ~cpu:0 ~dur:(ius 4.0);
+      Trace.cpu_idle ~at:(ius 12.0) ~cpu:0;
+      Trace.mark ~at:(ius 13.0) "quote\"and\\slash";
       let json = Trace_export.to_chrome_json tr in
       Alcotest.(check bool) "has traceEvents" true
         (String.length json > 0 && json.[0] = '{');
@@ -517,8 +518,8 @@ let test_export_chrome_json () =
 
 let test_export_csv () =
   with_trace (fun tr ->
-      Trace.soft_sched ~at:(us 1.0) ~id:0 ~due:(us 5.0);
-      Trace.soft_fire ~at:(us 6.0) ~id:0 ~due:(us 5.0);
+      Trace.soft_sched ~at:(ius 1.0) ~id:0 ~due:(us 5.0);
+      Trace.soft_fire ~at:(ius 6.0) ~id:0 ~due:(us 5.0);
       let csv = Trace_export.to_csv tr in
       let lines = String.split_on_char '\n' (String.trim csv) in
       Alcotest.(check int) "header + 2 rows" 3 (List.length lines);
@@ -538,12 +539,12 @@ let test_export_chrome_extended () =
       Fun.protect
         ~finally:(fun () -> Trace.set_tap None)
         (fun () ->
-          Trace.trigger ~at:(us 1.0) "syscall";
-          Trace.soft_sched ~at:(us 2.0) ~id:0 ~due:(us 8.0);
-          Trace.irq ~at:(us 5.0) ~line:"nic0" ~cpu:0 ~dur:(us 1.0);
-          Trace.soft_fire ~at:(us 8.5) ~id:0 ~due:(us 8.0);
-          Trace.pkt_enqueue ~at:(us 11.0) ~nic:"nic0" ~qlen:1;
-          Trace.pkt_rx ~at:(us 13.0) ~nic:"nic0" ~batch:1);
+          Trace.trigger ~at:(ius 1.0) "syscall";
+          Trace.soft_sched ~at:(ius 2.0) ~id:0 ~due:(us 8.0);
+          Trace.irq ~at:(ius 5.0) ~line:"nic0" ~cpu:0 ~dur:(ius 1.0);
+          Trace.soft_fire ~at:(ius 8.5) ~id:0 ~due:(us 8.0);
+          Trace.pkt_enqueue ~at:(ius 11.0) ~nic:"nic0" ~qlen:1;
+          Trace.pkt_rx ~at:(ius 13.0) ~nic:"nic0" ~batch:1);
       Timeseries.close ts;
       let sp = Span.collect tr in
       let json = Trace_export.to_chrome_json ~series:ts ~spans:sp tr in
@@ -581,7 +582,7 @@ let test_export_chrome_extended () =
 let test_export_chrome_dropped_banner () =
   with_trace ~capacity:4 (fun tr ->
       for i = 1 to 10 do
-        Trace.soft_sched ~at:(us (float_of_int i)) ~id:i ~due:(us (float_of_int (i + 5)))
+        Trace.soft_sched ~at:(ius (float_of_int i)) ~id:i ~due:(us (float_of_int (i + 5)))
       done;
       let sp = Span.collect tr in
       let json = Trace_export.to_chrome_json ~spans:sp tr in

@@ -10,12 +10,12 @@ let us = Time_ns.of_us
 
 let test_packet_pool_reuse () =
   let p = Packet.Pool.create () in
-  let c1 = Packet.Pool.acquire p ~size_bytes:1514 ~meta:"a" ~born:Time_ns.zero in
+  let c1 = Packet.Pool.acquire p ~size_bytes:1514 ~meta:"a" ~born:0 in
   Alcotest.(check int) "live" 1 (Packet.Pool.live p);
   Alcotest.(check int) "created" 1 (Packet.Pool.created p);
   Packet.Pool.release p c1;
   Alcotest.(check int) "free after release" 1 (Packet.Pool.free p);
-  let c2 = Packet.Pool.acquire p ~size_bytes:40 ~meta:"b" ~born:(us 5.0) in
+  let c2 = Packet.Pool.acquire p ~size_bytes:40 ~meta:"b" ~born:(Int64.to_int (us 5.0)) in
   Alcotest.(check bool) "recycled the same cell" true (c1 == c2);
   Alcotest.(check int) "no new boxing" 1 (Packet.Pool.created p);
   Alcotest.(check int) "reuses" 1 (Packet.Pool.reuses p);
@@ -24,18 +24,18 @@ let test_packet_pool_reuse () =
 
 let test_packet_pool_guards () =
   let p = Packet.Pool.create () in
-  let c = Packet.Pool.acquire p ~size_bytes:100 ~meta:0 ~born:Time_ns.zero in
+  let c = Packet.Pool.acquire p ~size_bytes:100 ~meta:0 ~born:0 in
   Packet.Pool.release p c;
   Alcotest.check_raises "double release"
     (Invalid_argument "Packet.Pool.release: cell is not live") (fun () ->
       Packet.Pool.release p c);
   Alcotest.check_raises "negative size"
     (Invalid_argument "Packet.Pool.acquire: negative size") (fun () ->
-      ignore (Packet.Pool.acquire p ~size_bytes:(-1) ~meta:0 ~born:Time_ns.zero))
+      ignore (Packet.Pool.acquire p ~size_bytes:(-1) ~meta:0 ~born:0))
 
 let test_packet_pool_to_packet () =
   let p = Packet.Pool.create () in
-  let c = Packet.Pool.acquire p ~size_bytes:1514 ~meta:42 ~born:(us 3.0) in
+  let c = Packet.Pool.acquire p ~size_bytes:1514 ~meta:42 ~born:(Int64.to_int (us 3.0)) in
   let pkt = Packet.Pool.to_packet c in
   Alcotest.(check int) "size" 1514 pkt.Packet.size_bytes;
   Alcotest.(check int) "meta" 42 pkt.Packet.meta;
@@ -97,8 +97,11 @@ let test_arena_note_sends () =
 module Pool_pw = Rate_clock.Pool (Pacing_wheel)
 module Pool_eq = Rate_clock.Pool (Eventq_store)
 
-let drive_pool check ~tick_us ~ticks =
-  for s = 1 to ticks do
+(* [ticks] checks, [tick_us] apart, from tick [from] (default 1): a
+   later drive of the same pool starts where the last one stopped, as
+   the store contract's non-decreasing [now] requires. *)
+let drive_pool ?(from = 1) check ~tick_us ~ticks =
+  for s = from to from + ticks - 1 do
     ignore (check ~now:(Time_ns.mul (us tick_us) s) ~limit:max_int : Fire_outcome.t)
   done
 
@@ -180,14 +183,34 @@ let test_pool_stop_and_train_end () =
   Pool_eq.stop p 0;
   Alcotest.(check bool) "inactive" false (Pool_eq.flow_active p 0);
   Alcotest.(check int) "store drained" 0 (Pool_eq.store_pending p);
-  drive_pool (Pool_eq.check p) ~tick_us:10.0 ~ticks:100;
+  drive_pool ~from:101 (Pool_eq.check p) ~tick_us:10.0 ~ticks:100;
   Alcotest.(check int) "no sends while stopped" before (Pool_eq.flow_sends p 0);
   (* kick restarts a fresh train; a refusing send ends it by itself. *)
   Pool_eq.kick p 0 ~now:(us 2_000.0);
   live := false;
-  drive_pool (Pool_eq.check p) ~tick_us:10.0 ~ticks:300;
+  drive_pool ~from:201 (Pool_eq.check p) ~tick_us:10.0 ~ticks:300;
   Alcotest.(check bool) "train ended itself" false (Pool_eq.flow_active p 0);
   Alcotest.(check int) "nothing pending" 0 (Pool_eq.store_pending p)
+
+(* Driving a pool again from tick 1, as the stop-and-restart case did
+   before the store contract was checked, is time going backwards: the
+   store rejects the second drive's first check. *)
+let test_pool_time_backwards () =
+  let p =
+    Pool_eq.create
+      ~intervals:(Hdr.create ~lowest:0.01 ())
+      ~tick:(us 10.0)
+      ~send:(fun _ -> true)
+      ()
+  in
+  ignore (Pool_eq.add p ~target_interval:(us 50.0) ~min_interval:(us 10.0) : int);
+  Pool_eq.kick p 0 ~now:Time_ns.zero;
+  drive_pool (Pool_eq.check p) ~tick_us:10.0 ~ticks:100;
+  let sends = Pool_eq.flow_sends p 0 in
+  Alcotest.check_raises "check from an earlier now"
+    (Timer_store.Time_went_backwards { previous = 1_000_000; now = 10_000 })
+    (fun () -> drive_pool (Pool_eq.check p) ~tick_us:10.0 ~ticks:1);
+  Alcotest.(check int) "nothing sent by the rejected check" sends (Pool_eq.flow_sends p 0)
 
 let test_pool_user_word () =
   let p =
@@ -369,6 +392,7 @@ let () =
           Alcotest.test_case "rate survives coarse store" `Quick
             test_pool_rate_survives_coarse_store;
           Alcotest.test_case "stop and train end" `Quick test_pool_stop_and_train_end;
+          Alcotest.test_case "time going backwards" `Quick test_pool_time_backwards;
           Alcotest.test_case "user scratch word" `Quick test_pool_user_word;
           Alcotest.test_case "add validation" `Quick test_pool_add_validation;
         ] );

@@ -63,9 +63,9 @@ let test_default_jobs () =
 (* One traced mini-simulation: emits a deterministic event pattern. *)
 let traced_job seed =
   let rng = Prng.create ~seed in
-  Trace.sim_start ~at:0L;
+  Trace.sim_start ~at:0;
   for i = 1 to 40 do
-    let at = Int64.of_int ((seed * 10_000) + (i * 17)) in
+    let at = (seed * 10_000) + (i * 17) in
     Trace.poll ~at ~found:(Prng.int rng 8);
     Trace.mark ~at (Printf.sprintf "job%d.%d" seed i)
   done;
@@ -112,16 +112,15 @@ let test_map_sim_tap_forces_sequential () =
    quantum ending at the fire, so the delay audit of the merged stream
    must be conservation-clean and byte-identical at any job count. *)
 let audit_job seed =
-  Trace.sim_start ~at:0L;
+  Trace.sim_start ~at:0;
   let rng = Prng.create ~seed in
   for i = 1 to 30 do
-    let due = Int64.of_int (i * 1_000) in
-    Trace.soft_sched ~at:(Int64.sub due 500L) ~id:i ~due;
-    let late = Int64.of_int (Prng.int rng 400) in
-    let at = Int64.add due late in
-    if Int64.compare late 0L > 0 then
-      Trace.cpu_run ~at ~cpu:0 ~klass:(Prng.int rng 6) ~dur:late;
-    Trace.soft_fire ~at ~id:i ~due;
+    let due = i * 1_000 in
+    Trace.soft_sched ~at:(due - 500) ~id:i ~due:(Int64.of_int due);
+    let late = Prng.int rng 400 in
+    let at = due + late in
+    if late > 0 then Trace.cpu_run ~at ~cpu:0 ~klass:(Prng.int rng 6) ~dur:late;
+    Trace.soft_fire ~at ~id:i ~due:(Int64.of_int due);
     Trace.soft_check ~at ~src:"syscalls" ~scanned:1 ~fired:1
   done;
   seed

@@ -838,6 +838,53 @@ let test_engine_kinds () =
   Alcotest.check_raises "null kind rejected" (Invalid_argument "Engine.post: unknown kind")
     (fun () -> ignore (Engine.post_at_i e 40 Engine.null_kind 0 : Engine.handle))
 
+(* The clock is an int: N registered-kind events at N distinct instants
+   advance it N times and allocate nothing (the engine boxed its clock,
+   3 words, at every advance before).  [now] boxes on demand: it reads
+   the instant of the last advance, and calls at one instant share one
+   box. *)
+let test_engine_clock_unboxed () =
+  let e = Engine.create () in
+  let n = 10_000 in
+  let runs = ref 0 and last = ref 0 in
+  let k =
+    Engine.register e ~name:"tick" (fun _ ->
+        incr runs;
+        last := Engine.now_i e)
+  in
+  let post_all base =
+    for i = 1 to n do
+      ignore (Engine.post_at_i e (base + (i * 7)) k i : Engine.handle)
+    done
+  in
+  post_all 0;
+  Engine.run e;
+  (* The slot pool and heap have grown to N: the second round reuses them. *)
+  post_all (n * 7);
+  let before = Gc.minor_words () in
+  Engine.run e;
+  let per = (Gc.minor_words () -. before) /. float_of_int n in
+  Alcotest.(check (float 0.0)) "minor words per event" 0.0 per;
+  Alcotest.(check int) "every event ran" (2 * n) !runs;
+  Alcotest.(check int) "last event at its instant" (2 * n * 7) !last;
+  let at = ref (2 * n * 7) in
+  for i = 1 to 5 do
+    ignore (Engine.post_after_i e (i * 11) k 0 : Engine.handle);
+    ignore (Engine.step e : bool);
+    at := !at + (i * 11);
+    Alcotest.(check int64) "now reads the last advance" (Int64.of_int !at) (Engine.now e);
+    Alcotest.(check bool) "one box per instant" true (Engine.now e == Engine.now e);
+    Alcotest.(check bool) "now_shared reuses it" true (Engine.now_shared e == Engine.now e)
+  done;
+  ignore (Engine.post_after_i e 5 k 0 : Engine.handle);
+  ignore (Engine.step e : bool);
+  Alcotest.(check int64) "now_shared reads the instant" (Int64.of_int (!at + 5))
+    (Engine.now_shared e);
+  let limit = 1_000_000L in
+  Engine.run_until e limit;
+  Alcotest.(check int64) "run_until sets the clock" limit (Engine.now e);
+  Alcotest.(check bool) "run_until's limit is the box" true (Engine.now_shared e == limit)
+
 exception Boom
 
 (* The raise contract: an event whose handler raises counts as run and
@@ -934,6 +981,7 @@ let () =
           Alcotest.test_case "churn keeps residency bounded" `Quick test_engine_churn_residency;
           Alcotest.test_case "registered kinds" `Quick test_engine_kinds;
           Alcotest.test_case "raising handler" `Quick test_engine_raise_contract;
+          Alcotest.test_case "unboxed clock" `Quick test_engine_clock_unboxed;
           qc test_engine_replay_deterministic;
           qc test_engine_matches_model;
         ] );

@@ -18,7 +18,7 @@ let start_triggers ?(gap_us = 20.0) m seed =
     let u = Dist.draw (Dist.Exponential gap_us) rng in
     Kernel.user m ~work_us:u (fun _ -> Kernel.syscall m ~work_us:1.0 loop)
   in
-  loop Time_ns.zero
+  loop 0
 
 (* ------------------------------------------------------------------ *)
 (* Facility basics *)
@@ -41,7 +41,7 @@ let test_event_fires_at_trigger () =
   let e, m, st = fresh () in
   start_triggers m 1;
   let fired_at = ref None in
-  ignore (Softtimer.schedule_after st (us 100.0) (fun now -> fired_at := Some now)
+  ignore (Softtimer.schedule_after st (us 100.0) (fun now -> fired_at := Some (Time_ns.of_ns now))
            : Softtimer.handle);
   Engine.run_until e (Time_ns.of_ms 5.0);
   (match !fired_at with
@@ -61,9 +61,9 @@ let test_backup_clock_bounds_delay () =
   let rec hog _now =
     Machine.submit_quantum m ~prio:Cpu.prio_user ~work_us:500.0 ~trigger:None hog
   in
-  hog Time_ns.zero;
+  hog 0;
   let fired_at = ref None in
-  ignore (Softtimer.schedule_after st (us 50.0) (fun now -> fired_at := Some now)
+  ignore (Softtimer.schedule_after st (us 50.0) (fun now -> fired_at := Some (Time_ns.of_ns now))
            : Softtimer.handle);
   Engine.run_until e (Time_ns.of_ms 10.0);
   match !fired_at with
@@ -137,9 +137,11 @@ let test_schedule_cancel_alloc () =
    The check's fire callback is built once per facility, the wheel
    answers next_deadline from a cached option and hands the callback
    that option's deadline box, and a batch is gathered into an int
-   array, so what remains is the delay histogram's float and the
-   dispatch quantum with its run-queue cell (12.0 words measured; the
-   list-bucket wheel's batch cell made it 15).  A long non-preemptible quantum
+   array, and the boxed [now] the store's [fire_due] takes is the
+   engine's cached box of the instant, so what remains is the delay
+   histogram's float and the dispatch quantum with its run-queue cell
+   (12.0 words measured; the list-bucket wheel's batch cell made it
+   15).  A long non-preemptible quantum
    keeps the CPU out of the idle loop (whose deadline poke would fire
    the event first) and queues the dispatch quanta behind it. *)
 let test_check_fire_alloc () =
@@ -190,7 +192,7 @@ let test_bounds_property =
       let ok = ref None in
       ignore
         (Softtimer.schedule_soft_event st ~ticks:(Int64.of_int ticks) (fun now ->
-             let actual_ticks = Int64.to_float now /. 1e9 *. 300e6 -. Int64.to_float sched in
+             let actual_ticks = float_of_int now /. 1e9 *. 300e6 -. Int64.to_float sched in
              let x = Int64.to_float (Softtimer.x_ratio st) in
              ok :=
                Some
@@ -212,13 +214,13 @@ let test_idle_cpu_rescues_busy_machine () =
     let rec hog _now =
       Machine.submit_quantum m ~cpu:0 ~prio:Cpu.prio_user ~work_us:700.0 ~trigger:None hog
     in
-    hog Time_ns.zero;
+    hog 0;
     let late = Stats.Sample.create () in
     let rec periodic () =
       let at = Engine.now e in
       ignore
         (Softtimer.schedule_after st (us 100.0) (fun now ->
-             Stats.Sample.add late (Time_ns.to_us Time_ns.(now - at) -. 100.0);
+             Stats.Sample.add late (Time_ns.to_us Time_ns.(of_ns now - at) -. 100.0);
              periodic ())
           : Softtimer.handle)
     in
@@ -423,9 +425,9 @@ let test_net_poll_adapts_interval () =
   start_triggers ~gap_us:5.0 m 9;
   (* A synthetic "ring": packets accumulate at a constant 1 per 40 us. *)
   let backlog = ref 0.0 in
-  let last = ref Time_ns.zero in
+  let last = ref 0 in
   let poll now =
-    let dt = Time_ns.to_us Time_ns.(now - !last) in
+    let dt = float_of_int (now - !last) /. 1e3 in
     last := now;
     backlog := !backlog +. (dt /. 40.0);
     let take = int_of_float !backlog in
@@ -538,7 +540,7 @@ let audit_one_store ~seed ~budget (module M : Timer_store.S) =
               ignore (Softtimer.schedule_after st (us 30.0) (client (n + 1)) : Softtimer.handle)
             end
           in
-          client 0 Time_ns.zero;
+          client 0 0;
           Engine.run_until e (Time_ns.of_ms 8.0);
           Softtimer.detach st;
           let da = Delay_audit.collect tr in

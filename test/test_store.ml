@@ -521,7 +521,7 @@ let digest_with (module M : Timer_store.S) =
     let u = Dist.draw (Dist.Exponential 20.0) rng in
     Kernel.user m ~work_us:u (fun _ -> Kernel.syscall m ~work_us:1.0 triggers)
   in
-  triggers Time_ns.zero;
+  triggers 0;
   (* Timer client: a 50 us heartbeat that each round schedules two
      timers, cancels one and pushes the other out by ~100 us. *)
   let rec heartbeat n _now =
@@ -533,7 +533,7 @@ let digest_with (module M : Timer_store.S) =
       ignore (Softtimer.schedule_after st (us 50.0) (heartbeat (n + 1)) : Softtimer.handle)
     end
   in
-  heartbeat 0 Time_ns.zero;
+  heartbeat 0 0;
   Engine.run_until e (Time_ns.of_ms 50.0);
   Trace.uninstall ();
   (Trace_digest.digest tr, Trace.total tr, Softtimer.fired st, Softtimer.store_name st)
@@ -592,6 +592,25 @@ let test_digest_store_independent () =
         Alcotest.(check int64) (name ^ ": same trace digest") d0 d)
       rest
 
+(* The [now] clause: a [fire_due] at an earlier [now] than the previous
+   call's raises the typed error before it touches any entry; the same
+   [now] again is not going backwards. *)
+let backwards_test (module M : Timer_store.S) =
+  Alcotest.test_case (M.name ^ " rejects an earlier now") `Quick (fun () ->
+      let t = M.create ~tick:(us 10.0) () in
+      let fired = ref [] in
+      let fire now = M.fire_due t ~now ~limit:max_int (fun _ v -> fired := v :: !fired) in
+      ignore (M.schedule t ~at:(us 20.0) "a" : string M.handle);
+      ignore (M.schedule t ~at:(us 50.0) "b" : string M.handle);
+      ignore (fire (us 30.0) : Fire_outcome.t);
+      Alcotest.check_raises "earlier now"
+        (Timer_store.Time_went_backwards { previous = 30_000; now = 25_000 })
+        (fun () -> ignore (fire (us 25.0) : Fire_outcome.t));
+      Alcotest.(check int) "pending untouched" 1 (M.pending t);
+      ignore (fire (us 30.0) : Fire_outcome.t);
+      ignore (fire (us 60.0) : Fire_outcome.t);
+      Alcotest.(check (list string)) "fired in order" [ "a"; "b" ] (List.rev !fired))
+
 let () =
   let qc = QCheck_alcotest.to_alcotest in
   Alcotest.run "timer_store"
@@ -618,4 +637,7 @@ let () =
       ("equivalence", List.map qc equivalence_tests);
       ("approx-equivalence", List.map qc approx_equivalence_tests);
       ("residency", List.map qc residency_tests);
+      ( "time-backwards",
+        List.map backwards_test ((module Timer_store.Reference : Timer_store.S) :: Store_registry.all)
+      );
     ]

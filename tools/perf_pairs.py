@@ -2,7 +2,7 @@
 """Paired host-cost comparison of the working tree against a base revision.
 
     python3 tools/perf_pairs.py --base REV --workload web-soft \
-        --seeds "1 2 3 4 5 6 7 8 9 10"
+        --seeds "1 2 3 4 5 6 7 8 9 10" [--trace 1]
 
 Run from the root of the repository (make perf-pairs does).  Checks REV
 out in a detached git worktree under .bench_build/, then for each seed
@@ -18,6 +18,13 @@ pairs in which the working tree was better, and whether the change
 stays within the metric's bound.  A run that reports failed > 0 (or
 fails outright) is flagged, and makes the exit status nonzero, as does
 a metric worse than its bound.  The worktree is removed on exit.
+
+With --trace 1 each side runs `perfbench/run.py --trace 1` instead,
+which reports the per-layer metrics, and the table is the GC
+attribution: both sides' medians of minor and promoted words per op,
+minor collections per thousand ops and major cycles, so a move of
+heap_mb can be traced to promotion.  These metrics carry no bound;
+only failed runs set the exit status.
 """
 
 import argparse
@@ -49,10 +56,15 @@ def drop_tree(tree):
     git("worktree", "prune")
 
 
-def run_side(cwd, workload, seed):
+# The per-layer metrics --trace 1 compares: where a heap_mb move comes from.
+GC_METRICS = ["gc.minor_words_per_op", "gc.promoted_words_per_op", "gc.minor_gcs_per_kop",
+              "gc.major_cycles"]
+
+
+def run_side(cwd, workload, seed, trace=0):
     """One perfbench run; returns its result object, or None on failure."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--trace", "0"]
+           "--trace", str(trace)]
     p = subprocess.run(cmd, cwd=cwd, capture_output=True, text=True)
     lines = [l for l in p.stdout.splitlines() if l.startswith("{")]
     if p.returncode != 0 or not lines:
@@ -93,12 +105,32 @@ def report(spec, runs):
     return bad
 
 
+def report_trace(runs):
+    """Side-by-side medians of the GC metrics of paired --trace 1 runs."""
+    print("%-26s %14s %14s %8s %6s" % ("metric", "base median", "new median", "change",
+                                        "lower"))
+    for name in GC_METRICS:
+        pairs = [(b["metrics"][name]["value"], n["metrics"][name]["value"])
+                 for b, n in runs if b and n and name in b["metrics"] and name in n["metrics"]]
+        if not pairs:
+            print("%-26s (no paired runs)" % name)
+            continue
+        base = statistics.median([b for b, _ in pairs])
+        new = statistics.median([n for _, n in pairs])
+        change = new / base - 1.0 if base else 0.0
+        lower = sum(1 for b, n in pairs if n < b)
+        print("%-26s %14.4g %14.4g %+7.1f%% %3d/%-2d" % (name, base, new, 100 * change, lower,
+                                                         len(pairs)))
+
+
 def main():
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--base", required=True, help="git revision to compare against")
     p.add_argument("--workload", required=True)
     p.add_argument("--seeds", required=True,
                    help="seeds, separated by spaces or commas (one pair each)")
+    p.add_argument("--trace", type=int, choices=(0, 1), default=0,
+                   help="1: compare the GC metrics of traced runs instead")
     a = p.parse_args()
     if not os.path.isfile(os.path.join(ROOT, "BENCHMARK.json")):
         die("run from the repository root (BENCHMARK.json not found)")
@@ -120,7 +152,7 @@ def main():
                 sides.reverse()
             got = {}
             for side, cwd in sides:
-                r = run_side(cwd, a.workload, seed)
+                r = run_side(cwd, a.workload, seed, a.trace)
                 got[side] = r
                 if r is None or r.get("failed", 1) > 0 or not r.get("correct", False):
                     failed += 1
@@ -131,7 +163,11 @@ def main():
     finally:
         drop_tree(tree)
     print("perf-pairs: %s, %d pairs, base %s vs working tree" % (a.workload, len(runs), rev[:12]))
-    bad = report(spec, runs)
+    if a.trace:
+        report_trace(runs)
+        bad = 0
+    else:
+        bad = report(spec, runs)
     if failed:
         print("perf-pairs: %d run(s) failed or reported failed > 0" % failed)
     sys.exit(1 if bad or failed else 0)

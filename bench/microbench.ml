@@ -200,8 +200,9 @@ let bench_store_rearm_churn (module M : Timer_store.S) () =
   Bechamel.Staged.stage (fun () ->
       i := (!i + 1) land (store_population - 1);
       (* Deadlines shuffle within the same horizon, so nothing expires:
-         pure re-arm cost (in-place for grouped sorting, cancel+schedule
-         for the wheel, stale-entry + compaction for the heaps). *)
+         pure re-arm cost (a relink of the entry's own row for the
+         wheels, unlink + re-append for lawn, stale-entry + compaction
+         for eventq). *)
       bump := Int64.rem (Int64.add !bump 70_001L) 10_000_000L;
       ignore (M.rearm t handles.(!i) ~at:(Int64.add 10_000L !bump) : bool))
 

@@ -10,8 +10,8 @@
                     connection timers; stresses fire_due + schedule).
      rearm_churn    re-arm a random live timer per op (the rate-clock /
                     TCP-retransmit pattern; stresses rearm, which the
-                    grouped sorting queue serves in place and the wheel
-                    by re-placing the entry under a fresh tie position).
+                    wheels serve by relinking the entry's own slab row
+                    under a fresh tie position).
      cancel_churn   cancel a random live timer and schedule a fresh one
                     per op (stresses cancellation residency: lazy-cancel
                     stores must compact, physical stores must unlink).

@@ -92,7 +92,7 @@ let schedule t ~at v =
   s.sseq <- seq;
   s.sat <- at;
   s.sval <- Some v;
-  Eventq.push t.q ~time:(Int64.to_int at) ~seq ~payload:idx;
+  Eventq.push t.q ~time:(Fire_outcome.saturate at) ~seq ~payload:idx;
   t.live <- t.live + 1;
   { hidx = idx; hseq = seq; hat = at }
 
@@ -118,7 +118,7 @@ let rearm t h ~at =
     s.sat <- at;
     h.hseq <- seq;
     h.hat <- at;
-    Eventq.push t.q ~time:(Int64.to_int at) ~seq ~payload:h.hidx;
+    Eventq.push t.q ~time:(Fire_outcome.saturate at) ~seq ~payload:h.hidx;
     note_dead t;
     true
   end
@@ -157,9 +157,11 @@ let rec shed_stale t =
     end
   end
 
+(* The head's slot holds its exact deadline: [shed_stale] left a head
+   whose generation matches. *)
 let next_deadline t =
   shed_stale t;
-  if Eventq.is_empty t.q then None else Some (Int64.of_int (Eventq.min_time t.q))
+  if Eventq.is_empty t.q then None else Some t.slots.(Eventq.min_payload t.q).sat
 
 (* Key of the earliest queued entry as an immediate int ([max_int] when
    empty), so the due test is an int comparison (DET003 targets boxed

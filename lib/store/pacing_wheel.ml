@@ -23,12 +23,11 @@
      a tick once [now] reaches it), strictly earlier than anything in
      the wheel, and dispatched first, sorted by (deadline, tie).
 
-   Entries live in a packed struct-of-arrays slot arena: one flat int
-   slab, stride 8, holding deadline / tie / prev / next / location /
-   generation per slot — a whole entry in one cache line, which is what
-   keeps dispatch flat when a million-slot arena no longer fits in
-   cache — plus one value array.  A handle is an immediate int —
-   (generation << 24) | slot — so steady-state schedule / fire / re-arm
+   Entries live in a [Slab] of stride-8 rows holding deadline / tie /
+   prev / next / generation / location per slot — a whole entry in one
+   cache line, which is what keeps dispatch flat when a million-slot
+   arena no longer fits in cache — plus one value array.  Handles are
+   the slab's immediate ints, so steady-state schedule / fire / re-arm
    allocates nothing but the one boxed [Time_ns.t] handed to the fire
    callback.
 
@@ -46,17 +45,10 @@ let empty_vec : int array = [||]
 let default_buckets = 4096
 
 (* Location codes for a slot's loc field: a level-1 bucket index in
-   [0, n1), a level-2 bucket index offset by [n1], or one of the
-   sentinels. *)
-let loc_free = -1
+   [0, n1), a level-2 bucket index offset by [n1], [Slab.loc_free], or
+   one of these. *)
 let loc_past = -2
 let loc_far = -3
-
-(* Slot index lives in the low 24 bits of a handle, the slot generation
-   above it.  The generation is bumped on every free, so a stale handle
-   never validates; 2^38 generations per slot outlast any realistic
-   run.  2^24 slots bounds one store at ~16.7M concurrent timers. *)
-let max_slots = 1 lsl 24
 
 type 'a t = {
   gns : int;  (* bucket granularity, ns per tick *)
@@ -83,12 +75,7 @@ type 'a t = {
   mutable n2_count : int;
   mutable count : int;  (* all pending entries *)
   mutable next_seq : int;
-  (* slot arena: stride-8 rows of [slab] (fields below) + values *)
-  mutable cap : int;
-  mutable slab : int array;
-  mutable s_val : 'a array;  (* length 0 until the first schedule *)
-  mutable free_top : int;
-  mutable free_stk : int array;
+  slab : 'a Slab.t;  (* stride-8 rows, fields below *)
   mutable scratch : int array;  (* slot snapshot for past-list retirement *)
   spares : int array array;  (* parked level-1 vector buffers, see [link1_tail] *)
   mutable spare_n : int;
@@ -98,31 +85,26 @@ type 'a t = {
 
 type 'a handle = int
 
-let idx_of h = h land (max_slots - 1)
-let gen_of h = h lsr 24
-let pack gen idx = (gen lsl 24) lor idx
-
 (* ---- slot fields ---------------------------------------------------
    One stride-8 slab row per slot: quantized deadline (ns), tie, prev,
-   next, location, generation, level-1 vector position (+1 pad word to
+   next, generation, location, level-1 vector position (+1 pad word to
    keep rows line-aligned).  prev/next serve the level-2/past/far
    chains; pos serves the level-1 pair vectors — a slot is only ever in
    one of the two structures. *)
 
-let[@inline] s_at t i = t.slab.(i lsl 3)
-let[@inline] set_at t i v = t.slab.(i lsl 3) <- v
-let[@inline] s_seq t i = t.slab.((i lsl 3) + 1)
-let[@inline] set_seq t i v = t.slab.((i lsl 3) + 1) <- v
-let[@inline] s_prev t i = t.slab.((i lsl 3) + 2)
-let[@inline] set_prev t i v = t.slab.((i lsl 3) + 2) <- v
-let[@inline] s_next t i = t.slab.((i lsl 3) + 3)
-let[@inline] set_next t i v = t.slab.((i lsl 3) + 3) <- v
-let[@inline] s_loc t i = t.slab.((i lsl 3) + 4)
-let[@inline] set_loc t i v = t.slab.((i lsl 3) + 4) <- v
-let[@inline] s_gen t i = t.slab.((i lsl 3) + 5)
-let[@inline] set_gen t i v = t.slab.((i lsl 3) + 5) <- v
-let[@inline] s_pos t i = t.slab.((i lsl 3) + 6)
-let[@inline] set_pos t i v = t.slab.((i lsl 3) + 6) <- v
+let[@inline] s_at t i = t.slab.rows.(i lsl 3)
+let[@inline] set_at t i v = t.slab.rows.(i lsl 3) <- v
+let[@inline] s_seq t i = t.slab.rows.((i lsl 3) + 1)
+let[@inline] set_seq t i v = t.slab.rows.((i lsl 3) + 1) <- v
+let[@inline] s_prev t i = t.slab.rows.((i lsl 3) + 2)
+let[@inline] set_prev t i v = t.slab.rows.((i lsl 3) + 2) <- v
+let[@inline] s_next t i = t.slab.rows.((i lsl 3) + 3)
+let[@inline] set_next t i v = t.slab.rows.((i lsl 3) + 3) <- v
+let[@inline] s_loc t i = t.slab.rows.((i lsl 3) + Slab.loc)
+let[@inline] set_loc t i v = t.slab.rows.((i lsl 3) + Slab.loc) <- v
+let[@inline] s_gen t i = t.slab.rows.((i lsl 3) + Slab.gen)
+let[@inline] s_pos t i = t.slab.rows.((i lsl 3) + 6)
+let[@inline] set_pos t i v = t.slab.rows.((i lsl 3) + 6) <- v
 
 (* ---- construction -------------------------------------------------- *)
 
@@ -159,11 +141,7 @@ let create_sized ~buckets ~tick () =
     n2_count = 0;
     count = 0;
     next_seq = 0;
-    cap = 0;
-    slab = [||];
-    s_val = [||];
-    free_top = 0;
-    free_stk = [||];
+    slab = Slab.create ~stride:8;
     scratch = [||];
     spares = Array.make 64 [||];
     spare_n = 0;
@@ -172,51 +150,6 @@ let create_sized ~buckets ~tick () =
   }
 
 let create ~tick () = create_sized ~buckets:default_buckets ~tick ()
-
-(* ---- slot arena ---------------------------------------------------- *)
-
-let grow t v =
-  let newcap = if t.cap = 0 then 16 else t.cap * 2 in
-  if newcap > max_slots then failwith "Pacing_wheel: slot arena exceeds 2^24 entries";
-  let slab = Array.make (newcap * 8) 0 in
-  Array.blit t.slab 0 slab 0 (t.cap * 8);
-  t.slab <- slab;
-  for i = t.cap to newcap - 1 do
-    let b = i lsl 3 in
-    slab.(b + 2) <- -1;  (* prev *)
-    slab.(b + 3) <- -1;  (* next *)
-    slab.(b + 4) <- loc_free
-  done;
-  (* Freed slots keep their last value alive until reuse — bounded by
-     the arena capacity, the price of a non-optional value array. *)
-  let vals = Array.make newcap v in
-  Array.blit t.s_val 0 vals 0 (Array.length t.s_val);
-  t.s_val <- vals;
-  let stk = Array.make newcap 0 in
-  Array.blit t.free_stk 0 stk 0 t.free_top;
-  for i = newcap - 1 downto t.cap do
-    stk.(t.free_top + (newcap - 1 - i)) <- i
-  done;
-  t.free_stk <- stk;
-  t.free_top <- t.free_top + (newcap - t.cap);
-  t.cap <- newcap
-
-let alloc_slot t v =
-  if t.free_top = 0 then grow t v;
-  t.free_top <- t.free_top - 1;
-  let i = t.free_stk.(t.free_top) in
-  t.s_val.(i) <- v;
-  i
-
-let free_slot t i =
-  set_gen t i (s_gen t i + 1);
-  set_loc t i loc_free;
-  t.free_stk.(t.free_top) <- i;
-  t.free_top <- t.free_top + 1
-
-let valid t h =
-  let i = idx_of h in
-  i < t.cap && s_gen t i = gen_of h && s_loc t i <> loc_free
 
 (* ---- intrusive chains ---------------------------------------------- *)
 
@@ -263,6 +196,23 @@ let link1_tail t b i =
   if t.c1.(b) = 0 then Bitmap.set_bit t.occ1 b;
   t.c1.(b) <- t.c1.(b) + 1;
   t.n1_count <- t.n1_count + 1
+
+(* Bucket [b] just emptied: clear it and retire its buffer.  A bucket
+   drains once per lap, and holding its peak capacity for the next 4096
+   ticks would retain a whole lap's worth of dead vectors.  Park it in
+   the spare ring for the buckets currently growing; small ones stay
+   put, and overflow beyond the ring goes to the GC. *)
+let drain_bucket t b =
+  t.f1.(b) <- 0;
+  Bitmap.clear_bit t.occ1 b;
+  let vec = t.v1.(b) in
+  if Array.length vec > 64 then begin
+    if t.spare_n < Array.length t.spares then begin
+      t.spares.(t.spare_n) <- vec;
+      t.spare_n <- t.spare_n + 1
+    end;
+    t.v1.(b) <- empty_vec
+  end
 
 (* Drop the dead pairs of bucket [b], preserving (ascending-seq) order. *)
 let compact_bucket t b =
@@ -325,23 +275,7 @@ let unlink t i =
        moves pairs and the reset swaps the buffer out from under the
        dispatch cursor.  The dispatch loop does its own cleanup. *)
     if loc <> t.dispatching then begin
-      if t.c1.(loc) = 0 then begin
-        t.f1.(loc) <- 0;
-        Bitmap.clear_bit t.occ1 loc;
-        (* Retire the buffer: a bucket drains once per lap, and holding
-           its peak capacity for the next 4096 ticks would retain a
-           whole lap's worth of dead vectors.  Park it in the spare ring
-           for the buckets currently growing; small ones stay put, and
-           overflow beyond the ring goes to the GC. *)
-        let vec = t.v1.(loc) in
-        if Array.length vec > 64 then begin
-          if t.spare_n < Array.length t.spares then begin
-            t.spares.(t.spare_n) <- vec;
-            t.spare_n <- t.spare_n + 1
-          end;
-          t.v1.(loc) <- empty_vec
-        end
-      end
+      if t.c1.(loc) = 0 then drain_bucket t loc
       else if t.f1.(loc) >= 8 && t.f1.(loc) > 2 * t.c1.(loc) then compact_bucket t loc
     end
   end
@@ -373,15 +307,17 @@ let unlink t i =
     set_next t i (-1)
   end
 
+(* The earliest deadline of the chain from row [i], or [best] if
+   earlier; and [n] plus the chain's rows due at [now_i]. *)
+let rec chain_min t i best =
+  if i < 0 then best else chain_min t (s_next t i) (Int.min best (s_at t i))
+
+let rec chain_due t i now_i n =
+  if i < 0 then n else chain_due t (s_next t i) now_i (if s_at t i <= now_i then n + 1 else n)
+
 let ensure_far_min t =
   if (not t.far_min_ok) && t.far_n > 0 then begin
-    let m = ref max_int in
-    let i = ref t.far_h in
-    while !i >= 0 do
-      if s_at t !i < !m then m := s_at t !i;
-      i := s_next t !i
-    done;
-    t.far_min <- !m;
+    t.far_min <- chain_min t t.far_h max_int;
     t.far_min_ok <- true
   end
 
@@ -409,36 +345,40 @@ let route t i =
 
 (* ---- the public surface -------------------------------------------- *)
 
-let quantize t ati = (ati + t.gns - 1) / t.gns * t.gns
+let[@inline] quantize t ati = Timer_store.round_up ~tick:t.gns ati
+
+(* A deadline as reported: [max_int] holds every deadline whose rounding
+   passed it. *)
+let report d = if d = max_int then Int64.max_int else Int64.of_int d
 
 (* The native entry point: deadline as integer nanoseconds, no box in
    or out — with the wheel's int handles, a schedule allocates nothing
    (arena growth amortized aside). *)
 let schedule_i t ~at_i v =
-  let i = alloc_slot t v in
+  let i = Slab.alloc t.slab v in
   set_at t i (quantize t at_i);
   set_seq t i t.next_seq;
   t.next_seq <- t.next_seq + 1;
   route t i;
   t.count <- t.count + 1;
-  pack (s_gen t i) i
+  Slab.handle t.slab i
 
-let schedule t ~at v = schedule_i t ~at_i:(Int64.to_int at) v
+let schedule t ~at v = schedule_i t ~at_i:(Fire_outcome.saturate at) v
 
 let cancel t h =
-  if valid t h then begin
-    let i = idx_of h in
+  if Slab.valid t.slab h then begin
+    let i = Slab.row_of h in
     unlink t i;
-    free_slot t i;
+    Slab.free t.slab i;
     t.count <- t.count - 1
   end
 
 let rearm t h ~at =
-  if not (valid t h) then false
+  if not (Slab.valid t.slab h) then false
   else begin
-    let i = idx_of h in
+    let i = Slab.row_of h in
     unlink t i;
-    set_at t i (quantize t (Int64.to_int at));
+    set_at t i (quantize t (Fire_outcome.saturate at));
     set_seq t i t.next_seq;
     t.next_seq <- t.next_seq + 1;
     route t i;
@@ -450,36 +390,30 @@ let resident t = t.count (* cancellation unlinks and frees: no corpses *)
 
 (* Analytic heap footprint, 64-bit words.  Everything is flat int
    arrays, so this is exact up to a few shared empty-array atoms:
-   record (38) + the fixed per-level arrays + the slot arena
-   (stride-8 slab, value array, free stack) + the live level-1 pair
-   vectors and parked spare buffers. *)
+   record (34) + the fixed per-level arrays + the slab + the live
+   level-1 pair vectors and parked spare buffers. *)
 let words t =
   let arr a = if Array.length a = 0 then 0 else Array.length a + 1 in
   let vecs = Array.fold_left (fun acc v -> acc + arr v) 0 t.v1 in
   let spare = Array.fold_left (fun acc v -> acc + arr v) 0 t.spares in
-  38
+  34
   + (Array.length t.v1 + 1)
   + arr t.f1 + arr t.h2 + arr t.t2 + arr t.c1 + arr t.c2
   + arr t.occ1 + arr t.occ2
-  + arr t.slab
-  + (if Array.length t.s_val = 0 then 0 else Array.length t.s_val + 1)
-  + arr t.free_stk + arr t.scratch
+  + Slab.words t.slab
+  + arr t.scratch
   + (Array.length t.spares + 1)
   + vecs + spare
 
-let handle_pending t h = valid t h
-let handle_deadline t h = if valid t h then Int64.of_int (s_at t (idx_of h)) else Time_ns.zero
+let handle_pending t h = Slab.valid t.slab h
+let handle_deadline t h =
+  if Slab.valid t.slab h then report (s_at t (Slab.row_of h)) else Time_ns.zero
 
 let next_deadline t =
   if t.count = 0 then None
   else begin
-    let best = ref max_int in
     (* past: unsorted, walk in full (short-lived: drained every fire) *)
-    let i = ref t.past_h in
-    while !i >= 0 do
-      if s_at t !i < !best then best := s_at t !i;
-      i := s_next t !i
-    done;
+    let best = ref (chain_min t t.past_h max_int) in
     (* level 1: buckets are single-tick, so the first occupied bucket is
        the level minimum *)
     let base = epoch1_base t in
@@ -492,18 +426,12 @@ let next_deadline t =
        walk that one chain *)
     let cur2 = t.cur_tick / t.n1 in
     let idx2 = Bitmap.ffs_in_range t.occ2 ~from:((cur2 land (t.n2 - 1)) + 1) ~upto:(t.n2 - 1) in
-    if idx2 >= 0 then begin
-      let j = ref t.h2.(idx2) in
-      while !j >= 0 do
-        if s_at t !j < !best then best := s_at t !j;
-        j := s_next t !j
-      done
-    end;
+    if idx2 >= 0 then best := chain_min t t.h2.(idx2) !best;
     if t.far_n > 0 then begin
       ensure_far_min t;
       if t.far_min < !best then best := t.far_min
     end;
-    Some (Int64.of_int !best)
+    Some (report !best)
   end
 
 (* ---- cascades ------------------------------------------------------ *)
@@ -631,13 +559,7 @@ let count_due t ~now_i ~target =
         (* A bucket strictly below the target span is due in full; only
            the bucket containing the target tick needs a walk. *)
         if tick2 < target2 then scanned := !scanned + t.c2.(!idx2)
-        else begin
-          let j = ref t.h2.(!idx2) in
-          while !j >= 0 do
-            if s_at t !j <= now_i then incr scanned;
-            j := s_next t !j
-          done
-        end;
+        else scanned := chain_due t t.h2.(!idx2) now_i !scanned;
         idx2 :=
           if !idx2 + 1 > t.n2 - 1 then -1
           else Bitmap.ffs_in_range t.occ2 ~from:(!idx2 + 1) ~upto:(t.n2 - 1)
@@ -646,13 +568,7 @@ let count_due t ~now_i ~target =
   end;
   if t.far_n > 0 then begin
     ensure_far_min t;
-    if t.far_min <= now_i then begin
-      let j = ref t.far_h in
-      while !j >= 0 do
-        if s_at t !j <= now_i then incr scanned;
-        j := s_next t !j
-      done
-    end
+    if t.far_min <= now_i then scanned := chain_due t t.far_h now_i !scanned
   end;
   !scanned
 
@@ -680,8 +596,8 @@ let dispatch_past t ~seq_limit ~limit ~fired f =
        entry (the slot is then free, or reused with seq >= seq_limit). *)
     if s_loc t h = loc_past && s_seq t h < seq_limit then begin
       unlink t h;
-      let at = s_at t h and v = t.s_val.(h) in
-      free_slot t h;
+      let at = s_at t h and v = t.slab.vals.(h) in
+      Slab.free t.slab h;
       t.count <- t.count - 1;
       incr fired;
       f (Int64.of_int at) v
@@ -795,12 +711,12 @@ let[@hot] fire_due t ?prefetch ~now ~limit f =
                 if s >= 0 then begin
                   if vec.((!a * 2) + 1) >= seq_limit then stop := !a
                   else begin
-                    (* Load the slab row too: [free_slot] is about to
+                    (* Load the slab row too: [Slab.free] is about to
                        store to it, and a warmed line turns that RFO
                        miss (which would pile up in the store buffer)
                        into an ownership upgrade. *)
                     ignore (Sys.opaque_identity (s_gen t s));
-                    ignore (Sys.opaque_identity t.s_val.(s))
+                    ignore (Sys.opaque_identity t.slab.vals.(s))
                   end
                 end;
                 incr a
@@ -808,7 +724,7 @@ let[@hot] fire_due t ?prefetch ~now ~limit f =
               let hi = if chunk_end < !stop then chunk_end else !stop in
               for a = !q to hi - 1 do
                 let s = vec.(a * 2) in
-                if s >= 0 then pf t.s_val.(s)
+                if s >= 0 then pf t.slab.vals.(s)
               done;
               while !q < hi && not !break_ do
                 if !fired >= limit then begin
@@ -827,8 +743,8 @@ let[@hot] fire_due t ?prefetch ~now ~limit f =
                   let s = vec.(!q * 2) in
                   if s >= 0 then begin
                     vec.(!q * 2) <- -1;
-                    let v = t.s_val.(s) in
-                    free_slot t s;
+                    let v = t.slab.vals.(s) in
+                    Slab.free t.slab s;
                     t.count <- t.count - 1;
                     incr fired;
                     incr fired_here;
@@ -843,18 +759,7 @@ let[@hot] fire_due t ?prefetch ~now ~limit f =
                marked dead above without going through [unlink]). *)
             t.c1.(idx) <- t.c1.(idx) - !fired_here;
             t.n1_count <- t.n1_count - !fired_here;
-            if t.c1.(idx) = 0 then begin
-              t.f1.(idx) <- 0;
-              Bitmap.clear_bit t.occ1 idx;
-              let vec = t.v1.(idx) in
-              if Array.length vec > 64 then begin
-                if t.spare_n < Array.length t.spares then begin
-                  t.spares.(t.spare_n) <- vec;
-                  t.spare_n <- t.spare_n + 1
-                end;
-                t.v1.(idx) <- empty_vec
-              end
-            end;
+            if t.c1.(idx) = 0 then drain_bucket t idx;
             if not !break_ then begin
               (* Anything still linked was scheduled or re-armed during
                  this call (tie at or past the snapshot boundary): move
@@ -880,29 +785,3 @@ let[@hot] fire_due t ?prefetch ~now ~limit f =
     Fire_outcome.pack ~scanned ~fired:!fired
   end
 [@@lint.allow "ALLOC001"] [@@lint.allow "ALLOC002"] [@@lint.allow "ALLOC003"]
-
-(* ---- sized instances for the test suite ---------------------------- *)
-
-module type SIZE = sig
-  val buckets : int
-end
-
-module Sized (B : SIZE) = struct
-  let name = name
-
-  type nonrec 'a t = 'a t
-  type nonrec 'a handle = 'a handle
-
-  let create ~tick () = create_sized ~buckets:B.buckets ~tick ()
-  let schedule = schedule
-  let schedule_i = schedule_i
-  let cancel = cancel
-  let rearm = rearm
-  let pending = pending
-  let resident = resident
-  let next_deadline = next_deadline
-  let words = words
-  let handle_pending = handle_pending
-  let handle_deadline = handle_deadline
-  let fire_due = fire_due
-end

@@ -4,9 +4,9 @@
     Two levels of circular bucket arrays over the [tick] granularity,
     each with a find-first-set occupancy bitmap, plus a far list beyond
     the level-2 horizon and a past list for deadlines quantized below
-    the already-retired range.  Entries live in a struct-of-arrays slot
-    arena and a handle is an immediate int, so schedule / cancel /
-    re-arm are O(1) and allocation-free, and dispatch is O(due).
+    the already-retired range.  Entries live in a {!Slab} and a handle
+    is an immediate int, so schedule / cancel / re-arm are O(1) and
+    allocation-free, and dispatch is O(due).
 
     Semantics: exactly [Timer_store.Quantize] applied to the reference
     store — the full §7.1 contract with every deadline rounded up to
@@ -16,11 +16,7 @@
 
 include Timer_store.S
 
-module type SIZE = sig
-  val buckets : int
-end
-
-module Sized (_ : SIZE) : Timer_store.S
-(** Same store with [buckets] buckets per level (rounded up to a power
-    of two, minimum 4).  Small instances force epoch turnover, cascades
-    and far-list traffic at test scale. *)
+val create_sized : buckets:int -> tick:Time_ns.span -> unit -> 'a t
+(** [create] with [buckets] buckets per level (rounded up to a power of
+    two, minimum 4).  Small instances force epoch turnover, cascades and
+    far-list traffic at test scale. *)

@@ -3,7 +3,6 @@ let exact : (module Timer_store.S) list =
     Timer_store.wheel ~slots:512 ();
     (module Eventq_store);
     (module Lawn);
-    (module Grouped_sorting);
   ]
 
 let approximate : (module Timer_store.S) list = [ (module Pacing_wheel) ]

@@ -7,8 +7,6 @@
       the paper's structure and the default;
     - ["eventq"] — the engine slot-table technique ({!Eventq_store});
     - ["lawn"] — per-duration FIFO buckets ({!Lawn});
-    - ["grouped-sorting"] — range-partitioned groups with in-place
-      deadline updates ({!Grouped_sorting});
     - ["pacing-wheel"] — the Eiffel-style FFS bucket wheel
       ({!Pacing_wheel}), the one {e approximate} store: deadlines are
       rounded up to the tick granularity (the

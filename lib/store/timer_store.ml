@@ -144,6 +144,14 @@ let wheel ?(slots = 512) () : (module S) =
     let create = sized
   end)
 
+(* [d + tick - 1] cannot overflow below the guard; above it the answer
+   is the last multiple of [tick], or [max_int] past that. *)
+let[@inline] round_up ~tick d =
+  if d <= max_int - tick then (d + tick - 1) / tick * tick
+  else
+    let last = max_int / tick * tick in
+    if d <= last then last else max_int
+
 (* ------------------------------------------------------------------ *)
 (* Approximate-firing oracle: any store M with every deadline rounded
    UP to the tick granularity at schedule/rearm time.  This is the
@@ -164,10 +172,13 @@ module Quantize (M : S) : S = struct
     let q = Int64.to_int tick in
     { q = (if q <= 0 then 1 else q); inner = M.create ~tick () }
 
-  let quant t at = Int64.of_int ((Int64.to_int at + t.q - 1) / t.q * t.q)
+  let quant_i t at_i =
+    let r = round_up ~tick:t.q at_i in
+    if r = max_int then Int64.max_int else Int64.of_int r
 
+  let quant t at = quant_i t (Fire_outcome.saturate at)
   let schedule t ~at v = M.schedule t.inner ~at:(quant t at) v
-  let schedule_i t ~at_i v = M.schedule_i t.inner ~at_i:((at_i + t.q - 1) / t.q * t.q) v
+  let schedule_i t ~at_i v = M.schedule t.inner ~at:(quant_i t at_i) v
   let cancel t h = M.cancel t.inner h
   let rearm t h ~at = M.rearm t.inner h ~at:(quant t at)
   let pending t = M.pending t.inner

@@ -6,10 +6,10 @@
     timers — re-arm far more often than they fire: every ACK pushes the
     retransmit deadline out.  A store signature without re-arm forces
     cancel + schedule through the public API, which both loses the O(1)
-    in-place-update opportunity of modern stores (Lawn's per-duration
-    buckets, the grouped sorting queue's in-range update) and invalidates
-    the caller's handle.  [Timer_store.S] makes re-arm first-class:
-    handles survive any number of re-arms.
+    in-place-update opportunity of modern stores (the wheels relink the
+    entry's own slab row, Lawn moves it between per-duration buckets)
+    and invalidates the caller's handle.  [Timer_store.S] makes re-arm
+    first-class: handles survive any number of re-arms.
 
     {2 Semantics}
 
@@ -50,7 +50,17 @@
     - Deadlines must be non-negative and [now] must not go backwards
       across [fire_due] calls: every store's [fire_due] raises
       {!Time_went_backwards}, before it touches any entry, when [now]
-      is earlier than the previous call's. *)
+      is earlier than the previous call's.
+    - Any [Time_ns.t] may be a deadline.  Stores compare deadlines as
+      ints saturated into the int range ({!Fire_outcome.saturate}),
+      never wrapped: every deadline at or past [max_int] ns (2^62 - 1,
+      about 146 years) lies beyond every earlier [now], and such
+      deadlines may tie with one another, in tie-position order.  For
+      every [now] below [max_int] less one tick, no entry fires before
+      its deadline.  An exact store reports each deadline as scheduled
+      ([handle_deadline], [next_deadline], the callback's argument);
+      an approximate store reports it rounded up ({!round_up}), and
+      [Int64.max_int] when rounding up would pass [max_int]. *)
 
 exception Time_went_backwards of { previous : int; now : int }
 (** Raised by [fire_due] on a [now] earlier than the previous call's
@@ -131,6 +141,12 @@ module Reference : S
 
 val wheel : ?slots:int -> unit -> (module S)
 (** The production {!Timing_wheel} with [slots] slots (default 512). *)
+
+val round_up : tick:int -> int -> int
+(** [round_up ~tick d] is [d] rounded up to a multiple of [tick > 0]
+    ns, the rounding of {!Quantize} and {!Pacing_wheel}.  It saturates
+    rather than overflows: [max_int] when the multiple would pass
+    [max_int]. *)
 
 module Quantize (_ : S) : S
 (** The approximate-firing contract extension (§7.2): the wrapped store

@@ -1,25 +1,21 @@
 let name = "wheel"
 
-(* Entries live in an int slab: one stride-6 row per entry holding its
-   deadline (ns), tie position, chain links, generation and location,
-   plus one value array.  Each slot chains its rows through prev/next
-   (order within a slot carries no meaning: a batch is sorted, a sweep
-   takes a minimum), and an occupancy bitmap over the slots lets sweeps
-   skip empty ones.  A handle is an immediate int, (generation << 24) |
-   row; a row's generation is bumped when it is freed, so a stale
-   handle never validates.  Cancel and re-arm unlink physically, so
-   resident = pending and nothing is ever compacted.
+(* Entries live in a [Slab]: one stride-6 row per entry holding its
+   deadline (ns), tie position, chain links, and the slab's generation
+   and location, plus one value array.  Each slot chains its rows
+   through prev/next (order within a slot carries no meaning: a batch
+   is sorted, a sweep takes a minimum), and an occupancy bitmap over the
+   slots lets sweeps skip empty ones.  Handles are the slab's.  Cancel
+   and re-arm unlink physically, so resident = pending and nothing is
+   ever compacted.
 
    Rows hold int deadlines.  A deadline at or beyond the int range's
    ends is held as the saturated bound, and its exact [Time_ns.t] in
    [big]; every comparison of two such rows reads [big]. *)
 
-(* Location codes: a slot index in [0, slots), or one of these. *)
-let loc_free = -1
+(* Location codes: a slot index in [0, slots), [Slab.loc_free], or: *)
 let loc_batch = -2 (* gathered by a [fire_due] in progress *)
 
-let row_bits = 24
-let max_rows = 1 lsl row_bits
 let stride = 6
 
 (* [min_row] codes besides a row index. *)
@@ -44,11 +40,7 @@ type 'a t = {
       (* the last [Some] [next_deadline] returned, reused while the
          minimum keeps its value *)
   mutable cache_ok : bool;  (* [min_cache] answers for [min_row] as it is *)
-  mutable cap : int;
-  mutable slab : int array;
-  mutable vals : 'a array;  (* length 0 until the first schedule *)
-  mutable free_top : int;
-  mutable free_stk : int array;
+  slab : 'a Slab.t;
   mutable big : Time_ns.t array;  (* exact deadlines of saturated rows; lazy *)
   mutable scratch : int array;  (* due batches as handles, stacked *)
   mutable scratch_top : int;
@@ -70,11 +62,7 @@ let create ?(slots = 256) ~tick () =
     min_row = min_unknown;
     min_cache = None;
     cache_ok = false;
-    cap = 0;
-    slab = [||];
-    vals = [||];
-    free_top = 0;
-    free_stk = [||];
+    slab = Slab.create ~stride;
     big = [||];
     scratch = Array.make 16 0;
     scratch_top = 0;
@@ -85,72 +73,30 @@ let slots t = t.slots_n
 let tick t = t.tick_span
 let pending t = t.count
 let resident t = t.count
-let[@inline] row_of h = h land (max_rows - 1)
-let[@inline] gen_of h = h lsr row_bits
 
 (* ---- rows ----------------------------------------------------------- *)
 
-let[@inline] s_at t i = t.slab.(i * stride)
-let[@inline] set_at t i v = t.slab.(i * stride) <- v
-let[@inline] s_tie t i = t.slab.((i * stride) + 1)
-let[@inline] set_tie t i v = t.slab.((i * stride) + 1) <- v
-let[@inline] s_prev t i = t.slab.((i * stride) + 2)
-let[@inline] set_prev t i v = t.slab.((i * stride) + 2) <- v
-let[@inline] s_next t i = t.slab.((i * stride) + 3)
-let[@inline] set_next t i v = t.slab.((i * stride) + 3) <- v
-let[@inline] s_gen t i = t.slab.((i * stride) + 4)
-let[@inline] set_gen t i v = t.slab.((i * stride) + 4) <- v
-let[@inline] s_loc t i = t.slab.((i * stride) + 5)
-let[@inline] set_loc t i v = t.slab.((i * stride) + 5) <- v
+let[@inline] s_at t i = t.slab.rows.(i * stride)
+let[@inline] set_at t i v = t.slab.rows.(i * stride) <- v
+let[@inline] s_tie t i = t.slab.rows.((i * stride) + 1)
+let[@inline] set_tie t i v = t.slab.rows.((i * stride) + 1) <- v
+let[@inline] s_prev t i = t.slab.rows.((i * stride) + 2)
+let[@inline] set_prev t i v = t.slab.rows.((i * stride) + 2) <- v
+let[@inline] s_next t i = t.slab.rows.((i * stride) + 3)
+let[@inline] set_next t i v = t.slab.rows.((i * stride) + 3) <- v
+let[@inline] s_loc t i = t.slab.rows.((i * stride) + Slab.loc)
+let[@inline] set_loc t i v = t.slab.rows.((i * stride) + Slab.loc) <- v
 let[@inline] saturated d = d = max_int || d = min_int
 
-let grow t v =
-  let cap = if t.cap = 0 then 16 else t.cap * 2 in
-  if cap > max_rows then failwith "Timing_wheel: more than 2^24 pending entries";
-  let slab = Array.make (cap * stride) 0 in
-  Array.blit t.slab 0 slab 0 (t.cap * stride);
-  for i = t.cap to cap - 1 do
-    slab.((i * stride) + 5) <- loc_free
-  done;
-  t.slab <- slab;
-  (* A freed row keeps its last value alive until reuse, bounded by the
-     capacity: the price of a non-optional value array. *)
-  let vals = Array.make cap v in
-  Array.blit t.vals 0 vals 0 t.cap;
-  t.vals <- vals;
-  if Array.length t.big > 0 then begin
-    let big = Array.make cap Time_ns.zero in
-    Array.blit t.big 0 big 0 t.cap;
+(* [big] catches up with the slab's capacity at the first saturated row
+   after each growth; only saturated rows are ever read from it. *)
+let set_big t i at =
+  let n = Array.length t.big in
+  if n < t.slab.cap then begin
+    let big = Array.make t.slab.cap Time_ns.zero in
+    Array.blit t.big 0 big 0 n;
     t.big <- big
   end;
-  let stk = Array.make cap 0 in
-  Array.blit t.free_stk 0 stk 0 t.free_top;
-  for i = cap - 1 downto t.cap do
-    stk.(t.free_top + (cap - 1 - i)) <- i
-  done;
-  t.free_stk <- stk;
-  t.free_top <- t.free_top + (cap - t.cap);
-  t.cap <- cap
-
-let[@inline] alloc_row t v =
-  if t.free_top = 0 then grow t v;
-  t.free_top <- t.free_top - 1;
-  let i = t.free_stk.(t.free_top) in
-  t.vals.(i) <- v;
-  i
-
-let free_row t i =
-  set_gen t i (s_gen t i + 1);
-  set_loc t i loc_free;
-  t.free_stk.(t.free_top) <- i;
-  t.free_top <- t.free_top + 1
-
-let[@inline] valid t h =
-  let i = row_of h in
-  i < t.cap && s_gen t i = gen_of h && s_loc t i <> loc_free
-
-let set_big t i at =
-  if Array.length t.big = 0 then t.big <- Array.make t.cap Time_ns.zero;
   t.big.(i) <- at
 
 (* Row [i]'s deadline, boxed.  A row whose deadline equals the cached
@@ -319,37 +265,38 @@ let set_deadline t i at =
   if saturated d then set_big t i at
 
 let[@hot] schedule_i t ~at_i v =
-  let i = alloc_row t v in
+  let i = Slab.alloc t.slab v in
   set_at t i at_i;
   if saturated at_i then set_big t i (Int64.of_int at_i [@lint.allow "ALLOC003"]);
   place t i;
-  (s_gen t i lsl row_bits) lor i
+  Slab.handle t.slab i
 
 let schedule t ~at v =
-  let i = alloc_row t v in
+  let i = Slab.alloc t.slab v in
   set_deadline t i at;
   place t i;
-  (s_gen t i lsl row_bits) lor i
+  Slab.handle t.slab i
 
 let cancel t h =
-  if valid t h then begin
-    let i = row_of h in
+  if Slab.valid t.slab h then begin
+    let i = Slab.row_of h in
     unplace t i;
-    free_row t i
+    Slab.free t.slab i
   end
 
 let rearm t h ~at =
-  valid t h
+  Slab.valid t.slab h
   && begin
-       let i = row_of h in
+       let i = Slab.row_of h in
        unplace t i;
        set_deadline t i at;
        place t i;
        true
      end
 
-let handle_pending t h = valid t h
-let handle_deadline t h = if valid t h then deadline_box t (row_of h) else Time_ns.zero
+let handle_pending t h = Slab.valid t.slab h
+let handle_deadline t h =
+  if Slab.valid t.slab h then deadline_box t (Slab.row_of h) else Time_ns.zero
 
 (* ---- expiry ----------------------------------------------------------- *)
 
@@ -369,12 +316,12 @@ let rec gather t i ~now ~now_i =
     if due t i ~now ~now_i then begin
       unlink t i;
       set_loc t i loc_batch;
-      push_scratch t ((s_gen t i lsl row_bits) lor i)
+      push_scratch t (Slab.handle t.slab i)
     end;
     gather t next ~now ~now_i
   end
 
-let[@inline] lt t x y = before t (row_of x) (row_of y)
+let[@inline] lt t x y = before t (Slab.row_of x) (Slab.row_of y)
 
 (* Heap order over [scratch.(lo .. lo + n - 1)]: restore it below [k]. *)
 let rec sift t lo k n =
@@ -409,7 +356,7 @@ let sort_batch t lo hi =
    tie position intact, so the next call dispatches it in the same
    order.  Rows an earlier callback cancelled or re-armed are gone from
    the batch already. *)
-let[@inline] in_batch t h = valid t h && s_loc t (row_of h) = loc_batch
+let[@inline] in_batch t h = Slab.valid t.slab h && s_loc t (Slab.row_of h) = loc_batch
 
 (* A withheld row rejoins the minimum a callback may have cached. *)
 let withhold t i =
@@ -420,7 +367,7 @@ let withhold t i =
 let withhold_from t k stop =
   for k = k to stop - 1 do
     let h = t.scratch.(k) in
-    if in_batch t h then withhold t (row_of h)
+    if in_batch t h then withhold t (Slab.row_of h)
   done
 
 (* Run the sorted batch [scratch.(k .. stop - 1)], at most [limit]
@@ -437,13 +384,13 @@ let rec dispatch t f limit fired k base stop =
     let h = t.scratch.(k) in
     if not (in_batch t h) then dispatch t f limit fired (k + 1) base stop
     else if fired >= limit then begin
-      withhold t (row_of h);
+      withhold t (Slab.row_of h);
       dispatch t f limit fired (k + 1) base stop
     end
     else begin
-      let i = row_of h in
-      let d = deadline_box t i and v = t.vals.(i) in
-      free_row t i;
+      let i = Slab.row_of h in
+      let d = deadline_box t i and v = t.slab.vals.(i) in
+      Slab.free t.slab i;
       t.count <- t.count - 1;
       (match f d v with
       | () -> ()
@@ -491,23 +438,21 @@ let[@hot] fire_due t ?prefetch:_ ~now ~limit f =
     Fire_outcome.pack ~scanned:0 ~fired:0
   end
 
-(* Heap footprint, 64-bit words: the record (20 fields + header), the
-   boxed tick, the slot and bitmap arrays, the slab, value, free-stack
-   and scratch arrays, the saturated-deadline array and the cached
-   minimum (option cell and box; the box may be shared). *)
+(* Heap footprint, 64-bit words: the record (16 fields + header), the
+   boxed tick, the slot and bitmap arrays, the slab, the scratch array,
+   the saturated-deadline array and the cached minimum (option cell and
+   box; the box may be shared). *)
 let words t =
   let arr n = if n = 0 then 0 else n + 1 in
-  21 + 3
+  17 + 3
   + arr t.slots_n
   + arr (Array.length t.occ)
-  + arr (Array.length t.slab)
-  + arr (Array.length t.vals)
-  + arr (Array.length t.free_stk)
+  + Slab.words t.slab
   + arr (Array.length t.scratch)
   + arr (Array.length t.big)
   + match t.min_cache with Some _ -> 5 | None -> 0
 
 let iter_pending t f =
-  for i = 0 to t.cap - 1 do
-    if s_loc t i <> loc_free then f (deadline_box t i) t.vals.(i)
+  for i = 0 to t.slab.cap - 1 do
+    if s_loc t i <> Slab.loc_free then f (deadline_box t i) t.slab.vals.(i)
   done

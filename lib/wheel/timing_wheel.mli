@@ -9,7 +9,7 @@
     duration each; an entry due at absolute time [d] lives in slot
     [(d / tick) mod slots] and carries its exact deadline, so entries
     more than one rotation away are simply skipped when their slot is
-    swept.  Entries are rows of an int slab, chained per slot; an
+    swept.  Entries are rows of a {!Slab}, chained per slot; an
     occupancy bitmap over the slots lets sweeps and the minimum search
     skip empty ones, and handles are immediate ints, so a schedule
     allocates nothing.  The earliest-deadline query is served from a

@@ -165,13 +165,17 @@ let equivalence_tests =
    re-routing inside the generator's 2 ms deadline range. *)
 module Quantized_reference = Timer_store.Quantize (Timer_store.Reference)
 
-module Pacing_wheel_8 = Pacing_wheel.Sized (struct
-  let buckets = 8
-end)
+module Pacing_wheel_8 = struct
+  include Pacing_wheel
 
-module Pacing_wheel_32 = Pacing_wheel.Sized (struct
-  let buckets = 32
-end)
+  let create ~tick () = create_sized ~buckets:8 ~tick ()
+end
+
+module Pacing_wheel_32 = struct
+  include Pacing_wheel
+
+  let create ~tick () = create_sized ~buckets:32 ~tick ()
+end
 
 let approx_equivalence_tests =
   List.map
@@ -340,8 +344,8 @@ let test_fire_budget_tie_order () =
 (* Regression: a callback that queries [next_deadline] while a budget
    withholds the rest of its batch must not leave that answer cached:
    the withheld entry (20 us) is the minimum again once it is back,
-   not the callback's fresh entry (100 us).  [lawn] and
-   [grouped-sorting] used to answer 100. *)
+   not the callback's fresh entry (100 us).  [lawn] used to answer
+   100. *)
 let test_withheld_minimum () =
   List.iter
     (fun (module M : Timer_store.S) ->
@@ -356,6 +360,32 @@ let test_withheld_minimum () =
       Alcotest.(check (option int64)) (M.name ^ ": withheld entry is the minimum")
         (Some (us 20.0)) (M.next_deadline t))
     Store_registry.exact
+
+(* A stale handle stays stale once its row holds another entry: both
+   wheels hand [a]'s freed row to [b], under a bumped generation. *)
+let test_stale_handle_after_reuse () =
+  all_stores (fun (module M : Timer_store.S) ->
+      let t = M.create ~tick:(us 10.0) () in
+      let a = M.schedule t ~at:(us 20.0) "a" in
+      M.cancel t a;
+      let b = M.schedule t ~at:(us 30.0) "b" in
+      M.cancel t a;
+      Alcotest.(check bool) (M.name ^ ": stale rearm refused") false (M.rearm t a ~at:(us 10.0));
+      Alcotest.(check bool) (M.name ^ ": stale handle not pending") false (M.handle_pending t a);
+      Alcotest.(check bool) (M.name ^ ": b still pending") true (M.handle_pending t b);
+      Alcotest.(check int64) (M.name ^ ": b keeps its deadline") (us 30.0) (M.handle_deadline t b);
+      let fired = ref [] in
+      let fire now =
+        ignore
+          (M.fire_due t ~now ~limit:max_int (fun at v -> fired := (at, v) :: !fired)
+            : Fire_outcome.t)
+      in
+      fire (us 29.0);
+      Alcotest.(check (list (pair int64 string))) (M.name ^ ": nothing early") [] !fired;
+      fire (us 30.0);
+      Alcotest.(check (list (pair int64 string))) (M.name ^ ": b fires at its deadline")
+        [ (us 30.0, "b") ] !fired;
+      Alcotest.(check int) (M.name ^ ": drained") 0 (M.pending t))
 
 (* Regression (cancel-leak, store-wide): schedule/cancel churn of
    far-future timers must not grow residency past the compaction bound.
@@ -505,6 +535,55 @@ let test_pw_in_callback_rearm () =
     (match !seen with (dl, `Victim) :: _ -> Time_ns.(dl = us 30.0) | _ -> false);
   Alcotest.(check int) "nothing left" 0 (M.pending t)
 
+(* Edge deadlines (the saturation clause of the contract): 0, the last
+   int ([max_int] = 2^62 - 1) and two deadlines past it.  Nothing fires
+   early, an exact store reports each deadline as scheduled, and an
+   approximate one never reports a deadline below the one requested. *)
+let edge_deadlines = [ 0L; Int64.of_int max_int; Int64.(sub max_int 1L); Int64.max_int ]
+
+let test_edge_deadlines () =
+  List.iter
+    (fun (exact, (module M : Timer_store.S)) ->
+      let reports what d got =
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: %s of %Ld reports %Ld" M.name what d got)
+          true
+          (if exact then Int64.equal got d else Int64.compare got d >= 0)
+      in
+      let next t d =
+        match M.next_deadline t with
+        | Some got -> reports "next_deadline" d got
+        | None -> Alcotest.failf "%s: no next_deadline for %Ld" M.name d
+      in
+      List.iter
+        (fun d ->
+          let t = M.create ~tick:(us 10.0) () in
+          let h = M.schedule t ~at:d d in
+          reports "handle_deadline" d (M.handle_deadline t h);
+          next t d)
+        edge_deadlines;
+      let t = M.create ~tick:(us 10.0) () in
+      List.iter (fun d -> ignore (M.schedule t ~at:d d : int64 M.handle)) edge_deadlines;
+      let fired = ref [] in
+      List.iter
+        (fun now ->
+          ignore
+            (M.fire_due t ~now ~limit:max_int (fun at d ->
+                 Alcotest.(check bool)
+                   (Printf.sprintf "%s: %Ld not fired at %Ld" M.name d now)
+                   true
+                   (Int64.compare d now <= 0);
+                 reports "fire" d at;
+                 fired := d :: !fired)
+              : Fire_outcome.t))
+        [ us 100.0; Int64.of_int (max_int - 1_000_000_000) ];
+      Alcotest.(check (list int64)) (M.name ^ ": only deadline 0 fired") [ 0L ] !fired;
+      next t (Int64.of_int max_int))
+    (((true, (module Timer_store.Reference : Timer_store.S))
+     :: (false, (module Quantized_reference : Timer_store.S))
+     :: List.map (fun m -> (true, m)) Store_registry.exact)
+    @ List.map (fun m -> (false, m)) Store_registry.approximate)
+
 (* Determinism: the facility's observable behaviour — the full trace of
    soft_sched/soft_cancel/soft_fire events, digested — must not depend
    on which store backs it.  Runs a trigger-driven machine with a
@@ -624,6 +703,8 @@ let () =
           Alcotest.test_case "fire budget tie order" `Quick test_fire_budget_tie_order;
           Alcotest.test_case "raising callback requeues" `Quick test_raising_callback_requeues;
           Alcotest.test_case "withheld entry stays the minimum" `Quick test_withheld_minimum;
+          Alcotest.test_case "stale handle after reuse" `Quick test_stale_handle_after_reuse;
+          Alcotest.test_case "edge deadlines" `Quick test_edge_deadlines;
           Alcotest.test_case "cancel churn bounded" `Quick test_cancel_churn_bounded;
           Alcotest.test_case "rearm churn bounded" `Quick test_rearm_churn_bounded;
           Alcotest.test_case "digest independent of store" `Quick test_digest_store_independent;

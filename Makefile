@@ -128,7 +128,8 @@ trace-smoke: build
 
 # Static-analysis suite (tools/lint): determinism (DET001..DET004,
 # MLI001), domain races
-# (RACE001..RACE004) and hot-path allocations (ALLOC001..ALLOC003) over
+# (RACE001..RACE004) and hot-path allocations and lookups
+# (ALLOC001..ALLOC003, HOT001) over
 # lib/ bin/ examples/ bench/ tools/, with file:line:RULE diagnostics,
 # ratcheted against tools/lint/BASELINE.json (empty since the RACE002
 # burn-down — any finding is fresh debt).
@@ -156,7 +157,7 @@ sanitize-smoke: build
 	dune exec bin/softtimers_cli.exe -- table8 --quick --sanitize
 
 # Replay-diff: each experiment runs twice with the same seed; the
-# emitted tables and the trace digests must match bit-for-bit.  The
+# emitted tables, metrics dumps and trace digests must match bit-for-bit.  The
 # sensitivity run repeats at --jobs 4 to check that parallel fan-out
 # (lib/parallel) leaves tables and digests byte-identical.
 determinism: build

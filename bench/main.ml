@@ -331,14 +331,7 @@ let () =
      becomes the default for every Runner.map in this process,
      including the per-cell fan-out inside exp_sensitivity. *)
   (match !jobs with Some n -> Runner.set_default_jobs n | None -> ());
-  if !metrics then begin
-    (* Exact metric counts need single-threaded runs: shared counters
-       are bumped racily (hence approximately) by parallel workers. *)
-    if Runner.default_jobs () > 1 then
-      prerr_endline "bench: --metrics forces --jobs 1 (counters must be exact)";
-    Runner.set_default_jobs 1;
-    Metrics.reset Metrics.default
-  end;
+  if !metrics then Metrics.reset (Metrics.current ());
   (* Every experiment is an independent deterministic simulation;
      fan the cells across domains and print in list order.  Wall-clock
      timings are taken inside each job (they overlap under parallelism
@@ -359,7 +352,7 @@ let () =
     outputs;
   if !metrics then begin
     print_string (Exp_config.header "Metrics registry (lib/obs) after the runs");
-    print_string (Metrics.dump Metrics.default);
+    print_string (Metrics.dump (Metrics.current ()));
     print_newline ()
   end;
   (match !json with

@@ -76,10 +76,11 @@ let run_all cfg sanitize =
       `Ok ())
 
 (* Replay-diff harness: run one experiment twice from the same seed and
-   compare the emitted table byte-for-byte and the trace digests (an
-   order-sensitive hash of every event).  Any divergence means some
-   hidden state — wall clock, global Random, hash order — leaked into
-   the run, which is exactly what the determinism contract forbids. *)
+   compare the emitted table and the metrics dump byte-for-byte and the
+   trace digests (an order-sensitive hash of every event).  Any
+   divergence means some hidden state — wall clock, global Random, hash
+   order — leaked into the run, which is exactly what the determinism
+   contract forbids. *)
 (* Committed run-1 trace digests and event counts of the quick runs at
    the default seed, ring size and store (the runs `make determinism`
    makes), so a pass also proves a change left the simulation itself
@@ -105,18 +106,19 @@ let run_verify ~pinned cfg buf jobs id =
   | Some (_, _, f) ->
     let once ~jobs =
       Runner.set_default_jobs jobs;
+      let metrics = Metrics.current () in
+      Metrics.reset metrics;
       let tr = Trace.create ~capacity:buf () in
-      Metrics.reset Metrics.default;
       Trace.install tr;
       let out = f cfg in
       Trace.uninstall ();
-      (out, Trace_digest.digest tr, Trace.total tr)
+      (out, Trace_digest.digest tr, Trace.total tr, Metrics.dump metrics)
     in
     (* Run 1 is always sequential; run 2 uses the requested job count,
        so `--jobs 4` directly proves a parallel run is bit-identical
        to the sequential reference, not merely self-consistent. *)
-    let o1, d1, n1 = once ~jobs:1 in
-    let o2, d2, n2 = once ~jobs in
+    let o1, d1, n1, m1 = once ~jobs:1 in
+    let o2, d2, n2, m2 = once ~jobs in
     Printf.printf "verify-determinism %s (seed %d%s)\n" id cfg.Exp_config.seed
       (if cfg.Exp_config.quick then ", quick" else "");
     Printf.printf "  run 1 (jobs 1): trace digest %s (%d events)\n" (Trace_digest.hex d1) n1;
@@ -125,8 +127,10 @@ let run_verify ~pinned cfg buf jobs id =
       (Trace_digest.hex d2) n2;
     let tables_eq = String.equal o1 o2 in
     let traces_eq = Int64.equal d1 d2 && n1 = n2 in
+    let metrics_eq = String.equal m1 m2 in
     Printf.printf "  tables: %s\n" (if tables_eq then "identical" else "DIFFER");
     Printf.printf "  traces: %s\n" (if traces_eq then "identical" else "DIFFER");
+    Printf.printf "  metrics: %s\n" (if metrics_eq then "identical" else "DIFFER");
     let golden_ok =
       match List.assoc_opt id golden_digests with
       | Some (hex, n)
@@ -139,14 +143,15 @@ let run_verify ~pinned cfg buf jobs id =
         ok
       | _ -> true
     in
-    if tables_eq && traces_eq && not golden_ok then
+    let same = tables_eq && traces_eq && metrics_eq in
+    if same && not golden_ok then
       `Error (false, "verify-determinism: run 1 differs from the committed golden digest")
-    else if tables_eq && traces_eq then begin
+    else if same then begin
       Printf.printf "  PASS: two same-seed runs are bit-for-bit identical\n";
       `Ok ()
     end
     else begin
-      if not tables_eq then begin
+      let show_first_diff what o1 o2 =
         let l1 = String.split_on_char '\n' o1 and l2 = String.split_on_char '\n' o2 in
         let rec first_diff i = function
           | a :: ra, b :: rb -> if String.equal a b then first_diff (i + 1) (ra, rb) else Some (i, a, b)
@@ -156,10 +161,12 @@ let run_verify ~pinned cfg buf jobs id =
         in
         match first_diff 1 (l1, l2) with
         | Some (i, a, b) ->
-          Printf.printf "  first differing table line (%d):\n    run 1: %s\n    run 2: %s\n" i
-            a b
+          Printf.printf "  first differing %s line (%d):\n    run 1: %s\n    run 2: %s\n" what
+            i a b
         | None -> ()
-      end;
+      in
+      if not tables_eq then show_first_diff "table" o1 o2;
+      if not metrics_eq then show_first_diff "metrics" m1 m2;
       `Error (false, "verify-determinism: same-seed runs differ — determinism broken")
     end
 
@@ -182,8 +189,9 @@ let run_trace cfg id out csv buf metrics window_us =
   | Some _ when unwritable out ->
     `Error (false, Printf.sprintf "cannot write trace output %S" out)
   | Some (_, _, f) ->
+    let metrics_ctx = Metrics.current () in
+    Metrics.reset metrics_ctx;
     let tr = Trace.create ~capacity:buf () in
-    Metrics.reset Metrics.default;
     let series =
       if window_us > 0.0 then
         Some (Timeseries.create ~window:(Time_ns.of_us window_us) ())
@@ -219,7 +227,7 @@ let run_trace cfg id out csv buf metrics window_us =
         (Trace.dropped tr);
     if metrics then begin
       print_newline ();
-      print_string (Metrics.dump Metrics.default)
+      print_string (Metrics.dump metrics_ctx)
     end;
     `Ok ()
 
@@ -459,10 +467,11 @@ let verify_cmd =
       `S Manpage.s_description;
       `P
         "Runs the given experiment twice with identical configuration, capturing the full \
-         event trace of each run, then compares the emitted table byte-for-byte and the \
-         trace digests (an order-sensitive FNV-1a over every event).  Exits nonzero on any \
-         divergence: two same-seed runs of a correct simulation are bit-for-bit identical.  \
-         Run 1 is always sequential; with --jobs N the second run fans parallelizable work \
+         event trace of each run, then compares the emitted table and the metrics dump \
+         byte-for-byte and the trace digests (an order-sensitive FNV-1a over every event).  \
+         Exits nonzero on any divergence: two same-seed runs of a correct simulation are \
+         bit-for-bit identical.  Run 1 is always sequential; with --jobs N the second run fans \
+         parallelizable work \
          across N domains, so a pass also proves parallel execution changes nothing.  With \
          --quick at the default seed, ring size and store, run 1's digest and event count \
          must also equal the committed golden values of table3, table8, livelock, \

@@ -17,7 +17,7 @@ type t = {
   overdue_periods : float;
   counter_check_every : int;
   max_reported : int;
-  registry : Metrics.t;
+  registry : Metrics.t option;  (* [None]: the scanning domain's context *)
   mutable last_at : Time_ns.t;
   mutable max_irq : Time_ns.span;  (* longest interrupt dispatch seen *)
   mutable events_seen : int;
@@ -29,7 +29,7 @@ type t = {
 }
 
 let create ?(fail_fast = false) ?(hard_clock_hz = 1000.0) ?(overdue_periods = 2.0)
-    ?(counter_check_every = 4096) ?(max_reported = 32) ?(registry = Metrics.default) () =
+    ?(counter_check_every = 4096) ?(max_reported = 32) ?registry () =
   if hard_clock_hz <= 0.0 then invalid_arg "Sanitizer.create: hard_clock_hz must be positive";
   if overdue_periods <= 0.0 then
     invalid_arg "Sanitizer.create: overdue_periods must be positive";
@@ -79,7 +79,8 @@ let check_wheel t ~at ~resident ~pending ~slots =
    softtimer.wheel_* probes Softtimer registers. *)
 let scan_registry t ~at =
   let resident = ref None and pending = ref None and slots = ref None in
-  Metrics.iter t.registry (fun name v ->
+  let registry = match t.registry with Some r -> r | None -> Metrics.current () in
+  Metrics.iter registry (fun name v ->
       match v with
       | Metrics.Counter c ->
         if c < 0 then
@@ -96,7 +97,7 @@ let scan_registry t ~at =
         | "softtimer.wheel_pending" -> pending := Some (int_of_float p)
         | "softtimer.wheel_slots" -> slots := Some (int_of_float p)
         | _ -> ())
-      | Metrics.Gauge _ | Metrics.Histogram _ -> ());
+      | Metrics.Histogram _ -> ());
   match (!resident, !pending, !slots) with
   | Some r, Some p, Some s -> check_wheel t ~at ~resident:r ~pending:p ~slots:s
   | _ -> ()

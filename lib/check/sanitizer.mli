@@ -26,8 +26,9 @@
       [Timer_store.S]; the default wheel keeps resident = pending, see
       {!Timing_wheel.resident}); read from the [softtimer.wheel_*]
       metrics probes on the counter cadence.
-    - {b COUNTER_MONOTONE}: every registry counter is non-negative and
-      never decreases (checked every [counter_check_every] events).
+    - {b COUNTER_MONOTONE}: every metrics counter (the sum of its
+      registered cells) is non-negative and never decreases (checked
+      every [counter_check_every] events).
 
     Violations are collected into a report; with [fail_fast] (the mode
     tests use) the first violation raises {!Violation} instead. *)
@@ -57,8 +58,10 @@ val create :
     [hard_clock_hz] (default 1000., the Pentium-II profile's backup
     clock) and [overdue_periods] (default 2.) parameterise the OVERDUE
     bound.  [counter_check_every] (default 4096) is the registry-scan
-    cadence in trace events.  [max_reported] (default 32) bounds stored
-    violations; the total count keeps counting past it.
+    cadence in trace events, and [registry] the {!Metrics} context a
+    scan reads (default: the scanning domain's {!Metrics.current}).
+    [max_reported] (default 32) bounds stored violations; the total
+    count keeps counting past it.
     @raise Invalid_argument on non-positive parameters. *)
 
 val install : t -> unit

@@ -1,5 +1,5 @@
-let m_polls = Metrics.dcounter Metrics.default "net_poll.polls"
-let m_packets = Metrics.dcounter Metrics.default "net_poll.packets"
+let m_polls = Metrics.counter "net_poll.polls"
+let m_packets = Metrics.counter "net_poll.packets"
 
 (* Span-less profiler events: interval clamping shows why the adaptive
    poller stopped tracking its aggregation quota. *)
@@ -17,13 +17,14 @@ type t = {
   mutable ewma_batch : float;
   mutable running : bool;
   mutable outstanding : Softtimer.handle option;
-  mutable polls : int;
-  mutable packets : int;
+  polls : int ref;
+  packets : int ref;
 }
 
 let create st ~quota ~poll ?(min_interval = Time_ns.of_us 10.0)
     ?(max_interval = Time_ns.of_ms 1.0) ?(initial_interval = Time_ns.of_us 50.0) () =
   if quota <= 0.0 then invalid_arg "Net_poll.create: quota must be positive";
+  let m = Metrics.current () in
   {
     st;
     quota;
@@ -34,8 +35,8 @@ let create st ~quota ~poll ?(min_interval = Time_ns.of_us 10.0)
     ewma_batch = quota;
     running = false;
     outstanding = None;
-    polls = 0;
-    packets = 0;
+    polls = Metrics.cell m m_polls;
+    packets = Metrics.cell m m_packets;
   }
 
 (* Multiplicative adaptation toward the aggregation quota, smoothed by
@@ -55,10 +56,8 @@ let rec on_event t now =
   t.outstanding <- None;
   if t.running then begin
     let found = t.poll now in
-    t.polls <- t.polls + 1;
-    t.packets <- t.packets + found;
-    Metrics.dincr m_polls;
-    Metrics.dincr ~by:found m_packets;
+    incr t.polls;
+    t.packets := !(t.packets) + found;
     if found = 0 then Profile.event e_empty_poll;
     Trace.poll ~at:now ~found;
     adapt t found;
@@ -77,6 +76,8 @@ let stop t =
   t.outstanding <- None
 
 let current_interval t = t.interval
-let polls t = t.polls
-let packets t = t.packets
-let mean_batch t = if t.polls = 0 then 0.0 else float_of_int t.packets /. float_of_int t.polls
+let polls t = !(t.polls)
+let packets t = !(t.packets)
+
+let mean_batch t =
+  if !(t.polls) = 0 then 0.0 else float_of_int !(t.packets) /. float_of_int !(t.polls)

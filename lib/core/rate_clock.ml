@@ -1,6 +1,6 @@
-let m_sends = Metrics.dcounter Metrics.default "rate_clock.sends"
-let m_trains = Metrics.dcounter Metrics.default "rate_clock.trains"
-let h_intervals = Metrics.hdr Metrics.default "rate_clock.interval_us"
+let m_sends = Metrics.counter "rate_clock.sends"
+let m_trains = Metrics.counter "rate_clock.trains"
+let interval_metric = Metrics.histogram "rate_clock.interval_us"
 
 (* A catch-up send: soft-timer dispatch latency pushed us past the ideal
    send time, so the next interval was clamped to min_interval — the
@@ -12,10 +12,12 @@ let e_catch_up = Profile.intern [ "rate_clock"; "catch_up_send" ]
    flows must not carry a million of them (the per-flow copy used to
    cost GBs at that scale).  Clocks whose statistics must be read in
    isolation pass [~intervals:(Hdr.create ~lowest:0.01 ())]. *)
-(* RACE002: cohort state shares the registry's single-domain contract —
-   experiment workers that record in parallel pass their own
-   [~intervals]; the shared default is only touched from sequential
-   runs. *)
+(* RACE002: every default clock in the process records here, including
+   clocks inside parallel jobs ([Paced_sender]'s default clock under
+   [all --jobs N]), so concurrent records can be lost.  No table,
+   digest or metric reads it: what reaches output is a private
+   [~intervals] or the [rate_clock.interval_us] metric, whose Hdr
+   belongs to the creating domain's (or job's) metrics context. *)
 let cohort_intervals = Hdr.create ~lowest:0.01 () [@@lint.allow "RACE002"]
 
 type t = {
@@ -27,18 +29,21 @@ type t = {
   mutable train_start : Time_ns.t;
   mutable sent_in_train : int;
   mutable last_send : Time_ns.t;
-  mutable sends : int;
+  sends : int ref;
+  trains : int ref;
   mutable outstanding : Softtimer.handle option;
   intervals : Hdr.t;
       (* Constant-memory: a clock sends once per interval for the whole
          run, so retaining every gap (the old [Stats.Sample.t]) grew
          without bound — one float per packet, forever.  Shared with
          the cohort by default; see [cohort_intervals]. *)
+  interval_us : Hdr.t;  (* the context's [rate_clock.interval_us] *)
 }
 
 let create ?(intervals = cohort_intervals) st ~target_interval ~min_interval ~send () =
   if Time_ns.(min_interval <= 0L) || Time_ns.(min_interval > target_interval) then
     invalid_arg "Rate_clock.create: need 0 < min_interval <= target_interval";
+  let m = Metrics.current () in
   {
     st;
     target = target_interval;
@@ -48,9 +53,11 @@ let create ?(intervals = cohort_intervals) st ~target_interval ~min_interval ~se
     train_start = Time_ns.zero;
     sent_in_train = 0;
     last_send = Time_ns.zero;
-    sends = 0;
+    sends = Metrics.cell m m_sends;
+    trains = Metrics.cell m m_trains;
     outstanding = None;
     intervals;
+    interval_us = Metrics.hdr m interval_metric;
   }
 
 let rec on_event t now_i =
@@ -61,12 +68,11 @@ let rec on_event t now_i =
       if t.sent_in_train > 0 then begin
         let gap_us = Time_ns.to_us Time_ns.(now - t.last_send) in
         Hdr.record t.intervals gap_us;
-        Hdr.record h_intervals gap_us
+        Hdr.record t.interval_us gap_us
       end;
       t.last_send <- now;
       t.sent_in_train <- t.sent_in_train + 1;
-      t.sends <- t.sends + 1;
-      Metrics.dincr m_sends;
+      incr t.sends;
       Trace.rbc_send ~at:now_i;
       schedule_next t now
     end
@@ -87,7 +93,7 @@ and schedule_next t now =
   t.outstanding <- Some (Softtimer.schedule_after t.st delay (on_event t))
 
 let begin_train t =
-  Metrics.dincr m_trains;
+  incr t.trains;
   t.active <- true;
   let now = Engine.now (Machine.engine (Softtimer.machine t.st)) in
   t.train_start <- now;
@@ -104,7 +110,7 @@ let stop t =
   t.outstanding <- None
 
 let active t = t.active
-let sends t = t.sends
+let sends t = !(t.sends)
 let intervals t = t.intervals
 
 (* ------------------------------------------------------------------ *)
@@ -146,6 +152,7 @@ module Pool (M : Timer_store.S) = struct
     store : int M.t;
     send : int -> bool;  (* flow id -> keep pacing? *)
     intervals : Hdr.t;
+    interval_us : Hdr.t;  (* the context's [rate_clock.interval_us] *)
     delays : Hdr.t;  (* fire delay vs the requested (unquantized) deadline, µs *)
     stat_every : int;
     mutable stat_ctr : int;
@@ -188,7 +195,7 @@ module Pool (M : Timer_store.S) = struct
     if p.f.(base + o_sent) > 0 then begin
       let gap_us = float_of_int (now_i - last) /. 1_000.0 in
       Hdr.record p.intervals gap_us;
-      Hdr.record h_intervals gap_us
+      Hdr.record p.interval_us gap_us
     end;
     let delay_us = float_of_int (now_i - p.f.(base + o_next_at)) /. 1_000.0 in
     Hdr.record p.delays delay_us
@@ -254,6 +261,7 @@ module Pool (M : Timer_store.S) = struct
         store = M.create ~tick ();
         send;
         intervals;
+        interval_us = Metrics.hdr (Metrics.current ()) interval_metric;
         delays;
         stat_every;
         stat_ctr = 0;

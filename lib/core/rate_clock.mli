@@ -20,6 +20,10 @@
 
 type t
 
+val interval_metric : Metrics.histogram
+(** [rate_clock.interval_us]: every clock's and pool's inter-send gaps,
+    recorded into the creating domain's {!Metrics} context. *)
+
 val cohort_intervals : Hdr.t
 (** The interval histogram shared by every clock and pool that does not
     opt into a private one.  An [Hdr.t] costs on the order of a

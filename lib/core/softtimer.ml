@@ -1,8 +1,8 @@
-let m_checks = Metrics.dcounter Metrics.default "softtimer.checks"
-let m_fired = Metrics.dcounter Metrics.default "softtimer.fired"
-let m_scheduled = Metrics.dcounter Metrics.default "softtimer.scheduled"
-let m_cancelled = Metrics.dcounter Metrics.default "softtimer.cancelled"
-let h_fire_delay = Metrics.dhistogram Metrics.default "softtimer.fire_delay_us"
+let m_checks = Metrics.counter "softtimer.checks"
+let m_fired = Metrics.counter "softtimer.fired"
+let m_scheduled = Metrics.counter "softtimer.scheduled"
+let m_cancelled = Metrics.counter "softtimer.cancelled"
+let h_fire_delay = Metrics.histogram "softtimer.fire_delay_us"
 
 (* The payload the store holds per event; the store hands the due time
    back on expiry.  The handler receives the firing instant in ns. *)
@@ -63,8 +63,11 @@ type t = {
   mutable fire_source : string;  (* its trigger state's name *)
   mutable on_fire : Time_ns.t -> pending_event -> unit;  (* [fire t], built once *)
   mutable next_id : int;  (* timer identity carried by the trace events *)
-  mutable fired : int;
-  mutable checks : int;
+  fired : int ref;
+  checks : int ref;
+  scheduled : int ref;
+  cancelled : int ref;
+  fire_delays : Hdr.t;  (* µs; the context's [softtimer.fire_delay_us] *)
   mutable attached : bool;
   mutable record_delays : bool;
   delays : Stats.Sample.t;
@@ -154,14 +157,13 @@ let klass_timer = Some Cpu.klass_timer
 let[@hot] fire t due ev =
   let now = t.fire_now in
   let delay = now - Int64.to_int due in
-  t.fired <- t.fired + 1;
-  Metrics.dincr m_fired;
+  incr t.fired;
   Trace.soft_fire ~at:now ~id:ev.id ~due;
   if Profile.enabled () then
     Profile.dispatch ~source:t.fire_source ~delay:(Int64.of_int delay [@lint.allow "ALLOC003"]);
   let delay_us = float_of_int delay /. 1e3 in
   if t.record_delays then Stats.Sample.add t.delays delay_us;
-  Metrics.drecord h_fire_delay delay_us;
+  Hdr.record t.fire_delays delay_us;
   Machine.submit_quantum t.machine
     ?attr:(if Profile.enabled () then fire_attr else None)
     ~prio:Cpu.prio_intr ?klass:klass_timer ~work_us:t.fire_work_us ~trigger:None ignore;
@@ -177,8 +179,7 @@ let[@hot] fire t due ev =
    work: the engine's box of the instant if it has one, else a fresh
    one. *)
 let[@hot] check t kind now_i =
-  t.checks <- t.checks + 1;
-  Metrics.dincr m_checks;
+  incr t.checks;
   match next_deadline t with
   | Some d when Fire_outcome.saturate d <= now_i ->
     let outer_now = t.fire_now and outer_source = t.fire_source in
@@ -221,6 +222,7 @@ let attach ?store ?(wheel_tick = Time_ns.of_us 10.0) ?(wheel_slots = 512) machin
       | Some s -> s
       | None -> Timer_store.wheel ~slots:wheel_slots ())
   in
+  let m = Metrics.current () in
   let t =
     {
       machine;
@@ -235,8 +237,11 @@ let attach ?store ?(wheel_tick = Time_ns.of_us 10.0) ?(wheel_slots = 512) machin
       fire_source = "";
       on_fire = (fun _ _ -> ());
       next_id = 0;
-      fired = 0;
-      checks = 0;
+      fired = Metrics.cell m m_fired;
+      checks = Metrics.cell m m_checks;
+      scheduled = Metrics.cell m m_scheduled;
+      cancelled = Metrics.cell m m_cancelled;
+      fire_delays = Metrics.hdr m h_fire_delay;
       attached = true;
       record_delays = false;
       delays = Stats.Sample.create ();
@@ -246,17 +251,15 @@ let attach ?store ?(wheel_tick = Time_ns.of_us 10.0) ?(wheel_slots = 512) machin
   Machine.set_check_hook machine (Some (check t));
   Machine.set_idle_deadline_fn machine (Some (fun () -> next_deadline t));
   Machine.start_interrupt_clock machine;
-  (* Pull-style store stats: the sanitizer (lib/check) reads these to
-     assert the residency bound during runs.  The slots figure is the
-     configured wheel size; every store's compaction floor is at or
-     below it, so the sanitizer's [resident <= 2 * max pending slots]
-     invariant is store-independent. *)
-  Metrics.probe Metrics.default "softtimer.wheel_resident" (fun () ->
-      float_of_int (resident t));
-  Metrics.probe Metrics.default "softtimer.wheel_pending" (fun () ->
-      float_of_int (pending t));
-  Metrics.probe Metrics.default "softtimer.wheel_slots" (fun () ->
-      float_of_int t.store_slots);
+  (* Pull-style store stats of the last facility attached in this
+     context: the sanitizer (lib/check) reads these to assert the
+     residency bound during runs.  The slots figure is the configured
+     wheel size; every store's compaction floor is at or below it, so
+     the sanitizer's [resident <= 2 * max pending slots] invariant is
+     store-independent. *)
+  Metrics.probe m "softtimer.wheel_resident" (fun () -> float_of_int (resident t));
+  Metrics.probe m "softtimer.wheel_pending" (fun () -> float_of_int (pending t));
+  Metrics.probe m "softtimer.wheel_slots" (fun () -> float_of_int t.store_slots);
   t
 
 let detach t =
@@ -290,7 +293,7 @@ let schedule_soft_event t ~ticks handler =
   let due_f = due_ns t ticks in
   let id = t.next_id in
   t.next_id <- id + 1;
-  Metrics.dincr m_scheduled;
+  incr t.scheduled;
   if Trace.armed () then
     Trace.soft_sched ~at:(Engine.now_i (Machine.engine t.machine)) ~id
       ~due:(Int64.of_float due_f);
@@ -322,7 +325,7 @@ let schedule_after t span handler =
 let cancel t (Handle { inst; sh; ev_id }) =
   let module S = (val inst) in
   if S.handle_pending S.s sh then begin
-    Metrics.dincr m_cancelled;
+    incr t.cancelled;
     Trace.soft_cancel
       ~at:(Engine.now_i (Machine.engine t.machine))
       ~id:ev_id
@@ -343,14 +346,14 @@ let rearm t (Handle { inst; sh; ev_id }) ~ticks =
        one causal chain per handle — and digests are independent of
        whether a client re-arms or reschedules. *)
     Trace.soft_sched ~at ~id:ev_id ~due;
-    Metrics.dincr m_scheduled;
+    incr t.scheduled;
     let moved = S.rearm S.s sh ~at:due in
     if moved then notify_if_earliest t due;
     moved
   end
 
 let wheel_stats t = (resident t, pending t, t.store_slots)
-let fired t = t.fired
-let checks t = t.checks
+let fired t = !(t.fired)
+let checks t = !(t.checks)
 let set_record_delays t b = t.record_delays <- b
 let delays t = t.delays

@@ -110,8 +110,8 @@ val pending : t -> int
     behind the sanitizer's residency invariant
     [resident <= 2 * max pending slots] ([slots] is the configured
     wheel size; every store's compaction floor is at or below it).
-    Also published as the [softtimer.wheel_*] probes in
-    {!Metrics.default}. *)
+    Also published as the [softtimer.wheel_*] probes of the
+    {!Metrics.current} context the facility was attached in. *)
 val wheel_stats : t -> int * int * int
 val fired : t -> int
 (** Events fired so far. *)

@@ -98,7 +98,11 @@ module Make_runner (C : CONF) = struct
     done;
     let sends = F.sends fleet in
     let d = F.delays fleet in
-    let words = Obj.reachable_words (Obj.repr fleet) in
+    (* The fleet's own words: the [rate_clock.interval_us] histogram its
+       pool records into belongs to this domain's metrics context,
+       shared with every clock and pool created there. *)
+    let shared = Metrics.hdr (Metrics.current ()) Rate_clock.interval_metric in
+    let words = Obj.reachable_words (Obj.repr fleet) - Obj.reachable_words (Obj.repr shared) in
     ( {
       store = name;
       flows;

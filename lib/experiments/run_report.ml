@@ -16,8 +16,8 @@ type t = {
   series : Timeseries.t;
   spans : Span.t;
   audit : Delay_audit.t;
-  (* Rendered when the run ends: the default registry and the census
-     belong to the process, and the census is released right after. *)
+  (* Rendered when the run ends: the metrics context and the census
+     outlive the run, and the census is released right after. *)
   metrics_text : string;
   metrics_json : string;
   mem_text : string;
@@ -55,7 +55,7 @@ let metrics_json m =
       let rendered =
         match v with
         | Metrics.Counter c -> string_of_int c
-        | Metrics.Gauge g | Metrics.Probe g -> jfloat g
+        | Metrics.Probe g -> jfloat g
         | Metrics.Histogram h -> hdr_json h
       in
       parts := Printf.sprintf "%s:%s" (jstring name) rendered :: !parts);
@@ -84,11 +84,12 @@ let run cfg ~id f opts =
   match validate opts with
   | Error _ as e -> e
   | Ok () ->
+    let metrics = Metrics.current () in
+    Metrics.reset metrics;
     let tr = Trace.create ~capacity:opts.buf () in
     let p = Profile.create () in
     let ts = Timeseries.create ~window:(Time_ns.of_us opts.window_us) () in
     let da = Delay_audit.create ~worst:opts.worst () in
-    Metrics.reset Metrics.default;
     Memstats.reset_census ();
     Memstats.reset_samples ();
     (* The observatory accounts for itself: the interned category
@@ -131,8 +132,8 @@ let run cfg ~id f opts =
         series = ts;
         spans = Span.collect tr;
         audit = da;
-        metrics_text = Metrics.dump Metrics.default;
-        metrics_json = metrics_json Metrics.default;
+        metrics_text = Metrics.dump metrics;
+        metrics_json = metrics_json metrics;
         mem_text = Memstats.report ();
         mem_json = Memstats.to_json ~gc:false ();
         mem_ok = Memstats.conservation_ok ();

@@ -11,7 +11,7 @@
       and the per-trigger dispatch table ({!Profile.report}; paper
       Tables 1-4);
     - {b stats}: windowed time series, timer and packet spans
-      recovered from the ring, and the {!Metrics.default} registry;
+      recovered from the ring, and the run's {!Metrics} readings;
     - {b why-late}: the conservation-checked partition of every fired
       timer's delay ({!Delay_audit});
     - {b mem}: the live-word census with its conservation verdict, and
@@ -44,8 +44,8 @@ val run : Exp_config.t -> id:string -> (Exp_config.t -> string) -> options -> (t
     {!Exp_pacer_scale.run_census} instead, which registers every fleet
     as a census source) under the full observatory.  [Error] without
     running when an option is out of range or the trace tap is already
-    occupied.  The default metrics registry and the census are reset
-    first; the census is reset again before returning, releasing
+    occupied.  The calling domain's {!Metrics} context and the census
+    are reset first; the census is reset again before returning, releasing
     whatever its providers kept alive. *)
 
 val dropped : t -> int

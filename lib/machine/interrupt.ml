@@ -1,8 +1,8 @@
-(* Process-wide interrupt accounting (per-interrupt cost is the quantity
-   the paper's overhead tables revolve around). *)
-let m_raised = Metrics.dcounter Metrics.default "interrupt.raised"
-let m_lost = Metrics.dcounter Metrics.default "interrupt.lost"
-let m_delivered = Metrics.dcounter Metrics.default "interrupt.delivered"
+(* Interrupt accounting, summed over lines (per-interrupt cost is the
+   quantity the paper's overhead tables revolve around). *)
+let m_raised = Metrics.counter "interrupt.raised"
+let m_lost = Metrics.counter "interrupt.lost"
+let m_delivered = Metrics.counter "interrupt.delivered"
 
 type line = {
   name : string;
@@ -18,9 +18,9 @@ type line = {
   mutable oldest : int;
   mutable complete : int -> unit;  (* the deliveries' callback, built once *)
   mutable deferred : bool;  (* a tick is waiting for the spl window to end *)
-  mutable raised : int;
-  mutable lost : int;
-  mutable delivered : int;
+  raised : int ref;
+  lost : int ref;
+  delivered : int ref;
   (* Interned once per line: the paper's per-interrupt cost decomposition
      (save/restore + cache/TLB pollution + handler body, Tables 2-4). *)
   a_save : Profile.attr;
@@ -62,8 +62,7 @@ let complete t ln now =
   let work = ln.works.(ln.oldest) in
   ln.oldest <- (if ln.oldest + 1 = ln.latch_depth then 0 else ln.oldest + 1);
   ln.in_flight <- ln.in_flight - 1;
-  ln.delivered <- ln.delivered + 1;
-  Metrics.dincr m_delivered;
+  incr ln.delivered;
   Trace.irq ~at:now ~line:ln.name ~cpu:ln.cpu ~dur:work;
   ln.handler now;
   t.on_trigger ln.source now
@@ -71,6 +70,7 @@ let complete t ln now =
 let line t ~name ~source ?(latch_depth = 2) ?(spl_blockable = false) ?(cpu = 0) ~handler () =
   if latch_depth < 1 then invalid_arg "Interrupt.line: latch_depth must be >= 1";
   if cpu < 0 || cpu >= Array.length t.cpus then invalid_arg "Interrupt.line: bad cpu";
+  let m = Metrics.current () in
   let ln =
     {
       name;
@@ -84,9 +84,9 @@ let line t ~name ~source ?(latch_depth = 2) ?(spl_blockable = false) ?(cpu = 0) 
       oldest = 0;
       complete = ignore;
       deferred = false;
-      raised = 0;
-      lost = 0;
-      delivered = 0;
+      raised = Metrics.cell m m_raised;
+      lost = Metrics.cell m m_lost;
+      delivered = Metrics.cell m m_delivered;
       a_save = Profile.intern [ "interrupt"; name; "save_restore" ];
       a_pollution = Profile.intern [ "interrupt"; name; "pollution" ];
       a_handler = Profile.intern [ "interrupt"; name; "handler" ];
@@ -124,13 +124,11 @@ let[@hot] deliver t ln handler_work =
   Cpu.submit_i t.cpus.(ln.cpu) ?attr ~prio:Cpu.prio_intr ~work_i:work ~trigger:None ln.complete
 
 let lose ln ~at =
-  ln.lost <- ln.lost + 1;
-  Metrics.dincr m_lost;
+  incr ln.lost;
   Trace.irq_lost ~at ~line:ln.name
 
 let raise_irq t ln ~handler_work_ns:handler_work =
-  ln.raised <- ln.raised + 1;
-  Metrics.dincr m_raised;
+  incr ln.raised;
   let now_i = Engine.now_i t.engine in
   Trace.irq_raised ~at:now_i ~line:ln.name;
   if ln.spl_blockable && now_i < t.spl_until then begin
@@ -196,6 +194,6 @@ let start_spl_sections t ~rng ?(rate_per_sec = 1_300.0)
         spl_edge t ~rng ~gap ~duration:duration_us !kind code);
   ignore (Engine.post_after_i t.engine (span_ns gap rng) !kind 0 : Engine.handle)
 
-let raised ln = ln.raised
-let lost ln = ln.lost
-let delivered ln = ln.delivered
+let raised ln = !(ln.raised)
+let lost ln = !(ln.lost)
+let delivered ln = !(ln.delivered)

@@ -8,7 +8,7 @@ let kind_index : Trigger.kind -> int = function
   | Trigger.Clock_tick -> 6
   | Trigger.Idle -> 7
 
-let m_triggers = Metrics.dcounter Metrics.default "machine.triggers"
+let m_triggers = Metrics.counter "machine.triggers"
 
 type t = {
   engine : Engine.t;
@@ -24,7 +24,7 @@ type t = {
      an indexed loop (this runs at every trigger state). *)
   mutable observers : (Trigger.kind -> int -> unit) array;
   mutable n_observers : int;
-  counts : int array;
+  counts : int ref array;  (* per trigger kind; all are [machine.triggers] cells *)
   mutable clock_running : bool;
   mutable idle_poll : Time_ns.span option;
   mutable idle_deadline_fn : (unit -> Time_ns.t option) option;
@@ -60,8 +60,7 @@ let locality t = t.locality
 
 let fire_trigger t kind =
   let now = Engine.now_i t.engine in
-  t.counts.(kind_index kind) <- t.counts.(kind_index kind) + 1;
-  Metrics.dincr m_triggers;
+  incr t.counts.(kind_index kind);
   Trace.trigger ~at:now (Trigger.name kind);
   for i = 0 to t.n_observers - 1 do
     t.observers.(i) kind now
@@ -79,8 +78,8 @@ let add_observer t f =
   t.n_observers <- t.n_observers + 1
 let set_check_hook t hook = t.check_hook <- hook
 let check_hook_attached t = t.check_hook <> None
-let trigger_count t kind = t.counts.(kind_index kind)
-let trigger_total t = Array.fold_left ( + ) 0 t.counts
+let trigger_count t kind = !(t.counts.(kind_index kind))
+let trigger_total t = Array.fold_left (fun acc c -> acc + !c) 0 t.counts
 
 let check_attr = Profile.intern [ "softtimer"; "check" ]
 
@@ -196,6 +195,7 @@ let create ?(profile = Costs.pentium_ii_300) ?(cpus = 1) engine =
   if cpus < 1 then invalid_arg "Machine.create: need at least one cpu";
   let cpu_arr = Array.init cpus (fun i -> Cpu.create ~id:i engine) in
   Trace.sim_start ~at:(Engine.now_i engine);
+  let m = Metrics.current () in
   let t =
     {
       engine;
@@ -208,7 +208,7 @@ let create ?(profile = Costs.pentium_ii_300) ?(cpus = 1) engine =
       check_hook = None;
       observers = [||];
       n_observers = 0;
-      counts = Array.make 8 0;
+      counts = Array.init 8 (fun _ -> Metrics.cell m m_triggers);
       clock_running = false;
       idle_poll = None;
       idle_deadline_fn = None;

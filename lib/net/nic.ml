@@ -1,7 +1,7 @@
-let m_rx = Metrics.dcounter Metrics.default "nic.rx_packets"
-let m_tx = Metrics.dcounter Metrics.default "nic.tx_packets"
-let m_drop = Metrics.dcounter Metrics.default "nic.rx_dropped"
-let m_batches = Metrics.dcounter Metrics.default "nic.rx_batches"
+let m_rx = Metrics.counter "nic.rx_packets"
+let m_tx = Metrics.counter "nic.tx_packets"
+let m_drop = Metrics.counter "nic.rx_dropped"
+let m_batches = Metrics.counter "nic.rx_batches"
 
 type mode = Interrupt_driven | Polled | Hybrid
 
@@ -21,9 +21,10 @@ type 'a t = {
   mutable rx_intr_armed : bool;
   mutable hybrid_processing : bool;
   mutable tx_since_intr : int;
-  mutable rx_packets : int;
-  mutable rx_batches : int;
-  mutable rx_dropped : int;
+  rx_packets : int ref;
+  rx_batches : int ref;
+  rx_dropped : int ref;
+  tx_packets : int ref;
   mutable k_rx_intr : Engine.kind;  (* the delayed receive interrupt *)
 }
 
@@ -36,10 +37,8 @@ let drain_ring t now =
   | [] -> 0
   | _ :: _ ->
     let n = List.length batch in
-    t.rx_packets <- t.rx_packets + n;
-    t.rx_batches <- t.rx_batches + 1;
-    Metrics.dincr ~by:n m_rx;
-    Metrics.dincr m_batches;
+    t.rx_packets := !(t.rx_packets) + n;
+    incr t.rx_batches;
     Trace.pkt_rx ~at:now ~nic:t.name ~batch:n;
     t.on_rx_batch now batch;
     n
@@ -57,6 +56,7 @@ let[@hot] fire_rx_intr t =
 let create machine ~name ~bandwidth_bps ~wire_latency ~tx_deliver ~on_rx_batch
     ?(tx_intr_coalesce = 0) ?(rx_handler_work_us = 1.0) ?(rx_intr_delay = 0L)
     ?(rx_ring_capacity = max_int) () =
+  let m = Metrics.current () in
   let t =
     {
       machine;
@@ -74,9 +74,10 @@ let create machine ~name ~bandwidth_bps ~wire_latency ~tx_deliver ~on_rx_batch
       rx_intr_armed = false;
       hybrid_processing = false;
       tx_since_intr = 0;
-      rx_packets = 0;
-      rx_batches = 0;
-      rx_dropped = 0;
+      rx_packets = Metrics.cell m m_rx;
+      rx_batches = Metrics.cell m m_batches;
+      rx_dropped = Metrics.cell m m_drop;
+      tx_packets = Metrics.cell m m_tx;
       k_rx_intr = Engine.null_kind;
     }
   in
@@ -91,7 +92,7 @@ let create machine ~name ~bandwidth_bps ~wire_latency ~tx_deliver ~on_rx_batch
       ()
   in
   let on_sent now _p =
-    Metrics.dincr m_tx;
+    incr t.tx_packets;
     Trace.pkt_tx ~at:now ~nic:t.name;
     if t.mode <> Polled && t.tx_intr_coalesce > 0 then begin
       t.tx_since_intr <- t.tx_since_intr + 1;
@@ -133,8 +134,7 @@ let maybe_arm_rx_intr t =
 
 let deliver t p =
   if Queue.length t.rx_ring >= t.rx_ring_capacity then begin
-    t.rx_dropped <- t.rx_dropped + 1;
-    Metrics.dincr m_drop;
+    incr t.rx_dropped;
     Trace.pkt_drop ~at:(Engine.now_i (Machine.engine t.machine)) ~nic:t.name
   end
   else begin
@@ -173,9 +173,9 @@ let hybrid_done t =
     drain_ring t (Engine.now_i (Machine.engine t.machine))
   end
 
-let rx_dropped t = t.rx_dropped
+let rx_dropped t = !(t.rx_dropped)
 
 let rx_ring_length t = Queue.length t.rx_ring
-let rx_packets t = t.rx_packets
-let rx_batches t = t.rx_batches
-let tx_packets t = Link.sent (the_link t)
+let rx_packets t = !(t.rx_packets)
+let rx_batches t = !(t.rx_batches)
+let tx_packets t = !(t.tx_packets)

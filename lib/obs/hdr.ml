@@ -35,7 +35,7 @@ type t = {
 }
 
 (* ALLOC002: hot code reaches [create] only through first-use growth
-   (a new [Profile.dispatch] row, [Metrics.ensure_lh]). *)
+   of a [Profile.dispatch] row. *)
 let create ?(rel_error = 0.01) ?(lowest = 1e-3) () =
   if not (rel_error > 0.0 && rel_error <= 0.5) then
     invalid_arg "Hdr.create: rel_error must be in (0, 0.5]";

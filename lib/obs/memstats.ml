@@ -7,14 +7,14 @@
    provider (usually an analytic [words] accessor: store backends,
    the rate-clock pool, obs itself) under a category path, and the
    census samples every provider at report time.  Nothing here touches
-   a hot path, emits a trace event, or feeds the default metrics
-   registry, so determinism digests, tables and run reports stay
+   a hot path, emits a trace event, or registers with a domain's
+   metrics context, so determinism digests, tables and run reports stay
    byte-identical whether the observatory is consulted or not. *)
 
-(* GC probes live in a dedicated registry, NOT [Metrics.default]: GC
-   word counts are not jobs-invariant (each domain allocates its own
-   minor heaps), and the run report's rendering of the default
-   registry must stay byte-identical at any [--jobs]. *)
+(* GC probes live in a dedicated registry, NOT a domain's
+   [Metrics.current] context: GC word counts are not jobs-invariant
+   (each domain allocates its own minor heaps), and the run report's
+   rendering of the context must stay byte-identical at any [--jobs]. *)
 let registry = Metrics.create ()
 
 let () =

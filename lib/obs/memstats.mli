@@ -8,9 +8,10 @@
     obs itself) under a category path rooted at ["mem"]; the census
     samples every provider at report time.
 
-    Nothing here touches a hot path, emits a trace event, or writes to
-    {!Metrics.default}, so determinism digests, tables and run reports
-    stay byte-identical whether the observatory is consulted or not.
+    Nothing here touches a hot path, emits a trace event, or registers
+    with a {!Metrics.current} context, so determinism digests, tables
+    and run reports stay byte-identical whether the observatory is
+    consulted or not.
     GC probes live in a dedicated registry because GC word counts are
     not jobs-invariant.
 

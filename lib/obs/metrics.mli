@@ -1,129 +1,105 @@
-(** Named metrics registry.
+(** Named metrics, read off the components that own them.
 
-    A registry maps dotted names ("softtimer.fired", "nic.rx_packets")
-    to metric instruments.  Subsystems register their instruments at
-    module initialisation into {!default} (or into a registry of their
-    own) and update them unconditionally: every instrument kind is
-    cheap enough for the simulator's hot paths.
+    A component (a soft-timer facility, a machine, an interrupt line, a
+    NIC, ...) keeps its own counts: nothing is pushed here per event.
+    When it is created — a cold path — it registers its counter cells
+    and any pull-style probes with the calling domain's context, and
+    fetches the context's histograms it records into: one {!current}
+    lookup per component.  Reading a context ({!iter}, {!dump}) sums
+    the counter cells of each name, merges its histograms in
+    registration order and evaluates the last probe registered under
+    it.
 
-    Four instrument kinds:
-    - {e counters}: monotonically increasing ints ({!counter}, {!incr});
-    - {e gauges}: last-written floats ({!gauge}, {!set_gauge});
-    - {e histograms}: constant-memory streaming distributions backed by
-      {!Hdr} — O(1) record with bounded relative error, so hot paths
-      record into them unconditionally (no sampling gate);
-    - {e probes}: pull-style closures evaluated at {!dump} time, for
-      values a subsystem already maintains itself.
+    Counter and histogram names are declared once, at module
+    initialisation ({!counter}, {!histogram}).  A domain context lists
+    every declared name, as zero or empty when nothing registered it,
+    so a dump has the same rows whichever components a run created.
 
-    Instruments are get-or-create: asking twice for the same name (with
-    the same kind) yields the same instrument, so module-level
-    registration composes across libraries. *)
+    Three instrument kinds:
+    - {e counters}: [int ref] cells, one per component, that it
+      increments;
+    - {e histograms}: {!Hdr.t}s, one per name and context, that the
+      context's components record into (O(1), constant memory, exact
+      lossless merge);
+    - {e probes}: closures evaluated at read time, for values a
+      component computes on demand. *)
 
 type t
-(** A registry. *)
+(** A context: the registrations of one domain, one parallel job, or
+    one free-standing registry. *)
 
-type counter
-type gauge
+val current : unit -> t
+(** The calling domain's context.  Components register here when they
+    are created; readers {!reset} it before creating their simulations
+    and read it afterwards. *)
 
 val create : unit -> t
+(** A free-standing registry that lists only what is registered in it
+    (not the declared names). *)
 
-val default : t
-(** The process-wide registry every built-in subsystem registers into. *)
+type counter
+type histogram
 
-val counter : t -> string -> counter
-(** Get or create the counter [name].
-    @raise Invalid_argument if [name] exists with a different kind. *)
+val counter : string -> counter
+(** Declare a counter name.  At module initialisation only: the name
+    list is fixed before any domain fans out.
+    @raise Invalid_argument if [name] is declared with another kind. *)
 
-val incr : ?by:int -> counter -> unit
-val counter_value : counter -> int
+val histogram : string -> histogram
+(** Declare a histogram name; as {!counter}. *)
 
-val gauge : t -> string -> gauge
-(** Get or create the gauge [name]. *)
+val cell : t -> counter -> int ref
+(** A fresh zero cell, registered under the counter's name. *)
 
-val set_gauge : gauge -> float -> unit
-val gauge_value : gauge -> float
-(** [nan] until first set. *)
-
-val hdr : t -> string -> Hdr.t
-(** Get or create the streaming histogram [name] (default {!Hdr.create}
-    parameters: 1% relative error, [1e-3] lowest discernible value).
-    Observe with {!Hdr.record}: O(1) and constant-memory, safe to call
-    unconditionally on hot paths. *)
+val hdr : t -> histogram -> Hdr.t
+(** The context's {!Hdr.t} for the histogram (default {!Hdr.create}
+    parameters), created and registered by the first caller.  One per
+    context rather than per component: an [Hdr.t] costs about a
+    kilobyte, and a single-flow rate clock must stay histogram-free. *)
 
 val probe : t -> string -> (unit -> float) -> unit
-(** Register a pull-style metric.  Re-registering a probe name replaces
-    the closure (a fresh simulation replaces a dead one's probes). *)
-
-(** {2 Domain-local instruments}
-
-    Counters and histograms whose values live in domain-local storage:
-    a handle is a dense integer id, the registry remembers only the id,
-    and each domain accumulates into a private array pair.  Updating
-    one from a parallel worker therefore never races with the parent
-    or with sibling workers; the runner (lib/parallel) swaps a fresh
-    context in around each job and {!Local.absorb}s it back in job
-    order, so totals are deterministic at any [--jobs].
-
-    Register at module initialisation (before any domain fan-out):
-    the id space is fixed once workers exist.  {!iter}, {!dump}
-    and {!reset} act on the {e calling} domain's values. *)
-
-type dcounter
-type dhistogram
-
-val dcounter : t -> string -> dcounter
-(** Get or create the domain-local counter [name].
-    @raise Invalid_argument if [name] exists with a different kind. *)
-
-val dincr : ?by:int -> dcounter -> unit
-val dcounter_value : dcounter -> int
-(** The calling domain's accumulated count. *)
-
-val dhistogram : t -> string -> dhistogram
-(** Get or create the domain-local histogram [name] (default
-    {!Hdr.create} parameters). *)
-
-val drecord : dhistogram -> float -> unit
-(** O(1) record into the calling domain's histogram. *)
-
-val dhistogram_hdr : dhistogram -> Hdr.t
-(** The calling domain's backing {!Hdr.t} (created on first access). *)
-
-module Local : sig
-  type ctx
-  (** One domain's accumulated domain-local instrument values. *)
-
-  val swap_fresh : unit -> ctx
-  (** Install a fresh, all-zero context in the calling domain and
-      return the previously installed one.  Pair with {!swap} to
-      restore, and hand the fresh context to the parent for
-      {!absorb}. *)
-
-  val swap : ctx -> ctx
-  (** Install [ctx]; returns the previously installed context. *)
-
-  val absorb : ctx -> unit
-  (** Merge [ctx] into the calling domain's context: counters add,
-      histograms bucket-wise sum. *)
-end
+(** Register a pull-style metric.  It replaces any probe of the same
+    name in [t], so a context holds one closure per probe name: the
+    last registered. *)
 
 val reset : t -> unit
-(** Zero all counters, clear gauges and histograms.  Probes are kept
-    (re-registering the same name still replaces): they are pull-style
-    views into live state, and dropping them on reset silently lost
-    wheel-residency metrics for the second run in one process. *)
+(** Drop every registration of [t].  Cells and histograms stay valid
+    for the components holding them but are no longer read, and
+    nothing a finished simulation registered stays reachable from
+    [t]. *)
+
+(** {2 Parallel jobs}
+
+    The runner (lib/parallel) runs each job in a fresh context and
+    {!Local.absorb}s the contexts back in job order, so a reading is
+    the same at any [--jobs]. *)
+
+module Local : sig
+  val swap_fresh : unit -> t
+  (** Install a fresh, empty context in the calling domain and return
+      the previously installed one.  Pair with {!swap} to restore, and
+      hand the fresh context to the parent for {!absorb}. *)
+
+  val swap : t -> t
+  (** Install a context; returns the previously installed one. *)
+
+  val absorb : t -> unit
+  (** Append a context's registrations to the calling domain's, after
+      its own: cells and histograms keep their order (a name can then
+      have several histograms, merged when read), and its probes
+      replace same-named ones. *)
+end
 
 (** {2 Reading} *)
 
 type value =
-  | Counter of int
-  | Gauge of float
-  | Histogram of Hdr.t
+  | Counter of int  (** the sum of the name's cells *)
+  | Histogram of Hdr.t  (** the merge of the name's histograms *)
   | Probe of float  (** the closure's value at read time *)
 
 val iter : t -> (string -> value -> unit) -> unit
 (** In ascending name order. *)
 
 val dump : t -> string
-(** Human-readable table of every instrument, in name order; histograms
+(** Human-readable table of every metric, in name order; histograms
     show count/mean/p50/p99/max. *)

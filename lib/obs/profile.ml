@@ -32,9 +32,8 @@ type info = { name : string; parent : int; full : string }
 
 (* RACE002: the interning registry grows only during module
    initialization and sequential experiment setup ([intern] on toplevel
-   bindings); parallel jobs read interned ids but never intern — same
-   single-domain contract as [Metrics.default], revisited with the
-   planned SMP work (ROADMAP item 2). *)
+   bindings); parallel jobs read interned ids but never intern — the
+   same contract as [Metrics]' declared names. *)
 let reg : info array ref = ref [||] [@@lint.allow "RACE002"]
 let reg_n = ref 0 [@@lint.allow "RACE002"]
 let index : (string, int) Hashtbl.t = Hashtbl.create 64 [@@lint.allow "RACE002"]
@@ -141,8 +140,13 @@ let set_sink v =
 
 let install p = set_sink (Some p)
 let uninstall () = set_sink None
+(* HOT001: the lookup runs only behind a nonzero [installs], i.e. while
+   some domain profiles; disarmed, a charge site pays one atomic load. *)
 let[@inline] installed () = if Atomic.get installs = 0 then None else !(Domain.DLS.get sink)
+[@@lint.allow "HOT001"]
+
 let[@inline] [@hot] enabled () = Atomic.get installs > 0 && Option.is_some !(Domain.DLS.get sink)
+[@@lint.allow "HOT001"]
 
 (* ALLOC001/2: row growth, once per CPU and per newly interned path, with
    a profiler installed. *)

@@ -24,14 +24,24 @@ type t = {
   buf : record array;  (* ring; slot [head] is the oldest record *)
   mutable head : int;
   mutable len : int;
-  mutable dropped : int;
+  dropped : int ref;
 }
 
 let dummy = { at = Time_ns.zero; ev = Mark "" }
 
+(* Ring overflow is easy to miss (the trace still looks complete); the
+   metric makes it visible in every metrics dump, and the exporters add
+   a warning banner keyed off [dropped t]. *)
+let m_dropped = Metrics.counter "trace.dropped"
+
 let create ?(capacity = 65536) () =
   if capacity <= 0 then invalid_arg "Trace.create: capacity must be positive";
-  { buf = Array.make capacity dummy; head = 0; len = 0; dropped = 0 }
+  {
+    buf = Array.make capacity dummy;
+    head = 0;
+    len = 0;
+    dropped = Metrics.cell (Metrics.current ()) m_dropped;
+  }
 
 (* The installed sink.  Emitters read this once; [None] is the disabled
    fast path.  Both the sink and the tap are domain-local: a freshly
@@ -74,18 +84,13 @@ let tap_installed () =
 
 let capacity t = Array.length t.buf
 let length t = t.len
-let dropped t = t.dropped
-let total t = t.len + t.dropped
+let dropped t = !(t.dropped)
+let total t = t.len + !(t.dropped)
 
 let clear t =
   t.head <- 0;
   t.len <- 0;
-  t.dropped <- 0
-
-(* Ring overflow is easy to miss (the trace still looks complete); the
-   metric makes it visible in every metrics dump, and the exporters add
-   a warning banner keyed off [dropped t]. *)
-let m_dropped = Metrics.dcounter Metrics.default "trace.dropped"
+  t.dropped := 0
 
 let push t r =
   let cap = Array.length t.buf in
@@ -93,8 +98,7 @@ let push t r =
     (* Full: overwrite the oldest record. *)
     t.buf.(t.head) <- r;
     t.head <- (t.head + 1) mod cap;
-    t.dropped <- t.dropped + 1;
-    Metrics.dincr m_dropped
+    incr t.dropped
   end
   else begin
     t.buf.((t.head + t.len) mod cap) <- r;
@@ -117,18 +121,21 @@ let to_list t =
    typed emitters take [at] and spans as int ns and box them ([ns])
    only behind [armed ()]; a soft event's [due] is the store's own
    boxed deadline.  ALLOC002 on [emit] and the emitters the [@hot]
-   paths call, ALLOC003 on [ns]: records and boxes are built only then. *)
+   paths call, ALLOC003 on [ns]: records and boxes are built only then.
+   HOT001 on [armed] and [emit]: their [Domain.DLS] lookups run only
+   behind a nonzero [consumers], i.e. while some domain traces. *)
 
 let[@inline] [@hot] armed () =
   Atomic.get consumers > 0
   && (Option.is_some !(Domain.DLS.get sink) || Option.is_some !(Domain.DLS.get tap))
+[@@lint.allow "HOT001"]
 
 let emit ~at ev =
   if Atomic.get consumers > 0 then begin
     (match !(Domain.DLS.get tap) with None -> () | Some f -> f ~at ev);
     match !(Domain.DLS.get sink) with None -> () | Some t -> push t { at; ev }
   end
-[@@lint.allow "ALLOC002"]
+[@@lint.allow "ALLOC002"] [@@lint.allow "HOT001"]
 
 let ns n = Int64.of_int n [@@lint.allow "ALLOC003"]
 
@@ -179,13 +186,16 @@ let sim_start ~at = mark ~at sim_start_mark
 
 (* Replay a worker ring into this domain's consumers, oldest first,
    through [emit] so the tap and the installed ring both see the
-   records; then account the worker's own overflow so [dropped]/
-   [total] — and the digest that folds them — match what one shared
-   sequential ring would have reported. *)
+   records; then move the worker's own overflow into the installed
+   ring, so [dropped]/[total] — and the digest that folds them — match
+   what one shared sequential ring would have reported, and the
+   [trace.dropped] metric, which sums every ring, counts it once. *)
 let absorb src =
   iter src (fun r -> emit ~at:r.at r.ev);
   let d = dropped src in
   if d > 0 then
     match !(Domain.DLS.get sink) with
     | None -> ()
-    | Some dst -> dst.dropped <- dst.dropped + d
+    | Some dst ->
+      dst.dropped := !(dst.dropped) + d;
+      src.dropped := 0

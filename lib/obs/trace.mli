@@ -57,7 +57,9 @@ type record = { at : Time_ns.t; ev : event }
 type t
 
 val create : ?capacity:int -> unit -> t
-(** A fresh, empty trace.  [capacity] defaults to 65536 records.
+(** A fresh, empty trace.  [capacity] defaults to 65536 records.  Its
+    {!dropped} count is registered as a [trace.dropped] cell with the
+    calling domain's {!Metrics.current} context.
     @raise Invalid_argument if [capacity <= 0]. *)
 
 val install : t -> unit
@@ -149,7 +151,8 @@ val sim_start : at:int -> unit
 val absorb : t -> unit
 (** [absorb src] replays every record of [src], oldest first, into the
     calling domain's installed consumers (tap and ring) via {!emit},
-    then adds [dropped src] to the installed ring's drop count.  Used
-    by the parallel runner to merge per-worker rings in job order; the
-    merged ring's contents, {!dropped} and {!total} are identical to
-    what a single sequential run would have produced. *)
+    then moves [dropped src] into the installed ring's drop count
+    ([src] reads 0 afterwards).  Used by the parallel runner to merge
+    per-worker rings in job order; the merged ring's contents,
+    {!dropped} and {!total} are identical to what a single sequential
+    run would have produced. *)

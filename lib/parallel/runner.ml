@@ -36,13 +36,12 @@ let map ?jobs f xs =
   else begin
     let input = Array.of_list xs in
     let results : ('b, exn * Printexc.raw_backtrace) result option array = Array.make n None in
-    (* Domain-local Metrics instruments accumulated by job [i].  Each
-       job runs inside a fresh Local context (so nothing it records
-       races with the parent or a sibling on the same domain), and the
-       parent absorbs the contexts in index order after the join —
-       counter totals and histogram contents are then identical at any
-       job count. *)
-    let ctxs : Metrics.Local.ctx option array = Array.make n None in
+    (* The Metrics registrations of job [i]'s components.  Each job runs
+       inside a fresh context (so nothing it registers races with the
+       parent or a sibling on the same domain), and the parent absorbs
+       the contexts in index order after the join — registrations, and
+       so every reading, are then identical at any job count. *)
+    let ctxs : Metrics.t option array = Array.make n None in
     let next = Atomic.make 0 in
     let work () =
       let flag = Domain.DLS.get in_worker in

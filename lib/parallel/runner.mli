@@ -31,11 +31,10 @@ val map : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
     parallel, and returns the results in input order.
 
     [f] must be self-contained in the sense above: it may not mutate
-    state shared with other jobs.  Domain-local {!Metrics} instruments
-    ([dcounter]/[dhistogram]) are safe and deterministic: each job runs
-    in a fresh {!Metrics.Local} context, and the contexts are absorbed
-    into the caller's in input order after the join, so totals are
-    byte-identical at any [jobs].
+    state shared with other jobs.  {!Metrics} registrations are safe and
+    deterministic: each job runs in a fresh {!Metrics.Local} context,
+    and the contexts are absorbed into the caller's in input order
+    after the join, so readings are byte-identical at any [jobs].
 
     At most [jobs] elements run concurrently (the calling domain works
     too, so [jobs] = total parallelism).  If any job raises, the

@@ -89,12 +89,12 @@ let test_residency_caught () =
 
 let test_counter_decrease_caught () =
   let reg = Metrics.create () in
-  let c = Metrics.counter reg "test.monotone" in
+  let c = Metrics.cell reg (Metrics.counter "test.monotone") in
   let s = Sanitizer.create ~registry:reg () in
-  Metrics.incr ~by:5 c;
+  c := 5;
   Sanitizer.scan_registry s ~at:(us 1.0);
   Alcotest.(check int) "first scan clean" 0 (Sanitizer.violation_count s);
-  Metrics.incr ~by:(-3) c;
+  c := 2;
   Sanitizer.scan_registry s ~at:(us 2.0);
   Alcotest.(check int) "decrease caught" 1 (Sanitizer.violation_count s);
   match Sanitizer.violations s with

@@ -59,75 +59,83 @@ let test_trace_invalid_capacity () =
 (* ------------------------------------------------------------------ *)
 (* Metrics registry. *)
 
+let reading m name =
+  let v = ref None in
+  Metrics.iter m (fun n x -> if String.equal n name then v := Some x);
+  !v
+
+let count m name = match reading m name with Some (Metrics.Counter c) -> Some c | _ -> None
+let probed m name = match reading m name with Some (Metrics.Probe p) -> Some p | _ -> None
+
 let test_metrics_counters () =
   let m = Metrics.create () in
-  let c = Metrics.counter m "a.b" in
-  Metrics.incr c;
-  Metrics.incr ~by:41 c;
-  Alcotest.(check int) "counted" 42 (Metrics.counter_value c);
-  (* Get-or-create: the same name is the same instrument. *)
-  let c' = Metrics.counter m "a.b" in
-  Metrics.incr c';
-  Alcotest.(check int) "aliased" 43 (Metrics.counter_value c);
+  (* Get-or-create: declaring a name twice yields the same counter, and
+     the cells registered under it sum. *)
+  let c = Metrics.cell m (Metrics.counter "a.b") in
+  let c' = Metrics.cell m (Metrics.counter "a.b") in
+  c := 42;
+  incr c';
+  Alcotest.(check (option int)) "cells sum by name" (Some 43) (count m "a.b");
   Alcotest.check_raises "kind mismatch"
-    (Invalid_argument "Metrics: \"a.b\" is a counter, not a gauge") (fun () ->
-      ignore (Metrics.gauge m "a.b" : Metrics.gauge))
+    (Invalid_argument "Metrics: \"a.b\" is declared with another kind") (fun () ->
+      ignore (Metrics.histogram "a.b" : Metrics.histogram))
 
-let test_metrics_gauges_probes () =
+let test_metrics_probes () =
   let m = Metrics.create () in
-  let g = Metrics.gauge m "g" in
-  Alcotest.(check bool) "nan before set" true (Float.is_nan (Metrics.gauge_value g));
-  Metrics.set_gauge g 2.5;
-  Alcotest.(check (float 0.0)) "gauge" 2.5 (Metrics.gauge_value g);
   Metrics.probe m "p" (fun () -> 7.0);
+  ignore (Metrics.cell m (Metrics.counter "g") : int ref);
   let seen = ref [] in
-  Metrics.iter m (fun name v -> seen := (name, v) :: !seen);
-  Alcotest.(check (list string)) "name-sorted iteration" [ "g"; "p" ]
-    (List.rev_map fst !seen)
+  Metrics.iter m (fun name _ -> seen := name :: !seen);
+  (* A free-standing registry lists only its own registrations. *)
+  Alcotest.(check (list string)) "name-sorted iteration" [ "g"; "p" ] (List.rev !seen);
+  Alcotest.(check (option (float 0.0))) "read at iteration" (Some 7.0) (probed m "p");
+  Metrics.probe m "p" (fun () -> 11.0);
+  Alcotest.(check (option (float 0.0))) "re-registration replaces" (Some 11.0) (probed m "p")
 
-let test_metrics_reset () =
+let test_metrics_reset_drops () =
   let m = Metrics.create () in
-  let c = Metrics.counter m "c" in
-  let g = Metrics.gauge m "g" in
-  let h = Metrics.hdr m "h" in
-  Metrics.incr ~by:5 c;
-  Metrics.set_gauge g 1.0;
-  Hdr.record h 3.0;
+  let c = Metrics.cell m (Metrics.counter "c") in
+  Hdr.record (Metrics.hdr m (Metrics.histogram "h")) 3.0;
+  Metrics.probe m "p" (fun () -> 1.0);
   Metrics.reset m;
-  (* Instruments held by registration sites stay valid after reset. *)
-  Alcotest.(check int) "counter zeroed" 0 (Metrics.counter_value c);
-  Alcotest.(check bool) "gauge cleared" true (Float.is_nan (Metrics.gauge_value g));
-  Alcotest.(check int) "histogram emptied" 0 (Hdr.count h);
-  Metrics.incr c;
-  Alcotest.(check int) "still wired to the registry" 1
-    (Metrics.counter_value (Metrics.counter m "c"))
+  Alcotest.(check string) "nothing registered" "" (Metrics.dump m);
+  (* The component still owns its cell; it is just no longer read. *)
+  incr c;
+  Alcotest.(check (option int)) "unread after reset" None (count m "c");
+  incr (Metrics.cell m (Metrics.counter "c"));
+  Alcotest.(check (option int)) "a fresh registration is read" (Some 1) (count m "c")
 
-(* Regression: [reset] used to drop pull-style probes, so the second
-   experiment run in one process (softtimers-cli all) silently lost
-   every probe registered when its facility was created — notably the
-   softtimer.wheel_* residency metrics. *)
-let test_metrics_reset_keeps_probes () =
-  let m = Metrics.create () in
-  (* "Run 1" registers a probe over live state, as Wheel.create does. *)
-  let resident = ref 7 in
-  Metrics.probe m "wheel.resident" (fun () -> float_of_int !resident);
-  let read () =
-    let seen = ref None in
-    Metrics.iter m (fun name v ->
-        match (name, v) with
-        | "wheel.resident", Metrics.Probe p -> seen := Some p
-        | _ -> ());
-    !seen
-  in
-  Alcotest.(check (option (float 0.0))) "probe live in run 1" (Some 7.0) (read ());
-  (* "Run 2": the CLI resets the shared registry between experiments. *)
+(* A domain context lists every declared name, zero or empty where
+   nothing registered it, so a dump has the same rows in every run. *)
+let test_metrics_declared_rows () =
+  let m = Metrics.current () in
   Metrics.reset m;
-  resident := 3;
-  Alcotest.(check (option (float 0.0))) "probe survives reset" (Some 3.0) (read ());
-  (* A fresh facility re-registering the same name still replaces. *)
-  let resident' = ref 11 in
-  Metrics.probe m "wheel.resident" (fun () -> float_of_int !resident');
-  Alcotest.(check (option (float 0.0))) "re-registration replaces" (Some 11.0) (read ())
+  Alcotest.(check (option int)) "declared counter reads 0" (Some 0) (count m "softtimer.fired");
+  Alcotest.(check bool) "declared histogram is empty" true
+    (match reading m "softtimer.fire_delay_us" with
+    | Some (Metrics.Histogram h) -> Hdr.count h = 0
+    | _ -> false)
+
+(* Regression: [Softtimer.attach] registered its wheel probes in a
+   process-wide table, so the closures kept the last facility's whole
+   simulation reachable after [Metrics.reset].  Registrations now live
+   in the context, and a reset drops them. *)
+let[@inline never] run_finished_simulation w =
+  let e = Engine.create () in
+  let m = Machine.create e in
+  let st = Softtimer.attach m in
+  ignore (Softtimer.schedule_soft_event st ~ticks:0L (fun _ -> ()) : Softtimer.handle);
+  Engine.run_until e (us 100.0);
+  Weak.set w 0 (Some (Sys.opaque_identity m))
+
+let test_metrics_reset_releases_simulation () =
+  let w = Weak.create 1 in
+  run_finished_simulation w;
+  Alcotest.(check bool) "wheel probes registered" true
+    (Option.is_some (probed (Metrics.current ()) "softtimer.wheel_slots"));
+  Metrics.reset (Metrics.current ());
+  Gc.full_major ();
+  Alcotest.(check bool) "finished simulation collected" false (Weak.check w 0)
 
 (* ------------------------------------------------------------------ *)
 (* Hdr: constant-memory streaming histogram. *)
@@ -609,9 +617,11 @@ let () =
       ( "metrics",
         [
           Alcotest.test_case "counters get-or-create" `Quick test_metrics_counters;
-          Alcotest.test_case "gauges and probes" `Quick test_metrics_gauges_probes;
-          Alcotest.test_case "reset keeps instruments live" `Quick test_metrics_reset;
-          Alcotest.test_case "reset keeps probes" `Quick test_metrics_reset_keeps_probes;
+          Alcotest.test_case "probes" `Quick test_metrics_probes;
+          Alcotest.test_case "reset drops registrations" `Quick test_metrics_reset_drops;
+          Alcotest.test_case "declared names listed" `Quick test_metrics_declared_rows;
+          Alcotest.test_case "reset releases finished simulations" `Quick
+            test_metrics_reset_releases_simulation;
         ] );
       ( "hdr",
         [

@@ -141,27 +141,57 @@ let test_map_sim_audit_jobs_independent () =
   Alcotest.(check bool) "late fires exist" true (l1 > 0);
   Alcotest.(check string) "audit identical at jobs 1 and 4" j1 j4
 
-(* Domain-local Metrics instruments: per-job Local contexts are
-   absorbed in input order, so totals are exact (not approximate) at
-   any job count. *)
+(* Metrics registrations: per-job contexts are absorbed in input order,
+   so readings are exact (not approximate) at any job count. *)
+let m_count = Metrics.counter "test.parallel.count"
+let h_lat = Metrics.histogram "test.parallel.lat"
+
 let test_map_metrics_deterministic () =
-  let c = Metrics.dcounter Metrics.default "test.parallel.count" in
-  let h = Metrics.dhistogram Metrics.default "test.parallel.lat" in
   let job x =
-    Metrics.dincr ~by:(x + 1) c;
-    Metrics.drecord h (float_of_int (x + 1));
+    let m = Metrics.current () in
+    Metrics.cell m m_count := x + 1;
+    Hdr.record (Metrics.hdr m h_lat) (float_of_int (x + 1));
     x
   in
   let run jobs =
-    let base = Metrics.dcounter_value c in
+    let m = Metrics.current () in
+    Metrics.reset m;
     ignore (Runner.map ~jobs job (List.init 32 Fun.id) : int list);
-    Metrics.dcounter_value c - base
+    let count = ref 0 and lat = ref 0 in
+    Metrics.iter m (fun name v ->
+        match (name, v) with
+        | "test.parallel.count", Metrics.Counter c -> count := c
+        | "test.parallel.lat", Metrics.Histogram h -> lat := Hdr.count h
+        | _ -> ());
+    (!count, !lat)
   in
-  let d1 = run 1 in
-  let d4 = run 4 in
-  Alcotest.(check int) "exact counter total (jobs 1)" (32 * 33 / 2) d1;
-  Alcotest.(check int) "exact counter total (jobs 4)" d1 d4;
-  Alcotest.(check int) "histogram records all absorbed" 64 (Hdr.count (Metrics.dhistogram_hdr h))
+  let c1, l1 = run 1 in
+  let c4, l4 = run 4 in
+  Alcotest.(check int) "exact counter total (jobs 1)" (32 * 33 / 2) c1;
+  Alcotest.(check int) "exact counter total (jobs 4)" c1 c4;
+  Alcotest.(check int) "histogram records all absorbed" 32 l1;
+  Alcotest.(check int) "histogram records all absorbed (jobs 4)" 32 l4
+
+(* The whole reading of rate-clocked experiments: every counter,
+   histogram and probe of the dump is the same at jobs 2 as at jobs 1.
+   The interval histogram used to be one process-wide Hdr that parallel
+   jobs recorded into racily; three parallel runs all but always lost
+   a record there. *)
+let test_map_metrics_dump_jobs_invariant () =
+  let dump jobs =
+    let m = Metrics.current () in
+    Metrics.reset m;
+    ignore
+      (Runner.map ~jobs
+         (fun f -> f Exp_config.quick)
+         [ Exp_rbc_process.run; Exp_rbc_wan.run; Exp_rbc_process.run; Exp_rbc_wan.run ]
+        : string list);
+    Metrics.dump m
+  in
+  let d1 = dump 1 in
+  for _ = 1 to 3 do
+    Alcotest.(check string) "dump at jobs 2 = jobs 1" d1 (dump 2)
+  done
 
 let () =
   Runner.set_default_jobs 1;
@@ -185,5 +215,7 @@ let () =
             test_map_sim_audit_jobs_independent;
           Alcotest.test_case "domain-local metrics deterministic" `Quick
             test_map_metrics_deterministic;
+          Alcotest.test_case "metrics dump independent of jobs" `Quick
+            test_map_metrics_dump_jobs_invariant;
         ] );
     ]

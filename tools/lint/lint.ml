@@ -13,7 +13,8 @@
      pass 3  run the rule families over the cached ASTs:
                Rules_det    DET001..DET004, MLI001  (determinism)
                Rules_race   RACE001..RACE004        (domain safety)
-               Rules_alloc  ALLOC001..ALLOC003      (hot-path allocs)
+               Rules_alloc  ALLOC001..ALLOC003,     (hot-path allocs)
+                            HOT001                  (hot-path DLS lookups)
      pass 4  report: text (default) / --json / --sarif, ratcheted
              against the committed BASELINE.json
 

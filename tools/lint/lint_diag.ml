@@ -29,6 +29,7 @@ let catalogue =
     ("ALLOC001", "closure or partial application on a [@hot] path");
     ("ALLOC002", "tuple/record/list/array construction on a [@hot] path");
     ("ALLOC003", "boxing or formatting call on a [@hot] path");
+    ("HOT001", "Domain.DLS.get lookup on a [@hot] path");
     ("PARSE", "file does not parse");
   ]
 

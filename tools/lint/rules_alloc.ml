@@ -23,6 +23,12 @@
              mutable record field (mixed-field records box floats;
              use a float array or an all-float record).
 
+   HOT001    a [Domain.DLS.get] lookup.  Per-event counting belongs in
+             the component's own fields, read by Metrics at dump time;
+             the only lookups left are the guards of [Trace]/[Profile]
+             behind their process-wide [Atomic] consumer counts, each
+             allowed with a reason.
+
    Local [ref] cells are deliberately not flagged: the compiler's
    reference-unboxing pass ([Simplif.eliminate_ref]) compiles the
    non-escaping [let acc = ref 0 ... !acc] idiom to a mutable stack
@@ -155,6 +161,9 @@ let scan_def (g : Reachability.t) parent ~(root : Reachability.def) (d : Reachab
               Float.%s)"
              fn fn fn)
       | _ -> ())
+    | Pexp_ident { txt; _ }
+      when Lint_source.resolve_lid f txt = Some [ "Domain"; "DLS"; "get" ] ->
+      emit ~loc:ex.pexp_loc ~rule:"HOT001" "Domain.DLS.get lookup"
     | Pexp_tuple _ ->
       if not (List.memq ex !payload_tuples) then
         emit ~loc:ex.pexp_loc ~rule:"ALLOC002" "tuple allocated"

@@ -129,7 +129,7 @@ trace-smoke: build
 # Static-analysis suite (tools/lint): determinism (DET001..DET004,
 # MLI001), domain races
 # (RACE001..RACE004) and hot-path allocations and lookups
-# (ALLOC001..ALLOC003, HOT001) over
+# (ALLOC001..ALLOC003, HOT001), plus stale allowances (ALLOW001), over
 # lib/ bin/ examples/ bench/ tools/, with file:line:RULE diagnostics,
 # ratcheted against tools/lint/BASELINE.json (empty since the RACE002
 # burn-down — any finding is fresh debt).

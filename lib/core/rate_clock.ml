@@ -199,9 +199,6 @@ module Pool (M : Timer_store.S) = struct
     end;
     let delay_us = float_of_int (now_i - p.f.(base + o_next_at)) /. 1_000.0 in
     Hdr.record p.delays delay_us
-  (* ALLOC003: float conversions feed the two cohort histograms — the
-     sampled statistics path, one fire in [stat_every]. *)
-  [@@lint.allow "ALLOC003"]
 
   (* Memory-warming hint for the store's batch dispatcher (the pacing
      wheel calls it a chunk ahead of the real callbacks): touch the

@@ -128,20 +128,16 @@ let interrupt_clock_resolution t = t.intr_hz
 let x_ratio t = Int64.div t.measure_hz t.intr_hz
 
 (* Measurement-clock arithmetic stays in unboxed floats and Int64
-   temporaries; only the deadline handed to the store is boxed.
-   ALLOC003: the Int64 intermediates are unboxed once inlined. *)
+   temporaries; only the deadline handed to the store is boxed. *)
 let[@inline] measure_time t =
   Int64.of_float (float_of_int (Engine.now_i (Machine.engine t.machine)) /. t.ns_per_tick)
-[@@lint.allow "ALLOC003"]
 
 (* The instant of the first measurement tick at least [ticks + 1] ticks
    after now, in ns as an integral float; a tick boundary maps to the
-   first instant at or after it (round up).  ALLOC003: as
-   [measure_time]. *)
+   first instant at or after it (round up). *)
 let[@inline] due_ns t ticks =
   let tick = Int64.add (measure_time t) (Int64.add ticks 1L) in
   Float.ceil (Int64.to_float tick *. t.ns_per_tick)
-[@@lint.allow "ALLOC003"]
 
 let due_after t ticks = Int64.of_float (due_ns t ticks)
 

@@ -63,34 +63,25 @@ val submit :
   ?attr:Profile.attr ->
   ?klass:int ->
   prio:int ->
-  work:Time_ns.span ->
-  (int -> unit) ->
-  unit
-(** [submit t ~prio ~work cb] enqueues a quantum; [cb] runs when its
-    cumulative execution reaches [work], receiving the completion time
-    in integer nanoseconds.
-    Zero-work quanta complete as soon as they are dispatched.  [attr]
-    names the quantum's cycle-attribution category (defaults to
-    {!default_attr} for its priority); all of the quantum's execution
-    time — including partial charges under preemption — is attributed
-    to it.  [klass] (default: the priority itself) is the work class
-    stamped on the quantum's {!Trace.Cpu_run} records; pass
-    {!klass_timer} for soft-timer handler execution.
-    @raise Invalid_argument for out-of-range priority or negative work. *)
-
-val submit_i :
-  t ->
-  ?attr:Profile.attr ->
-  ?klass:int ->
-  prio:int ->
-  work_i:int ->
+  work:int ->
   trigger:Trigger.kind option ->
   (int -> unit) ->
   unit
-(** {!submit} with the work in integer nanoseconds and a trigger state:
-    at completion a [Some kind] trigger is reported to the hook set by
-    {!set_trigger_hook}, and then the callback runs.  The quantum path
-    behind it allocates only the quantum and its queue cell.
+(** [submit t ~prio ~work ~trigger cb] enqueues a quantum of [work]
+    integer nanoseconds at the back of its priority's run queue; when
+    its cumulative execution reaches [work], a [Some kind] trigger is
+    reported to the hook set by {!set_trigger_hook}, and then [cb] runs
+    with the completion instant in integer nanoseconds.  Zero-work
+    quanta complete as soon as they are dispatched.  [attr] names the
+    quantum's cycle-attribution category (defaults to {!default_attr}
+    for its priority); all of the quantum's execution time — including
+    partial charges under preemption — is attributed to it.  [klass]
+    (default: the priority itself) is the work class stamped on the
+    quantum's {!Trace.Cpu_run} records; pass {!klass_timer} for
+    soft-timer handler execution.  The quantum takes a slot of the
+    CPU's arena and a place in its priority's ring: nothing is
+    allocated once the arena has grown to the peak number of queued
+    quanta.
     @raise Invalid_argument for out-of-range priority or negative work. *)
 
 val set_trigger_hook : t -> (Trigger.kind -> unit) -> unit

@@ -121,7 +121,7 @@ let[@hot] deliver t ln handler_work =
     end
     else None
   in
-  Cpu.submit_i t.cpus.(ln.cpu) ?attr ~prio:Cpu.prio_intr ~work_i:work ~trigger:None ln.complete
+  Cpu.submit t.cpus.(ln.cpu) ?attr ~prio:Cpu.prio_intr ~work ~trigger:None ln.complete
 
 let lose ln ~at =
   incr ln.lost;

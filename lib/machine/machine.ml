@@ -110,8 +110,8 @@ let[@hot] submit_quantum t ?(cpu = 0) ?attr ?klass ~prio ~work_us ~trigger cb =
       [@lint.allow "ALLOC002"]
     else attr
   in
-  let work_i = ns_of_work_us ~what:"Machine.submit_quantum: non-finite work" work_us in
-  Cpu.submit_i t.cpus.(cpu) ?attr ?klass ~prio ~work_i ~trigger cb
+  let work = ns_of_work_us ~what:"Machine.submit_quantum: non-finite work" work_us in
+  Cpu.submit t.cpus.(cpu) ?attr ?klass ~prio ~work ~trigger cb
 
 let interrupt_line t ~name ~source ?latch_depth ?spl_blockable ?cpu ~handler () =
   Interrupt.line (interrupts t) ~name ~source ?latch_depth ?spl_blockable ?cpu ~handler ()

@@ -52,10 +52,10 @@ type source = {
 
 let mem_root = [ "mem" ]
 
-(* RACE002: registered during sequential setup and sampled at report
-   time, always on the main domain; parallel jobs never touch the
-   census — same single-domain contract as the Profile registry. *)
-let sources : source list ref = ref [] [@@lint.allow "RACE002"]
+(* Registered during sequential setup and sampled at report time,
+   always on the main domain; parallel jobs never touch the census —
+   same single-domain contract as the Profile registry. *)
+let sources : source list ref = ref []
 
 let add_source ~path ~live words =
   let id = Profile.intern_id (mem_root @ path) in
@@ -114,12 +114,11 @@ type sample = {
 
 let max_samples = 64
 
-(* RACE002: same main-domain-only contract as [sources] above. *)
+(* Same main-domain-only contract as [sources] above. *)
 let samples_ring : sample option array = Array.make max_samples None
-  [@@lint.allow "RACE002"]
 
-let samples_n = ref 0 [@@lint.allow "RACE002"]
-let samples_evicted = ref 0 [@@lint.allow "RACE002"]
+let samples_n = ref 0
+let samples_evicted = ref 0
 
 let sample ~label =
   let s = Gc.quick_stat () in

@@ -604,18 +604,18 @@ let dispatch_past t ~seq_limit ~limit ~fired f =
     end;
     incr k
   done
-(* ALLOC001/2/3: the snapshot array, the (at, tie) comparator closure
-   and the re-boxed deadline — per-batch work on the slow past-list
-   path only (deadlines quantized below an already-retired tick, or a
-   budget stop), never the steady in-horizon pacing path. *)
-[@@lint.allow "ALLOC001"] [@@lint.allow "ALLOC002"] [@@lint.allow "ALLOC003"]
+(* ALLOC001/3: the (at, tie) comparator closure and the re-boxed
+   deadline — per-batch work on the slow past-list path only (deadlines
+   quantized below an already-retired tick, or a budget stop), never the
+   steady in-horizon pacing path. *)
+[@@lint.allow "ALLOC001"] [@@lint.allow "ALLOC003"]
 
-(* ALLOC001/2/3: the slow past-list path snapshots and sorts slot
-   indices (array + comparator closure), each dispatched deadline is
-   re-boxed once at the callback boundary (Int64.of_int), and the
-   retirement scratch array doubles amortized (it grows to the largest
-   mid-call-append batch ever seen, then is reused forever) — the
-   steady in-horizon pacing path touches only int arrays. *)
+(* ALLOC003: each dispatched deadline is re-boxed once at the callback
+   boundary (Int64.of_int).  The slow past-list path's snapshot and
+   comparator live in the function above; the retirement scratch array
+   doubles amortized (it grows to the largest mid-call-append batch ever
+   seen, then is reused forever) — the steady in-horizon pacing path
+   touches only int arrays. *)
 let[@hot] fire_due t ?prefetch ~now ~limit f =
   let pf = match prefetch with Some g -> g | None -> ignore in
   let seq_limit = t.next_seq in
@@ -784,4 +784,4 @@ let[@hot] fire_due t ?prefetch ~now ~limit f =
     done;
     Fire_outcome.pack ~scanned ~fired:!fired
   end
-[@@lint.allow "ALLOC001"] [@@lint.allow "ALLOC002"] [@@lint.allow "ALLOC003"]
+[@@lint.allow "ALLOC003"]

@@ -99,9 +99,10 @@ val rx_batches : t -> int
 
 (** Test-only hooks; not part of the stable interface. *)
 module For_testing : sig
-  val get_script : t -> int -> Exec.item list
+  val get_script : t -> int -> Exec.script
   (** The script that serves one GET on connection [conn]: TCP's ACK,
       then the application's work and transmissions.  Draws from the
       server's random stream exactly as serving a request does, so a
-      test can measure what building one script costs. *)
+      test can measure what building one script costs
+      ({!Exec.discard} returns it unrun). *)
 end

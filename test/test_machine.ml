@@ -18,7 +18,7 @@ let test_cpu_runs_in_priority_order () =
   let cpu = Cpu.create e in
   let log = ref [] in
   let submit prio tag =
-    Cpu.submit cpu ~prio ~work:(us 10.0) (fun _ -> log := tag :: !log)
+    Cpu.submit cpu ~prio ~work:(ius 10.0) ~trigger:None (fun _ -> log := tag :: !log)
   in
   (* "first" (kernel, preemptible) starts; the softintr submission
      preempts it; then priority order drains the rest. *)
@@ -35,11 +35,11 @@ let test_cpu_intr_preempts_user () =
   let e = Engine.create () in
   let cpu = Cpu.create e in
   let finish = Hashtbl.create 4 in
-  Cpu.submit cpu ~prio:Cpu.prio_user ~work:(us 100.0) (Hashtbl.add finish "user");
+  Cpu.submit cpu ~prio:Cpu.prio_user ~work:(ius 100.0) ~trigger:None (Hashtbl.add finish "user");
   (* Arrives mid-way through the user quantum; must preempt. *)
   ignore
     (Engine.schedule_at e (us 30.0) (fun () ->
-         Cpu.submit cpu ~prio:Cpu.prio_intr ~work:(us 5.0) (Hashtbl.add finish "intr"))
+         Cpu.submit cpu ~prio:Cpu.prio_intr ~work:(ius 5.0) ~trigger:None (Hashtbl.add finish "intr"))
       : Engine.handle);
   Engine.run e;
   Alcotest.(check int) "interrupt done at 35us" (ius 35.0) (Hashtbl.find finish "intr");
@@ -49,10 +49,10 @@ let test_cpu_intr_does_not_preempt_softintr () =
   let e = Engine.create () in
   let cpu = Cpu.create e in
   let finish = Hashtbl.create 4 in
-  Cpu.submit cpu ~prio:Cpu.prio_softintr ~work:(us 50.0) (Hashtbl.add finish "si");
+  Cpu.submit cpu ~prio:Cpu.prio_softintr ~work:(ius 50.0) ~trigger:None (Hashtbl.add finish "si");
   ignore
     (Engine.schedule_at e (us 10.0) (fun () ->
-         Cpu.submit cpu ~prio:Cpu.prio_intr ~work:(us 5.0) (Hashtbl.add finish "intr"))
+         Cpu.submit cpu ~prio:Cpu.prio_intr ~work:(ius 5.0) ~trigger:None (Hashtbl.add finish "intr"))
       : Engine.handle);
   Engine.run e;
   Alcotest.(check int) "softintr runs to completion" (ius 50.0) (Hashtbl.find finish "si");
@@ -61,10 +61,10 @@ let test_cpu_intr_does_not_preempt_softintr () =
 let test_cpu_busy_accounting () =
   let e = Engine.create () in
   let cpu = Cpu.create e in
-  Cpu.submit cpu ~prio:Cpu.prio_user ~work:(us 40.0) (fun _ -> ());
+  Cpu.submit cpu ~prio:Cpu.prio_user ~work:(ius 40.0) ~trigger:None (fun _ -> ());
   ignore
     (Engine.schedule_at e (us 10.0) (fun () ->
-         Cpu.submit cpu ~prio:Cpu.prio_intr ~work:(us 5.0) (fun _ -> ()))
+         Cpu.submit cpu ~prio:Cpu.prio_intr ~work:(ius 5.0) ~trigger:None (fun _ -> ()))
       : Engine.handle);
   Engine.run e;
   Alcotest.(check int64) "total busy" (us 45.0) (Cpu.busy_ns cpu);
@@ -80,7 +80,7 @@ let test_cpu_idle_resume_hooks () =
   Cpu.set_resume_hook cpu (fun t -> events := ("resume", Time_ns.of_ns t) :: !events);
   ignore
     (Engine.schedule_at e (us 5.0) (fun () ->
-         Cpu.submit cpu ~prio:Cpu.prio_user ~work:(us 10.0) (fun _ -> ()))
+         Cpu.submit cpu ~prio:Cpu.prio_user ~work:(ius 10.0) ~trigger:None (fun _ -> ()))
       : Engine.handle);
   Engine.run e;
   Alcotest.(check (list (pair string int64))) "resume then idle"
@@ -91,13 +91,13 @@ let test_cpu_preempted_callback_once () =
   let e = Engine.create () in
   let cpu = Cpu.create e in
   let calls = ref 0 in
-  Cpu.submit cpu ~prio:Cpu.prio_user ~work:(us 100.0) (fun _ -> incr calls);
+  Cpu.submit cpu ~prio:Cpu.prio_user ~work:(ius 100.0) ~trigger:None (fun _ -> incr calls);
   (* Three interrupts during the quantum. *)
   List.iter
     (fun t ->
       ignore
         (Engine.schedule_at e (us t) (fun () ->
-             Cpu.submit cpu ~prio:Cpu.prio_intr ~work:(us 2.0) (fun _ -> ()))
+             Cpu.submit cpu ~prio:Cpu.prio_intr ~work:(ius 2.0) ~trigger:None (fun _ -> ()))
           : Engine.handle))
     [ 10.0; 40.0; 70.0 ];
   Engine.run e;
@@ -108,9 +108,9 @@ let test_cpu_invalid_args () =
   let e = Engine.create () in
   let cpu = Cpu.create e in
   Alcotest.check_raises "bad priority" (Invalid_argument "Cpu.submit: bad priority") (fun () ->
-      Cpu.submit cpu ~prio:99 ~work:1L (fun _ -> ()));
+      Cpu.submit cpu ~prio:99 ~work:1 ~trigger:None (fun _ -> ()));
   Alcotest.check_raises "negative work" (Invalid_argument "Cpu.submit: negative work") (fun () ->
-      Cpu.submit cpu ~prio:0 ~work:(-1L) (fun _ -> ()))
+      Cpu.submit cpu ~prio:0 ~work:(-1) ~trigger:None (fun _ -> ()))
 
 (* ------------------------------------------------------------------ *)
 (* Interrupts *)
@@ -133,7 +133,7 @@ let test_interrupt_latch_limit () =
       ()
   in
   (* Block the CPU so raised interrupts stay in flight. *)
-  Cpu.submit (Machine.cpu m) ~prio:Cpu.prio_intr ~work:(us 50.0) (fun _ -> ());
+  Cpu.submit (Machine.cpu m) ~prio:Cpu.prio_intr ~work:(ius 50.0) ~trigger:None (fun _ -> ());
   let r1 = Machine.raise_irq m ln () in
   let r2 = Machine.raise_irq m ln () in
   let r3 = Machine.raise_irq m ln () in
@@ -234,19 +234,27 @@ let test_kernel_entry_costs () =
 
 let test_kernel_script_order () =
   let e, m = fresh () in
-  let steps =
-    List.map Exec.quantum
-      [
-        Kernel.step_user m ~work_us:10.0;
-        Kernel.step_syscall ~work_us:2.0 m;
-        Kernel.step_ip_output m;
-        Kernel.step_tcp_timer m;
-      ]
-  in
+  let x = Exec.create m in
+  let log = ref [] in
+  let note = Exec.emitter x (fun now a b -> log := (now, a, b) :: !log) in
+  let sc = Exec.script x in
+  List.iter
+    (fun s -> Exec.quantum sc (Exec.step x s))
+    [
+      Kernel.step_user m ~work_us:10.0;
+      Kernel.step_syscall ~work_us:2.0 m;
+      Kernel.step_ip_output m;
+    ];
+  Exec.emit sc note 1 2;
+  Exec.drawn sc (Exec.step x (Kernel.step_tcp_timer m)) 3.0;
   let done_at = ref Time_ns.zero in
-  Exec.run m steps (fun t -> done_at := Time_ns.of_ns t);
+  Exec.run sc (fun t -> done_at := Time_ns.of_ns t);
   Engine.run e;
-  Alcotest.(check bool) "script completed" true Time_ns.(!done_at > Time_ns.zero);
+  (* user 10 + syscall 1.1 + 2 + IP output 7, then the emit, then the
+     TCP timer step with its drawn 3 us of work. *)
+  Alcotest.(check (list (triple int int int))) "emit after three quanta"
+    [ (ius 20.1, 1, 2) ] !log;
+  Alcotest.(check int64) "script completed" (us 23.1) !done_at;
   Alcotest.(check int) "ip-output trigger" 1 (Machine.trigger_count m Trigger.Ip_output);
   Alcotest.(check int) "tcpip trigger" 1 (Machine.trigger_count m Trigger.Tcpip_other);
   Alcotest.(check int) "syscall trigger" 1 (Machine.trigger_count m Trigger.Syscall)
@@ -277,7 +285,7 @@ let test_non_finite_work_rejected () =
   Alcotest.(check int64) "negative work counts as zero" 0L !done_at;
   Alcotest.check_raises "int-ns path keeps the negative-work check"
     (Invalid_argument "Cpu.submit: negative work") (fun () ->
-      Cpu.submit_i (Machine.cpu m) ~prio:Cpu.prio_kernel ~work_i:(-1) ~trigger:None ignore)
+      Cpu.submit (Machine.cpu m) ~prio:Cpu.prio_kernel ~work:(-1) ~trigger:None ignore)
 
 (* Minor words per iteration of [f], after a warm-up. *)
 let words_per ~n f =
@@ -290,12 +298,14 @@ let words_per ~n f =
   done;
   (Gc.minor_words () -. before) /. float_of_int n
 
-(* One quantum through completion on an idle machine allocates the
-   quantum (7 words) and its run-queue cell (3), 10.0 measured: no
-   running record, option, per-dispatch completion closure, boxed busy
-   counter or boxed engine clock (3 more while the engine boxed its clock
-   at every advance), and nothing for the idle transitions. *)
-let quantum_words_bound = 11.0
+(* One quantum through completion on an idle machine allocates nothing,
+   0.0 measured: it takes a slot of the CPU's arena and a place in its
+   priority's ring, with no task record (7 words) or run-queue cell (3)
+   as before, no running record, option, per-dispatch completion
+   closure, boxed busy counter or boxed engine clock (3 more while the
+   engine boxed its clock at every advance), and nothing for the idle
+   transitions. *)
+let quantum_words_bound = 1.0
 
 let test_submit_quantum_alloc () =
   let e, m = fresh () in
@@ -312,7 +322,8 @@ let test_submit_quantum_alloc () =
 
 (* One interrupt raised and delivered: the line's completion callback is
    built once and the overhead, handler work and clock stay in int ns, so
-   a delivery costs its quantum (10.0 words measured; 13.0 with the
+   a delivery costs what its quantum does (0.0 words measured; 10.0
+   while a quantum took a task record and a queue cell, 13.0 with the
    boxed engine clock) and nothing more — no closure over the delivery
    and no int64 boxes, which made it 34. *)
 let irq_words_bound = quantum_words_bound
@@ -329,19 +340,24 @@ let test_irq_delivery_alloc () =
     (Printf.sprintf "raise + delivery allocates %.1f minor words (bound %.0f)" per irq_words_bound)
     true (per <= irq_words_bound)
 
-(* A script's items share one completion cursor, so a 20-item script
-   allocates the closures of a 1-item one: the 19 extra items cost 19
-   quanta and nothing per item on top. *)
+(* A script is a recycled cursor of the machine's arena, and its items
+   share one completion callback, so a 20-item script allocates what a
+   1-item one does: the 19 extra items cost 19 quanta and nothing per
+   item on top. *)
 let test_exec_cursor_alloc () =
   let e, m = fresh () in
-  let step = Kernel.step_user m ~work_us:5.0 in
-  let script k = List.init k (fun _ -> Exec.quantum step) in
-  let run items () =
-    Exec.run m items ignore;
+  let x = Exec.create m in
+  let step = Exec.step x (Kernel.step_user m ~work_us:5.0) in
+  let run k () =
+    let sc = Exec.script x in
+    for _ = 1 to k do
+      Exec.quantum sc step
+    done;
+    Exec.run sc ignore;
     Engine.run e
   in
-  let w1 = words_per ~n:2_000 (run (script 1)) in
-  let w20 = words_per ~n:2_000 (run (script 20)) in
+  let w1 = words_per ~n:2_000 (run 1) in
+  let w20 = words_per ~n:2_000 (run 20) in
   let per_item = (w20 -. w1) /. 19.0 in
   Alcotest.(check bool)
     (Printf.sprintf "per extra script item %.2f minor words (bound %.0f, one quantum)" per_item
@@ -506,13 +522,93 @@ let test_cpu_work_conservation =
           ignore
             (Engine.schedule_at e
                (Time_ns.of_us (float_of_int at_us))
-               (fun () -> Cpu.submit cpu ~prio ~work (fun _ -> incr completions))
+               (fun () ->
+                 Cpu.submit cpu ~prio ~work:(Int64.to_int work) ~trigger:None (fun _ ->
+                     incr completions))
               : Engine.handle))
         jobs;
       Engine.run e;
       !completions = List.length jobs
       && Int64.equal (Cpu.busy_ns cpu) !total
       && Cpu.is_idle cpu)
+
+(* Reference model of the scheduling policy, over plain lists: FIFO
+   within a priority, a preempted quantum resumes first at its
+   priority, priorities 0 and 1 are never preempted, and a more urgent
+   arrival preempts a preemptible quantum.  Arrivals at an instant are
+   handled, in submission order, before a completion at that instant
+   (the test schedules every arrival before any completion is posted).
+   Returns the completions as (job, instant) in order and the busy time
+   per priority. *)
+let model_schedule jobs =
+  let arrivals =
+    List.mapi (fun i (prio, work, at) -> (at, i, prio, work)) jobs
+    |> List.stable_sort (fun (a, _, _, _) (b, _, _, _) -> Int.compare a b)
+  in
+  let queues = Array.make Cpu.prio_count [] in
+  let busy = Array.make Cpu.prio_count 0 in
+  (* running: (job, prio, remaining, started) *)
+  let running = ref None and done_ = ref [] in
+  let dispatch now =
+    let rec first p =
+      if p >= Cpu.prio_count then None
+      else match queues.(p) with [] -> first (p + 1) | q :: rest -> queues.(p) <- rest; Some q
+    in
+    running := Option.map (fun (i, p, rem) -> (i, p, rem, now)) (first 0)
+  in
+  let rec loop arrivals =
+    let t_done = match !running with Some (_, _, rem, st) -> Some (st + rem) | None -> None in
+    match (arrivals, t_done) with
+    | [], None -> ()
+    | (at, i, prio, work) :: rest, _
+      when (match t_done with Some td -> at <= td | None -> true) ->
+      queues.(prio) <- queues.(prio) @ [ (i, prio, work) ];
+      (match !running with
+      | None -> dispatch at
+      | Some (j, p, rem, st) when p >= Cpu.prio_kernel && prio < p ->
+        busy.(p) <- busy.(p) + (at - st);
+        queues.(p) <- (j, p, rem - (at - st)) :: queues.(p);
+        dispatch at
+      | Some _ -> ());
+      loop rest
+    | _, Some td ->
+      (match !running with
+      | Some (j, p, rem, _) ->
+        busy.(p) <- busy.(p) + rem;
+        done_ := (j, td) :: !done_
+      | None -> ());
+      dispatch td;
+      loop arrivals
+    | _ :: _, None -> assert false
+  in
+  loop arrivals;
+  (List.rev !done_, Array.to_list busy)
+
+(* Property: the CPU completes quanta in the model's order, at the
+   model's instants, with the model's busy time per priority, whatever
+   mix of priorities and arrival times. *)
+let test_cpu_scheduling_order =
+  QCheck.Test.make ~name:"cpu scheduling order matches the reference model" ~count:300
+    QCheck.(
+      list_of_size Gen.(int_range 1 40)
+        (triple (int_range 0 4) (int_range 0 50_000) (int_range 0 300_000)))
+    (fun jobs ->
+      let e = Engine.create () in
+      let cpu = Cpu.create e in
+      let done_ = ref [] in
+      let job = Array.of_list jobs in
+      let k_submit =
+        Engine.register e ~name:"submit" (fun i ->
+            let prio, work, _ = job.(i) in
+            Cpu.submit cpu ~prio ~work ~trigger:None (fun now -> done_ := (i, now) :: !done_))
+      in
+      Array.iteri
+        (fun i (_, _, at) -> ignore (Engine.post_at_i e at k_submit i : Engine.handle))
+        job;
+      Engine.run e;
+      let expected_done, expected_busy = model_schedule jobs in
+      List.rev !done_ = expected_done
+      && List.init Cpu.prio_count (fun p -> Int64.to_int (Cpu.busy_ns_at cpu p)) = expected_busy)
 
 (* Property: engine events fire exactly once, in (time, insertion) order,
    and cancelled events never fire. *)
@@ -555,6 +651,7 @@ let () =
           Alcotest.test_case "preempted callback fires once" `Quick test_cpu_preempted_callback_once;
           Alcotest.test_case "invalid args" `Quick test_cpu_invalid_args;
           QCheck_alcotest.to_alcotest test_cpu_work_conservation;
+          QCheck_alcotest.to_alcotest test_cpu_scheduling_order;
           QCheck_alcotest.to_alcotest test_engine_event_order_property;
         ] );
       ( "interrupts",

@@ -15,13 +15,16 @@
                Rules_race   RACE001..RACE004        (domain safety)
                Rules_alloc  ALLOC001..ALLOC003,     (hot-path allocs)
                             HOT001                  (hot-path DLS lookups)
+               ALLOW001  an allowance that suppresses no finding
      pass 4  report: text (default) / --json / --sarif, ratcheted
              against the committed BASELINE.json
 
    Suppression: file-level [@@@lint.allow "RULE"] or node-scoped
    [@lint.allow "RULE"] (covers the lines the annotated expression or
    let-binding spans); pair either with a comment justifying why the
-   rule does not apply.  The ratchet baseline freezes pre-existing
+   rule does not apply.  An allowance that suppresses nothing is itself
+   a finding (ALLOW001), so allowances cannot outlive their reason.  The
+   ratchet baseline freezes pre-existing
    findings by (file, rule) count: `dune build @lint` stays green on
    frozen debt and fails on any new finding.
 
@@ -139,6 +142,15 @@ let () =
       Rules_race.scan graph f)
     sources;
   Rules_alloc.scan_all graph;
+  (* After every rule has run: allowances no finding consulted. *)
+  List.iter
+    (fun (f : Lint_source.file) ->
+      List.iter
+        (fun (al : Lint_source.allow) ->
+          Lint_diag.report ~file:f.Lint_source.path ~line:al.Lint_source.line ~rule:"ALLOW001"
+            (Printf.sprintf "[@lint.allow %S] suppresses no finding; delete it" al.rule))
+        (Lint_source.stale_allows f))
+    sources;
 
   let vs = Lint_diag.sorted () in
 

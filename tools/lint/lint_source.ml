@@ -11,17 +11,25 @@
    - record labels declared [mutable] anywhere in the file's type
      declarations (the RACE rules use them to recognise mutable record
      literals without type information)
-   - [@hot] annotations on value bindings (the ALLOC roots) *)
+   - [@hot] annotations on value bindings (the ALLOC roots)
+
+   Every allowance remembers whether some finding consulted it, so the
+   driver can report the ones that suppress nothing (ALLOW001). *)
 
 open Parsetree
+
+(* One [lint.allow] attribute: its rule, where it is written (the key
+   that identifies it, however many nodes register it) and whether a
+   finding has been suppressed by it. *)
+type allow = { rule : string; line : int; key : int; mutable used : bool }
 
 type file = {
   path : string;
   modname : string;  (* capitalized basename: lib/simcore/eventq.ml -> Eventq *)
   str : structure;  (* [] when the file does not parse *)
   parse_failed : bool;
-  file_allows : string list;
-  line_allows : (string * int * int) list;  (* rule, first line, last line *)
+  file_allows : allow list;
+  line_allows : (allow * int * int) list;  (* allowance, first line, last line *)
   aliases : (string * string list) list;  (* toplevel [module X = P.Q] -> X, [P;Q] *)
   mutable_labels : string list;
 }
@@ -46,34 +54,45 @@ let string_payload (attr : attribute) =
     Some s
   | _ -> None
 
-let allow_rules_of_attrs (attrs : attributes) =
-  List.filter_map
-    (fun a -> if a.attr_name.txt = "lint.allow" then string_payload a else None)
-    attrs
+(* Allowances are shared by attribute position: a toplevel
+   [let[@lint.allow "X"] f = ...] registers the same attribute on its
+   structure item and on its binding, and a finding under either span
+   uses it. *)
+let allow_of_attr tbl (a : attribute) =
+  match string_payload a with
+  | Some rule when a.attr_name.txt = "lint.allow" ->
+    let key = a.attr_loc.loc_start.pos_cnum in
+    (match Hashtbl.find_opt tbl key with
+    | Some al -> Some al
+    | None ->
+      let al = { rule; line = a.attr_loc.loc_start.pos_lnum; key; used = false } in
+      Hashtbl.replace tbl key al;
+      Some al)
+  | _ -> None
 
 let is_hot_attrs (attrs : attributes) =
   List.exists (fun a -> a.attr_name.txt = "hot" || a.attr_name.txt = "lint.hot") attrs
 
 (* File-level [@@@lint.allow "RULE"] floating attributes. *)
-let file_allows_of (str : structure) =
-  List.concat_map
+let file_allows_of tbl (str : structure) =
+  List.filter_map
     (fun item ->
-      match item.pstr_desc with
-      | Pstr_attribute a when a.attr_name.txt = "lint.allow" ->
-        (match string_payload a with Some s -> [ s ] | None -> [])
-      | _ -> [])
+      match item.pstr_desc with Pstr_attribute a -> allow_of_attr tbl a | _ -> None)
     str
 
 (* Per-node [@lint.allow "RULE"]: the suppression covers every source
    line the annotated node spans.  Collected from expressions, value
    bindings and structure items — the three places the attribute
    naturally lands ([let[@lint.allow "X"] f = ...], [e [@lint.allow "X"]]). *)
-let line_allows_of (str : structure) =
+let line_allows_of tbl (str : structure) =
   let acc = ref [] in
   let add attrs (loc : Location.t) =
     List.iter
-      (fun rule -> acc := (rule, loc.loc_start.pos_lnum, loc.loc_end.pos_lnum) :: !acc)
-      (allow_rules_of_attrs attrs)
+      (fun a ->
+        match allow_of_attr tbl a with
+        | Some al -> acc := (al, loc.loc_start.pos_lnum, loc.loc_end.pos_lnum) :: !acc
+        | None -> ())
+      attrs
   in
   let it =
     {
@@ -152,14 +171,15 @@ let load path =
   | Some f -> f
   | None ->
     let str, parse_failed = match parse_file path with s -> (s, false) | exception _ -> ([], true) in
+    let allows = Hashtbl.create 8 in
     let f =
       {
         path;
         modname = modname_of_path path;
         str;
         parse_failed;
-        file_allows = file_allows_of str;
-        line_allows = line_allows_of str;
+        file_allows = file_allows_of allows str;
+        line_allows = line_allows_of allows str;
         aliases = aliases_of str;
         mutable_labels = mutable_labels_of str;
       }
@@ -188,8 +208,23 @@ let resolve_parts (f : file) (parts : string list) =
 let resolve_lid (f : file) lid =
   match flatten_opt lid with Some parts -> Some (resolve_parts f parts) | None -> None
 
+(* Every allowance that covers the finding is marked used, not only the
+   first one found. *)
 let allowed (f : file) ~rule ~line =
-  List.mem rule f.file_allows
-  || List.exists
-       (fun (r, first, last) -> r = rule && line >= first && line <= last)
-       f.line_allows
+  let hit = ref false in
+  let use (al : allow) =
+    al.used <- true;
+    hit := true
+  in
+  List.iter (fun (al : allow) -> if al.rule = rule then use al) f.file_allows;
+  List.iter
+    (fun ((al : allow), first, last) ->
+      if al.rule = rule && line >= first && line <= last then use al)
+    f.line_allows;
+  !hit
+
+(* The file's allowances that no finding consulted, in line order. *)
+let stale_allows (f : file) =
+  List.map (fun (al, _, _) -> al) f.line_allows @ f.file_allows
+  |> List.filter (fun (al : allow) -> not al.used)
+  |> List.sort_uniq (fun (a : allow) (b : allow) -> Int.compare a.key b.key)

@@ -69,13 +69,13 @@ let state_refs (g : Reachability.t) (f : Lint_source.file) ~current_module e =
   List.sort_uniq compare !acc
 
 (* Suppression for RACE001/002 consults both ends: the closure site and
-   the state definition. *)
+   the state definition (both, so each counts as used). *)
 let emit_race ~(call_file : Lint_source.file) ~line ~rule ~(state : Reachability.state) msg =
   let def_line = line_of state.s_loc in
-  if
-    (not (Lint_source.allowed call_file ~rule ~line))
-    && not (Lint_source.allowed state.s_file ~rule ~line:def_line)
-  then Lint_diag.report ~file:call_file.Lint_source.path ~line ~rule msg
+  let at_call = Lint_source.allowed call_file ~rule ~line in
+  let at_def = Lint_source.allowed state.s_file ~rule ~line:def_line in
+  if not (at_call || at_def) then
+    Lint_diag.report ~file:call_file.Lint_source.path ~line ~rule msg
 
 let describe_state (state : Reachability.state) =
   Printf.sprintf "%s.%s (%s:%d)" state.s_module state.s_name state.s_file.Lint_source.path

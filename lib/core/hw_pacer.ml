@@ -15,6 +15,7 @@ type t = {
 }
 
 let a_dispatch = Profile.intern [ "softintr"; "hw_pacer" ]
+let dispatch_attr = Some a_dispatch
 let e_coalesced = Profile.intern [ "hw_pacer"; "tick_coalesced" ]
 
 let[@hot] on_dispatch t now =
@@ -36,7 +37,7 @@ let on_tick t _now =
     Profile.event e_coalesced
   else begin
     t.dispatch_pending <- true;
-    Machine.submit_quantum t.machine ~attr:a_dispatch ~prio:Cpu.prio_softintr
+    Machine.submit_quantum t.machine ?attr:dispatch_attr ~prio:Cpu.prio_softintr
       ~work_us:t.dispatch_work_us ~trigger:None t.dispatch
   end
 

@@ -126,7 +126,7 @@ trace-smoke: build
 	python3 -m json.tool /tmp/softtimers-fig1.json > /dev/null
 	@echo "trace-smoke: /tmp/softtimers-fig1.json is valid trace_event JSON"
 
-# Static-analysis suite (tools/lint): determinism (DET001..DET004,
+# Static-analysis suite (tools/lint): determinism (DET001..DET005,
 # MLI001), domain races
 # (RACE001..RACE004) and hot-path allocations and lookups
 # (ALLOC001..ALLOC003, HOT001), plus stale allowances (ALLOW001), over

@@ -170,33 +170,33 @@ let stores_json cfg =
   let durations_us = [| 50.0; 100.0; 250.0; 500.0; 1_000.0; 2_500.0; 5_000.0; 10_000.0 |] in
   let run (module M : Timer_store.S) =
     let rng = Prng.create ~seed:(cfg.Exp_config.seed + 101) in
-    let t = M.create ~tick:(Time_ns.of_us 10.0) () in
+    let us x = Time_ns.to_int (Time_ns.of_us x) in
+    let t = M.create ~tick:(us 10.0) () in
     let n = 1024 and ops = 8192 in
-    let now = ref Time_ns.zero in
+    let clock = ref 0 in
     let fired = ref 0 and rearms = ref 0 and max_resident = ref 0 in
-    let pick () = Time_ns.of_us durations_us.(Prng.int rng (Array.length durations_us)) in
+    let pick () = us durations_us.(Prng.int rng (Array.length durations_us)) in
     let handles = Array.make n None in
     for i = 0 to n - 1 do
-      handles.(i) <- Some (M.schedule t ~at:Time_ns.(!now + pick ()) i)
+      handles.(i) <- Some (M.schedule t ~at:(!clock + pick ()) i)
     done;
     for k = 1 to ops do
       let i = Prng.int rng n in
       (match handles.(i) with
       | Some h when k land 3 = 0 ->
         M.cancel t h;
-        handles.(i) <- Some (M.schedule t ~at:Time_ns.(!now + pick ()) i)
-      | Some h -> if M.rearm t h ~at:Time_ns.(!now + pick ()) then incr rearms
+        handles.(i) <- Some (M.schedule t ~at:(!clock + pick ()) i)
+      | Some h -> if M.rearm t h ~at:(!clock + pick ()) then incr rearms
       | None -> ());
       (if k land 7 = 0 then begin
-         now := Time_ns.(!now + Time_ns.of_us 20.0);
-         match M.next_deadline t with
-         | Some d when Time_ns.(d <= !now) ->
+         clock := !clock + us 20.0;
+         let earliest = M.next_deadline t in
+         if earliest <= !clock then
            fired :=
              !fired
              + Fire_outcome.fired
-                 (M.fire_due t ~now:!now ~limit:max_int (fun _ i ->
-                      handles.(i) <- Some (M.schedule t ~at:Time_ns.(!now + pick ()) i)))
-         | Some _ | None -> ()
+                 (M.fire_due t ~now:!clock ~limit:max_int (fun _ i ->
+                      handles.(i) <- Some (M.schedule t ~at:(!clock + pick ()) i)))
        end);
       let r = M.resident t in
       if r > !max_resident then max_resident := r

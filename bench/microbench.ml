@@ -86,11 +86,11 @@ let bench_softtimer_fire () =
 let bench_timing_wheel_check () =
   (* The per-trigger-state check: next_deadline on a wheel with pending
      entries (cache-hit path). *)
-  let wheel = Timing_wheel.create ~tick:(Time_ns.of_us 10.0) () in
+  let wheel = Timing_wheel.create ~tick:10_000 () in
   for i = 1 to 64 do
-    ignore (Timing_wheel.schedule wheel ~at:(Int64.of_int (i * 100_000)) () : unit Timing_wheel.handle)
+    ignore (Timing_wheel.schedule wheel ~at:(i * 100_000) () : unit Timing_wheel.handle)
   done;
-  Bechamel.Staged.stage (fun () -> ignore (Timing_wheel.next_deadline wheel : Time_ns.t option))
+  Bechamel.Staged.stage (fun () -> ignore (Timing_wheel.next_deadline wheel : int))
 
 let bench_hdr_record () =
   (* The PR-5 always-on histogram path: every soft-timer fire and
@@ -174,37 +174,34 @@ let bench_delay_audit_on_fire () =
 let store_population = 1024
 
 let bench_store_schedule_fire (module M : Timer_store.S) () =
-  let t = M.create ~tick:(Time_ns.of_us 10.0) () in
-  let now = ref 0L in
+  let t = M.create ~tick:10_000 () in
+  let clock = ref 0 in
   (* 16 discrete deadline classes (distinct durations are duration-store
      buckets, so a 1024-way spread would be a degenerate setup, not a
      fast path): ~64 timers expire per class boundary, one iteration per
      10 us, replacements at the horizon. *)
   for i = 1 to store_population do
-    ignore (M.schedule t ~at:(Int64.of_int (((i mod 16) + 1) * 640_000)) 0 : int M.handle)
+    ignore (M.schedule t ~at:(((i mod 16) + 1) * 640_000) 0 : int M.handle)
   done;
-  let horizon = Int64.of_int (store_population * 10_000) in
+  let horizon = store_population * 10_000 in
   Bechamel.Staged.stage (fun () ->
-      now := Int64.add !now 10_000L;
-      ignore (M.schedule t ~at:(Int64.add !now horizon) 0 : int M.handle);
-      ignore (M.fire_due t ~now:!now ~limit:max_int (fun _ _ -> ()) : Fire_outcome.t))
+      clock := !clock + 10_000;
+      ignore (M.schedule t ~at:(!clock + horizon) 0 : int M.handle);
+      ignore (M.fire_due t ~now:!clock ~limit:max_int (fun _ _ -> ()) : Fire_outcome.t))
 
 let bench_store_rearm_churn (module M : Timer_store.S) () =
-  let t = M.create ~tick:(Time_ns.of_us 10.0) () in
-  let handles =
-    Array.init store_population (fun i ->
-        M.schedule t ~at:(Int64.of_int ((i + 1) * 10_000)) 0)
-  in
+  let t = M.create ~tick:10_000 () in
+  let handles = Array.init store_population (fun i -> M.schedule t ~at:((i + 1) * 10_000) 0) in
   let i = ref 0 in
-  let bump = ref 0L in
+  let bump = ref 0 in
   Bechamel.Staged.stage (fun () ->
       i := (!i + 1) land (store_population - 1);
       (* Deadlines shuffle within the same horizon, so nothing expires:
          pure re-arm cost (a relink of the entry's own row for the
          wheels, unlink + re-append for lawn, stale-entry + compaction
          for eventq). *)
-      bump := Int64.rem (Int64.add !bump 70_001L) 10_000_000L;
-      ignore (M.rearm t handles.(!i) ~at:(Int64.add 10_000L !bump) : bool))
+      bump := (!bump + 70_001) mod 10_000_000;
+      ignore (M.rearm t handles.(!i) ~at:(10_000 + !bump) : bool))
 
 let store_benches () =
   List.concat_map

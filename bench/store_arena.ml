@@ -35,7 +35,8 @@ let durations_us =
   [| 100.0; 250.0; 500.0; 1_000.0; 2_500.0; 5_000.0; 10_000.0;
      25_000.0; 50_000.0; 100_000.0; 250_000.0; 500_000.0 |]
 
-let pick_duration rng = Time_ns.of_us durations_us.(Prng.int rng (Array.length durations_us))
+let ns_of_us us = Time_ns.to_int (Time_ns.of_us us)
+let pick_duration rng = ns_of_us durations_us.(Prng.int rng (Array.length durations_us))
 
 type metrics = {
   ns_per_op : float;
@@ -57,12 +58,12 @@ let workload_name = function
 
 let run_cell (module M : Timer_store.S) ~which ~n ~ops ~seed =
   let rng = Prng.create ~seed in
-  let t = M.create ~tick:(Time_ns.of_us 10.0) () in
-  let now = ref Time_ns.zero in
+  let t = M.create ~tick:(ns_of_us 10.0) () in
+  let clock = ref 0 in
   let fired = ref 0 and rearms = ref 0 and max_resident = ref 0 in
   let handles = Array.make (max 1 n) None in
   for i = 0 to n - 1 do
-    let at = Time_ns.(!now + pick_duration rng) in
+    let at = !clock + pick_duration rng in
     handles.(i) <- Some (M.schedule t ~at i)
   done;
   let note_resident () =
@@ -76,17 +77,16 @@ let run_cell (module M : Timer_store.S) ~which ~n ~ops ~seed =
      else). *)
   let adv_us = 156_000.0 /. float_of_int (max 1 n) in
   let fire_step advance_us =
-    now := Time_ns.(!now + Time_ns.of_us advance_us);
-    (match M.next_deadline t with
-    | Some d when Time_ns.(d <= !now) ->
+    clock := !clock + ns_of_us advance_us;
+    let earliest = M.next_deadline t in
+    if earliest <= !clock then
       fired :=
         !fired
         + Fire_outcome.fired
-            (M.fire_due t ~now:!now ~limit:max_int (fun _ i ->
+            (M.fire_due t ~now:!clock ~limit:max_int (fun _ i ->
                  (* Replace the fired timer so the population holds at N. *)
-                 let at = Time_ns.(!now + pick_duration rng) in
+                 let at = !clock + pick_duration rng in
                  handles.(i) <- Some (M.schedule t ~at i)))
-    | Some _ | None -> ())
   in
   (* Wall-clock read (lint DET001): allowlisted — the measurand here is
      real elapsed time per operation; no simulated result depends on
@@ -106,7 +106,7 @@ let run_cell (module M : Timer_store.S) ~which ~n ~ops ~seed =
                let i = Prng.int rng n in
                match handles.(i) with
                | Some h ->
-                 let at = Time_ns.(!now + pick_duration rng) in
+                 let at = !clock + pick_duration rng in
                  if M.rearm t h ~at then incr rearms
                | None -> ());
             (* Let time move so re-arms race real expiries, not a frozen clock. *)
@@ -118,7 +118,7 @@ let run_cell (module M : Timer_store.S) ~which ~n ~ops ~seed =
             (if n > 0 then begin
                let i = Prng.int rng n in
                (match handles.(i) with Some h -> M.cancel t h | None -> ());
-               let at = Time_ns.(!now + pick_duration rng) in
+               let at = !clock + pick_duration rng in
                handles.(i) <- Some (M.schedule t ~at i)
              end);
             if k land 63 = 0 then fire_step (64.0 *. adv_us);

@@ -28,7 +28,7 @@ let run ~app_read_delay ~paced =
   let transmit _now p = Wan.forward wan_fwd p in
   let receiver =
     Receiver.create engine params ~send_ack:(fun now ~ack_upto ->
-        Wan.forward wan_rev (Tcp_types.make_ack ~ack_upto ~born:(Int64.to_int now)))
+        Wan.forward wan_rev (Tcp_types.make_ack ~ack_upto ~born:(Time_ns.to_int now)))
   in
   Receiver.set_app_read_delay receiver app_read_delay;
   let finish = ref Time_ns.zero in

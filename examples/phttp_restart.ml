@@ -29,7 +29,7 @@ let first_transfer_and_estimate () =
   let params = Tcp_types.default in
   let receiver =
     Receiver.create engine params ~send_ack:(fun now ~ack_upto ->
-        Wan.forward wan_rev (Tcp_types.make_ack ~ack_upto ~born:(Int64.to_int now)))
+        Wan.forward wan_rev (Tcp_types.make_ack ~ack_upto ~born:(Time_ns.to_int now)))
   in
   let segments = 200 in
   let sender =

@@ -77,12 +77,12 @@ module Event_delay = struct
       let sched_tick = Softtimer.measure_time st in
       let due_tick = Int64.add sched_tick (Int64.add t.ticks 1L) in
       let tick_ns = 1e9 /. Int64.to_float (Softtimer.measure_resolution st) in
-      let due_ns = Int64.of_float (Float.ceil (Int64.to_float due_tick *. tick_ns)) in
+      let due_ns = Float.to_int (Float.ceil (Int64.to_float due_tick *. tick_ns)) in
       ignore
-        (Softtimer.schedule_soft_event st ~ticks:t.ticks (fun now ->
-             let now = Time_ns.of_ns now in
+        (Softtimer.schedule_soft_event st ~ticks:t.ticks (fun now_i ->
+             let now = Time_ns.of_ns now_i in
              t.fired <- t.fired + 1;
-             Stats.Sample.add t.delays (Time_ns.to_us Time_ns.(now - due_ns));
+             Stats.Sample.add t.delays (Time_ns.to_us (Time_ns.of_ns (now_i - due_ns)));
              (match t.last_fire with
              | Some prev -> Stats.Sample.add t.inter (Time_ns.to_us Time_ns.(now - prev))
              | None -> ());

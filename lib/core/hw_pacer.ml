@@ -57,7 +57,7 @@ let create machine ~interval ~send ?(dispatch_work_us = 1.2) () =
   let t =
     {
       machine;
-      interval_i = Int64.to_int interval;
+      interval_i = Time_ns.to_int interval;
       send;
       dispatch_work_us;
       line = None;

@@ -124,10 +124,9 @@ let intervals t = t.intervals
    store underneath makes every send O(log n).  The pool keeps all flow
    state in parallel unboxed int arrays (struct-of-arrays, nanoseconds
    as native ints), drives whichever [Timer_store.S] it is built over
-   directly through the int-deadline [schedule_i] entry point, and uses
-   the flow id itself as the timer payload, so with the pacing wheel's
-   int handles the steady send → re-schedule cycle allocates nothing at
-   all.
+   with int deadlines, and uses the flow id itself as the timer
+   payload, so with the pacing wheel's int handles the steady send →
+   re-schedule cycle allocates nothing at all.
 
    Histograms are cohort-shared and sampled: one interval Hdr and one
    fire-delay Hdr serve the whole pool, fed every [stat_every]-th send
@@ -164,7 +163,7 @@ module Pool (M : Timer_store.S) = struct
     mutable catch_ups : int;
     mutable active_n : int;
     mutable now_cache : int;  (* ns, set by [check] for the fire callback *)
-    mutable on_fire : Time_ns.t -> int -> unit;  (* preallocated, reused every check *)
+    mutable on_fire : int -> int -> unit;  (* preallocated, reused every check *)
     mutable on_pf : int -> unit;  (* prefetch hint handed to the store, see [check] *)
   }
 
@@ -241,7 +240,7 @@ module Pool (M : Timer_store.S) = struct
           else ideal
         in
         p.f.(base + o_next_at) <- next_at;
-        set_handle p fid (M.schedule_i p.store ~at_i:next_at fid)
+        set_handle p fid (M.schedule p.store ~at:next_at fid)
       end
       else begin
         (* Train over: idle until [kick]. *)
@@ -277,28 +276,27 @@ module Pool (M : Timer_store.S) = struct
     p
 
   let add p ~target_interval ~min_interval =
-    if Time_ns.(min_interval <= 0L) || Time_ns.(min_interval > target_interval) then
+    if min_interval <= 0 || min_interval > target_interval then
       invalid_arg "Rate_clock.Pool.add: need 0 < min_interval <= target_interval";
     reserve p;
     let fid = p.n in
     p.n <- fid + 1;
     let base = fid lsl 3 in
-    p.f.(base + o_target) <- Int64.to_int target_interval;
-    p.f.(base + o_min_iv) <- Int64.to_int min_interval;
+    p.f.(base + o_target) <- target_interval;
+    p.f.(base + o_min_iv) <- min_interval;
     p.f.(base + o_sent) <- -1;
     fid
 
-  let kick p fid ~now =
+  let kick p fid ~now:now_i =
     let base = fid lsl 3 in
     if p.f.(base + o_sent) < 0 then begin
-      let now_i = Int64.to_int now in
       p.active_n <- p.active_n + 1;
       p.f.(base + o_train_start) <- now_i;
       p.f.(base + o_sent) <- 0;
       p.f.(base + o_next_at) <- now_i;
       (* First transmission due immediately: it fires on the next check,
          the pool's trigger state. *)
-      set_handle p fid (M.schedule p.store ~at:now fid)
+      set_handle p fid (M.schedule p.store ~at:now_i fid)
     end
 
   let start = kick
@@ -319,7 +317,7 @@ module Pool (M : Timer_store.S) = struct
   let set_user p fid v = p.f.((fid lsl 3) + o_user) <- v
 
   let[@hot] check p ~now ~limit =
-    p.now_cache <- Int64.to_int now;
+    p.now_cache <- now;
     M.fire_due p.store ~prefetch:p.on_pf ~now ~limit p.on_fire
 
   let flows p = p.n

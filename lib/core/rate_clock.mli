@@ -70,11 +70,11 @@ val intervals : t -> Hdr.t
 
 (** Flow-id-indexed rate clocks over one shared timer store.
 
-    All per-flow state lives in parallel unboxed [int] arrays
-    (nanoseconds as native ints) — no record, closure, handle box or
-    histogram per flow — and the flow id itself is the timer payload,
-    so the steady send → reschedule cycle allocates only the one boxed
-    deadline handed to the store API.  Interval and fire-delay
+    All per-flow state lives in parallel unboxed [int] arrays — no
+    record, closure, handle box or histogram per flow — and the flow id
+    itself is the timer payload.  Time is integer nanoseconds
+    throughout, as the store contract takes it, so the steady send →
+    reschedule cycle allocates nothing.  Interval and fire-delay
     statistics go to cohort histograms, sampled every [stat_every]-th
     send. *)
 module Pool (M : Timer_store.S) : sig
@@ -84,34 +84,36 @@ module Pool (M : Timer_store.S) : sig
     ?stat_every:int ->
     ?intervals:Hdr.t ->
     ?delays:Hdr.t ->
-    tick:Time_ns.span ->
+    tick:int ->
     send:(int -> bool) ->
     unit ->
     t
   (** [send fid] transmits one packet for flow [fid] and returns [true],
       or [false] to end that flow's train (idle until {!kick}).
+      [tick] is the store's granularity in ns.
       [stat_every] (default 1) samples every n-th fire into the
       histograms; [intervals] defaults to {!cohort_intervals}; [delays]
       defaults to a fresh pool-private histogram.
       @raise Invalid_argument if [stat_every < 1]. *)
 
-  val add : t -> target_interval:Time_ns.span -> min_interval:Time_ns.span -> int
-  (** Register a flow; returns its id.  The flow starts idle.
+  val add : t -> target_interval:int -> min_interval:int -> int
+  (** Register a flow; returns its id, intervals in ns.  The flow starts
+      idle.
       @raise Invalid_argument unless
       [0 < min_interval <= target_interval]. *)
 
-  val start : t -> int -> now:Time_ns.t -> unit
+  val start : t -> int -> now:int -> unit
   (** Begin a train for the flow: its first transmission is due
       immediately (it fires on the next {!check}).  No-op while
       active. *)
 
-  val kick : t -> int -> now:Time_ns.t -> unit
+  val kick : t -> int -> now:int -> unit
   (** Same as {!start}: restart an idle flow's train. *)
 
   val stop : t -> int -> unit
   (** Idle the flow and cancel its pending transmission. *)
 
-  val check : t -> now:Time_ns.t -> limit:int -> Fire_outcome.t
+  val check : t -> now:int -> limit:int -> Fire_outcome.t
   (** Dispatch due transmissions — the pool's trigger state.  [limit]
       bounds the batch exactly as {!Timer_store.S.fire_due} does. *)
 

@@ -18,22 +18,21 @@ module type STORE = sig
 
   val s : s
   val name : string
-  val schedule : s -> at:Time_ns.t -> pending_event -> h
-  val schedule_i : s -> at_i:int -> pending_event -> h
+  val schedule : s -> at:int -> pending_event -> h
   val cancel : s -> h -> unit
-  val rearm : s -> h -> at:Time_ns.t -> bool
+  val rearm : s -> h -> at:int -> bool
   val pending : s -> int
   val resident : s -> int
-  val next_deadline : s -> Time_ns.t option
+  val next_deadline : s -> int
   val handle_pending : s -> h -> bool
-  val handle_deadline : s -> h -> Time_ns.t
+  val handle_deadline : s -> h -> int
 
   val fire_due :
     s ->
     ?prefetch:(pending_event -> unit) ->
-    now:Time_ns.t ->
+    now:int ->
     limit:int ->
-    (Time_ns.t -> pending_event -> unit) ->
+    (int -> pending_event -> unit) ->
     Fire_outcome.t
 end
 
@@ -61,7 +60,7 @@ type t = {
   fire_work_us : float;  (* dispatch cost charged per fire (boxed once, here) *)
   mutable fire_now : int;  (* [now] of the check in progress, ns *)
   mutable fire_source : string;  (* its trigger state's name *)
-  mutable on_fire : Time_ns.t -> pending_event -> unit;  (* [fire t], built once *)
+  mutable on_fire : int -> pending_event -> unit;  (* [fire t], built once *)
   mutable next_id : int;  (* timer identity carried by the trace events *)
   fired : int ref;
   checks : int ref;
@@ -128,18 +127,24 @@ let interrupt_clock_resolution t = t.intr_hz
 let x_ratio t = Int64.div t.measure_hz t.intr_hz
 
 (* Measurement-clock arithmetic stays in unboxed floats and Int64
-   temporaries; only the deadline handed to the store is boxed. *)
+   temporaries; the deadline handed to the store is an int. *)
 let[@inline] measure_time t =
   Int64.of_float (float_of_int (Engine.now_i (Machine.engine t.machine)) /. t.ns_per_tick)
 
 (* The instant of the first measurement tick at least [ticks + 1] ticks
-   after now, in ns as an integral float; a tick boundary maps to the
-   first instant at or after it (round up). *)
-let[@inline] due_ns t ticks =
-  let tick = Int64.add (measure_time t) (Int64.add ticks 1L) in
-  Float.ceil (Int64.to_float tick *. t.ns_per_tick)
-
-let due_after t ticks = Int64.of_float (due_ns t ticks)
+   after now, in int ns; a tick boundary maps to the first instant at
+   or after it (round up).  Both steps saturate: the tick at
+   [Int64.max_int], the instant at [max_int] (0x1p62 is [max_int + 1]),
+   so a huge [ticks] lands at the end of time, never wrapped into the
+   past. *)
+let[@inline] due_after t ticks =
+  let now_tick = measure_time t in
+  let tick =
+    if Int64.compare ticks (Int64.sub Int64.max_int (Int64.succ now_tick)) > 0 then Int64.max_int
+    else Int64.add now_tick (Int64.succ ticks)
+  in
+  let due_f = Float.ceil (Int64.to_float tick *. t.ns_per_tick) in
+  if due_f >= 0x1p62 then max_int else Float.to_int due_f
 
 let a_fire = Profile.intern [ "softtimer"; "fire" ]
 let fire_attr = Some a_fire
@@ -152,7 +157,7 @@ let klass_timer = Some Cpu.klass_timer
    (ALLOC003) only when enabled. *)
 let[@hot] fire t due ev =
   let now = t.fire_now in
-  let delay = now - Int64.to_int due in
+  let delay = now - due in
   incr t.fired;
   Trace.soft_fire ~at:now ~id:ev.id ~due;
   if Profile.enabled () then
@@ -170,14 +175,13 @@ let[@hot] fire t due ev =
    this check — the profiler's per-trigger dispatch breakdown (paper
    Table 1) records which state fired each event and at what latency.  A
    handler may reach a trigger state of its own, so a nested check saves
-   and restores the outer one's [fire_now]/[fire_source].  [now] is int
-   ns; the store's [fire_due] takes it boxed, once per check that finds
-   work: the engine's box of the instant if it has one, else a fresh
-   one. *)
+   and restores the outer one's [fire_now]/[fire_source].  Time is int
+   ns throughout, so a check allocates nothing for its [now] or for the
+   deadlines it fires. *)
 let[@hot] check t kind now_i =
   incr t.checks;
-  match next_deadline t with
-  | Some d when Fire_outcome.saturate d <= now_i ->
+  let earliest = next_deadline t in
+  if earliest <= now_i then begin
     let outer_now = t.fire_now and outer_source = t.fire_source in
     let source = Trigger.name kind in
     t.fire_now <- now_i;
@@ -186,8 +190,7 @@ let[@hot] check t kind now_i =
       match t.store with
       | Store inst -> (
         let module S = (val inst) in
-        let now = Engine.now_shared (Machine.engine t.machine) in
-        match S.fire_due S.s ~now ~limit:t.check_budget t.on_fire with
+        match S.fire_due S.s ~now:now_i ~limit:t.check_budget t.on_fire with
         | o -> o
         | exception exn ->
           let bt = Printexc.get_raw_backtrace () in
@@ -204,7 +207,7 @@ let[@hot] check t kind now_i =
     let scanned = Fire_outcome.scanned outcome in
     if scanned > 0 then
       Trace.soft_check ~at:now_i ~src:source ~scanned ~fired:(Fire_outcome.fired outcome)
-  | Some _ | None -> ()
+  end
 
 let attach ?store ?(wheel_tick = Time_ns.of_us 10.0) ?(wheel_slots = 512) machine =
   if Machine.check_hook_attached machine then
@@ -222,7 +225,7 @@ let attach ?store ?(wheel_tick = Time_ns.of_us 10.0) ?(wheel_slots = 512) machin
   let t =
     {
       machine;
-      store = instance store_mod ~tick:wheel_tick;
+      store = instance store_mod ~tick:(Time_ns.to_int wheel_tick);
       store_slots = wheel_slots;
       measure_hz = Int64.of_float (profile.Costs.cpu_mhz *. 1e6);
       intr_hz = Int64.of_float profile.Costs.interrupt_clock_hz;
@@ -272,50 +275,31 @@ let store_name t =
     S.name
 
 (* If this event became the earliest, an idle checking CPU may be armed
-   for a later (or no) deadline: wake it up for this one.  Inlined, so
-   [due] stays unboxed when the caller builds it from an int. *)
-let[@inline] notify_if_earliest t due =
-  match next_deadline t with
-  | Some d when t.attached && Int64.equal d due -> Machine.notify_deadline_changed t.machine
-  | _ -> ()
+   for a later (or no) deadline: wake it up for this one. *)
+let notify_if_earliest t due =
+  if t.attached && Int.equal (next_deadline t) due then Machine.notify_deadline_changed t.machine
 
-(* A deadline inside the int range goes to the store as an int, so the
-   tick arithmetic boxes nothing; the trace gets a boxed copy only while
-   it is armed. *)
 let schedule_soft_event t ~ticks handler =
   if Int64.compare ticks 0L < 0 then
     invalid_arg "Softtimer.schedule_soft_event: negative ticks";
   (* Fires once measure_time > sched + ticks, i.e. at tick sched+ticks+1. *)
-  let due_f = due_ns t ticks in
+  let due = due_after t ticks in
   let id = t.next_id in
   t.next_id <- id + 1;
   incr t.scheduled;
-  if Trace.armed () then
-    Trace.soft_sched ~at:(Engine.now_i (Machine.engine t.machine)) ~id
-      ~due:(Int64.of_float due_f);
+  Trace.soft_sched ~at:(Engine.now_i (Machine.engine t.machine)) ~id ~due;
   match t.store with
   | Store inst ->
     let module S = (val inst) in
-    let ev = { id; handler } in
-    let sh =
-      if due_f < 0x1p62 then begin
-        let due_i = Float.to_int due_f in
-        let sh = S.schedule_i S.s ~at_i:due_i ev in
-        notify_if_earliest t (Int64.of_int due_i);
-        sh
-      end
-      else begin
-        let due = Int64.of_float due_f in
-        let sh = S.schedule S.s ~at:due ev in
-        notify_if_earliest t due;
-        sh
-      end
-    in
+    let sh = S.schedule S.s ~at:due { id; handler } in
+    notify_if_earliest t due;
     Handle { inst; sh; ev_id = id }
 
+(* Whole measurement ticks covering [span], saturating at
+   [Int64.max_int] (0x1p63) rather than wrapping negative. *)
 let schedule_after t span handler =
-  let span = Time_ns.max span 0L in
-  let ticks = Int64.of_float (Float.ceil (Int64.to_float span /. t.ns_per_tick)) in
+  let ticks_f = Float.ceil (Int64.to_float (Time_ns.max span 0L) /. t.ns_per_tick) in
+  let ticks = if ticks_f >= 0x1p63 then Int64.max_int else Int64.of_float ticks_f in
   schedule_soft_event t ~ticks handler
 
 let cancel t (Handle { inst; sh; ev_id }) =

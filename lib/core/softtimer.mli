@@ -81,7 +81,9 @@ val schedule_soft_event : t -> ticks:int64 -> (int -> unit) -> handle
     the first trigger state at which [measure_time] exceeds its
     schedule-time value by at least [ticks + 1] (the +1 accounts for the
     schedule instant not coinciding with a tick edge), and in any case
-    by the next backup interrupt after that.
+    by the next backup interrupt after that.  A deadline past the int
+    range of nanoseconds is [max_int] ns, the end of time: the event
+    stays pending.
     @raise Invalid_argument if [ticks < 0]. *)
 
 (** {2 Convenience and introspection} *)

@@ -92,7 +92,7 @@ module Make_runner (C : CONF) = struct
          pacing, not one synchronized thundering herd. *)
       F.start fleet fid ~now:(Time_ns.of_us (tick_us *. float_of_int (fid mod 101)))
     done;
-    let steps = Int64.to_int (Int64.div window (Time_ns.of_us tick_us)) in
+    let steps = Time_ns.to_int window / Time_ns.to_int (Time_ns.of_us tick_us) in
     for s = 1 to steps do
       ignore (F.check fleet ~now:(Time_ns.mul tick s) ~limit:max_int : Fire_outcome.t)
     done;

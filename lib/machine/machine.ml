@@ -27,7 +27,7 @@ type t = {
   counts : int ref array;  (* per trigger kind; all are [machine.triggers] cells *)
   mutable clock_running : bool;
   mutable idle_poll : Time_ns.span option;
-  mutable idle_deadline_fn : (unit -> Time_ns.t option) option;
+  mutable idle_deadline_fn : (unit -> int) option;  (* ns; [max_int] for none *)
   mutable idle_epoch : int;  (* bumped on checker changes; invalidates stale pokes *)
   mutable k_idle_poll : Engine.kind;
   mutable k_idle_deadline : Engine.kind;
@@ -139,7 +139,7 @@ let arm_idle_poll t epoch =
   match t.idle_poll with
   | None -> ()
   | Some dt ->
-    ignore (Engine.post_after_i t.engine (Int64.to_int dt) t.k_idle_poll epoch : Engine.handle)
+    ignore (Engine.post_after_i t.engine (Time_ns.to_int dt) t.k_idle_poll epoch : Engine.handle)
 
 let[@hot] idle_poll_event t epoch =
   if checker_still t epoch then begin
@@ -150,13 +150,10 @@ let[@hot] idle_poll_event t epoch =
 let arm_idle_deadline t epoch =
   match t.idle_deadline_fn with
   | None -> ()
-  | Some next_deadline -> begin
-    match next_deadline () with
-    | None -> ()
-    | Some d ->
-      ignore
-        (Engine.post_at_i t.engine (Int64.to_int d) t.k_idle_deadline epoch : Engine.handle)
-  end
+  | Some next_deadline ->
+    let earliest = next_deadline () in
+    if earliest < max_int then
+      ignore (Engine.post_at_i t.engine earliest t.k_idle_deadline epoch : Engine.handle)
 
 let[@hot] idle_deadline_event t epoch =
   if checker_still t epoch then begin
@@ -246,14 +243,14 @@ let add_periodic_timer t ~hz ?(handler_work_us = 0.0) handler =
   let period = Time_ns.of_sec (1.0 /. hz) in
   if not (Float.is_finite handler_work_us) then
     invalid_arg "Machine.add_periodic_timer: non-finite work";
-  let handler_work_ns = Int64.to_int (Time_ns.of_us handler_work_us) in
+  let handler_work_ns = Time_ns.to_int (Time_ns.of_us handler_work_us) in
   let ln =
     (* A fast-interrupt handler: serviced even inside spl sections, like
        the paper's null-handler measurement timer (Â§5.1). *)
     interrupt_line t ~name:(Printf.sprintf "timer-%.0fHz" hz) ~source:Trigger.Clock_tick
       ~latch_depth:1 ~handler ()
   in
-  let period_i = Int64.to_int period in
+  let period_i = Time_ns.to_int period in
   let kind = ref Engine.null_kind in
   kind :=
     Engine.register t.engine ~name:"machine.periodic_tick" (fun _ ->

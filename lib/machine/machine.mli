@@ -155,8 +155,9 @@ val notify_deadline_changed : t -> unit
     was scheduled ahead of everything armed).  Re-arms the checking
     CPU's wake-up; a no-op when no CPU is idle. *)
 
-val set_idle_deadline_fn : t -> (unit -> Time_ns.t option) option -> unit
-(** The facility's "earliest pending soft-timer deadline" oracle.  While
+val set_idle_deadline_fn : t -> (unit -> int) option -> unit
+(** The facility's "earliest pending soft-timer deadline" oracle, in
+    integer nanoseconds, [max_int] when nothing is pending.  While
     the CPU is idle, the machine arranges an [Idle] trigger state exactly
     at that deadline — semantically, the idle loop's continuous check
     firing the event the instant it is due (paper §3/§5.2: the idle loop

@@ -63,7 +63,7 @@ let create engine ~bandwidth_bps ~latency ?(on_sent = fun _ _ -> ()) ~deliver ()
     {
       engine;
       bandwidth_bps;
-      latency_i = Int64.to_int latency;
+      latency_i = Time_ns.to_int latency;
       deliver;
       on_sent;
       ring = [||];

@@ -127,7 +127,7 @@ let maybe_arm_rx_intr t =
     if Time_ns.(t.rx_intr_delay <= 0L) then fire_rx_intr t
     else
       ignore
-        (Engine.post_after_i (Machine.engine t.machine) (Int64.to_int t.rx_intr_delay)
+        (Engine.post_after_i (Machine.engine t.machine) (Time_ns.to_int t.rx_intr_delay)
            t.k_rx_intr 0
           : Engine.handle)
   end

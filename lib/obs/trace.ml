@@ -118,9 +118,8 @@ let to_list t =
 
 (* Emitters.  Each one checks for consumers before constructing the
    record, so a disabled trace costs one atomic load and a branch.  The
-   typed emitters take [at] and spans as int ns and box them ([ns])
-   only behind [armed ()]; a soft event's [due] is the store's own
-   boxed deadline.  ALLOC002 on [emit] and the emitters the [@hot]
+   typed emitters take [at], spans and a soft event's [due] as int ns
+   and box them ([ns]) only behind [armed ()].  ALLOC002 on [emit] and the emitters the [@hot]
    paths call, ALLOC003 on [ns]: records and boxes are built only then.
    HOT001 on [armed] and [emit]: their [Domain.DLS] lookups run only
    behind a nonzero [consumers], i.e. while some domain traces. *)
@@ -143,14 +142,14 @@ let trigger ~at kind = if armed () then emit ~at:(ns at) (Trigger kind)
 [@@lint.allow "ALLOC002"]
 
 let soft_sched ~at ~id ~due =
-  if armed () then emit ~at:(ns at) (Soft_sched { id; due })
+  if armed () then emit ~at:(ns at) (Soft_sched { id; due = ns due })
 
 let soft_fire ~at ~id ~due =
-  if armed () then emit ~at:(ns at) (Soft_fire { id; due; delay = Time_ns.(ns at - due) })
+  if armed () then emit ~at:(ns at) (Soft_fire { id; due = ns due; delay = ns (at - due) })
 [@@lint.allow "ALLOC002"]
 
 let soft_cancel ~at ~id ~due =
-  if armed () then emit ~at:(ns at) (Soft_cancel { id; due })
+  if armed () then emit ~at:(ns at) (Soft_cancel { id; due = ns due })
 
 let soft_check ~at ~src ~scanned ~fired =
   if armed () then emit ~at:(ns at) (Soft_check { src; scanned; fired })

@@ -112,17 +112,16 @@ val to_list : t -> record list
 
     Each is a no-op unless a trace is installed.  [at] is the current
     simulation time.  {!emit} takes it as a {!Time_ns.t}, like the
-    records and the tap; the typed emitters after it take [at] and
-    [dur] as integer nanoseconds and box them only while the trace is
-    {!armed}, so the per-event path can call them without boxing a
-    time.  A soft event's [due] is the timer store's own boxed
-    deadline. *)
+    records and the tap; the typed emitters after it take [at], [dur]
+    and a soft event's [due] as integer nanoseconds and box them only
+    while the trace is {!armed}, so the per-event path can call them
+    without boxing a time. *)
 
 val emit : at:Time_ns.t -> event -> unit
 val trigger : at:int -> string -> unit
-val soft_sched : at:int -> id:int -> due:Time_ns.t -> unit
-val soft_fire : at:int -> id:int -> due:Time_ns.t -> unit
-val soft_cancel : at:int -> id:int -> due:Time_ns.t -> unit
+val soft_sched : at:int -> id:int -> due:int -> unit
+val soft_fire : at:int -> id:int -> due:int -> unit
+val soft_cancel : at:int -> id:int -> due:int -> unit
 val soft_check : at:int -> src:string -> scanned:int -> fired:int -> unit
 val cpu_run : at:int -> cpu:int -> klass:int -> dur:int -> unit
 val irq : at:int -> line:string -> cpu:int -> dur:int -> unit

@@ -24,10 +24,13 @@
    per packet) keep O(live) residency.
 
    Time is an immediate int inside the engine ([clock_i]); [Time_ns.t]
-   is int64 only at the API.  The boxed clock is built on demand by
-   [now] and cached until the clock next advances, so an advance no
-   one asks the box of allocates nothing, and repeated calls at one
-   instant share one box. *)
+   is int64 only at the API, and enters through [Time_ns.to_int], which
+   saturates: a time past the int range is [max_int], the end of time,
+   never a wrapped instant in the past; [schedule_after] saturates
+   there too.  The boxed clock is built on demand by [now] and cached
+   until the clock next advances, so an advance no one asks the box of
+   allocates nothing, and repeated calls at one instant share one
+   box. *)
 
 (* Handle layout: [seq lsl idx_bits | idx].  25 index bits allow 33M
    concurrent events; the remaining 37 seq bits allow 1.4e11 schedules
@@ -128,12 +131,6 @@ let now t =
     b
   end
 
-(* For a per-event consumer that must hand a boxed time to a frozen API
-   edge: [now]'s cached box when one is current, else a fresh box that
-   is not cached, so a miss costs that one box and no write barrier. *)
-let now_shared t =
-  if t.boxed_at = t.clock_i then t.boxed else Time_ns.of_ns t.clock_i
-
 let now_i t = t.clock_i
 let pending t = t.live
 
@@ -209,17 +206,16 @@ let[@hot] schedule_i t time_i f =
   enqueue t time_i closure_kind idx idx
 
 let[@hot] schedule_at t time f =
-  let time_i = Int64.to_int time in
-  (* Clamp times in the past (including anything that overflowed the
-     int range) to the current instant. *)
-  let time_i = if time_i < t.clock_i then t.clock_i else time_i in
-  schedule_i t time_i f
+  (* Clamp times in the past to the current instant. *)
+  schedule_i t (Int.max (Time_ns.to_int time) t.clock_i) f
 
+(* A negative delay is now, and a sum past the int range is [max_int]. *)
 let[@hot] schedule_after_i t d_i f =
-  let d_i = if d_i < 0 then 0 else d_i in
-  schedule_i t (t.clock_i + d_i) f
+  schedule_i t
+    (if d_i <= 0 then t.clock_i else if d_i > max_int - t.clock_i then max_int else t.clock_i + d_i)
+    f
 
-let[@hot] schedule_after t d f = schedule_after_i t (Int64.to_int d) f
+let[@hot] schedule_after t d f = schedule_after_i t (Time_ns.to_int d) f
 
 (* An entry is live iff its seq still matches the slot occupant's:
    firing and cancelling invalidate the slot, and slot reuse installs
@@ -294,7 +290,7 @@ let[@hot] step t =
   end
 
 let[@hot] run_until t limit =
-  let limit_i = Int64.to_int (Time_ns.max limit 0L) in
+  let limit_i = Int.max (Time_ns.to_int limit) 0 in
   (* A while loop rather than a local [let rec loop]: the recursive
      closure captured [t]/[limit_i] and cost one allocation per call;
      the [continue] ref compiles to a stack variable
@@ -309,10 +305,6 @@ let[@hot] run_until t limit =
       if head <= limit_i then fire_head t else continue := false
     end
   done;
-  if limit_i > t.clock_i then begin
-    t.clock_i <- limit_i;
-    t.boxed <- limit;
-    t.boxed_at <- limit_i
-  end
+  if limit_i > t.clock_i then t.clock_i <- limit_i
 
 let run t = while step t do () done

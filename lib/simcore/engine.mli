@@ -24,7 +24,9 @@
     Time is an immediate [int] of nanoseconds on the per-event path
     (the engine's clock, {!post_at_i}, {!now_i}) and a boxed
     {!Time_ns.t} only at API edges ({!now}, {!schedule_at},
-    {!run_until}).
+    {!run_until}).  A boxed time converts through {!Time_ns.to_int}, so
+    one past the int range means [max_int] ns, the end of time, and
+    {!schedule_after} saturates there too.
 
     The queue is a specialized 4-ary heap over unboxed integer keys
     ({!Eventq}); cancellation is lazy with threshold-triggered
@@ -84,13 +86,6 @@ val now : t -> Time_ns.t
     asks the box of allocates nothing.  The per-event path reads
     {!now_i} instead; [now] is for API edges and cold code. *)
 
-val now_shared : t -> Time_ns.t
-(** [now t] without caching: the box {!now} or {!run_until} left for the
-    current instant if there is one, else a fresh box that the engine
-    does not keep.  For per-event code that must pass the time boxed to
-    an API edge (the soft-timer check's [Timer_store.S.fire_due]); it
-    allocates at most that one box and never writes the engine. *)
-
 val now_i : t -> int
 (** Current virtual time in integer nanoseconds: what every per-event
     consumer of time reads.  Never allocates. *)
@@ -110,7 +105,8 @@ val schedule_at : t -> Time_ns.t -> (unit -> unit) -> handle
     control returns to the event loop). *)
 
 val schedule_after : t -> Time_ns.span -> (unit -> unit) -> handle
-(** [schedule_after t d f] is [schedule_at t (now t + max d 0)]. *)
+(** [schedule_after t d f] is [schedule_at t (now t + max d 0)], the
+    sum saturating at [max_int] ns. *)
 
 val schedule_after_i : t -> int -> (unit -> unit) -> handle
 (** [schedule_after] with the delay in integer nanoseconds: the entry
@@ -127,7 +123,8 @@ val is_scheduled : t -> handle -> bool
 val run_until : t -> Time_ns.t -> unit
 (** Execute events in order until the queue is exhausted or the next
     event lies strictly beyond the limit, then set the clock to the
-    limit. *)
+    limit.  A limit past the int range runs every event, including
+    those at [max_int], and leaves the clock at [max_int] ns. *)
 
 val run : t -> unit
 (** Execute events until none remain.  Diverges if handlers schedule

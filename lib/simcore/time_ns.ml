@@ -20,6 +20,13 @@ let of_us us = round_float (us *. 1e3)
 let of_ms ms = round_float (ms *. 1e6)
 let of_sec s = round_float (s *. 1e9)
 let to_ns d = d
+
+(* The literals are [max_int] and [min_int]. *)
+let to_int t =
+  let open Stdlib in
+  if Int64.compare t 0x3FFF_FFFF_FFFF_FFFFL >= 0 then max_int
+  else if Int64.compare t (-0x4000_0000_0000_0000L) <= 0 then min_int
+  else Int64.to_int t
 let to_us d = Int64.to_float d /. 1e3
 let to_ms d = Int64.to_float d /. 1e6
 let to_sec d = Int64.to_float d /. 1e9

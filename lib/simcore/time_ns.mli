@@ -6,18 +6,16 @@
     handful of ns per tick) and its interrupt clock (1 kHz, i.e. 1 ms).
 
     Time has two representations, split by where it is used:
-    - {b int ns on the per-event path.}  The engine's clock
-      ([Engine.now_i]), event times ([Engine.post_at_i]) and every
-      per-event consumer of time — CPU completions and idle hooks,
-      kernel and script callbacks, trigger observers and the soft-timer
-      check, interrupt handlers, link and NIC deliveries, soft-event
-      handlers, the typed [Trace] emitters — take a plain [int], which
-      never allocates.  An OCaml [int] holds ~146 years of nanoseconds.
-    - {b [t], boxed [int64], at API edges} ([Engine.now], [run_until],
-      [schedule_at], [Timer_store.S], configuration spans, results).
-      [Engine.now] boxes its clock lazily, once per instant it is asked
-      at, so a per-event path that never asks allocates nothing for
-      time. *)
+    - {b int ns inside the simulator.}  The engine's clock
+      ([Engine.now_i]), event times ([Engine.post_at_i]), every
+      per-event consumer of time and the whole timer-store contract
+      ([Timer_store.S] deadlines and [now], [Softtimer],
+      [Rate_clock.Pool]) take a plain [int], which never allocates.  An
+      OCaml [int] holds ~146 years of nanoseconds.
+    - {b [t], boxed [int64], only at the edges}: [Engine.now],
+      [run_until] and [schedule_at], configuration spans and results.
+      A [t] enters the int world through {!to_int} alone, which
+      saturates instead of wrapping. *)
 
 type t = int64
 (** A point in simulated time, in nanoseconds since simulation start. *)
@@ -65,6 +63,13 @@ val of_sec : float -> span
 
 val to_ns : span -> int64
 (** Identity; exported for symmetry. *)
+
+val to_int : t -> int
+(** [to_int t] is [t] in integer nanoseconds, clamped into the int
+    range: [max_int] (2^62 - 1, about 146 years) for every [t] at or
+    past it, [min_int] for every [t] at or below [min_int].  Never
+    wraps, so a far-future [t] stays far in the future.  The one
+    conversion from a boxed time into the int ns the simulator keeps. *)
 
 val to_us : span -> float
 (** [to_us d] is [d] expressed in microseconds. *)

@@ -5,14 +5,13 @@ let compact_floor = 64
 
 type 'a slot = {
   mutable sseq : int;  (* current generation; -1 when free *)
-  mutable sat : Time_ns.t;
+  mutable sat : int;
   mutable sval : 'a option;
 }
 
 type 'a handle = {
   hidx : int;
   mutable hseq : int;  (* generation this handle tracks; -1 when dead *)
-  mutable hat : Time_ns.t;
 }
 
 type 'a t = {
@@ -24,7 +23,7 @@ type 'a t = {
   mutable dead : int;  (* stale queue entries awaiting compaction *)
   mutable next_seq : int;
   mutable batch : int array;  (* fire_due's due snapshot, (time, seq, idx) triples *)
-  mutable last_now : int;  (* previous [fire_due]'s [now], saturated *)
+  mutable last_now : int;  (* previous [fire_due]'s [now] *)
 }
 
 let create ~tick () =
@@ -58,7 +57,7 @@ let alloc_slot t =
       (* Fresh record per cell: [Array.make] would alias one. *)
       t.slots <-
         Array.init ncap (fun i ->
-            if i < cap then t.slots.(i) else { sseq = -1; sat = Time_ns.zero; sval = None })
+            if i < cap then t.slots.(i) else { sseq = -1; sat = 0; sval = None })
     end;
     let idx = t.nslots in
     t.nslots <- idx + 1;
@@ -92,11 +91,11 @@ let schedule t ~at v =
   s.sseq <- seq;
   s.sat <- at;
   s.sval <- Some v;
-  Eventq.push t.q ~time:(Fire_outcome.saturate at) ~seq ~payload:idx;
+  Eventq.push t.q ~time:at ~seq ~payload:idx;
   t.live <- t.live + 1;
-  { hidx = idx; hseq = seq; hat = at }
+  { hidx = idx; hseq = seq }
 
-let schedule_i t ~at_i v = schedule t ~at:(Int64.of_int at_i) v
+let schedule_i t ~at_i v = schedule t ~at:at_i v
 
 let cancel t h =
   if valid t h then begin
@@ -117,8 +116,7 @@ let rearm t h ~at =
     s.sseq <- seq;
     s.sat <- at;
     h.hseq <- seq;
-    h.hat <- at;
-    Eventq.push t.q ~time:(Fire_outcome.saturate at) ~seq ~payload:h.hidx;
+    Eventq.push t.q ~time:at ~seq ~payload:h.hidx;
     note_dead t;
     true
   end
@@ -128,8 +126,8 @@ let resident t = Eventq.length t.q
 
 (* Record (9) + Eventq (record 5 + three int arrays of its capacity)
    + slot array (cap + 1) + a 4-word record per allocated slot (all
-   created eagerly on growth) + per live slot a boxed deadline (3) and
-   a [Some] box (2) + a free-list cons (3) per recycled slot.  The
+   created eagerly on growth) + per live slot a [Some] box (2) + a
+   free-list cons (3) per recycled slot.  The
    [batch] field and its buffer are left out: they are fire_due scratch,
    sized by the largest due batch seen rather than by the population
    held. *)
@@ -140,11 +138,11 @@ let words t =
   + (3 * (qcap + 1))
   + (scap + 1)
   + (4 * scap)
-  + (5 * t.live)
+  + (2 * t.live)
   + (3 * (t.nslots - t.live))
 
 let handle_pending t h = valid t h
-let handle_deadline _t h = h.hat
+let handle_deadline t h = if valid t h then t.slots.(h.hidx).sat else 0
 
 (* Pop stale entries (cancelled or re-armed away) off the top. *)
 let rec shed_stale t =
@@ -157,16 +155,10 @@ let rec shed_stale t =
     end
   end
 
-(* The head's slot holds its exact deadline: [shed_stale] left a head
-   whose generation matches. *)
+(* [shed_stale] leaves a live head, whose key is its deadline. *)
 let next_deadline t =
   shed_stale t;
-  if Eventq.is_empty t.q then None else Some t.slots.(Eventq.min_payload t.q).sat
-
-(* Key of the earliest queued entry as an immediate int ([max_int] when
-   empty), so the due test is an int comparison (DET003 targets boxed
-   Time_ns). *)
-let head t = if Eventq.is_empty t.q then max_int else Eventq.min_time t.q
+  if Eventq.is_empty t.q then max_int else Eventq.min_time t.q
 
 (* Append one (time, seq, idx) triple at position [n] of the due
    snapshot, doubling the buffer when it is full.  The buffer lives as
@@ -192,34 +184,39 @@ let withhold t k =
   if t.slots.(idx).sseq = seq then Eventq.push t.q ~time ~seq ~payload:idx
   else if t.dead > 0 then t.dead <- t.dead - 1
 
+(* Pop the whole due prefix into the snapshot buffer from position [n]
+   on; returns its length.  [shed_stale] runs before every pop, so every
+   collected triple was pending at collect time — the batch length is
+   exactly the scanned count the other stores report. *)
+let rec collect_due t now_i n =
+  shed_stale t;
+  if Eventq.is_empty t.q then n
+  else
+    let key = Eventq.min_time t.q in
+    if key > now_i then n
+    else begin
+      push_due t n ~time:key ~seq:(Eventq.min_seq t.q) ~idx:(Eventq.min_payload t.q);
+      Eventq.drop_min t.q;
+      collect_due t now_i (n + 1)
+    end
+
 let[@hot] fire_due t ?prefetch:_ ~now ~limit f =
   let now_i = Fire_outcome.checked_now ~previous:t.last_now now in
   t.last_now <- now_i;
-  (* Pop the whole due prefix into the snapshot buffer before running
-     any callback: it is already in (deadline, tie) order, and entries
-     pushed by callbacks land in the queue for the next call.
-     [shed_stale] runs before every pop, so every collected triple was
-     pending at collect time — the batch length is exactly the scanned
-     count the other stores report. *)
-  let scanned = ref 0 in
-  shed_stale t;
-  while head t <= now_i do
-    push_due t !scanned ~time:(Eventq.min_time t.q) ~seq:(Eventq.min_seq t.q)
-      ~idx:(Eventq.min_payload t.q);
-    Eventq.drop_min t.q;
-    incr scanned;
-    shed_stale t
-  done;
+  (* The due prefix leaves the queue before any callback runs: it is
+     already in (deadline, tie) order, and entries pushed by callbacks
+     land in the queue for the next call. *)
+  let scanned = collect_due t now_i 0 in
   let fired = ref 0 in
-  for k = 0 to !scanned - 1 do
+  for k = 0 to scanned - 1 do
     let seq = t.batch.((3 * k) + 1) and idx = t.batch.((3 * k) + 2) in
     let s = t.slots.(idx) in
     (* Generation still matching = not cancelled or re-armed by an
        earlier callback in this batch. *)
     if s.sseq = seq && !fired < limit then begin
       let v = match s.sval with Some v -> v | None -> assert false in
-      (* The slot's boxed deadline is this entry's: a re-arm would
-         have changed the generation. *)
+      (* The slot's deadline is this entry's: a re-arm would have
+         changed the generation. *)
       let at = s.sat in
       free_slot t idx;
       t.live <- t.live - 1;
@@ -229,11 +226,11 @@ let[@hot] fire_due t ?prefetch:_ ~now ~limit f =
         (* A raising callback withholds the rest of the batch, as an
            exhausted budget would, before the exception leaves. *)
         let bt = Printexc.get_raw_backtrace () in
-        for j = k + 1 to !scanned - 1 do
+        for j = k + 1 to scanned - 1 do
           withhold t j
         done;
         Printexc.raise_with_backtrace exn bt
     end
     else withhold t k
   done;
-  Fire_outcome.pack ~scanned:!scanned ~fired:!fired
+  Fire_outcome.pack ~scanned ~fired:!fired

@@ -6,7 +6,7 @@ type nstate =
   | Done  (* fired or cancelled *)
 
 type 'a node = {
-  mutable nat : Time_ns.t;
+  mutable nat : int;
   mutable nseq : int;
   nval : 'a;
   mutable nstate : nstate;
@@ -16,18 +16,18 @@ type 'a node = {
 }
 
 and 'a bucket = {
-  bdur : Time_ns.span;
+  bdur : int;
   mutable bhead : 'a node option;
   mutable btail : 'a node option;
 }
 
 type 'a t = {
-  tbl : (Time_ns.span, 'a bucket) Hashtbl.t;  (* lookup only (DET004) *)
+  tbl : (int, 'a bucket) Hashtbl.t;  (* duration -> bucket, lookup only (DET004) *)
   mutable buckets_rev : 'a bucket list;  (* creation order, reversed *)
-  mutable last_now : Time_ns.t;
+  mutable last_now : int;
   mutable count : int;
   mutable next_seq : int;
-  mutable cached_min : Time_ns.t;
+  mutable cached_min : int;
   mutable min_valid : bool;
 }
 
@@ -38,10 +38,10 @@ let create ~tick () =
   {
     tbl = Hashtbl.create 16;
     buckets_rev = [];
-    last_now = Time_ns.zero;
+    last_now = 0;
     count = 0;
     next_seq = 0;
-    cached_min = Time_ns.zero;
+    cached_min = 0;
     min_valid = true;  (* vacuously: empty *)
   }
 
@@ -93,17 +93,17 @@ let unlink b n =
 
 let note_scheduled t at =
   if t.min_valid then
-    if t.count = 0 then t.cached_min <- at else t.cached_min <- Time_ns.min t.cached_min at
+    if t.count = 0 then t.cached_min <- at else t.cached_min <- Int.min t.cached_min at
 
 let insert t n at =
-  let dur = Time_ns.max (Time_ns.( - ) at t.last_now) 0L in
+  let dur = Int.max (at - t.last_now) 0 in
   let b = bucket_for t dur in
   n.nat <- at;
   n.nbucket <- b;
   link_tail b n
 
 let schedule t ~at v =
-  let dur = Time_ns.max (Time_ns.( - ) at t.last_now) 0L in
+  let dur = Int.max (at - t.last_now) 0 in
   let b = bucket_for t dur in
   let n =
     {
@@ -121,7 +121,7 @@ let schedule t ~at v =
   t.count <- t.count + 1;
   n
 
-let schedule_i t ~at_i v = schedule t ~at:(Int64.of_int at_i) v
+let schedule_i t ~at_i v = schedule t ~at:at_i v
 
 let cancel t n =
   match n.nstate with
@@ -130,7 +130,7 @@ let cancel t n =
     unlink n.nbucket n;
     n.nstate <- Done;
     t.count <- t.count - 1;
-    if t.min_valid && t.count > 0 && Time_ns.(n.nat <= t.cached_min) then t.min_valid <- false
+    if t.min_valid && t.count > 0 && n.nat <= t.cached_min then t.min_valid <- false
   | Extracted ->
     (* Already pulled into the current fire batch; the dispatch loop
        will skip it. *)
@@ -143,7 +143,7 @@ let rearm t n ~at =
   | Linked ->
     unlink n.nbucket n;
     (* The departing deadline may have been the cached minimum. *)
-    if t.min_valid && Time_ns.(n.nat <= t.cached_min) then t.min_valid <- false;
+    if t.min_valid && n.nat <= t.cached_min then t.min_valid <- false;
     n.nseq <- fresh_seq t;
     insert t n at;
     note_scheduled t at;
@@ -161,27 +161,21 @@ let rearm t n ~at =
 let pending t = t.count
 let resident t = t.count  (* cancellation unlinks physically: no corpses *)
 
-(* Record (8) + hashtable (record 5 + 17-slot bucket array) + two boxed
-   int64 fields (6) + per duration bucket: hashtable binding (4) +
-   bucket record (4) + boxed duration key (3) + [buckets_rev] cons (3)
-   + per linked node: record (8) + boxed deadline (3) + on average two
+(* Record (8) + hashtable (record 5 + 17-slot bucket array) + per
+   duration bucket: hashtable binding (4) + bucket record (4) +
+   [buckets_rev] cons (3) + per linked node: record (8) + on average two
    [Some] link boxes pointing at it (4). *)
-let words t =
-  8 + 22 + 6 + (14 * List.length t.buckets_rev) + (15 * t.count)
+let words t = 8 + 22 + (11 * List.length t.buckets_rev) + (12 * t.count)
 
 let handle_pending _t n = n.nstate <> Done
 let handle_deadline _t n = n.nat
 
 let scan_min t =
-  let best = ref None in
-  let consider at =
-    match !best with
-    | None -> best := Some at
-    | Some m -> if Time_ns.(at < m) then best := Some at
-  in
+  let best = ref max_int in
+  let consider at = best := Int.min !best at in
   List.iter
     (fun b ->
-      if Time_ns.(b.bdur = 0L) then begin
+      if b.bdur = 0 then begin
         (* The zero bucket may hold clamped past deadlines out of order;
            walk it in full.  It is drained at every fire_due, so it is
            short-lived. *)
@@ -198,15 +192,13 @@ let scan_min t =
   !best
 
 let next_deadline t =
-  if t.count = 0 then None
-  else if t.min_valid then Some t.cached_min
+  if t.count = 0 then max_int
   else begin
-    match scan_min t with
-    | Some m ->
-      t.cached_min <- m;
-      t.min_valid <- true;
-      Some m
-    | None -> None  (* unreachable: count > 0 implies a linked node *)
+    if not t.min_valid then begin
+      t.cached_min <- scan_min t;
+      t.min_valid <- true
+    end;
+    t.cached_min
   end
 
 (* Relink the due nodes a batch did not dispatch (budget exhausted, or
@@ -231,8 +223,8 @@ let rec relink_withheld t latest_first =
    over the fired timers; a check that fires nothing allocates nothing
    (the buckets are walked in place). *)
 let[@hot] fire_due t ?prefetch:_ ~now ~limit f =
-  ignore (Fire_outcome.checked_now ~previous:(Fire_outcome.saturate t.last_now) now : int);
-  t.last_now <- Time_ns.max t.last_now now;
+  let now_i = Fire_outcome.checked_now ~previous:t.last_now now in
+  t.last_now <- now_i;
   (* Collect the due snapshot: pop each positive-duration bucket from the
      head while due (FIFO order = deadline order within a bucket), walk
      the zero bucket in full. *)
@@ -243,12 +235,12 @@ let[@hot] fire_due t ?prefetch:_ ~now ~limit f =
   in
   List.iter
     (fun b ->
-      if Time_ns.(b.bdur = 0L) then begin
+      if b.bdur = 0 then begin
         let rec walk = function
           | None -> ()
           | Some n ->
             let next = n.nnext in
-            if Time_ns.(n.nat <= now) then begin
+            if n.nat <= now_i then begin
               unlink b n;
               extract n
             end;
@@ -259,7 +251,7 @@ let[@hot] fire_due t ?prefetch:_ ~now ~limit f =
       else begin
         let rec pop () =
           match b.bhead with
-          | Some n when Time_ns.(n.nat <= now) ->
+          | Some n when n.nat <= now_i ->
             unlink b n;
             extract n;
             pop ()
@@ -271,7 +263,7 @@ let[@hot] fire_due t ?prefetch:_ ~now ~limit f =
   let due =
     List.sort
       (fun a b ->
-        let c = Time_ns.compare a.nat b.nat in
+        let c = Int.compare a.nat b.nat in
         if c <> 0 then c else Int.compare a.nseq b.nseq)
       !batch
   in

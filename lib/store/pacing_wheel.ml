@@ -27,9 +27,8 @@
    prev / next / generation / location per slot — a whole entry in one
    cache line, which is what keeps dispatch flat when a million-slot
    arena no longer fits in cache — plus one value array.  Handles are
-   the slab's immediate ints, so steady-state schedule / fire / re-arm
-   allocates nothing but the one boxed [Time_ns.t] handed to the fire
-   callback.
+   the slab's immediate ints and deadlines are int ns, so steady-state
+   schedule / fire / re-arm allocates nothing.
 
    Semantics: exactly [Timer_store.Quantize] applied to the reference
    store — the §7.1 contract with every deadline rounded up to the tick
@@ -80,7 +79,7 @@ type 'a t = {
   spares : int array array;  (* parked level-1 vector buffers, see [link1_tail] *)
   mutable spare_n : int;
   mutable dispatching : int;  (* bucket being dispatched (-1 none): see [unlink] *)
-  mutable last_now : int;  (* previous [fire_due]'s [now], saturated *)
+  mutable last_now : int;  (* previous [fire_due]'s [now] *)
 }
 
 type 'a handle = int
@@ -112,12 +111,8 @@ let rec pow2_at_least k n = if k >= n then k else pow2_at_least (k * 2) n
 
 let create_sized ~buckets ~tick () =
   let n = pow2_at_least 4 (if buckets < 4 then 4 else buckets) in
-  let g =
-    let g = Int64.to_int tick in
-    if g <= 0 then 1 else g
-  in
   {
-    gns = g;
+    gns = Int.max tick 1;
     n1 = n;
     n2 = n;
     v1 = Array.make n [||];
@@ -347,23 +342,18 @@ let route t i =
 
 let[@inline] quantize t ati = Timer_store.round_up ~tick:t.gns ati
 
-(* A deadline as reported: [max_int] holds every deadline whose rounding
-   passed it. *)
-let report d = if d = max_int then Int64.max_int else Int64.of_int d
-
-(* The native entry point: deadline as integer nanoseconds, no box in
-   or out — with the wheel's int handles, a schedule allocates nothing
-   (arena growth amortized aside). *)
-let schedule_i t ~at_i v =
+(* With the wheel's int handles, a schedule allocates nothing (arena
+   growth amortized aside). *)
+let schedule t ~at v =
   let i = Slab.alloc t.slab v in
-  set_at t i (quantize t at_i);
+  set_at t i (quantize t at);
   set_seq t i t.next_seq;
   t.next_seq <- t.next_seq + 1;
   route t i;
   t.count <- t.count + 1;
   Slab.handle t.slab i
 
-let schedule t ~at v = schedule_i t ~at_i:(Fire_outcome.saturate at) v
+let schedule_i t ~at_i v = schedule t ~at:at_i v
 
 let cancel t h =
   if Slab.valid t.slab h then begin
@@ -378,7 +368,7 @@ let rearm t h ~at =
   else begin
     let i = Slab.row_of h in
     unlink t i;
-    set_at t i (quantize t (Fire_outcome.saturate at));
+    set_at t i (quantize t at);
     set_seq t i t.next_seq;
     t.next_seq <- t.next_seq + 1;
     route t i;
@@ -406,11 +396,10 @@ let words t =
   + vecs + spare
 
 let handle_pending t h = Slab.valid t.slab h
-let handle_deadline t h =
-  if Slab.valid t.slab h then report (s_at t (Slab.row_of h)) else Time_ns.zero
+let handle_deadline t h = if Slab.valid t.slab h then s_at t (Slab.row_of h) else 0
 
 let next_deadline t =
-  if t.count = 0 then None
+  if t.count = 0 then max_int
   else begin
     (* past: unsorted, walk in full (short-lived: drained every fire) *)
     let best = ref (chain_min t t.past_h max_int) in
@@ -431,7 +420,7 @@ let next_deadline t =
       ensure_far_min t;
       if t.far_min < !best then best := t.far_min
     end;
-    Some (report !best)
+    !best
   end
 
 (* ---- cascades ------------------------------------------------------ *)
@@ -600,22 +589,20 @@ let dispatch_past t ~seq_limit ~limit ~fired f =
       Slab.free t.slab h;
       t.count <- t.count - 1;
       incr fired;
-      f (Int64.of_int at) v
+      f at v
     end;
     incr k
   done
-(* ALLOC001/3: the (at, tie) comparator closure and the re-boxed
-   deadline — per-batch work on the slow past-list path only (deadlines
-   quantized below an already-retired tick, or a budget stop), never the
-   steady in-horizon pacing path. *)
-[@@lint.allow "ALLOC001"] [@@lint.allow "ALLOC003"]
+(* ALLOC001: the (at, tie) comparator closure — per-batch work on the
+   slow past-list path only (deadlines quantized below an already-retired
+   tick, or a budget stop), never the steady in-horizon pacing path. *)
+[@@lint.allow "ALLOC001"]
 
-(* ALLOC003: each dispatched deadline is re-boxed once at the callback
-   boundary (Int64.of_int).  The slow past-list path's snapshot and
-   comparator live in the function above; the retirement scratch array
-   doubles amortized (it grows to the largest mid-call-append batch ever
-   seen, then is reused forever) — the steady in-horizon pacing path
-   touches only int arrays. *)
+(* The slow past-list path's snapshot and comparator live in the
+   function above; the retirement scratch array doubles amortized (it
+   grows to the largest mid-call-append batch ever seen, then is reused
+   forever) — the steady in-horizon pacing path touches only int
+   arrays. *)
 let[@hot] fire_due t ?prefetch ~now ~limit f =
   let pf = match prefetch with Some g -> g | None -> ignore in
   let seq_limit = t.next_seq in
@@ -693,12 +680,9 @@ let[@hot] fire_due t ?prefetch ~now ~limit f =
                an entry a callback later in the chunk cancels — the
                hint contract allows it. *)
             let fired_here = ref 0 in
-            (* One boxed deadline per bucket, not per fire: every entry
-               in a single-tick bucket fires at the same quantized time.
-               [opaque_identity] pins the box — without it the compiler
-               unboxes the let and re-boxes at every [f at64 v] call,
-               which is 3 minor words per fire back. *)
-            let at64 = Sys.opaque_identity (Int64.of_int (tick * t.gns)) in
+            (* Every entry in a single-tick bucket fires at the same
+               quantized time. *)
+            let at = tick * t.gns in
             t.dispatching <- idx;
             let stop = ref t.f1.(idx) in
             let q = ref 0 in
@@ -748,7 +732,7 @@ let[@hot] fire_due t ?prefetch ~now ~limit f =
                     t.count <- t.count - 1;
                     incr fired;
                     incr fired_here;
-                    f at64 v
+                    f at v
                   end;
                   incr q
                 end
@@ -784,4 +768,3 @@ let[@hot] fire_due t ?prefetch ~now ~limit f =
     done;
     Fire_outcome.pack ~scanned ~fired:!fired
   end
-[@@lint.allow "ALLOC003"]

@@ -16,7 +16,7 @@
 
 include Timer_store.S
 
-val create_sized : buckets:int -> tick:Time_ns.span -> unit -> 'a t
+val create_sized : buckets:int -> tick:int -> unit -> 'a t
 (** [create] with [buckets] buckets per level (rounded up to a power of
     two, minimum 4).  Small instances force epoch turnover, cascades and
     far-list traffic at test scale. *)

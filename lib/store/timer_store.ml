@@ -7,24 +7,24 @@ module type S = sig
 
   val name : string
 
-  val create : tick:Time_ns.span -> unit -> 'a t
-  val schedule : 'a t -> at:Time_ns.t -> 'a -> 'a handle
+  val create : tick:int -> unit -> 'a t
+  val schedule : 'a t -> at:int -> 'a -> 'a handle
   val schedule_i : 'a t -> at_i:int -> 'a -> 'a handle
   val cancel : 'a t -> 'a handle -> unit
-  val rearm : 'a t -> 'a handle -> at:Time_ns.t -> bool
+  val rearm : 'a t -> 'a handle -> at:int -> bool
   val pending : 'a t -> int
   val resident : 'a t -> int
-  val next_deadline : 'a t -> Time_ns.t option
+  val next_deadline : 'a t -> int
   val words : 'a t -> int
   val handle_pending : 'a t -> 'a handle -> bool
-  val handle_deadline : 'a t -> 'a handle -> Time_ns.t
+  val handle_deadline : 'a t -> 'a handle -> int
 
   val fire_due :
     'a t ->
     ?prefetch:('a -> unit) ->
-    now:Time_ns.t ->
+    now:int ->
     limit:int ->
-    (Time_ns.t -> 'a -> unit) ->
+    (int -> 'a -> unit) ->
     Fire_outcome.t
 end
 
@@ -37,7 +37,7 @@ module Reference : S = struct
   type rstate = Pending | Cancelled | Fired
 
   type 'a handle = {
-    mutable rat : Time_ns.t;
+    mutable rat : int;
     mutable rseq : int;
     mutable rstate : rstate;
     rval : 'a;
@@ -46,7 +46,7 @@ module Reference : S = struct
   type 'a t = {
     mutable entries : 'a handle list;  (* pending entries, unordered *)
     mutable next_seq : int;
-    mutable last_now : int;  (* previous [fire_due]'s [now], saturated *)
+    mutable last_now : int;  (* previous [fire_due]'s [now] *)
   }
 
   let create ~tick () =
@@ -63,7 +63,7 @@ module Reference : S = struct
     t.entries <- h :: t.entries;
     h
 
-  let schedule_i t ~at_i v = schedule t ~at:(Int64.of_int at_i) v
+  let schedule_i t ~at_i v = schedule t ~at:at_i v
 
   let cancel t h =
     if h.rstate = Pending then begin
@@ -84,30 +84,25 @@ module Reference : S = struct
   let pending t = List.length t.entries
   let resident t = List.length t.entries
 
-  let next_deadline t =
-    List.fold_left
-      (fun acc h ->
-        match acc with
-        | None -> Some h.rat
-        | Some m -> if Time_ns.(h.rat < m) then Some h.rat else acc)
-      None t.entries
+  let next_deadline t = List.fold_left (fun acc h -> Int.min acc h.rat) max_int t.entries
 
   let handle_pending _t h = h.rstate = Pending
   let handle_deadline _t h = h.rat
 
-  (* Record (4) + per entry: cons (3) + handle (5) + int64 box (3). *)
-  let words t = 4 + (11 * List.length t.entries)
+  (* Record (4) + per entry: cons (3) + handle (5). *)
+  let words t = 4 + (8 * List.length t.entries)
 
   let fire_due t ?prefetch:_ ~now ~limit f =
-    t.last_now <- Fire_outcome.checked_now ~previous:t.last_now now;
+    let now_i = Fire_outcome.checked_now ~previous:t.last_now now in
+    t.last_now <- now_i;
     (* Snapshot: only entries that existed (and were due) at call time
        are candidates; [seq_limit] excludes anything scheduled or
        re-armed by a callback during this call. *)
     let seq_limit = t.next_seq in
     let due =
-      List.filter (fun h -> h.rseq < seq_limit && Time_ns.(h.rat <= now)) t.entries
+      List.filter (fun h -> h.rseq < seq_limit && h.rat <= now_i) t.entries
       |> List.sort (fun a b ->
-             let c = Time_ns.compare a.rat b.rat in
+             let c = Int.compare a.rat b.rat in
              if c <> 0 then c else compare a.rseq b.rseq)
     in
     let scanned = List.length due in
@@ -122,7 +117,7 @@ module Reference : S = struct
           !fired < limit
           && h.rstate = Pending
           && h.rseq < seq_limit
-          && Time_ns.(h.rat <= now)
+          && h.rat <= now_i
         then begin
           h.rstate <- Fired;
           t.entries <- List.filter (fun e -> e != h) t.entries;
@@ -168,19 +163,11 @@ module Quantize (M : S) : S = struct
 
   type 'a handle = 'a M.handle
 
-  let create ~tick () =
-    let q = Int64.to_int tick in
-    { q = (if q <= 0 then 1 else q); inner = M.create ~tick () }
-
-  let quant_i t at_i =
-    let r = round_up ~tick:t.q at_i in
-    if r = max_int then Int64.max_int else Int64.of_int r
-
-  let quant t at = quant_i t (Fire_outcome.saturate at)
-  let schedule t ~at v = M.schedule t.inner ~at:(quant t at) v
-  let schedule_i t ~at_i v = M.schedule t.inner ~at:(quant_i t at_i) v
+  let create ~tick () = { q = Int.max tick 1; inner = M.create ~tick () }
+  let schedule t ~at v = M.schedule t.inner ~at:(round_up ~tick:t.q at) v
+  let schedule_i t ~at_i v = schedule t ~at:at_i v
   let cancel t h = M.cancel t.inner h
-  let rearm t h ~at = M.rearm t.inner h ~at:(quant t at)
+  let rearm t h ~at = M.rearm t.inner h ~at:(round_up ~tick:t.q at)
   let pending t = M.pending t.inner
   let resident t = M.resident t.inner
   let next_deadline t = M.next_deadline t.inner

@@ -51,22 +51,23 @@
       across [fire_due] calls: every store's [fire_due] raises
       {!Time_went_backwards}, before it touches any entry, when [now]
       is earlier than the previous call's.
-    - Any [Time_ns.t] may be a deadline.  Stores compare deadlines as
-      ints saturated into the int range ({!Fire_outcome.saturate}),
-      never wrapped: every deadline at or past [max_int] ns (2^62 - 1,
-      about 146 years) lies beyond every earlier [now], and such
-      deadlines may tie with one another, in tie-position order.  For
-      every [now] below [max_int] less one tick, no entry fires before
-      its deadline.  An exact store reports each deadline as scheduled
+    - Time is integer nanoseconds: deadlines are ints from 0 to [max_int]
+      (2^62 - 1 ns, about 146 years) and [now] is an int.
+      An exact store reports each deadline as scheduled
       ([handle_deadline], [next_deadline], the callback's argument);
-      an approximate store reports it rounded up ({!round_up}), and
-      [Int64.max_int] when rounding up would pass [max_int]. *)
+      an approximate store reports it rounded up to its tick
+      ({!round_up}), saturating at [max_int], so no entry fires before
+      its deadline.  [next_deadline] is [max_int] when nothing is
+      pending, the same value an entry at [max_int] reports: both mean
+      nothing is due before the end of time.  A boxed [Time_ns.t]
+      enters a store through [Time_ns.to_int], which saturates rather
+      than wraps. *)
 
 exception Time_went_backwards of { previous : int; now : int }
 (** Raised by [fire_due] on a [now] earlier than the previous call's
-    [now] on the same store.  Both are integer nanoseconds, saturated
-    into the int range.  Declared outside {!S} so that every store
-    signature keeps its shape; it is {!Fire_outcome.Time_went_backwards}. *)
+    [now] on the same store, both in integer nanoseconds.  Declared
+    outside {!S} so that every store signature keeps its shape; it is
+    {!Fire_outcome.Time_went_backwards}. *)
 
 module type S = sig
   type 'a t
@@ -76,24 +77,20 @@ module type S = sig
 
   val name : string
 
-  val create : tick:Time_ns.span -> unit -> 'a t
-  (** [tick] is the finest scheduling granularity (used by wheel-shaped
-      stores; others ignore it). *)
+  val create : tick:int -> unit -> 'a t
+  (** [tick] (ns) is the finest scheduling granularity (used by
+      wheel-shaped stores; others ignore it). *)
 
-  val schedule : 'a t -> at:Time_ns.t -> 'a -> 'a handle
+  val schedule : 'a t -> at:int -> 'a -> 'a handle
 
   val schedule_i : 'a t -> at_i:int -> 'a -> 'a handle
-  (** [schedule] with the deadline already in integer nanoseconds —
-      semantically identical ([schedule_i t ~at_i] = [schedule t
-      ~at:(Int64.of_int at_i)]), but the caller skips boxing the
-      deadline.  For pools that keep time as native ints
-      ({!Rate_clock.Pool}), this is what makes the steady reschedule
-      path allocation-free end to end. *)
+  (** [schedule] under its old name: [schedule_i t ~at_i] is
+      [schedule t ~at:at_i]. *)
 
   val cancel : 'a t -> 'a handle -> unit
   (** No-op on an already-cancelled or fired entry. *)
 
-  val rearm : 'a t -> 'a handle -> at:Time_ns.t -> bool
+  val rearm : 'a t -> 'a handle -> at:int -> bool
   (** Move a pending entry to a new deadline, equivalent to
       cancel + schedule (fresh tie position) but keeping the handle
       valid.  [false] when the entry is no longer pending. *)
@@ -103,12 +100,13 @@ module type S = sig
   val resident : 'a t -> int
   (** Entries physically held, including lazily-cancelled corpses. *)
 
-  val next_deadline : 'a t -> Time_ns.t option
-  (** Exact earliest pending deadline. *)
+  val next_deadline : 'a t -> int
+  (** Earliest pending deadline (as reported, see the semantics), or
+      [max_int] when nothing is pending. *)
 
   val words : 'a t -> int
   (** Analytic estimate of the store's own heap footprint in 64-bit
-      words — records, handles, backing arrays, boxed deadlines — but
+      words — records, handles, backing arrays — but
       {e not} the payload values it borrows.  O(resident) worst case,
       O(1) for the array-backed stores.  Cross-checked against
       [Obj.reachable_words] (with immediate payloads) in
@@ -116,14 +114,14 @@ module type S = sig
       and words/flow from it. *)
 
   val handle_pending : 'a t -> 'a handle -> bool
-  val handle_deadline : 'a t -> 'a handle -> Time_ns.t
+  val handle_deadline : 'a t -> 'a handle -> int
 
   val fire_due :
     'a t ->
     ?prefetch:('a -> unit) ->
-    now:Time_ns.t ->
+    now:int ->
     limit:int ->
-    (Time_ns.t -> 'a -> unit) ->
+    (int -> 'a -> unit) ->
     Fire_outcome.t
   (** [?prefetch] is a memory-warming hint, not a semantic hook: a store
       {e may} call it with the payload of an entry it expects to dispatch

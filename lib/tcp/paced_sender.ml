@@ -12,7 +12,7 @@ let create engine params ~total_segments ~interval ~transmit ?(jitter = fun () -
   let rec send_one ideal () =
     if t.sent < t.total then begin
       let now = Engine.now engine in
-      transmit now (Tcp_types.make_data params ~seq:t.sent ~born:(Int64.to_int now));
+      transmit now (Tcp_types.make_data params ~seq:t.sent ~born:(Time_ns.to_int now));
       t.sent <- t.sent + 1;
       if t.sent = t.total then on_last_sent now
       else begin
@@ -41,7 +41,7 @@ let create_with_rate_clock st params ~total_segments ~target_interval ~min_inter
       ~send:(fun now ->
         if t.sent >= t.total then false
         else begin
-          transmit now (Tcp_types.make_data params ~seq:t.sent ~born:(Int64.to_int now));
+          transmit now (Tcp_types.make_data params ~seq:t.sent ~born:(Time_ns.to_int now));
           t.sent <- t.sent + 1;
           if t.sent = t.total then on_last_sent now;
           true
@@ -59,9 +59,9 @@ let create_with_rate_clock st params ~total_segments ~target_interval ~min_inter
    state in three pooled struct-of-arrays structures — rate state in
    {!Rate_clock.Pool}, transfer progress in {!Session_arena}, wire
    packets in {!Packet.Pool} — so the steady send path of a
-   million-flow sweep over the pacing wheel allocates nothing: even the
-   reschedule deadline crosses the store API as a native int
-   ([schedule_i]). *)
+   million-flow sweep over the pacing wheel allocates nothing: time
+   enters as int ns here, at the fleet's edge, and stays an int down to
+   the store. *)
 
 module Fleet (M : Timer_store.S) = struct
   module P = Rate_clock.Pool (M)
@@ -113,7 +113,7 @@ module Fleet (M : Timer_store.S) = struct
         (* Placeholder pool: replaced below once [t] exists for the
            send closure to capture ([P.create] application keeps the
            record out of [let rec] territory). *)
-        pool = P.create ~tick ~send:(fun _ -> false) ();
+        pool = P.create ~tick:(Time_ns.to_int tick) ~send:(fun _ -> false) ();
         arena = Session_arena.create ();
         packets = Packet.Pool.create ();
         seg_bytes = params.Tcp_types.mss + Packet.frame_overhead;
@@ -122,11 +122,15 @@ module Fleet (M : Timer_store.S) = struct
       }
     in
     t.pool <-
-      P.create ?stat_every ?intervals ?delays ~tick ~send:(fun fid -> fleet_send t fid) ();
+      P.create ?stat_every ?intervals ?delays ~tick:(Time_ns.to_int tick)
+        ~send:(fun fid -> fleet_send t fid) ();
     t
 
   let add t ~total_segments ~target_interval ~min_interval =
-    let fid = P.add t.pool ~target_interval ~min_interval in
+    let fid =
+      P.add t.pool ~target_interval:(Time_ns.to_int target_interval)
+        ~min_interval:(Time_ns.to_int min_interval)
+    in
     let sid = Session_arena.acquire t.arena ~total_segments in
     (* Flow ids and session ids advance in lockstep: the fleet never
        releases arena slots, so both are dense and equal. *)
@@ -134,12 +138,13 @@ module Fleet (M : Timer_store.S) = struct
     P.set_user t.pool fid total_segments;
     fid
 
-  let start t fid ~now = P.start t.pool fid ~now
+  let start t fid ~now = P.start t.pool fid ~now:(Time_ns.to_int now)
   let stop t fid = P.stop t.pool fid
 
   let[@hot] check t ~now ~limit =
-    t.now_i <- Int64.to_int now;
-    P.check t.pool ~now ~limit
+    let now_i = Time_ns.to_int now in
+    t.now_i <- now_i;
+    P.check t.pool ~now:now_i ~limit
 
   let flows t = P.flows t.pool
   let active t = P.active t.pool

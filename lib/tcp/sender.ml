@@ -42,7 +42,7 @@ let retransmit_first_unacked t =
   let now = Engine.now t.engine in
   t.retransmits <- t.retransmits + 1;
   Profile.event e_retransmit;
-  t.transmit now (Tcp_types.make_data t.params ~seq:t.acked ~born:(Int64.to_int now))
+  t.transmit now (Tcp_types.make_data t.params ~seq:t.acked ~born:(Time_ns.to_int now))
 
 let cancel_rto t =
   (match t.rto_handle with Some h -> Engine.cancel t.engine h | None -> ());
@@ -69,7 +69,7 @@ let fill_window t =
   let burst = ref 0 in
   let window = min (Cwnd.window t.cwnd) t.params.Tcp_types.awnd in
   while t.sent < t.total && t.sent - t.acked < window do
-    t.transmit now (Tcp_types.make_data t.params ~seq:t.sent ~born:(Int64.to_int now));
+    t.transmit now (Tcp_types.make_data t.params ~seq:t.sent ~born:(Time_ns.to_int now));
     t.sent <- t.sent + 1;
     incr burst
   done;

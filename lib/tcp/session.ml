@@ -53,7 +53,7 @@ let run_transfer ?(params = Tcp_types.default) ?(access_bps = 100e6) ?(wan_queue
   let transmit _now p = Link.send access p in
   let receiver =
     Receiver.create engine params ~send_ack:(fun now ~ack_upto ->
-        Wan.forward wan_rev (Tcp_types.make_ack ~ack_upto ~born:(Int64.to_int now)))
+        Wan.forward wan_rev (Tcp_types.make_ack ~ack_upto ~born:(Time_ns.to_int now)))
   in
   (* Server side: dispatch on transfer mode once the request arrives. *)
   let started = ref false in

@@ -24,16 +24,11 @@ val fired : t -> int
 
 exception Time_went_backwards of { previous : int; now : int }
 (** [previous] and [now] are the two calls' [now]s in integer
-    nanoseconds, saturated into the int range (so [now]s beyond it
-    compare equal). *)
+    nanoseconds. *)
 
-val saturate : Time_ns.t -> int
-(** A time clamped into the int range ([max_int] / [min_int] beyond
-    it). *)
-
-val checked_now : previous:int -> Time_ns.t -> int
-(** [checked_now ~previous now] is [saturate now], the value a store
-    keeps for its next call's check.  [previous] is the previous call's
-    value; before the first call it is a floor, [min_int] (the lawn store
+val checked_now : previous:int -> int -> int
+(** [checked_now ~previous now] is [now], the value a store keeps for
+    its next call's check.  [previous] is the previous call's value;
+    before the first call it is a floor, [min_int] (the lawn store
     passes its duration origin, time zero, instead).
-    @raise Time_went_backwards if [saturate now < previous]. *)
+    @raise Time_went_backwards if [now < previous]. *)

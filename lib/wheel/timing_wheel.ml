@@ -7,11 +7,7 @@ let name = "wheel"
    is sorted, a sweep takes a minimum), and an occupancy bitmap over the
    slots lets sweeps skip empty ones.  Handles are the slab's.  Cancel
    and re-arm unlink physically, so resident = pending and nothing is
-   ever compacted.
-
-   Rows hold int deadlines.  A deadline at or beyond the int range's
-   ends is held as the saturated bound, and its exact [Time_ns.t] in
-   [big]; every comparison of two such rows reads [big]. *)
+   ever compacted. *)
 
 (* Location codes: a slot index in [0, slots), [Slab.loc_free], or: *)
 let loc_batch = -2 (* gathered by a [fire_due] in progress *)
@@ -20,13 +16,12 @@ let stride = 6
 
 (* [min_row] codes besides a row index. *)
 let min_unknown = -1
-let min_none = -2 (* no bucketed row: the answer is [Int64.max_int] *)
+let min_none = -2 (* no bucketed row *)
 
 type 'a handle = int
 
 type 'a t = {
   slots_n : int;
-  tick_span : Time_ns.span;
   gran : int;  (* tick, ns *)
   heads : int array;  (* per-slot chain head row, -1 when empty *)
   occ : int array;  (* occupancy bitmap over slots, 32 bits per word *)
@@ -36,41 +31,32 @@ type 'a t = {
   mutable min_row : int;
       (* earliest bucketed row, [min_unknown] until the next query scans,
          or [min_none] *)
-  mutable min_cache : Time_ns.t option;
-      (* the last [Some] [next_deadline] returned, reused while the
-         minimum keeps its value *)
-  mutable cache_ok : bool;  (* [min_cache] answers for [min_row] as it is *)
   slab : 'a Slab.t;
-  mutable big : Time_ns.t array;  (* exact deadlines of saturated rows; lazy *)
   mutable scratch : int array;  (* due batches as handles, stacked *)
   mutable scratch_top : int;
-  mutable last_now : int;  (* previous [fire_due]'s [now], saturated *)
+  mutable last_now : int;  (* previous [fire_due]'s [now] *)
 }
 
 let create ?(slots = 256) ~tick () =
-  if Time_ns.(tick <= 0L) then invalid_arg "Timing_wheel.create: tick must be positive";
+  if tick <= 0 then invalid_arg "Timing_wheel.create: tick must be positive";
   if slots <= 0 then invalid_arg "Timing_wheel.create: slots must be positive";
   {
     slots_n = slots;
-    tick_span = tick;
-    gran = Int64.to_int tick;
+    gran = tick;
     heads = Array.make slots (-1);
     occ = Array.make ((slots + 31) / 32) 0;
     count = 0;
     next_seq = 0;
     last_tick = 0;
     min_row = min_unknown;
-    min_cache = None;
-    cache_ok = false;
     slab = Slab.create ~stride;
-    big = [||];
     scratch = Array.make 16 0;
     scratch_top = 0;
     last_now = min_int;
   }
 
 let slots t = t.slots_n
-let tick t = t.tick_span
+let tick t = t.gran
 let pending t = t.count
 let resident t = t.count
 
@@ -86,44 +72,11 @@ let[@inline] s_next t i = t.slab.rows.((i * stride) + 3)
 let[@inline] set_next t i v = t.slab.rows.((i * stride) + 3) <- v
 let[@inline] s_loc t i = t.slab.rows.((i * stride) + Slab.loc)
 let[@inline] set_loc t i v = t.slab.rows.((i * stride) + Slab.loc) <- v
-let[@inline] saturated d = d = max_int || d = min_int
-
-(* [big] catches up with the slab's capacity at the first saturated row
-   after each growth; only saturated rows are ever read from it. *)
-let set_big t i at =
-  let n = Array.length t.big in
-  if n < t.slab.cap then begin
-    let big = Array.make t.slab.cap Time_ns.zero in
-    Array.blit t.big 0 big 0 n;
-    t.big <- big
-  end;
-  t.big.(i) <- at
-
-(* Row [i]'s deadline, boxed.  A row whose deadline equals the cached
-   minimum's shares that box. *)
-let deadline_box t i =
-  let d = s_at t i in
-  if saturated d then t.big.(i)
-  else
-    match t.min_cache with
-    | Some c when Int64.equal c (Int64.of_int d) -> c
-    | Some _ | None -> Int64.of_int d
-[@@lint.allow "ALLOC003"]
 
 (* Strict (deadline) order of rows [a] and [b], and the (deadline, tie)
    dispatch order. *)
-let[@inline] earlier t a b =
-  let da = s_at t a and db = s_at t b in
-  da < db || (da = db && saturated da && Time_ns.(t.big.(a) < t.big.(b)))
-
-let before t a b = earlier t a b || ((not (earlier t b a)) && s_tie t a < s_tie t b)
-
-(* Whether row [i] is due at [now] ([now_i] is [now] saturated). *)
-let[@inline] due t i ~now ~now_i =
-  let d = s_at t i in
-  d < now_i || (d = now_i && ((not (saturated d)) || Time_ns.(t.big.(i) <= now)))
-
-let saturate = Fire_outcome.saturate
+let[@inline] earlier t a b = s_at t a < s_at t b
+let before t a b = earlier t a b || (s_at t a = s_at t b && s_tie t a < s_tie t b)
 
 (* ---- slots and their occupancy bitmap ------------------------------- *)
 
@@ -202,37 +155,18 @@ let scan_min t =
   let r = scan_from t (slot_of t t.last_tick) 0 (-1) in
   if r < 0 then min_none else r
 
-let[@inline] set_min t r =
-  t.min_row <- r;
-  t.cache_ok <- false
-
 let[@inline] known_min t =
-  if t.min_row = min_unknown then set_min t (scan_min t);
+  if t.min_row = min_unknown then t.min_row <- scan_min t;
   t.min_row
 
-(* ALLOC002: a changed minimum allocates the new cached [Some]; every
-   later query until the minimum's value moves answers with that cell. *)
+(* The comparison the soft-timer check performs at every trigger state:
+   one read of the known minimum's row, a scan only after the minimum
+   could have changed. *)
 let[@hot] next_deadline t =
-  if t.count = 0 then None
-  else if t.cache_ok then t.min_cache
-  else begin
+  if t.count = 0 then max_int
+  else
     let r = known_min t in
-    let fresh =
-      match t.min_cache with
-      | None -> true
-      | Some c ->
-        if r = min_none then not (Int64.equal c Int64.max_int)
-        else
-          let d = s_at t r in
-          if saturated d then not (Int64.equal c t.big.(r))
-          else not (Int64.equal c (Int64.of_int d) [@lint.allow "ALLOC003"])
-    in
-    if fresh then
-      t.min_cache <-
-        (Some (if r = min_none then Int64.max_int else deadline_box t r) [@lint.allow "ALLOC002"]);
-    t.cache_ok <- true;
-    t.min_cache
-  end
+    if r = min_none then max_int else s_at t r
 
 (* ---- schedule, cancel, re-arm --------------------------------------- *)
 
@@ -242,13 +176,10 @@ let place t i =
   set_tie t i t.next_seq;
   t.next_seq <- t.next_seq + 1;
   link_due t i;
-  (if t.count = 0 then set_min t i
+  (if t.count = 0 then t.min_row <- i
    else
      let m = t.min_row in
-     if m = min_none then begin
-       if not (saturated (s_at t i) && Int64.equal t.big.(i) Int64.max_int) then set_min t i
-     end
-     else if m >= 0 && earlier t i m then set_min t i);
+     if m = min_none || (m >= 0 && earlier t i m) then t.min_row <- i);
   t.count <- t.count + 1
 
 (* Take pending row [i] out of its slot (or its batch).  Only removing
@@ -257,25 +188,15 @@ let unplace t i =
   if s_loc t i >= 0 then unlink t i;
   t.count <- t.count - 1;
   let m = t.min_row in
-  if t.count > 0 && (m = min_none || (m >= 0 && not (earlier t m i))) then set_min t min_unknown
+  if t.count > 0 && (m = min_none || (m >= 0 && not (earlier t m i))) then t.min_row <- min_unknown
 
-let set_deadline t i at =
-  let d = saturate at in
-  set_at t i d;
-  if saturated d then set_big t i at
-
-let[@hot] schedule_i t ~at_i v =
+let[@hot] schedule t ~at v =
   let i = Slab.alloc t.slab v in
-  set_at t i at_i;
-  if saturated at_i then set_big t i (Int64.of_int at_i [@lint.allow "ALLOC003"]);
+  set_at t i at;
   place t i;
   Slab.handle t.slab i
 
-let schedule t ~at v =
-  let i = Slab.alloc t.slab v in
-  set_deadline t i at;
-  place t i;
-  Slab.handle t.slab i
+let schedule_i t ~at_i v = schedule t ~at:at_i v
 
 let cancel t h =
   if Slab.valid t.slab h then begin
@@ -289,14 +210,13 @@ let rearm t h ~at =
   && begin
        let i = Slab.row_of h in
        unplace t i;
-       set_deadline t i at;
+       set_at t i at;
        place t i;
        true
      end
 
 let handle_pending t h = Slab.valid t.slab h
-let handle_deadline t h =
-  if Slab.valid t.slab h then deadline_box t (Slab.row_of h) else Time_ns.zero
+let handle_deadline t h = if Slab.valid t.slab h then s_at t (Slab.row_of h) else 0
 
 (* ---- expiry ----------------------------------------------------------- *)
 
@@ -310,15 +230,15 @@ let push_scratch t h =
   t.scratch_top <- t.scratch_top + 1
 
 (* Move the due rows of the chain starting at [i] into the batch. *)
-let rec gather t i ~now ~now_i =
+let rec gather t i now_i =
   if i >= 0 then begin
     let next = s_next t i in
-    if due t i ~now ~now_i then begin
+    if s_at t i <= now_i then begin
       unlink t i;
       set_loc t i loc_batch;
       push_scratch t (Slab.handle t.slab i)
     end;
-    gather t next ~now ~now_i
+    gather t next now_i
   end
 
 let[@inline] lt t x y = before t (Slab.row_of x) (Slab.row_of y)
@@ -362,7 +282,7 @@ let[@inline] in_batch t h = Slab.valid t.slab h && s_loc t (Slab.row_of h) = loc
 let withhold t i =
   link_due t i;
   let m = t.min_row in
-  if m = min_none || (m >= 0 && earlier t i m) then set_min t i
+  if m = min_none || (m >= 0 && earlier t i m) then t.min_row <- i
 
 let withhold_from t k stop =
   for k = k to stop - 1 do
@@ -389,7 +309,7 @@ let rec dispatch t f limit fired k base stop =
     end
     else begin
       let i = Slab.row_of h in
-      let d = deadline_box t i and v = t.slab.vals.(i) in
+      let d = s_at t i and v = t.slab.vals.(i) in
       Slab.free t.slab i;
       t.count <- t.count - 1;
       (match f d v with
@@ -412,8 +332,7 @@ let[@hot] fire_due t ?prefetch:_ ~now ~limit f =
   t.last_now <- now_i;
   let now_tick = link_tick t now_i in
   let m = if t.count = 0 then min_none else known_min t in
-  if t.count > 0 && (if m = min_none then Int64.equal now Int64.max_int else due t m ~now ~now_i)
-  then begin
+  if m >= 0 && s_at t m <= now_i then begin
     let first = t.last_tick in
     let span = now_tick - first in
     let sweep_count = if span >= t.slots_n - 1 then t.slots_n else span + 1 in
@@ -421,11 +340,11 @@ let[@hot] fire_due t ?prefetch:_ ~now ~limit f =
     let s0 = slot_of t first in
     let off = ref (next_occupied t s0 0 sweep_count) in
     while !off < sweep_count do
-      gather t t.heads.(slot_of t (s0 + !off)) ~now ~now_i;
+      gather t t.heads.(slot_of t (s0 + !off)) now_i;
       off := next_occupied t s0 (!off + 1) sweep_count
     done;
     t.last_tick <- now_tick;
-    set_min t min_unknown;
+    t.min_row <- min_unknown;
     let stop = t.scratch_top in
     if stop - base >= 2 then sort_batch t base stop;
     let fired = dispatch t f limit 0 base base stop in
@@ -438,21 +357,17 @@ let[@hot] fire_due t ?prefetch:_ ~now ~limit f =
     Fire_outcome.pack ~scanned:0 ~fired:0
   end
 
-(* Heap footprint, 64-bit words: the record (16 fields + header), the
-   boxed tick, the slot and bitmap arrays, the slab, the scratch array,
-   the saturated-deadline array and the cached minimum (option cell and
-   box; the box may be shared). *)
+(* Heap footprint, 64-bit words: the record (12 fields + header), the
+   slot and bitmap arrays, the slab and the scratch array. *)
 let words t =
   let arr n = if n = 0 then 0 else n + 1 in
-  17 + 3
+  13
   + arr t.slots_n
   + arr (Array.length t.occ)
   + Slab.words t.slab
   + arr (Array.length t.scratch)
-  + arr (Array.length t.big)
-  + match t.min_cache with Some _ -> 5 | None -> 0
 
 let iter_pending t f =
   for i = 0 to t.slab.cap - 1 do
-    if s_loc t i <> Slab.loc_free then f (deadline_box t i) t.slab.vals.(i)
+    if s_loc t i <> Slab.loc_free then f (s_at t i) t.slab.vals.(i)
   done

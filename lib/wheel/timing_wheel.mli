@@ -12,9 +12,10 @@
     swept.  Entries are rows of a {!Slab}, chained per slot; an
     occupancy bitmap over the slots lets sweeps and the minimum search
     skip empty ones, and handles are immediate ints, so a schedule
-    allocates nothing.  The earliest-deadline query is served from a
-    cache that is invalidated only when the minimum could have
-    changed.
+    allocates nothing.  The earliest-deadline query reads a remembered
+    minimum row that is forgotten only when the minimum could have
+    changed.  Deadlines and [now] are integer nanoseconds, as
+    [Timer_store.S] states them.
 
     The wheel is agnostic to what an event is: it stores values of an
     arbitrary payload type and hands them back on expiry.  It
@@ -33,13 +34,13 @@ type 'a handle
     entry fires or is cancelled the handle is stale for good, even after
     its row holds another entry. *)
 
-val create : ?slots:int -> tick:Time_ns.span -> unit -> 'a t
+val create : ?slots:int -> tick:int -> unit -> 'a t
 (** [create ~tick ()] builds an empty wheel whose slots each cover
-    [tick] of time.  [slots] defaults to 256.
+    [tick] ns.  [slots] defaults to 256.
     @raise Invalid_argument if [tick <= 0] or [slots <= 0]. *)
 
 val slots : 'a t -> int
-val tick : 'a t -> Time_ns.span
+val tick : 'a t -> int
 
 val pending : 'a t -> int
 (** Number of scheduled, uncancelled, unfired entries. *)
@@ -48,46 +49,45 @@ val resident : 'a t -> int
 (** Entries physically held: always [pending t], since cancel and
     re-arm unlink at once and leave nothing behind. *)
 
-val handle_deadline : 'a t -> 'a handle -> Time_ns.t
+val handle_deadline : 'a t -> 'a handle -> int
 (** The absolute deadline a pending entry was last scheduled or
-    re-armed for; [Time_ns.zero] on a stale handle. *)
+    re-armed for; [0] on a stale handle. *)
 
 val handle_pending : 'a t -> 'a handle -> bool
 (** Whether the entry is still scheduled (not cancelled, not fired). *)
 
-val schedule : 'a t -> at:Time_ns.t -> 'a -> 'a handle
+val schedule : 'a t -> at:int -> 'a -> 'a handle
 (** [schedule t ~at v] registers [v] to expire at absolute time [at]
-    under a fresh tie position.  O(1).  Deadlines stay exact over the
-    whole [Time_ns.t] range. *)
+    under a fresh tie position.  O(1); allocates nothing once the slab
+    has room.  Deadlines are exact over [0, max_int]. *)
 
 val schedule_i : 'a t -> at_i:int -> 'a -> 'a handle
-(** [schedule] with the deadline in integer nanoseconds; allocates
-    nothing once the slab has room. *)
+(** [schedule], under its old name. *)
 
 val cancel : 'a t -> 'a handle -> unit
 (** Remove an entry.  Cancelling twice, after expiry, or through a
     stale handle is a no-op.  O(1). *)
 
-val rearm : 'a t -> 'a handle -> at:Time_ns.t -> bool
+val rearm : 'a t -> 'a handle -> at:int -> bool
 (** Move a pending entry to deadline [at] under a fresh tie position,
     exactly like cancel + schedule of the same value, but the handle
     stays valid.  O(1).  [false] (and nothing happens) when the entry
     already fired or was cancelled. *)
 
-val next_deadline : 'a t -> Time_ns.t option
-(** Earliest pending deadline, or [None] when the wheel is empty.  This
-    is the comparison the soft-timer facility performs at every trigger
-    state; it costs a cached read unless the cache was invalidated by an
-    expiry or by removing the earliest entry, in which case the occupied
-    slots are searched from the sweep horizon, nearest first.  The
-    returned [Some] is rebuilt only when the minimum's value changes. *)
+val next_deadline : 'a t -> int
+(** Earliest pending deadline, or [max_int] when the wheel is empty.
+    This is the comparison the soft-timer facility performs at every
+    trigger state; it costs one row read unless an expiry or the
+    removal of the earliest entry made the minimum unknown, in which
+    case the occupied slots are searched from the sweep horizon,
+    nearest first.  Never allocates. *)
 
 val fire_due :
   'a t ->
   ?prefetch:('a -> unit) ->
-  now:Time_ns.t ->
+  now:int ->
   limit:int ->
-  (Time_ns.t -> 'a -> unit) ->
+  (int -> 'a -> unit) ->
   Fire_outcome.t
 (** [fire_due t ~now ~limit f] removes every entry with deadline
     [<= now] and calls [f deadline value] on each, in deadline order
@@ -100,10 +100,10 @@ val fire_due :
     Each entry's state is re-checked immediately before its callback
     runs, so a handler that cancels or re-arms a later same-batch entry
     suppresses its dispatch.  Due entries are gathered into an int
-    array, sorted only when there are two or more; beyond the deadline
-    handed to [f], a call allocates nothing.  [prefetch] is ignored. *)
+    array, sorted only when there are two or more; a call allocates
+    nothing.  [prefetch] is ignored. *)
 
-val iter_pending : 'a t -> (Time_ns.t -> 'a -> unit) -> unit
+val iter_pending : 'a t -> (int -> 'a -> unit) -> unit
 (** Visit every pending entry in unspecified order (for tests). *)
 
 val words : 'a t -> int

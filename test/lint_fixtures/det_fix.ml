@@ -16,3 +16,11 @@ let dump tbl = Hashtbl.iter (fun k v -> print_endline (k ^ string_of_int v)) tbl
 
 (* [now] is a time-like name, so the unqualified [<] is DET003. *)
 let expired now limit = now < limit
+
+(* A time through a wrapping conversion is DET005; a plain count is
+   not. *)
+let born now = Int64.to_int now
+
+let due_of_float deadline = Int64.of_float deadline
+
+let count n = Int64.to_int n

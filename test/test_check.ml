@@ -2,7 +2,7 @@
    replay-diff trace digest. *)
 
 let us = Time_ns.of_us
-let ius x = Int64.to_int (us x)
+let ius x = Time_ns.to_int (us x)
 
 (* ------------------------------------------------------------------ *)
 (* Injected violations: each invariant must trip on a bad history. *)
@@ -123,7 +123,7 @@ let test_tap_sees_events_without_ring_buffer () =
   Alcotest.(check bool) "tap installed" true (Trace.tap_installed ());
   Alcotest.(check bool) "no ring buffer" false (Trace.enabled ());
   Trace.trigger ~at:(ius 1.0) "syscall";
-  Trace.soft_sched ~at:(ius 1.0) ~id:0 ~due:(us 2.0);
+  Trace.soft_sched ~at:(ius 1.0) ~id:0 ~due:(ius 2.0);
   Trace.set_tap None;
   Trace.trigger ~at:(ius 3.0) "syscall";
   Alcotest.(check int) "two events seen while tapped" 2 !seen;

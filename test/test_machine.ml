@@ -413,7 +413,8 @@ let test_idle_deadline_fires_exactly () =
            armed := None;
            fired_at := Some now
          | _ -> ()));
-  Machine.set_idle_deadline_fn m (Some (fun () -> !armed));
+  Machine.set_idle_deadline_fn m
+    (Some (fun () -> match !armed with Some d -> Time_ns.to_int d | None -> max_int));
   Engine.run_until e (Time_ns.of_ms 1.0);
   Alcotest.(check (option int64)) "fires exactly at deadline while idle" (Some deadline) !fired_at
 

@@ -4,7 +4,7 @@
    helper, and the determinism contract — arming the observatory must
    leave experiment output byte-identical at any jobs count. *)
 
-let us = Time_ns.of_us
+let us x = Time_ns.to_int (Time_ns.of_us x)
 let cfg = Exp_config.quick
 
 (* ------------------------------------------------------------------ *)

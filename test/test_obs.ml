@@ -2,7 +2,7 @@
    the metrics registry, and the exporters. *)
 
 let us = Time_ns.of_us
-let ius x = Int64.to_int (us x)
+let ius x = Time_ns.to_int (us x)
 
 (* ------------------------------------------------------------------ *)
 (* Trace ring buffer. *)
@@ -306,12 +306,12 @@ let test_timeseries_json_shape () =
 
 let test_span_timers_and_packets () =
   with_trace (fun tr ->
-      Trace.soft_sched ~at:(ius 1.0) ~id:0 ~due:(us 5.0);
-      Trace.soft_sched ~at:(ius 2.0) ~id:1 ~due:(us 5.0);
-      Trace.soft_sched ~at:(ius 3.0) ~id:2 ~due:(us 9.0);
+      Trace.soft_sched ~at:(ius 1.0) ~id:0 ~due:(ius 5.0);
+      Trace.soft_sched ~at:(ius 2.0) ~id:1 ~due:(ius 5.0);
+      Trace.soft_sched ~at:(ius 3.0) ~id:2 ~due:(ius 9.0);
       (* FIFO per due time: the fire at due=5 closes the span opened at 1us. *)
-      Trace.soft_fire ~at:(ius 6.0) ~id:0 ~due:(us 5.0);
-      Trace.soft_cancel ~at:(ius 7.0) ~id:1 ~due:(us 5.0);
+      Trace.soft_fire ~at:(ius 6.0) ~id:0 ~due:(ius 5.0);
+      Trace.soft_cancel ~at:(ius 7.0) ~id:1 ~due:(ius 5.0);
       Trace.pkt_enqueue ~at:(ius 1.0) ~nic:"nic0" ~qlen:1;
       Trace.pkt_enqueue ~at:(ius 2.0) ~nic:"nic0" ~qlen:2;
       Trace.pkt_drop ~at:(ius 2.5) ~nic:"nic0";
@@ -334,10 +334,10 @@ let test_span_timers_and_packets () =
 
 let test_span_epoch_reset () =
   with_trace (fun tr ->
-      Trace.soft_sched ~at:(ius 1.0) ~id:0 ~due:(us 5.0);
+      Trace.soft_sched ~at:(ius 1.0) ~id:0 ~due:(ius 5.0);
       (* A fresh simulation begins: the old open span must stay open. *)
       Trace.sim_start ~at:0;
-      Trace.soft_fire ~at:(ius 5.0) ~id:0 ~due:(us 5.0);
+      Trace.soft_fire ~at:(ius 5.0) ~id:0 ~due:(ius 5.0);
       let sp = Span.collect tr in
       Alcotest.(check int) "old span stays open" 1 (Span.timers_open sp);
       Alcotest.(check int) "new run's fire closes nothing" 0 (Span.timers_fired sp))
@@ -348,13 +348,13 @@ let test_span_epoch_reset () =
    span.mli as [test/test_obs.ml:span_fifo_tie]. *)
 let test_span_fifo_tie () =
   with_trace (fun tr ->
-      Trace.soft_sched ~at:(ius 1.0) ~id:10 ~due:(us 5.0);
-      Trace.soft_sched ~at:(ius 2.0) ~id:11 ~due:(us 5.0);
+      Trace.soft_sched ~at:(ius 1.0) ~id:10 ~due:(ius 5.0);
+      Trace.soft_sched ~at:(ius 2.0) ~id:11 ~due:(ius 5.0);
       (* The stores dispatch equal deadlines in schedule order, so the
          first fire is timer 10 — it must close the span opened at 1us,
          and the second the span opened at 2us. *)
-      Trace.soft_fire ~at:(ius 6.0) ~id:10 ~due:(us 5.0);
-      Trace.soft_fire ~at:(ius 6.5) ~id:11 ~due:(us 5.0);
+      Trace.soft_fire ~at:(ius 6.0) ~id:10 ~due:(ius 5.0);
+      Trace.soft_fire ~at:(ius 6.5) ~id:11 ~due:(ius 5.0);
       let sp = Span.collect tr in
       match Span.spans sp with
       | [ s0; s1 ] ->
@@ -526,8 +526,8 @@ let test_export_chrome_json () =
 
 let test_export_csv () =
   with_trace (fun tr ->
-      Trace.soft_sched ~at:(ius 1.0) ~id:0 ~due:(us 5.0);
-      Trace.soft_fire ~at:(ius 6.0) ~id:0 ~due:(us 5.0);
+      Trace.soft_sched ~at:(ius 1.0) ~id:0 ~due:(ius 5.0);
+      Trace.soft_fire ~at:(ius 6.0) ~id:0 ~due:(ius 5.0);
       let csv = Trace_export.to_csv tr in
       let lines = String.split_on_char '\n' (String.trim csv) in
       Alcotest.(check int) "header + 2 rows" 3 (List.length lines);
@@ -548,9 +548,9 @@ let test_export_chrome_extended () =
         ~finally:(fun () -> Trace.set_tap None)
         (fun () ->
           Trace.trigger ~at:(ius 1.0) "syscall";
-          Trace.soft_sched ~at:(ius 2.0) ~id:0 ~due:(us 8.0);
+          Trace.soft_sched ~at:(ius 2.0) ~id:0 ~due:(ius 8.0);
           Trace.irq ~at:(ius 5.0) ~line:"nic0" ~cpu:0 ~dur:(ius 1.0);
-          Trace.soft_fire ~at:(ius 8.5) ~id:0 ~due:(us 8.0);
+          Trace.soft_fire ~at:(ius 8.5) ~id:0 ~due:(ius 8.0);
           Trace.pkt_enqueue ~at:(ius 11.0) ~nic:"nic0" ~qlen:1;
           Trace.pkt_rx ~at:(ius 13.0) ~nic:"nic0" ~batch:1);
       Timeseries.close ts;
@@ -590,7 +590,7 @@ let test_export_chrome_extended () =
 let test_export_chrome_dropped_banner () =
   with_trace ~capacity:4 (fun tr ->
       for i = 1 to 10 do
-        Trace.soft_sched ~at:(ius (float_of_int i)) ~id:i ~due:(us (float_of_int (i + 5)))
+        Trace.soft_sched ~at:(ius (float_of_int i)) ~id:i ~due:(ius (float_of_int (i + 5)))
       done;
       let sp = Span.collect tr in
       let json = Trace_export.to_chrome_json ~spans:sp tr in

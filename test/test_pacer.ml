@@ -97,12 +97,15 @@ let test_arena_note_sends () =
 module Pool_pw = Rate_clock.Pool (Pacing_wheel)
 module Pool_eq = Rate_clock.Pool (Eventq_store)
 
+(* The pool takes int ns. *)
+let ns_us x = Time_ns.to_int (us x)
+
 (* [ticks] checks, [tick_us] apart, from tick [from] (default 1): a
    later drive of the same pool starts where the last one stopped, as
    the store contract's non-decreasing [now] requires. *)
 let drive_pool ?(from = 1) check ~tick_us ~ticks =
   for s = from to from + ticks - 1 do
-    ignore (check ~now:(Time_ns.mul (us tick_us) s) ~limit:max_int : Fire_outcome.t)
+    ignore (check ~now:(ns_us tick_us * s) ~limit:max_int : Fire_outcome.t)
   done
 
 let test_pool_paces_at_target () =
@@ -112,17 +115,17 @@ let test_pool_paces_at_target () =
   let p =
     Pool_pw.create
       ~intervals:(Hdr.create ~lowest:0.01 ())
-      ~tick:(us 10.0)
+      ~tick:(ns_us 10.0)
       ~send:(fun fid ->
         sends.(fid) <- sends.(fid) + 1;
         true)
       ()
   in
   for _ = 0 to 9 do
-    ignore (Pool_pw.add p ~target_interval:(us 100.0) ~min_interval:(us 10.0) : int)
+    ignore (Pool_pw.add p ~target_interval:(ns_us 100.0) ~min_interval:(ns_us 10.0) : int)
   done;
   for fid = 0 to 9 do
-    Pool_pw.kick p fid ~now:Time_ns.zero
+    Pool_pw.kick p fid ~now:0
   done;
   Alcotest.(check int) "all active" 10 (Pool_pw.active p);
   drive_pool (Pool_pw.check p) ~tick_us:10.0 ~ticks:10_000;
@@ -146,14 +149,14 @@ let test_pool_rate_survives_coarse_store () =
   let p =
     Pool_pw.create
       ~intervals:(Hdr.create ~lowest:0.01 ())
-      ~tick:(us 100.0) (* buckets 10x coarser than the check cadence *)
+      ~tick:(ns_us 100.0) (* buckets 10x coarser than the check cadence *)
       ~send:(fun _ ->
         incr sends;
         true)
       ()
   in
-  ignore (Pool_pw.add p ~target_interval:(us 103.0) ~min_interval:(us 10.0) : int);
-  Pool_pw.kick p 0 ~now:Time_ns.zero;
+  ignore (Pool_pw.add p ~target_interval:(ns_us 103.0) ~min_interval:(ns_us 10.0) : int);
+  Pool_pw.kick p 0 ~now:0;
   drive_pool (Pool_pw.check p) ~tick_us:10.0 ~ticks:10_000;
   (* 100ms at one send per 103us target. *)
   let expected = 100_000.0 /. 103.0 in
@@ -170,12 +173,12 @@ let test_pool_stop_and_train_end () =
   let p =
     Pool_eq.create
       ~intervals:(Hdr.create ~lowest:0.01 ())
-      ~tick:(us 10.0)
+      ~tick:(ns_us 10.0)
       ~send:(fun _ -> !live)
       ()
   in
-  ignore (Pool_eq.add p ~target_interval:(us 50.0) ~min_interval:(us 10.0) : int);
-  Pool_eq.kick p 0 ~now:Time_ns.zero;
+  ignore (Pool_eq.add p ~target_interval:(ns_us 50.0) ~min_interval:(ns_us 10.0) : int);
+  Pool_eq.kick p 0 ~now:0;
   drive_pool (Pool_eq.check p) ~tick_us:10.0 ~ticks:100;
   let before = Pool_eq.flow_sends p 0 in
   Alcotest.(check bool) "sending" true (before > 0);
@@ -186,7 +189,7 @@ let test_pool_stop_and_train_end () =
   drive_pool ~from:101 (Pool_eq.check p) ~tick_us:10.0 ~ticks:100;
   Alcotest.(check int) "no sends while stopped" before (Pool_eq.flow_sends p 0);
   (* kick restarts a fresh train; a refusing send ends it by itself. *)
-  Pool_eq.kick p 0 ~now:(us 2_000.0);
+  Pool_eq.kick p 0 ~now:(ns_us 2_000.0);
   live := false;
   drive_pool ~from:201 (Pool_eq.check p) ~tick_us:10.0 ~ticks:300;
   Alcotest.(check bool) "train ended itself" false (Pool_eq.flow_active p 0);
@@ -199,12 +202,12 @@ let test_pool_time_backwards () =
   let p =
     Pool_eq.create
       ~intervals:(Hdr.create ~lowest:0.01 ())
-      ~tick:(us 10.0)
+      ~tick:(ns_us 10.0)
       ~send:(fun _ -> true)
       ()
   in
-  ignore (Pool_eq.add p ~target_interval:(us 50.0) ~min_interval:(us 10.0) : int);
-  Pool_eq.kick p 0 ~now:Time_ns.zero;
+  ignore (Pool_eq.add p ~target_interval:(ns_us 50.0) ~min_interval:(ns_us 10.0) : int);
+  Pool_eq.kick p 0 ~now:0;
   drive_pool (Pool_eq.check p) ~tick_us:10.0 ~ticks:100;
   let sends = Pool_eq.flow_sends p 0 in
   Alcotest.check_raises "check from an earlier now"
@@ -216,14 +219,14 @@ let test_pool_user_word () =
   let p =
     Pool_pw.create
       ~intervals:(Hdr.create ~lowest:0.01 ())
-      ~tick:(us 10.0)
+      ~tick:(ns_us 10.0)
       ~send:(fun _ -> true)
       ()
   in
-  let fid = Pool_pw.add p ~target_interval:(us 50.0) ~min_interval:(us 10.0) in
+  let fid = Pool_pw.add p ~target_interval:(ns_us 50.0) ~min_interval:(ns_us 10.0) in
   Alcotest.(check int) "scratch word starts 0" 0 (Pool_pw.user p fid);
   Pool_pw.set_user p fid 1234;
-  Pool_pw.kick p fid ~now:Time_ns.zero;
+  Pool_pw.kick p fid ~now:0;
   drive_pool (Pool_pw.check p) ~tick_us:10.0 ~ticks:50;
   Alcotest.(check int) "scratch survives pacing" 1234 (Pool_pw.user p fid)
 
@@ -231,23 +234,26 @@ let test_pool_add_validation () =
   let p =
     Pool_pw.create
       ~intervals:(Hdr.create ~lowest:0.01 ())
-      ~tick:(us 10.0)
+      ~tick:(ns_us 10.0)
       ~send:(fun _ -> true)
       ()
   in
   Alcotest.check_raises "min > target"
     (Invalid_argument "Rate_clock.Pool.add: need 0 < min_interval <= target_interval")
     (fun () ->
-      ignore (Pool_pw.add p ~target_interval:(us 10.0) ~min_interval:(us 20.0) : int));
+      ignore (Pool_pw.add p ~target_interval:(ns_us 10.0) ~min_interval:(ns_us 20.0) : int));
   Alcotest.check_raises "zero min"
     (Invalid_argument "Rate_clock.Pool.add: need 0 < min_interval <= target_interval")
     (fun () ->
-      ignore (Pool_pw.add p ~target_interval:(us 10.0) ~min_interval:Time_ns.zero : int))
+      ignore (Pool_pw.add p ~target_interval:(ns_us 10.0) ~min_interval:0 : int))
 
 (* ------------------------------------------------------------------ *)
 (* Paced_sender.Fleet *)
 
 module Fleet_pw = Paced_sender.Fleet (Pacing_wheel)
+
+(* The fleet's edge takes a boxed time; [drive_pool] counts in int ns. *)
+let fleet_check fleet ~now ~limit = Fleet_pw.check fleet ~now:(Time_ns.of_ns now) ~limit
 
 let test_fleet_transfers_complete () =
   let transmitted = Hashtbl.create 64 in
@@ -270,7 +276,7 @@ let test_fleet_transfers_complete () =
     in
     Fleet_pw.start fleet fid ~now:(Time_ns.mul (us 10.0) (i mod 11))
   done;
-  drive_pool (Fleet_pw.check fleet) ~tick_us:10.0 ~ticks:200;
+  drive_pool (fleet_check fleet) ~tick_us:10.0 ~ticks:200;
   Alcotest.(check int) "all transfers complete" n (Fleet_pw.completed fleet);
   Alcotest.(check int) "no active flows" 0 (Fleet_pw.active fleet);
   Alcotest.(check int) "store drained" 0 (Fleet_pw.store_pending fleet);
@@ -299,7 +305,7 @@ let test_fleet_packet_pool_warm () =
     in
     Fleet_pw.start fleet fid ~now:(Time_ns.mul (us 10.0) (i mod 13))
   done;
-  drive_pool (Fleet_pw.check fleet) ~tick_us:10.0 ~ticks:500;
+  drive_pool (fleet_check fleet) ~tick_us:10.0 ~ticks:500;
   let created = Fleet_pw.packet_cells_created fleet in
   (* Transmissions are dispatched one at a time, so a single cell
      serves the whole fleet. *)
@@ -351,15 +357,15 @@ let test_pool_memory_per_flow_bounded () =
   let p =
     Pool_pw.create
       ~intervals:(Hdr.create ~lowest:0.01 ())
-      ~tick:(us 10.0)
+      ~tick:(ns_us 10.0)
       ~send:(fun _ -> true)
       ()
   in
   for _ = 1 to flows do
-    ignore (Pool_pw.add p ~target_interval:(us 100.0) ~min_interval:(us 10.0) : int)
+    ignore (Pool_pw.add p ~target_interval:(ns_us 100.0) ~min_interval:(ns_us 10.0) : int)
   done;
   for fid = 0 to flows - 1 do
-    Pool_pw.kick p fid ~now:(Time_ns.mul (us 10.0) (fid mod 101))
+    Pool_pw.kick p fid ~now:(ns_us 10.0 * (fid mod 101))
   done;
   drive_pool (Pool_pw.check p) ~tick_us:10.0 ~ticks:300;
   let words = Obj.reachable_words (Obj.repr p) in

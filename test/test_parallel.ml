@@ -116,11 +116,11 @@ let audit_job seed =
   let rng = Prng.create ~seed in
   for i = 1 to 30 do
     let due = i * 1_000 in
-    Trace.soft_sched ~at:(due - 500) ~id:i ~due:(Int64.of_int due);
+    Trace.soft_sched ~at:(due - 500) ~id:i ~due;
     let late = Prng.int rng 400 in
     let at = due + late in
     if late > 0 then Trace.cpu_run ~at ~cpu:0 ~klass:(Prng.int rng 6) ~dur:late;
-    Trace.soft_fire ~at ~id:i ~due:(Int64.of_int due);
+    Trace.soft_fire ~at ~id:i ~due;
     Trace.soft_check ~at ~src:"syscalls" ~scanned:1 ~fired:1
   done;
   seed

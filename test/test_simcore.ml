@@ -873,17 +873,34 @@ let test_engine_clock_unboxed () =
     ignore (Engine.step e : bool);
     at := !at + (i * 11);
     Alcotest.(check int64) "now reads the last advance" (Int64.of_int !at) (Engine.now e);
-    Alcotest.(check bool) "one box per instant" true (Engine.now e == Engine.now e);
-    Alcotest.(check bool) "now_shared reuses it" true (Engine.now_shared e == Engine.now e)
+    Alcotest.(check bool) "one box per instant" true (Engine.now e == Engine.now e)
   done;
-  ignore (Engine.post_after_i e 5 k 0 : Engine.handle);
-  ignore (Engine.step e : bool);
-  Alcotest.(check int64) "now_shared reads the instant" (Int64.of_int (!at + 5))
-    (Engine.now_shared e);
   let limit = 1_000_000L in
   Engine.run_until e limit;
-  Alcotest.(check int64) "run_until sets the clock" limit (Engine.now e);
-  Alcotest.(check bool) "run_until's limit is the box" true (Engine.now_shared e == limit)
+  Alcotest.(check int64) "run_until sets the clock" limit (Engine.now e)
+
+(* A boxed time past the int range saturates at [max_int] ns, the end
+   of time, instead of wrapping into the past: [schedule_at] 2^62 and
+   [schedule_after] [Int64.max_int] land at [max_int], and [run_until]
+   [Int64.max_int] runs every event, those at [max_int] included. *)
+let test_engine_edge_times () =
+  let e = Engine.create () in
+  let log = ref [] in
+  let note tag () = log := (tag, Engine.now_i e) :: !log in
+  Engine.run_until e (Time_ns.of_ms 1.0);
+  ignore (Engine.schedule_at e 0x4000_0000_0000_0000L (note "at 2^62") : Engine.handle);
+  ignore (Engine.schedule_after e Int64.max_int (note "after max") : Engine.handle);
+  ignore (Engine.schedule_at e (Time_ns.of_ms 2.0) (note "at 2 ms") : Engine.handle);
+  Engine.run_until e (Time_ns.of_sec 1.0);
+  Alcotest.(check (list (pair string int))) "only the 2 ms event by 1 s" [ ("at 2 ms", 2_000_000) ]
+    !log;
+  Engine.run_until e Int64.max_int;
+  Alcotest.(check (list (pair string int)))
+    "far events run at the end of time, in order"
+    [ ("after max", max_int); ("at 2^62", max_int); ("at 2 ms", 2_000_000) ]
+    !log;
+  Alcotest.(check int) "clock at the end of time" max_int (Engine.now_i e);
+  Alcotest.(check int) "nothing left" 0 (Engine.pending e)
 
 exception Boom
 
@@ -982,6 +999,7 @@ let () =
           Alcotest.test_case "registered kinds" `Quick test_engine_kinds;
           Alcotest.test_case "raising handler" `Quick test_engine_raise_contract;
           Alcotest.test_case "unboxed clock" `Quick test_engine_clock_unboxed;
+          Alcotest.test_case "edge times saturate" `Quick test_engine_edge_times;
           qc test_engine_replay_deterministic;
           qc test_engine_matches_model;
         ] );

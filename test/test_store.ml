@@ -4,7 +4,7 @@
    re-arm during fire_due — and must produce a trace identical to the
    naive Reference model's, observation for observation. *)
 
-let us = Time_ns.of_us
+let us x = Time_ns.to_int (Time_ns.of_us x)
 
 (* What a timer's callback does when it fires. *)
 type cb_action =
@@ -28,7 +28,7 @@ let run_store (module M : Timer_store.S) (ops : op list) : string =
   let handles : (int, int M.handle) Hashtbl.t = Hashtbl.create 64 in
   let actions : (int, cb_action) Hashtbl.t = Hashtbl.create 64 in
   let next_id = ref 0 in
-  let now = ref Time_ns.zero in
+  let now = ref 0 in
   let sched at action =
     let id = !next_id in
     incr next_id;
@@ -54,35 +54,35 @@ let run_store (module M : Timer_store.S) (ops : op list) : string =
   let do_rearm idx off =
     match target idx with
     | Some (id, h) ->
-      let at = Time_ns.(!now + us (float_of_int off)) in
+      let at = !now + us (float_of_int off) in
       let r = M.rearm t h ~at in
-      Printf.sprintf "R%d@%Ld:%b" id at r
+      Printf.sprintf "R%d@%d:%b" id at r
     | None -> "R-"
   in
   let obs () =
     Buffer.add_string buf
-      (Printf.sprintf "|p=%d,nd=%s\n" (M.pending t)
-         (match M.next_deadline t with None -> "-" | Some d -> Int64.to_string d))
+      (Printf.sprintf "|p=%d,nd=%d\n" (M.pending t)
+         (M.next_deadline t))
   in
   List.iter
     (fun op ->
       (match op with
       | Schedule (off, action) ->
-        let at = Time_ns.(!now + us (float_of_int off)) in
+        let at = !now + us (float_of_int off) in
         let id = sched at action in
-        Buffer.add_string buf (Printf.sprintf "S%d@%Ld" id at)
+        Buffer.add_string buf (Printf.sprintf "S%d@%d" id at)
       | Cancel idx -> Buffer.add_string buf (do_cancel idx)
       | Rearm (idx, off) -> Buffer.add_string buf (do_rearm idx off)
       | Advance d ->
-        now := Time_ns.(!now + us (float_of_int d));
-        Buffer.add_string buf (Printf.sprintf "A@%Ld[" !now);
+        now := !now + us (float_of_int d);
+        Buffer.add_string buf (Printf.sprintf "A@%d[" !now);
         let n =
           M.fire_due t ~now:!now ~limit:max_int (fun dl id ->
-              Buffer.add_string buf (Printf.sprintf "%d@%Ld " id dl);
+              Buffer.add_string buf (Printf.sprintf "%d@%d " id dl);
               match Hashtbl.find_opt actions id with
               | Some Cb_noop | None -> ()
               | Some (Cb_schedule off) ->
-                let at = Time_ns.(!now + us (float_of_int off)) in
+                let at = !now + us (float_of_int off) in
                 let id' = sched at Cb_noop in
                 Buffer.add_string buf (Printf.sprintf "s%d " id')
               | Some (Cb_cancel idx) -> Buffer.add_string buf (do_cancel idx ^ " ")
@@ -206,7 +206,7 @@ let residency_tests =
         (fun ops ->
           let t = M.create ~tick:(us 10.0) () in
           let handles = ref [] in
-          let now = ref Time_ns.zero in
+          let now = ref 0 in
           let ok = ref true in
           let check () =
             if M.resident t > 2 * max (M.pending t) 512 then ok := false
@@ -215,7 +215,7 @@ let residency_tests =
             (fun op ->
               (match op with
               | Schedule (off, _) ->
-                let at = Time_ns.(!now + us (float_of_int off)) in
+                let at = !now + us (float_of_int off) in
                 handles := M.schedule t ~at 0 :: !handles
               | Cancel idx -> begin
                 match List.nth_opt !handles (idx mod max 1 (List.length !handles)) with
@@ -225,11 +225,11 @@ let residency_tests =
               | Rearm (idx, off) -> begin
                 match List.nth_opt !handles (idx mod max 1 (List.length !handles)) with
                 | Some h ->
-                  ignore (M.rearm t h ~at:Time_ns.(!now + us (float_of_int off)) : bool)
+                  ignore (M.rearm t h ~at:(!now + us (float_of_int off)) : bool)
                 | None -> ()
               end
               | Advance d ->
-                now := Time_ns.(!now + us (float_of_int d));
+                now := !now + us (float_of_int d);
                 ignore (M.fire_due t ~now:!now ~limit:max_int (fun _ _ -> ()) : Fire_outcome.t));
               check ())
             ops;
@@ -279,7 +279,7 @@ let test_rearm_semantics () =
       let _b = M.schedule t ~at:(us 30.0) "b" in
       Alcotest.(check bool) (M.name ^ ": rearm pending") true (M.rearm t a ~at:(us 50.0));
       Alcotest.(check bool) (M.name ^ ": still pending after rearm") true (M.handle_pending t a);
-      Alcotest.(check int64) (M.name ^ ": deadline updated") (us 50.0) (M.handle_deadline t a);
+      Alcotest.(check int) (M.name ^ ": deadline updated") (us 50.0) (M.handle_deadline t a);
       let fired = ref [] in
       ignore (M.fire_due t ~now:(us 35.0) ~limit:max_int (fun _ v -> fired := v :: !fired) : Fire_outcome.t);
       Alcotest.(check (list string)) (M.name ^ ": only b at 35") [ "b" ] (List.rev !fired);
@@ -355,10 +355,10 @@ let test_withheld_minimum () =
       ignore
         (M.fire_due t ~now:(us 30.0) ~limit:1 (fun _ _ ->
              let _ = M.schedule t ~at:(us 100.0) "c" in
-             ignore (M.next_deadline t : Time_ns.t option))
+             ignore (M.next_deadline t : int))
           : Fire_outcome.t);
-      Alcotest.(check (option int64)) (M.name ^ ": withheld entry is the minimum")
-        (Some (us 20.0)) (M.next_deadline t))
+      Alcotest.(check int) (M.name ^ ": withheld entry is the minimum") (us 20.0)
+        (M.next_deadline t))
     Store_registry.exact
 
 (* A stale handle stays stale once its row holds another entry: both
@@ -373,7 +373,7 @@ let test_stale_handle_after_reuse () =
       Alcotest.(check bool) (M.name ^ ": stale rearm refused") false (M.rearm t a ~at:(us 10.0));
       Alcotest.(check bool) (M.name ^ ": stale handle not pending") false (M.handle_pending t a);
       Alcotest.(check bool) (M.name ^ ": b still pending") true (M.handle_pending t b);
-      Alcotest.(check int64) (M.name ^ ": b keeps its deadline") (us 30.0) (M.handle_deadline t b);
+      Alcotest.(check int) (M.name ^ ": b keeps its deadline") (us 30.0) (M.handle_deadline t b);
       let fired = ref [] in
       let fire now =
         ignore
@@ -381,9 +381,9 @@ let test_stale_handle_after_reuse () =
             : Fire_outcome.t)
       in
       fire (us 29.0);
-      Alcotest.(check (list (pair int64 string))) (M.name ^ ": nothing early") [] !fired;
+      Alcotest.(check (list (pair int string))) (M.name ^ ": nothing early") [] !fired;
       fire (us 30.0);
-      Alcotest.(check (list (pair int64 string))) (M.name ^ ": b fires at its deadline")
+      Alcotest.(check (list (pair int string))) (M.name ^ ": b fires at its deadline")
         [ (us 30.0, "b") ] !fired;
       Alcotest.(check int) (M.name ^ ": drained") 0 (M.pending t))
 
@@ -440,9 +440,8 @@ let test_pw_quantization () =
   let module M = Pacing_wheel in
   let t = M.create ~tick:(us 10.0) () in
   let h = M.schedule t ~at:(us 15.0) "x" in
-  Alcotest.(check int64) "deadline rounded up" (us 20.0) (M.handle_deadline t h);
-  Alcotest.(check (option int64)) "next_deadline rounded up" (Some (us 20.0))
-    (M.next_deadline t);
+  Alcotest.(check int) "deadline rounded up" (us 20.0) (M.handle_deadline t h);
+  Alcotest.(check int) "next_deadline rounded up" (us 20.0) (M.next_deadline t);
   let fired = ref [] in
   ignore
     (M.fire_due t ~now:(us 19.9) ~limit:max_int (fun dl v -> fired := (dl, v) :: !fired)
@@ -451,7 +450,7 @@ let test_pw_quantization () =
   ignore
     (M.fire_due t ~now:(us 20.0) ~limit:max_int (fun dl v -> fired := (dl, v) :: !fired)
       : Fire_outcome.t);
-  Alcotest.(check (list (pair int64 string))) "fires at the rounded deadline"
+  Alcotest.(check (list (pair int string))) "fires at the rounded deadline"
     [ (us 20.0, "x") ] !fired
 
 (* Bucket-index reuse across epochs: ticks 3 and 11 share level-1
@@ -473,15 +472,15 @@ let test_pw_epoch_wraparound () =
   let _a = M.schedule t ~at:(us 30.0) "a" in
   let _b = M.schedule t ~at:(us 110.0) "b" in
   let _c = M.schedule t ~at:(us 700.0) "c" in
-  Alcotest.(check (list (pair int64 string))) "tick 3 fires alone" [ (us 30.0, "a") ]
+  Alcotest.(check (list (pair int string))) "tick 3 fires alone" [ (us 30.0, "a") ]
     (fire (us 30.0));
   (* Same level-1 index as b (11 mod 8 = 3), scheduled after the epoch
      holding tick 3 was partially drained. *)
   let _d = M.schedule t ~at:(us 110.0) "d" in
-  Alcotest.(check (list (pair int64 string))) "reused index drains in tie order"
+  Alcotest.(check (list (pair int string))) "reused index drains in tie order"
     [ (us 110.0, "b"); (us 110.0, "d") ]
     (fire (us 200.0));
-  Alcotest.(check (list (pair int64 string))) "far entry cascades through both levels"
+  Alcotest.(check (list (pair int string))) "far entry cascades through both levels"
     [ (us 700.0, "c") ]
     (fire (us 1000.0));
   Alcotest.(check int) "drained" 0 (M.pending t)
@@ -532,53 +531,54 @@ let test_pw_in_callback_rearm () =
   let o4 = M.fire_due t ~now:(us 50.0) ~limit:max_int (fun dl v -> seen := (dl, v) :: !seen) in
   Alcotest.(check int) "due re-arm fires next call" 1 (Fire_outcome.fired o4);
   Alcotest.(check bool) "at the re-armed deadline" true
-    (match !seen with (dl, `Victim) :: _ -> Time_ns.(dl = us 30.0) | _ -> false);
+    (match !seen with (dl, `Victim) :: _ -> Int.equal dl (us 30.0) | _ -> false);
   Alcotest.(check int) "nothing left" 0 (M.pending t)
 
-(* Edge deadlines (the saturation clause of the contract): 0, the last
-   int ([max_int] = 2^62 - 1) and two deadlines past it.  Nothing fires
-   early, an exact store reports each deadline as scheduled, and an
-   approximate one never reports a deadline below the one requested. *)
-let edge_deadlines = [ 0L; Int64.of_int max_int; Int64.(sub max_int 1L); Int64.max_int ]
+(* Edge deadlines (the int clause of the contract): 0, [max_int - 1]
+   and [max_int] (2^62 - 1, the end of time).  Nothing fires early, an
+   exact store reports each deadline as scheduled, and an approximate
+   one never reports a deadline below the one requested, saturating at
+   [max_int].  An entry at [max_int] reports what an empty store does. *)
+let edge_deadlines = [ 0; max_int - 1; max_int ]
 
 let test_edge_deadlines () =
   List.iter
     (fun (exact, (module M : Timer_store.S)) ->
       let reports what d got =
         Alcotest.(check bool)
-          (Printf.sprintf "%s: %s of %Ld reports %Ld" M.name what d got)
+          (Printf.sprintf "%s: %s of %d reports %d" M.name what d got)
           true
-          (if exact then Int64.equal got d else Int64.compare got d >= 0)
-      in
-      let next t d =
-        match M.next_deadline t with
-        | Some got -> reports "next_deadline" d got
-        | None -> Alcotest.failf "%s: no next_deadline for %Ld" M.name d
+          (if exact then Int.equal got d else got >= d)
       in
       List.iter
         (fun d ->
           let t = M.create ~tick:(us 10.0) () in
           let h = M.schedule t ~at:d d in
           reports "handle_deadline" d (M.handle_deadline t h);
-          next t d)
+          reports "next_deadline" d (M.next_deadline t))
         edge_deadlines;
       let t = M.create ~tick:(us 10.0) () in
-      List.iter (fun d -> ignore (M.schedule t ~at:d d : int64 M.handle)) edge_deadlines;
+      List.iter (fun d -> ignore (M.schedule t ~at:d d : int M.handle)) edge_deadlines;
       let fired = ref [] in
       List.iter
         (fun now ->
           ignore
             (M.fire_due t ~now ~limit:max_int (fun at d ->
                  Alcotest.(check bool)
-                   (Printf.sprintf "%s: %Ld not fired at %Ld" M.name d now)
-                   true
-                   (Int64.compare d now <= 0);
+                   (Printf.sprintf "%s: %d not fired at %d" M.name d now)
+                   true (d <= now);
                  reports "fire" d at;
                  fired := d :: !fired)
               : Fire_outcome.t))
-        [ us 100.0; Int64.of_int (max_int - 1_000_000_000) ];
-      Alcotest.(check (list int64)) (M.name ^ ": only deadline 0 fired") [ 0L ] !fired;
-      next t (Int64.of_int max_int))
+        [ us 100.0; max_int - 1_000_000_000 ];
+      Alcotest.(check (list int)) (M.name ^ ": only deadline 0 fired") [ 0 ] !fired;
+      reports "next_deadline" (max_int - 1) (M.next_deadline t);
+      ignore (M.fire_due t ~now:max_int ~limit:max_int (fun _ d -> fired := d :: !fired)
+              : Fire_outcome.t);
+      Alcotest.(check (list int)) (M.name ^ ": all fired at the end of time")
+        [ max_int; max_int - 1; 0 ] !fired;
+      Alcotest.(check int) (M.name ^ ": empty reports the end of time") max_int
+        (M.next_deadline t))
     (((true, (module Timer_store.Reference : Timer_store.S))
      :: (false, (module Quantized_reference : Timer_store.S))
      :: List.map (fun m -> (true, m)) Store_registry.exact)
@@ -605,11 +605,12 @@ let digest_with (module M : Timer_store.S) =
      timers, cancels one and pushes the other out by ~100 us. *)
   let rec heartbeat n _now =
     if n < 200 then begin
-      let doomed = Softtimer.schedule_after st (us 500.0) (fun _ -> ()) in
-      let pushed = Softtimer.schedule_after st (us 700.0) (fun _ -> ()) in
+      let doomed = Softtimer.schedule_after st (Time_ns.of_us 500.0) (fun _ -> ()) in
+      let pushed = Softtimer.schedule_after st (Time_ns.of_us 700.0) (fun _ -> ()) in
       Softtimer.cancel st doomed;
       ignore (Softtimer.rearm st pushed ~ticks:30_000L : bool);
-      ignore (Softtimer.schedule_after st (us 50.0) (heartbeat (n + 1)) : Softtimer.handle)
+      ignore
+        (Softtimer.schedule_after st (Time_ns.of_us 50.0) (heartbeat (n + 1)) : Softtimer.handle)
     end
   in
   heartbeat 0 0;

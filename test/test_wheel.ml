@@ -3,7 +3,7 @@
    re-arm on a small wheel, where entries of different rotations share
    slots across wrap-around. *)
 
-let us = Time_ns.of_us
+let us x = Time_ns.to_int (Time_ns.of_us x)
 
 let collect_fired wheel ~now =
   let fired = ref [] in
@@ -13,15 +13,15 @@ let collect_fired wheel ~now =
 let test_basic_fire () =
   let w = Timing_wheel.create ~tick:(us 10.0) () in
   Alcotest.(check int) "empty" 0 (Timing_wheel.pending w);
-  Alcotest.(check (option int64)) "no deadline" None (Timing_wheel.next_deadline w);
+  Alcotest.(check int) "no deadline" max_int (Timing_wheel.next_deadline w);
   ignore (Timing_wheel.schedule w ~at:(us 25.0) "a" : _ Timing_wheel.handle);
   ignore (Timing_wheel.schedule w ~at:(us 55.0) "b" : _ Timing_wheel.handle);
   Alcotest.(check int) "pending 2" 2 (Timing_wheel.pending w);
-  Alcotest.(check (option int64)) "earliest" (Some (us 25.0)) (Timing_wheel.next_deadline w);
+  Alcotest.(check int) "earliest" (us 25.0) (Timing_wheel.next_deadline w);
   let n, fired = collect_fired w ~now:(us 30.0) in
   Alcotest.(check int) "one fired" 1 n;
   Alcotest.(check (list string)) "a fired" [ "a" ] (List.map snd fired);
-  Alcotest.(check (option int64)) "next is b" (Some (us 55.0)) (Timing_wheel.next_deadline w);
+  Alcotest.(check int) "next is b" (us 55.0) (Timing_wheel.next_deadline w);
   let n, fired = collect_fired w ~now:(us 100.0) in
   Alcotest.(check int) "b fired" 1 n;
   Alcotest.(check (list string)) "b" [ "b" ] (List.map snd fired);
@@ -42,7 +42,7 @@ let test_cancel () =
   ignore (Timing_wheel.schedule w ~at:(us 30.0) "y" : _ Timing_wheel.handle);
   Timing_wheel.cancel w h;
   Alcotest.(check int) "pending after cancel" 1 (Timing_wheel.pending w);
-  Alcotest.(check (option int64)) "min recomputed" (Some (us 30.0)) (Timing_wheel.next_deadline w);
+  Alcotest.(check int) "min recomputed" (us 30.0) (Timing_wheel.next_deadline w);
   Timing_wheel.cancel w h;  (* double cancel: no-op *)
   Alcotest.(check int) "still 1" 1 (Timing_wheel.pending w);
   let _, fired = collect_fired w ~now:(us 100.0) in
@@ -95,13 +95,13 @@ let test_iter_pending () =
   Timing_wheel.iter_pending w (fun _ v -> seen := v :: !seen);
   Alcotest.(check (list int)) "pending values" [ 1; 3 ] (List.sort compare !seen)
 
-(* A deadline whose tick index lies beyond the int range (1 ns ticks,
-   [Int64.max_int]) keeps its exact deadline: the minimum reports it
+(* A deadline at the end of time with 1 ns ticks, so its tick index is
+   [max_int] itself, keeps its exact deadline: the minimum reports it
    and it fires once due, after the nearer entry. *)
 let test_extreme_deadline () =
-  let w = Timing_wheel.create ~slots:8 ~tick:1L () in
-  ignore (Timing_wheel.schedule w ~at:Int64.max_int "far" : _ Timing_wheel.handle);
-  ignore (Timing_wheel.schedule w ~at:10L "near" : _ Timing_wheel.handle);
+  let w = Timing_wheel.create ~slots:8 ~tick:1 () in
+  ignore (Timing_wheel.schedule w ~at:max_int "far" : _ Timing_wheel.handle);
+  ignore (Timing_wheel.schedule w ~at:10 "near" : _ Timing_wheel.handle);
   let fire now =
     let fired = ref [] in
     ignore
@@ -109,18 +109,17 @@ let test_extreme_deadline () =
         : Fire_outcome.t);
     !fired
   in
-  Alcotest.(check (list string)) "near first" [ "near" ] (fire 10L);
-  Alcotest.(check (option int64)) "far is the minimum" (Some Int64.max_int)
-    (Timing_wheel.next_deadline w);
-  Alcotest.(check (list string)) "not before its time" [] (fire (Int64.sub Int64.max_int 1L));
-  Alcotest.(check (list string)) "far fires when due" [ "far" ] (fire Int64.max_int);
+  Alcotest.(check (list string)) "near first" [ "near" ] (fire 10);
+  Alcotest.(check int) "far is the minimum" max_int (Timing_wheel.next_deadline w);
+  Alcotest.(check (list string)) "not before its time" [] (fire (max_int - 1));
+  Alcotest.(check (list string)) "far fires when due" [ "far" ] (fire max_int);
   Alcotest.(check int) "empty" 0 (Timing_wheel.pending w)
 
 let test_invalid_args () =
   Alcotest.check_raises "tick<=0" (Invalid_argument "Timing_wheel.create: tick must be positive")
-    (fun () -> ignore (Timing_wheel.create ~tick:0L () : unit Timing_wheel.t));
+    (fun () -> ignore (Timing_wheel.create ~tick:0 () : unit Timing_wheel.t));
   Alcotest.check_raises "slots<=0" (Invalid_argument "Timing_wheel.create: slots must be positive")
-    (fun () -> ignore (Timing_wheel.create ~slots:0 ~tick:1L () : unit Timing_wheel.t))
+    (fun () -> ignore (Timing_wheel.create ~slots:0 ~tick:1 () : unit Timing_wheel.t))
 
 (* Regression (cancel-leak): a schedule/cancel churn loop far ahead of
    the sweep horizon — a rate clock retiming its one outstanding event,
@@ -144,7 +143,7 @@ let test_cancel_churn_bounded () =
     (!worst <= (2 * slots) + 2);
   Alcotest.(check int) "only the keeper is pending" 1 (Timing_wheel.pending w);
   Alcotest.(check int) "only the keeper is resident" 1 (Timing_wheel.resident w);
-  Alcotest.(check (option int64)) "min survives the churn" (Some (us 1e9))
+  Alcotest.(check int) "min survives the churn" (us 1e9)
     (Timing_wheel.next_deadline w);
   let _, fired = collect_fired w ~now:(us 2e9) in
   Alcotest.(check (list string)) "keeper fires" [ "keeper" ] (List.map snd fired)
@@ -159,12 +158,12 @@ let test_rearm_wraparound () =
   Alcotest.(check bool) "rearm ok" true (Timing_wheel.rearm w h ~at:(us 105.0));
   Alcotest.(check int) "resident = pending" (Timing_wheel.pending w) (Timing_wheel.resident w);
   Alcotest.(check int) "one entry resident" 1 (Timing_wheel.resident w);
-  Alcotest.(check (option int64)) "min moved" (Some (us 105.0)) (Timing_wheel.next_deadline w);
+  Alcotest.(check int) "min moved" (us 105.0) (Timing_wheel.next_deadline w);
   let n, _ = collect_fired w ~now:(us 30.0) in
   Alcotest.(check int) "old deadline does not fire" 0 n;
   let n, fired = collect_fired w ~now:(us 110.0) in
   Alcotest.(check int) "fires once at the new deadline" 1 n;
-  Alcotest.(check (list (pair int64 string))) "at 105 us" [ (us 105.0, "x") ] fired;
+  Alcotest.(check (list (pair int string))) "at 105 us" [ (us 105.0, "x") ] fired;
   Alcotest.(check int) "nothing resident" 0 (Timing_wheel.resident w);
   Alcotest.(check bool) "rearm after fire refused" false (Timing_wheel.rearm w h ~at:(us 500.0))
 
@@ -174,7 +173,7 @@ let test_rearm_wraparound () =
 let test_stale_handle () =
   let w = Timing_wheel.create ~slots:8 ~tick:(us 10.0) () in
   let fired_h = Timing_wheel.schedule_i w ~at_i:20_000 "fired" in
-  ignore (collect_fired w ~now:(us 30.0) : int * (Time_ns.t * string) list);
+  ignore (collect_fired w ~now:(us 30.0) : int * (int * string) list);
   let cancelled_h = Timing_wheel.schedule_i w ~at_i:40_000 "cancelled" in
   Timing_wheel.cancel w cancelled_h;
   (* Both rows are free again: these two reuse them. *)
@@ -183,7 +182,7 @@ let test_stale_handle () =
   List.iter
     (fun (what, h) ->
       Alcotest.(check bool) (what ^ ": not pending") false (Timing_wheel.handle_pending w h);
-      Alcotest.(check int64) (what ^ ": deadline zero") Time_ns.zero
+      Alcotest.(check int) (what ^ ": deadline zero") 0
         (Timing_wheel.handle_deadline w h);
       Alcotest.(check bool) (what ^ ": rearm refused") false
         (Timing_wheel.rearm w h ~at:(us 500.0));
@@ -191,7 +190,7 @@ let test_stale_handle () =
     [ ("fired", fired_h); ("cancelled", cancelled_h) ];
   Alcotest.(check int) "reusers still pending" 2 (Timing_wheel.pending w);
   Alcotest.(check bool) "a pending" true (Timing_wheel.handle_pending w a);
-  Alcotest.(check int64) "b keeps its deadline" (us 60.0) (Timing_wheel.handle_deadline w b);
+  Alcotest.(check int) "b keeps its deadline" (us 60.0) (Timing_wheel.handle_deadline w b);
   let _, fired = collect_fired w ~now:(us 100.0) in
   Alcotest.(check (list string)) "reusers fire in order" [ "a"; "b" ] (List.map snd fired)
 
@@ -199,19 +198,19 @@ let test_stale_handle () =
    callback's [next_deadline] caches a later entry's deadline while the
    withheld one is out of its slot. *)
 let test_withheld_rejoins_minimum () =
-  let w = Timing_wheel.create ~slots:8 ~tick:10L () in
-  ignore (Timing_wheel.schedule w ~at:10L "a" : _ Timing_wheel.handle);
-  ignore (Timing_wheel.schedule w ~at:20L "b" : _ Timing_wheel.handle);
+  let w = Timing_wheel.create ~slots:8 ~tick:10 () in
+  ignore (Timing_wheel.schedule w ~at:10 "a" : _ Timing_wheel.handle);
+  ignore (Timing_wheel.schedule w ~at:20 "b" : _ Timing_wheel.handle);
   let o =
-    Timing_wheel.fire_due w ~now:30L ~limit:1 (fun _ v ->
+    Timing_wheel.fire_due w ~now:30 ~limit:1 (fun _ v ->
         if v = "a" then begin
-          ignore (Timing_wheel.schedule w ~at:100L "c" : _ Timing_wheel.handle);
-          ignore (Timing_wheel.next_deadline w : Time_ns.t option)
+          ignore (Timing_wheel.schedule w ~at:100 "c" : _ Timing_wheel.handle);
+          ignore (Timing_wheel.next_deadline w : int)
         end)
   in
   Alcotest.(check int) "one fired" 1 (Fire_outcome.fired o);
-  Alcotest.(check (option int64)) "b is the minimum" (Some 20L) (Timing_wheel.next_deadline w);
-  let _, fired = collect_fired w ~now:30L in
+  Alcotest.(check int) "b is the minimum" 20 (Timing_wheel.next_deadline w);
+  let _, fired = collect_fired w ~now:30 in
   Alcotest.(check (list string)) "b fires next" [ "b" ] (List.map snd fired)
 
 (* Deadlines at the ends of the int range through [schedule_i]: 0 fires
@@ -222,32 +221,31 @@ let test_schedule_i_extremes () =
   ignore (Timing_wheel.schedule_i w ~at_i:max_int "max" : _ Timing_wheel.handle);
   let h = Timing_wheel.schedule_i w ~at_i:(max_int - 1) "max-1" in
   ignore (Timing_wheel.schedule_i w ~at_i:0 "zero" : _ Timing_wheel.handle);
-  Alcotest.(check int64) "exact near max_int" (Int64.of_int (max_int - 1))
+  Alcotest.(check int) "exact near max_int" ((max_int - 1))
     (Timing_wheel.handle_deadline w h);
-  Alcotest.(check (option int64)) "zero is the minimum" (Some 0L) (Timing_wheel.next_deadline w);
-  let _, fired = collect_fired w ~now:0L in
-  Alcotest.(check (list (pair int64 string))) "zero fires at 0" [ (0L, "zero") ] fired;
-  Alcotest.(check (option int64)) "then max_int - 1" (Some (Int64.of_int (max_int - 1)))
+  Alcotest.(check int) "zero is the minimum" 0 (Timing_wheel.next_deadline w);
+  let _, fired = collect_fired w ~now:0 in
+  Alcotest.(check (list (pair int string))) "zero fires at 0" [ (0, "zero") ] fired;
+  Alcotest.(check int) "then max_int - 1" (max_int - 1)
     (Timing_wheel.next_deadline w);
-  let _, fired = collect_fired w ~now:(Int64.of_int (max_int - 1)) in
+  let _, fired = collect_fired w ~now:((max_int - 1)) in
   Alcotest.(check (list string)) "max_int - 1 alone" [ "max-1" ] (List.map snd fired);
-  let _, fired = collect_fired w ~now:Int64.max_int in
-  Alcotest.(check (list (pair int64 string))) "max_int last" [ (Int64.of_int max_int, "max") ]
+  let _, fired = collect_fired w ~now:max_int in
+  Alcotest.(check (list (pair int string))) "max_int last" [ (max_int, "max") ]
     fired;
   Alcotest.(check int) "empty" 0 (Timing_wheel.pending w)
 
-(* One schedule plus a [fire_due] that fires it allocates nothing but
-   the deadline handed to the callback (a boxed int64, 3 words); the
-   list-bucket wheel's handle, placement, cons and batch cells made it
-   19. *)
+(* One schedule plus a [fire_due] that fires it allocates nothing: the
+   deadline handed to the callback is an int.  It was 3 words while that
+   deadline was a boxed int64, and 19 with the list-bucket wheel's
+   handle, placement, cons and batch cells. *)
 let test_cycle_alloc () =
   let w = Timing_wheel.create ~slots:512 ~tick:(us 10.0) () in
   let cb _ _ = () in
-  let now = ref 0L in
+  let now = ref 0 in
   let cycle () =
-    let at_i = Int64.to_int !now + 20_000 in
-    ignore (Timing_wheel.schedule_i w ~at_i () : unit Timing_wheel.handle);
-    now := Int64.of_int at_i;
+    now := !now + 20_000;
+    ignore (Timing_wheel.schedule w ~at:!now () : unit Timing_wheel.handle);
     ignore (Timing_wheel.fire_due w ~now:!now ~limit:max_int cb : Fire_outcome.t)
   in
   for _ = 1 to 1_000 do
@@ -258,11 +256,10 @@ let test_cycle_alloc () =
   for _ = 1 to n do
     cycle ()
   done;
-  (* The loop's own [now] box is 3 more words per cycle. *)
-  let per = ((Gc.minor_words () -. before) /. float_of_int n) -. 3.0 in
+  let per = (Gc.minor_words () -. before) /. float_of_int n in
   Alcotest.(check bool)
-    (Printf.sprintf "schedule + fire_due allocates %.1f minor words (bound 3)" per)
-    true (per <= 3.0)
+    (Printf.sprintf "schedule + fire_due allocates %.1f minor words (bound 0)" per)
+    true (per <= 0.0)
 
 (* Property: against a sorted model, under a random schedule of
    operations (schedule / cancel / re-arm / advance) on a 16-slot
@@ -298,7 +295,7 @@ let ops_arbitrary =
 type model = {
   id : int;
   h : int Timing_wheel.handle;
-  mutable at : Time_ns.t;
+  mutable at : int;
   mutable tie : int;  (* bumped on schedule and re-arm *)
   mutable alive : bool;
 }
@@ -309,7 +306,7 @@ type model = {
 let agrees_with_oracle ~each_op ops =
   let w = Timing_wheel.create ~slots:16 ~tick:(us 10.0) () in
   let entries = ref [] in
-  let now = ref Time_ns.zero in
+  let now = ref 0 in
   let ties = ref 0 in
   let ok = ref true in
   let fresh_tie () =
@@ -318,17 +315,13 @@ let agrees_with_oracle ~each_op ops =
   in
   let pick idx = List.nth_opt !entries (idx mod max 1 (List.length !entries)) in
   let expected_min () =
-    List.fold_left
-      (fun acc e ->
-        if not e.alive then acc
-        else match acc with None -> Some e.at | Some m -> Some (Time_ns.min m e.at))
-      None !entries
+    List.fold_left (fun acc e -> if e.alive then Int.min acc e.at else acc) max_int !entries
   in
   List.iter
     (fun op ->
       (match op with
       | Schedule offset_us ->
-        let at = Time_ns.(!now + us (float_of_int offset_us)) in
+        let at = !now + us (float_of_int offset_us) in
         let id = List.length !entries in
         let h = Timing_wheel.schedule w ~at id in
         entries := { id; h; at; tie = fresh_tie (); alive = true } :: !entries
@@ -341,7 +334,7 @@ let agrees_with_oracle ~each_op ops =
       | Rearm (idx, offset_us) ->
         Option.iter
           (fun e ->
-            let at = Time_ns.(!now + us (float_of_int offset_us)) in
+            let at = !now + us (float_of_int offset_us) in
             let moved = Timing_wheel.rearm w e.h ~at in
             if moved <> e.alive then ok := false;
             if moved then begin
@@ -350,14 +343,14 @@ let agrees_with_oracle ~each_op ops =
             end)
           (pick idx)
       | Advance d ->
-        now := Time_ns.(!now + us (float_of_int d));
+        now := !now + us (float_of_int d);
         let fired = ref [] in
         ignore
           (Timing_wheel.fire_due w ~now:!now ~limit:max_int (fun due id ->
                fired := (due, id) :: !fired)
             : Fire_outcome.t);
         let due =
-          List.filter (fun e -> e.alive && Time_ns.(e.at <= !now)) !entries
+          List.filter (fun e -> e.alive && e.at <= !now) !entries
           |> List.sort (fun a b -> compare (a.at, a.tie) (b.at, b.tie))
         in
         List.iter (fun e -> e.alive <- false) due;

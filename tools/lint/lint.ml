@@ -11,7 +11,7 @@
              bindings, [@hot] roots and the mutable-state index
              (Reachability)
      pass 3  run the rule families over the cached ASTs:
-               Rules_det    DET001..DET004, MLI001  (determinism)
+               Rules_det    DET001..DET005, MLI001  (determinism)
                Rules_race   RACE001..RACE004        (domain safety)
                Rules_alloc  ALLOC001..ALLOC003,     (hot-path allocs)
                             HOT001                  (hot-path DLS lookups)

@@ -21,6 +21,7 @@ let catalogue =
     ("DET002", "global Random.* instead of an explicit Prng stream");
     ("DET003", "polymorphic comparison on a time-valued operand");
     ("DET004", "Obj.magic / order-leaking Hashtbl iteration");
+    ("DET005", "wrapping Int64 conversion of a time-valued operand");
     ("MLI001", "lib/ module without an .mli");
     ("RACE001", "parallel closure captures unprotected mutable toplevel state");
     ("RACE002", "parallel closure reaches unprotected mutable toplevel state");

@@ -1,5 +1,5 @@
-(* Determinism rules DET001..DET004 + MLI001, ported from the original
-   single-file lint onto the shared framework.
+(* Determinism rules DET001..DET005 + MLI001, ported from the original
+   single-file lint onto the shared framework (DET005 is newer).
 
    Changes against the original:
    - module aliasing no longer evades DET001/DET002/DET004: every
@@ -21,6 +21,17 @@ open Parsetree
    metric dumps, bench JSON sections): Hashtbl iteration order must not
    reach their output.  Overridable from the CLI for fixture tests. *)
 let default_det004_scope = [ "lib/experiments/"; "lib/obs/"; "lib/simcore/"; "lib/store/" ]
+
+(* DET005: a time converted by a wrapping [Int64] conversion.
+   [Int64.to_int] wraps a time past the int range into the past, and
+   [Int64.of_float] of a float past [Int64]'s range is garbage (about
+   2^63 goes negative): a far-future deadline becomes an early fire.
+   [Time_ns.to_int] saturates instead, so the rule covers every module
+   but Time_ns itself. *)
+let det005_exempt = "time_ns.ml"
+
+let is_wrapping_conversion parts =
+  match parts with [ "Int64"; ("to_int" | "of_float") ] -> true | _ -> false
 
 let wallclock_idents =
   [ [ "Unix"; "gettimeofday" ];
@@ -132,6 +143,7 @@ let scan ~det004_scope (f : Lint_source.file) =
         && String.sub file 0 (String.length prefix) = prefix)
       det004_scope
   in
+  let det005_applies = not (String.equal (Filename.basename file) det005_exempt) in
   let emit ~loc ~rule msg =
     let line = line_of loc in
     if not (Lint_source.allowed f ~rule ~line) then
@@ -173,10 +185,18 @@ let scan ~det004_scope (f : Lint_source.file) =
                   the keys first (or justify with [@lint.allow \"DET004\"])"
                  fn)
           | _ -> ()))
-      | Pexp_apply ({ pexp_desc = Pexp_ident { txt; loc }; _ }, args)
-        when !time_ns_open_depth = 0 -> (
+      | Pexp_apply ({ pexp_desc = Pexp_ident { txt; loc }; _ }, args) -> (
+        let time_arg = List.exists (fun (_, a) -> expr_time_like a) args in
+        (match resolved txt with
+        | Some parts when det005_applies && is_wrapping_conversion parts && time_arg ->
+          emit ~loc ~rule:"DET005"
+            (Printf.sprintf
+               "%s on a time-valued operand wraps past the int range; convert with \
+                Time_ns.to_int, which saturates"
+               (String.concat "." parts))
+        | _ -> ());
         match poly_compare_op txt with
-        | Some op when List.exists (fun (_, a) -> expr_time_like a) args ->
+        | Some op when !time_ns_open_depth = 0 && time_arg ->
           emit ~loc ~rule:"DET003"
             (Printf.sprintf
                "polymorphic %s on a time-valued operand; use Time_ns comparisons \

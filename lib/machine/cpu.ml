@@ -82,8 +82,7 @@ type t = {
   mutable current : int;  (* running slot; -1 while nothing runs *)
   mutable cur_prio : int;  (* priority of [current] *)
   mutable started : int;  (* dispatch instant of [current], ns *)
-  mutable handle : Engine.handle;  (* completion event of [current] *)
-  mutable k_complete : Engine.kind;
+  mutable quantum : Engine.timer;  (* completion of [current]; armed while it runs *)
   mutable busy : int;
   busy_by_prio : int array;
   mutable idle_hook : int -> unit;
@@ -200,11 +199,11 @@ let[@hot] rec dispatch t =
     t.current <- slot;
     t.cur_prio <- prio;
     t.started <- Engine.now_i t.engine;
-    t.handle <- Engine.post_after_i t.engine t.s_remaining.(slot) t.k_complete 0
+    Engine.arm_after t.engine t.quantum t.s_remaining.(slot)
   end
 
-(* The completion event of [current]: a preempted quantum's event is
-   cancelled, so the one that fires is always the running quantum's.
+(* The completion of [current]: preemption disarms the CPU's quantum
+   timer, so the occurrence that fires is always the running quantum's.
    The slot is freed before the hook and callback run, so work they
    submit may reuse it. *)
 and[@hot] complete t =
@@ -243,8 +242,7 @@ let create ?(id = 0) engine =
       current = -1;
       cur_prio = 0;
       started = 0;
-      handle = Engine.null_handle;
-      k_complete = Engine.null_kind;
+      quantum = Engine.null_timer;
       busy = 0;
       busy_by_prio = Array.make prio_count 0;
       idle_hook = (fun _ -> ());
@@ -253,12 +251,13 @@ let create ?(id = 0) engine =
       depth = 0;
     }
   in
-  t.k_complete <- Engine.register engine ~name:"cpu.complete" (fun _ -> complete t);
+  let k = Engine.register engine ~name:"cpu.complete" (fun _ -> complete t) in
+  t.quantum <- Engine.timer engine k ~payload:0;
   t
 
 let[@hot] preempt t =
   let slot = t.current in
-  Engine.cancel t.engine t.handle;
+  Engine.disarm t.engine t.quantum;
   let elapsed = Engine.now_i t.engine - t.started in
   charge t slot elapsed;
   t.s_remaining.(slot) <- t.s_remaining.(slot) - elapsed;

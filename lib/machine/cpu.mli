@@ -22,7 +22,12 @@
     afterwards; its completion callback fires once, at true completion.
     Arrival during a non-preemptible quantum waits for that quantum to
     finish — this bounded delay is exactly the trigger-state latency and
-    interrupt-latency mechanism of the paper. *)
+    interrupt-latency mechanism of the paper.
+
+    The running quantum's completion is the CPU's one {!Engine.timer}
+    (kind ["cpu.complete"]): dispatch arms it for the quantum's
+    remaining work and preemption disarms it, so a preempted quantum
+    leaves no dead event in the engine's heap. *)
 
 type t
 

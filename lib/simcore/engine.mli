@@ -31,8 +31,10 @@
     The queue is a specialized 4-ary heap over unboxed integer keys
     ({!Eventq}); cancellation is lazy with threshold-triggered
     compaction (residency stays proportional to the number of pending
-    events even under heavy cancel/reschedule churn).  See DESIGN.md
-    §8.4. *)
+    events even under heavy cancel/reschedule churn).  A {!timer} is
+    kept beside the heap instead: an event that is re-armed or disarmed
+    in place, for a component's one recurring occurrence (a CPU's
+    running quantum).  See DESIGN.md §8.4. *)
 
 type t
 
@@ -74,6 +76,40 @@ val post_after_i : t -> int -> kind -> int -> handle
 (** [post_after_i t d kind payload] is [post_at_i t (now_i t + max d 0)
     kind payload]. *)
 
+type timer
+(** A re-armable event of one engine: a registered kind with a fixed
+    payload and at most one pending occurrence.  Timers are kept in a
+    small table beside the heap that is scanned linearly, so an engine
+    is meant to hold a handful of them: create one once per component,
+    at creation, like a kind — never per event.  An armed timer counts
+    in {!pending} (not in {!queue_length}), fires in (time, seq) order
+    with every other event, and counts as a run of its kind in
+    {!kind_runs}. *)
+
+val null_timer : timer
+(** A timer that names none: every operation on it raises
+    [Invalid_argument].  An initial value for a timer-holding field. *)
+
+val timer : t -> kind -> payload:int -> timer
+(** [timer t kind ~payload] is a new, disarmed timer whose occurrence
+    runs [kind]'s handler on [payload].
+    @raise Invalid_argument if [kind] is not one of [t]'s registered
+    kinds. *)
+
+val arm_after : t -> timer -> int -> unit
+(** [arm_after t tm d] schedules [tm]'s occurrence [d] ns from now: a
+    negative delay is now, and a sum past the int range is [max_int].
+    The occurrence takes the next scheduling seq, exactly as a
+    {!post_after_i} at that point would, so it ties with other events
+    at its instant in scheduling order.  Arming an armed timer replaces
+    its occurrence.  The timer is disarmed before its handler runs, so
+    the handler may re-arm it, and a handler that raises leaves it
+    disarmed.  Allocates nothing. *)
+
+val disarm : t -> timer -> unit
+(** Clear [tm]'s pending occurrence, if any; no heap entry is left
+    behind.  Disarming a disarmed timer is a no-op. *)
+
 val kind_runs : t -> (string * int) list
 (** Every kind's name and number of events run so far, in registration
     order; the built-in kind of closure events comes first, named
@@ -91,12 +127,14 @@ val now_i : t -> int
     consumer of time reads.  Never allocates. *)
 
 val pending : t -> int
-(** Number of scheduled, not-yet-run, not-cancelled events. *)
+(** Number of scheduled, not-yet-run, not-cancelled events, armed
+    timers included. *)
 
 val queue_length : t -> int
 (** Internal heap residency, including lazily-cancelled entries not
-    yet compacted away ([>= pending t]).  Exposed so tests can bound
-    the compaction policy; not part of the simulation semantics. *)
+    yet compacted away ([>= pending t] less the armed timers, which
+    live beside the heap).  Exposed so tests can bound the compaction
+    policy; not part of the simulation semantics. *)
 
 val schedule_at : t -> Time_ns.t -> (unit -> unit) -> handle
 (** [schedule_at t time f] runs [f] when the clock reaches [time]: a

@@ -24,3 +24,9 @@ let born now = Int64.to_int now
 let due_of_float deadline = Int64.of_float deadline
 
 let count n = Int64.to_int n
+
+(* A bare [time] is a time to DET005, but not to DET003, so the int
+   comparison below is clean. *)
+let at_int time = Int64.to_int time
+
+let before time limit = time < limit

@@ -143,6 +143,49 @@ let test_interrupt_latch_limit () =
   Alcotest.(check int) "lost" 1 (Interrupt.lost ln);
   Alcotest.(check int) "delivered" 2 (Interrupt.delivered ln)
 
+(* A preemption storm: device interrupts at irregular 9-13 us spacing
+   over a chain of kernel and user quanta.  The running quantum's
+   completion is the CPU's engine timer, armed at dispatch and disarmed
+   by preemption, so the heap holds exactly the live heap events at
+   every instant: a preempted quantum leaves no cancelled completion
+   behind as a dead entry. *)
+let test_preemption_leaves_no_dead_entries () =
+  let e, m = fresh () in
+  let cpu = Machine.cpu m in
+  let ln = Machine.interrupt_line m ~name:"dev" ~source:Trigger.Dev_intr ~handler:ignore () in
+  let rec storm n () =
+    ignore (Machine.raise_irq m ln ~handler_work_us:1.0 () : bool);
+    let gap = ius (9.0 +. float_of_int (n mod 5)) in
+    if n > 0 then ignore (Engine.schedule_after_i e gap (storm (n - 1)) : Engine.handle)
+  in
+  ignore (Engine.schedule_after_i e (ius 3.0) (storm 2_000) : Engine.handle);
+  let quanta = ref 0 and stretched = ref 0 in
+  let rec next i _ =
+    if i < 2_000 then begin
+      let prio = if i land 1 = 0 then Cpu.prio_kernel else Cpu.prio_user in
+      let work = ius (if prio = Cpu.prio_kernel then 7.0 else 11.0) in
+      let start = Engine.now_i e in
+      Cpu.submit cpu ~prio ~work ~trigger:None (fun at ->
+          incr quanta;
+          if at - start > work then incr stretched;
+          next (i + 1) at)
+    end
+  in
+  next 0 0;
+  let live_in_heap () = Engine.pending e - if Cpu.is_idle cpu then 0 else 1 in
+  let mismatches = ref 0 in
+  for step = 1 to 20_000 do
+    Engine.run_until e (Int64.of_int (step * 1_700));
+    if Engine.queue_length e <> live_in_heap () then incr mismatches
+  done;
+  Alcotest.(check int) "every quantum completed" 2_000 !quanta;
+  Alcotest.(check bool)
+    (Printf.sprintf "interrupts stretched %d of the quanta" !stretched)
+    true (!stretched > 1_000);
+  Alcotest.(check bool) "interrupts delivered" true (Interrupt.delivered ln > 1_500);
+  Alcotest.(check int) "instants with dead heap entries" 0 !mismatches;
+  Alcotest.(check int) "residency afterwards" (live_in_heap ()) (Engine.queue_length e)
+
 let test_interrupt_pollution_scales_with_locality () =
   let run locality =
     let e, m = fresh () in
@@ -659,6 +702,8 @@ let () =
         [
           Alcotest.test_case "costs charged" `Quick test_interrupt_costs_charged;
           Alcotest.test_case "latch limit" `Quick test_interrupt_latch_limit;
+          Alcotest.test_case "preemption leaves no dead entries" `Quick
+            test_preemption_leaves_no_dead_entries;
           Alcotest.test_case "pollution scales with locality" `Quick
             test_interrupt_pollution_scales_with_locality;
           Alcotest.test_case "spl windows defer and lose" `Quick test_spl_windows_defer_and_lose;

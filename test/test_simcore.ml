@@ -684,15 +684,18 @@ let test_eventq_rebuild_keeps_subset =
 
 (* Obviously-correct reference: a sorted association list of
    (time, tag) fired in lexicographic (time, tag) order — tags are
-   issued in scheduling order, so the tie-break doubles as FIFO. *)
+   issued in scheduling order, so the tie-break doubles as FIFO.  A
+   timer is a slot holding the tag of its pending occurrence: arming
+   cancels the old tag and schedules a new one, disarming cancels it. *)
 module Engine_model = struct
   type t = {
     mutable events : (int * int) list;  (* (time, tag), sorted *)
     mutable clock : int;
     mutable next_tag : int;
+    timers : int option array;  (* each timer's pending tag *)
   }
 
-  let create () = { events = []; clock = 0; next_tag = 0 }
+  let create ~timers = { events = []; clock = 0; next_tag = 0; timers = Array.make timers None }
 
   let schedule_at m time =
     let time = if time < m.clock then m.clock else time in
@@ -703,6 +706,16 @@ module Engine_model = struct
 
   let cancel m tag = m.events <- List.filter (fun (_, g) -> g <> tag) m.events
   let is_scheduled m tag = List.exists (fun (_, g) -> g = tag) m.events
+
+  let disarm m i =
+    Option.iter (cancel m) m.timers.(i);
+    m.timers.(i) <- None
+
+  let arm_after m i d =
+    disarm m i;
+    let tag = schedule_at m (m.clock + max d 0) in
+    m.timers.(i) <- Some tag;
+    tag
 
   let step m log =
     match m.events with
@@ -728,30 +741,42 @@ module Engine_model = struct
 end
 
 let test_engine_matches_model =
-  (* Random op traces (schedule at arbitrary absolute times including
-     the past, cancel of arbitrary earlier handles incl. stale ones,
-     step, run_until) drive the real engine and the model in lockstep;
-     fire order, clock and is_scheduled must agree throughout. *)
+  (* Random op traces (closure and registered-kind events at arbitrary
+     absolute times including the past, cancel of arbitrary earlier
+     handles incl. stale ones, arming three timers with delays that may
+     be negative, disarming them, step, run_until) drive the real
+     engine and the model in lockstep; fire order, clock, pending and
+     is_scheduled must agree throughout. *)
   QCheck.Test.make ~name:"engine matches reference model" ~count:300
-    QCheck.(list_of_size Gen.(int_range 1 120) (pair (int_range 0 9) (int_range 0 400)))
+    QCheck.(list_of_size Gen.(int_range 1 120) (pair (int_range 0 13) (int_range 0 400)))
     (fun ops ->
       let e = Engine.create () in
-      let m = Engine_model.create () in
+      let n_timers = 3 in
+      let m = Engine_model.create ~timers:n_timers in
       let real_log = ref [] and model_log = ref [] in
+      let k = Engine.register e ~name:"k" (fun tag -> real_log := tag :: !real_log) in
+      (* A timer's payload is its index; its handler logs the tag of
+         the occurrence it was last armed with. *)
+      let armed_tag = Array.make n_timers (-1) in
+      let tk = Engine.register e ~name:"tk" (fun i -> real_log := armed_tag.(i) :: !real_log) in
+      let timers = Array.init n_timers (fun i -> Engine.timer e tk ~payload:i) in
       (* tag -> real handle, in issue order (newest first). *)
       let handles = ref [] in
       let ok = ref true in
       let check b = if not b then ok := false in
       List.iter
-        (fun (kind, v) ->
+        (fun (op, v) ->
           if !ok then begin
-            (match kind with
-            | 0 | 1 | 2 | 3 | 4 ->
+            (match op with
+            | 0 | 1 | 2 ->
               let tag = Engine_model.schedule_at m v in
               let h =
                 Engine.schedule_at e (Int64.of_int v) (fun () -> real_log := tag :: !real_log)
               in
               handles := (tag, h) :: !handles
+            | 3 | 4 ->
+              let tag = Engine_model.schedule_at m v in
+              handles := (tag, Engine.post_at_i e v k tag) :: !handles
             | 5 | 6 ->
               (match !handles with
               | [] -> ()
@@ -760,9 +785,17 @@ let test_engine_matches_model =
                 Engine_model.cancel m tag;
                 Engine.cancel e h)
             | 7 | 8 -> check (Engine.step e = Engine_model.step m model_log)
-            | _ ->
+            | 9 ->
               Engine.run_until e (Int64.of_int v);
-              Engine_model.run_until m v model_log);
+              Engine_model.run_until m v model_log
+            | 10 | 11 ->
+              let i = v mod n_timers and d = v - 100 in
+              armed_tag.(i) <- Engine_model.arm_after m i d;
+              Engine.arm_after e timers.(i) d
+            | _ ->
+              let i = v mod n_timers in
+              Engine_model.disarm m i;
+              Engine.disarm e timers.(i));
             check (Engine.now e = Int64.of_int m.Engine_model.clock);
             check (Engine.pending e = List.length m.Engine_model.events);
             List.iter
@@ -948,6 +981,111 @@ let test_engine_raise_contract () =
         (List.assoc "closure" runs, List.assoc "k" runs))
     [ true; false ]
 
+(* Engine timers: a kind with a fixed payload and at most one pending
+   occurrence, kept beside the heap. *)
+let timer_fixture () =
+  let e = Engine.create () in
+  let log = ref [] in
+  let k = Engine.register e ~name:"k" (fun p -> log := (p, Engine.now_i e) :: !log) in
+  (e, log, k)
+
+(* An occurrence's seq is taken when it is armed, so a timer and a heap
+   event due at one instant fire in the order they were scheduled. *)
+let test_timer_ties_in_seq_order () =
+  let e, log, k = timer_fixture () in
+  let tm = Engine.timer e k ~payload:0 in
+  ignore (Engine.post_at_i e 10 k 1 : Engine.handle);
+  Engine.arm_after e tm 10;
+  ignore (Engine.post_at_i e 10 k 2 : Engine.handle);
+  ignore (Engine.schedule_at e 10L (fun () -> log := (3, Engine.now_i e) :: !log) : Engine.handle);
+  Engine.run e;
+  Alcotest.(check (list (pair int int))) "scheduling order at one instant"
+    [ (1, 10); (0, 10); (2, 10); (3, 10) ]
+    (List.rev !log);
+  Alcotest.(check (list (pair string int))) "the timer runs its kind"
+    [ ("closure", 1); ("k", 3) ]
+    (Engine.kind_runs e)
+
+let test_timer_negative_delay () =
+  let e, log, k = timer_fixture () in
+  let tm = Engine.timer e k ~payload:7 in
+  Engine.run_until e 50L;
+  Engine.arm_after e tm (-5);
+  Engine.run_until e 50L;
+  Alcotest.(check (list (pair int int))) "fires now" [ (7, 50) ] !log;
+  Engine.arm_after e tm max_int;
+  Engine.run_until e Int64.max_int;
+  Alcotest.(check (pair int int)) "a far delay saturates at the end of time" (7, max_int)
+    (List.hd !log)
+
+let test_timer_rearm_replaces () =
+  let e, log, k = timer_fixture () in
+  let tm = Engine.timer e k ~payload:0 in
+  Engine.arm_after e tm 10;
+  Engine.arm_after e tm 30;
+  Alcotest.(check int) "one occurrence pending" 1 (Engine.pending e);
+  Engine.run e;
+  Alcotest.(check (list (pair int int))) "only the later occurrence" [ (0, 30) ] !log;
+  log := [];
+  Engine.arm_after e tm 30;
+  Engine.arm_after e tm 5;
+  Engine.run e;
+  Alcotest.(check (list (pair int int))) "an earlier re-arm wins" [ (0, 35) ] !log
+
+let test_timer_disarm_idempotent () =
+  let e, log, k = timer_fixture () in
+  let tm = Engine.timer e k ~payload:0 in
+  Engine.disarm e tm;
+  Alcotest.(check int) "disarming a fresh timer" 0 (Engine.pending e);
+  Engine.arm_after e tm 10;
+  Engine.disarm e tm;
+  Engine.disarm e tm;
+  Alcotest.(check int) "nothing pending" 0 (Engine.pending e);
+  Engine.run e;
+  Alcotest.(check (list (pair int int))) "nothing fires" [] !log
+
+(* An armed timer is pending but lives beside the heap. *)
+let test_timer_pending () =
+  let e, _, k = timer_fixture () in
+  let tm = Engine.timer e k ~payload:0 in
+  ignore (Engine.post_at_i e 20 k 1 : Engine.handle);
+  Engine.arm_after e tm 10;
+  Alcotest.(check (pair int int)) "pending, residency" (2, 1)
+    (Engine.pending e, Engine.queue_length e);
+  ignore (Engine.step e : bool);
+  Alcotest.(check (pair int int)) "after the timer fired" (1, 1)
+    (Engine.pending e, Engine.queue_length e)
+
+(* The raise contract for timers: the timer is disarmed before its
+   handler runs, so a raise leaves it disarmed, the count consistent and
+   the loop resumable; the timer can be armed again. *)
+let test_timer_raise () =
+  let e = Engine.create () in
+  let log = ref [] in
+  let k = Engine.register e ~name:"k" (fun p -> if p < 0 then raise Boom else log := p :: !log) in
+  let tm = Engine.timer e k ~payload:(-1) in
+  ignore (Engine.post_at_i e 10 k 1 : Engine.handle);
+  Engine.arm_after e tm 20;
+  ignore (Engine.post_at_i e 30 k 3 : Engine.handle);
+  Alcotest.check_raises "the raise escapes run_until" Boom (fun () -> Engine.run_until e 100L);
+  Alcotest.(check int) "disarmed: only the later event pending" 1 (Engine.pending e);
+  Alcotest.(check int64) "clock at the raising timer" 20L (Engine.now e);
+  Engine.run_until e 100L;
+  Alcotest.(check (list int)) "resumed in order" [ 1; 3 ] (List.rev !log);
+  Engine.arm_after e tm 5;
+  Alcotest.check_raises "re-armed, it fires again" Boom (fun () -> Engine.run e);
+  Alcotest.(check int) "the raising timer counts as run" 4 (List.assoc "k" (Engine.kind_runs e))
+
+let test_timer_unknown_kind () =
+  let e = Engine.create () in
+  let other = Engine.create () in
+  let k = Engine.register other ~name:"k" ignore in
+  Alcotest.check_raises "null kind" (Invalid_argument "Engine.timer: unknown kind") (fun () ->
+      ignore (Engine.timer e Engine.null_kind ~payload:0 : Engine.timer));
+  Alcotest.check_raises "a kind this engine never registered"
+    (Invalid_argument "Engine.timer: unknown kind") (fun () ->
+      ignore (Engine.timer e k ~payload:0 : Engine.timer))
+
 let () =
   let qc = QCheck_alcotest.to_alcotest in
   Alcotest.run "simcore"
@@ -1000,6 +1138,13 @@ let () =
           Alcotest.test_case "raising handler" `Quick test_engine_raise_contract;
           Alcotest.test_case "unboxed clock" `Quick test_engine_clock_unboxed;
           Alcotest.test_case "edge times saturate" `Quick test_engine_edge_times;
+          Alcotest.test_case "timer ties in seq order" `Quick test_timer_ties_in_seq_order;
+          Alcotest.test_case "timer negative delay" `Quick test_timer_negative_delay;
+          Alcotest.test_case "timer re-arm replaces" `Quick test_timer_rearm_replaces;
+          Alcotest.test_case "timer disarm twice" `Quick test_timer_disarm_idempotent;
+          Alcotest.test_case "timer pending" `Quick test_timer_pending;
+          Alcotest.test_case "timer raising handler" `Quick test_timer_raise;
+          Alcotest.test_case "timer unknown kind" `Quick test_timer_unknown_kind;
           qc test_engine_replay_deterministic;
           qc test_engine_matches_model;
         ] );

@@ -66,9 +66,13 @@ let poly_compare_op lid =
     Some s
   | _ -> None
 
-let time_like_name name =
+(* DET003's names.  DET005 also reads a bare [time] as a time: a
+   wrapping conversion of one is always a finding, while [time] in an
+   int comparison is the engine's and [Eventq]'s immediate-int key. *)
+let time_like_name ~bare_time name =
   match name with
   | "now" | "due" | "deadline" -> true
+  | "time" -> bare_time
   | _ ->
     List.exists
       (fun suf -> Filename.check_suffix name suf)
@@ -91,8 +95,9 @@ let escapes_time (ex : expression) =
 (* Does the expression (syntactically) mention a time value?  True when
    any identifier or record field within is time-like by name, or any
    path goes through the Time_ns module (excluding subtrees whose value
-   already escaped to int/float, see [escapes_time]). *)
-let expr_time_like e =
+   already escaped to int/float, see [escapes_time]).  [bare_time]
+   selects DET005's name set over DET003's. *)
+let expr_time_like ~bare_time e =
   let found = ref false in
   let last_part lid =
     match flatten_opt lid with
@@ -107,7 +112,7 @@ let expr_time_like e =
       | _ -> found := true)
     | _ -> ());
     match last_part lid with
-    | Some name when time_like_name name -> found := true
+    | Some name when time_like_name ~bare_time name -> found := true
     | _ -> ()
   in
   let it =
@@ -186,9 +191,10 @@ let scan ~det004_scope (f : Lint_source.file) =
                  fn)
           | _ -> ()))
       | Pexp_apply ({ pexp_desc = Pexp_ident { txt; loc }; _ }, args) -> (
-        let time_arg = List.exists (fun (_, a) -> expr_time_like a) args in
+        let time_arg ~bare_time = List.exists (fun (_, a) -> expr_time_like ~bare_time a) args in
         (match resolved txt with
-        | Some parts when det005_applies && is_wrapping_conversion parts && time_arg ->
+        | Some parts
+          when det005_applies && is_wrapping_conversion parts && time_arg ~bare_time:true ->
           emit ~loc ~rule:"DET005"
             (Printf.sprintf
                "%s on a time-valued operand wraps past the int range; convert with \
@@ -196,7 +202,7 @@ let scan ~det004_scope (f : Lint_source.file) =
                (String.concat "." parts))
         | _ -> ());
         match poly_compare_op txt with
-        | Some op when !time_ns_open_depth = 0 && time_arg ->
+        | Some op when !time_ns_open_depth = 0 && time_arg ~bare_time:false ->
           emit ~loc ~rule:"DET003"
             (Printf.sprintf
                "polymorphic %s on a time-valued operand; use Time_ns comparisons \

@@ -1,8 +1,8 @@
 (* The Bechamel microbenchmark suite: the operations every experiment
-   cell spends most of its cycles in — Engine.schedule / fire / cancel
-   and the backing event queue, the soft-timer schedule + fire path and
-   its per-trigger-state check, the always-on observability taps, and
-   each timer store's fast paths.
+   cell spends most of its cycles in — Engine.schedule / fire, the
+   re-arm of an engine timer and the backing event queue, the
+   soft-timer schedule + fire path and its per-trigger-state check, the
+   always-on observability taps, and each timer store's fast paths.
 
    dune exec bench/microbench.exe [-- --quota SECONDS]
 
@@ -11,24 +11,28 @@
 
 let bench_engine_schedule_fire () =
   (* Steady-state schedule+fire through the public API: one event in
-     flight, no cancellations. *)
+     flight. *)
   let e = Engine.create () in
   let t = ref 0L in
   Bechamel.Staged.stage (fun () ->
       t := Int64.add !t 100L;
-      ignore (Engine.schedule_at e !t (fun () -> ()) : Engine.handle);
+      Engine.schedule_at e !t (fun () -> ());
       ignore (Engine.step e : bool))
 
-let bench_engine_churn () =
-  (* The rate-based-clocking pattern: schedule then cancel/reschedule,
-     so the queue sees a stream of dead entries. *)
+(* The re-arm pattern of a replaceable occurrence (a TCP sender's
+   retransmission timeout, re-armed per ACK) on an engine timer: arm,
+   disarm, arm again, fire.  [pending] far-future posts stay resident
+   in the heap beside it. *)
+let bench_engine_timer_rearm ~pending () =
   let e = Engine.create () in
-  let t = ref 0L in
+  for i = 1 to pending do
+    Engine.schedule_at e (Int64.of_int (1_000_000_000 + i)) (fun () -> ())
+  done;
+  let tm = Engine.timer e (Engine.register e ~name:"timer" ignore) ~payload:0 in
   Bechamel.Staged.stage (fun () ->
-      t := Int64.add !t 100L;
-      let h = Engine.schedule_at e !t (fun () -> ()) in
-      Engine.cancel e h;
-      ignore (Engine.schedule_at e !t (fun () -> ()) : Engine.handle);
+      Engine.arm_after e tm 100;
+      Engine.disarm e tm;
+      Engine.arm_after e tm 100;
       ignore (Engine.step e : bool))
 
 let bench_engine_pending64 () =
@@ -36,28 +40,12 @@ let bench_engine_pending64 () =
      sift depth is realistic rather than trivial. *)
   let e = Engine.create () in
   for i = 1 to 64 do
-    ignore (Engine.schedule_at e (Int64.of_int (1_000_000_000 + i)) (fun () -> ()) : Engine.handle)
+    Engine.schedule_at e (Int64.of_int (1_000_000_000 + i)) (fun () -> ())
   done;
   let t = ref 0L in
   Bechamel.Staged.stage (fun () ->
       t := Int64.add !t 100L;
-      ignore (Engine.schedule_at e !t (fun () -> ()) : Engine.handle);
-      ignore (Engine.step e : bool))
-
-let bench_engine_churn64 () =
-  (* Churn with a resident population: the case lazy cancellation +
-     compaction is designed for.  The old engine paid a full-depth
-     sift per dead entry popped; the new one amortizes. *)
-  let e = Engine.create () in
-  for i = 1 to 64 do
-    ignore (Engine.schedule_at e (Int64.of_int (1_000_000_000 + i)) (fun () -> ()) : Engine.handle)
-  done;
-  let t = ref 0L in
-  Bechamel.Staged.stage (fun () ->
-      t := Int64.add !t 100L;
-      let h = Engine.schedule_at e !t (fun () -> ()) in
-      Engine.cancel e h;
-      ignore (Engine.schedule_at e !t (fun () -> ()) : Engine.handle);
+      Engine.schedule_at e !t (fun () -> ());
       ignore (Engine.step e : bool))
 
 let bench_eventq_push_pop () =
@@ -229,9 +217,11 @@ let () =
     Test.make_grouped ~name:"softtimers"
       ([
         Test.make ~name:"engine.schedule+fire" (bench_engine_schedule_fire ());
-        Test.make ~name:"engine.churn(sched+cancel+sched+fire)" (bench_engine_churn ());
+        Test.make ~name:"engine.timer(arm+disarm+arm+fire)"
+          (bench_engine_timer_rearm ~pending:0 ());
         Test.make ~name:"engine.schedule+fire@64pending" (bench_engine_pending64 ());
-        Test.make ~name:"engine.churn@64pending" (bench_engine_churn64 ());
+        Test.make ~name:"engine.timer(arm+disarm+arm+fire)@64pending"
+          (bench_engine_timer_rearm ~pending:64 ());
         Test.make ~name:"eventq.push+pop@64" (bench_eventq_push_pop ());
         Test.make ~name:"softtimer.schedule+fire" (bench_softtimer_fire ());
         Test.make ~name:"timing_wheel.next_deadline" (bench_timing_wheel_check ());

@@ -25,27 +25,23 @@ let probe ~bottleneck_bps ~bursts ~burst_len =
       ()
   in
   for b = 0 to bursts - 1 do
-    ignore
-      (Engine.schedule_at engine
-         (Time_ns.mul (Time_ns.of_ms 5.0) b)
-         (fun () ->
-           Capacity.reset_burst est;
-           for _ = 1 to burst_len do
-             Link.send access
-               (Packet.create ~size_bytes:1500 ~meta:() ~born:(Engine.now_i engine))
-           done)
-        : Engine.handle)
+    Engine.schedule_at engine
+      (Time_ns.mul (Time_ns.of_ms 5.0) b)
+      (fun () ->
+        Capacity.reset_burst est;
+        for _ = 1 to burst_len do
+          Link.send access
+            (Packet.create ~size_bytes:1500 ~meta:() ~born:(Engine.now_i engine))
+        done)
   done;
   (* Inter-burst gaps must not pollute the estimate. *)
   let rec reset_between b =
     if b < bursts then
-      ignore
-        (Engine.schedule_at engine
-           Time_ns.(Time_ns.mul (Time_ns.of_ms 5.0) b + Time_ns.of_ms 4.0)
-           (fun () ->
-             Capacity.reset_burst est;
-             reset_between (b + 1))
-          : Engine.handle)
+      Engine.schedule_at engine
+        Time_ns.(Time_ns.mul (Time_ns.of_ms 5.0) b + Time_ns.of_ms 4.0)
+        (fun () ->
+          Capacity.reset_burst est;
+          reset_between (b + 1))
   in
   reset_between 0;
   Engine.run engine;

@@ -6,12 +6,11 @@ type t = {
   mutable line : Interrupt.line option;
   mutable running : bool;
   mutable dispatch_pending : bool;
-  mutable epoch : int;
   mutable sends : int;
   mutable last_send : int;  (* ns; -1 before the first send *)
   intervals : Hdr.t;  (* constant-memory, like Rate_clock.intervals *)
   mutable dispatch : int -> unit;  (* the softintr quantum's callback, built once *)
-  mutable k_tick : Engine.kind;
+  mutable tick : Engine.timer;
 }
 
 let a_dispatch = Profile.intern [ "softintr"; "hw_pacer" ]
@@ -43,14 +42,11 @@ let on_tick t _now =
 
 let the_line t = match t.line with Some l -> l | None -> assert false
 
-(* One tick of the timer started in [epoch]; a stop or restart since
-   then ends the chain. *)
-let[@hot] tick t epoch =
-  if t.running && t.epoch = epoch then begin
-    ignore (Machine.raise_irq t.machine (the_line t) ~handler_work_us:0.4 () : bool);
-    ignore (Engine.post_after_i (Machine.engine t.machine) t.interval_i t.k_tick epoch
-        : Engine.handle)
-  end
+(* One tick: [stop] disarms the timer, so it fires only while running,
+   and it re-arms only while still running after the raise. *)
+let[@hot] on_timer t _ =
+  ignore (Machine.raise_irq t.machine (the_line t) ~handler_work_us:0.4 () : bool);
+  if t.running then Engine.arm_after (Machine.engine t.machine) t.tick t.interval_i
 
 let create machine ~interval ~send ?(dispatch_work_us = 1.2) () =
   if Time_ns.(interval <= 0L) then invalid_arg "Hw_pacer.create: interval must be positive";
@@ -63,12 +59,11 @@ let create machine ~interval ~send ?(dispatch_work_us = 1.2) () =
       line = None;
       running = false;
       dispatch_pending = false;
-      epoch = 0;
       sends = 0;
       last_send = -1;
       intervals = Hdr.create ~lowest:0.01 ();
       dispatch = ignore;
-      k_tick = Engine.null_kind;
+      tick = Engine.null_timer;
     }
   in
   let line =
@@ -79,19 +74,21 @@ let create machine ~interval ~send ?(dispatch_work_us = 1.2) () =
   in
   t.line <- Some line;
   t.dispatch <- on_dispatch t;
-  t.k_tick <- Engine.register (Machine.engine machine) ~name:"hw_pacer.tick" (tick t);
+  let engine = Machine.engine machine in
+  let k_tick = Engine.register engine ~name:"hw_pacer.tick" (on_timer t) in
+  t.tick <- Engine.timer engine k_tick ~payload:0;
   t
 
 let start t =
   if not t.running then begin
     t.running <- true;
-    t.epoch <- t.epoch + 1;
-    ignore
-      (Engine.post_after_i (Machine.engine t.machine) t.interval_i t.k_tick t.epoch
-        : Engine.handle)
+    Engine.arm_after (Machine.engine t.machine) t.tick t.interval_i
   end
 
-let stop t = t.running <- false
+let stop t =
+  t.running <- false;
+  Engine.disarm (Machine.engine t.machine) t.tick
+
 let sends t = t.sends
 let ticks_raised t = Interrupt.raised (the_line t)
 let ticks_lost t = Interrupt.lost (the_line t)

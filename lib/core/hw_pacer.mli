@@ -25,7 +25,12 @@ val create :
     software-interrupt dispatch cost per tick (default 1.2). *)
 
 val start : t -> unit
+(** Start the tick: the first fires one interval from now.  The tick is
+    one engine timer (kind ["hw_pacer.tick"]), re-armed at each tick. *)
+
 val stop : t -> unit
+(** Disarm the tick; a later {!start} begins a fresh interval. *)
+
 val sends : t -> int
 val ticks_raised : t -> int
 val ticks_lost : t -> int

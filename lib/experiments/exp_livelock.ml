@@ -79,12 +79,10 @@ let goodput (cfg : Exp_config.t) ~mode ~rate_pps =
   let rng = Prng.create ~seed:cfg.Exp_config.seed in
   let gap_dist = Dist.Exponential (1e6 /. rate_pps) in
   let rec flood () =
-    ignore
-      (Engine.schedule_after engine (Dist.span gap_dist rng) (fun () ->
-           Nic.deliver nic
-             (Packet.create ~size_bytes:1500 ~meta:() ~born:(Engine.now_i engine));
-           flood ())
-        : Engine.handle)
+    Engine.schedule_after engine (Dist.span gap_dist rng) (fun () ->
+        Nic.deliver nic
+          (Packet.create ~size_bytes:1500 ~meta:() ~born:(Engine.now_i engine));
+        flood ())
   in
   flood ();
   let span = if cfg.Exp_config.quick then 0.4 else 1.5 in

@@ -40,10 +40,8 @@ let soft_cell (cfg : Exp_config.t) ~target_us ~min_us =
       ~send:(send_cost machine)
       ()
   in
-  ignore
-    (Engine.schedule_after (Webserver.engine t) (Exp_config.warmup cfg) (fun () ->
-         Rate_clock.start clock)
-      : Engine.handle);
+  Engine.schedule_after (Webserver.engine t) (Exp_config.warmup cfg) (fun () ->
+      Rate_clock.start clock);
   Webserver.run t ~warmup:(Exp_config.warmup cfg) ~measure:(Exp_config.measure cfg);
   let s = Rate_clock.intervals clock in
   {
@@ -60,10 +58,8 @@ let hw_cell (cfg : Exp_config.t) ~target_us =
   let pacer =
     Hw_pacer.create machine ~interval:(Time_ns.of_us target_us) ~send:(send_cost machine) ()
   in
-  ignore
-    (Engine.schedule_after (Webserver.engine t) (Exp_config.warmup cfg) (fun () ->
-         Hw_pacer.start pacer)
-      : Engine.handle);
+  Engine.schedule_after (Webserver.engine t) (Exp_config.warmup cfg) (fun () ->
+      Hw_pacer.start pacer);
   Webserver.run t ~warmup:(Exp_config.warmup cfg) ~measure:(Exp_config.measure cfg);
   let s = Hw_pacer.intervals pacer in
   ( Hdr.mean s,

@@ -178,11 +178,11 @@ let[@hot] spl_edge t ~rng ~gap ~duration kind code =
   if code = 0 then begin
     let d = span_ns duration rng in
     t.spl_until <- Engine.now_i t.engine + d;
-    ignore (Engine.post_after_i t.engine d kind 1 : Engine.handle)
+    Engine.post_after_i t.engine d kind 1
   end
   else begin
     flush_spl t;
-    ignore (Engine.post_after_i t.engine (span_ns gap rng) kind 0 : Engine.handle)
+    Engine.post_after_i t.engine (span_ns gap rng) kind 0
   end
 
 let start_spl_sections t ~rng ?(rate_per_sec = 1_300.0)
@@ -192,7 +192,7 @@ let start_spl_sections t ~rng ?(rate_per_sec = 1_300.0)
   kind :=
     Engine.register t.engine ~name:"irq.spl" (fun code ->
         spl_edge t ~rng ~gap ~duration:duration_us !kind code);
-  ignore (Engine.post_after_i t.engine (span_ns gap rng) !kind 0 : Engine.handle)
+  Engine.post_after_i t.engine (span_ns gap rng) !kind 0
 
 let raised ln = !(ln.raised)
 let lost ln = !(ln.lost)

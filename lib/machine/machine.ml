@@ -139,7 +139,7 @@ let arm_idle_poll t epoch =
   match t.idle_poll with
   | None -> ()
   | Some dt ->
-    ignore (Engine.post_after_i t.engine (Time_ns.to_int dt) t.k_idle_poll epoch : Engine.handle)
+    Engine.post_after_i t.engine (Time_ns.to_int dt) t.k_idle_poll epoch
 
 let[@hot] idle_poll_event t epoch =
   if checker_still t epoch then begin
@@ -153,7 +153,7 @@ let arm_idle_deadline t epoch =
   | Some next_deadline ->
     let earliest = next_deadline () in
     if earliest < max_int then
-      ignore (Engine.post_at_i t.engine earliest t.k_idle_deadline epoch : Engine.handle)
+      Engine.post_at_i t.engine earliest t.k_idle_deadline epoch
 
 let[@hot] idle_deadline_event t epoch =
   if checker_still t epoch then begin
@@ -236,7 +236,7 @@ let create ?(profile = Costs.pentium_ii_300) ?(cpus = 1) engine =
 
 let[@hot] periodic_tick t ln ~handler_work_ns ~period_i kind =
   ignore (Interrupt.raise_irq (interrupts t) ln ~handler_work_ns : bool);
-  ignore (Engine.post_after_i t.engine period_i kind 0 : Engine.handle)
+  Engine.post_after_i t.engine period_i kind 0
 
 let add_periodic_timer t ~hz ?(handler_work_us = 0.0) handler =
   if hz <= 0.0 then invalid_arg "Machine.add_periodic_timer: hz must be positive";
@@ -255,7 +255,7 @@ let add_periodic_timer t ~hz ?(handler_work_us = 0.0) handler =
   kind :=
     Engine.register t.engine ~name:"machine.periodic_tick" (fun _ ->
         periodic_tick t ln ~handler_work_ns ~period_i !kind);
-  ignore (Engine.post_after_i t.engine period_i !kind 0 : Engine.handle);
+  Engine.post_after_i t.engine period_i !kind 0;
   ln
 
 let start_interrupt_clock t =

@@ -37,7 +37,7 @@ let[@hot] start_next t =
   else begin
     t.busy <- true;
     let p = Array.unsafe_get t.ring (at t t.n_prop) in
-    ignore (Engine.post_after_i t.engine (ser_ns t p) t.k_sent 0 : Engine.handle)
+    Engine.post_after_i t.engine (ser_ns t p) t.k_sent 0
   end
 
 (* The serialising packet is off the wire: it starts propagating. *)
@@ -46,7 +46,7 @@ let[@hot] on_serialised t _ =
   t.sent <- t.sent + 1;
   t.on_sent (Engine.now_i t.engine) p;
   t.n_prop <- t.n_prop + 1;
-  ignore (Engine.post_after_i t.engine t.latency_i t.k_deliver 0 : Engine.handle);
+  Engine.post_after_i t.engine t.latency_i t.k_deliver 0;
   start_next t
 
 let[@hot] on_delivered t _ =

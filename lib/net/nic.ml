@@ -126,10 +126,8 @@ let maybe_arm_rx_intr t =
     t.rx_intr_armed <- true;
     if Time_ns.(t.rx_intr_delay <= 0L) then fire_rx_intr t
     else
-      ignore
-        (Engine.post_after_i (Machine.engine t.machine) (Time_ns.to_int t.rx_intr_delay)
-           t.k_rx_intr 0
-          : Engine.handle)
+      Engine.post_after_i (Machine.engine t.machine) (Time_ns.to_int t.rx_intr_delay)
+        t.k_rx_intr 0
   end
 
 let deliver t p =

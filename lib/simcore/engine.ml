@@ -1,37 +1,30 @@
 (* The event queue is an {!Eventq} (4-ary heap over unboxed (time,
    seq) int keys) whose payloads index a slot table of plain int
-   arrays: the occupant's seq, its kind and its int payload.  An event
-   is those two ints; what it does is its kind's handler, registered
-   once when the component that owns the kind is created.  Scheduling
-   allocates nothing: a slot index is popped from the freelist, three
-   ints are written, and the index is pushed into the heap; firing or
-   cancelling returns it.
+   arrays: the occupant's kind and its int payload.  An event is those
+   two ints; what it does is its kind's handler, registered once when
+   the component that owns the kind is created.  Posting allocates
+   nothing: a slot index is popped from the freelist, two ints are
+   written, and the index is pushed into the heap; firing returns it.
 
    Closure events ([schedule_at] and friends) are one built-in kind,
    [closure_kind], whose payload is the slot's own index into a
    per-slot closure array, so the engine keeps one dispatch path:
    [handlers.(kind) payload].
 
-   Timers live beside the heap: a timer is a kind and a fixed payload
-   with at most one pending occurrence, in a small table of parallel
-   int arrays with the earliest armed timer's index cached.  Arming
-   takes its seq from [next_seq] like a post and overwrites the
-   occurrence in place; disarming clears it, so neither leaves a dead
-   heap entry.  [step] and [run_until] fire whichever of the heap head
-   and the earliest timer comes first in (time, seq) order, exactly as
-   if both were in the heap.  The table is scanned whenever its
-   minimum may have moved, so it suits a handful of timers.
-
-   Handles are immediate ints packing (seq, slot index).  [seq] is
-   unique per engine, so a handle stays valid across slot reuse: a
-   stale handle's seq no longer matches the slot's occupant and every
-   handle operation degrades to a no-op.
-
-   Cancelling a heap event is lazy (the entry stays behind and is
-   skipped on pop) with threshold-triggered compaction: once dead
-   entries exceed both a floor and half the queue, one O(n)
-   {!Eventq.rebuild} sheds them, so cancel-heavy workloads (rate-based
-   clocking reschedules per packet) keep O(live) residency.
+   A post always runs: the engine has no cancellation, so every heap
+   entry is live and the heap holds exactly the pending posts.  An
+   occurrence that a component replaces or withdraws is a timer
+   instead.  Timers live beside the heap: a timer is a kind and a fixed
+   payload with at most one pending occurrence, in a small table of
+   parallel int arrays with the earliest armed timer's index cached.
+   Arming takes its seq from [next_seq] like a post and overwrites the
+   occurrence in place; disarming clears it, so neither leaves a heap
+   entry behind.  [step] and [run_until] fire whichever of the heap
+   head and the earliest timer comes first in (time, seq) order,
+   exactly as if both were in the heap.  The table is scanned whenever
+   its minimum may have moved, so it suits a handful of timers: one per
+   CPU (quantum completion), per hardware pacer (its tick) and per TCP
+   sender (its retransmission timeout).
 
    Time is an immediate int inside the engine ([clock_i]); [Time_ns.t]
    is int64 only at the API, and enters through [Time_ns.to_int], which
@@ -42,20 +35,13 @@
    allocates nothing, and repeated calls at one instant share one
    box. *)
 
-(* Handle layout: [seq lsl idx_bits | idx].  25 index bits allow 33M
-   concurrent events; the remaining 37 seq bits allow 1.4e11 schedules
-   per engine.  Both are far beyond any simulation here and checked
-   where cheap. *)
-let idx_bits = 25
-let idx_mask = (1 lsl idx_bits) - 1
+(* The slot table stops growing below [max_slots] entries, far beyond
+   the concurrency of any simulation here. *)
+let max_slots = 1 lsl 25
 
-type handle = int
+type handle = unit
 type kind = int
 type timer = int
-
-(* Its index [idx_mask] lies beyond any slot table ([grow_slots] stops
-   below it), so every handle operation treats it as stale. *)
-let null_handle = -1
 
 let closure_kind = 0
 let null_kind = -1
@@ -69,11 +55,9 @@ type t = {
   mutable boxed : Time_ns.t;  (* [boxed_at] boxed, built by [now] *)
   mutable boxed_at : int;
   mutable next_seq : int;
-  mutable live : int;  (* scheduled, not yet run, not cancelled; armed timers too *)
-  mutable dead : int;  (* cancelled entries still in the heap *)
+  mutable live : int;  (* posted or armed, not yet run *)
   q : Eventq.t;
   (* The slot table, one entry per index in each array. *)
-  mutable seqs : int array;  (* occupant's seq; -1 when free *)
   mutable kinds : int array;
   mutable payloads : int array;
   mutable actions : (unit -> unit) array;  (* closure events' closures *)
@@ -123,9 +107,7 @@ let create () =
       boxed_at = 0;
       next_seq = 0;
       live = 0;
-      dead = 0;
       q = Eventq.create ();
-      seqs = [||];
       kinds = [||];
       payloads = [||];
       actions = [||];
@@ -163,17 +145,12 @@ let now t =
 let now_i t = t.clock_i
 let pending t = t.live
 
-let queue_length t = Eventq.length t.q
-(* Heap residency including dead entries; exposed so tests can bound
-   the lazy-cancellation overhead. *)
-
 let kind_runs t = List.init t.n_kinds (fun k -> (t.names.(k), t.runs.(k)))
 
 let grow_slots t =
-  let cap = Array.length t.seqs in
+  let cap = Array.length t.kinds in
   let ncap = if cap = 0 then 16 else cap * 2 in
-  if ncap > idx_mask then invalid_arg "Engine: too many concurrent events";
-  t.seqs <- grown t.seqs cap ncap (-1);
+  if ncap >= max_slots then invalid_arg "Engine: too many concurrent events";
   t.kinds <- grown t.kinds cap ncap 0;
   t.payloads <- grown t.payloads cap ncap 0;
   t.actions <- grown t.actions cap ncap nop
@@ -186,20 +163,13 @@ let free_push t idx =
   Array.unsafe_set t.free t.free_top idx;
   t.free_top <- t.free_top + 1
 
-(* A freed closure slot keeps its closure until the slot is reused:
-   clearing it to [nop] would cost a write barrier per event, and the
-   retention is bounded by the engine's peak concurrency. *)
-let release t idx =
-  Array.unsafe_set t.seqs idx (-1);
-  free_push t idx
-
 (* Pop a free slot index, growing the table when exhausted. *)
 let alloc_slot t =
   if t.free_top = 0 then begin
-    let cap = Array.length t.seqs in
+    let cap = Array.length t.kinds in
     grow_slots t;
     (* Push new indices high-to-low so the lowest pops first. *)
-    for i = Array.length t.seqs - 1 downto cap do
+    for i = Array.length t.kinds - 1 downto cap do
       free_push t i
     done
   end;
@@ -211,12 +181,10 @@ let alloc_slot t =
 let[@hot] enqueue t time_i kind payload idx =
   let seq = t.next_seq in
   t.next_seq <- seq + 1;
-  Array.unsafe_set t.seqs idx seq;
   Array.unsafe_set t.kinds idx kind;
   Array.unsafe_set t.payloads idx payload;
   t.live <- t.live + 1;
-  Eventq.push t.q ~time:time_i ~seq ~payload:idx;
-  (seq lsl idx_bits) lor idx
+  Eventq.push t.q ~time:time_i ~seq ~payload:idx
 
 let[@hot] post_at_i t time_i kind payload =
   if kind <= closure_kind || kind >= t.n_kinds then invalid_arg "Engine.post: unknown kind";
@@ -296,57 +264,14 @@ let[@hot] disarm t i =
     if t.first = i then refresh_first t
   end
 
-(* An entry is live iff its seq still matches the slot occupant's:
-   firing and cancelling invalidate the slot, and slot reuse installs
-   a fresh seq.  Payloads in the queue always index within the slot
-   arrays (they never shrink), so the lookups are unsafe-safe. *)
-
-let is_scheduled t h =
-  let idx = h land idx_mask in
-  idx < Array.length t.seqs && Array.unsafe_get t.seqs idx = h lsr idx_bits
-
-(* Shed dead heap entries once they exceed both a floor (compaction is
-   O(n); don't bother for small queues) and half the residency (so the
-   amortized cost per cancel is O(1) and residency stays O(live)). *)
-let compact_threshold = 64
-
-let maybe_compact t =
-  if t.dead > compact_threshold && t.dead * 2 > Eventq.length t.q then begin
-    (* ALLOC001: the [~keep] closure is one allocation per O(n)
-       compaction, not per cancel — amortized away by the threshold. *)
-    Eventq.rebuild t.q
-      ~keep:((fun ~seq ~payload -> t.seqs.(payload) = seq) [@lint.allow "ALLOC001"]);
-    t.dead <- 0
-  end
-
-let[@hot] cancel t h =
-  let idx = h land idx_mask in
-  if idx < Array.length t.seqs && Array.unsafe_get t.seqs idx = h lsr idx_bits then begin
-    release t idx;
-    t.live <- t.live - 1;
-    t.dead <- t.dead + 1;
-    maybe_compact t
-  end
-
-(* The single choke point that skips lazily-cancelled entries: after
-   [drop_stale] the queue is either empty or headed by a live event.
-   Both [step] and [run_until] go through it. *)
-let[@hot] drop_stale t =
-  let q = t.q in
-  while
-    (not (Eventq.is_empty q))
-    && Array.unsafe_get t.seqs (Eventq.min_payload q) <> Eventq.min_seq q
-  do
-    Eventq.drop_min q;
-    t.dead <- t.dead - 1
-  done
-
-(* Fire the head event (caller guarantees it is live): advance the
-   clock, release the slot, then dispatch to the kind's handler.  The
-   slot is released and the heap entry dropped before the handler
-   runs, so the handle reads as no-longer-scheduled inside its own
-   handler, and a handler that raises leaves the queue consistent:
-   the next [step] or [run_until] resumes with the remaining events. *)
+(* Fire the head event: advance the clock, free the slot, then dispatch
+   to the kind's handler.  The heap entry is dropped and the slot freed
+   before the handler runs, so a handler that raises leaves the queue
+   consistent: the next [step] or [run_until] resumes with the
+   remaining events.  A freed closure slot keeps its closure until the
+   slot is reused: clearing it to [nop] would cost a write barrier per
+   event, and the retention is bounded by the engine's peak
+   concurrency. *)
 let[@hot] fire_head t =
   let q = t.q in
   let time = Eventq.min_time q in
@@ -354,14 +279,13 @@ let[@hot] fire_head t =
   Eventq.drop_min q;
   let kind = Array.unsafe_get t.kinds idx in
   let payload = Array.unsafe_get t.payloads idx in
-  release t idx;
+  free_push t idx;
   t.live <- t.live - 1;
   if time > t.clock_i then t.clock_i <- time;
   Array.unsafe_set t.runs kind (Array.unsafe_get t.runs kind + 1);
   (Array.unsafe_get t.handlers kind) payload
 
-(* Whether the earliest armed timer comes before the heap head, which
-   [drop_stale] has left live (or the heap empty). *)
+(* Whether the earliest armed timer comes before the heap head. *)
 let[@hot] timer_next t =
   let f = t.first in
   f >= 0
@@ -385,7 +309,6 @@ let[@hot] fire_timer t =
   (Array.unsafe_get t.handlers kind) (Array.unsafe_get t.tp f)
 
 let[@hot] step t =
-  drop_stale t;
   if timer_next t then begin
     fire_timer t;
     true
@@ -404,7 +327,6 @@ let[@hot] run_until t limit =
      (Simplif.eliminate_ref). *)
   let continue = ref true in
   while !continue do
-    drop_stale t;
     if timer_next t then begin
       if Array.unsafe_get t.tt t.first <= limit_i then fire_timer t else continue := false
     end

@@ -15,11 +15,17 @@
     payload indexes a per-slot closure array, so every event goes
     through the same dispatch.
 
-    Handlers may schedule and cancel further events freely, including at
-    the current instant (such events run before the clock advances).  A
-    handler that raises leaves the engine consistent: the event counts
-    as run, and the next {!step} or {!run_until} resumes with the
-    remaining events in order.
+    A posted event always runs: the engine has no cancellation.  An
+    occurrence that its component replaces or withdraws is a {!timer}
+    instead, re-armed or disarmed in place.  The engine's timers are one
+    per CPU (its running quantum's completion), one per hardware pacer
+    (its tick) and one per TCP sender (its retransmission timeout).
+
+    Handlers may post further events and arm or disarm timers freely,
+    including at the current instant (such events run before the clock
+    advances).  A handler that raises leaves the engine consistent: the
+    event counts as run, and the next {!step} or {!run_until} resumes
+    with the remaining events in order.
 
     Time is an immediate [int] of nanoseconds on the per-event path
     (the engine's clock, {!post_at_i}, {!now_i}) and a boxed
@@ -29,24 +35,15 @@
     {!schedule_after} saturates there too.
 
     The queue is a specialized 4-ary heap over unboxed integer keys
-    ({!Eventq}); cancellation is lazy with threshold-triggered
-    compaction (residency stays proportional to the number of pending
-    events even under heavy cancel/reschedule churn).  A {!timer} is
-    kept beside the heap instead: an event that is re-armed or disarmed
-    in place, for a component's one recurring occurrence (a CPU's
-    running quantum).  See DESIGN.md §8.4. *)
+    ({!Eventq}) that holds exactly the pending posts.  Timers are kept
+    beside it, in a small table.  See DESIGN.md §8.4. *)
 
 type t
 
-type handle
-(** Identifies a scheduled event so it can be cancelled.  Handles are
-    immediate ints (no allocation) and remain safe to use after the
-    event has run or been cancelled: every operation on a stale handle
-    is a no-op. *)
-
-val null_handle : handle
-(** A handle that names no event: cancelling it is a no-op and it is
-    never scheduled.  An initial value for a handle-holding field. *)
+type handle = unit
+(** What posting returns: nothing, since a post cannot be withdrawn.
+    Kept as a name because the benchmark harness annotates
+    {!schedule_at}'s result with it. *)
 
 type kind
 (** An event kind of one engine: a handler registered with {!register}.
@@ -64,7 +61,7 @@ val register : t -> name:string -> (int -> unit) -> kind
     Call it once per component, at creation, never per event; [name]
     labels the kind in {!kind_runs}. *)
 
-val post_at_i : t -> int -> kind -> int -> handle
+val post_at_i : t -> int -> kind -> int -> unit
 (** [post_at_i t time kind payload] runs [kind]'s handler on [payload]
     when the clock reaches [time] (integer nanoseconds; times in the
     past are clamped to [now t]).  Allocates nothing once the slot pool
@@ -72,7 +69,7 @@ val post_at_i : t -> int -> kind -> int -> handle
     @raise Invalid_argument if [kind] is not one of [t]'s registered
     kinds. *)
 
-val post_after_i : t -> int -> kind -> int -> handle
+val post_after_i : t -> int -> kind -> int -> unit
 (** [post_after_i t d kind payload] is [post_at_i t (now_i t + max d 0)
     kind payload]. *)
 
@@ -82,9 +79,8 @@ type timer
     small table beside the heap that is scanned linearly, so an engine
     is meant to hold a handful of them: create one once per component,
     at creation, like a kind — never per event.  An armed timer counts
-    in {!pending} (not in {!queue_length}), fires in (time, seq) order
-    with every other event, and counts as a run of its kind in
-    {!kind_runs}. *)
+    in {!pending}, fires in (time, seq) order with every other event,
+    and counts as a run of its kind in {!kind_runs}. *)
 
 val null_timer : timer
 (** A timer that names none: every operation on it raises
@@ -107,8 +103,8 @@ val arm_after : t -> timer -> int -> unit
     disarmed.  Allocates nothing. *)
 
 val disarm : t -> timer -> unit
-(** Clear [tm]'s pending occurrence, if any; no heap entry is left
-    behind.  Disarming a disarmed timer is a no-op. *)
+(** Clear [tm]'s pending occurrence, if any.  Disarming a disarmed
+    timer is a no-op. *)
 
 val kind_runs : t -> (string * int) list
 (** Every kind's name and number of events run so far, in registration
@@ -127,36 +123,22 @@ val now_i : t -> int
     consumer of time reads.  Never allocates. *)
 
 val pending : t -> int
-(** Number of scheduled, not-yet-run, not-cancelled events, armed
-    timers included. *)
+(** Number of posted events not yet run plus armed timers. *)
 
-val queue_length : t -> int
-(** Internal heap residency, including lazily-cancelled entries not
-    yet compacted away ([>= pending t] less the armed timers, which
-    live beside the heap).  Exposed so tests can bound the compaction
-    policy; not part of the simulation semantics. *)
-
-val schedule_at : t -> Time_ns.t -> (unit -> unit) -> handle
+val schedule_at : t -> Time_ns.t -> (unit -> unit) -> unit
 (** [schedule_at t time f] runs [f] when the clock reaches [time]: a
     closure event, for cold sites that are not worth a kind.
     Times in the past are clamped to [now t] (the event runs as soon as
     control returns to the event loop). *)
 
-val schedule_after : t -> Time_ns.span -> (unit -> unit) -> handle
+val schedule_after : t -> Time_ns.span -> (unit -> unit) -> unit
 (** [schedule_after t d f] is [schedule_at t (now t + max d 0)], the
     sum saturating at [max_int] ns. *)
 
-val schedule_after_i : t -> int -> (unit -> unit) -> handle
+val schedule_after_i : t -> int -> (unit -> unit) -> unit
 (** [schedule_after] with the delay in integer nanoseconds: the entry
     point for callers that keep their spans as ints, so scheduling
     boxes no [Int64]. *)
-
-val cancel : t -> handle -> unit
-(** Prevent the event from running.  Cancelling an already-run or
-    already-cancelled event is a no-op. *)
-
-val is_scheduled : t -> handle -> bool
-(** Whether the event is still pending (not run, not cancelled). *)
 
 val run_until : t -> Time_ns.t -> unit
 (** Execute events in order until the queue is exhausted or the next

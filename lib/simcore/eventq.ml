@@ -123,13 +123,6 @@ let[@hot] drop_min t =
         ~payload:(Array.unsafe_get t.kp n)
   end
 
-let clear t = t.size <- 0
-
-let iter t f =
-  for i = 0 to t.size - 1 do
-    f ~time:t.kt.(i) ~seq:t.ks.(i) ~payload:t.kp.(i)
-  done
-
 (* Floyd heap construction: compact the survivors to a prefix, then
    heapify bottom-up in O(n). *)
 let rebuild t ~keep =

@@ -1,4 +1,5 @@
-(** Specialized event-queue heap for the simulation engine.
+(** Specialized event-queue heap for the simulation engine and the
+    [eventq] timer store.
 
     A 4-ary min-heap over [(time, seq)] keys with an [int] payload,
     stored as three parallel unboxed [int array]s.  Compared to a
@@ -11,8 +12,8 @@
     Keys are [(time, seq)] ordered lexicographically: [time] is the
     instant in integer nanoseconds and [seq] a unique, monotonically
     increasing tie-breaker, so equal-time entries pop in push (FIFO)
-    order.  The payload is an arbitrary [int] (the engine stores a
-    slot-table index).
+    order.  The payload is an arbitrary [int] (the engine and
+    [Eventq_store] store a slot index).
 
     Times and sequence numbers must be non-negative and fit in an
     OCaml [int] (63-bit: ~292 simulated years in nanoseconds), which
@@ -27,7 +28,8 @@ val create : ?capacity:int -> unit -> t
 
 val length : t -> int
 (** Entries currently stored, including any the owner considers dead
-    ({!rebuild} is how dead entries are shed). *)
+    ({!rebuild} is how [Eventq_store] sheds its dead entries; the
+    engine leaves none). *)
 
 val is_empty : t -> bool
 
@@ -49,16 +51,10 @@ val min_payload : t -> int
 val drop_min : t -> unit
 (** Remove the minimum entry.  No-op when empty. *)
 
-val clear : t -> unit
-(** Remove all entries (keeps the backing arrays). *)
-
-val iter : t -> (time:int -> seq:int -> payload:int -> unit) -> unit
-(** Visit every entry in unspecified order. *)
-
 val rebuild : t -> keep:(seq:int -> payload:int -> bool) -> unit
 (** Drop every entry [keep] rejects (judged by its unique [seq] and
-    its payload), then restore the heap invariant in place.  O(n); the
-    engine's lazy-cancellation compaction choke point. *)
+    its payload), then restore the heap invariant in place.  O(n);
+    [Eventq_store]'s lazy-cancellation compaction choke point. *)
 
 val to_sorted : t -> (int * int * int) list
 (** [(time, seq, payload)] triples in ascending key order,

@@ -1,6 +1,6 @@
 let name = "eventq"
 
-(* Compaction threshold, mirroring the engine's slot table. *)
+(* Compaction floor: below it a rebuild is not worth its O(n). *)
 let compact_floor = 64
 
 type 'a slot = {

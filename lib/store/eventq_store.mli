@@ -1,12 +1,12 @@
 (** Timer store over the engine's flat 4-ary event queue.
 
-    The same technique the simulation engine's slot table uses
-    ([lib/simcore/engine.ml]): a {!Eventq} of [(time, generation)] keys
-    whose payloads index a slot array, lazy cancellation by generation
-    mismatch, and threshold compaction via [Eventq.rebuild] once stale
-    entries reach both a floor (64) and the live count.  Re-arm pushes a
-    fresh queue entry under a new generation and lets the old one go
-    stale — O(log n), no search.
+    A {!Eventq} of [(time, generation)] keys whose payloads index a slot
+    array, lazy cancellation by generation mismatch, and threshold
+    compaction via [Eventq.rebuild] once stale entries reach both a
+    floor (64) and the live count.  Re-arm pushes a fresh queue entry
+    under a new generation and lets the old one go stale — O(log n), no
+    search.  (The engine itself no longer cancels; this store keeps the
+    technique as the comparator it was measured as.)
 
     Cache-friendly (three unboxed int arrays) and allocation-light, at
     the price of corpses: [resident] can transiently exceed [pending]

@@ -18,14 +18,14 @@ let create engine params ~total_segments ~interval ~transmit ?(jitter = fun () -
       else begin
         let next_ideal = Time_ns.(ideal + interval) in
         let at = Time_ns.(next_ideal + jitter ()) in
-        ignore (Engine.schedule_at engine at (send_one next_ideal) : Engine.handle)
+        Engine.schedule_at engine at (send_one next_ideal)
       end
     end
   in
   t.start_fn <-
     (fun () ->
       let now = Engine.now engine in
-      ignore (Engine.schedule_at engine Time_ns.(now + jitter ()) (send_one now) : Engine.handle));
+      Engine.schedule_at engine Time_ns.(now + jitter ()) (send_one now));
   t
 
 let start t = t.start_fn ()

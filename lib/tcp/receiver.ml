@@ -31,8 +31,7 @@ let emit_ack t now =
 let rec heartbeat t () =
   if t.running then begin
     emit_ack t (Engine.now t.engine);
-    ignore (Engine.schedule_after t.engine t.params.Tcp_types.delack_period (heartbeat t)
-             : Engine.handle)
+    Engine.schedule_after t.engine t.params.Tcp_types.delack_period (heartbeat t)
   end
 
 let create engine params ~send_ack =
@@ -58,8 +57,7 @@ let create engine params ~send_ack =
     let k = Int64.div now period in
     Int64.mul (Int64.add k 1L) period
   in
-  ignore
-    (Engine.schedule_at engine next_multiple (fun () -> heartbeat t ()) : Engine.handle);
+  Engine.schedule_at engine next_multiple (fun () -> heartbeat t ());
   t
 
 let schedule_app_read t seq =
@@ -67,15 +65,13 @@ let schedule_app_read t seq =
   match t.app_read_delay with
   | None -> t.app_read_upto <- t.next_expected
   | Some d ->
-    ignore
-      (Engine.schedule_after t.engine d (fun () ->
-           (* One read drains the whole socket buffer; reading sends any
-              pending ACK (Figure 7, step 3). *)
-           if t.next_expected > t.app_read_upto then begin
-             t.app_read_upto <- t.next_expected;
-             emit_ack t (Engine.now t.engine)
-           end)
-        : Engine.handle)
+    Engine.schedule_after t.engine d (fun () ->
+        (* One read drains the whole socket buffer; reading sends any
+           pending ACK (Figure 7, step 3). *)
+        if t.next_expected > t.app_read_upto then begin
+          t.app_read_upto <- t.next_expected;
+          emit_ack t (Engine.now t.engine)
+        end)
 
 let on_data t ~seq =
   if seq >= t.next_expected then begin

@@ -12,27 +12,8 @@ type t = {
   mutable dupacks : int;
   mutable recover : int;  (* fast-retransmit at most once per window *)
   mutable retransmits : int;
-  mutable rto_handle : Engine.handle option;
+  mutable rto : Engine.timer;  (* the retransmission timeout *)
 }
-
-let create engine params ~total_segments ~transmit ?(on_complete = fun _ -> ()) () =
-  if total_segments < 0 then invalid_arg "Sender.create: negative transfer size";
-  {
-    engine;
-    params;
-    total = total_segments;
-    transmit;
-    on_complete;
-    cwnd = Cwnd.create params;
-    sent = 0;
-    acked = 0;
-    done_ = false;
-    max_burst = 0;
-    dupacks = 0;
-    recover = 0;
-    retransmits = 0;
-    rto_handle = None;
-  }
 
 let e_retransmit = Profile.intern [ "tcp"; "retransmit" ]
 let e_rto_fired = Profile.intern [ "tcp"; "rto_fired" ]
@@ -44,25 +25,44 @@ let retransmit_first_unacked t =
   Profile.event e_retransmit;
   t.transmit now (Tcp_types.make_data t.params ~seq:t.acked ~born:(Time_ns.to_int now))
 
-let cancel_rto t =
-  (match t.rto_handle with Some h -> Engine.cancel t.engine h | None -> ());
-  t.rto_handle <- None
-
-let rec arm_rto t =
-  cancel_rto t;
+let arm_rto t =
   if (not t.done_) && t.acked < t.sent then
-    t.rto_handle <-
-      Some
-        (Engine.schedule_after t.engine t.params.Tcp_types.rto (fun () ->
-             t.rto_handle <- None;
-             if (not t.done_) && t.acked < t.sent then begin
-               Profile.event e_rto_fired;
-               Cwnd.on_timeout t.cwnd ~flight:(t.sent - t.acked);
-               t.recover <- t.sent;
-               t.dupacks <- 0;
-               retransmit_first_unacked t;
-               arm_rto t
-             end))
+    Engine.arm_after t.engine t.rto (Time_ns.to_int t.params.Tcp_types.rto)
+  else Engine.disarm t.engine t.rto
+
+let on_rto t =
+  if (not t.done_) && t.acked < t.sent then begin
+    Profile.event e_rto_fired;
+    Cwnd.on_timeout t.cwnd ~flight:(t.sent - t.acked);
+    t.recover <- t.sent;
+    t.dupacks <- 0;
+    retransmit_first_unacked t;
+    arm_rto t
+  end
+
+let create engine params ~total_segments ~transmit ?(on_complete = fun _ -> ()) () =
+  if total_segments < 0 then invalid_arg "Sender.create: negative transfer size";
+  let t =
+    {
+      engine;
+      params;
+      total = total_segments;
+      transmit;
+      on_complete;
+      cwnd = Cwnd.create params;
+      sent = 0;
+      acked = 0;
+      done_ = false;
+      max_burst = 0;
+      dupacks = 0;
+      recover = 0;
+      retransmits = 0;
+      rto = Engine.null_timer;
+    }
+  in
+  let k = Engine.register engine ~name:"tcp.rto" (fun _ -> on_rto t) in
+  t.rto <- Engine.timer engine k ~payload:0;
+  t
 
 let fill_window t =
   let now = Engine.now t.engine in
@@ -103,7 +103,7 @@ let on_ack t ~ack_upto =
     end;
     if t.acked >= t.total then begin
       t.done_ <- true;
-      cancel_rto t;
+      Engine.disarm t.engine t.rto;
       t.on_complete (Engine.now t.engine)
     end
     else fill_window t
@@ -117,4 +117,4 @@ let retransmits t = t.retransmits
 
 let stop t =
   t.done_ <- true;
-  cancel_rto t
+  Engine.disarm t.engine t.rto

@@ -21,7 +21,10 @@ val create :
   ?on_complete:(Time_ns.t -> unit) ->
   unit ->
   t
-(** [on_complete] fires when every segment has been acknowledged. *)
+(** [on_complete] fires when every segment has been acknowledged.  The
+    retransmission timeout is one engine timer registered here (kind
+    ["tcp.rto"]), so an ACK re-arms it in place and allocates nothing
+    for it. *)
 
 val start : t -> unit
 (** Send the initial window. *)

@@ -302,10 +302,8 @@ let wkind_of_code = function
 (* Client -> server, [after] ns of the client's turnaround plus the
    wire. *)
 let client_send t conn ~after wkind =
-  ignore
-    (Engine.post_after_i t.engine (after + wire_latency_ns) t.k_client
-       ((conn * 8) + code_of_wkind wkind)
-      : Engine.handle)
+  Engine.post_after_i t.engine (after + wire_latency_ns) t.k_client
+    ((conn * 8) + code_of_wkind wkind)
 
 (* ------------------------------------------------------------------ *)
 (* Server-side scripts.                                                *)
@@ -525,9 +523,7 @@ let client_handle t now pkt =
   | Fin_ack ->
     client_send t conn ~after:client_turnaround Last_ack;
     (* Connection over: this client starts a fresh one. *)
-    ignore
-      (Engine.post_after_i t.engine client_restart t.k_client ((conn * 8) + code_restart)
-        : Engine.handle)
+    Engine.post_after_i t.engine client_restart t.k_client ((conn * 8) + code_restart)
   | Syn | Handshake_ack | Get | Data_ack | Fin | Last_ack ->
     (* Server-bound kinds never reach the client. *)
     ()
@@ -598,9 +594,9 @@ let start_tcp_timer_sweeps t =
         ~trigger:(Some Trigger.Tcpip_other)
         (fun _ -> ())
     done;
-    ignore (Engine.schedule_after t.engine period sweep : Engine.handle)
+    Engine.schedule_after t.engine period sweep
   in
-  ignore (Engine.schedule_after t.engine period sweep : Engine.handle)
+  Engine.schedule_after t.engine period sweep
 
 let start_background_compute t =
   (* An endless CPU hog at background priority: big syscall-free quanta. *)
@@ -794,10 +790,8 @@ let run t ~warmup ~measure =
   (* Stagger connection starts to avoid a synchronised thundering herd. *)
   Array.iteri
     (fun conn _ ->
-      ignore
-        (Engine.post_after_i t.engine (client_stagger * conn) t.k_client
-           ((conn * 8) + code_restart)
-          : Engine.handle))
+      Engine.post_after_i t.engine (client_stagger * conn) t.k_client
+        ((conn * 8) + code_restart))
     t.clients;
   Engine.run_until t.engine warmup;
   t.measuring <- true;

@@ -44,11 +44,9 @@ let start machine ~seed =
     match phase with
     | Disk_wait ->
       (* CPU idle; the idle loop polls.  A disk completion ends it. *)
-      ignore
-        (Engine.schedule_at engine deadline (fun () ->
-             ignore (Machine.raise_irq machine disk_line ~handler_work_us:5.0 () : bool);
-             run_phase (next_phase phase))
-          : Engine.handle)
+      Engine.schedule_at engine deadline (fun () ->
+          ignore (Machine.raise_irq machine disk_line ~handler_work_us:5.0 () : bool);
+          run_phase (next_phase phase))
     | Exec_storm | Compile ->
       let user, body =
         match phase with

@@ -60,22 +60,18 @@ let start machine ~seed =
     syscall sc last;
     Exec.run sc (fun _ ->
         let wait = Dist.span disk_latency rng in
-        ignore
-          (Engine.schedule_after engine wait (fun () ->
-               ignore (Machine.raise_irq machine disk_line ~handler_work_us:5.0 () : bool);
-               (* Completion: hand the reply back and send it. *)
-               let sc = Exec.script exec in
-               Exec.quantum sc q_ip_output;
-               syscall sc (Dist.draw nfsd_syscall_body rng);
-               Exec.run sc ignore)
-            : Engine.handle))
+        Engine.schedule_after engine wait (fun () ->
+            ignore (Machine.raise_irq machine disk_line ~handler_work_us:5.0 () : bool);
+            (* Completion: hand the reply back and send it. *)
+            let sc = Exec.script exec in
+            Exec.quantum sc q_ip_output;
+            syscall sc (Dist.draw nfsd_syscall_body rng);
+            Exec.run sc ignore))
   in
   let rec arrivals () =
     let gap = Dist.span request_interarrival rng in
-    ignore
-      (Engine.schedule_after engine gap (fun () ->
-           serve_request ();
-           arrivals ())
-        : Engine.handle)
+    Engine.schedule_after engine gap (fun () ->
+        serve_request ();
+        arrivals ())
   in
   arrivals ()

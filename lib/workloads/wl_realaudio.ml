@@ -32,10 +32,8 @@ let start machine ~seed =
   let engine = Machine.engine machine in
   let rec stream () =
     let gap = Dist.span (Dist.Exponential 25_000.0) rng in
-    ignore
-      (Engine.schedule_after engine gap (fun () ->
-           ignore (Machine.raise_irq machine line ~handler_work_us:3.0 () : bool);
-           stream ())
-        : Engine.handle)
+    Engine.schedule_after engine gap (fun () ->
+        ignore (Machine.raise_irq machine line ~handler_work_us:3.0 () : bool);
+        stream ())
   in
   stream ()

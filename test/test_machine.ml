@@ -37,10 +37,8 @@ let test_cpu_intr_preempts_user () =
   let finish = Hashtbl.create 4 in
   Cpu.submit cpu ~prio:Cpu.prio_user ~work:(ius 100.0) ~trigger:None (Hashtbl.add finish "user");
   (* Arrives mid-way through the user quantum; must preempt. *)
-  ignore
-    (Engine.schedule_at e (us 30.0) (fun () ->
-         Cpu.submit cpu ~prio:Cpu.prio_intr ~work:(ius 5.0) ~trigger:None (Hashtbl.add finish "intr"))
-      : Engine.handle);
+  Engine.schedule_at e (us 30.0) (fun () ->
+      Cpu.submit cpu ~prio:Cpu.prio_intr ~work:(ius 5.0) ~trigger:None (Hashtbl.add finish "intr"));
   Engine.run e;
   Alcotest.(check int) "interrupt done at 35us" (ius 35.0) (Hashtbl.find finish "intr");
   Alcotest.(check int) "user resumed, done at 105us" (ius 105.0) (Hashtbl.find finish "user")
@@ -50,10 +48,8 @@ let test_cpu_intr_does_not_preempt_softintr () =
   let cpu = Cpu.create e in
   let finish = Hashtbl.create 4 in
   Cpu.submit cpu ~prio:Cpu.prio_softintr ~work:(ius 50.0) ~trigger:None (Hashtbl.add finish "si");
-  ignore
-    (Engine.schedule_at e (us 10.0) (fun () ->
-         Cpu.submit cpu ~prio:Cpu.prio_intr ~work:(ius 5.0) ~trigger:None (Hashtbl.add finish "intr"))
-      : Engine.handle);
+  Engine.schedule_at e (us 10.0) (fun () ->
+      Cpu.submit cpu ~prio:Cpu.prio_intr ~work:(ius 5.0) ~trigger:None (Hashtbl.add finish "intr"));
   Engine.run e;
   Alcotest.(check int) "softintr runs to completion" (ius 50.0) (Hashtbl.find finish "si");
   Alcotest.(check int) "interrupt delayed until then" (ius 55.0) (Hashtbl.find finish "intr")
@@ -62,10 +58,8 @@ let test_cpu_busy_accounting () =
   let e = Engine.create () in
   let cpu = Cpu.create e in
   Cpu.submit cpu ~prio:Cpu.prio_user ~work:(ius 40.0) ~trigger:None (fun _ -> ());
-  ignore
-    (Engine.schedule_at e (us 10.0) (fun () ->
-         Cpu.submit cpu ~prio:Cpu.prio_intr ~work:(ius 5.0) ~trigger:None (fun _ -> ()))
-      : Engine.handle);
+  Engine.schedule_at e (us 10.0) (fun () ->
+      Cpu.submit cpu ~prio:Cpu.prio_intr ~work:(ius 5.0) ~trigger:None (fun _ -> ()));
   Engine.run e;
   Alcotest.(check int64) "total busy" (us 45.0) (Cpu.busy_ns cpu);
   Alcotest.(check int64) "user busy" (us 40.0) (Cpu.busy_ns_at cpu Cpu.prio_user);
@@ -78,10 +72,8 @@ let test_cpu_idle_resume_hooks () =
   let events = ref [] in
   Cpu.set_idle_hook cpu (fun t -> events := ("idle", Time_ns.of_ns t) :: !events);
   Cpu.set_resume_hook cpu (fun t -> events := ("resume", Time_ns.of_ns t) :: !events);
-  ignore
-    (Engine.schedule_at e (us 5.0) (fun () ->
-         Cpu.submit cpu ~prio:Cpu.prio_user ~work:(ius 10.0) ~trigger:None (fun _ -> ()))
-      : Engine.handle);
+  Engine.schedule_at e (us 5.0) (fun () ->
+      Cpu.submit cpu ~prio:Cpu.prio_user ~work:(ius 10.0) ~trigger:None (fun _ -> ()));
   Engine.run e;
   Alcotest.(check (list (pair string int64))) "resume then idle"
     [ ("resume", us 5.0); ("idle", us 15.0) ]
@@ -95,10 +87,8 @@ let test_cpu_preempted_callback_once () =
   (* Three interrupts during the quantum. *)
   List.iter
     (fun t ->
-      ignore
-        (Engine.schedule_at e (us t) (fun () ->
-             Cpu.submit cpu ~prio:Cpu.prio_intr ~work:(ius 2.0) ~trigger:None (fun _ -> ()))
-          : Engine.handle))
+      Engine.schedule_at e (us t) (fun () ->
+          Cpu.submit cpu ~prio:Cpu.prio_intr ~work:(ius 2.0) ~trigger:None (fun _ -> ())))
     [ 10.0; 40.0; 70.0 ];
   Engine.run e;
   Alcotest.(check int) "completion fires exactly once" 1 !calls;
@@ -146,19 +136,24 @@ let test_interrupt_latch_limit () =
 (* A preemption storm: device interrupts at irregular 9-13 us spacing
    over a chain of kernel and user quanta.  The running quantum's
    completion is the CPU's engine timer, armed at dispatch and disarmed
-   by preemption, so the heap holds exactly the live heap events at
-   every instant: a preempted quantum leaves no cancelled completion
-   behind as a dead entry. *)
+   by preemption, so the engine holds exactly the live events at every
+   instant, the storm's next interrupt and the running quantum's
+   completion: a preempted quantum leaves no completion behind. *)
 let test_preemption_leaves_no_dead_entries () =
   let e, m = fresh () in
   let cpu = Machine.cpu m in
   let ln = Machine.interrupt_line m ~name:"dev" ~source:Trigger.Dev_intr ~handler:ignore () in
+  let storm_pending = ref 1 in
   let rec storm n () =
+    decr storm_pending;
     ignore (Machine.raise_irq m ln ~handler_work_us:1.0 () : bool);
     let gap = ius (9.0 +. float_of_int (n mod 5)) in
-    if n > 0 then ignore (Engine.schedule_after_i e gap (storm (n - 1)) : Engine.handle)
+    if n > 0 then begin
+      incr storm_pending;
+      Engine.schedule_after_i e gap (storm (n - 1))
+    end
   in
-  ignore (Engine.schedule_after_i e (ius 3.0) (storm 2_000) : Engine.handle);
+  Engine.schedule_after_i e (ius 3.0) (storm 2_000);
   let quanta = ref 0 and stretched = ref 0 in
   let rec next i _ =
     if i < 2_000 then begin
@@ -172,19 +167,19 @@ let test_preemption_leaves_no_dead_entries () =
     end
   in
   next 0 0;
-  let live_in_heap () = Engine.pending e - if Cpu.is_idle cpu then 0 else 1 in
+  let live () = !storm_pending + if Cpu.is_idle cpu then 0 else 1 in
   let mismatches = ref 0 in
   for step = 1 to 20_000 do
     Engine.run_until e (Int64.of_int (step * 1_700));
-    if Engine.queue_length e <> live_in_heap () then incr mismatches
+    if Engine.pending e <> live () then incr mismatches
   done;
   Alcotest.(check int) "every quantum completed" 2_000 !quanta;
   Alcotest.(check bool)
     (Printf.sprintf "interrupts stretched %d of the quanta" !stretched)
     true (!stretched > 1_000);
   Alcotest.(check bool) "interrupts delivered" true (Interrupt.delivered ln > 1_500);
-  Alcotest.(check int) "instants with dead heap entries" 0 !mismatches;
-  Alcotest.(check int) "residency afterwards" (live_in_heap ()) (Engine.queue_length e)
+  Alcotest.(check int) "instants with pending events not live" 0 !mismatches;
+  Alcotest.(check int) "pending afterwards" (live ()) (Engine.pending e)
 
 let test_interrupt_pollution_scales_with_locality () =
   let run locality =
@@ -215,7 +210,7 @@ let test_spl_windows_defer_and_lose () =
     if !raised < 300_000 then begin
       incr raised;
       ignore (Machine.raise_irq m ln () : bool);
-      ignore (Engine.schedule_after e (us 10.0) tick : Engine.handle)
+      Engine.schedule_after e (us 10.0) tick
     end
   in
   tick ();
@@ -563,13 +558,11 @@ let test_cpu_work_conservation =
         (fun (prio, work_us, at_us) ->
           let work = Time_ns.of_us (float_of_int work_us) in
           total := Int64.add !total work;
-          ignore
-            (Engine.schedule_at e
-               (Time_ns.of_us (float_of_int at_us))
-               (fun () ->
-                 Cpu.submit cpu ~prio ~work:(Int64.to_int work) ~trigger:None (fun _ ->
-                     incr completions))
-              : Engine.handle))
+          Engine.schedule_at e
+            (Time_ns.of_us (float_of_int at_us))
+            (fun () ->
+              Cpu.submit cpu ~prio ~work:(Int64.to_int work) ~trigger:None (fun _ ->
+                  incr completions)))
         jobs;
       Engine.run e;
       !completions = List.length jobs
@@ -647,7 +640,7 @@ let test_cpu_scheduling_order =
             Cpu.submit cpu ~prio ~work ~trigger:None (fun now -> done_ := (i, now) :: !done_))
       in
       Array.iteri
-        (fun i (_, _, at) -> ignore (Engine.post_at_i e at k_submit i : Engine.handle))
+        (fun i (_, _, at) -> Engine.post_at_i e at k_submit i)
         job;
       Engine.run e;
       let expected_done, expected_busy = model_schedule jobs in
@@ -655,22 +648,35 @@ let test_cpu_scheduling_order =
       && List.init Cpu.prio_count (fun p -> Int64.to_int (Cpu.busy_ns_at cpu p)) = expected_busy)
 
 (* Property: engine events fire exactly once, in (time, insertion) order,
-   and cancelled events never fire. *)
+   and cancelled events never fire.  An event is a closure post or an
+   engine timer; a cancelled one is a timer disarmed after every event
+   is scheduled. *)
 let test_engine_event_order_property =
   QCheck.Test.make ~name:"engine fires in order, cancels hold" ~count:200
     QCheck.(list_of_size Gen.(int_range 1 60) (pair (int_range 0 1000) bool))
     (fun specs ->
       let e = Engine.create () in
       let fired = ref [] in
-      List.iteri
-        (fun i (at_us, cancel) ->
-          let h =
-            Engine.schedule_at e
-              (Time_ns.of_us (float_of_int at_us))
-              (fun () -> fired := (at_us, i) :: !fired)
-          in
-          if cancel then Engine.cancel e h)
-        specs;
+      let spec = Array.of_list specs in
+      let k = Engine.register e ~name:"t" (fun i -> fired := (fst spec.(i), i) :: !fired) in
+      let timers =
+        Array.mapi
+          (fun i (at_us, cancel) ->
+            let at = ius (float_of_int at_us) in
+            if cancel || i land 1 = 1 then begin
+              let tm = Engine.timer e k ~payload:i in
+              Engine.arm_after e tm at;
+              Some tm
+            end
+            else begin
+              Engine.schedule_at e (Int64.of_int at) (fun () -> fired := (at_us, i) :: !fired);
+              None
+            end)
+          spec
+      in
+      Array.iteri
+        (fun i (_, cancel) -> if cancel then Option.iter (Engine.disarm e) timers.(i))
+        spec;
       Engine.run e;
       let fired = List.rev !fired in
       let expected =

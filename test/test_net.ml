@@ -182,7 +182,7 @@ let test_nic_coalesces_with_mitigation_delay () =
   let m = Machine.create e in
   let nic, batches, _ = make_nic ~rx_intr_delay:(us 25.0) m in
   Nic.deliver nic (mk_packet "p1");
-  ignore (Engine.schedule_at e (us 10.0) (fun () -> Nic.deliver nic (mk_packet "p2")) : Engine.handle);
+  Engine.schedule_at e (us 10.0) (fun () -> Nic.deliver nic (mk_packet "p2"));
   Engine.run e;
   Alcotest.(check (list (list string))) "one interrupt, batch of two" [ [ "p1"; "p2" ] ] !batches;
   Alcotest.(check int) "one rx batch" 1 (Nic.rx_batches nic)
@@ -195,8 +195,8 @@ let test_nic_polled_mode_accumulates () =
   (* Keep the CPU busy so the idle fall-back does not kick in. *)
   let rec hog _ = Machine.submit_quantum m ~prio:Cpu.prio_background ~work_us:100.0 ~trigger:None hog in
   hog 0;
-  ignore (Engine.schedule_at e (us 10.0) (fun () -> Nic.deliver nic (mk_packet "p1")) : Engine.handle);
-  ignore (Engine.schedule_at e (us 20.0) (fun () -> Nic.deliver nic (mk_packet "p2")) : Engine.handle);
+  Engine.schedule_at e (us 10.0) (fun () -> Nic.deliver nic (mk_packet "p1"));
+  Engine.schedule_at e (us 20.0) (fun () -> Nic.deliver nic (mk_packet "p2"));
   Engine.run_until e (us 200.0);
   Alcotest.(check (list (list string))) "no interrupt processing" [] !batches;
   Alcotest.(check int) "ring holds both" 2 (Nic.rx_ring_length nic);
@@ -251,9 +251,7 @@ let test_nic_hybrid_one_interrupt_per_burst () =
      are picked up by poll-on-completion without further interrupts. *)
   List.iter
     (fun t ->
-      ignore
-        (Engine.schedule_at e (us t) (fun () -> Nic.deliver nic (mk_packet (string_of_int (int_of_float t))))
-          : Engine.handle))
+      Engine.schedule_at e (us t) (fun () -> Nic.deliver nic (mk_packet (string_of_int (int_of_float t)))))
     [ 0.0; 10.0; 20.0; 30.0 ];
   Engine.run_until e (Time_ns.of_ms 2.0);
   Alcotest.(check int) "one interrupt for the burst" 1 (Interrupt.delivered (Nic.rx_line nic));

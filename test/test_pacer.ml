@@ -1,7 +1,8 @@
 (* Tests for the million-flow pacing stack: the packet freelist pool,
    the session arena, the flow-id-indexed Rate_clock.Pool, the
    Paced_sender.Fleet wiring, and the memory-regression guarantees
-   (cohort-shared histograms, bounded per-flow state). *)
+   (cohort-shared histograms, bounded per-flow state); and for the
+   hardware-timer pacer's tick. *)
 
 let us = Time_ns.of_us
 
@@ -378,6 +379,28 @@ let test_pool_memory_per_flow_bounded () =
     (Printf.sprintf "per-flow state bounded (%d words/flow)" per_flow)
     true (per_flow <= 40)
 
+(* ------------------------------------------------------------------ *)
+(* Hw_pacer *)
+
+(* The tick is one engine timer: a stop withdraws it, so a stop and a
+   restart within one interval leave exactly one tick pending, and every
+   tick that runs raises the interrupt (no stale tick of the first start
+   runs and does nothing). *)
+let test_hw_pacer_restart_one_tick () =
+  let e = Engine.create () in
+  let m = Machine.create e in
+  let pacer = Hw_pacer.create m ~interval:(us 100.0) ~send:(fun _ -> true) () in
+  let idle = Engine.pending e in
+  Hw_pacer.start pacer;
+  Engine.run_until e (us 30.0);
+  Hw_pacer.stop pacer;
+  Hw_pacer.start pacer;
+  Alcotest.(check int) "one tick pending" (idle + 1) (Engine.pending e);
+  (* Ticks at 130, 230, ..., 930 us. *)
+  Engine.run_until e (us 1_000.0);
+  Alcotest.(check int) "ticks raised" 9 (Hw_pacer.ticks_raised pacer);
+  Alcotest.(check int) "tick events run" 9 (List.assoc "hw_pacer.tick" (Engine.kind_runs e))
+
 let () =
   Alcotest.run "pacer"
     [
@@ -412,4 +435,6 @@ let () =
           Alcotest.test_case "cohort hdr shared" `Quick test_default_clocks_share_cohort_hdr;
           Alcotest.test_case "pool per-flow bounded" `Quick test_pool_memory_per_flow_bounded;
         ] );
+      ( "hw-pacer",
+        [ Alcotest.test_case "restart leaves one tick" `Quick test_hw_pacer_restart_one_tick ] );
     ]

@@ -19,9 +19,7 @@ let test_map_jobs_independent () =
     let rng = Prng.create ~seed in
     let acc = ref 0 in
     for i = 1 to 50 do
-      ignore
-        (Engine.schedule_at e (Int64.of_int (Prng.int rng 1_000)) (fun () -> acc := !acc + i)
-          : Engine.handle)
+      Engine.schedule_at e (Int64.of_int (Prng.int rng 1_000)) (fun () -> acc := !acc + i)
     done;
     Engine.run e;
     (!acc, Engine.now e)

@@ -89,22 +89,20 @@ let test_conservation_property =
           List.iter
             (fun (prio, work_us, at_us, kind_ix) ->
               let trigger = List.nth_opt Trigger.all kind_ix in
-              ignore
-                (Engine.schedule_at e
-                   (Time_ns.of_us (float_of_int at_us))
-                   (fun () ->
-                     if kind_ix = 7 then ignore (Machine.raise_irq m line () : bool)
-                     else begin
-                       if work_us mod 3 = 0 then
-                         ignore
-                           (Softtimer.schedule_soft_event st ~ticks:1L (fun _ -> ())
-                             : Softtimer.handle);
-                       Machine.submit_quantum m ~prio
-                         ~work_us:(float_of_int work_us /. 4.0)
-                         ~trigger
-                         (fun _ -> ())
-                     end)
-                  : Engine.handle))
+              Engine.schedule_at e
+                (Time_ns.of_us (float_of_int at_us))
+                (fun () ->
+                  if kind_ix = 7 then ignore (Machine.raise_irq m line () : bool)
+                  else begin
+                    if work_us mod 3 = 0 then
+                      ignore
+                        (Softtimer.schedule_soft_event st ~ticks:1L (fun _ -> ())
+                          : Softtimer.handle);
+                    Machine.submit_quantum m ~prio
+                      ~work_us:(float_of_int work_us /. 4.0)
+                      ~trigger
+                      (fun _ -> ())
+                  end))
             jobs;
           Engine.run_until e (Time_ns.of_us 2_000.0);
           Softtimer.detach st;

@@ -208,7 +208,7 @@ let test_dist_pareto_infinite_mean () =
 let test_engine_ordering () =
   let e = Engine.create () in
   let log = ref [] in
-  let at us tag = ignore (Engine.schedule_at e (Time_ns.of_us us) (fun () -> log := tag :: !log) : Engine.handle) in
+  let at us tag = Engine.schedule_at e (Time_ns.of_us us) (fun () -> log := tag :: !log) in
   at 30.0 "c";
   at 10.0 "a";
   at 20.0 "b";
@@ -221,30 +221,16 @@ let test_engine_fifo_ties () =
   let log = ref [] in
   let t = Time_ns.of_us 5.0 in
   List.iter
-    (fun tag -> ignore (Engine.schedule_at e t (fun () -> log := tag :: !log) : Engine.handle))
+    (fun tag -> Engine.schedule_at e t (fun () -> log := tag :: !log))
     [ "1"; "2"; "3" ];
   Engine.run e;
   Alcotest.(check (list string)) "insertion order among ties" [ "1"; "2"; "3" ] (List.rev !log)
-
-let test_engine_cancel () =
-  let e = Engine.create () in
-  let fired = ref false in
-  let h = Engine.schedule_at e (Time_ns.of_us 1.0) (fun () -> fired := true) in
-  Alcotest.(check bool) "scheduled" true (Engine.is_scheduled e h);
-  Alcotest.(check int) "pending 1" 1 (Engine.pending e);
-  Engine.cancel e h;
-  Alcotest.(check int) "pending 0" 0 (Engine.pending e);
-  Engine.run e;
-  Alcotest.(check bool) "not fired" false !fired;
-  Engine.cancel e h (* double cancel is a no-op *)
 
 let test_engine_run_until () =
   let e = Engine.create () in
   let count = ref 0 in
   for i = 1 to 10 do
-    ignore
-      (Engine.schedule_at e (Time_ns.of_us (float_of_int i)) (fun () -> incr count)
-        : Engine.handle)
+    Engine.schedule_at e (Time_ns.of_us (float_of_int i)) (fun () -> incr count)
   done;
   Engine.run_until e (Time_ns.of_us 5.0);
   Alcotest.(check int) "five fired" 5 !count;
@@ -256,23 +242,18 @@ let test_engine_run_until () =
 let test_engine_schedule_from_handler () =
   let e = Engine.create () in
   let log = ref [] in
-  ignore
-    (Engine.schedule_at e (Time_ns.of_us 1.0) (fun () ->
-         log := "outer" :: !log;
-         ignore
-           (Engine.schedule_after e 0L (fun () -> log := "inner" :: !log) : Engine.handle))
-      : Engine.handle);
+  Engine.schedule_at e (Time_ns.of_us 1.0) (fun () ->
+      log := "outer" :: !log;
+      Engine.schedule_after e 0L (fun () -> log := "inner" :: !log));
   Engine.run e;
   Alcotest.(check (list string)) "nested events run" [ "outer"; "inner" ] (List.rev !log)
 
 let test_engine_past_clamped () =
   let e = Engine.create () in
-  ignore (Engine.schedule_at e (Time_ns.of_us 10.0) (fun () -> ()) : Engine.handle);
+  Engine.schedule_at e (Time_ns.of_us 10.0) (fun () -> ());
   Engine.run e;
   let fired_at = ref Time_ns.zero in
-  ignore
-    (Engine.schedule_at e (Time_ns.of_us 1.0) (fun () -> fired_at := Engine.now e)
-      : Engine.handle);
+  Engine.schedule_at e (Time_ns.of_us 1.0) (fun () -> fired_at := Engine.now e);
   Engine.run e;
   Alcotest.(check int64) "clamped to now" (Time_ns.of_us 10.0) !fired_at
 
@@ -283,14 +264,12 @@ let test_engine_fifo_ties_with_handler_inserts () =
   let e = Engine.create () in
   let log = ref [] in
   let t = Time_ns.of_us 5.0 in
-  ignore
-    (Engine.schedule_at e t (fun () ->
-         log := "a" :: !log;
-         (* Same-instant insert: runs after the already-queued ties. *)
-         ignore (Engine.schedule_at e t (fun () -> log := "a2" :: !log) : Engine.handle))
-      : Engine.handle);
-  ignore (Engine.schedule_at e t (fun () -> log := "b" :: !log) : Engine.handle);
-  ignore (Engine.schedule_at e t (fun () -> log := "c" :: !log) : Engine.handle);
+  Engine.schedule_at e t (fun () ->
+      log := "a" :: !log;
+      (* Same-instant insert: runs after the already-queued ties. *)
+      Engine.schedule_at e t (fun () -> log := "a2" :: !log));
+  Engine.schedule_at e t (fun () -> log := "b" :: !log);
+  Engine.schedule_at e t (fun () -> log := "c" :: !log);
   Engine.run e;
   Alcotest.(check (list string))
     "handler-inserted tie runs last, in insertion order" [ "a"; "b"; "c"; "a2" ]
@@ -303,14 +282,10 @@ let test_engine_fifo_ties_with_handler_inserts () =
 let test_engine_past_clamp_in_handler () =
   let e = Engine.create () in
   let times = ref [] in
-  ignore
-    (Engine.schedule_at e (Time_ns.of_us 10.0) (fun () ->
-         times := Engine.now e :: !times;
-         ignore
-           (Engine.schedule_at e (Time_ns.of_us 2.0) (fun () ->
-                times := Engine.now e :: !times)
-             : Engine.handle))
-      : Engine.handle);
+  Engine.schedule_at e (Time_ns.of_us 10.0) (fun () ->
+      times := Engine.now e :: !times;
+      Engine.schedule_at e (Time_ns.of_us 2.0) (fun () ->
+          times := Engine.now e :: !times));
   Engine.run e;
   (match List.rev !times with
   | [ outer; clamped ] ->
@@ -333,14 +308,12 @@ let engine_replay_run seed =
     incr next_id;
     (* Whole-microsecond delays from a tiny range: collisions abound. *)
     let delay = Time_ns.of_us (float_of_int (Prng.int rng 20)) in
-    ignore
-      (Engine.schedule_after e delay (fun () ->
-           log := (id, Engine.now e) :: !log;
-           if depth > 0 && Prng.float rng < 0.7 then begin
-             spawn (depth - 1);
-             if Prng.bool rng then spawn (depth - 1)
-           end)
-        : Engine.handle)
+    Engine.schedule_after e delay (fun () ->
+        log := (id, Engine.now e) :: !log;
+        if depth > 0 && Prng.float rng < 0.7 then begin
+          spawn (depth - 1);
+          if Prng.bool rng then spawn (depth - 1)
+        end)
   in
   for _ = 1 to 20 do
     spawn 3
@@ -562,7 +535,7 @@ let test_tablefmt_cells () =
 let test_engine_limit_before_first_event () =
   let e = Engine.create () in
   let fired = ref false in
-  ignore (Engine.schedule_at e (Time_ns.of_us 100.0) (fun () -> fired := true) : Engine.handle);
+  Engine.schedule_at e (Time_ns.of_us 100.0) (fun () -> fired := true);
   Engine.run_until e (Time_ns.of_us 50.0);
   Alcotest.(check bool) "not yet" false !fired;
   Alcotest.(check int64) "clock at limit" (Time_ns.of_us 50.0) (Engine.now e);
@@ -571,18 +544,9 @@ let test_engine_limit_before_first_event () =
 let test_engine_negative_after_clamped () =
   let e = Engine.create () in
   let at = ref None in
-  ignore (Engine.schedule_after e (-5L) (fun () -> at := Some (Engine.now e)) : Engine.handle);
+  Engine.schedule_after e (-5L) (fun () -> at := Some (Engine.now e));
   Engine.run e;
   Alcotest.(check (option int64)) "clamped to now" (Some Time_ns.zero) !at
-
-let test_engine_cancel_head_then_run_until () =
-  let e = Engine.create () in
-  let log = ref [] in
-  let h = Engine.schedule_at e (Time_ns.of_us 10.0) (fun () -> log := "head" :: !log) in
-  ignore (Engine.schedule_at e (Time_ns.of_us 20.0) (fun () -> log := "tail" :: !log) : Engine.handle);
-  Engine.cancel e h;
-  Engine.run_until e (Time_ns.of_us 100.0);
-  Alcotest.(check (list string)) "cancelled head skipped" [ "tail" ] (List.rev !log)
 
 let test_dist_span_is_us () =
   let rng = Prng.create ~seed:1 in
@@ -682,57 +646,84 @@ let test_eventq_rebuild_keeps_subset =
 (* ------------------------------------------------------------------ *)
 (* Engine vs reference model *)
 
+(* What a timer's handler does after logging, besides nothing: re-arm
+   or disarm a timer, itself or another.  Set when the timer is armed
+   from the top level and consumed by the occurrence that runs it, so
+   handler chains end. *)
+type reaction =
+  | Nothing
+  | Rearm of int * int  (* timer, delay *)
+  | Disarm of int
+
 (* Obviously-correct reference: a sorted association list of
    (time, tag) fired in lexicographic (time, tag) order — tags are
    issued in scheduling order, so the tie-break doubles as FIFO.  A
    timer is a slot holding the tag of its pending occurrence: arming
-   cancels the old tag and schedules a new one, disarming cancels it. *)
+   drops the old tag and schedules a new one, disarming drops it, and
+   firing clears the slot before the timer's reaction runs. *)
 module Engine_model = struct
   type t = {
     mutable events : (int * int) list;  (* (time, tag), sorted *)
     mutable clock : int;
     mutable next_tag : int;
     timers : int option array;  (* each timer's pending tag *)
+    reactions : reaction array;
   }
 
-  let create ~timers = { events = []; clock = 0; next_tag = 0; timers = Array.make timers None }
+  let create ~timers =
+    {
+      events = [];
+      clock = 0;
+      next_tag = 0;
+      timers = Array.make timers None;
+      reactions = Array.make timers Nothing;
+    }
 
   let schedule_at m time =
     let time = if time < m.clock then m.clock else time in
     let tag = m.next_tag in
     m.next_tag <- tag + 1;
-    m.events <- List.sort compare ((time, tag) :: m.events);
-    tag
-
-  let cancel m tag = m.events <- List.filter (fun (_, g) -> g <> tag) m.events
-  let is_scheduled m tag = List.exists (fun (_, g) -> g = tag) m.events
+    m.events <- List.sort compare ((time, tag) :: m.events)
 
   let disarm m i =
-    Option.iter (cancel m) m.timers.(i);
+    Option.iter (fun tag -> m.events <- List.filter (fun (_, g) -> g <> tag) m.events) m.timers.(i);
     m.timers.(i) <- None
 
   let arm_after m i d =
     disarm m i;
-    let tag = schedule_at m (m.clock + max d 0) in
-    m.timers.(i) <- Some tag;
-    tag
+    m.timers.(i) <- Some m.next_tag;
+    schedule_at m (m.clock + max d 0)
+
+  let fire m (time, tag) log =
+    if time > m.clock then m.clock <- time;
+    log := tag :: !log;
+    Array.iteri
+      (fun i pending ->
+        if pending = Some tag then begin
+          m.timers.(i) <- None;
+          let r = m.reactions.(i) in
+          m.reactions.(i) <- Nothing;
+          match r with
+          | Nothing -> ()
+          | Rearm (j, d) -> arm_after m j d
+          | Disarm j -> disarm m j
+        end)
+      m.timers
 
   let step m log =
     match m.events with
     | [] -> false
-    | (time, tag) :: rest ->
+    | ev :: rest ->
       m.events <- rest;
-      if time > m.clock then m.clock <- time;
-      log := tag :: !log;
+      fire m ev log;
       true
 
   let run_until m limit log =
     let rec loop () =
       match m.events with
-      | (time, tag) :: rest when time <= limit ->
+      | ((time, _) as ev) :: rest when time <= limit ->
         m.events <- rest;
-        if time > m.clock then m.clock <- time;
-        log := tag :: !log;
+        fire m ev log;
         loop ()
       | _ -> ()
     in
@@ -742,108 +733,92 @@ end
 
 let test_engine_matches_model =
   (* Random op traces (closure and registered-kind events at arbitrary
-     absolute times including the past, cancel of arbitrary earlier
-     handles incl. stale ones, arming three timers with delays that may
-     be negative, disarming them, step, run_until) drive the real
-     engine and the model in lockstep; fire order, clock, pending and
-     is_scheduled must agree throughout. *)
+     absolute times including the past, arming eight timers with delays
+     that may be negative, disarming them, step, run_until) drive the
+     real engine and the model in lockstep; fire order, clock and
+     pending must agree throughout.  An armed timer's handler may then
+     re-arm or disarm itself or another timer.  Each side issues its
+     own tags in scheduling order, so equal logs mean equal orders. *)
   QCheck.Test.make ~name:"engine matches reference model" ~count:300
-    QCheck.(list_of_size Gen.(int_range 1 120) (pair (int_range 0 13) (int_range 0 400)))
+    QCheck.(
+      list_of_size Gen.(int_range 1 120)
+        (triple (int_range 0 13) (int_range 0 400) (int_range 0 10_000)))
     (fun ops ->
       let e = Engine.create () in
-      let n_timers = 3 in
+      let n_timers = 8 in
       let m = Engine_model.create ~timers:n_timers in
       let real_log = ref [] and model_log = ref [] in
+      let next_tag = ref 0 in
+      let fresh () =
+        let tag = !next_tag in
+        incr next_tag;
+        tag
+      in
       let k = Engine.register e ~name:"k" (fun tag -> real_log := tag :: !real_log) in
       (* A timer's payload is its index; its handler logs the tag of
-         the occurrence it was last armed with. *)
+         the occurrence it was last armed with, then runs its
+         reaction. *)
+      let timers = Array.make n_timers Engine.null_timer in
       let armed_tag = Array.make n_timers (-1) in
-      let tk = Engine.register e ~name:"tk" (fun i -> real_log := armed_tag.(i) :: !real_log) in
-      let timers = Array.init n_timers (fun i -> Engine.timer e tk ~payload:i) in
-      (* tag -> real handle, in issue order (newest first). *)
-      let handles = ref [] in
+      let reactions = Array.make n_timers Nothing in
+      let arm i d =
+        armed_tag.(i) <- fresh ();
+        Engine.arm_after e timers.(i) d
+      in
+      let tk =
+        Engine.register e ~name:"tk" (fun i ->
+            real_log := armed_tag.(i) :: !real_log;
+            let r = reactions.(i) in
+            reactions.(i) <- Nothing;
+            match r with
+            | Nothing -> ()
+            | Rearm (j, d) -> arm j d
+            | Disarm j -> Engine.disarm e timers.(j))
+      in
+      Array.iteri (fun i _ -> timers.(i) <- Engine.timer e tk ~payload:i) timers;
       let ok = ref true in
       let check b = if not b then ok := false in
       List.iter
-        (fun (op, v) ->
+        (fun (op, v, w) ->
           if !ok then begin
+            let i = w mod n_timers in
             (match op with
             | 0 | 1 | 2 ->
-              let tag = Engine_model.schedule_at m v in
-              let h =
-                Engine.schedule_at e (Int64.of_int v) (fun () -> real_log := tag :: !real_log)
-              in
-              handles := (tag, h) :: !handles
+              let tag = fresh () in
+              Engine.schedule_at e (Int64.of_int v) (fun () -> real_log := tag :: !real_log);
+              Engine_model.schedule_at m v
             | 3 | 4 ->
-              let tag = Engine_model.schedule_at m v in
-              handles := (tag, Engine.post_at_i e v k tag) :: !handles
-            | 5 | 6 ->
-              (match !handles with
-              | [] -> ()
-              | l ->
-                let tag, h = List.nth l (v mod List.length l) in
-                Engine_model.cancel m tag;
-                Engine.cancel e h)
-            | 7 | 8 -> check (Engine.step e = Engine_model.step m model_log)
-            | 9 ->
+              Engine.post_at_i e v k (fresh ());
+              Engine_model.schedule_at m v
+            | 5 | 6 | 7 -> check (Engine.step e = Engine_model.step m model_log)
+            | 8 ->
               Engine.run_until e (Int64.of_int v);
               Engine_model.run_until m v model_log
-            | 10 | 11 ->
-              let i = v mod n_timers and d = v - 100 in
-              armed_tag.(i) <- Engine_model.arm_after m i d;
-              Engine.arm_after e timers.(i) d
+            | 9 | 10 | 11 ->
+              let j = (i + 1 + (w / 48 mod 7)) mod n_timers and d = (w / 48 mod 40) - 10 in
+              let r =
+                match w / 8 mod 6 with
+                | 2 -> Rearm (i, d)
+                | 3 -> Disarm i
+                | 4 -> Rearm (j, d)
+                | 5 -> Disarm j
+                | _ -> Nothing
+              in
+              reactions.(i) <- r;
+              m.Engine_model.reactions.(i) <- r;
+              arm i (v - 100);
+              Engine_model.arm_after m i (v - 100)
             | _ ->
-              let i = v mod n_timers in
-              Engine_model.disarm m i;
-              Engine.disarm e timers.(i));
+              Engine.disarm e timers.(i);
+              Engine_model.disarm m i);
             check (Engine.now e = Int64.of_int m.Engine_model.clock);
-            check (Engine.pending e = List.length m.Engine_model.events);
-            List.iter
-              (fun (tag, h) ->
-                check (Engine.is_scheduled e h = Engine_model.is_scheduled m tag))
-              !handles
+            check (Engine.pending e = List.length m.Engine_model.events)
           end)
         ops;
       (* Drain both and compare complete fire orders. *)
       while Engine.step e do () done;
       while Engine_model.step m model_log do () done;
       !ok && !real_log = !model_log)
-
-let test_engine_stale_handle_after_reuse () =
-  (* A fired/cancelled handle must stay dead even after its pool slot
-     is reused by a later event. *)
-  let e = Engine.create () in
-  let h1 = Engine.schedule_at e 10L (fun () -> ()) in
-  Engine.cancel e h1;
-  let h2 = Engine.schedule_at e 20L (fun () -> ()) in
-  Alcotest.(check bool) "stale handle not scheduled" false (Engine.is_scheduled e h1);
-  Alcotest.(check bool) "fresh handle scheduled" true (Engine.is_scheduled e h2);
-  Engine.cancel e h1 (* must be a no-op... *);
-  Alcotest.(check bool) "no-op on reused slot" true (Engine.is_scheduled e h2);
-  Alcotest.(check int) "pending" 1 (Engine.pending e)
-
-let test_engine_churn_residency () =
-  (* Lazy cancellation must not accumulate: with 64 live timers being
-     cancelled and rescheduled continuously (the rate-based-clocking
-     pattern), threshold compaction keeps heap residency O(live). *)
-  let e = Engine.create () in
-  let handles =
-    Array.init 64 (fun i -> Engine.schedule_at e (Int64.of_int (1_000 + i)) (fun () -> ()))
-  in
-  let max_len = ref 0 in
-  for round = 1 to 2_000 do
-    for i = 0 to 63 do
-      Engine.cancel e handles.(i);
-      handles.(i) <-
-        Engine.schedule_at e (Int64.of_int (1_000 + (round * 64) + i)) (fun () -> ());
-      if Engine.queue_length e > !max_len then max_len := Engine.queue_length e
-    done
-  done;
-  Alcotest.(check int) "live population steady" 64 (Engine.pending e);
-  (* Compaction triggers once dead > max 64 (live/1)... bound: live +
-     threshold + slack.  128k cancels without compaction would leave
-     ~128k entries. *)
-  Alcotest.(check bool) "heap residency stays O(live)" true (!max_len <= 256)
 
 (* Registered kinds: an event is a kind and an int payload, dispatched
    in (time, seq) order among closure events, with per-kind run counts. *)
@@ -852,24 +827,22 @@ let test_engine_kinds () =
   let log = ref [] in
   let a = Engine.register e ~name:"a" (fun p -> log := Printf.sprintf "a%d" p :: !log) in
   let b = Engine.register e ~name:"b" (fun p -> log := Printf.sprintf "b%d" p :: !log) in
-  ignore (Engine.post_at_i e 20 a 1 : Engine.handle);
-  ignore (Engine.schedule_at e 10L (fun () -> log := "c" :: !log) : Engine.handle);
-  ignore (Engine.post_after_i e 20 b 2 : Engine.handle);
-  let h = Engine.post_at_i e 30 a 3 in
-  ignore (Engine.post_after_i e (-5) b 4 : Engine.handle);
-  Engine.cancel e h;
+  Engine.post_at_i e 20 a 1;
+  Engine.schedule_at e 10L (fun () -> log := "c" :: !log);
+  Engine.post_after_i e 20 b 2;
+  Engine.post_after_i e (-5) b 4;
   Engine.run e;
   Alcotest.(check (list string)) "time, then scheduling order" [ "b4"; "c"; "a1"; "b2" ]
     (List.rev !log);
   Alcotest.(check (list (pair string int))) "runs per kind"
     [ ("closure", 1); ("a", 1); ("b", 2) ]
     (Engine.kind_runs e);
-  ignore (Engine.post_at_i e 5 a 5 : Engine.handle);
+  Engine.post_at_i e 5 a 5;
   Engine.run e;
   Alcotest.(check string) "past clamped to now" "a5" (List.hd !log);
   Alcotest.(check int64) "clock unchanged" 20L (Engine.now e);
   Alcotest.check_raises "null kind rejected" (Invalid_argument "Engine.post: unknown kind")
-    (fun () -> ignore (Engine.post_at_i e 40 Engine.null_kind 0 : Engine.handle))
+    (fun () -> Engine.post_at_i e 40 Engine.null_kind 0)
 
 (* The clock is an int: N registered-kind events at N distinct instants
    advance it N times and allocate nothing (the engine boxed its clock,
@@ -887,7 +860,7 @@ let test_engine_clock_unboxed () =
   in
   let post_all base =
     for i = 1 to n do
-      ignore (Engine.post_at_i e (base + (i * 7)) k i : Engine.handle)
+      Engine.post_at_i e (base + (i * 7)) k i
     done
   in
   post_all 0;
@@ -902,7 +875,7 @@ let test_engine_clock_unboxed () =
   Alcotest.(check int) "last event at its instant" (2 * n * 7) !last;
   let at = ref (2 * n * 7) in
   for i = 1 to 5 do
-    ignore (Engine.post_after_i e (i * 11) k 0 : Engine.handle);
+    Engine.post_after_i e (i * 11) k 0;
     ignore (Engine.step e : bool);
     at := !at + (i * 11);
     Alcotest.(check int64) "now reads the last advance" (Int64.of_int !at) (Engine.now e);
@@ -921,9 +894,9 @@ let test_engine_edge_times () =
   let log = ref [] in
   let note tag () = log := (tag, Engine.now_i e) :: !log in
   Engine.run_until e (Time_ns.of_ms 1.0);
-  ignore (Engine.schedule_at e 0x4000_0000_0000_0000L (note "at 2^62") : Engine.handle);
-  ignore (Engine.schedule_after e Int64.max_int (note "after max") : Engine.handle);
-  ignore (Engine.schedule_at e (Time_ns.of_ms 2.0) (note "at 2 ms") : Engine.handle);
+  Engine.schedule_at e 0x4000_0000_0000_0000L (note "at 2^62");
+  Engine.schedule_after e Int64.max_int (note "after max");
+  Engine.schedule_at e (Time_ns.of_ms 2.0) (note "at 2 ms");
   Engine.run_until e (Time_ns.of_sec 1.0);
   Alcotest.(check (list (pair string int))) "only the 2 ms event by 1 s" [ ("at 2 ms", 2_000_000) ]
     !log;
@@ -938,8 +911,8 @@ let test_engine_edge_times () =
 exception Boom
 
 (* The raise contract: an event whose handler raises counts as run and
-   leaves the queue consistent (pending, residency, every handle), and
-   the next [run_until] resumes the remaining events in (time, seq)
+   leaves the queue consistent (pending), and the next [run_until]
+   resumes the remaining events in (time, seq)
    order.  Checked for a registered kind and for a closure event. *)
 let test_engine_raise_contract () =
   List.iter
@@ -951,26 +924,17 @@ let test_engine_raise_contract () =
         Engine.register e ~name:"k" (fun p -> if p < 0 then raise Boom else log := p :: !log)
       in
       let post at p = Engine.post_at_i e at k p in
-      let h1 = post 10 1 in
-      let h3 = Engine.schedule_at e 15L (fun () -> log := 3 :: !log) in
-      let hr =
-        if registered then post 20 (-1) else Engine.schedule_at e 20L (fun () -> raise Boom)
-      in
-      let h2 = post 20 2 in
-      let h4 = post 30 4 in
+      post 10 1;
+      Engine.schedule_at e 15L (fun () -> log := 3 :: !log);
+      if registered then post 20 (-1) else Engine.schedule_at e 20L (fun () -> raise Boom);
+      post 20 2;
+      post 30 4;
       Alcotest.check_raises (what ^ ": the raise escapes run_until") Boom (fun () ->
           Engine.run_until e 100L);
       Alcotest.(check (list int)) (what ^ ": events before the raise ran") [ 1; 3 ]
         (List.rev !log);
       Alcotest.(check int64) (what ^ ": clock at the raising event") 20L (Engine.now e);
       Alcotest.(check int) (what ^ ": pending") 2 (Engine.pending e);
-      Alcotest.(check int) (what ^ ": residency") 2 (Engine.queue_length e);
-      Alcotest.(check (list bool)) (what ^ ": handles")
-        [ false; false; false; true; true ]
-        (List.map (Engine.is_scheduled e) [ h1; h3; hr; h2; h4 ]);
-      Engine.cancel e hr;
-      Alcotest.(check int) (what ^ ": stale cancel is a no-op") 2 (Engine.pending e);
-      Alcotest.(check bool) (what ^ ": tie still scheduled") true (Engine.is_scheduled e h2);
       Engine.run_until e 100L;
       Alcotest.(check (list int)) (what ^ ": resumed in order") [ 1; 3; 2; 4 ] (List.rev !log);
       Alcotest.(check int) (what ^ ": drained") 0 (Engine.pending e);
@@ -994,10 +958,10 @@ let timer_fixture () =
 let test_timer_ties_in_seq_order () =
   let e, log, k = timer_fixture () in
   let tm = Engine.timer e k ~payload:0 in
-  ignore (Engine.post_at_i e 10 k 1 : Engine.handle);
+  Engine.post_at_i e 10 k 1;
   Engine.arm_after e tm 10;
-  ignore (Engine.post_at_i e 10 k 2 : Engine.handle);
-  ignore (Engine.schedule_at e 10L (fun () -> log := (3, Engine.now_i e) :: !log) : Engine.handle);
+  Engine.post_at_i e 10 k 2;
+  Engine.schedule_at e 10L (fun () -> log := (3, Engine.now_i e) :: !log);
   Engine.run e;
   Alcotest.(check (list (pair int int))) "scheduling order at one instant"
     [ (1, 10); (0, 10); (2, 10); (3, 10) ]
@@ -1044,17 +1008,15 @@ let test_timer_disarm_idempotent () =
   Engine.run e;
   Alcotest.(check (list (pair int int))) "nothing fires" [] !log
 
-(* An armed timer is pending but lives beside the heap. *)
+(* An armed timer counts as pending, and stops counting once it fires. *)
 let test_timer_pending () =
   let e, _, k = timer_fixture () in
   let tm = Engine.timer e k ~payload:0 in
-  ignore (Engine.post_at_i e 20 k 1 : Engine.handle);
+  Engine.post_at_i e 20 k 1;
   Engine.arm_after e tm 10;
-  Alcotest.(check (pair int int)) "pending, residency" (2, 1)
-    (Engine.pending e, Engine.queue_length e);
+  Alcotest.(check int) "pending" 2 (Engine.pending e);
   ignore (Engine.step e : bool);
-  Alcotest.(check (pair int int)) "after the timer fired" (1, 1)
-    (Engine.pending e, Engine.queue_length e)
+  Alcotest.(check int) "after the timer fired" 1 (Engine.pending e)
 
 (* The raise contract for timers: the timer is disarmed before its
    handler runs, so a raise leaves it disarmed, the count consistent and
@@ -1064,9 +1026,9 @@ let test_timer_raise () =
   let log = ref [] in
   let k = Engine.register e ~name:"k" (fun p -> if p < 0 then raise Boom else log := p :: !log) in
   let tm = Engine.timer e k ~payload:(-1) in
-  ignore (Engine.post_at_i e 10 k 1 : Engine.handle);
+  Engine.post_at_i e 10 k 1;
   Engine.arm_after e tm 20;
-  ignore (Engine.post_at_i e 30 k 3 : Engine.handle);
+  Engine.post_at_i e 30 k 3;
   Alcotest.check_raises "the raise escapes run_until" Boom (fun () -> Engine.run_until e 100L);
   Alcotest.(check int) "disarmed: only the later event pending" 1 (Engine.pending e);
   Alcotest.(check int64) "clock at the raising timer" 20L (Engine.now e);
@@ -1124,16 +1086,12 @@ let () =
         [
           Alcotest.test_case "ordering" `Quick test_engine_ordering;
           Alcotest.test_case "fifo ties" `Quick test_engine_fifo_ties;
-          Alcotest.test_case "cancel" `Quick test_engine_cancel;
           Alcotest.test_case "run_until" `Quick test_engine_run_until;
           Alcotest.test_case "schedule from handler" `Quick test_engine_schedule_from_handler;
           Alcotest.test_case "past clamped to now" `Quick test_engine_past_clamped;
           Alcotest.test_case "fifo ties incl. handler inserts" `Quick
             test_engine_fifo_ties_with_handler_inserts;
           Alcotest.test_case "past clamp inside handler" `Quick test_engine_past_clamp_in_handler;
-          Alcotest.test_case "stale handles after slot reuse" `Quick
-            test_engine_stale_handle_after_reuse;
-          Alcotest.test_case "churn keeps residency bounded" `Quick test_engine_churn_residency;
           Alcotest.test_case "registered kinds" `Quick test_engine_kinds;
           Alcotest.test_case "raising handler" `Quick test_engine_raise_contract;
           Alcotest.test_case "unboxed clock" `Quick test_engine_clock_unboxed;
@@ -1185,7 +1143,6 @@ let () =
           Alcotest.test_case "run_until before first event" `Quick
             test_engine_limit_before_first_event;
           Alcotest.test_case "negative schedule_after" `Quick test_engine_negative_after_clamped;
-          Alcotest.test_case "cancelled head skipped" `Quick test_engine_cancel_head_then_run_until;
           Alcotest.test_case "dist span in us" `Quick test_dist_span_is_us;
           Alcotest.test_case "empty mixture raises" `Quick test_dist_empty_mixture_raises;
           Alcotest.test_case "shifted clamps" `Quick test_dist_shifted_negative_clamps;

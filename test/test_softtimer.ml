@@ -177,7 +177,7 @@ let test_check_fire_alloc () =
 let test_far_deadlines_stay_pending () =
   let run_to_5ms e =
     let reached = ref false in
-    ignore (Engine.schedule_at e (Time_ns.of_ms 5.0) (fun () -> reached := true) : Engine.handle);
+    Engine.schedule_at e (Time_ns.of_ms 5.0) (fun () -> reached := true);
     let steps = ref 0 in
     while (not !reached) && !steps < 100_000 && Engine.step e do
       incr steps

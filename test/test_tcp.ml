@@ -190,6 +190,29 @@ let test_rto_recovers_lost_window () =
   Engine.run_until e (Time_ns.of_sec 5.0);
   Alcotest.(check int) "stop cancels the timer" n (Sender.retransmits s)
 
+(* The retransmission timeout is one engine timer per sender, so an ACK
+   that advances the window re-arms it in place, with no closure and no
+   [Some]: 9 minor words per ACK while the timeout was a closure event
+   cancelled and re-posted, 2 now, the boxed float of [Cwnd]'s window.
+   Every segment is out before the ACKs arrive, so they send nothing. *)
+let test_rto_rearm_allocation () =
+  let e = Engine.create () in
+  let n = 64 in
+  let s =
+    Sender.create e
+      { Tcp_types.default with Tcp_types.initial_cwnd = 2 * n }
+      ~total_segments:(n + 1) ~transmit:(fun _ _ -> ()) ()
+  in
+  Sender.start s;
+  let before = Gc.minor_words () in
+  for i = 1 to n do
+    Sender.on_ack s ~ack_upto:i
+  done;
+  let per = (Gc.minor_words () -. before) /. float_of_int n in
+  Alcotest.(check int) "every ACK advanced" n (Sender.acked s);
+  Alcotest.(check int) "one timeout pending" 1 (Engine.pending e);
+  Alcotest.(check (float 0.0)) "minor words per advancing ACK" 2.0 per
+
 let test_cwnd_loss_response () =
   let c = Cwnd.create { Tcp_types.default with Tcp_types.initial_cwnd = 16 } in
   Cwnd.on_timeout c ~flight:16;
@@ -422,6 +445,7 @@ let () =
         [
           Alcotest.test_case "fast retransmit" `Quick test_fast_retransmit_on_dupacks;
           Alcotest.test_case "rto" `Quick test_rto_recovers_lost_window;
+          Alcotest.test_case "rto re-arm allocation" `Quick test_rto_rearm_allocation;
           Alcotest.test_case "cwnd loss response" `Quick test_cwnd_loss_response;
           Alcotest.test_case "receiver dup acks" `Quick test_receiver_dup_acks_on_gap;
           Alcotest.test_case "lossy transfer completes" `Slow test_lossy_transfer_completes;

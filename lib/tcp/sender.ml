@@ -30,15 +30,16 @@ let arm_rto t =
     Engine.arm_after t.engine t.rto (Time_ns.to_int t.params.Tcp_types.rto)
   else Engine.disarm t.engine t.rto
 
+(* The timer is armed only while the sender runs with segments
+   outstanding: every change of [acked] or [done_] re-arms or disarms
+   it, and [sent] only grows. *)
 let on_rto t =
-  if (not t.done_) && t.acked < t.sent then begin
-    Profile.event e_rto_fired;
-    Cwnd.on_timeout t.cwnd ~flight:(t.sent - t.acked);
-    t.recover <- t.sent;
-    t.dupacks <- 0;
-    retransmit_first_unacked t;
-    arm_rto t
-  end
+  Profile.event e_rto_fired;
+  Cwnd.on_timeout t.cwnd ~flight:(t.sent - t.acked);
+  t.recover <- t.sent;
+  t.dupacks <- 0;
+  retransmit_first_unacked t;
+  arm_rto t
 
 let create engine params ~total_segments ~transmit ?(on_complete = fun _ -> ()) () =
   if total_segments < 0 then invalid_arg "Sender.create: negative transfer size";

@@ -251,7 +251,8 @@ let test_nic_hybrid_one_interrupt_per_burst () =
      are picked up by poll-on-completion without further interrupts. *)
   List.iter
     (fun t ->
-      Engine.schedule_at e (us t) (fun () -> Nic.deliver nic (mk_packet (string_of_int (int_of_float t)))))
+      Engine.schedule_at e (us t) (fun () ->
+          Nic.deliver nic (mk_packet (string_of_int (int_of_float t)))))
     [ 0.0; 10.0; 20.0; 30.0 ];
   Engine.run_until e (Time_ns.of_ms 2.0);
   Alcotest.(check int) "one interrupt for the burst" 1 (Interrupt.delivered (Nic.rx_line nic));

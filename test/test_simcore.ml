@@ -284,8 +284,7 @@ let test_engine_past_clamp_in_handler () =
   let times = ref [] in
   Engine.schedule_at e (Time_ns.of_us 10.0) (fun () ->
       times := Engine.now e :: !times;
-      Engine.schedule_at e (Time_ns.of_us 2.0) (fun () ->
-          times := Engine.now e :: !times));
+      Engine.schedule_at e (Time_ns.of_us 2.0) (fun () -> times := Engine.now e :: !times));
   Engine.run e;
   (match List.rev !times with
   | [ outer; clamped ] ->

@@ -66,8 +66,9 @@ let bench_softtimer_fire () =
   let engine = Engine.create () in
   let machine = Machine.create engine in
   let st = Softtimer.attach machine in
+  let kind = Softtimer.register st ~name:"bench" (fun _ _ -> ()) in
   Bechamel.Staged.stage (fun () ->
-      ignore (Softtimer.schedule_soft_event st ~ticks:0L (fun _ -> ()) : Softtimer.handle);
+      ignore (Softtimer.schedule_soft_event st ~ticks:0L kind 0 : Softtimer.handle);
       Machine.fire_trigger machine Trigger.Syscall;
       Engine.run_until engine Time_ns.(Engine.now engine + Time_ns.of_us 5.0))
 

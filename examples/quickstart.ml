@@ -29,36 +29,41 @@ let () =
   in
   busy_process 0;
 
-  (* Schedule events at various delays and report their firing error. *)
-  let delays_us = [ 10.0; 50.0; 100.0; 500.0; 2_000.0 ] in
-  List.iter
-    (fun d ->
-      let requested = Time_ns.of_us d in
-      let scheduled_at = Engine.now engine in
-      ignore
-        (Softtimer.schedule_after facility requested (fun now ->
-             let actual = Time_ns.(of_ns now - scheduled_at) in
-             Printf.printf "requested %8.1f us -> fired after %8.1f us  (late by %6.2f us)\n"
-               d (Time_ns.to_us actual)
-               (Time_ns.to_us actual -. d))
-          : Softtimer.handle))
+  (* Schedule events at various delays and report their firing error.
+     A soft event is a kind, registered once, and an int payload: here
+     the index of the requested delay. *)
+  let delays_us = [| 10.0; 50.0; 100.0; 500.0; 2_000.0 |] in
+  let scheduled_at = Engine.now engine in
+  let oneshot =
+    Softtimer.register facility ~name:"oneshot" (fun now i ->
+        let d = delays_us.(i) in
+        let actual = Time_ns.(of_ns now - scheduled_at) in
+        Printf.printf "requested %8.1f us -> fired after %8.1f us  (late by %6.2f us)\n" d
+          (Time_ns.to_us actual)
+          (Time_ns.to_us actual -. d))
+  in
+  Array.iteri
+    (fun i d ->
+      ignore (Softtimer.schedule_after facility (Time_ns.of_us d) oneshot i : Softtimer.handle))
     delays_us;
 
   Engine.run_until engine (Time_ns.of_ms 10.0);
 
-  (* Periodic events: reschedule from the handler.  Over many firings
-     the mean lateness is the mean *residual* trigger gap. *)
+  (* Periodic events: reschedule from the handler, the payload carrying
+     the schedule instant in ns.  Over many firings the mean lateness is
+     the mean *residual* trigger gap. *)
   let lateness = Stats.Sample.create () in
   let period = Time_ns.of_us 100.0 in
-  let rec periodic () =
-    let scheduled_at = Engine.now engine in
+  let periodic = ref Softtimer.null_kind in
+  let arm () =
     ignore
-      (Softtimer.schedule_after facility period (fun now ->
-           Stats.Sample.add lateness (Time_ns.to_us Time_ns.(of_ns now - scheduled_at) -. 100.0);
-           periodic ())
-        : Softtimer.handle)
+      (Softtimer.schedule_after facility period !periodic (Engine.now_i engine) : Softtimer.handle)
   in
-  periodic ();
+  periodic :=
+    Softtimer.register facility ~name:"periodic" (fun now scheduled_at ->
+        Stats.Sample.add lateness (float_of_int (now - scheduled_at) /. 1e3 -. 100.0);
+        arm ());
+  arm ();
   Engine.run_until engine (Time_ns.of_sec 2.0);
 
   Printf.printf

@@ -25,15 +25,17 @@ let measure_lateness ~cpus ~busy_cpus =
   done;
   let lateness = Stats.Sample.create () in
   let period = Time_ns.of_us 100.0 in
-  let rec periodic () =
-    let scheduled = Engine.now engine in
+  (* The payload is the schedule instant in ns. *)
+  let periodic = ref Softtimer.null_kind in
+  let arm () =
     ignore
-      (Softtimer.schedule_after facility period (fun now ->
-           Stats.Sample.add lateness (Time_ns.to_us Time_ns.(of_ns now - scheduled) -. 100.0);
-           periodic ())
-        : Softtimer.handle)
+      (Softtimer.schedule_after facility period !periodic (Engine.now_i engine) : Softtimer.handle)
   in
-  periodic ();
+  periodic :=
+    Softtimer.register facility ~name:"periodic" (fun now scheduled ->
+        Stats.Sample.add lateness (float_of_int (now - scheduled) /. 1e3 -. 100.0);
+        arm ());
+  arm ();
   Engine.run_until engine (Time_ns.of_sec 2.0);
   lateness
 

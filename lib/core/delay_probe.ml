@@ -66,30 +66,33 @@ module Event_delay = struct
     ticks : int64;
     delays : Stats.Sample.t;
     inter : Stats.Sample.t;
+    mutable kind : Softtimer.kind;
     mutable last_fire : Time_ns.t option;
     mutable running : bool;
     mutable fired : int;
   }
 
-  let rec arm t =
+  (* The event's payload is its due instant in ns, computed at schedule
+     time from the same measurement tick the facility uses. *)
+  let arm t =
     if t.running then begin
       let st = t.st in
       let sched_tick = Softtimer.measure_time st in
       let due_tick = Int64.add sched_tick (Int64.add t.ticks 1L) in
       let tick_ns = 1e9 /. Int64.to_float (Softtimer.measure_resolution st) in
       let due_ns = Float.to_int (Float.ceil (Int64.to_float due_tick *. tick_ns)) in
-      ignore
-        (Softtimer.schedule_soft_event st ~ticks:t.ticks (fun now_i ->
-             let now = Time_ns.of_ns now_i in
-             t.fired <- t.fired + 1;
-             Stats.Sample.add t.delays (Time_ns.to_us (Time_ns.of_ns (now_i - due_ns)));
-             (match t.last_fire with
-             | Some prev -> Stats.Sample.add t.inter (Time_ns.to_us Time_ns.(now - prev))
-             | None -> ());
-             t.last_fire <- Some now;
-             arm t)
-          : Softtimer.handle)
+      ignore (Softtimer.schedule_soft_event st ~ticks:t.ticks t.kind due_ns : Softtimer.handle)
     end
+
+  let on_fire t now_i due_ns =
+    let now = Time_ns.of_ns now_i in
+    t.fired <- t.fired + 1;
+    Stats.Sample.add t.delays (Time_ns.to_us (Time_ns.of_ns (now_i - due_ns)));
+    (match t.last_fire with
+    | Some prev -> Stats.Sample.add t.inter (Time_ns.to_us Time_ns.(now - prev))
+    | None -> ());
+    t.last_fire <- Some now;
+    arm t
 
   let start_periodic st ~ticks =
     let t =
@@ -98,11 +101,13 @@ module Event_delay = struct
         ticks;
         delays = Stats.Sample.create ();
         inter = Stats.Sample.create ();
+        kind = Softtimer.null_kind;
         last_fire = None;
         running = true;
         fired = 0;
       }
     in
+    t.kind <- Softtimer.register st ~name:"delay_probe" (on_fire t);
     arm t;
     t
 

@@ -16,28 +16,11 @@ type t = {
   mutable interval : Time_ns.span;
   mutable ewma_batch : float;
   mutable running : bool;
-  mutable outstanding : Softtimer.handle option;
+  mutable kind : Softtimer.kind;  (* this poller's soft event *)
+  mutable outstanding : Softtimer.handle;
   polls : int ref;
   packets : int ref;
 }
-
-let create st ~quota ~poll ?(min_interval = Time_ns.of_us 10.0)
-    ?(max_interval = Time_ns.of_ms 1.0) ?(initial_interval = Time_ns.of_us 50.0) () =
-  if quota <= 0.0 then invalid_arg "Net_poll.create: quota must be positive";
-  let m = Metrics.current () in
-  {
-    st;
-    quota;
-    poll;
-    min_interval;
-    max_interval;
-    interval = initial_interval;
-    ewma_batch = quota;
-    running = false;
-    outstanding = None;
-    polls = Metrics.cell m m_polls;
-    packets = Metrics.cell m m_packets;
-  }
 
 (* Multiplicative adaptation toward the aggregation quota, smoothed by
    an EWMA of the observed batch size and clamped to 2x per step so a
@@ -52,8 +35,7 @@ let adapt t found =
   else if Time_ns.(next > t.max_interval) then Profile.event e_clamp_max;
   t.interval <- Time_ns.min t.max_interval (Time_ns.max t.min_interval next)
 
-let rec on_event t now =
-  t.outstanding <- None;
+let on_event t now =
   if t.running then begin
     let found = t.poll now in
     incr t.polls;
@@ -61,19 +43,43 @@ let rec on_event t now =
     if found = 0 then Profile.event e_empty_poll;
     Trace.poll ~at:now ~found;
     adapt t found;
-    t.outstanding <- Some (Softtimer.schedule_after t.st t.interval (on_event t))
+    t.outstanding <- Softtimer.schedule_after t.st t.interval t.kind 0
   end
+
+let create st ~quota ~poll ?(min_interval = Time_ns.of_us 10.0)
+    ?(max_interval = Time_ns.of_ms 1.0) ?(initial_interval = Time_ns.of_us 50.0) () =
+  if quota <= 0.0 then invalid_arg "Net_poll.create: quota must be positive";
+  let m = Metrics.current () in
+  let t =
+    {
+      st;
+      quota;
+      poll;
+      min_interval;
+      max_interval;
+      interval = initial_interval;
+      ewma_batch = quota;
+      running = false;
+      kind = Softtimer.null_kind;
+      outstanding = Softtimer.no_handle;
+      polls = Metrics.cell m m_polls;
+      packets = Metrics.cell m m_packets;
+    }
+  in
+  t.kind <- Softtimer.register st ~name:"net_poll" (fun now _ -> on_event t now);
+  t
 
 let start t =
   if not t.running then begin
     t.running <- true;
-    t.outstanding <- Some (Softtimer.schedule_after t.st t.interval (on_event t))
+    t.outstanding <- Softtimer.schedule_after t.st t.interval t.kind 0
   end
 
+(* The handle of a fired event is stale, so cancelling it is a no-op. *)
 let stop t =
   t.running <- false;
-  (match t.outstanding with Some h -> Softtimer.cancel t.st h | None -> ());
-  t.outstanding <- None
+  Softtimer.cancel t.st t.outstanding;
+  t.outstanding <- Softtimer.no_handle
 
 let current_interval t = t.interval
 let polls t = !(t.polls)

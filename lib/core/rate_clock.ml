@@ -31,7 +31,8 @@ type t = {
   mutable last_send : Time_ns.t;
   sends : int ref;
   trains : int ref;
-  mutable outstanding : Softtimer.handle option;
+  mutable kind : Softtimer.kind;  (* this clock's soft event *)
+  mutable outstanding : Softtimer.handle;
   intervals : Hdr.t;
       (* Constant-memory: a clock sends once per interval for the whole
          run, so retaining every gap (the old [Stats.Sample.t]) grew
@@ -40,35 +41,14 @@ type t = {
   interval_us : Hdr.t;  (* the context's [rate_clock.interval_us] *)
 }
 
-let create ?(intervals = cohort_intervals) st ~target_interval ~min_interval ~send () =
-  if Time_ns.(min_interval <= 0L) || Time_ns.(min_interval > target_interval) then
-    invalid_arg "Rate_clock.create: need 0 < min_interval <= target_interval";
-  let m = Metrics.current () in
-  {
-    st;
-    target = target_interval;
-    min_interval;
-    send;
-    active = false;
-    train_start = Time_ns.zero;
-    sent_in_train = 0;
-    last_send = Time_ns.zero;
-    sends = Metrics.cell m m_sends;
-    trains = Metrics.cell m m_trains;
-    outstanding = None;
-    intervals;
-    interval_us = Metrics.hdr m interval_metric;
-  }
-
 let rec on_event t now_i =
-  t.outstanding <- None;
   if t.active then begin
     let now = Time_ns.of_ns now_i in
     if t.send now then begin
       if t.sent_in_train > 0 then begin
-        let gap_us = Time_ns.to_us Time_ns.(now - t.last_send) in
-        Hdr.record t.intervals gap_us;
-        Hdr.record t.interval_us gap_us
+        let gap = now_i - Time_ns.to_int t.last_send in
+        Hdr.record_us_of_ns t.intervals gap;
+        Hdr.record_us_of_ns t.interval_us gap
       end;
       t.last_send <- now;
       t.sent_in_train <- t.sent_in_train + 1;
@@ -90,7 +70,32 @@ and schedule_next t now =
   let delay = Time_ns.(ideal - now) in
   if Time_ns.(delay < t.min_interval) then Profile.event e_catch_up;
   let delay = Time_ns.max delay t.min_interval in
-  t.outstanding <- Some (Softtimer.schedule_after t.st delay (on_event t))
+  t.outstanding <- Softtimer.schedule_after t.st delay t.kind 0
+
+let create ?(intervals = cohort_intervals) st ~target_interval ~min_interval ~send () =
+  if Time_ns.(min_interval <= 0L) || Time_ns.(min_interval > target_interval) then
+    invalid_arg "Rate_clock.create: need 0 < min_interval <= target_interval";
+  let m = Metrics.current () in
+  let t =
+    {
+      st;
+      target = target_interval;
+      min_interval;
+      send;
+      active = false;
+      train_start = Time_ns.zero;
+      sent_in_train = 0;
+      last_send = Time_ns.zero;
+      sends = Metrics.cell m m_sends;
+      trains = Metrics.cell m m_trains;
+      kind = Softtimer.null_kind;
+      outstanding = Softtimer.no_handle;
+      intervals;
+      interval_us = Metrics.hdr m interval_metric;
+    }
+  in
+  t.kind <- Softtimer.register st ~name:"rate_clock" (fun now _ -> on_event t now);
+  t
 
 let begin_train t =
   incr t.trains;
@@ -99,15 +104,16 @@ let begin_train t =
   t.train_start <- now;
   t.sent_in_train <- 0;
   (* First transmission at the first trigger state from now. *)
-  t.outstanding <- Some (Softtimer.schedule_soft_event t.st ~ticks:0L (on_event t))
+  t.outstanding <- Softtimer.schedule_soft_event t.st ~ticks:0L t.kind 0
 
 let start t = if not t.active then begin_train t
 let kick t = if not t.active then begin_train t
 
+(* The handle of a fired event is stale, so cancelling it is a no-op. *)
 let stop t =
   t.active <- false;
-  (match t.outstanding with Some h -> Softtimer.cancel t.st h | None -> ());
-  t.outstanding <- None
+  Softtimer.cancel t.st t.outstanding;
+  t.outstanding <- Softtimer.no_handle
 
 let active t = t.active
 let sends t = !(t.sends)

@@ -4,36 +4,46 @@ let m_scheduled = Metrics.counter "softtimer.scheduled"
 let m_cancelled = Metrics.counter "softtimer.cancelled"
 let h_fire_delay = Metrics.histogram "softtimer.fire_delay_us"
 
-(* The payload the store holds per event; the store hands the due time
-   back on expiry.  The handler receives the firing instant in ns. *)
-type pending_event = { id : int; handler : int -> unit }
+(* A pending event is one row of the facility's slab: three ints (the
+   trace identity, the kind, the payload) and, in the slab's value
+   array, the store's own handle for it.  The store holds the row as
+   its payload, and the facility's handle is the slab's handle of the
+   row, so the schedule/check/fire cycle allocates no record and no
+   handle box. *)
+let o_id = 0
+let o_kind = 1
+let o_payload = 2
+let stride = 6  (* the slab's generation and location sit at 4 and 5 *)
+let live = 0  (* the location of a pending row: anything but [Slab.loc_free] *)
 
-(* One store instance at payload [pending_event]: the chosen
-   [Timer_store.S] together with the state [attach] created, its handle
-   type left abstract.  Operations go straight to the store's own
-   functions, so nothing is allocated per call to pack them. *)
+type kind = int
+type handle = int
+
+let null_kind = -1
+let no_handle = -1
+
+(* One store instance at payload [int] (a slab row): the chosen
+   [Timer_store.S] together with the state [attach] created and the slab
+   whose value array holds the store's handles, the handle type left
+   abstract.  Operations go straight to the store's own functions, so
+   nothing is allocated per call to pack them. *)
 module type STORE = sig
   type s
   type h
 
   val s : s
+  val slab : h Slab.t
   val name : string
-  val schedule : s -> at:int -> pending_event -> h
+  val schedule : s -> at:int -> int -> h
   val cancel : s -> h -> unit
   val rearm : s -> h -> at:int -> bool
   val pending : s -> int
   val resident : s -> int
   val next_deadline : s -> int
-  val handle_pending : s -> h -> bool
   val handle_deadline : s -> h -> int
 
   val fire_due :
-    s ->
-    ?prefetch:(pending_event -> unit) ->
-    now:int ->
-    limit:int ->
-    (int -> pending_event -> unit) ->
-    Fire_outcome.t
+    s -> ?prefetch:(int -> unit) -> now:int -> limit:int -> (int -> int -> unit) -> Fire_outcome.t
 end
 
 type store = Store : (module STORE with type h = 'h) -> store
@@ -42,10 +52,11 @@ let instance (module M : Timer_store.S) ~tick =
   let module I = struct
     include M
 
-    type s = pending_event M.t
-    type h = pending_event M.handle
+    type s = int M.t
+    type h = int M.handle
 
     let s : s = M.create ~tick ()
+    let slab : h Slab.t = Slab.create ~stride
   end in
   Store (module I : STORE with type h = I.h)
 
@@ -59,9 +70,13 @@ type t = {
   check_budget : int;  (* max handler dispatches per trigger-state check *)
   fire_work_us : float;  (* dispatch cost charged per fire (boxed once, here) *)
   mutable fire_now : int;  (* [now] of the check in progress, ns *)
-  mutable fire_source : string;  (* its trigger state's name *)
-  mutable on_fire : int -> pending_event -> unit;  (* [fire t], built once *)
+  mutable fire_kind : Trigger.kind;  (* its trigger state, an immediate *)
+  mutable on_fire : int -> int -> unit;  (* [fire t slab], built once *)
   mutable next_id : int;  (* timer identity carried by the trace events *)
+  mutable handlers : (int -> int -> unit) array;  (* indexed by kind *)
+  mutable names : string array;
+  mutable kind_fired : int array;
+  mutable n_kinds : int;
   fired : int ref;
   checks : int ref;
   scheduled : int ref;
@@ -71,13 +86,6 @@ type t = {
   mutable record_delays : bool;
   delays : Stats.Sample.t;
 }
-
-(* The store's own handle plus the trace identity: cancel and re-arm
-   must stamp the same [id] the schedule carried, so the audit can chain
-   them.  The instance rides along because the handle's type is only
-   known to it. *)
-type handle =
-  | Handle : { inst : (module STORE with type h = 'h); sh : 'h; ev_id : int } -> handle
 
 let next_deadline t =
   match t.store with
@@ -150,42 +158,49 @@ let a_fire = Profile.intern [ "softtimer"; "fire" ]
 let fire_attr = Some a_fire
 let klass_timer = Some Cpu.klass_timer
 
-(* One dispatch of a check's batch: charge the dispatch cost (a
-   procedure call) to the CPU and run the handler inline.  The check in
-   progress left its [now] and trigger source in [t].  The delay is one
-   int subtraction and a float division; the profiler sees it boxed
-   (ALLOC003) only when enabled. *)
-let[@hot] fire t due ev =
+(* One dispatch of a check's batch: read the event's row and free it,
+   so that its handle is stale and the row reusable inside its own
+   handler, charge the dispatch cost (a procedure call) to the CPU and
+   run the kind's handler inline.  The check in progress left its [now]
+   and trigger source in [t].  The delay is one int subtraction, recorded
+   without boxing; the profiler sees it boxed (ALLOC003) only when
+   enabled. *)
+let[@hot] fire t slab due row =
+  let b = row * stride in
+  let id = slab.Slab.rows.(b + o_id)
+  and kind = slab.Slab.rows.(b + o_kind)
+  and payload = slab.Slab.rows.(b + o_payload) in
+  Slab.free slab row;
   let now = t.fire_now in
   let delay = now - due in
   incr t.fired;
-  Trace.soft_fire ~at:now ~id:ev.id ~due;
+  t.kind_fired.(kind) <- t.kind_fired.(kind) + 1;
+  Trace.soft_fire ~at:now ~id ~due;
   if Profile.enabled () then
-    Profile.dispatch ~source:t.fire_source ~delay:(Int64.of_int delay [@lint.allow "ALLOC003"]);
-  let delay_us = float_of_int delay /. 1e3 in
-  if t.record_delays then Stats.Sample.add t.delays delay_us;
-  Hdr.record t.fire_delays delay_us;
+    Profile.dispatch ~source:(Trigger.name t.fire_kind)
+      ~delay:(Int64.of_int delay [@lint.allow "ALLOC003"]);
+  if t.record_delays then Stats.Sample.add t.delays (float_of_int delay /. 1e3);
+  Hdr.record_us_of_ns t.fire_delays delay;
   Machine.submit_quantum t.machine
     ?attr:(if Profile.enabled () then fire_attr else None)
     ~prio:Cpu.prio_intr ?klass:klass_timer ~work_us:t.fire_work_us ~trigger:None ignore;
-  ev.handler now
+  t.handlers.(kind) now payload
 
 (* The per-trigger-state check: compare the cached earliest deadline with
    now and fire anything due.  [kind] is the trigger state that performed
    this check — the profiler's per-trigger dispatch breakdown (paper
    Table 1) records which state fired each event and at what latency.  A
    handler may reach a trigger state of its own, so a nested check saves
-   and restores the outer one's [fire_now]/[fire_source].  Time is int
+   and restores the outer one's [fire_now]/[fire_kind].  Time is int
    ns throughout, so a check allocates nothing for its [now] or for the
    deadlines it fires. *)
 let[@hot] check t kind now_i =
   incr t.checks;
   let earliest = next_deadline t in
   if earliest <= now_i then begin
-    let outer_now = t.fire_now and outer_source = t.fire_source in
-    let source = Trigger.name kind in
+    let outer_now = t.fire_now and outer_kind = t.fire_kind in
     t.fire_now <- now_i;
-    t.fire_source <- source;
+    t.fire_kind <- kind;
     let outcome =
       match t.store with
       | Store inst -> (
@@ -195,18 +210,19 @@ let[@hot] check t kind now_i =
         | exception exn ->
           let bt = Printexc.get_raw_backtrace () in
           t.fire_now <- outer_now;
-          t.fire_source <- outer_source;
+          t.fire_kind <- outer_kind;
           Printexc.raise_with_backtrace exn bt)
     in
     t.fire_now <- outer_now;
-    t.fire_source <- outer_source;
+    t.fire_kind <- outer_kind;
     (* One record per check that found work: the audit uses
        [scanned > fired] to see that a check reached the store but a
        budget kept it from this timer.  Emitted after the batch's
        [Soft_fire]s — same timestamp, dispatch order. *)
     let scanned = Fire_outcome.scanned outcome in
     if scanned > 0 then
-      Trace.soft_check ~at:now_i ~src:source ~scanned ~fired:(Fire_outcome.fired outcome)
+      Trace.soft_check ~at:now_i ~src:(Trigger.name kind) ~scanned
+        ~fired:(Fire_outcome.fired outcome)
   end
 
 let attach ?store ?(wheel_tick = Time_ns.of_us 10.0) ?(wheel_slots = 512) machine =
@@ -233,9 +249,13 @@ let attach ?store ?(wheel_tick = Time_ns.of_us 10.0) ?(wheel_slots = 512) machin
       check_budget = Atomic.get default_check_budget;
       fire_work_us = profile.Costs.softtimer_fire_us;
       fire_now = 0;
-      fire_source = "";
+      fire_kind = Trigger.Idle;
       on_fire = (fun _ _ -> ());
       next_id = 0;
+      handlers = [||];
+      names = [||];
+      kind_fired = [||];
+      n_kinds = 0;
       fired = Metrics.cell m m_fired;
       checks = Metrics.cell m m_checks;
       scheduled = Metrics.cell m m_scheduled;
@@ -246,7 +266,11 @@ let attach ?store ?(wheel_tick = Time_ns.of_us 10.0) ?(wheel_slots = 512) machin
       delays = Stats.Sample.create ();
     }
   in
-  t.on_fire <- (fun due ev -> fire t due ev);
+  (t.on_fire <-
+     match t.store with
+     | Store inst ->
+       let module S = (val inst) in
+       fun due row -> fire t S.slab due row);
   Machine.set_check_hook machine (Some (check t));
   Machine.set_idle_deadline_fn machine (Some (fun () -> next_deadline t));
   Machine.start_interrupt_clock machine;
@@ -279,11 +303,30 @@ let store_name t =
 let notify_if_earliest t due =
   if t.attached && Int.equal (next_deadline t) due then Machine.notify_deadline_changed t.machine
 
-let schedule_soft_event t ~ticks handler =
-  if Int64.compare ticks 0L < 0 then
-    invalid_arg "Softtimer.schedule_soft_event: negative ticks";
-  (* Fires once measure_time > sched + ticks, i.e. at tick sched+ticks+1. *)
-  let due = due_after t ticks in
+let grown a n fill =
+  let b = Array.make (if n = 0 then 8 else 2 * n) fill in
+  Array.blit a 0 b 0 n;
+  b
+
+let register t ~name handler =
+  let k = t.n_kinds in
+  if k = Array.length t.handlers then begin
+    t.handlers <- grown t.handlers k handler;
+    t.names <- grown t.names k name;
+    t.kind_fired <- grown t.kind_fired k 0
+  end;
+  t.handlers.(k) <- handler;
+  t.names.(k) <- name;
+  t.n_kinds <- k + 1;
+  k
+
+let kind_fires t = List.init t.n_kinds (fun k -> (t.names.(k), t.kind_fired.(k)))
+
+(* Take a row for the event and hand it to the store as the payload.
+   The store schedules first, so a store that fails leaves the slab
+   untouched; the row is the one [Slab.next_row] announced. *)
+let schedule_due t due kind payload =
+  if kind < 0 || kind >= t.n_kinds then invalid_arg "Softtimer.schedule_soft_event: unknown kind";
   let id = t.next_id in
   t.next_id <- id + 1;
   incr t.scheduled;
@@ -291,46 +334,74 @@ let schedule_soft_event t ~ticks handler =
   match t.store with
   | Store inst ->
     let module S = (val inst) in
-    let sh = S.schedule S.s ~at:due { id; handler } in
+    let slab = S.slab in
+    let sh = S.schedule S.s ~at:due (Slab.next_row slab) in
+    let row = Slab.alloc slab sh in
+    let b = row * stride in
+    slab.Slab.rows.(b + o_id) <- id;
+    slab.Slab.rows.(b + o_kind) <- kind;
+    slab.Slab.rows.(b + o_payload) <- payload;
+    slab.Slab.rows.(b + Slab.loc) <- live;
     notify_if_earliest t due;
-    Handle { inst; sh; ev_id = id }
+    Slab.handle slab row
+
+let schedule_soft_event t ~ticks kind payload =
+  if Int64.compare ticks 0L < 0 then
+    invalid_arg "Softtimer.schedule_soft_event: negative ticks";
+  (* Fires once measure_time > sched + ticks, i.e. at tick sched+ticks+1. *)
+  schedule_due t (due_after t ticks) kind payload
 
 (* Whole measurement ticks covering [span], saturating at
    [Int64.max_int] (0x1p63) rather than wrapping negative. *)
-let schedule_after t span handler =
+let schedule_after t span kind payload =
   let ticks_f = Float.ceil (Int64.to_float (Time_ns.max span 0L) /. t.ns_per_tick) in
   let ticks = if ticks_f >= 0x1p63 then Int64.max_int else Int64.of_float ticks_f in
-  schedule_soft_event t ~ticks handler
+  schedule_due t (due_after t ticks) kind payload
 
-let cancel t (Handle { inst; sh; ev_id }) =
-  let module S = (val inst) in
-  if S.handle_pending S.s sh then begin
-    incr t.cancelled;
-    Trace.soft_cancel
-      ~at:(Engine.now_i (Machine.engine t.machine))
-      ~id:ev_id
-      ~due:(S.handle_deadline S.s sh)
-  end;
-  S.cancel S.s sh
+(* A stale handle (fired, cancelled, or [no_handle]) names no live
+   row: [Slab.valid] checks the generation the handle was issued
+   with. *)
+let cancel t h =
+  match t.store with
+  | Store inst ->
+    let module S = (val inst) in
+    let slab = S.slab in
+    if Slab.valid slab h then begin
+      let row = Slab.row_of h in
+      let sh = slab.Slab.vals.(row) in
+      incr t.cancelled;
+      Trace.soft_cancel
+        ~at:(Engine.now_i (Machine.engine t.machine))
+        ~id:slab.Slab.rows.((row * stride) + o_id)
+        ~due:(S.handle_deadline S.s sh);
+      S.cancel S.s sh;
+      Slab.free slab row
+    end
 
-let rearm t (Handle { inst; sh; ev_id }) ~ticks =
+let rearm t h ~ticks =
   if Int64.compare ticks 0L < 0 then invalid_arg "Softtimer.rearm: negative ticks";
-  let module S = (val inst) in
-  if not (S.handle_pending S.s sh) then false
-  else begin
-    let at = Engine.now_i (Machine.engine t.machine) in
-    Trace.soft_cancel ~at ~id:ev_id ~due:(S.handle_deadline S.s sh);
-    let due = due_after t ticks in
-    (* A re-arm is cancel + schedule with the handle kept; the trace
-       records it as exactly that pair — same id, so the audit keeps
-       one causal chain per handle — and digests are independent of
-       whether a client re-arms or reschedules. *)
-    Trace.soft_sched ~at ~id:ev_id ~due;
-    incr t.scheduled;
-    let moved = S.rearm S.s sh ~at:due in
-    if moved then notify_if_earliest t due;
-    moved
-  end
+  match t.store with
+  | Store inst ->
+    let module S = (val inst) in
+    let slab = S.slab in
+    if not (Slab.valid slab h) then false
+    else begin
+      let row = Slab.row_of h in
+      let sh = slab.Slab.vals.(row) in
+      let id = slab.Slab.rows.((row * stride) + o_id) in
+      let at = Engine.now_i (Machine.engine t.machine) in
+      Trace.soft_cancel ~at ~id ~due:(S.handle_deadline S.s sh);
+      let due = due_after t ticks in
+      (* A re-arm is cancel + schedule with the handle kept; the trace
+         records it as exactly that pair — same id, so the audit keeps
+         one causal chain per handle — and digests are independent of
+         whether a client re-arms or reschedules. *)
+      Trace.soft_sched ~at ~id ~due;
+      incr t.scheduled;
+      let moved = S.rearm S.s sh ~at:due in
+      if moved then notify_if_earliest t due;
+      moved
+    end
 
 let wheel_stats t = (resident t, pending t, t.store_slots)
 let fired t = !(t.fired)

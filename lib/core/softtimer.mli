@@ -20,8 +20,42 @@
 
 type t
 
-type handle
-(** A scheduled event; cancellable (and re-armable) until it fires. *)
+(** {2 Kinds and handles}
+
+    A soft event is a {e kind} and an [int] payload.  A kind is a
+    handler registered once per client instance ({!register}), when the
+    client is created, never per event; scheduling an event writes the
+    kind, the payload and the event's trace identity into one row of the
+    facility's slab and returns the row's handle, an immediate int.  The
+    schedule, check and fire of an event on the default wheel allocate
+    nothing, as in the paper, where they cost about a procedure call.
+
+    A handler runs inside the trigger-state check that fired it, with
+    its event already settled.  A handler that raises ends the check:
+    the exception propagates out of the trigger state, and the rest of
+    its due batch stays pending, to fire at the next check in
+    (deadline, tie) order. *)
+
+type kind
+(** A handler registered with {!register}.  A kind is only meaningful to
+    the facility that registered it, and keeps its handler (and what
+    the handler holds) alive as long as the facility. *)
+
+val null_kind : kind
+(** A kind that names no handler: scheduling it raises.  An initial
+    value for a kind-holding field, set once the kind is registered. *)
+
+type handle = private int
+(** A scheduled event: the facility slab's [(generation lsl 24) lor row]
+    of its row.  It is valid, and cancellable or re-armable, until the
+    event fires or is cancelled.  The row is freed {e before} the
+    handler runs, so inside its own handler, and ever after, the handle
+    is stale: {!cancel} is a no-op and {!rearm} returns [false], even
+    once a later event reuses the row (the generation differs). *)
+
+val no_handle : handle
+(** A handle that names no event, never valid: the initial value of a
+    handle-holding field, in place of [handle option]. *)
 
 val set_default_store : (module Timer_store.S) option -> unit
 (** Process-wide store used by {!attach} when no explicit [?store] is
@@ -74,21 +108,28 @@ val interrupt_clock_resolution : t -> int64
 (** Frequency (Hz) of the periodic timer interrupt that schedules
     overdue soft-timer events — the facility's worst-case granularity. *)
 
-val schedule_soft_event : t -> ticks:int64 -> (int -> unit) -> handle
-(** [schedule_soft_event t ~ticks handler] arranges for [handler] to be
-    called, with the firing instant in integer nanoseconds, at least
-    [ticks] measurement-clock ticks in the future: at
+val register : t -> name:string -> (int -> int -> unit) -> kind
+(** [register t ~name h] adds a kind whose events run [h now payload],
+    [now] being the firing instant in integer nanoseconds.  Call it once
+    per client, at creation; [name] labels the kind in {!kind_fires}. *)
+
+val schedule_soft_event : t -> ticks:int64 -> kind -> int -> handle
+(** [schedule_soft_event t ~ticks kind payload] arranges for [kind]'s
+    handler to be called on [payload] at least [ticks]
+    measurement-clock ticks in the future: at
     the first trigger state at which [measure_time] exceeds its
     schedule-time value by at least [ticks + 1] (the +1 accounts for the
     schedule instant not coinciding with a tick edge), and in any case
     by the next backup interrupt after that.  A deadline past the int
     range of nanoseconds is [max_int] ns, the end of time: the event
-    stays pending.
-    @raise Invalid_argument if [ticks < 0]. *)
+    stays pending.  Allocates nothing once the slab has grown to the
+    facility's peak of pending events.
+    @raise Invalid_argument if [ticks < 0] or [kind] is not one of
+    [t]'s registered kinds. *)
 
 (** {2 Convenience and introspection} *)
 
-val schedule_after : t -> Time_ns.span -> (int -> unit) -> handle
+val schedule_after : t -> Time_ns.span -> kind -> int -> handle
 (** Like {!schedule_soft_event} with the delay given as a span (rounded
     up to whole measurement ticks). *)
 
@@ -97,13 +138,14 @@ val x_ratio : t -> int64
     the firing window in measurement ticks. *)
 
 val cancel : t -> handle -> unit
+(** Withdraw a pending event.  A no-op on a stale handle. *)
 
 val rearm : t -> handle -> ticks:int64 -> bool
 (** [rearm t h ~ticks] moves a pending event to a new deadline [ticks]
     measurement ticks ahead, exactly as if it were cancelled and
     rescheduled (the trace records that pair) but keeping [h] valid —
     the TCP retransmit push-out operation.  [false] when the event
-    already fired or was cancelled.
+    already fired or was cancelled (the handle is stale).
     @raise Invalid_argument if [ticks < 0]. *)
 
 val pending : t -> int
@@ -117,6 +159,10 @@ val pending : t -> int
 val wheel_stats : t -> int * int * int
 val fired : t -> int
 (** Events fired so far. *)
+
+val kind_fires : t -> (string * int) list
+(** Every kind's name and number of events fired so far, in
+    registration order. *)
 
 val checks : t -> int
 (** Trigger-state checks performed so far. *)

@@ -127,7 +127,9 @@ let grow t needed =
    simulated duration. *)
 let u_cap = (1 lsl 62) - 1
 
-let[@hot] record t x =
+(* The body of [record], inlined into both entry points so that
+   [record_us_of_ns]'s quotient stays an unboxed float. *)
+let[@inline] record_float t x =
   let u =
     if x <= 0.0 then 0
     else begin
@@ -144,6 +146,9 @@ let[@hot] record t x =
   m.(m_sum_sq) <- m.(m_sum_sq) +. (x *. x);
   if x < m.(m_min) then m.(m_min) <- x;
   if x > m.(m_max) then m.(m_max) <- x
+
+let[@hot] record t x = record_float t x
+let[@hot] record_us_of_ns t ns = record_float t (float_of_int ns /. 1e3)
 
 let clear t =
   Array.fill t.counts 0 (Array.length t.counts) 0;

@@ -36,6 +36,11 @@ val record : t -> float -> unit
 (** O(1), allocation-free except when the bucket array grows (at most
     O(log max-value) times over the histogram's life). *)
 
+val record_us_of_ns : t -> int -> unit
+(** [record_us_of_ns t ns] is [record t (float_of_int ns /. 1e3)], a
+    count of nanoseconds recorded in microseconds, with the quotient
+    never boxed: allocation-free on a caller's per-event path. *)
+
 val clear : t -> unit
 
 val count : t -> int

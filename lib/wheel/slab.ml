@@ -46,6 +46,9 @@ let[@inline] alloc s v =
   s.vals.(i) <- v;
   i
 
+(* Growth puts the lowest new row, the old capacity, on top. *)
+let[@inline] next_row s = if s.free_top = 0 then s.cap else s.free_stk.(s.free_top - 1)
+
 let free s i =
   let b = i * s.stride in
   s.rows.(b + gen) <- s.rows.(b + gen) + 1;

@@ -45,6 +45,10 @@ val alloc : 'a t -> 'a -> int
     non-optional value array.
     @raise Failure beyond 2^24 rows. *)
 
+val next_row : 'a t -> int
+(** The row the next {!alloc} takes, so that a caller can hand the row
+    out before it has the row's value. *)
+
 val free : 'a t -> int -> unit
 (** Return a row to the free stack, bump its generation and mark it
     free. *)

@@ -759,13 +759,14 @@ let create cfg =
        paper's Table 3. *)
     let handler_touch_us = 0.5 *. anatomy.locality.Cache.sensitivity in
     let touch_attr = Some a_pace_touch in
-    let rec arm () = ignore (Softtimer.schedule_soft_event st ~ticks:0L on_fire : Softtimer.handle)
-    and on_fire now =
-      Machine.submit_quantum machine ?attr:touch_attr ~prio:Cpu.prio_intr
-        ~work_us:handler_touch_us ~trigger:None ignore;
-      ignore (pace_send t now : bool);
-      arm ()
-    in
+    let kind = ref Softtimer.null_kind in
+    let arm () = ignore (Softtimer.schedule_soft_event st ~ticks:0L !kind 0 : Softtimer.handle) in
+    kind :=
+      Softtimer.register st ~name:"web.pace" (fun now _ ->
+          Machine.submit_quantum machine ?attr:touch_attr ~prio:Cpu.prio_intr
+            ~work_us:handler_touch_us ~trigger:None ignore;
+          ignore (pace_send t now : bool);
+          arm ());
     arm ()
   | Soft_pacing, None -> assert false
   | Hw_pacing interval, _ ->

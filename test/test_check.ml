@@ -141,10 +141,9 @@ let test_end_to_end_clean () =
       let machine = Machine.create engine in
       let st = Softtimer.attach machine in
       let fired = ref 0 in
+      let count = Softtimer.register st ~name:"count" (fun _ _ -> incr fired) in
       for i = 1 to 100 do
-        ignore
-          (Softtimer.schedule_after st (us (float_of_int (37 * i))) (fun _ -> incr fired)
-            : Softtimer.handle)
+        ignore (Softtimer.schedule_after st (us (float_of_int (37 * i))) count 0 : Softtimer.handle)
       done;
       (* Background work so trigger states occur. *)
       let rec churn n =
@@ -162,9 +161,9 @@ let test_wheel_stats_within_bound () =
   let engine = Engine.create () in
   let machine = Machine.create engine in
   let st = Softtimer.attach machine in
+  let noop = Softtimer.register st ~name:"noop" (fun _ _ -> ()) in
   let handles =
-    List.init 200 (fun i ->
-        Softtimer.schedule_after st (us (float_of_int (100 + i))) (fun _ -> ()))
+    List.init 200 (fun i -> Softtimer.schedule_after st (us (float_of_int (100 + i))) noop 0)
   in
   List.iteri (fun i h -> if i mod 2 = 0 then Softtimer.cancel st h) handles;
   let resident, pending, slots = Softtimer.wheel_stats st in
@@ -184,9 +183,10 @@ let digest_of_run seed =
       let machine = Machine.create engine in
       let st = Softtimer.attach machine in
       let rng = Prng.create ~seed in
+      let noop = Softtimer.register st ~name:"noop" (fun _ _ -> ()) in
       for _ = 1 to 50 do
         ignore
-          (Softtimer.schedule_after st (us (Prng.float_range rng 10.0 5000.0)) (fun _ -> ())
+          (Softtimer.schedule_after st (us (Prng.float_range rng 10.0 5000.0)) noop 0
             : Softtimer.handle)
       done;
       let rec churn n =

@@ -124,7 +124,8 @@ let[@inline never] run_finished_simulation w =
   let e = Engine.create () in
   let m = Machine.create e in
   let st = Softtimer.attach m in
-  ignore (Softtimer.schedule_soft_event st ~ticks:0L (fun _ -> ()) : Softtimer.handle);
+  let noop = Softtimer.register st ~name:"noop" (fun _ _ -> ()) in
+  ignore (Softtimer.schedule_soft_event st ~ticks:0L noop 0 : Softtimer.handle);
   Engine.run_until e (us 100.0);
   Weak.set w 0 (Some (Sys.opaque_identity m))
 

@@ -80,6 +80,7 @@ let test_conservation_property =
           let e = Engine.create () in
           let m = Machine.create e in
           let st = Softtimer.attach m in
+          let noop = Softtimer.register st ~name:"noop" (fun _ _ -> ()) in
           Machine.start_interrupt_clock m;
           let line =
             Machine.interrupt_line m ~name:"disk0" ~source:Trigger.Dev_intr
@@ -95,9 +96,7 @@ let test_conservation_property =
                   if kind_ix = 7 then ignore (Machine.raise_irq m line () : bool)
                   else begin
                     if work_us mod 3 = 0 then
-                      ignore
-                        (Softtimer.schedule_soft_event st ~ticks:1L (fun _ -> ())
-                          : Softtimer.handle);
+                      ignore (Softtimer.schedule_soft_event st ~ticks:1L noop 0 : Softtimer.handle);
                     Machine.submit_quantum m ~prio
                       ~work_us:(float_of_int work_us /. 4.0)
                       ~trigger
@@ -123,8 +122,9 @@ let test_dispatch_breakdown () =
       let e = Engine.create () in
       let m = Machine.create e in
       let st = Softtimer.attach m in
+      let noop = Softtimer.register st ~name:"noop" (fun _ _ -> ()) in
       for i = 1 to 5 do
-        ignore (Softtimer.schedule_soft_event st ~ticks:0L (fun _ -> ()) : Softtimer.handle);
+        ignore (Softtimer.schedule_soft_event st ~ticks:0L noop 0 : Softtimer.handle);
         let kind = if i mod 2 = 0 then Trigger.Syscall else Trigger.Ip_output in
         Machine.submit_quantum m ~prio:Cpu.prio_kernel ~work_us:2.0 ~trigger:(Some kind)
           (fun _ -> ());

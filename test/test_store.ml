@@ -603,16 +603,18 @@ let digest_with (module M : Timer_store.S) =
   triggers 0;
   (* Timer client: a 50 us heartbeat that each round schedules two
      timers, cancels one and pushes the other out by ~100 us. *)
-  let rec heartbeat n _now =
+  let noop = Softtimer.register st ~name:"noop" (fun _ _ -> ()) in
+  let beat = ref Softtimer.null_kind in
+  let heartbeat _now n =
     if n < 200 then begin
-      let doomed = Softtimer.schedule_after st (Time_ns.of_us 500.0) (fun _ -> ()) in
-      let pushed = Softtimer.schedule_after st (Time_ns.of_us 700.0) (fun _ -> ()) in
+      let doomed = Softtimer.schedule_after st (Time_ns.of_us 500.0) noop 0 in
+      let pushed = Softtimer.schedule_after st (Time_ns.of_us 700.0) noop 0 in
       Softtimer.cancel st doomed;
       ignore (Softtimer.rearm st pushed ~ticks:30_000L : bool);
-      ignore
-        (Softtimer.schedule_after st (Time_ns.of_us 50.0) (heartbeat (n + 1)) : Softtimer.handle)
+      ignore (Softtimer.schedule_after st (Time_ns.of_us 50.0) !beat (n + 1) : Softtimer.handle)
     end
   in
+  beat := Softtimer.register st ~name:"heartbeat" heartbeat;
   heartbeat 0 0;
   Engine.run_until e (Time_ns.of_ms 50.0);
   Trace.uninstall ();

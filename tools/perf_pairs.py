@@ -25,9 +25,19 @@ attribution: both sides' medians of minor and promoted words per op,
 minor collections per thousand ops and major cycles, so a move of
 heap_mb can be traced to promotion.  These metrics carry no bound;
 only failed runs set the exit status.
+
+With --all-ticks each side's perfbench/bench.exe is built once and run
+directly, untraced, and the table sets CPU ns per op over all ticks
+(sum of tick_cpu_ns over sum of tick_ops) beside ns_per_op as
+perfbench/run.py reports it, over the ticks its host probe rates quiet.
+On a DRAM-bound workload such as pacer-1m only a few per cent of ticks
+may be quiet, and the all-ticks figure shows whether a move of the
+quiet-tick figure is the code's or the host's.  Informational: no bound,
+and only failed runs set the exit status.
 """
 
 import argparse
+import importlib.util
 import json
 import os
 import shutil
@@ -71,6 +81,69 @@ def run_side(cwd, workload, seed, trace=0):
         sys.stderr.write(p.stderr)
         return None
     return json.loads(lines[-1])
+
+
+def perfbench_module():
+    """The working tree's perfbench/run.py, loaded for its workload
+    sizes and its quiet-tick filter."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_run", os.path.join(ROOT, "perfbench", "run.py"))
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def build_bench(cwd):
+    """Build cwd's perfbench/bench.exe as perfbench/run.py does; returns
+    its path."""
+    tmp = os.path.join(cwd, ".bench_build", "tmp")
+    build_dir = os.path.join(cwd, ".bench_build", "dune")
+    os.makedirs(tmp, exist_ok=True)
+    subprocess.run(["dune", "build", "--root", ".", "--build-dir", build_dir,
+                    "--profile", "release", "--cache", "disabled", "./perfbench/bench.exe"],
+                   cwd=cwd, env=dict(os.environ, TMPDIR=tmp), check=True,
+                   stdout=sys.stderr, stderr=sys.stderr)
+    return os.path.join(build_dir, "default", "perfbench", "bench.exe")
+
+
+def run_bench(pb, exe, cwd, workload, seed, seconds):
+    """One untraced bench.exe run at perfbench/run.py's size for
+    [seconds]; returns [(all-ticks ns/op, quiet-tick ns/op)], or None on
+    failure."""
+    size = pb.size_for(workload, seconds)
+    args = [exe, "--workload", workload, "--seed", str(seed),
+            "--setups", str(pb.WORKLOADS[workload]["setups"]),
+            "--segments", str(size["segments"])]
+    if "flows" in size:
+        args += ["--flows", str(size["flows"])]
+    p = subprocess.run(args, cwd=cwd, capture_output=True, text=True,
+                       env=dict(os.environ, TMPDIR=os.path.join(cwd, ".bench_build", "tmp")))
+    lines = [l for l in p.stdout.splitlines() if l.startswith("{")]
+    if p.returncode != 0 or not lines:
+        sys.stderr.write(p.stderr)
+        return None
+    raw = json.loads(lines[-1])
+    ops = sum(raw["tick_ops"])
+    if not ops:
+        return None
+    return sum(raw["tick_cpu_ns"]) / ops, pb.end_to_end(raw)["ns_per_op"][0]
+
+
+def report_all_ticks(runs):
+    """Quartiles of both ns/op figures, per side."""
+    print("%-22s %-30s %-30s %8s %6s" % ("ns/op over", "base q1/median/q3",
+                                          "new q1/median/q3", "change", "lower"))
+    for k, name in ((1, "quiet ticks"), (0, "all ticks")):
+        pairs = [(b[k], n[k]) for b, n in runs if b and n]
+        if not pairs:
+            print("%-22s (no paired runs)" % name)
+            continue
+        base = quartiles([b for b, _ in pairs])
+        new = quartiles([n for _, n in pairs])
+        lower = sum(1 for b, n in pairs if n < b)
+        print("%-22s %-30s %-30s %+7.1f%% %3d/%-2d" % (
+            name, "%.4g / %.4g / %.4g" % base, "%.4g / %.4g / %.4g" % new,
+            100 * (new[1] / base[1] - 1.0), lower, len(pairs)))
 
 
 def quartiles(xs):
@@ -131,7 +204,12 @@ def main():
                    help="seeds, separated by spaces or commas (one pair each)")
     p.add_argument("--trace", type=int, choices=(0, 1), default=0,
                    help="1: compare the GC metrics of traced runs instead")
+    p.add_argument("--all-ticks", action="store_true",
+                   help="run each side's bench.exe directly and compare CPU ns per op over "
+                        "all ticks beside the quiet-tick figure")
     a = p.parse_args()
+    if a.all_ticks and a.trace:
+        die("--all-ticks compares untraced runs; drop --trace 1")
     if not os.path.isfile(os.path.join(ROOT, "BENCHMARK.json")):
         die("run from the repository root (BENCHMARK.json not found)")
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
@@ -146,12 +224,23 @@ def main():
     git("worktree", "add", "--detach", tree, rev)
     runs, failed = [], 0
     try:
+        if a.all_ticks:
+            pb = perfbench_module()
+            exes = {"base": build_bench(tree), "new": build_bench(ROOT)}
         for k, seed in enumerate(seeds):
             sides = [("base", tree), ("new", ROOT)]
             if k % 2:
                 sides.reverse()
             got = {}
             for side, cwd in sides:
+                if a.all_ticks:
+                    r = run_bench(pb, exes[side], cwd, a.workload, seed, spec["run_seconds"])
+                    got[side] = r
+                    if r is None:
+                        failed += 1
+                        print("perf-pairs: seed %d %s run FAILED" % (seed, side),
+                              file=sys.stderr)
+                    continue
                 r = run_side(cwd, a.workload, seed, a.trace)
                 got[side] = r
                 if r is None or r.get("failed", 1) > 0 or not r.get("correct", False):
@@ -163,7 +252,10 @@ def main():
     finally:
         drop_tree(tree)
     print("perf-pairs: %s, %d pairs, base %s vs working tree" % (a.workload, len(runs), rev[:12]))
-    if a.trace:
+    if a.all_ticks:
+        report_all_ticks(runs)
+        bad = 0
+    elif a.trace:
         report_trace(runs)
         bad = 0
     else:

@@ -64,13 +64,18 @@ perfbench-smoke:
 # git worktree under .bench_build/.  Ten pairs at 15 s take ~6 min.
 # TRACE=1 pairs traced runs instead and prints both sides' medians of
 # the GC metrics (minor and promoted words per op, minor collections,
-# major cycles), to trace a heap_mb move to promotion.
+# major cycles), to trace a heap_mb move to promotion.  ALL_TICKS=1
+# (--all-ticks) runs each side's built bench.exe directly and prints
+# CPU ns per op over all ticks beside the quiet-tick figure: the
+# control for pacer-1m, whose quiet-tick ns_per_op rests on 1-6 % of
+# its ticks.
 BASE ?= HEAD
 WORKLOAD ?= web-soft
 SEEDS ?= 1 2 3 4 5 6 7 8 9 10
 TRACE ?= 0
+ALL_TICKS ?= 0
 perf-pairs:
-	python3 tools/perf_pairs.py --base $(BASE) --workload $(WORKLOAD) --seeds "$(SEEDS)" --trace $(TRACE)
+	python3 tools/perf_pairs.py --base $(BASE) --workload $(WORKLOAD) --seeds "$(SEEDS)" --trace $(TRACE) $(if $(filter 1,$(ALL_TICKS)),--all-ticks)
 
 # Run-report smoke: one report per experiment (fig1, table3 and the
 # pacer-scale census), each from a single execution, plus table3's

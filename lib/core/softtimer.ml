@@ -83,8 +83,6 @@ type t = {
   cancelled : int ref;
   fire_delays : Hdr.t;  (* µs; the context's [softtimer.fire_delay_us] *)
   mutable attached : bool;
-  mutable record_delays : bool;
-  delays : Stats.Sample.t;
 }
 
 let next_deadline t =
@@ -179,7 +177,6 @@ let[@hot] fire t slab due row =
   if Profile.enabled () then
     Profile.dispatch ~source:(Trigger.name t.fire_kind)
       ~delay:(Int64.of_int delay [@lint.allow "ALLOC003"]);
-  if t.record_delays then Stats.Sample.add t.delays (float_of_int delay /. 1e3);
   Hdr.record_us_of_ns t.fire_delays delay;
   Machine.submit_quantum t.machine
     ?attr:(if Profile.enabled () then fire_attr else None)
@@ -262,8 +259,6 @@ let attach ?store ?(wheel_tick = Time_ns.of_us 10.0) ?(wheel_slots = 512) machin
       cancelled = Metrics.cell m m_cancelled;
       fire_delays = Metrics.hdr m h_fire_delay;
       attached = true;
-      record_delays = false;
-      delays = Stats.Sample.create ();
     }
   in
   (t.on_fire <-
@@ -406,5 +401,3 @@ let rearm t h ~ticks =
 let wheel_stats t = (resident t, pending t, t.store_slots)
 let fired t = !(t.fired)
 let checks t = !(t.checks)
-let set_record_delays t b = t.record_delays <- b
-let delays t = t.delays

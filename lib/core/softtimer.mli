@@ -166,9 +166,3 @@ val kind_fires : t -> (string * int) list
 
 val checks : t -> int
 (** Trigger-state checks performed so far. *)
-
-val set_record_delays : t -> bool -> unit
-(** When enabled, the firing delay of every event (actual minus
-    scheduled due time, in microseconds) is recorded in {!delays}. *)
-
-val delays : t -> Stats.Sample.t

@@ -1,7 +1,6 @@
 module Online = struct
   (* All fields float (the count too, exact below 2^53), so the record
-     is stored flat and [add] boxes nothing (ALLOC003 cannot see that a
-     record is all-float). *)
+     is stored flat and [add] boxes nothing. *)
   type t = {
     mutable n : float;
     mutable mean : float;
@@ -22,7 +21,6 @@ module Online = struct
     if x < t.min then t.min <- x;
     if x > t.max then t.max <- x;
     t.sum <- t.sum +. x
-  [@@lint.allow "ALLOC003"]
 
   let clear t =
     t.n <- 0.0;

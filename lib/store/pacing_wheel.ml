@@ -21,14 +21,18 @@
    - past list: entries whose quantized deadline fell below [cur_tick]
      at link time.  They are already due (the wheel only advances past
      a tick once [now] reaches it), strictly earlier than anything in
-     the wheel, and dispatched first, sorted by (deadline, tie).
+     the wheel, and dispatched first through the core's snapshot batch,
+     sorted by (deadline, tie).
 
-   Entries live in a [Slab] of stride-8 rows holding deadline / tie /
-   prev / next / generation / location per slot — a whole entry in one
-   cache line, which is what keeps dispatch flat when a million-slot
-   arena no longer fits in cache — plus one value array.  Handles are
-   the slab's immediate ints and deadlines are int ns, so steady-state
-   schedule / fire / re-arm allocates nothing.
+   The level-2 buckets and the past and far lists are the tail-linked
+   chains of one [Wheel_core]; only level 1 keeps its own pair vectors.
+   Entries live in a [Slab] of stride-8 rows holding the core's
+   deadline / tie / prev / next, the slab's generation / location and
+   a level-1 vector position — a whole entry in one cache line, which
+   is what keeps dispatch flat when a million-slot arena no longer fits
+   in cache — plus one value array.  Handles are the slab's immediate
+   ints and deadlines are int ns, so steady-state schedule / fire /
+   re-arm allocates nothing.
 
    Semantics: exactly [Timer_store.Quantize] applied to the reference
    store — the §7.1 contract with every deadline rounded up to the tick
@@ -43,39 +47,22 @@ let empty_vec : int array = [||]
 
 let default_buckets = 4096
 
-(* Location codes for a slot's loc field: a level-1 bucket index in
-   [0, n1), a level-2 bucket index offset by [n1], [Slab.loc_free], or
-   one of these. *)
-let loc_past = -2
-let loc_far = -3
-
 type 'a t = {
   gns : int;  (* bucket granularity, ns per tick *)
   n1 : int;  (* level-1 buckets (power of two) *)
   n2 : int;  (* level-2 buckets (power of two) *)
   v1 : int array array;  (* level-1 (slot, seq) pair vectors, see below *)
   f1 : int array;  (* level-1 vector fill, in pairs (live + dead) *)
-  h2 : int array;  (* level-2 chain heads, -1 empty *)
-  t2 : int array;
   c1 : int array;  (* per-bucket live counts: O(1) due-counting *)
   c2 : int array;
-  occ1 : int array;  (* occupancy bitmaps, 32 bits per word *)
-  occ2 : int array;
+  occ1 : int array;  (* level-1 occupancy bitmap, 32 bits per word *)
   mutable cur_tick : int;  (* lowest tick that may still hold wheel entries *)
-  mutable past_h : int;
-  mutable past_t : int;
-  mutable past_n : int;
-  mutable far_h : int;
-  mutable far_t : int;
-  mutable far_n : int;
-  mutable far_min : int;  (* cached min deadline of the far list *)
-  mutable far_min_ok : bool;
+  mutable far_min : int;  (* cached min deadline of the far list, -1 unknown *)
   mutable n1_count : int;  (* entries linked in level 1 *)
   mutable n2_count : int;
-  mutable count : int;  (* all pending entries *)
   mutable next_seq : int;
   slab : 'a Slab.t;  (* stride-8 rows, fields below *)
-  mutable scratch : int array;  (* slot snapshot for past-list retirement *)
+  core : Wheel_core.t;  (* chains: level-2 buckets, then past, then far *)
   spares : int array array;  (* parked level-1 vector buffers, see [link1_tail] *)
   mutable spare_n : int;
   mutable dispatching : int;  (* bucket being dispatched (-1 none): see [unlink] *)
@@ -84,26 +71,24 @@ type 'a t = {
 
 type 'a handle = int
 
-(* ---- slot fields ---------------------------------------------------
-   One stride-8 slab row per slot: quantized deadline (ns), tie, prev,
-   next, generation, location, level-1 vector position (+1 pad word to
-   keep rows line-aligned).  prev/next serve the level-2/past/far
-   chains; pos serves the level-1 pair vectors — a slot is only ever in
-   one of the two structures. *)
+(* ---- rows and locations ---------------------------------------------
+   One stride-8 slab row per slot: the core's deadline, tie, prev and
+   next, the slab's generation and location, the level-1 vector
+   position (+1 pad word to keep rows line-aligned).  prev/next serve
+   the chains, pos the level-1 pair vectors — a slot is only ever in
+   one of the two.  A chained slot's location is its chain: level-2
+   bucket b is chain b, then come the past and far chains; a level-1
+   slot's location follows them. *)
 
-let[@inline] s_at t i = t.slab.rows.(i lsl 3)
-let[@inline] set_at t i v = t.slab.rows.(i lsl 3) <- v
-let[@inline] s_seq t i = t.slab.rows.((i lsl 3) + 1)
-let[@inline] set_seq t i v = t.slab.rows.((i lsl 3) + 1) <- v
-let[@inline] s_prev t i = t.slab.rows.((i lsl 3) + 2)
-let[@inline] set_prev t i v = t.slab.rows.((i lsl 3) + 2) <- v
-let[@inline] s_next t i = t.slab.rows.((i lsl 3) + 3)
-let[@inline] set_next t i v = t.slab.rows.((i lsl 3) + 3) <- v
-let[@inline] s_loc t i = t.slab.rows.((i lsl 3) + Slab.loc)
-let[@inline] set_loc t i v = t.slab.rows.((i lsl 3) + Slab.loc) <- v
+let[@inline] s_at t i = Wheel_core.row_at t.slab i
+let[@inline] s_loc t i = Wheel_core.row_loc t.slab i
 let[@inline] s_gen t i = t.slab.rows.((i lsl 3) + Slab.gen)
 let[@inline] s_pos t i = t.slab.rows.((i lsl 3) + 6)
 let[@inline] set_pos t i v = t.slab.rows.((i lsl 3) + 6) <- v
+let[@inline] past t = t.n2
+let[@inline] far t = t.n2 + 1
+let[@inline] vec_loc t b = t.n2 + 2 + b
+let[@inline] far_empty t = t.core.heads.(far t) < 0
 
 (* ---- construction -------------------------------------------------- *)
 
@@ -117,27 +102,16 @@ let create_sized ~buckets ~tick () =
     n2 = n;
     v1 = Array.make n [||];
     f1 = Array.make n 0;
-    h2 = Array.make n (-1);
-    t2 = Array.make n (-1);
     c1 = Array.make n 0;
     c2 = Array.make n 0;
     occ1 = Array.make ((n + 31) lsr 5) 0;
-    occ2 = Array.make ((n + 31) lsr 5) 0;
     cur_tick = 0;
-    past_h = -1;
-    past_t = -1;
-    past_n = 0;
-    far_h = -1;
-    far_t = -1;
-    far_n = 0;
-    far_min = 0;
-    far_min_ok = true;
+    far_min = -1;
     n1_count = 0;
     n2_count = 0;
-    count = 0;
     next_seq = 0;
     slab = Slab.create ~stride:8;
-    scratch = [||];
+    core = Wheel_core.create ~chains:(n + 2) ~tails:true;
     spares = Array.make 64 [||];
     spare_n = 0;
     dispatching = -1;
@@ -146,7 +120,7 @@ let create_sized ~buckets ~tick () =
 
 let create ~tick () = create_sized ~buckets:default_buckets ~tick ()
 
-(* ---- intrusive chains ---------------------------------------------- *)
+(* ---- level 1 and the chains ---------------------------------------- *)
 
 (* Level-1 buckets are (slot, seq) pair vectors, not chains: dispatch
    iterates them sequentially (index arithmetic the prefetcher can run
@@ -184,8 +158,8 @@ let link1_tail t b i =
    end);
   let vec = t.v1.(b) in
   vec.(pos * 2) <- i;
-  vec.((pos * 2) + 1) <- s_seq t i;
-  set_loc t i b;
+  vec.((pos * 2) + 1) <- Wheel_core.row_tie t.slab i;
+  Wheel_core.set_loc t.slab i (vec_loc t b);
   set_pos t i pos;
   t.f1.(b) <- pos + 1;
   if t.c1.(b) = 0 then Bitmap.set_bit t.occ1 b;
@@ -224,97 +198,58 @@ let compact_bucket t b =
   done;
   t.f1.(b) <- !w
 
+(* The end of bucket [b]'s dispatch, whether it ran out, met the budget
+   or met a raising callback: account the [fired] entries, whose pairs
+   were marked dead without [unlink], let [unlink] restructure the
+   bucket again, and drain it if nothing is left. *)
+let settle t b fired =
+  t.dispatching <- -1;
+  t.c1.(b) <- t.c1.(b) - fired;
+  t.n1_count <- t.n1_count - fired;
+  if t.c1.(b) = 0 then drain_bucket t b
+
 let link2_tail t b i =
-  set_prev t i t.t2.(b);
-  set_next t i (-1);
-  if t.t2.(b) >= 0 then set_next t t.t2.(b) i
-  else begin
-    t.h2.(b) <- i;
-    Bitmap.set_bit t.occ2 b
-  end;
-  t.t2.(b) <- i;
-  set_loc t i (t.n1 + b);
+  Wheel_core.link t.slab t.core b i;
   t.c2.(b) <- t.c2.(b) + 1;
   t.n2_count <- t.n2_count + 1
 
-let link_past_tail t i =
-  set_prev t i t.past_t;
-  set_next t i (-1);
-  if t.past_t >= 0 then set_next t t.past_t i else t.past_h <- i;
-  t.past_t <- i;
-  set_loc t i loc_past;
-  t.past_n <- t.past_n + 1
-
 let link_far_tail t i =
-  set_prev t i t.far_t;
-  set_next t i (-1);
-  if t.far_t >= 0 then set_next t t.far_t i else t.far_h <- i;
-  t.far_t <- i;
-  set_loc t i loc_far;
+  let was_empty = far_empty t in
+  Wheel_core.link t.slab t.core (far t) i;
   let at = s_at t i in
-  if t.far_n = 0 then begin
-    t.far_min <- at;
-    t.far_min_ok <- true
-  end
-  else if t.far_min_ok && at < t.far_min then t.far_min <- at;
-  t.far_n <- t.far_n + 1
+  if was_empty || (t.far_min >= 0 && at < t.far_min) then t.far_min <- at
 
 let unlink t i =
   let loc = s_loc t i in
-  if loc >= 0 && loc < t.n1 then begin
+  if loc > far t then begin
     (* Level-1: mark the pair dead in place. *)
-    t.v1.(loc).(s_pos t i * 2) <- -1;
-    t.c1.(loc) <- t.c1.(loc) - 1;
+    let b = loc - vec_loc t 0 in
+    t.v1.(b).(s_pos t i * 2) <- -1;
+    t.c1.(b) <- t.c1.(b) - 1;
     t.n1_count <- t.n1_count - 1;
     (* Never restructure the bucket [fire_due] is iterating: compaction
        moves pairs and the reset swaps the buffer out from under the
        dispatch cursor.  The dispatch loop does its own cleanup. *)
-    if loc <> t.dispatching then begin
-      if t.c1.(loc) = 0 then drain_bucket t loc
-      else if t.f1.(loc) >= 8 && t.f1.(loc) > 2 * t.c1.(loc) then compact_bucket t loc
+    if b <> t.dispatching then begin
+      if t.c1.(b) = 0 then drain_bucket t b
+      else if t.f1.(b) >= 8 && t.f1.(b) > 2 * t.c1.(b) then compact_bucket t b
     end
   end
-  else begin
-    let p = s_prev t i and n = s_next t i in
-    if p >= 0 then set_next t p n;
-    if n >= 0 then set_prev t n p;
-    if loc >= t.n1 then begin
-      let b = loc - t.n1 in
-      if p < 0 then t.h2.(b) <- n;
-      if n < 0 then t.t2.(b) <- p;
-      if t.h2.(b) < 0 then Bitmap.clear_bit t.occ2 b;
-      t.c2.(b) <- t.c2.(b) - 1;
+  else if loc >= 0 then begin
+    (* A chain; a slot in a batch in flight is in none. *)
+    Wheel_core.unlink t.slab t.core i;
+    if loc < t.n2 then begin
+      t.c2.(loc) <- t.c2.(loc) - 1;
       t.n2_count <- t.n2_count - 1
     end
-    else if loc = loc_past then begin
-      if p < 0 then t.past_h <- n;
-      if n < 0 then t.past_t <- p;
-      t.past_n <- t.past_n - 1
-    end
-    else begin
-      (* far *)
-      if p < 0 then t.far_h <- n;
-      if n < 0 then t.far_t <- p;
-      t.far_n <- t.far_n - 1;
-      if t.far_min_ok && t.far_n > 0 && s_at t i <= t.far_min then t.far_min_ok <- false
-    end;
-    set_prev t i (-1);
-    set_next t i (-1)
+    else if loc = far t && (not (far_empty t)) && s_at t i <= t.far_min then t.far_min <- -1
   end
 
-(* The earliest deadline of the chain from row [i], or [best] if
-   earlier; and [n] plus the chain's rows due at [now_i]. *)
-let rec chain_min t i best =
-  if i < 0 then best else chain_min t (s_next t i) (Int.min best (s_at t i))
-
-let rec chain_due t i now_i n =
-  if i < 0 then n else chain_due t (s_next t i) now_i (if s_at t i <= now_i then n + 1 else n)
-
-let ensure_far_min t =
-  if (not t.far_min_ok) && t.far_n > 0 then begin
-    t.far_min <- chain_min t t.far_h max_int;
-    t.far_min_ok <- true
-  end
+(* The earliest deadline of the non-empty far list. *)
+let far_min t =
+  if t.far_min < 0 then
+    t.far_min <- s_at t (Wheel_core.chain_min t.slab t.core.heads.(far t) (-1));
+  t.far_min
 
 (* ---- routing ------------------------------------------------------- *)
 
@@ -325,7 +260,7 @@ let epoch1_base t = t.cur_tick - (t.cur_tick land (t.n1 - 1))
 
 let route t i =
   let tick = s_at t i / t.gns in
-  if tick < t.cur_tick then link_past_tail t i
+  if tick < t.cur_tick then Wheel_core.link t.slab t.core (past t) i
   else begin
     let e1 = epoch1_base t + t.n1 in
     if tick < e1 then link1_tail t (tick land (t.n1 - 1)) i
@@ -333,8 +268,7 @@ let route t i =
       let tick2 = tick / t.n1 in
       let cur2 = t.cur_tick / t.n1 in
       let e2 = cur2 - (cur2 land (t.n2 - 1)) + t.n2 in
-      if tick2 < e2 then link2_tail t (tick2 land (t.n2 - 1)) i
-      else link_far_tail t i
+      if tick2 < e2 then link2_tail t (tick2 land (t.n2 - 1)) i else link_far_tail t i
     end
   end
 
@@ -342,15 +276,18 @@ let route t i =
 
 let[@inline] quantize t ati = Timer_store.round_up ~tick:t.gns ati
 
+(* Give row [i] its quantized deadline and a fresh tie, and route it. *)
+let place t i at =
+  Wheel_core.set_at t.slab i (quantize t at);
+  Wheel_core.set_tie t.slab i t.next_seq;
+  t.next_seq <- t.next_seq + 1;
+  route t i
+
 (* With the wheel's int handles, a schedule allocates nothing (arena
    growth amortized aside). *)
 let schedule t ~at v =
   let i = Slab.alloc t.slab v in
-  set_at t i (quantize t at);
-  set_seq t i t.next_seq;
-  t.next_seq <- t.next_seq + 1;
-  route t i;
-  t.count <- t.count + 1;
+  place t i at;
   Slab.handle t.slab i
 
 let schedule_i t ~at_i v = schedule t ~at:at_i v
@@ -359,50 +296,50 @@ let cancel t h =
   if Slab.valid t.slab h then begin
     let i = Slab.row_of h in
     unlink t i;
-    Slab.free t.slab i;
-    t.count <- t.count - 1
+    Slab.free t.slab i
   end
 
 let rearm t h ~at =
-  if not (Slab.valid t.slab h) then false
-  else begin
-    let i = Slab.row_of h in
-    unlink t i;
-    set_at t i (quantize t at);
-    set_seq t i t.next_seq;
-    t.next_seq <- t.next_seq + 1;
-    route t i;
-    true
-  end
+  Slab.valid t.slab h
+  && begin
+       let i = Slab.row_of h in
+       unlink t i;
+       place t i at;
+       true
+     end
 
-let pending t = t.count
-let resident t = t.count (* cancellation unlinks and frees: no corpses *)
+let pending t = Slab.live t.slab
+let resident t = Slab.live t.slab (* cancellation unlinks and frees: no corpses *)
 
 (* Analytic heap footprint, 64-bit words.  Everything is flat int
-   arrays, so this is exact up to a few shared empty-array atoms:
-   record (34) + the fixed per-level arrays + the slab + the live
-   level-1 pair vectors and parked spare buffers. *)
+   arrays, so this is exact up to a few shared empty-array atoms: the
+   record (19 fields + header), the fixed per-level arrays, the core,
+   the slab, and the live level-1 pair vectors and parked spare
+   buffers. *)
 let words t =
   let arr a = if Array.length a = 0 then 0 else Array.length a + 1 in
   let vecs = Array.fold_left (fun acc v -> acc + arr v) 0 t.v1 in
   let spare = Array.fold_left (fun acc v -> acc + arr v) 0 t.spares in
-  34
+  20
   + (Array.length t.v1 + 1)
-  + arr t.f1 + arr t.h2 + arr t.t2 + arr t.c1 + arr t.c2
-  + arr t.occ1 + arr t.occ2
+  + arr t.f1 + arr t.c1 + arr t.c2 + arr t.occ1
+  + Wheel_core.words t.core
   + Slab.words t.slab
-  + arr t.scratch
   + (Array.length t.spares + 1)
   + vecs + spare
 
 let handle_pending t h = Slab.valid t.slab h
 let handle_deadline t h = if Slab.valid t.slab h then s_at t (Slab.row_of h) else 0
 
+(* The earliest deadline of the chain from row [i], or [best]. *)
+let chain_deadline t i best =
+  if i < 0 then best else Int.min best (s_at t (Wheel_core.chain_min t.slab i (-1)))
+
 let next_deadline t =
-  if t.count = 0 then max_int
+  if Slab.live t.slab = 0 then max_int
   else begin
     (* past: unsorted, walk in full (short-lived: drained every fire) *)
-    let best = ref (chain_min t t.past_h max_int) in
+    let best = ref (chain_deadline t t.core.heads.(past t) max_int) in
     (* level 1: buckets are single-tick, so the first occupied bucket is
        the level minimum *)
     let base = epoch1_base t in
@@ -414,12 +351,11 @@ let next_deadline t =
     (* level 2: the first occupied bucket spans n1 ticks, unsorted —
        walk that one chain *)
     let cur2 = t.cur_tick / t.n1 in
-    let idx2 = Bitmap.ffs_in_range t.occ2 ~from:((cur2 land (t.n2 - 1)) + 1) ~upto:(t.n2 - 1) in
-    if idx2 >= 0 then best := chain_min t t.h2.(idx2) !best;
-    if t.far_n > 0 then begin
-      ensure_far_min t;
-      if t.far_min < !best then best := t.far_min
-    end;
+    let idx2 =
+      Bitmap.ffs_in_range t.core.occ ~from:((cur2 land (t.n2 - 1)) + 1) ~upto:(t.n2 - 1)
+    in
+    if idx2 >= 0 then best := chain_deadline t t.core.heads.(idx2) !best;
+    if not (far_empty t) then best := Int.min !best (far_min t);
     !best
   end
 
@@ -432,17 +368,13 @@ let next_deadline t =
    scheduled into level 1 before now), so each bucket ends up
    tie-sorted. *)
 let cascade_bucket t idx2 =
-  let h = ref t.h2.(idx2) in
-  t.h2.(idx2) <- -1;
-  t.t2.(idx2) <- -1;
+  let h = ref (Wheel_core.take t.core idx2) in
   t.c2.(idx2) <- 0;
-  Bitmap.clear_bit t.occ2 idx2;
   while !h >= 0 do
     let i = !h in
-    h := s_next t i;
+    h := Wheel_core.row_next t.slab i;
     t.n2_count <- t.n2_count - 1;
-    let tick = s_at t i / t.gns in
-    link1_tail t (tick land (t.n1 - 1)) i
+    link1_tail t ((s_at t i / t.gns) land (t.n1 - 1)) i
   done
 
 (* The level-2 epoch just advanced to span [tick2_new] (a multiple of
@@ -453,10 +385,10 @@ let cascade_bucket t idx2 =
    buckets are empty and tie order is preserved. *)
 let cascade_far t tick2_new =
   let e2 = tick2_new + t.n2 in
-  let i = ref t.far_h in
+  let i = ref t.core.heads.(far t) in
   while !i >= 0 do
     let j = !i in
-    i := s_next t j;
+    i := Wheel_core.row_next t.slab j;
     let tk2 = s_at t j / t.gns / t.n1 in
     if tk2 < e2 then begin
       unlink t j;
@@ -468,21 +400,14 @@ let cascade_far t tick2_new =
    list against the advanced [cur_tick] instead of walking epochs one
    by one.  Walk order is FIFO, so entries landing in the same (empty)
    bucket keep tie order; entries still beyond the horizon re-append to
-   far in their original order. *)
+   far in their original order.  The whole chain is detached first:
+   [route] may re-append an entry to the (fresh) far list, and walking
+   a list that grows at the tail would never terminate. *)
 let reroute_far t =
-  (* Detach the whole chain first: [route] may re-append an entry that
-     is still beyond the horizon to the (fresh) far list, and walking a
-     list that grows at the tail would never terminate. *)
-  let h = ref t.far_h in
-  t.far_h <- -1;
-  t.far_t <- -1;
-  t.far_n <- 0;
-  t.far_min_ok <- true;
+  let h = ref (Wheel_core.take t.core (far t)) in
   while !h >= 0 do
     let j = !h in
-    h := s_next t j;
-    set_prev t j (-1);
-    set_next t j (-1);
+    h := Wheel_core.row_next t.slab j;
     route t j
   done
 
@@ -494,34 +419,24 @@ let reroute_far t =
    strand them.  They are due, so the next call dispatches them from
    the past list, sorted — exactly the reference behaviour. *)
 let retire_bucket_to_past t b =
-  (* Snapshot the live slots first: [unlink] mutates the vector (dead
-     marks, compaction, fill reset) under an in-place walk. *)
-  let fill = t.f1.(b) in
-  if Array.length t.scratch < fill then t.scratch <- Array.make (Int.max 64 (fill * 2)) 0;
   let vec = t.v1.(b) in
-  let m = ref 0 in
-  for q = 0 to fill - 1 do
+  for q = 0 to t.f1.(b) - 1 do
     let s = vec.(q * 2) in
-    if s >= 0 then begin
-      t.scratch.(!m) <- s;
-      incr m
-    end
+    if s >= 0 then Wheel_core.link t.slab t.core (past t) s
   done;
-  for k = 0 to !m - 1 do
-    let i = t.scratch.(k) in
-    unlink t i;
-    link_past_tail t i
-  done
+  t.n1_count <- t.n1_count - t.c1.(b);
+  t.c1.(b) <- 0;
+  drain_bucket t b
 
 (* Count the due batch before any callback runs ([Fire_outcome.scanned]
    counts entries cancelled mid-batch too, so counting after dispatch
-   would undercount).  Level-1 buckets are single-tick, so a bucket at
-   or below [target] is due in full and its maintained count is the
-   answer — no chain walk, which matters because walking the chain here
-   would be a second cold pointer-chase over every due row before
-   dispatch does the same. *)
-let count_due t ~now_i ~target =
-  let scanned = ref t.past_n in
+   would undercount), starting from the [gathered] past entries.
+   Level-1 buckets are single-tick, so a bucket at or below [target] is
+   due in full and its maintained count is the answer — no chain walk,
+   which matters because walking the chain here would be a second cold
+   pointer-chase over every due row before dispatch does the same. *)
+let count_due t ~now_i ~target gathered =
+  let scanned = ref gathered in
   let base = epoch1_base t in
   if target >= t.cur_tick && t.n1_count > 0 then begin
     let upto =
@@ -539,7 +454,7 @@ let count_due t ~now_i ~target =
     let cur2 = t.cur_tick / t.n1 in
     let base2 = cur2 - (cur2 land (t.n2 - 1)) in
     let from2 = (cur2 land (t.n2 - 1)) + 1 in
-    let idx2 = ref (Bitmap.ffs_in_range t.occ2 ~from:from2 ~upto:(t.n2 - 1)) in
+    let idx2 = ref (Bitmap.ffs_in_range t.core.occ ~from:from2 ~upto:(t.n2 - 1)) in
     let stop = ref false in
     while (not !stop) && !idx2 >= 0 do
       let tick2 = base2 + !idx2 in
@@ -547,78 +462,46 @@ let count_due t ~now_i ~target =
       else begin
         (* A bucket strictly below the target span is due in full; only
            the bucket containing the target tick needs a walk. *)
-        if tick2 < target2 then scanned := !scanned + t.c2.(!idx2)
-        else scanned := chain_due t t.h2.(!idx2) now_i !scanned;
+        scanned :=
+          !scanned
+          + (if tick2 < target2 then t.c2.(!idx2)
+             else Wheel_core.chain_due t.slab t.core.heads.(!idx2) ~now:now_i);
         idx2 :=
           if !idx2 + 1 > t.n2 - 1 then -1
-          else Bitmap.ffs_in_range t.occ2 ~from:(!idx2 + 1) ~upto:(t.n2 - 1)
+          else Bitmap.ffs_in_range t.core.occ ~from:(!idx2 + 1) ~upto:(t.n2 - 1)
       end
     done
   end;
-  if t.far_n > 0 then begin
-    ensure_far_min t;
-    if t.far_min <= now_i then scanned := chain_due t t.far_h now_i !scanned
-  end;
+  if (not (far_empty t)) && far_min t <= now_i then
+    scanned := !scanned + Wheel_core.chain_due t.slab t.core.heads.(far t) ~now:now_i;
   !scanned
 
-(* Dispatch the past list, sorted by (deadline, tie).  Only reached
-   when a deadline was quantized below an already-retired tick or a
-   budget stop left due work behind — never the steady pacing path. *)
-let dispatch_past t ~seq_limit ~limit ~fired f =
-  let n = t.past_n in
-  let arr = Array.make n 0 in
-  let i = ref t.past_h and k = ref 0 in
-  while !i >= 0 do
-    arr.(!k) <- !i;
-    incr k;
-    i := s_next t !i
-  done;
-  Array.sort
-    (fun a b ->
-      let c = Int.compare (s_at t a) (s_at t b) in
-      if c <> 0 then c else Int.compare (s_seq t a) (s_seq t b))
-    arr;
-  let k = ref 0 in
-  while !k < n && !fired < limit do
-    let h = arr.(!k) in
-    (* Re-check: an earlier callback may have cancelled or re-armed the
-       entry (the slot is then free, or reused with seq >= seq_limit). *)
-    if s_loc t h = loc_past && s_seq t h < seq_limit then begin
-      unlink t h;
-      let at = s_at t h and v = t.slab.vals.(h) in
-      Slab.free t.slab h;
-      t.count <- t.count - 1;
-      incr fired;
-      f at v
-    end;
-    incr k
-  done
-(* ALLOC001: the (at, tie) comparator closure — per-batch work on the
-   slow past-list path only (deadlines quantized below an already-retired
-   tick, or a budget stop), never the steady in-horizon pacing path. *)
-[@@lint.allow "ALLOC001"]
-
-(* The slow past-list path's snapshot and comparator live in the
-   function above; the retirement scratch array doubles amortized (it
-   grows to the largest mid-call-append batch ever seen, then is reused
-   forever) — the steady in-horizon pacing path touches only int
-   arrays. *)
+(* The past list goes first, through the core's snapshot batch: only
+   reached when a deadline was quantized below an already-retired tick
+   or a budget stop left due work behind — never the steady pacing
+   path.  The in-horizon path touches only int arrays. *)
 let[@hot] fire_due t ?prefetch ~now ~limit f =
   let pf = match prefetch with Some g -> g | None -> ignore in
   let seq_limit = t.next_seq in
   let now_i = Fire_outcome.checked_now ~previous:t.last_now now in
   t.last_now <- now_i;
   let target = now_i / t.gns in
-  if t.count = 0 then begin
+  if Slab.live t.slab = 0 then begin
     (* Nothing anywhere: retire the whole range in O(1).  The wheel and
        far list are empty, so no cascade state is skipped. *)
     if target >= t.cur_tick then t.cur_tick <- target + 1;
     Fire_outcome.pack ~scanned:0 ~fired:0
   end
   else begin
-    let scanned = count_due t ~now_i ~target in
-    let fired = ref 0 in
-    if t.past_n > 0 then dispatch_past t ~seq_limit ~limit ~fired f;
+    let base = t.core.top in
+    Wheel_core.gather t.slab t.core (past t) ~now:now_i;
+    let scanned = count_due t ~now_i ~target (t.core.top - base) in
+    let fired =
+      ref
+        (if t.core.top > base then
+           Wheel_core.fire t.slab t.core ~base ~into:(past t) ~limit f
+         else 0)
+    in
     let break_ = ref false in
     if !fired >= limit && scanned > !fired then break_ := true;
     while (not !break_) && t.cur_tick <= target do
@@ -626,15 +509,14 @@ let[@hot] fire_due t ?prefetch ~now ~limit f =
         (* Both wheel levels empty: fast-forward to the earliest far
            entry (or past the whole range) instead of walking epochs. *)
         let jump =
-          if t.far_n = 0 then target + 1
+          if far_empty t then target + 1
           else begin
-            ensure_far_min t;
-            let fmt = t.far_min / t.gns in
+            let fmt = far_min t / t.gns in
             if fmt > target then target + 1 else if fmt > t.cur_tick then fmt else t.cur_tick
           end
         in
         t.cur_tick <- jump;
-        if t.far_n > 0 then reroute_far t;
+        if not (far_empty t) then reroute_far t;
         if t.cur_tick > target then break_ := true
       end
       else begin
@@ -686,64 +568,68 @@ let[@hot] fire_due t ?prefetch ~now ~limit f =
             t.dispatching <- idx;
             let stop = ref t.f1.(idx) in
             let q = ref 0 in
-            while !q < !stop && not !break_ do
-              let chunk_end = if !q + 64 < !stop then !q + 64 else !stop in
-              let vec = t.v1.(idx) in
-              let a = ref !q in
-              while !a < chunk_end && !a < !stop do
-                let s = vec.(!a * 2) in
-                if s >= 0 then begin
-                  if vec.((!a * 2) + 1) >= seq_limit then stop := !a
-                  else begin
-                    (* Load the slab row too: [Slab.free] is about to
-                       store to it, and a warmed line turns that RFO
-                       miss (which would pile up in the store buffer)
-                       into an ownership upgrade. *)
-                    ignore (Sys.opaque_identity (s_gen t s));
-                    ignore (Sys.opaque_identity t.slab.vals.(s))
-                  end
-                end;
-                incr a
-              done;
-              let hi = if chunk_end < !stop then chunk_end else !stop in
-              for a = !q to hi - 1 do
-                let s = vec.(a * 2) in
-                if s >= 0 then pf t.slab.vals.(s)
-              done;
-              while !q < hi && not !break_ do
-                if !fired >= limit then begin
-                  (* Budget stop: withheld entries stay linked with
-                     their deadline and tie intact; cur_tick rests on
-                     this tick so the next call resumes here. *)
-                  scanning := false;
-                  break_ := true
-                end
-                else begin
-                  (* Re-read through [t.v1]: a callback's schedule may
-                     have grown (replaced) the vector, and a callback's
-                     cancel may have killed this pair since the warm
-                     sweep. *)
-                  let vec = t.v1.(idx) in
-                  let s = vec.(!q * 2) in
-                  if s >= 0 then begin
-                    vec.(!q * 2) <- -1;
-                    let v = t.slab.vals.(s) in
-                    Slab.free t.slab s;
-                    t.count <- t.count - 1;
-                    incr fired;
-                    incr fired_here;
-                    f at v
-                  end;
-                  incr q
-                end
-              done
-            done;
-            t.dispatching <- -1;
-            (* Bulk accounting for the fired entries (their pairs were
-               marked dead above without going through [unlink]). *)
-            t.c1.(idx) <- t.c1.(idx) - !fired_here;
-            t.n1_count <- t.n1_count - !fired_here;
-            if t.c1.(idx) = 0 then drain_bucket t idx;
+            (match
+               while !q < !stop && not !break_ do
+                 let chunk_end = if !q + 64 < !stop then !q + 64 else !stop in
+                 let vec = t.v1.(idx) in
+                 let a = ref !q in
+                 while !a < chunk_end && !a < !stop do
+                   let s = vec.(!a * 2) in
+                   if s >= 0 then begin
+                     if vec.((!a * 2) + 1) >= seq_limit then stop := !a
+                     else begin
+                       (* Load the slab row too: [Slab.free] is about to
+                          store to it, and a warmed line turns that RFO
+                          miss (which would pile up in the store buffer)
+                          into an ownership upgrade. *)
+                       ignore (Sys.opaque_identity (s_gen t s));
+                       ignore (Sys.opaque_identity t.slab.vals.(s))
+                     end
+                   end;
+                   incr a
+                 done;
+                 let hi = if chunk_end < !stop then chunk_end else !stop in
+                 for a = !q to hi - 1 do
+                   let s = vec.(a * 2) in
+                   if s >= 0 then pf t.slab.vals.(s)
+                 done;
+                 while !q < hi && not !break_ do
+                   if !fired >= limit then begin
+                     (* Budget stop: withheld entries stay linked with
+                        their deadline and tie intact; cur_tick rests on
+                        this tick so the next call resumes here. *)
+                     scanning := false;
+                     break_ := true
+                   end
+                   else begin
+                     (* Re-read through [t.v1]: a callback's schedule may
+                        have grown (replaced) the vector, and a callback's
+                        cancel may have killed this pair since the warm
+                        sweep. *)
+                     let vec = t.v1.(idx) in
+                     let s = vec.(!q * 2) in
+                     if s >= 0 then begin
+                       vec.(!q * 2) <- -1;
+                       let v = t.slab.vals.(s) in
+                       Slab.free t.slab s;
+                       incr fired;
+                       incr fired_here;
+                       f at v
+                     end;
+                     incr q
+                   end
+                 done
+               done
+             with
+             | () -> ()
+             | exception exn ->
+               (* A raising callback stops the bucket as a budget stop
+                  does: its own entry counts as fired, the rest stay
+                  linked, and [cur_tick] rests on this tick. *)
+               let bt = Printexc.get_raw_backtrace () in
+               settle t idx !fired_here;
+               Printexc.raise_with_backtrace exn bt);
+            settle t idx !fired_here;
             if not !break_ then begin
               (* Anything still linked was scheduled or re-armed during
                  this call (tie at or past the snapshot boundary): move
@@ -760,9 +646,9 @@ let[@hot] fire_due t ?prefetch ~now ~limit f =
              incoming span must reach its level-2 bucket before that
              bucket spills into level 1. *)
           let tick2 = t.cur_tick / t.n1 in
-          if tick2 land (t.n2 - 1) = 0 && t.far_n > 0 then cascade_far t tick2;
+          if tick2 land (t.n2 - 1) = 0 && not (far_empty t) then cascade_far t tick2;
           let idx2 = tick2 land (t.n2 - 1) in
-          if t.h2.(idx2) >= 0 then cascade_bucket t idx2
+          if t.core.heads.(idx2) >= 0 then cascade_bucket t idx2
         end
       end
     done;

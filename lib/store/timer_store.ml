@@ -1,32 +1,6 @@
 exception Time_went_backwards = Fire_outcome.Time_went_backwards
 
-module type S = sig
-  type 'a t
-
-  type 'a handle
-
-  val name : string
-
-  val create : tick:int -> unit -> 'a t
-  val schedule : 'a t -> at:int -> 'a -> 'a handle
-  val schedule_i : 'a t -> at_i:int -> 'a -> 'a handle
-  val cancel : 'a t -> 'a handle -> unit
-  val rearm : 'a t -> 'a handle -> at:int -> bool
-  val pending : 'a t -> int
-  val resident : 'a t -> int
-  val next_deadline : 'a t -> int
-  val words : 'a t -> int
-  val handle_pending : 'a t -> 'a handle -> bool
-  val handle_deadline : 'a t -> 'a handle -> int
-
-  val fire_due :
-    'a t ->
-    ?prefetch:('a -> unit) ->
-    now:int ->
-    limit:int ->
-    (int -> 'a -> unit) ->
-    Fire_outcome.t
-end
+module type S = Store_sig.S
 
 (* ------------------------------------------------------------------ *)
 (* Reference model.                                                    *)
@@ -132,7 +106,7 @@ end
 (* The production wheel, with configurable slot count.                 *)
 
 let wheel ?(slots = 512) () : (module S) =
-  let sized ~tick () = Timing_wheel.create ~slots ~tick () in
+  let sized ~tick () = Timing_wheel.create_sized ~slots ~tick () in
   (module struct
     include Timing_wheel
 

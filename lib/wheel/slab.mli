@@ -1,12 +1,14 @@
 (** The row arena under both timer wheels ({!Timing_wheel} and
-    {!Pacing_wheel}).
+    {!Pacing_wheel}) and the soft-timer facility's event rows.
 
     Entries live in rows of one flat int array, [stride] ints per row,
     plus one value array.  The slab owns two fields of every row, the
     generation at offset {!gen} and the location at offset {!loc}; the
-    other offsets mean whatever the wheel says.  A location is
-    {!loc_free} for a free row and any other value the wheel chooses
-    for a live one.
+    wheels' shared fields (deadline, tie, chain links) are
+    {!Wheel_core}'s, and any further offsets mean whatever the owner
+    says.  A location is {!loc_free} for a free row and any other value
+    the owner chooses for a live one.  The number of live rows is the
+    wheels' pending count ({!live}).
 
     A handle is an immediate int, [(generation lsl 24) lor row].
     Freeing a row bumps its generation, so a stale handle never
@@ -16,9 +18,8 @@
 
 type 'a t = private {
   stride : int;
-  mutable cap : int;  (** rows allocated *)
-  mutable rows : int array;  (** [cap * stride] ints *)
-  mutable vals : 'a array;  (** one per row; length 0 until the first [alloc] *)
+  mutable rows : int array;  (** [stride] ints per row of capacity *)
+  mutable vals : 'a array;  (** one per row: its length is the capacity *)
   mutable free_top : int;
   mutable free_stk : int array;
 }
@@ -48,6 +49,9 @@ val alloc : 'a t -> 'a -> int
 val next_row : 'a t -> int
 (** The row the next {!alloc} takes, so that a caller can hand the row
     out before it has the row's value. *)
+
+val live : 'a t -> int
+(** Rows allocated and not yet freed. *)
 
 val free : 'a t -> int -> unit
 (** Return a row to the free stack, bump its generation and mark it

@@ -303,18 +303,22 @@ let test_far_deadlines_stay_pending () =
       let h = Softtimer.schedule_soft_event st ~ticks:0L k 0 in
       Alcotest.(check bool) "rearm accepted" true (Softtimer.rearm st h ~ticks:Int64.max_int))
 
+(* Every fire records its delay in the facility's context, under
+   [softtimer.fire_delay_us]; a fresh context counts this run alone. *)
 let test_delay_recording () =
-  let e, m, st = fresh () in
-  start_triggers m 4;
-  Softtimer.set_record_delays st true;
-  let noop = on st ignore in
-  for _ = 1 to 20 do
-    ignore (Softtimer.schedule_after st (us 30.0) noop 0 : Softtimer.handle)
-  done;
-  Engine.run_until e (Time_ns.of_ms 20.0);
-  let d = Softtimer.delays st in
-  Alcotest.(check int) "all delays recorded" 20 (Stats.Sample.count d);
-  Alcotest.(check bool) "delays non-negative" true (Stats.Sample.min d >= 0.0)
+  let outer = Metrics.Local.swap_fresh () in
+  let ctx = Metrics.current () in
+  Fun.protect ~finally:(fun () -> ignore (Metrics.Local.swap outer : Metrics.t)) (fun () ->
+      let e, m, st = fresh () in
+      start_triggers m 4;
+      let noop = on st ignore in
+      for _ = 1 to 20 do
+        ignore (Softtimer.schedule_after st (us 30.0) noop 0 : Softtimer.handle)
+      done;
+      Engine.run_until e (Time_ns.of_ms 20.0);
+      let d = Metrics.hdr ctx (Metrics.histogram "softtimer.fire_delay_us") in
+      Alcotest.(check int) "all delays recorded" 20 (Hdr.count d);
+      Alcotest.(check bool) "delays non-negative" true (Hdr.min d >= 0.0))
 
 (* The paper's bound, as a property over random T and trigger gaps. *)
 let test_bounds_property =

@@ -12,6 +12,9 @@ type cb_action =
   | Cb_schedule of int  (* schedule a fresh timer [off] us after now *)
   | Cb_cancel of int  (* cancel timer (idx mod ids-so-far) *)
   | Cb_rearm of int * int  (* re-arm that timer to now + off *)
+  | Cb_raise  (* raise [Boom], ending the batch *)
+
+exception Boom
 
 type op =
   | Schedule of int * cb_action  (* offset us from now *)
@@ -76,7 +79,7 @@ let run_store (module M : Timer_store.S) (ops : op list) : string =
       | Advance d ->
         now := !now + us (float_of_int d);
         Buffer.add_string buf (Printf.sprintf "A@%d[" !now);
-        let n =
+        match
           M.fire_due t ~now:!now ~limit:max_int (fun dl id ->
               Buffer.add_string buf (Printf.sprintf "%d@%d " id dl);
               match Hashtbl.find_opt actions id with
@@ -86,10 +89,13 @@ let run_store (module M : Timer_store.S) (ops : op list) : string =
                 let id' = sched at Cb_noop in
                 Buffer.add_string buf (Printf.sprintf "s%d " id')
               | Some (Cb_cancel idx) -> Buffer.add_string buf (do_cancel idx ^ " ")
-              | Some (Cb_rearm (idx, off)) -> Buffer.add_string buf (do_rearm idx off ^ " "))
-        in
-        Buffer.add_string buf
-          (Printf.sprintf "]=%d/%d" (Fire_outcome.fired n) (Fire_outcome.scanned n)));
+              | Some (Cb_rearm (idx, off)) -> Buffer.add_string buf (do_rearm idx off ^ " ")
+              | Some Cb_raise -> raise Boom)
+        with
+        | n ->
+          Buffer.add_string buf
+            (Printf.sprintf "]=%d/%d" (Fire_outcome.fired n) (Fire_outcome.scanned n))
+        | exception Boom -> Buffer.add_string buf "]!");
       obs ())
     ops;
   Buffer.contents buf
@@ -99,6 +105,7 @@ let pp_action = function
   | Cb_schedule o -> Printf.sprintf "!s%d" o
   | Cb_cancel i -> Printf.sprintf "!c%d" i
   | Cb_rearm (i, o) -> Printf.sprintf "!r%d,%d" i o
+  | Cb_raise -> "!x"
 
 let pp_ops ops =
   String.concat ";"
@@ -118,6 +125,7 @@ let cb_action_gen =
         (2, map (fun o -> Cb_schedule o) (int_range 0 1_000));
         (2, map (fun i -> Cb_cancel i) (int_range 0 999));
         (2, map (fun (i, o) -> Cb_rearm (i, o)) (pair (int_range 0 999) (int_range 0 1_500)));
+        (1, return Cb_raise);
       ])
 
 let op_gen =
@@ -622,9 +630,10 @@ let digest_with (module M : Timer_store.S) =
 
 (* A raising callback must not strand the rest of its batch: the
    exception propagates, and the undispatched entries stay pending and
-   fire on the next call in (deadline, tie) order. *)
-exception Boom
-
+   fire on the next call in (deadline, tie) order.  Nor may it leave a
+   ghost behind: one level-1 lap of the default pacing wheel (4096
+   ticks of 10 us) later, the earliest deadline is still the real
+   entry's, not the raiser's emptied bucket. *)
 let test_raising_callback_requeues () =
   List.iter
     (fun (label, (module M : Timer_store.S)) ->
@@ -650,9 +659,14 @@ let test_raising_callback_requeues () =
       order := [];
       let o = M.fire_due t ~now:(us 40.0) ~limit:max_int (fun _ v -> order := v :: !order) in
       Alcotest.(check int) (label ^ ": remainder fires") 3 (Fire_outcome.fired o);
+      Alcotest.(check int) (label ^ ": remainder scanned") 3 (Fire_outcome.scanned o);
       Alcotest.(check (list string)) (label ^ ": in (deadline, tie) order") [ "b"; "b2"; "c" ]
         (List.rev !order);
-      Alcotest.(check int) (label ^ ": drained") 0 (M.pending t))
+      Alcotest.(check int) (label ^ ": drained") 0 (M.pending t);
+      ignore (M.schedule t ~at:(us 41_500.0) "d" : string M.handle);
+      ignore (M.fire_due t ~now:(us 40_960.0) ~limit:max_int (fun _ _ -> ()) : Fire_outcome.t);
+      Alcotest.(check int) (label ^ ": no ghost deadline a lap later") (us 41_500.0)
+        (M.next_deadline t))
     (List.map (fun (module M : Timer_store.S) -> (M.name, (module M : Timer_store.S)))
        Store_registry.all
     @ [ ("wheel[8]", Timer_store.wheel ~slots:8 ()) ])

@@ -50,7 +50,7 @@ let test_cancel () =
 
 let test_far_future_rotations () =
   (* An entry many rotations ahead must not fire early. *)
-  let w = Timing_wheel.create ~slots:8 ~tick:(us 10.0) () in
+  let w = Timing_wheel.create_sized ~slots:8 ~tick:(us 10.0) () in
   ignore (Timing_wheel.schedule w ~at:(us 25.0) "near" : _ Timing_wheel.handle);
   (* 8 slots x 10 us = one rotation is 80 us; 1000 us is 12 rotations out
      and hashes to the same region of the wheel. *)
@@ -85,21 +85,11 @@ let test_schedule_during_fire () =
   Alcotest.(check int) "b fires next round" 1 n2;
   Alcotest.(check (list string)) "b" [ "b" ] (List.map snd fired)
 
-let test_iter_pending () =
-  let w = Timing_wheel.create ~tick:(us 10.0) () in
-  ignore (Timing_wheel.schedule w ~at:(us 10.0) 1 : _ Timing_wheel.handle);
-  let h = Timing_wheel.schedule w ~at:(us 20.0) 2 in
-  ignore (Timing_wheel.schedule w ~at:(us 30.0) 3 : _ Timing_wheel.handle);
-  Timing_wheel.cancel w h;
-  let seen = ref [] in
-  Timing_wheel.iter_pending w (fun _ v -> seen := v :: !seen);
-  Alcotest.(check (list int)) "pending values" [ 1; 3 ] (List.sort compare !seen)
-
 (* A deadline at the end of time with 1 ns ticks, so its tick index is
    [max_int] itself, keeps its exact deadline: the minimum reports it
    and it fires once due, after the nearer entry. *)
 let test_extreme_deadline () =
-  let w = Timing_wheel.create ~slots:8 ~tick:1 () in
+  let w = Timing_wheel.create_sized ~slots:8 ~tick:1 () in
   ignore (Timing_wheel.schedule w ~at:max_int "far" : _ Timing_wheel.handle);
   ignore (Timing_wheel.schedule w ~at:10 "near" : _ Timing_wheel.handle);
   let fire now =
@@ -119,7 +109,7 @@ let test_invalid_args () =
   Alcotest.check_raises "tick<=0" (Invalid_argument "Timing_wheel.create: tick must be positive")
     (fun () -> ignore (Timing_wheel.create ~tick:0 () : unit Timing_wheel.t));
   Alcotest.check_raises "slots<=0" (Invalid_argument "Timing_wheel.create: slots must be positive")
-    (fun () -> ignore (Timing_wheel.create ~slots:0 ~tick:1 () : unit Timing_wheel.t))
+    (fun () -> ignore (Timing_wheel.create_sized ~slots:0 ~tick:1 () : unit Timing_wheel.t))
 
 (* Regression (cancel-leak): a schedule/cancel churn loop far ahead of
    the sweep horizon — a rate clock retiming its one outstanding event,
@@ -128,7 +118,7 @@ let test_invalid_args () =
    matter how many entries churn. *)
 let test_cancel_churn_bounded () =
   let slots = 64 in
-  let w = Timing_wheel.create ~slots ~tick:(us 10.0) () in
+  let w = Timing_wheel.create_sized ~slots ~tick:(us 10.0) () in
   (* A long-lived entry keeps the wheel non-empty throughout. *)
   ignore (Timing_wheel.schedule w ~at:(us 1e9) "keeper" : _ Timing_wheel.handle);
   let worst = ref 0 in
@@ -153,7 +143,7 @@ let test_cancel_churn_bounded () =
    deadline, which must not fire.  Re-arm unlinks, so resident = pending
    throughout. *)
 let test_rearm_wraparound () =
-  let w = Timing_wheel.create ~slots:8 ~tick:(us 10.0) () in
+  let w = Timing_wheel.create_sized ~slots:8 ~tick:(us 10.0) () in
   let h = Timing_wheel.schedule w ~at:(us 25.0) "x" in
   Alcotest.(check bool) "rearm ok" true (Timing_wheel.rearm w h ~at:(us 105.0));
   Alcotest.(check int) "resident = pending" (Timing_wheel.pending w) (Timing_wheel.resident w);
@@ -171,7 +161,7 @@ let test_rearm_wraparound () =
    holds another entry — is a no-op for cancel and re-arm, reports not
    pending, and its deadline reads as zero. *)
 let test_stale_handle () =
-  let w = Timing_wheel.create ~slots:8 ~tick:(us 10.0) () in
+  let w = Timing_wheel.create_sized ~slots:8 ~tick:(us 10.0) () in
   let fired_h = Timing_wheel.schedule_i w ~at_i:20_000 "fired" in
   ignore (collect_fired w ~now:(us 30.0) : int * (int * string) list);
   let cancelled_h = Timing_wheel.schedule_i w ~at_i:40_000 "cancelled" in
@@ -198,7 +188,7 @@ let test_stale_handle () =
    callback's [next_deadline] caches a later entry's deadline while the
    withheld one is out of its slot. *)
 let test_withheld_rejoins_minimum () =
-  let w = Timing_wheel.create ~slots:8 ~tick:10 () in
+  let w = Timing_wheel.create_sized ~slots:8 ~tick:10 () in
   ignore (Timing_wheel.schedule w ~at:10 "a" : _ Timing_wheel.handle);
   ignore (Timing_wheel.schedule w ~at:20 "b" : _ Timing_wheel.handle);
   let o =
@@ -217,7 +207,7 @@ let test_withheld_rejoins_minimum () =
    at once, and [max_int] and [max_int - 1] keep their exact values and
    order. *)
 let test_schedule_i_extremes () =
-  let w = Timing_wheel.create ~slots:8 ~tick:(us 10.0) () in
+  let w = Timing_wheel.create_sized ~slots:8 ~tick:(us 10.0) () in
   ignore (Timing_wheel.schedule_i w ~at_i:max_int "max" : _ Timing_wheel.handle);
   let h = Timing_wheel.schedule_i w ~at_i:(max_int - 1) "max-1" in
   ignore (Timing_wheel.schedule_i w ~at_i:0 "zero" : _ Timing_wheel.handle);
@@ -240,7 +230,7 @@ let test_schedule_i_extremes () =
    deadline was a boxed int64, and 19 with the list-bucket wheel's
    handle, placement, cons and batch cells. *)
 let test_cycle_alloc () =
-  let w = Timing_wheel.create ~slots:512 ~tick:(us 10.0) () in
+  let w = Timing_wheel.create_sized ~slots:512 ~tick:(us 10.0) () in
   let cb _ _ = () in
   let now = ref 0 in
   let cycle () =
@@ -304,7 +294,7 @@ type model = {
    [each_op], next_deadline is compared after every operation rather
    than only at the end. *)
 let agrees_with_oracle ~each_op ops =
-  let w = Timing_wheel.create ~slots:16 ~tick:(us 10.0) () in
+  let w = Timing_wheel.create_sized ~slots:16 ~tick:(us 10.0) () in
   let entries = ref [] in
   let now = ref 0 in
   let ties = ref 0 in
@@ -384,7 +374,6 @@ let () =
           Alcotest.test_case "far-future rotations" `Quick test_far_future_rotations;
           Alcotest.test_case "overdue schedule fires" `Quick test_overdue_schedule_fires;
           Alcotest.test_case "schedule during fire" `Quick test_schedule_during_fire;
-          Alcotest.test_case "iter_pending" `Quick test_iter_pending;
           Alcotest.test_case "invalid args" `Quick test_invalid_args;
           Alcotest.test_case "deadline beyond the int tick range" `Quick test_extreme_deadline;
           Alcotest.test_case "cancel churn stays bounded" `Quick test_cancel_churn_bounded;

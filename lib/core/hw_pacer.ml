@@ -20,8 +20,7 @@ let e_coalesced = Profile.intern [ "hw_pacer"; "tick_coalesced" ]
 let[@hot] on_dispatch t now =
   t.dispatch_pending <- false;
   if t.running && t.send now then begin
-    if t.last_send >= 0 then
-      Hdr.record t.intervals (float_of_int (now - t.last_send) /. 1e3);
+    if t.last_send >= 0 then Hdr.record_us_of_ns t.intervals (now - t.last_send);
     t.last_send <- now;
     t.sends <- t.sends + 1
   end

@@ -20,15 +20,16 @@ let e_catch_up = Profile.intern [ "rate_clock"; "catch_up_send" ]
    belongs to the creating domain's (or job's) metrics context. *)
 let cohort_intervals = Hdr.create ~lowest:0.01 () [@@lint.allow "RACE002"]
 
+(* Times are integer nanoseconds throughout, so a send boxes nothing. *)
 type t = {
   st : Softtimer.t;
-  target : Time_ns.span;
-  min_interval : Time_ns.span;
-  send : Time_ns.t -> bool;
+  target : int;
+  min_interval : int;
+  send : int -> bool;
   mutable active : bool;
-  mutable train_start : Time_ns.t;
+  mutable train_start : int;
   mutable sent_in_train : int;
-  mutable last_send : Time_ns.t;
+  mutable last_send : int;
   sends : int ref;
   trains : int ref;
   mutable kind : Softtimer.kind;  (* this clock's soft event *)
@@ -41,19 +42,18 @@ type t = {
   interval_us : Hdr.t;  (* the context's [rate_clock.interval_us] *)
 }
 
-let rec on_event t now_i =
+let rec on_event t now =
   if t.active then begin
-    let now = Time_ns.of_ns now_i in
     if t.send now then begin
       if t.sent_in_train > 0 then begin
-        let gap = now_i - Time_ns.to_int t.last_send in
+        let gap = now - t.last_send in
         Hdr.record_us_of_ns t.intervals gap;
         Hdr.record_us_of_ns t.interval_us gap
       end;
       t.last_send <- now;
       t.sent_in_train <- t.sent_in_train + 1;
       incr t.sends;
-      Trace.rbc_send ~at:now_i;
+      Trace.rbc_send ~at:now;
       schedule_next t now
     end
     else
@@ -66,11 +66,11 @@ let rec on_event t now_i =
    are already past it (soft-timer delays accumulated), catch up at the
    maximal allowable burst rate. *)
 and schedule_next t now =
-  let ideal = Time_ns.(t.train_start + Time_ns.mul t.target t.sent_in_train) in
-  let delay = Time_ns.(ideal - now) in
-  if Time_ns.(delay < t.min_interval) then Profile.event e_catch_up;
-  let delay = Time_ns.max delay t.min_interval in
-  t.outstanding <- Softtimer.schedule_after t.st delay t.kind 0
+  let ideal = t.train_start + (t.target * t.sent_in_train) in
+  let delay = ideal - now in
+  if delay < t.min_interval then Profile.event e_catch_up;
+  let delay = Int.max delay t.min_interval in
+  t.outstanding <- Softtimer.schedule_after_ns t.st delay t.kind 0
 
 let create ?(intervals = cohort_intervals) st ~target_interval ~min_interval ~send () =
   if Time_ns.(min_interval <= 0L) || Time_ns.(min_interval > target_interval) then
@@ -79,13 +79,13 @@ let create ?(intervals = cohort_intervals) st ~target_interval ~min_interval ~se
   let t =
     {
       st;
-      target = target_interval;
-      min_interval;
+      target = Time_ns.to_int target_interval;
+      min_interval = Time_ns.to_int min_interval;
       send;
       active = false;
-      train_start = Time_ns.zero;
+      train_start = 0;
       sent_in_train = 0;
-      last_send = Time_ns.zero;
+      last_send = 0;
       sends = Metrics.cell m m_sends;
       trains = Metrics.cell m m_trains;
       kind = Softtimer.null_kind;
@@ -100,8 +100,7 @@ let create ?(intervals = cohort_intervals) st ~target_interval ~min_interval ~se
 let begin_train t =
   incr t.trains;
   t.active <- true;
-  let now = Engine.now (Machine.engine (Softtimer.machine t.st)) in
-  t.train_start <- now;
+  t.train_start <- Engine.now_i (Machine.engine (Softtimer.machine t.st));
   t.sent_in_train <- 0;
   (* First transmission at the first trigger state from now. *)
   t.outstanding <- Softtimer.schedule_soft_event t.st ~ticks:0L t.kind 0

@@ -35,11 +35,11 @@ val create :
   Softtimer.t ->
   target_interval:Time_ns.span ->
   min_interval:Time_ns.span ->
-  send:(Time_ns.t -> bool) ->
+  send:(int -> bool) ->
   unit ->
   t
-(** [send now] must transmit one packet and return [true], or return
-    [false] when nothing is pending — which ends the current train (the
+(** [send now] (the instant in integer nanoseconds) must transmit one
+    packet and return [true], or return [false] when nothing is pending — which ends the current train (the
     clock goes idle until {!kick}).
 
     [intervals] defaults to {!cohort_intervals}; pass

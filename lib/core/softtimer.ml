@@ -346,12 +346,19 @@ let schedule_soft_event t ~ticks kind payload =
   (* Fires once measure_time > sched + ticks, i.e. at tick sched+ticks+1. *)
   schedule_due t (due_after t ticks) kind payload
 
-(* Whole measurement ticks covering [span], saturating at
-   [Int64.max_int] (0x1p63) rather than wrapping negative. *)
-let schedule_after t span kind payload =
-  let ticks_f = Float.ceil (Int64.to_float (Time_ns.max span 0L) /. t.ns_per_tick) in
+(* Whole measurement ticks covering [span_ns] (a non-negative float),
+   saturating at [Int64.max_int] (0x1p63) rather than wrapping
+   negative. *)
+let[@inline] schedule_in t span_ns kind payload =
+  let ticks_f = Float.ceil (span_ns /. t.ns_per_tick) in
   let ticks = if ticks_f >= 0x1p63 then Int64.max_int else Int64.of_float ticks_f in
   schedule_due t (due_after t ticks) kind payload
+
+let schedule_after t span kind payload =
+  schedule_in t (Int64.to_float (Time_ns.max span 0L)) kind payload
+
+let schedule_after_ns t ns kind payload =
+  schedule_in t (float_of_int (Int.max ns 0)) kind payload
 
 (* A stale handle (fired, cancelled, or [no_handle]) names no live
    row: [Slab.valid] checks the generation the handle was issued

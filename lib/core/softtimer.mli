@@ -133,6 +133,10 @@ val schedule_after : t -> Time_ns.span -> kind -> int -> handle
 (** Like {!schedule_soft_event} with the delay given as a span (rounded
     up to whole measurement ticks). *)
 
+val schedule_after_ns : t -> int -> kind -> int -> handle
+(** {!schedule_after} with the delay in integer nanoseconds, so no
+    boxed span crosses the call. *)
+
 val x_ratio : t -> int64
 (** [X = measure_resolution / interrupt_clock_resolution]; the width of
     the firing window in measurement ticks. *)

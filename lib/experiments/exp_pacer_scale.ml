@@ -77,7 +77,7 @@ module Make_runner (C : CONF) = struct
       F.create
         ~intervals:(Hdr.create ~lowest:0.01 ())
         ~tick:(Time_ns.of_us C.store_tick_us)
-        ~transmit:(fun _fid c -> bytes_on_wire := !bytes_on_wire + c.Packet.Pool.size_bytes)
+        ~transmit:(fun _fid c -> bytes_on_wire := !bytes_on_wire + c.Packet.size_bytes)
         ()
     in
     for fid = 0 to flows - 1 do

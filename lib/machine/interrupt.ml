@@ -18,6 +18,7 @@ type line = {
   mutable oldest : int;
   mutable complete : int -> unit;  (* the deliveries' callback, built once *)
   mutable deferred : bool;  (* a tick is waiting for the spl window to end *)
+  mutable deferred_work : int;  (* its handler work, ns *)
   raised : int ref;
   lost : int ref;
   delivered : int ref;
@@ -35,7 +36,11 @@ type t = {
   on_trigger : Trigger.kind -> int -> unit;
   mutable overhead_ns : int;  (* per-delivery overhead at the current locality *)
   mutable spl_until : int;  (* end of the current disabled window, ns *)
-  mutable spl_deferred : (line * int) list;  (* with handler work, ns *)
+  (* The lines whose tick the window deferred, oldest first in
+     [spl_deferred.(0 .. n_deferred - 1)]; a line defers at most one
+     tick per window, and keeps its work itself. *)
+  mutable spl_deferred : line array;
+  mutable n_deferred : int;
 }
 
 (* A delivery's save/restore and cache-pollution overhead, rounded to
@@ -52,7 +57,8 @@ let create ~engine ~cpus ~profile ~on_trigger () =
     on_trigger;
     overhead_ns = delivery_overhead_ns profile Cache.neutral;
     spl_until = 0;
-    spl_deferred = [];
+    spl_deferred = [||];
+    n_deferred = 0;
   }
 
 let set_locality t l = t.overhead_ns <- delivery_overhead_ns t.profile l
@@ -84,6 +90,7 @@ let line t ~name ~source ?(latch_depth = 2) ?(spl_blockable = false) ?(cpu = 0) 
       oldest = 0;
       complete = ignore;
       deferred = false;
+      deferred_work = 0;
       raised = Metrics.cell m m_raised;
       lost = Metrics.cell m m_lost;
       delivered = Metrics.cell m m_delivered;
@@ -127,7 +134,14 @@ let lose ln ~at =
   incr ln.lost;
   Trace.irq_lost ~at ~line:ln.name
 
-let raise_irq t ln ~handler_work_ns:handler_work =
+(* Doubling; the deferring line fills the fresh slots. *)
+let grow_deferred t ln =
+  let cap = Array.length t.spl_deferred in
+  let a = Array.make (if cap = 0 then 4 else 2 * cap) ln in
+  Array.blit t.spl_deferred 0 a 0 t.n_deferred;
+  t.spl_deferred <- a
+
+let[@hot] raise_irq t ln ~handler_work_ns:handler_work =
   incr ln.raised;
   let now_i = Engine.now_i t.engine in
   Trace.irq_raised ~at:now_i ~line:ln.name;
@@ -139,9 +153,10 @@ let raise_irq t ln ~handler_work_ns:handler_work =
     end
     else begin
       ln.deferred <- true;
-      (* ALLOC002: one cell per tick an spl window defers, at most one
-         per line and window. *)
-      t.spl_deferred <- ((ln, handler_work) :: t.spl_deferred [@lint.allow "ALLOC002"]);
+      ln.deferred_work <- handler_work;
+      if t.n_deferred = Array.length t.spl_deferred then grow_deferred t ln;
+      t.spl_deferred.(t.n_deferred) <- ln;
+      t.n_deferred <- t.n_deferred + 1;
       true
     end
   end
@@ -154,35 +169,28 @@ let raise_irq t ln ~handler_work_ns:handler_work =
     true
   end
 
-(* The deferred ticks, newest first: deliver them oldest first. *)
-let rec flush_deferred t pending =
-  match pending with
-  | [] -> ()
-  | (ln, work) :: older ->
-    flush_deferred t older;
+(* Deliver the deferred ticks, oldest first. *)
+let[@hot] flush_spl t =
+  let n = t.n_deferred in
+  t.n_deferred <- 0;
+  for i = 0 to n - 1 do
+    let ln = t.spl_deferred.(i) in
     ln.deferred <- false;
     if ln.in_flight >= ln.latch_depth then lose ln ~at:(Engine.now_i t.engine)
-    else deliver t ln work
-
-let flush_spl t =
-  let pending = t.spl_deferred in
-  t.spl_deferred <- [];
-  flush_deferred t pending
-
-(* A draw of [dist] in int ns, rounded as [Dist.span] rounds. *)
-let span_ns dist rng = Float.to_int (Float.round (Dist.draw dist rng *. 1e3))
+    else deliver t ln ln.deferred_work
+  done
 
 (* Disabled windows: one engine kind whose payload says which edge is
    due, 0 for a window opening after its gap, 1 for its end. *)
 let[@hot] spl_edge t ~rng ~gap ~duration kind code =
   if code = 0 then begin
-    let d = span_ns duration rng in
+    let d = Dist.draw_ns duration rng in
     t.spl_until <- Engine.now_i t.engine + d;
     Engine.post_after_i t.engine d kind 1
   end
   else begin
     flush_spl t;
-    Engine.post_after_i t.engine (span_ns gap rng) kind 0
+    Engine.post_after_i t.engine (Dist.draw_ns gap rng) kind 0
   end
 
 let start_spl_sections t ~rng ?(rate_per_sec = 1_300.0)
@@ -192,7 +200,7 @@ let start_spl_sections t ~rng ?(rate_per_sec = 1_300.0)
   kind :=
     Engine.register t.engine ~name:"irq.spl" (fun code ->
         spl_edge t ~rng ~gap ~duration:duration_us !kind code);
-  Engine.post_after_i t.engine (span_ns gap rng) !kind 0
+  Engine.post_after_i t.engine (Dist.draw_ns gap rng) !kind 0
 
 let raised ln = !(ln.raised)
 let lost ln = !(ln.lost)

@@ -90,13 +90,18 @@ let[@inline] ns_of_work_us ~what us =
   if not (Float.is_finite us) then invalid_arg what;
   Float.to_int (Float.round ((if us > 0.0 then us else 0.0) *. 1e3))
 
-let[@hot] submit_quantum t ?(cpu = 0) ?attr ?klass ~prio ~work_us ~trigger cb =
-  if cpu < 0 || cpu >= Array.length t.cpus then
-    invalid_arg "Machine.submit_quantum: bad cpu";
-  let checked = Option.is_some trigger && Option.is_some t.check_hook in
-  let work_us =
-    if checked then work_us +. t.profile.Costs.softtimer_check_us else work_us
-  in
+(* A quantum's work in int ns: [work_us], plus the trigger-state check
+   surcharge when [checked].  Each branch converts on its own: joined
+   into one float, the sum would be boxed to match [work_us]. *)
+let[@inline] quantum_ns t ~checked work_us =
+  let what = "Machine.submit_quantum: non-finite work" in
+  if checked then ns_of_work_us ~what (work_us +. t.profile.Costs.softtimer_check_us)
+  else ns_of_work_us ~what work_us
+
+(* Whether the quantum ends in a trigger state that runs the check hook. *)
+let[@inline] wants_check t trigger = Option.is_some trigger && Option.is_some t.check_hook
+
+let submit_ns t ~cpu ~attr ~klass ~prio ~checked ~work ~trigger cb =
   let attr =
     (* Split the trigger-state check surcharge out of the quantum so it
        shows up under softtimer;check rather than inflating the work's
@@ -110,8 +115,20 @@ let[@hot] submit_quantum t ?(cpu = 0) ?attr ?klass ~prio ~work_us ~trigger cb =
       [@lint.allow "ALLOC002"]
     else attr
   in
-  let work = ns_of_work_us ~what:"Machine.submit_quantum: non-finite work" work_us in
   Cpu.submit t.cpus.(cpu) ?attr ?klass ~prio ~work ~trigger cb
+
+let[@hot] submit_quantum t ?(cpu = 0) ?attr ?klass ~prio ~work_us ~trigger cb =
+  if cpu < 0 || cpu >= Array.length t.cpus then
+    invalid_arg "Machine.submit_quantum: bad cpu";
+  let checked = wants_check t trigger in
+  submit_ns t ~cpu ~attr ~klass ~prio ~checked ~work:(quantum_ns t ~checked work_us) ~trigger cb
+
+(* The work is read from the array here, so no float crosses a call. *)
+let[@hot] submit_quantum_at t ?attr ~prio works i ~trigger cb =
+  let checked = wants_check t trigger in
+  submit_ns t ~cpu:0 ~attr ~klass:None ~prio ~checked
+    ~work:(quantum_ns t ~checked works.(i))
+    ~trigger cb
 
 let interrupt_line t ~name ~source ?latch_depth ?spl_blockable ?cpu ~handler () =
   Interrupt.line (interrupts t) ~name ~source ?latch_depth ?spl_blockable ?cpu ~handler ()

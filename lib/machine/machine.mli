@@ -96,6 +96,22 @@ val submit_quantum :
     @raise Invalid_argument if [work_us] is NaN or infinite (negative
     work counts as zero). *)
 
+val submit_quantum_at :
+  t ->
+  ?attr:Profile.attr ->
+  prio:int ->
+  float array ->
+  int ->
+  trigger:Trigger.kind option ->
+  (int -> unit) ->
+  unit
+(** [submit_quantum_at t ~prio works i ~trigger cb] is
+    [submit_quantum t ~prio ~work_us:works.(i) ~trigger cb] on CPU 0,
+    reading the work where it lies: a float passed to a function that
+    is not inlined is boxed, and builds with [-opaque] inline nothing
+    across modules, so a script's drawn work is handed over as its
+    array and index. *)
+
 val interrupt_line :
   t ->
   name:string ->

@@ -9,13 +9,20 @@ type 'a t = {
   machine : Machine.t;
   name : string;
   mutable mode : mode;
-  rx_ring : 'a Packet.t Queue.t;
+  (* The receive ring, oldest first in [rx.(0 .. rx_len - 1)].  A drain
+     always takes the whole ring, so it never wraps: the drain swaps it
+     with [batch], the array the last batch was handed over in. *)
+  mutable rx : 'a Packet.t array;
+  mutable rx_len : int;
+  mutable batch : 'a Packet.t array;
+  mutable draining : bool;  (* inside [on_rx_batch] *)
   mutable rx_line : Interrupt.line option;
   mutable tx_line : Interrupt.line option;
   mutable link : 'a Link.t option;
-  on_rx_batch : int -> 'a Packet.t list -> unit;
+  on_rx_batch : int -> 'a Packet.t array -> int -> unit;
+  on_drop : 'a Packet.t -> unit;
   tx_intr_coalesce : int;
-  rx_handler_work_us : float;
+  rx_handler_work_us : float option;  (* [Some] built once, not per interrupt *)
   rx_intr_delay : Time_ns.span;
   rx_ring_capacity : int;
   mutable rx_intr_armed : bool;
@@ -28,20 +35,28 @@ type 'a t = {
   mutable k_rx_intr : Engine.kind;  (* the delayed receive interrupt *)
 }
 
-let drain_ring t now =
-  let rec take acc =
-    match Queue.take_opt t.rx_ring with None -> List.rev acc | Some p -> take (p :: acc)
-  in
-  let batch = take [] in
-  match batch with
-  | [] -> 0
-  | _ :: _ ->
-    let n = List.length batch in
+let[@hot] drain_ring t now =
+  if t.draining then invalid_arg "Nic: receive ring drained inside on_rx_batch";
+  let n = t.rx_len in
+  if n = 0 then 0
+  else begin
+    let b = t.rx in
+    t.rx <- t.batch;
+    t.batch <- b;
+    t.rx_len <- 0;
     t.rx_packets := !(t.rx_packets) + n;
     incr t.rx_batches;
     Trace.pkt_rx ~at:now ~nic:t.name ~batch:n;
-    t.on_rx_batch now batch;
-    n
+    t.draining <- true;
+    match t.on_rx_batch now b n with
+    | () ->
+      t.draining <- false;
+      n
+    | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      t.draining <- false;
+      Printexc.raise_with_backtrace e bt
+  end
 
 let the_link t = match t.link with Some l -> l | None -> assert false
 let rx_line t = match t.rx_line with Some l -> l | None -> assert false
@@ -49,12 +64,12 @@ let tx_line t = match t.tx_line with Some l -> l | None -> assert false
 
 let[@hot] fire_rx_intr t =
   t.rx_intr_armed <- false;
-  if not (Queue.is_empty t.rx_ring) then
+  if t.rx_len > 0 then
     ignore
-      (Machine.raise_irq t.machine (rx_line t) ~handler_work_us:t.rx_handler_work_us () : bool)
+      (Machine.raise_irq t.machine (rx_line t) ?handler_work_us:t.rx_handler_work_us () : bool)
 
 let create machine ~name ~bandwidth_bps ~wire_latency ~tx_deliver ~on_rx_batch
-    ?(tx_intr_coalesce = 0) ?(rx_handler_work_us = 1.0) ?(rx_intr_delay = 0L)
+    ?(on_drop = ignore) ?(tx_intr_coalesce = 0) ?(rx_handler_work_us = 1.0) ?(rx_intr_delay = 0L)
     ?(rx_ring_capacity = max_int) () =
   let m = Metrics.current () in
   let t =
@@ -62,13 +77,17 @@ let create machine ~name ~bandwidth_bps ~wire_latency ~tx_deliver ~on_rx_batch
       machine;
       name;
       mode = Interrupt_driven;
-      rx_ring = Queue.create ();
+      rx = [||];
+      rx_len = 0;
+      batch = [||];
+      draining = false;
       rx_line = None;
       tx_line = None;
       link = None;
       on_rx_batch;
+      on_drop;
       tx_intr_coalesce;
-      rx_handler_work_us;
+      rx_handler_work_us = Some rx_handler_work_us;
       rx_intr_delay;
       rx_ring_capacity;
       rx_intr_armed = false;
@@ -122,7 +141,7 @@ let transmit t p = Link.send (the_link t) p
 (* Interrupt-mitigation: assert the receive interrupt [rx_intr_delay]
    after the first packet lands, so closely-spaced packets coalesce. *)
 let maybe_arm_rx_intr t =
-  if (not t.rx_intr_armed) && not (Queue.is_empty t.rx_ring) then begin
+  if (not t.rx_intr_armed) && t.rx_len > 0 then begin
     t.rx_intr_armed <- true;
     if Time_ns.(t.rx_intr_delay <= 0L) then fire_rx_intr t
     else
@@ -130,16 +149,24 @@ let maybe_arm_rx_intr t =
         t.k_rx_intr 0
   end
 
-let deliver t p =
-  if Queue.length t.rx_ring >= t.rx_ring_capacity then begin
+(* Doubling; the arriving packet fills the fresh slots. *)
+let grow_rx t p =
+  let cap = Array.length t.rx in
+  let rx = Array.make (if cap = 0 then 16 else 2 * cap) p in
+  Array.blit t.rx 0 rx 0 t.rx_len;
+  t.rx <- rx
+
+let[@hot] deliver t p =
+  if t.rx_len >= t.rx_ring_capacity then begin
     incr t.rx_dropped;
-    Trace.pkt_drop ~at:(Engine.now_i (Machine.engine t.machine)) ~nic:t.name
+    Trace.pkt_drop ~at:(Engine.now_i (Machine.engine t.machine)) ~nic:t.name;
+    t.on_drop p
   end
   else begin
-    Queue.add p t.rx_ring;
-    Trace.pkt_enqueue
-      ~at:(Engine.now_i (Machine.engine t.machine))
-      ~nic:t.name ~qlen:(Queue.length t.rx_ring)
+    if t.rx_len = Array.length t.rx then grow_rx t p;
+    t.rx.(t.rx_len) <- p;
+    t.rx_len <- t.rx_len + 1;
+    Trace.pkt_enqueue ~at:(Engine.now_i (Machine.engine t.machine)) ~nic:t.name ~qlen:t.rx_len
   end;
   let interrupt_mode =
     match t.mode with
@@ -162,7 +189,7 @@ let deliver t p =
 let poll t = drain_ring t (Engine.now_i (Machine.engine t.machine))
 
 let hybrid_done t =
-  if Queue.is_empty t.rx_ring then begin
+  if t.rx_len = 0 then begin
     t.hybrid_processing <- false;
     0
   end
@@ -173,7 +200,7 @@ let hybrid_done t =
 
 let rx_dropped t = !(t.rx_dropped)
 
-let rx_ring_length t = Queue.length t.rx_ring
+let rx_ring_length t = t.rx_len
 let rx_packets t = !(t.rx_packets)
 let rx_batches t = !(t.rx_batches)
 let tx_packets t = !(t.tx_packets)

@@ -16,7 +16,14 @@
 
     Either way, the protocol stack receives whole batches through the
     [on_rx_batch] callback, so aggregation-locality benefits apply
-    uniformly. *)
+    uniformly.
+
+    The receive ring is an array, and a batch is handed over as an
+    array and a count, both reused from batch to batch: receiving
+    allocates nothing once the ring has grown to its peak.  The NIC
+    owns no packet.  What it drops on a full ring goes to [on_drop];
+    what it delivers belongs to the stack from the moment
+    [on_rx_batch] is called. *)
 
 type 'a t
 
@@ -26,7 +33,8 @@ val create :
   bandwidth_bps:float ->
   wire_latency:Time_ns.span ->
   tx_deliver:(int -> 'a Packet.t -> unit) ->
-  on_rx_batch:(int -> 'a Packet.t list -> unit) ->
+  on_rx_batch:(int -> 'a Packet.t array -> int -> unit) ->
+  ?on_drop:('a Packet.t -> unit) ->
   ?tx_intr_coalesce:int ->
   ?rx_handler_work_us:float ->
   ?rx_intr_delay:Time_ns.span ->
@@ -34,7 +42,14 @@ val create :
   unit ->
   'a t
 (** [tx_deliver] and [on_rx_batch] receive the instant in integer
-    nanoseconds.  [tx_intr_coalesce] = raise a transmit-complete
+    nanoseconds.  [on_rx_batch now batch n] receives the batch in
+    [batch.(0 .. n - 1)], oldest first, with [n >= 1].  The array is
+    valid only during the callback: the NIC refills it with a later
+    batch, so the stack must copy out what it keeps, and must not
+    drain this NIC ({!poll}, {!hybrid_done}) from inside the callback
+    ([Invalid_argument] if it does).  [on_drop] receives each packet
+    dropped on a full ring (default: nothing), so a pool's packets can
+    be released there.  [tx_intr_coalesce] = raise a transmit-complete
     interrupt every k serialisation completions in interrupt mode (0,
     the default, disables transmit interrupts).  [rx_handler_work_us] is the receive
     interrupt handler's own ring-drain work (default 1.0).
@@ -76,7 +91,8 @@ val deliver : 'a t -> 'a Packet.t -> unit
 
 val poll : 'a t -> int
 (** Drain the receive ring, passing any batch to [on_rx_batch]; returns
-    the batch size (0 when the ring was empty).  Meaningful in either
+    the batch size (0 when the ring was empty, and [on_rx_batch] is
+    not called).  Meaningful in either
     mode, but normally driven by {!Net_poll} in [Polled] mode. *)
 
 val rx_ring_length : 'a t -> int

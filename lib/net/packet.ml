@@ -1,11 +1,13 @@
-type 'a t = { size_bytes : int; meta : 'a; born : int }
+type 'a t = {
+  mutable size_bytes : int;
+  mutable meta : 'a;
+  mutable born : int;
+  mutable in_use : bool;
+}
 
-(* ALLOC002: a fresh record per packet is this constructor's contract
-   ([Pool] recycles cells where that matters). *)
 let create ~size_bytes ~meta ~born =
   if size_bytes < 0 then invalid_arg "Packet.create: negative size";
-  { size_bytes; meta; born }
-[@@lint.allow "ALLOC002"]
+  { size_bytes; meta; born; in_use = true }
 
 let bits p = p.size_bytes * 8
 let mtu_payload = 1448
@@ -14,23 +16,16 @@ let ack_size = frame_overhead
 
 type 'a packet = 'a t
 
-(* Freelist pool of mutable packet cells.
+(* Freelist pool of packets.
 
    [create] boxes a fresh record per packet — fine for connection-level
    workloads, but a million-flow pacing loop emitting one segment per
    flow per interval would churn the minor heap at the aggregate send
-   rate.  The pool recycles cells through a stack: steady state is
+   rate.  The pool recycles packets through a stack: steady state is
    pop → overwrite three fields → push, no allocation. *)
 module Pool = struct
-  type 'a cell = {
-    mutable size_bytes : int;
-    mutable meta : 'a;
-    mutable born : int;
-    mutable in_use : bool;
-  }
-
   type 'a t = {
-    mutable free : 'a cell array;  (* stack of recycled cells *)
+    mutable free : 'a packet array;  (* stack of recycled packets *)
     mutable free_top : int;
     mutable live : int;
     mutable created : int;
@@ -41,12 +36,12 @@ module Pool = struct
   let create () =
     { free = [||]; free_top = 0; live = 0; created = 0; acquires = 0; reuses = 0 }
 
-  (* Pool-miss path: the one place a cell is boxed. *)
+  (* Pool-miss path: the one place a pooled packet is boxed. *)
   let fresh p ~size_bytes ~meta ~born =
     p.created <- p.created + 1;
     { size_bytes; meta; born; in_use = true }
-  (* ALLOC002: the cell record is built only on a pool miss (cold
-     warm-up path); steady state pops the freelist instead. *)
+  (* ALLOC002: the record is built only on a pool miss (cold warm-up
+     path); steady state pops the freelist instead. *)
   [@@lint.allow "ALLOC002"]
 
   let[@hot] acquire p ~size_bytes ~meta ~born =
@@ -66,8 +61,8 @@ module Pool = struct
     end
     else fresh p ~size_bytes ~meta ~born
 
-  (* Freelist growth: doubling, filled with the cell being released (it
-     is immediately overwritten slot by slot). *)
+  (* Freelist growth: doubling, filled with the packet being released
+     (it is immediately overwritten slot by slot). *)
   let grow_free p c =
     let cap = Array.length p.free in
     let cap' = if cap = 0 then 16 else cap * 2 in
@@ -76,15 +71,13 @@ module Pool = struct
     p.free <- b
 
   let[@hot] release p c =
-    if not c.in_use then invalid_arg "Packet.Pool.release: cell is not live";
+    if not c.in_use then invalid_arg "Packet.Pool.release: packet is not live";
     c.in_use <- false;
     p.live <- p.live - 1;
     if p.free_top = Array.length p.free then grow_free p c;
     p.free.(p.free_top) <- c;
     p.free_top <- p.free_top + 1
 
-  let to_packet c : _ packet = { size_bytes = c.size_bytes; meta = c.meta; born = c.born }
-  let bits c = c.size_bytes * 8
   let live p = p.live
   let free p = p.free_top
   let created p = p.created

@@ -5,10 +5,19 @@
     connection-level event) and the packet-level TCP simulator (whose
     metadata is a TCP segment). *)
 
-type 'a t = { size_bytes : int; meta : 'a; born : int }
+type 'a t = {
+  mutable size_bytes : int;
+  mutable meta : 'a;
+  mutable born : int;  (** creation instant, integer nanoseconds *)
+  mutable in_use : bool;  (** live: created, or acquired and not yet released *)
+}
+(** A packet is a mutable cell so that a {!Pool} can recycle it.  Its
+    owner reads it until the packet dies and then, if it came from a
+    pool, releases it there; nobody may touch it after that. *)
 
 val create : size_bytes:int -> meta:'a -> born:int -> 'a t
-(** [born] is the creation instant in integer nanoseconds.
+(** A fresh live packet, outside any pool.  [born] is the creation
+    instant in integer nanoseconds.
     @raise Invalid_argument if [size_bytes < 0]. *)
 
 val bits : 'a t -> int
@@ -26,53 +35,41 @@ val ack_size : int
 (** Size of a bare ACK segment on the wire. *)
 
 type 'a packet = 'a t
-(** Alias so {!Pool.to_packet} can name the packet type from inside the
+(** Alias so {!Pool} can name the packet type from inside the
     submodule, where [t] means the pool. *)
 
-(** Freelist pool of mutable packet cells.
+(** Freelist pool of packets.
 
     {!create} boxes a fresh record per packet — fine for the
-    connection-level workloads, but steady-state pacing at a million
-    flows would churn the minor heap at the aggregate send rate.  A
-    pool recycles cells through a stack: after warm-up,
-    {!Pool.acquire} is pop + overwrite and {!Pool.release} is push,
-    with no allocation on either side. *)
+    connection-level workloads that keep packets, but steady-state
+    traffic would churn the minor heap at its packet rate.  A pool
+    recycles packets through a stack: after warm-up, {!Pool.acquire}
+    is pop + overwrite and {!Pool.release} is push, with no allocation
+    on either side. *)
 module Pool : sig
-  type 'a cell = {
-    mutable size_bytes : int;
-    mutable meta : 'a;
-    mutable born : int;
-    mutable in_use : bool;
-  }
-
   type 'a t
 
   val create : unit -> 'a t
 
-  val acquire : 'a t -> size_bytes:int -> meta:'a -> born:int -> 'a cell
-  (** Pop a recycled cell (or box a fresh one on pool miss) and fill
-      it.  The cell is live until {!release}.
+  val acquire : 'a t -> size_bytes:int -> meta:'a -> born:int -> 'a packet
+  (** Pop a recycled packet (or box a fresh one on pool miss) and fill
+      it.  The packet is live until {!release}.
       @raise Invalid_argument if [size_bytes < 0]. *)
 
-  val release : 'a t -> 'a cell -> unit
-  (** Return a cell to the freelist.  The caller must not touch the
-      cell afterwards; the pool will hand it out again.
-      @raise Invalid_argument if the cell is not live (double release). *)
-
-  val to_packet : 'a cell -> 'a packet
-  (** Boundary conversion to an immutable {!type:t} — allocates; for
-      handing a pooled packet to code that retains it. *)
-
-  val bits : 'a cell -> int
+  val release : 'a t -> 'a packet -> unit
+  (** Return a packet to the freelist.  The caller must not touch the
+      packet afterwards; the pool will hand it out again.
+      @raise Invalid_argument if the packet is not live (double
+      release). *)
 
   val live : 'a t -> int
-  (** Cells currently acquired. *)
+  (** Packets currently acquired. *)
 
   val free : 'a t -> int
-  (** Cells parked on the freelist. *)
+  (** Packets parked on the freelist. *)
 
   val created : 'a t -> int
-  (** Cells ever boxed — stops growing once the pool is warm. *)
+  (** Packets ever boxed — stops growing once the pool is warm. *)
 
   val acquires : 'a t -> int
 

@@ -30,24 +30,29 @@
 
 type info = { name : string; parent : int; full : string }
 
-(* RACE002: the interning registry grows only during module
-   initialization and sequential experiment setup ([intern] on toplevel
-   bindings); parallel jobs read interned ids but never intern — the
-   same contract as [Metrics]' declared names. *)
+(* RACE002: one registry serves every domain, and parallel jobs do
+   intern: [Interrupt.line] interns its line's paths whenever a machine
+   is built.  Interning is a cold path and holds [reg_lock], so each
+   path gets exactly one id.  Readers do not lock: [add_info] stores the
+   entry (and the grown array) before it publishes the count through
+   the atomic [reg_n], so a reader that loads the count first sees
+   every entry below it. *)
+let reg_lock = Mutex.create ()
 let reg : info array ref = ref [||] [@@lint.allow "RACE002"]
-let reg_n = ref 0 [@@lint.allow "RACE002"]
+let reg_n = Atomic.make 0
 let index : (string, int) Hashtbl.t = Hashtbl.create 64 [@@lint.allow "RACE002"]
 
 let add_info info =
+  let n = Atomic.get reg_n in
   let cap = Array.length !reg in
-  if !reg_n = cap then begin
+  if n = cap then begin
     let grown = Array.make (Int.max 16 (2 * cap)) info in
-    Array.blit !reg 0 grown 0 !reg_n;
+    Array.blit !reg 0 grown 0 n;
     reg := grown
   end;
-  !reg.(!reg_n) <- info;
-  incr reg_n;
-  !reg_n - 1
+  !reg.(n) <- info;
+  Atomic.set reg_n (n + 1);
+  n
 
 (* ';' separates collapsed-stack frames and ' ' separates the frame
    stack from its value, so neither may appear inside a segment. *)
@@ -56,6 +61,7 @@ let sanitize seg =
 
 let intern_path segs =
   if segs = [] then invalid_arg "Profile.intern: empty path";
+  Mutex.protect reg_lock @@ fun () ->
   let rec go parent full = function
     | [] -> parent
     | seg :: rest ->
@@ -157,8 +163,8 @@ let cpu_row p cpu =
     p.cells <- grown
   end;
   let row = p.cells.(cpu) in
-  if Array.length row < !reg_n then begin
-    let n = Int.max !reg_n (2 * Array.length row) in
+  if Array.length row < Atomic.get reg_n then begin
+    let n = Int.max (Atomic.get reg_n) (2 * Array.length row) in
     let grown =
       Array.init n (fun i ->
           if i < Array.length row then row.(i) else { self = 0L; charges = 0 })
@@ -201,7 +207,7 @@ let charge attr ~cpu span =
 
 let record_event p id =
   if id >= Array.length p.events then begin
-    let grown = Array.make (Int.max !reg_n (2 * Array.length p.events)) 0 in
+    let grown = Array.make (Int.max (Atomic.get reg_n) (2 * Array.length p.events)) 0 in
     Array.blit p.events 0 grown 0 (Array.length p.events);
     p.events <- grown
   end;
@@ -264,7 +270,9 @@ let total_attributed_ns p =
 let id_of_path segs =
   match segs with
   | [] -> None
-  | _ -> Hashtbl.find_opt index (String.concat ";" (List.map sanitize segs))
+  | _ ->
+    let full = String.concat ";" (List.map sanitize segs) in
+    Mutex.protect reg_lock (fun () -> Hashtbl.find_opt index full)
 
 (* Sum [f cell] for [id] across CPUs; rows may be shorter than reg_n
    when paths were interned after the row last grew. *)
@@ -297,7 +305,7 @@ let subtree_ns p segs =
   | Some id ->
     let full = !reg.(id).full in
     let acc = ref (sum_cells p id (fun c -> c.self)) in
-    for i = 0 to !reg_n - 1 do
+    for i = 0 to Atomic.get reg_n - 1 do
       if prefixed full !reg.(i).full then
         acc := Time_ns.(!acc + sum_cells p i (fun c -> c.self))
     done;
@@ -325,7 +333,7 @@ let to_collapsed p =
   let lines = ref [] in
   for cpu = 0 to cpu_count p - 1 do
     let row = p.cells.(cpu) in
-    for id = 0 to min (Array.length row) !reg_n - 1 do
+    for id = 0 to min (Array.length row) (Atomic.get reg_n) - 1 do
       let c = row.(id) in
       if Int64.compare (Time_ns.to_ns c.self) 0L > 0 then
         lines :=
@@ -339,7 +347,7 @@ let to_collapsed p =
 (* Children lists in registration order (deterministic). *)
 let children_of id =
   let kids = ref [] in
-  for i = !reg_n - 1 downto 0 do
+  for i = Atomic.get reg_n - 1 downto 0 do
     if !reg.(i).parent = id then kids := i :: !kids
   done;
   !kids
@@ -412,7 +420,7 @@ let to_table p =
   List.iter (render 0) top;
   (* Span-less occurrence counters (wheel maintenance, retransmits, ...). *)
   let events = ref [] in
-  for id = 0 to min (Array.length p.events) !reg_n - 1 do
+  for id = 0 to min (Array.length p.events) (Atomic.get reg_n) - 1 do
     if p.events.(id) > 0 then events := (!reg.(id).full, p.events.(id)) :: !events
   done;
   (match List.sort (fun (a, _) (b, _) -> String.compare a b) !events with
@@ -564,7 +572,7 @@ let id_full id = !reg.(id).full
 let id_parent id = !reg.(id).parent
 let id_children = children_of
 let id_roots = roots
-let registry_size () = !reg_n
+let registry_size () = Atomic.get reg_n
 
 (* Analytic footprint of the registry itself, in 64-bit words: the
    backing array, one 4-word info record and two string blocks per
@@ -574,7 +582,7 @@ let registry_size () = !reg_n
 let registry_words () =
   let str s = 2 + (String.length s / 8) in
   let acc = ref (Array.length !reg + 1 + 5 + 65) in
-  for i = 0 to !reg_n - 1 do
+  for i = 0 to Atomic.get reg_n - 1 do
     let info = !reg.(i) in
     acc := !acc + 4 + 4 + str info.name + str info.full
   done;

@@ -174,6 +174,7 @@ let pkt_enqueue ~at ~nic ~qlen = if armed () then emit ~at:(ns at) (Pkt_enqueue 
 [@@lint.allow "ALLOC002"]
 let pkt_tx ~at ~nic = if armed () then emit ~at:(ns at) (Pkt_tx { nic })
 let pkt_rx ~at ~nic ~batch = if armed () then emit ~at:(ns at) (Pkt_rx { nic; batch })
+[@@lint.allow "ALLOC002"]
 let pkt_drop ~at ~nic = if armed () then emit ~at:(ns at) (Pkt_drop { nic })
 [@@lint.allow "ALLOC002"]
 let poll ~at ~found = if armed () then emit ~at:(ns at) (Poll { found })

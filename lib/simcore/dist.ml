@@ -8,17 +8,19 @@ type t =
   | Mixture of (float * t) list
   | Shifted of float * t
 
-(* Box–Muller; one variate per call keeps the generator state simple. *)
-let normal rng =
+(* Box–Muller; one variate per call keeps the generator state simple.
+   Inlined into [leaf], so its result stays unboxed. *)
+let[@inline] normal rng =
   let u1 = 1.0 -. Prng.float rng in
   let u2 = Prng.float rng in
   sqrt (-2.0 *. log u1) *. cos (2.0 *. Float.pi *. u2)
 
-(* The mixture branch a uniform [u] selects: the first whose cumulative
-   weight exceeds [u] times the total, the last one otherwise.  Loops
-   over refs keep the float sums unboxed, so a draw allocates no
-   closure or float. *)
-let pick_branch branches u =
+(* The mixture branch a uniform [u] from [rng] selects: the first whose
+   cumulative weight exceeds [u] times the total, the last one
+   otherwise.  The uniform is drawn here, and loops over refs keep the
+   float sums unboxed, so a pick allocates no closure or float. *)
+let pick_branch branches rng =
+  let u = Prng.float rng in
   let total = ref 0.0 and l = ref branches in
   while
     match !l with
@@ -54,7 +56,14 @@ let pick_branch branches u =
   done;
   !pick
 
-let rec draw_raw t rng =
+(* Resolve mixtures: the leaf or shift a draw of [t] lands on, one
+   uniform per mixture level. *)
+let rec resolve t rng =
+  match t with Mixture branches -> resolve (pick_branch branches rng) rng | d -> d
+
+(* One variate of a resolved leaf.  Inlined into each caller, so the
+   float never crosses a call boundary. *)
+let[@inline] leaf t rng =
   match t with
   | Constant c -> c
   | Uniform (lo, hi) -> Prng.float_range rng lo hi
@@ -73,10 +82,36 @@ let rec draw_raw t rng =
       acc := !acc -. (log u /. rate)
     done;
     !acc
-  | Mixture branches -> draw_raw (pick_branch branches (Prng.float rng)) rng
-  | Shifted (c, d) -> c +. draw_raw d rng
+  | Mixture _ | Shifted _ -> invalid_arg "Dist: unresolved leaf"
 
-let draw t rng = Float.max 0.0 (draw_raw t rng)
+(* [Float.max 0.0 x], spelled out so it inlines: NaN passes through. *)
+let[@inline] clamp x = if x > 0.0 then x else if x <> x then x else 0.0
+
+let rec draw_raw t rng =
+  match resolve t rng with Shifted (c, d) -> c +. draw_raw d rng | d -> leaf d rng
+
+let draw t rng = clamp (draw_raw t rng)
+
+(* The unclamped variate into [a.(i)]: a shift adds to the slot after
+   its inner draw, so nested shifts sum in [draw_raw]'s order. *)
+let rec draw_raw_into t rng a i =
+  match resolve t rng with
+  | Shifted (c, d) ->
+    draw_raw_into d rng a i;
+    a.(i) <- c +. a.(i)
+  | d -> a.(i) <- leaf d rng
+
+let[@hot] draw_into t rng (a : float array) i =
+  draw_raw_into t rng a i;
+  a.(i) <- clamp a.(i)
+
+(* A shift's sum needs its inner variate first, so a shifted draw goes
+   through the boxed [draw_raw]; the int-ns callers draw no shift. *)
+let[@hot] draw_ns t rng =
+  let us =
+    match resolve t rng with Shifted _ as d -> draw_raw d rng | d -> leaf d rng
+  in
+  Float.to_int (Float.round (clamp us *. 1e3))
 
 let rec mean = function
   | Constant c -> c

@@ -27,6 +27,18 @@ val draw : t -> Prng.t -> float
     [0.] for every constructor except [Shifted] with a negative shift,
     where the clamp applies after shifting. *)
 
+val draw_into : t -> Prng.t -> float array -> int -> unit
+(** [draw_into t rng a i] stores the next {!draw} in [a.(i)]: the same
+    value, from the same draws of [rng], with no float boxed on the
+    way, so a workload can fill a script's variates without
+    allocating (beyond what [Prng.float] boxes when it is not inlined,
+    as in builds with [-opaque]). *)
+
+val draw_ns : t -> Prng.t -> int
+(** The next {!draw} read as microseconds and rounded to integer
+    nanoseconds, as {!span} rounds it, without boxing the variate.  A
+    [Shifted] distribution still boxes one float per draw. *)
+
 val mean : t -> float
 (** Analytic mean of the distribution (infinite Pareto means for
     [shape <= 1] are returned as [infinity]). *)

@@ -59,7 +59,8 @@ let[@inline] [@hot] float t =
   Int64.to_float (Int64.shift_right_logical (bits64 t) 11) *. 0x1.0p-53
 [@@lint.allow "ALLOC003"]
 
-let float_range t lo hi =
+(* [@inline] so a caller consumes the result unboxed. *)
+let[@inline] float_range t lo hi =
   if hi < lo then invalid_arg "Prng.float_range: hi < lo";
   lo +. ((hi -. lo) *. float t)
 

@@ -13,7 +13,10 @@ module Online = struct
   let create () =
     { n = 0.0; mean = 0.0; m2 = 0.0; min = infinity; max = neg_infinity; sum = 0.0 }
 
-  let add t x =
+  (* Inlined into both adders, so [add_us_of_ns]'s quotient is never
+     boxed.  ALLOC003: the record is all-float, so its fields are stored
+     flat and a store boxes nothing. *)
+  let[@inline] [@lint.allow "ALLOC003"] add_float t x =
     t.n <- t.n +. 1.0;
     let delta = x -. t.mean in
     t.mean <- t.mean +. (delta /. t.n);
@@ -21,6 +24,9 @@ module Online = struct
     if x < t.min then t.min <- x;
     if x > t.max then t.max <- x;
     t.sum <- t.sum +. x
+
+  let add t x = add_float t x
+  let[@hot] add_us_of_ns t ns = add_float t (float_of_int ns /. 1e3)
 
   let clear t =
     t.n <- 0.0;

@@ -12,6 +12,11 @@ module Online : sig
   val create : unit -> t
   val add : t -> float -> unit
 
+  val add_us_of_ns : t -> int -> unit
+  (** [add_us_of_ns t ns] is [add t (float_of_int ns /. 1e3)]: a span
+      in integer nanoseconds, observed in microseconds, with no float
+      boxed on the way. *)
+
   val clear : t -> unit
   (** Forget every observation. *)
 

@@ -38,10 +38,11 @@ let create_with_rate_clock st params ~total_segments ~target_interval ~min_inter
   let t = { total = total_segments; sent = 0; start_fn = (fun () -> ()) } in
   let clock =
     Rate_clock.create st ~target_interval ~min_interval
-      ~send:(fun now ->
+      ~send:(fun now_i ->
         if t.sent >= t.total then false
         else begin
-          transmit now (Tcp_types.make_data params ~seq:t.sent ~born:(Time_ns.to_int now));
+          let now = Time_ns.of_ns now_i in
+          transmit now (Tcp_types.make_data params ~seq:t.sent ~born:now_i);
           t.sent <- t.sent + 1;
           if t.sent = t.total then on_last_sent now;
           true
@@ -71,13 +72,13 @@ module Fleet (M : Timer_store.S) = struct
     arena : Session_arena.t;
     packets : int Packet.Pool.t;  (* meta = segment seq *)
     seg_bytes : int;
-    transmit : int -> int Packet.Pool.cell -> unit;
-    mutable now_i : int;  (* [now] of the current check, ns; stamped into cells *)
+    transmit : int -> int Packet.t -> unit;
+    mutable now_i : int;  (* [now] of the current check, ns; stamped into packets *)
   }
 
   (* One pacing event for flow [fid]: run a segment through the packet
      pool and keep the train alive until the transfer completes.  No
-     allocation: the cell is recycled, the meta is an int, and [born]
+     allocation: the packet is recycled, the meta is an int, and [born]
      is the current check's [now] in int ns.  No extra memory
      traffic either: the remaining-segment count lives in the pool
      row's scratch word and the segment seq is the pool's own send

@@ -61,12 +61,12 @@ module Fleet (M : Timer_store.S) : sig
     ?delays:Hdr.t ->
     ?params:Tcp_types.params ->
     tick:Time_ns.span ->
-    transmit:(int -> int Packet.Pool.cell -> unit) ->
+    transmit:(int -> int Packet.t -> unit) ->
     unit ->
     t
-  (** [transmit fid cell] hands one full-size segment of flow [fid] to
-      the wire; [cell.meta] is the segment's sequence number and the
-      cell is released (and recycled) as soon as [transmit] returns, so
+  (** [transmit fid p] hands one full-size segment of flow [fid] to
+      the wire; [p.meta] is the segment's sequence number and the
+      packet is released (and recycled) as soon as [transmit] returns, so
       it must not be retained.  [stat_every], [intervals] and [delays]
       are passed to the underlying {!Rate_clock.Pool}. *)
 
@@ -113,7 +113,7 @@ module Fleet (M : Timer_store.S) : sig
       handle array), excluding the store. *)
 
   val packet_cells_created : t -> int
-  (** Packet cells ever boxed; constant once the pool is warm (the
+  (** Pooled packets ever boxed; constant once the pool is warm (the
       allocation-free steady-state witness). *)
 
   val packet_reuses : t -> int

@@ -2,10 +2,11 @@
    [st] with the step's own work, [2 * st + 1] for one whose drawn work
    sits at the same index of [work], or [-1 - e] for emitter [e], whose
    arguments sit at the same index of [arg_a] and [arg_b].  A step's own
-   work is handed on in the step's own float box, so only a drawn
-   quantum boxes its work.  A script record and its arrays are reused
-   from one script to the next; [on_step], the completion callback every
-   quantum of the script shares, is built once per record. *)
+   work is handed on in the step's own float box and a drawn quantum's
+   as the [work] array and its index, so no quantum boxes its work.  A
+   script record and its arrays are reused from one script to the next;
+   [on_step], the completion callback every quantum of the script
+   shares, is built once per record. *)
 type script = {
   arena : t;
   mutable code : int array;
@@ -71,13 +72,7 @@ let emitter t f =
 
 let initial_items = 16
 
-let[@inline] submit t st work_us cb =
-  Machine.submit_quantum t.machine ?attr:(Kernel.step_attr st) ~prio:st.Kernel.prio ~work_us
-    ~trigger:st.Kernel.trigger cb
-
-(* The two branches call [submit] apart: joined into one float, the
-   step's own work would be unboxed and boxed afresh. *)
-let rec advance s =
+let[@hot] rec advance s =
   if s.pos >= s.len then finish s
   else begin
     let i = s.pos in
@@ -86,8 +81,13 @@ let rec advance s =
     let t = s.arena in
     if c >= 0 then begin
       let st = t.steps.(c lsr 1) in
-      if c land 1 = 0 then submit t st st.Kernel.work_us s.on_step
-      else submit t st s.work.(i) s.on_step
+      let attr = Kernel.step_attr st and prio = st.Kernel.prio in
+      if c land 1 = 0 then
+        Machine.submit_quantum t.machine ?attr ~prio ~work_us:st.Kernel.work_us
+          ~trigger:st.Kernel.trigger s.on_step
+      else
+        Machine.submit_quantum_at t.machine ?attr ~prio s.work i ~trigger:st.Kernel.trigger
+          s.on_step
     end
     else begin
       t.emitters.(-1 - c) (Engine.now_i t.engine) s.arg_a.(i) s.arg_b.(i);
@@ -129,7 +129,7 @@ let[@lint.allow "ALLOC001"] [@lint.allow "ALLOC002"] fresh t =
   s.on_step <- (fun _ -> advance s);
   s
 
-let script t =
+let[@hot] script t =
   if t.n_free = 0 then fresh t
   else begin
     t.n_free <- t.n_free - 1;
@@ -148,22 +148,22 @@ let slot s =
   s.len <- n + 1;
   n
 
-let quantum s st =
+let[@hot] quantum s st =
   let i = slot s in
   s.code.(i) <- 2 * st
 
-let drawn s st work_us =
+let[@hot] drawn s st works j =
   let i = slot s in
   s.code.(i) <- (2 * st) + 1;
-  s.work.(i) <- work_us
+  s.work.(i) <- works.(j)
 
-let emit s e a b =
+let[@hot] emit s e a b =
   let i = slot s in
   s.code.(i) <- -1 - e;
   s.arg_a.(i) <- a;
   s.arg_b.(i) <- b
 
-let run s k =
+let[@hot] run s k =
   s.k <- k;
   advance s
 

@@ -44,8 +44,11 @@ val script : t -> script
 val quantum : script -> step -> unit
 (** Append one quantum of the step, with the step's own work. *)
 
-val drawn : script -> step -> float -> unit
-(** Append one quantum of the step with this [work_us] instead. *)
+val drawn : script -> step -> float array -> int -> unit
+(** [drawn sc st works j] appends one quantum of the step with
+    [works.(j)] as its [work_us] instead.  The work is copied from
+    array to array, and the quantum reads it from the script's array,
+    so a drawn quantum boxes no float. *)
 
 val emit : script -> emitter -> int -> int -> unit
 (** Append a zero-time action: the handler, given these two arguments. *)

@@ -38,21 +38,20 @@ let default_config =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Packet metadata on the simulated LAN.                               *)
+(* Segment kinds on the simulated LAN, as int codes.  A packet's meta is
+   [conn_code t conn kind], the packing emit arguments use, so it is an
+   immediate.  Client -> server kinds come first. *)
 
-type wkind =
-  | Syn
-  | Synack
-  | Handshake_ack
-  | Get
-  | Ack_small  (** server's ACK of a GET / other bare ACK to client *)
-  | Data of int  (** i-th data segment of the current response *)
-  | Data_ack
-  | Fin  (** client closes *)
-  | Fin_ack  (** server's FIN+ACK back *)
-  | Last_ack
-
-type wmeta = { conn : int; wkind : wkind }
+let k_syn = 0
+let k_handshake_ack = 1
+let k_get = 2
+let k_data_ack = 3
+let k_fin = 4  (* client closes *)
+let k_last_ack = 5
+let k_synack = 6
+let k_ack_small = 7  (* server's ACK of a GET / other bare ACK to client *)
+let k_fin_ack = 8  (* server's FIN+ACK back *)
+let k_data = 9  (* the i-th data segment of a response is [k_data + i] *)
 
 (* ------------------------------------------------------------------ *)
 (* The request anatomy: every duration in microseconds at 300 MHz      *)
@@ -192,14 +191,15 @@ type t = {
   facility : Softtimer.t option;
   mutable poller : Net_poll.t option;
   rng : Prng.t;
-  nics : wmeta Nic.t array;
+  nics : int Nic.t array;
+  packets : int Packet.Pool.t;  (* every packet on the LAN, both ways *)
   clients : conn_client_state array;
   mutable completed : int;
   mutable measuring : bool;
   mutable measured : int;
   mutable measure_span : Time_ns.span;
   (* pacing: pending paced transmissions, a ring of
-     ([conn_code conn index], born) pairs *)
+     ([conn_code conn (k_data + index)], born) pairs *)
   mutable pace_ring : int array;
   mutable pace_head : int;
   mutable pace_len : int;
@@ -209,7 +209,7 @@ type t = {
   pace_intervals : Stats.Online.t;
   mutable hw_pacer : Hw_pacer.t option;
   mutable started : bool;
-  mutable k_client : Engine.kind;  (* payload [conn * 8 + code], see [code_of_wkind] *)
+  mutable k_client : Engine.kind;  (* payload [conn * 8 + k], a client kind or [code_restart] *)
   (* The server's script arena and its steps and emits, registered once
      in [create]. *)
   exec : Exec.t;
@@ -225,10 +225,11 @@ type t = {
   q_syscall : Exec.step;  (* templates of the drawn steps *)
   q_user : Exec.step;
   syscall_entry_us : float;
-  e_tx_small : Exec.emitter;  (* [conn_code conn small_code], born *)
-  e_tx_data : Exec.emitter;  (* [conn_code conn index], born *)
-  e_pace : Exec.emitter;  (* [conn_code conn index] *)
-  e_dispatch : Exec.emitter;  (* [conn_code conn (code_of_wkind kind)] *)
+  scale : float;  (* [Costs.scale_us] of the profile, as one factor *)
+  e_tx_small : Exec.emitter;  (* [conn_code conn kind], born *)
+  e_tx_data : Exec.emitter;  (* [conn_code conn (k_data + index)], born *)
+  e_pace : Exec.emitter;  (* [conn_code conn (k_data + index)] *)
+  e_dispatch : Exec.emitter;  (* [conn_code conn kind] *)
   draws : float array;  (* one script's variates, in draw order *)
 }
 
@@ -247,63 +248,31 @@ let rx_interrupts t =
 let rx_packets t = Array.fold_left (fun acc nic -> acc + Nic.rx_packets nic) 0 t.nics
 let rx_batches t = Array.fold_left (fun acc nic -> acc + Nic.rx_batches nic) 0 t.nics
 
-(* ALLOC002: a packet and its metadata are the transmission itself. *)
-let[@lint.allow "ALLOC002"] small_packet t conn wkind =
-  Packet.create ~size_bytes:64 ~meta:{ conn; wkind } ~born:(Engine.now_i t.engine)
-
 let nic_of t conn = t.nics.(conn mod Array.length t.nics)
 
-(* An emit's first argument packs a connection with a small code. *)
+(* An emit's first argument, and a packet's meta, packs a connection
+   with a small code. *)
 let conn_code t conn x = (x * t.cfg.connections) + conn
 let conn_of t a = a mod t.cfg.connections
 let code_of t a = a / t.cfg.connections
 
-(* Server -> client bare segments, as emit codes. *)
-let small_code = function
-  | Synack -> 0
-  | Ack_small -> 1
-  | Fin_ack -> 2
-  | Syn | Handshake_ack | Get | Data _ | Data_ack | Fin | Last_ack ->
-    invalid_arg "Webserver: not a server segment"
+(* Server -> client segments: the emit's argument is the packet's meta. *)
+let[@hot] tx_small t _now a born =
+  Nic.transmit (nic_of t (conn_of t a))
+    (Packet.Pool.acquire t.packets ~size_bytes:64 ~meta:a ~born)
 
-let small_of_code = function 0 -> Synack | 1 -> Ack_small | _ -> Fin_ack
-
-let tx_small t _now a born =
-  let conn = conn_of t a in
-  Nic.transmit (nic_of t conn)
-    (Packet.create ~size_bytes:64 ~meta:{ conn; wkind = small_of_code (code_of t a) } ~born)
-
-let tx_data t _now a born =
-  let conn = conn_of t a in
-  Nic.transmit (nic_of t conn)
-    (Packet.create ~size_bytes:1500 ~meta:{ conn; wkind = Data (code_of t a) } ~born)
+let[@hot] tx_data t _now a born =
+  Nic.transmit (nic_of t (conn_of t a))
+    (Packet.Pool.acquire t.packets ~size_bytes:1500 ~meta:a ~born)
 
 (* Client events: a packet of a client -> server kind, delivered to
    the server's NIC, or a connection (re)start. *)
 let code_restart = 6
 
-let code_of_wkind = function
-  | Syn -> 0
-  | Handshake_ack -> 1
-  | Get -> 2
-  | Data_ack -> 3
-  | Fin -> 4
-  | Last_ack -> 5
-  | Synack | Ack_small | Data _ | Fin_ack -> invalid_arg "Webserver: not a client kind"
-
-let wkind_of_code = function
-  | 0 -> Syn
-  | 1 -> Handshake_ack
-  | 2 -> Get
-  | 3 -> Data_ack
-  | 4 -> Fin
-  | _ -> Last_ack
-
 (* Client -> server, [after] ns of the client's turnaround plus the
    wire. *)
-let client_send t conn ~after wkind =
-  Engine.post_after_i t.engine (after + wire_latency_ns) t.k_client
-    ((conn * 8) + code_of_wkind wkind)
+let client_send t conn ~after kind =
+  Engine.post_after_i t.engine (after + wire_latency_ns) t.k_client ((conn * 8) + kind)
 
 (* ------------------------------------------------------------------ *)
 (* Server-side scripts.                                                *)
@@ -334,18 +303,22 @@ let step_kernel_work ?(attr = a_kernel_work) m ~work_us =
    in [create]; a drawn step appends its template with the drawn work.
    Scripts are written front to back, after their variates are drawn
    into [t.draws] in each builder's fixed draw order, which the
-   server's random stream depends on.  A transmission's packet is built
-   when the script reaches it, born at the instant the script was
-   built. *)
+   server's random stream depends on.  A drawn step's work is computed
+   in its slot of [t.draws] and copied from there into the script, so no
+   float is boxed.  A transmission's packet is acquired when the script
+   reaches it, born at the instant the script was built. *)
 
-let syscall_item t sc us =
-  Exec.drawn sc t.q_syscall (t.syscall_entry_us +. Costs.scale_us t.cfg.profile us)
+let syscall_item t sc i =
+  t.draws.(i) <- t.syscall_entry_us +. (t.draws.(i) *. t.scale);
+  Exec.drawn sc t.q_syscall t.draws i
 
-let user_item t sc us = Exec.drawn sc t.q_user (Costs.scale_us t.cfg.profile us)
+let user_item t sc i =
+  t.draws.(i) <- t.draws.(i) *. t.scale;
+  Exec.drawn sc t.q_user t.draws i
 
 let draw_n t dist base n =
   for i = base to base + n - 1 do
-    t.draws.(i) <- Dist.draw dist t.rng
+    Dist.draw_into dist t.rng t.draws i
   done
 
 (* Append [x1 y1 x2 y2 ...] (leftovers of the longer side last): [nx]
@@ -357,24 +330,23 @@ let interleave t sc ~x_sys ~xb ~nx ~yb ~ny =
   for p = 0 to nx + ny - 1 do
     let from_x = if p < 2 * m then p land 1 = 0 else nx > ny in
     let j = if p < 2 * m then p lsr 1 else p - m in
-    let us = if from_x then t.draws.(xb + j) else t.draws.(yb + j) in
-    if from_x = x_sys then syscall_item t sc us else user_item t sc us
+    let i = if from_x then xb + j else yb + j in
+    if from_x = x_sys then syscall_item t sc i else user_item t sc i
   done
 
 (* Transmit one bare segment: the IP output loop's work and trigger
    state, then the wire. *)
-let tx t sc conn wkind =
+let tx t sc conn kind =
   Exec.quantum sc t.q_ip_output;
-  Exec.emit sc t.e_tx_small (conn_code t conn (small_code wkind)) (Engine.now_i t.engine)
+  Exec.emit sc t.e_tx_small (conn_code t conn kind) (Engine.now_i t.engine)
 
 let pace_record t now =
-  if t.pace_in_train then
-    Stats.Online.add t.pace_intervals (float_of_int (now - t.pace_last) /. 1e3);
+  if t.pace_in_train then Stats.Online.add_us_of_ns t.pace_intervals (now - t.pace_last);
   t.pace_last <- now;
   t.pace_sends <- t.pace_sends + 1
 
 (* Queue a paced transmission, doubling the ring when full. *)
-let pace_push t a born =
+let[@hot] pace_push t a born =
   let cap = Array.length t.pace_ring / 2 in
   if t.pace_len = cap then begin
     let ring = Array.make (4 * cap) 0 in
@@ -394,7 +366,7 @@ let pace_push t a born =
    transmitted from inside a timer handler: the IP output work is
    charged, but within the handler's context rather than ending in a
    fresh trigger state of its own. *)
-let pace_send t now =
+let[@hot] pace_send t now =
   if t.pace_len = 0 then begin
     t.pace_in_train <- false;
     false
@@ -418,11 +390,12 @@ let pace_send t now =
    output quantum runs after that.  A paced packet joins the pacer's
    queue when the script reaches it. *)
 let data_tx t sc conn i =
+  let a = conn_code t conn (k_data + i) in
   match t.cfg.pacing with
   | No_pacing ->
-    Exec.emit sc t.e_tx_data (conn_code t conn i) (Engine.now_i t.engine);
+    Exec.emit sc t.e_tx_data a (Engine.now_i t.engine);
     Exec.quantum sc t.q_ip_output
-  | Soft_pacing | Hw_pacing _ -> Exec.emit sc t.e_pace (conn_code t conn i) 0
+  | Soft_pacing | Hw_pacing _ -> Exec.emit sc t.e_pace a 0
 
 let write_syscalls a = (a.data_packets + a.writev_every - 1) / a.writev_every
 
@@ -442,17 +415,17 @@ let[@hot] get_script t conn =
   draw_n t a.post_syscall_body post_s a.post_syscalls;
   draw_n t a.pre_syscall_body wr (write_syscalls a);
   let sc = Exec.script t.exec in
-  tx t sc conn Ack_small;
+  tx t sc conn k_ack_small;
   if a.request_ctx_switches >= 1 then Exec.quantum sc t.q_ctx;
   interleave t sc ~x_sys:false ~xb:pre_u ~nx:a.pre_user_segments ~yb:pre_s ~ny:a.pre_syscalls;
   for i = 0 to a.data_packets - 1 do
-    if i mod a.writev_every = 0 then syscall_item t sc t.draws.(wr + (i / a.writev_every));
+    if i mod a.writev_every = 0 then syscall_item t sc (wr + (i / a.writev_every));
     Exec.quantum sc t.q_copy;
     data_tx t sc conn i
   done;
-  if a.window_updates >= 1 then tx t sc conn Ack_small;
+  if a.window_updates >= 1 then tx t sc conn k_ack_small;
   interleave t sc ~x_sys:true ~xb:post_s ~nx:a.post_syscalls ~yb:post_u ~ny:a.post_user_segments;
-  if a.window_updates >= 2 then tx t sc conn Ack_small;
+  if a.window_updates >= 2 then tx t sc conn k_ack_small;
   for _ = 2 to a.request_ctx_switches do
     Exec.quantum sc t.q_ctx
   done;
@@ -477,12 +450,12 @@ let[@hot] teardown_script t conn =
   let a = t.anatomy in
   draw_n t a.teardown_syscall_body 0 a.teardown_syscalls;
   let sc = Exec.script t.exec in
-  tx t sc conn Ack_small;
+  tx t sc conn k_ack_small;
   for i = 0 to a.teardown_syscalls - 1 do
-    syscall_item t sc t.draws.(i)
+    syscall_item t sc i
   done;
   Exec.quantum sc t.q_teardown_user;
-  tx t sc conn Fin_ack;
+  tx t sc conn k_fin_ack;
   sc
 
 (* ------------------------------------------------------------------ *)
@@ -495,92 +468,88 @@ let on_response_complete t conn =
   if st.reqs_left > 0 then begin
     st.reqs_left <- st.reqs_left - 1;
     st.data_got <- 0;
-    client_send t conn ~after:client_think Get
+    client_send t conn ~after:client_think k_get
   end
-  else client_send t conn ~after:client_turnaround Fin
+  else client_send t conn ~after:client_turnaround k_fin
 
 let start_connection t conn =
   let st = t.clients.(conn) in
   st.data_got <- 0;
   st.reqs_left <- (match t.cfg.http with Http -> 0 | Persistent n -> Int.max 0 (n - 1));
-  client_send t conn ~after:0 Syn
+  client_send t conn ~after:0 k_syn
 
-let client_handle t now pkt =
-  ignore now;
-  let conn = pkt.Packet.meta.conn in
+(* A server -> client segment reaches its client, which reads it and
+   releases it. *)
+let[@hot] client_handle t _now pkt =
+  let a = pkt.Packet.meta in
+  Packet.Pool.release t.packets pkt;
+  let conn = conn_of t a and kind = code_of t a in
   let st = t.clients.(conn) in
-  match pkt.Packet.meta.wkind with
-  | Synack ->
-    client_send t conn ~after:client_turnaround Handshake_ack;
-    client_send t conn ~after:(client_turnaround + 8_000) Get
-  | Data i ->
-    ignore i;
+  if kind = k_synack then begin
+    client_send t conn ~after:client_turnaround k_handshake_ack;
+    client_send t conn ~after:(client_turnaround + 8_000) k_get
+  end
+  else if kind >= k_data then begin
     st.data_got <- st.data_got + 1;
     if st.data_got mod 2 = 0 || st.data_got = t.anatomy.data_packets then
-      client_send t conn ~after:client_turnaround Data_ack;
+      client_send t conn ~after:client_turnaround k_data_ack;
     if st.data_got = t.anatomy.data_packets then on_response_complete t conn
-  | Ack_small -> ()
-  | Fin_ack ->
-    client_send t conn ~after:client_turnaround Last_ack;
+  end
+  else if kind = k_fin_ack then begin
+    client_send t conn ~after:client_turnaround k_last_ack;
     (* Connection over: this client starts a fresh one. *)
     Engine.post_after_i t.engine client_restart t.k_client ((conn * 8) + code_restart)
-  | Syn | Handshake_ack | Get | Data_ack | Fin | Last_ack ->
-    (* Server-bound kinds never reach the client. *)
-    ()
+  end
+(* [k_ack_small] needs nothing; server-bound kinds never reach the
+   client. *)
 
 let[@hot] client_event t payload =
   let conn = payload lsr 3 and code = payload land 7 in
   if code = code_restart then start_connection t conn
-  else Nic.deliver (nic_of t conn) (small_packet t conn (wkind_of_code code))
+  else
+    Nic.deliver (nic_of t conn)
+      (Packet.Pool.acquire t.packets ~size_bytes:64 ~meta:(conn_code t conn code)
+         ~born:(Engine.now_i t.engine))
 
 (* ------------------------------------------------------------------ *)
 (* Server-side packet dispatch (after input protocol processing).      *)
 
-let server_dispatch t _now a _ =
-  let conn = conn_of t a in
-  match wkind_of_code (code_of t a) with
-  | Syn ->
+let[@hot] server_dispatch t _now a _ =
+  let conn = conn_of t a and kind = code_of t a in
+  if kind = k_syn then begin
     (* PCB allocation + SYN-ACK transmission. *)
     let sc = Exec.script t.exec in
     Exec.quantum sc t.q_pcb;
-    tx t sc conn Synack;
+    tx t sc conn k_synack;
     Exec.run sc ignore
-  | Handshake_ack ->
+  end
+  else if kind = k_handshake_ack then
     (* Completes the handshake; connection setup work happens when the
        server application accepts. *)
     Exec.run (setup_script t) ignore
-  | Get ->
+  else if kind = k_get then
     (* TCP ACKs the request, then the application handles it. *)
     Exec.run (get_script t conn) ignore
-  | Data_ack -> ()
-  | Fin -> Exec.run (teardown_script t conn) ignore
-  | Last_ack -> ()
-  | Synack | Ack_small | Data _ | Fin_ack ->
-    (* Client-bound kinds never reach the server. *)
-    ()
+  else if kind = k_fin then Exec.run (teardown_script t conn) ignore
+(* A data ACK or the last ACK needs nothing. *)
 
 (* Input protocol processing of one received batch: the first packet
    pays the full per-packet cost, the rest run warm (aggregation
    benefit, §5.9).  Each packet draws whether its quantum ends in one of
    the network subsystem's additional trigger states; after its quantum
    the packet is dispatched (client-bound kinds never reach the
-   server, so they have nothing to dispatch). *)
-let rec rx_items t sc i batch =
-  match batch with
-  | [] -> ()
-  | pkt :: rest ->
+   server, so they have nothing to dispatch).  A packet dies once its
+   items are in the script, and goes back to the pool. *)
+let[@hot] on_rx_batch t _now batch n =
+  let sc = Exec.script t.exec in
+  for i = 0 to n - 1 do
+    let pkt = batch.(i) in
     let trig = Prng.float t.rng < t.anatomy.p_tcpip_trigger in
     Exec.quantum sc t.q_rx.((if i = 0 then 0 else 2) + if trig then 1 else 0);
-    let { conn; wkind } = pkt.Packet.meta in
-    (match wkind with
-    | Syn | Handshake_ack | Get | Data_ack | Fin | Last_ack ->
-      Exec.emit sc t.e_dispatch (conn_code t conn (code_of_wkind wkind)) 0
-    | Synack | Ack_small | Data _ | Fin_ack -> ());
-    rx_items t sc (i + 1) rest
-
-let[@hot] on_rx_batch t _now batch =
-  let sc = Exec.script t.exec in
-  rx_items t sc 0 batch;
+    let a = pkt.Packet.meta in
+    if code_of t a <= k_last_ack then Exec.emit sc t.e_dispatch a 0;
+    Packet.Pool.release t.packets pkt
+  done;
   Exec.run sc ignore
 
 (* ------------------------------------------------------------------ *)
@@ -631,13 +600,15 @@ let create cfg =
   | None -> ());
   let t_ref = ref None in
   let the_t () = match !t_ref with Some t -> t | None -> assert false in
+  let packets = Packet.Pool.create () in
   let nics =
     Array.init cfg.nic_count (fun i ->
         Nic.create machine
           ~name:(Printf.sprintf "fxp%d" i)
           ~bandwidth_bps:100e6 ~wire_latency
           ~tx_deliver:(fun now pkt -> client_handle (the_t ()) now pkt)
-          ~on_rx_batch:(fun now batch -> on_rx_batch (the_t ()) now batch)
+          ~on_rx_batch:(fun now batch n -> on_rx_batch (the_t ()) now batch n)
+          ~on_drop:(Packet.Pool.release packets)
           ~tx_intr_coalesce:8 ~rx_intr_delay:(Time_ns.of_us 25.0) ())
   in
   let a = anatomy in
@@ -688,6 +659,7 @@ let create cfg =
       poller = None;
       rng = Prng.create ~seed:cfg.seed;
       nics;
+      packets;
       clients =
         Array.init cfg.connections (fun _ -> { data_got = 0; reqs_left = 0 });
       completed = 0;
@@ -723,6 +695,7 @@ let create cfg =
       q_syscall = step syscall;
       q_user = step (Kernel.step_user machine ~work_us:0.0);
       syscall_entry_us = syscall.Kernel.entry_us;
+      scale = Costs.scale_us cfg.profile 1.0;
       e_tx_small = Exec.emitter exec (fun now a born -> tx_small (the_t ()) now a born);
       e_tx_data = Exec.emitter exec (fun now a born -> tx_data (the_t ()) now a born);
       e_pace = Exec.emitter exec (fun now a _ -> pace_push (the_t ()) a now);
@@ -803,4 +776,5 @@ let run t ~warmup ~measure =
 
 module For_testing = struct
   let get_script = get_script
+  let packets t = t.packets
 end

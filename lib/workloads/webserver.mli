@@ -105,4 +105,7 @@ module For_testing : sig
       server's random stream exactly as serving a request does, so a
       test can measure what building one script costs
       ({!Exec.discard} returns it unrun). *)
+
+  val packets : t -> int Packet.Pool.t
+  (** The pool every packet on the server's LAN comes from, both ways. *)
 end

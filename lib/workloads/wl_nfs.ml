@@ -44,20 +44,23 @@ let start machine ~seed =
       }
   in
   let q_ip_output = Exec.step exec (Kernel.step_ip_output machine) in
-  let syscall sc us =
-    Exec.drawn sc q_syscall
-      (syscall_step.Kernel.entry_us +. Costs.scale_us (Machine.profile machine) us)
+  (* One script's variates, drawn into slots and copied into the
+     script as it is built. *)
+  let draws = Array.make 3 0.0 in
+  let syscall sc i =
+    draws.(i) <- syscall_step.Kernel.entry_us +. Costs.scale_us (Machine.profile machine) draws.(i);
+    Exec.drawn sc q_syscall draws i
   in
   let serve_request () =
     ignore (Machine.raise_irq machine rx_line ~handler_work_us:4.0 () : bool);
     (* The request's variates, drawn last item first. *)
-    let last = Dist.draw nfsd_syscall_body rng in
-    let segment = Dist.draw kernel_segment rng in
-    let first = Dist.draw nfsd_syscall_body rng in
+    Dist.draw_into nfsd_syscall_body rng draws 2;
+    Dist.draw_into kernel_segment rng draws 1;
+    Dist.draw_into nfsd_syscall_body rng draws 0;
     let sc = Exec.script exec in
-    syscall sc first;
-    Exec.drawn sc q_segment segment;
-    syscall sc last;
+    syscall sc 0;
+    Exec.drawn sc q_segment draws 1;
+    syscall sc 2;
     Exec.run sc (fun _ ->
         let wait = Dist.span disk_latency rng in
         Engine.schedule_after engine wait (fun () ->
@@ -65,7 +68,8 @@ let start machine ~seed =
             (* Completion: hand the reply back and send it. *)
             let sc = Exec.script exec in
             Exec.quantum sc q_ip_output;
-            syscall sc (Dist.draw nfsd_syscall_body rng);
+            Dist.draw_into nfsd_syscall_body rng draws 0;
+            syscall sc 0;
             Exec.run sc ignore))
   in
   let rec arrivals () =

@@ -284,7 +284,7 @@ let test_kernel_script_order () =
       Kernel.step_ip_output m;
     ];
   Exec.emit sc note 1 2;
-  Exec.drawn sc (Exec.step x (Kernel.step_tcp_timer m)) 3.0;
+  Exec.drawn sc (Exec.step x (Kernel.step_tcp_timer m)) [| 3.0 |] 0;
   let done_at = ref Time_ns.zero in
   Exec.run sc (fun t -> done_at := Time_ns.of_ns t);
   Engine.run e;

@@ -155,6 +155,9 @@ let test_wan_drops_when_full () =
 (* ------------------------------------------------------------------ *)
 (* Nic *)
 
+(* The metas of a batch handed over as an array and a count. *)
+let metas batch n = List.init n (fun i -> batch.(i).Packet.meta)
+
 let make_nic ?(rx_intr_delay = 0L) ?(tx_intr_coalesce = 0) machine =
   let batches = ref [] in
   let tx_delivered = ref [] in
@@ -162,7 +165,7 @@ let make_nic ?(rx_intr_delay = 0L) ?(tx_intr_coalesce = 0) machine =
     Nic.create machine ~name:"test0" ~bandwidth_bps:100e6 ~wire_latency:(us 30.0)
       ~tx_deliver:(fun now p ->
         tx_delivered := (Time_ns.of_ns now, p.Packet.meta) :: !tx_delivered)
-      ~on_rx_batch:(fun _now batch -> batches := List.map (fun p -> p.Packet.meta) batch :: !batches)
+      ~on_rx_batch:(fun _now batch n -> batches := metas batch n :: !batches)
       ~tx_intr_coalesce ~rx_intr_delay ()
   in
   (nic, batches, tx_delivered)
@@ -235,8 +238,8 @@ let test_nic_hybrid_one_interrupt_per_burst () =
   let nic =
     Nic.create m ~name:"h0" ~bandwidth_bps:100e6 ~wire_latency:(us 30.0)
       ~tx_deliver:(fun _ _ -> ())
-      ~on_rx_batch:(fun _ batch ->
-        batches := List.map (fun p -> p.Packet.meta) batch :: !batches;
+      ~on_rx_batch:(fun _ batch n ->
+        batches := metas batch n :: !batches;
         (* Processing takes 20 us, then poll-on-completion. *)
         Machine.submit_quantum m ~prio:Cpu.prio_softintr ~work_us:20.0 ~trigger:None
           (fun _ ->
@@ -270,7 +273,7 @@ let test_nic_ring_capacity_drops () =
   let nic =
     Nic.create m ~name:"b0" ~bandwidth_bps:100e6 ~wire_latency:(us 30.0)
       ~tx_deliver:(fun _ _ -> ())
-      ~on_rx_batch:(fun _ _ -> ())
+      ~on_rx_batch:(fun _ _ _ -> ())
       ~rx_ring_capacity:2 ()
   in
   Nic.set_mode nic Nic.Polled;
@@ -282,6 +285,92 @@ let test_nic_ring_capacity_drops () =
   done;
   Alcotest.(check int) "ring holds capacity" 2 (Nic.rx_ring_length nic);
   Alcotest.(check int) "overflow dropped" 3 (Nic.rx_dropped nic)
+
+(* A polled NIC behind a busy CPU: nothing drains the ring but [poll]. *)
+let busy_polled_nic ?rx_ring_capacity ?on_drop ~on_rx_batch () =
+  let e = Engine.create () in
+  let m = Machine.create e in
+  let nic =
+    Nic.create m ~name:"r0" ~bandwidth_bps:100e6 ~wire_latency:(us 30.0)
+      ~tx_deliver:(fun _ _ -> ())
+      ~on_rx_batch ?on_drop ?rx_ring_capacity ()
+  in
+  Nic.set_mode nic Nic.Polled;
+  let rec hog _ = Machine.submit_quantum m ~prio:Cpu.prio_background ~work_us:100.0 ~trigger:None hog in
+  hog 0;
+  nic
+
+(* The ring keeps arrival order while it grows past its first array, and
+   the batch array, handed over again for the next batch, carries only
+   that batch. *)
+let test_nic_ring_order_and_growth () =
+  let batches = ref [] in
+  let nic =
+    busy_polled_nic ~on_rx_batch:(fun _ batch n -> batches := metas batch n :: !batches) ()
+  in
+  let names k = List.init k (fun i -> string_of_int i) in
+  List.iter (fun x -> Nic.deliver nic (mk_packet x)) (names 40);
+  Alcotest.(check int) "ring holds 40" 40 (Nic.rx_ring_length nic);
+  Alcotest.(check int) "one poll drains 40" 40 (Nic.poll nic);
+  Alcotest.(check int) "ring empty" 0 (Nic.rx_ring_length nic);
+  List.iter (fun x -> Nic.deliver nic (mk_packet ("b" ^ x))) (names 3);
+  Alcotest.(check int) "next poll drains 3" 3 (Nic.poll nic);
+  List.iter (fun x -> Nic.deliver nic (mk_packet ("c" ^ x))) (names 2);
+  Alcotest.(check int) "then 2" 2 (Nic.poll nic);
+  Alcotest.(check (list (list string))) "arrival order, batch by batch"
+    [ List.map (fun x -> "c" ^ x) (names 2); List.map (fun x -> "b" ^ x) (names 3); names 40 ]
+    !batches;
+  Alcotest.(check int) "batches" 3 (Nic.rx_batches nic);
+  Alcotest.(check int) "packets" 45 (Nic.rx_packets nic)
+
+(* A full ring hands each dropped packet to [on_drop], oldest first, so
+   a pool's packets go back to the pool; releasing one of them again
+   raises. *)
+let test_nic_drops_release_to_pool () =
+  let pool = Packet.Pool.create () in
+  let dropped = ref [] in
+  let nic =
+    busy_polled_nic ~rx_ring_capacity:2
+      ~on_drop:(fun p ->
+        dropped := p.Packet.meta :: !dropped;
+        Packet.Pool.release pool p)
+      ~on_rx_batch:(fun _ batch n ->
+        for i = 0 to n - 1 do
+          Packet.Pool.release pool batch.(i)
+        done)
+      ()
+  in
+  let pkts =
+    List.init 5 (fun i -> Packet.Pool.acquire pool ~size_bytes:64 ~meta:i ~born:0)
+  in
+  List.iter (Nic.deliver nic) pkts;
+  Alcotest.(check (list int)) "overflow dropped in order" [ 2; 3; 4 ] (List.rev !dropped);
+  Alcotest.(check int) "drop count" 3 (Nic.rx_dropped nic);
+  Alcotest.(check int) "two still live in the ring" 2 (Packet.Pool.live pool);
+  Alcotest.(check int) "poll hands over the two" 2 (Nic.poll nic);
+  Alcotest.(check int) "all released" 0 (Packet.Pool.live pool);
+  Alcotest.check_raises "a dropped packet cannot be released twice"
+    (Invalid_argument "Packet.Pool.release: packet is not live") (fun () ->
+      Packet.Pool.release pool (List.nth pkts 4))
+
+(* The batch array is reused, so draining the NIC from inside
+   [on_rx_batch] is refused. *)
+let test_nic_reentrant_drain_raises () =
+  let nic_ref = ref None in
+  let nic =
+    busy_polled_nic
+      ~on_rx_batch:(fun _ _ _ ->
+        match !nic_ref with Some nic -> ignore (Nic.poll nic : int) | None -> ())
+      ()
+  in
+  nic_ref := Some nic;
+  Nic.deliver nic (mk_packet "a");
+  Alcotest.check_raises "poll inside on_rx_batch"
+    (Invalid_argument "Nic: receive ring drained inside on_rx_batch") (fun () ->
+      ignore (Nic.poll nic : int));
+  nic_ref := None;
+  Nic.deliver nic (mk_packet "c");
+  Alcotest.(check int) "the NIC recovers" 1 (Nic.poll nic)
 
 let test_nic_no_tx_interrupts_when_polled () =
   let e = Engine.create () in
@@ -320,5 +409,8 @@ let () =
           Alcotest.test_case "hybrid: one interrupt per burst" `Quick
             test_nic_hybrid_one_interrupt_per_burst;
           Alcotest.test_case "ring capacity drops" `Quick test_nic_ring_capacity_drops;
+          Alcotest.test_case "ring order and growth" `Quick test_nic_ring_order_and_growth;
+          Alcotest.test_case "drops release to the pool" `Quick test_nic_drops_release_to_pool;
+          Alcotest.test_case "re-entrant drain raises" `Quick test_nic_reentrant_drain_raises;
         ] );
     ]

@@ -17,30 +17,34 @@ let test_packet_pool_reuse () =
   Packet.Pool.release p c1;
   Alcotest.(check int) "free after release" 1 (Packet.Pool.free p);
   let c2 = Packet.Pool.acquire p ~size_bytes:40 ~meta:"b" ~born:(Int64.to_int (us 5.0)) in
-  Alcotest.(check bool) "recycled the same cell" true (c1 == c2);
+  Alcotest.(check bool) "recycled the same packet" true (c1 == c2);
   Alcotest.(check int) "no new boxing" 1 (Packet.Pool.created p);
   Alcotest.(check int) "reuses" 1 (Packet.Pool.reuses p);
-  Alcotest.(check string) "meta overwritten" "b" c2.Packet.Pool.meta;
-  Alcotest.(check int) "size overwritten" 40 c2.Packet.Pool.size_bytes
+  Alcotest.(check string) "meta overwritten" "b" c2.Packet.meta;
+  Alcotest.(check int) "size overwritten" 40 c2.Packet.size_bytes
 
 let test_packet_pool_guards () =
   let p = Packet.Pool.create () in
   let c = Packet.Pool.acquire p ~size_bytes:100 ~meta:0 ~born:0 in
   Packet.Pool.release p c;
   Alcotest.check_raises "double release"
-    (Invalid_argument "Packet.Pool.release: cell is not live") (fun () ->
+    (Invalid_argument "Packet.Pool.release: packet is not live") (fun () ->
       Packet.Pool.release p c);
   Alcotest.check_raises "negative size"
     (Invalid_argument "Packet.Pool.acquire: negative size") (fun () ->
       ignore (Packet.Pool.acquire p ~size_bytes:(-1) ~meta:0 ~born:0))
 
-let test_packet_pool_to_packet () =
+(* A pooled packet is a plain [Packet.t]: what a link or NIC carries. *)
+let test_packet_pool_is_packet () =
   let p = Packet.Pool.create () in
   let c = Packet.Pool.acquire p ~size_bytes:1514 ~meta:42 ~born:(Int64.to_int (us 3.0)) in
-  let pkt = Packet.Pool.to_packet c in
-  Alcotest.(check int) "size" 1514 pkt.Packet.size_bytes;
-  Alcotest.(check int) "meta" 42 pkt.Packet.meta;
-  Alcotest.(check int) "bits match" (Packet.bits pkt) (Packet.Pool.bits c)
+  Alcotest.(check int) "size" 1514 c.Packet.size_bytes;
+  Alcotest.(check int) "meta" 42 c.Packet.meta;
+  Alcotest.(check int) "born" 3_000 c.Packet.born;
+  Alcotest.(check int) "bits" (1514 * 8) (Packet.bits c);
+  Alcotest.(check bool) "live" true c.Packet.in_use;
+  Packet.Pool.release p c;
+  Alcotest.(check bool) "released" false c.Packet.in_use
 
 (* ------------------------------------------------------------------ *)
 (* Session_arena *)
@@ -265,7 +269,7 @@ let test_fleet_transfers_complete () =
       ~transmit:(fun fid c ->
         (* meta carries the segment seq; record per-flow order. *)
         let seqs = try Hashtbl.find transmitted fid with Not_found -> [] in
-        Hashtbl.replace transmitted fid (c.Packet.Pool.meta :: seqs))
+        Hashtbl.replace transmitted fid (c.Packet.meta :: seqs))
       ()
   in
   let n = 50 and segs = 5 in
@@ -408,7 +412,7 @@ let () =
         [
           Alcotest.test_case "reuse" `Quick test_packet_pool_reuse;
           Alcotest.test_case "guards" `Quick test_packet_pool_guards;
-          Alcotest.test_case "to_packet" `Quick test_packet_pool_to_packet;
+          Alcotest.test_case "is a packet" `Quick test_packet_pool_is_packet;
         ] );
       ( "session-arena",
         [

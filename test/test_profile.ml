@@ -147,6 +147,31 @@ let test_dispatch_breakdown () =
           Alcotest.(check bool) (source ^ " fired") true (fires > 0))
         rows)
 
+(* Two domains intern the same fresh paths at once, as parallel jobs do
+   when each builds a machine: every path, its root included, gets one
+   id that both domains see. *)
+let test_intern_two_domains () =
+  let paths = List.init 300 (fun i -> [ "intern_race"; string_of_int (i mod 50); string_of_int i ]) in
+  let go () = List.map Profile.intern_id paths in
+  let d = Domain.spawn go in
+  let mine = go () in
+  let theirs = Domain.join d in
+  Alcotest.(check (list int)) "both domains got the same ids" mine theirs;
+  let count full =
+    let n = ref 0 in
+    for id = 0 to Profile.registry_size () - 1 do
+      if String.equal (Profile.id_full id) full then incr n
+    done;
+    !n
+  in
+  Alcotest.(check int) "root interned once" 1 (count "intern_race");
+  List.iter
+    (fun p ->
+      Alcotest.(check int) "path interned once" 1 (count (String.concat ";" p));
+      Alcotest.(check (option int)) "path found" (Some (Profile.intern_id p))
+        (Profile.id_of_path p))
+    paths
+
 let () =
   Alcotest.run "profile"
     [
@@ -159,4 +184,5 @@ let () =
           QCheck_alcotest.to_alcotest test_conservation_property;
         ] );
       ("dispatch", [ Alcotest.test_case "per-trigger breakdown" `Quick test_dispatch_breakdown ]);
+      ("registry", [ Alcotest.test_case "interning from two domains" `Quick test_intern_two_domains ]);
     ]

@@ -196,6 +196,75 @@ let test_dist_non_negative =
       in
       Dist.draw d rng >= 0.0)
 
+(* Random distribution trees over every constructor, nesting mixtures
+   and shifts up to three levels. *)
+let rec show_dist = function
+  | Dist.Constant c -> Printf.sprintf "Constant %h" c
+  | Dist.Uniform (lo, hi) -> Printf.sprintf "Uniform (%h, %h)" lo hi
+  | Dist.Exponential m -> Printf.sprintf "Exponential %h" m
+  | Dist.Pareto { scale; shape } -> Printf.sprintf "Pareto (%h, %h)" scale shape
+  | Dist.Lognormal { mu; sigma } -> Printf.sprintf "Lognormal (%h, %h)" mu sigma
+  | Dist.Erlang { k; mean } -> Printf.sprintf "Erlang (%d, %h)" k mean
+  | Dist.Mixture bs ->
+    "Mixture ["
+    ^ String.concat "; " (List.map (fun (w, d) -> Printf.sprintf "%h, %s" w (show_dist d)) bs)
+    ^ "]"
+  | Dist.Shifted (c, d) -> Printf.sprintf "Shifted (%h, %s)" c (show_dist d)
+
+let dist_gen =
+  let open QCheck.Gen in
+  let leaf =
+    oneof
+      [
+        map (fun c -> Dist.Constant c) (float_range (-5.0) 50.0);
+        map2 (fun lo w -> Dist.Uniform (lo, lo +. w)) (float_range (-10.0) 50.0)
+          (float_range 0.0 50.0);
+        map (fun m -> Dist.Exponential m) (float_range 0.1 50.0);
+        map2
+          (fun scale shape -> Dist.Pareto { scale; shape })
+          (float_range 0.5 10.0) (float_range 0.5 4.0);
+        map2
+          (fun mu sigma -> Dist.Lognormal { mu; sigma })
+          (float_range (-1.0) 4.0) (float_range 0.05 1.5);
+        map2 (fun k mean -> Dist.Erlang { k; mean }) (int_range 1 4) (float_range 0.1 30.0);
+      ]
+  in
+  int_bound 3
+  >>= fix (fun self depth ->
+          if depth = 0 then leaf
+          else
+            frequency
+              [
+                (2, leaf);
+                ( 1,
+                  map
+                    (fun bs -> Dist.Mixture bs)
+                    (list_size (int_range 1 3) (pair (float_range 0.1 5.0) (self (depth - 1)))) );
+                ( 1,
+                  map2 (fun c d -> Dist.Shifted (c, d)) (float_range (-20.0) 20.0)
+                    (self (depth - 1)) );
+              ])
+
+(* [draw_into] and [draw_ns] are [draw] without the boxing: the same
+   values, bit for bit, from the same draws of the generator. *)
+let test_dist_unboxed_draws_match =
+  QCheck.Test.make ~name:"draw_into and draw_ns match successive draws" ~count:500
+    QCheck.(pair small_int (make ~print:show_dist dist_gen))
+    (fun (seed, d) ->
+      let n = 20 in
+      let boxed = Prng.create ~seed and into = Prng.create ~seed and ns = Prng.create ~seed in
+      let a = Array.make (n + 1) nan in
+      let ok = ref true in
+      for i = 0 to n - 1 do
+        let v = Dist.draw d boxed in
+        Dist.draw_into d into a (i + 1);
+        let v_ns = Dist.draw_ns d ns in
+        if Int64.bits_of_float a.(i + 1) <> Int64.bits_of_float v then ok := false;
+        if v_ns <> Float.to_int (Float.round (v *. 1e3)) then ok := false
+      done;
+      let next = Prng.bits64 boxed in
+      !ok && Prng.bits64 into = next && Prng.bits64 ns = next)
+
 let test_dist_pareto_infinite_mean () =
   Alcotest.(check bool) "shape<=1 -> infinite mean" true
     (Float.is_integer (Dist.mean (Dist.Pareto { scale = 1.0; shape = 0.9 }))
@@ -1075,6 +1144,7 @@ let () =
           Alcotest.test_case "means match analytic" `Slow test_dist_means_match_analytic;
           Alcotest.test_case "pareto infinite mean" `Quick test_dist_pareto_infinite_mean;
           qc test_dist_non_negative;
+          qc test_dist_unboxed_draws_match;
         ] );
       ( "eventq",
         [

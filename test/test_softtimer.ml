@@ -520,12 +520,12 @@ let test_rate_clock_memory_bounded () =
 
 (* One steady-state send of a single rate clock: the trigger-state check
    that fires its event, the send and the reschedule.  The soft event is
-   the clock's kind, registered once, so what is left is the clock's
-   boxed [Time_ns] arithmetic: the send instant handed to [send] and
-   kept as [last_send], and the span handed to [schedule_after].
-   Measured at 12.0 minor words per send; 36.0 while each reschedule
-   built a closure, a [Some] handle, a payload record and a handle box
-   and the gaps reached the histograms as a boxed float.  A
+   the clock's kind, registered once, and the clock keeps its times in
+   int ns, so a send allocates nothing.  Measured at 0.0 minor words per
+   send; 12.0 while the send instant, [last_send] and the span handed to
+   the reschedule were boxed [Time_ns] values, 36.0 while each
+   reschedule built a closure, a [Some] handle, a payload record and a
+   handle box and the gaps reached the histograms as a boxed float.  A
    user-priority hog keeps the idle loop from firing the event. *)
 let test_rate_clock_send_alloc () =
   let e, m, st = fresh () in
@@ -554,8 +554,8 @@ let test_rate_clock_send_alloc () =
   let per_send = !words /. float_of_int !measured in
   Alcotest.(check bool) "many checks sent" true (!measured >= 500);
   Alcotest.(check bool)
-    (Printf.sprintf "one send allocates %.1f minor words (bound 12)" per_send)
-    true (per_send <= 12.0)
+    (Printf.sprintf "one send allocates %.2f minor words (bound 0.1)" per_send)
+    true (per_send <= 0.1)
 
 (* ------------------------------------------------------------------ *)
 (* Hw_pacer *)

@@ -133,9 +133,11 @@ trace-smoke: build
 
 # Static-analysis suite (tools/lint): determinism (DET001..DET005,
 # MLI001), domain races
-# (RACE001..RACE004) and hot-path allocations and lookups
-# (ALLOC001..ALLOC003, HOT001), plus stale allowances (ALLOW001), over
-# lib/ bin/ examples/ bench/ tools/, with file:line:RULE diagnostics,
+# (RACE001..RACE004), hot-path allocations and lookups
+# (ALLOC001..ALLOC003, HOT001) and lib/ exports no root reaches
+# (DEAD001, reading test/ and perfbench/ for references), plus stale
+# allowances (ALLOW001), over lib/ bin/ examples/ bench/ tools/, with
+# file:line:RULE diagnostics,
 # ratcheted against tools/lint/BASELINE.json (empty since the RACE002
 # burn-down — any finding is fresh debt).
 lint:

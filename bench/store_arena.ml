@@ -97,7 +97,7 @@ let run_cell (module M : Timer_store.S) ~which ~n ~ops ~seed =
         match which with
         | Schedule_fire ->
           for k = 1 to ops do
-            fire_step (adv_us *. Prng.float_range rng 0.5 1.5);
+            fire_step (adv_us *. Dist.draw (Dist.Uniform (0.5, 1.5)) rng);
             if k land 1023 = 0 then note_resident ()
           done
         | Rearm_churn ->

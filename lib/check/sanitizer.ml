@@ -1,3 +1,6 @@
+(* DEAD001: safety code; test_check drives these checks directly. *)
+[@@@lint.allow "DEAD001"]
+
 type rule = Causality | Early_fire | Overdue | Residency | Counter_monotone
 
 let rule_name = function

@@ -16,7 +16,3 @@ val digest : Trace.t -> int64
 
 val hex : int64 -> string
 (** 16-digit lowercase hex rendering. *)
-
-val record_string : Trace.record -> string
-(** The canonical rendering fed to the hash — one line per record;
-    exposed for tests and for diffing two traces by eye. *)

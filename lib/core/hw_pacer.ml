@@ -84,11 +84,12 @@ let start t =
     Engine.arm_after (Machine.engine t.machine) t.tick t.interval_i
   end
 
-let stop t =
+(* DEAD001 here and below: pacer control the tests drive. *)
+let[@lint.allow "DEAD001"] stop t =
   t.running <- false;
   Engine.disarm (Machine.engine t.machine) t.tick
 
-let sends t = t.sends
+let[@lint.allow "DEAD001"] sends t = t.sends
 let ticks_raised t = Interrupt.raised (the_line t)
 let ticks_lost t = Interrupt.lost (the_line t)
 let intervals t = t.intervals

@@ -76,14 +76,14 @@ let start t =
   end
 
 (* The handle of a fired event is stale, so cancelling it is a no-op. *)
-let stop t =
+(* DEAD001: polling control the tests drive. *)
+let[@lint.allow "DEAD001"] stop t =
   t.running <- false;
   Softtimer.cancel t.st t.outstanding;
   t.outstanding <- Softtimer.no_handle
 
 let current_interval t = t.interval
 let polls t = !(t.polls)
-let packets t = !(t.packets)
 
 let mean_batch t =
   if !(t.polls) = 0 then 0.0 else float_of_int !(t.packets) /. float_of_int !(t.polls)

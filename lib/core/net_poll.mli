@@ -35,7 +35,6 @@ val stop : t -> unit
 
 val current_interval : t -> Time_ns.span
 val polls : t -> int
-val packets : t -> int
 
 val mean_batch : t -> float
 (** Mean packets found per poll so far. *)

@@ -24,12 +24,6 @@ val interval_metric : Metrics.histogram
 (** [rate_clock.interval_us]: every clock's and pool's inter-send gaps,
     recorded into the creating domain's {!Metrics} context. *)
 
-val cohort_intervals : Hdr.t
-(** The interval histogram shared by every clock and pool that does not
-    opt into a private one.  An [Hdr.t] costs on the order of a
-    kilobyte; at a million flows a per-flow copy is gigabytes of bucket
-    arrays, so sharing is the default and isolation is the opt-in. *)
-
 val create :
   ?intervals:Hdr.t ->
   Softtimer.t ->
@@ -42,7 +36,7 @@ val create :
     packet and return [true], or return [false] when nothing is pending — which ends the current train (the
     clock goes idle until {!kick}).
 
-    [intervals] defaults to {!cohort_intervals}; pass
+    [intervals] defaults to the cohort histogram all clocks share; pass
     [~intervals:(Hdr.create ~lowest:0.01 ())] to give this clock a
     private histogram whose statistics can be read in isolation.
     @raise Invalid_argument unless [0 < min_interval <= target_interval]. *)
@@ -92,7 +86,7 @@ module Pool (M : Timer_store.S) : sig
       or [false] to end that flow's train (idle until {!kick}).
       [tick] is the store's granularity in ns.
       [stat_every] (default 1) samples every n-th fire into the
-      histograms; [intervals] defaults to {!cohort_intervals}; [delays]
+      histograms; [intervals] defaults to the shared cohort histogram; [delays]
       defaults to a fresh pool-private histogram.
       @raise Invalid_argument if [stat_every < 1]. *)
 
@@ -117,7 +111,6 @@ module Pool (M : Timer_store.S) : sig
   (** Dispatch due transmissions — the pool's trigger state.  [limit]
       bounds the batch exactly as {!Timer_store.S.fire_due} does. *)
 
-  val flows : t -> int
   val active : t -> int
   val sends : t -> int
 
@@ -139,16 +132,12 @@ module Pool (M : Timer_store.S) : sig
 
   val set_user : t -> int -> int -> unit
 
-  val intervals : t -> Hdr.t
-  (** Sampled inter-transmission gaps across the whole cohort, µs. *)
-
   val delays : t -> Hdr.t
   (** Sampled fire delay vs the {e requested} (unquantized) deadline,
       µs — for an approximate store this includes the quantization
       error, which is the point of measuring it. *)
 
   val store_pending : t -> int
-  val store_name : string
 
   val store_words : t -> int
   (** The underlying store's analytic heap footprint

@@ -91,7 +91,8 @@ let next_deadline t =
     let module S = (val inst) in
     S.next_deadline S.s
 
-let pending t =
+(* DEAD001 here and below: the facility surface test_softtimer pins. *)
+let[@lint.allow "DEAD001"] pending t =
   match t.store with
   | Store inst ->
     let module S = (val inst) in
@@ -280,14 +281,14 @@ let attach ?store ?(wheel_tick = Time_ns.of_us 10.0) ?(wheel_slots = 512) machin
   Metrics.probe m "softtimer.wheel_slots" (fun () -> float_of_int t.store_slots);
   t
 
-let detach t =
+let[@lint.allow "DEAD001"] detach t =
   if t.attached then begin
     t.attached <- false;
     Machine.set_check_hook t.machine None;
     Machine.set_idle_deadline_fn t.machine None
   end
 
-let store_name t =
+let[@lint.allow "DEAD001"] store_name t =
   match t.store with
   | Store inst ->
     let module S = (val inst) in
@@ -315,7 +316,8 @@ let register t ~name handler =
   t.n_kinds <- k + 1;
   k
 
-let kind_fires t = List.init t.n_kinds (fun k -> (t.names.(k), t.kind_fired.(k)))
+let[@lint.allow "DEAD001"] kind_fires t =
+  List.init t.n_kinds (fun k -> (t.names.(k), t.kind_fired.(k)))
 
 (* Take a row for the event and hand it to the store as the payload.
    The store schedules first, so a store that fails leaves the slab
@@ -363,7 +365,7 @@ let schedule_after_ns t ns kind payload =
 (* A stale handle (fired, cancelled, or [no_handle]) names no live
    row: [Slab.valid] checks the generation the handle was issued
    with. *)
-let cancel t h =
+let[@lint.allow "DEAD001"] cancel t h =
   match t.store with
   | Store inst ->
     let module S = (val inst) in
@@ -380,7 +382,7 @@ let cancel t h =
       Slab.free slab row
     end
 
-let rearm t h ~ticks =
+let[@lint.allow "DEAD001"] rearm t h ~ticks =
   if Int64.compare ticks 0L < 0 then invalid_arg "Softtimer.rearm: negative ticks";
   match t.store with
   | Store inst ->
@@ -405,6 +407,6 @@ let rearm t h ~ticks =
       moved
     end
 
-let wheel_stats t = (resident t, pending t, t.store_slots)
+let[@lint.allow "DEAD001"] wheel_stats t = (resident t, pending t, t.store_slots)
 let fired t = !(t.fired)
 let checks t = !(t.checks)

@@ -17,7 +17,8 @@ let start_sparse_triggers machine rng =
   in
   loop 0
 
-let compute (cfg : Exp_config.t) =
+(* DEAD001: the rows the experiment tests check. *)
+let[@lint.allow "DEAD001"] compute (cfg : Exp_config.t) =
   let trials = if cfg.Exp_config.quick then 300 else 3_000 in
   let per_t ticks =
     let engine = Engine.create () in

@@ -33,7 +33,8 @@ let single_point cfg profile =
   let loaded = throughput_at cfg ~profile ~hz in
   per_interrupt_cost ~base ~loaded ~hz
 
-let compute cfg =
+(* DEAD001: the rows the experiment tests check. *)
+let[@lint.allow "DEAD001"] compute cfg =
   let profile = Costs.pentium_ii_300 in
   let freqs = sweep_freqs cfg in
   let base = throughput_at cfg ~profile ~hz:0.0 in

@@ -92,7 +92,8 @@ let rates (cfg : Exp_config.t) =
   if cfg.Exp_config.quick then [ 20e3; 60e3; 120e3; 200e3 ]
   else [ 10e3; 20e3; 40e3; 60e3; 80e3; 100e3; 140e3; 200e3; 300e3 ]
 
-let compute cfg =
+(* DEAD001: the rows the experiment tests check. *)
+let[@lint.allow "DEAD001"] compute cfg =
   List.map
     (fun rate_pps ->
       {

@@ -22,5 +22,4 @@ type row = {
 }
 
 val compute : Exp_config.t -> row list
-val render : Exp_config.t -> row list -> string
 val run : Exp_config.t -> string

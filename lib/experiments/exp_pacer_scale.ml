@@ -168,7 +168,8 @@ let window (cfg : Exp_config.t) ~flows =
   else if flows <= 100_000 then Time_ns.of_ms 10.0
   else Time_ns.of_ms 5.0
 
-let compute cfg =
+(* DEAD001: the rows the experiment tests check. *)
+let[@lint.allow "DEAD001"] compute cfg =
   List.concat_map
     (fun (module R : RUNNER) ->
       List.filter_map

@@ -23,10 +23,6 @@ type cell = {
   pool_words : int;  (** fleet pool arrays: flow state + handles *)
 }
 
-val words_per_flow : cell -> float
-(** Analytic (store + pool) words per flow — the memory-gap number
-    tracked by EXPERIMENTS.md against ROADMAP item 4. *)
-
 val compute : Exp_config.t -> cell list
 (** One cell per (store variant, fleet size), in sweep order. *)
 

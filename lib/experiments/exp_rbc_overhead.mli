@@ -18,5 +18,4 @@ type server_rows = {
 }
 
 val compute : Exp_config.t -> server_rows list
-val render : Exp_config.t -> server_rows list -> string
 val run : Exp_config.t -> string

@@ -70,7 +70,8 @@ let hw_cell (cfg : Exp_config.t) ~target_us =
 let min_intervals (cfg : Exp_config.t) =
   if cfg.Exp_config.quick then [ 12.0; 20.0; 35.0 ] else [ 12.0; 15.0; 20.0; 25.0; 30.0; 35.0 ]
 
-let compute cfg =
+(* DEAD001: the rows the experiment tests check. *)
+let[@lint.allow "DEAD001"] compute cfg =
   let per_target target_us =
     let soft = List.map (fun m -> soft_cell cfg ~target_us ~min_us:m) (min_intervals cfg) in
     let hw_avg, hw_std, hw_lost = hw_cell cfg ~target_us in

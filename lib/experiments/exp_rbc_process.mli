@@ -26,5 +26,4 @@ type table = {
 val compute : Exp_config.t -> table list
 (** Two tables: target 40 us and target 60 us. *)
 
-val render : Exp_config.t -> table list -> string
 val run : Exp_config.t -> string

@@ -27,7 +27,8 @@ let one_row ~bottleneck_bps segments =
     reduction_pct = 100.0 *. (1.0 -. (pms /. rms));
   }
 
-let compute cfg =
+(* DEAD001 here and below: the rows the experiment tests check. *)
+let[@lint.allow "DEAD001"] compute cfg =
   List.map
     (fun mbps ->
       { bottleneck_mbps = mbps; rows = List.map (one_row ~bottleneck_bps:(mbps *. 1e6)) (sizes cfg) })
@@ -53,7 +54,7 @@ let paper =
       ] );
   ]
 
-let render _cfg tables =
+let[@lint.allow "DEAD001"] render _cfg tables =
   let open Tablefmt in
   String.concat "\n"
     (List.map

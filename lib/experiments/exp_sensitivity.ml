@@ -61,7 +61,8 @@ let sensitivities (cfg : Exp_config.t) =
    the sweep fans out across domains; [Runner.map_sim] returns results
    in input order (and merges any captured traces in the same order),
    keeping the table and trace digest identical to a sequential run. *)
-let compute cfg =
+(* DEAD001: the rows the experiment tests check. *)
+let[@lint.allow "DEAD001"] compute cfg =
   {
     pacing = Runner.map_sim (fun s -> pacing_at cfg ~scale:s) (scales cfg);
     polling = Runner.map_sim (fun s -> polling_at cfg ~sensitivity:s) (sensitivities cfg);

@@ -26,5 +26,4 @@ type polling_row = {
 type result = { pacing : pacing_row list; polling : polling_row list }
 
 val compute : Exp_config.t -> result
-val render : Exp_config.t -> result -> string
 val run : Exp_config.t -> string

@@ -25,7 +25,8 @@ let run_server (cfg : Exp_config.t) ~attach_facility ~extra_timer_hz f =
   Webserver.run t ~warmup:(Exp_config.warmup cfg) ~measure:(Exp_config.measure cfg);
   (Webserver.requests_per_sec t, aux)
 
-let compute cfg =
+(* DEAD001: the rows the experiment tests check. *)
+let[@lint.allow "DEAD001"] compute cfg =
   let base, () = run_server cfg ~attach_facility:false ~extra_timer_hz:None (fun _ -> ()) in
   let fac, () = run_server cfg ~attach_facility:true ~extra_timer_hz:None (fun _ -> ()) in
   let maxrate, probe =

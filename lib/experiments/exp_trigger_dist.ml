@@ -75,7 +75,8 @@ let gaps_of cfg = function
   | ST_kernel_build ->
     synthetic_gaps cfg (fun m -> Wl_kernel_build.start m ~seed:cfg.Exp_config.seed)
 
-let measure cfg workload =
+(* DEAD001: the rows the experiment tests check. *)
+let[@lint.allow "DEAD001"] measure cfg workload =
   let sample = gaps_of cfg workload in
   let hist = Histogram.create ~lo:0.0 ~hi:150.0 ~bins:150 in
   Array.iter (fun g -> Histogram.add hist g) (Stats.Sample.values sample);

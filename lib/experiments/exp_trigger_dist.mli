@@ -18,9 +18,6 @@ type workload =
   | ST_kernel_build
   | ST_apache_xeon
 
-val workload_name : workload -> string
-val all_workloads : workload list
-
 type row = {
   workload : workload;
   samples : int;
@@ -35,6 +32,4 @@ type row = {
 val measure : Exp_config.t -> workload -> row * Histogram.t
 (** Run one workload; the histogram covers 0–150 us for the CDF plot. *)
 
-val compute : Exp_config.t -> (row * Histogram.t) list
-val render : Exp_config.t -> (row * Histogram.t) list -> string
 val run : Exp_config.t -> string

@@ -13,5 +13,4 @@ type removed = { removed : Trigger.kind option; mean_us : float; hist : Histogra
 type result = { sources : source_row list; cdfs : removed list }
 
 val compute : Exp_config.t -> result
-val render : Exp_config.t -> result -> string
 val run : Exp_config.t -> string

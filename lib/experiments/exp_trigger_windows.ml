@@ -27,7 +27,8 @@ let stats_of ~window_ms medians =
     above_40us_pct = 100.0 *. Stats.Sample.fraction_above s 40.0;
   }
 
-let compute (cfg : Exp_config.t) =
+(* DEAD001: the rows the experiment tests check. *)
+let[@lint.allow "DEAD001"] compute (cfg : Exp_config.t) =
   let wcfg =
     {
       Webserver.default_config with

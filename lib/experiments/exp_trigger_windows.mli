@@ -23,5 +23,4 @@ type result = {
 }
 
 val compute : Exp_config.t -> result
-val render : Exp_config.t -> result -> string
 val run : Exp_config.t -> string

@@ -3,7 +3,3 @@ type locality = { sensitivity : float; warm_fraction : float }
 let apache = { sensitivity = 1.0; warm_fraction = 0.55 }
 let flash = { sensitivity = 2.0; warm_fraction = 0.45 }
 let neutral = { sensitivity = 1.0; warm_fraction = 1.0 }
-
-let batch_cost l ~per_packet_us ~packets =
-  if packets <= 0 then 0.0
-  else per_packet_us +. (float_of_int (packets - 1) *. per_packet_us *. l.warm_fraction)

@@ -16,7 +16,7 @@
       batch (soft-timer polling with an aggregation quota > 1, paper
       §5.9), the kernel's protocol-processing code and data stay warm
       after the first packet, so follow-on packets are cheaper.
-      [batch_cost] applies a warm-packet discount. *)
+      [warm_fraction] is the discount the web server applies. *)
 
 type locality = {
   sensitivity : float;
@@ -40,8 +40,3 @@ val flash : locality
 
 val neutral : locality
 (** Sensitivity 1, no aggregation benefit; for microbenchmarks. *)
-
-val batch_cost : locality -> per_packet_us:float -> packets:int -> float
-(** [batch_cost l ~per_packet_us ~packets] is the total processing cost
-    of a batch: the first packet at full cost, the rest discounted by
-    [warm_fraction].  [packets <= 0] costs 0. *)

@@ -65,6 +65,4 @@ let alpha_21164_500 =
   }
 
 let intr_total_us p ~locality = p.intr_save_restore_us +. (p.intr_cache_pollution_us *. locality)
-let intr_pollution_us p ~locality = p.intr_cache_pollution_us *. locality
 let scale_us p us = us *. (300.0 /. p.cpu_mhz)
-let cycles_per_us p = p.cpu_mhz

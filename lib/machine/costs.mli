@@ -61,15 +61,8 @@ val intr_total_us : profile -> locality:float -> float
     interrupted workload has the given locality sensitivity:
     [save_restore + pollution * locality]. *)
 
-val intr_pollution_us : profile -> locality:float -> float
-(** The cache/TLB pollution share of one interrupt's cost,
-    [pollution * locality] — the memory-system term the profiler's
-    per-interrupt split reports against. *)
-
 val scale_us : profile -> float -> float
 (** [scale_us p us] rescales a duration calibrated on the 300 MHz
     Pentium II to profile [p]'s clock: CPU-bound work shrinks linearly
     with clock speed (paper §5.3 observes exactly this for trigger
     intervals). *)
-
-val cycles_per_us : profile -> float

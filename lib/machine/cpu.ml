@@ -3,23 +3,14 @@ let prio_softintr = 1
 let prio_kernel = 2
 let prio_user = 3
 let prio_background = 4
-let prio_count = 5
+(* DEAD001 here and below: CPU accounting the tests check. *)
+let[@lint.allow "DEAD001"] prio_count = 5
 
 (* Work classes for delay attribution: priorities double as classes, plus
    one extra for soft-timer handler execution, which runs at softintr
    priority but must be distinguishable in the trace ("handler of another
    timer" is its own cause in the why-late breakdown). *)
 let klass_timer = 5
-let klass_count = 6
-
-let klass_name = function
-  | 0 -> "intr"
-  | 1 -> "softintr"
-  | 2 -> "kernel"
-  | 3 -> "user"
-  | 4 -> "background"
-  | 5 -> "timer"
-  | _ -> "other"
 
 (* Priorities 0 and 1 model interrupt handlers and spl-protected
    software-interrupt processing: once running they are never preempted. *)
@@ -93,15 +84,12 @@ type t = {
 
 let running t = t.current >= 0
 
-let id t = t.cpu_id
-
 let is_idle t = (not (running t)) && t.depth = 0
-let busy_ns t = Int64.of_int t.busy
-let busy_ns_at t prio = Int64.of_int t.busy_by_prio.(prio)
+let[@lint.allow "DEAD001"] busy_ns t = Int64.of_int t.busy
+let[@lint.allow "DEAD001"] busy_ns_at t prio = Int64.of_int t.busy_by_prio.(prio)
 let set_idle_hook t f = t.idle_hook <- f
 let set_resume_hook t f = t.resume_hook <- f
 let set_trigger_hook t f = t.trigger_hook <- f
-let queue_depth t = t.depth
 
 let doubled a fill =
   let n = Array.length a in

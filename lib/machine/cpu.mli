@@ -48,20 +48,10 @@ val klass_timer : int
     why-late breakdown can attribute gap time to "handler of another
     timer" (see [Delay_audit]). *)
 
-val klass_count : int
-(** Number of work classes: the five priorities (class = priority for
-    untagged quanta) plus {!klass_timer}. *)
-
-val klass_name : int -> string
-(** ["intr"], ["softintr"], ["kernel"], ["user"], ["background"],
-    ["timer"]; ["other"] for anything out of range. *)
-
 val create : ?id:int -> Engine.t -> t
 (** [id] (default 0) labels this CPU's busy/idle transitions in traces
     ({!Trace.Cpu_busy}/{!Trace.Cpu_idle}); {!Machine.create} numbers its
     CPUs 0..n-1. *)
-
-val id : t -> int
 
 val submit :
   t ->
@@ -114,6 +104,3 @@ val set_idle_hook : t -> (int -> unit) -> unit
 
 val set_resume_hook : t -> (int -> unit) -> unit
 (** Called, with the instant in ns, at every transition out of idle. *)
-
-val queue_depth : t -> int
-(** Quanta queued but not running (diagnostics). *)

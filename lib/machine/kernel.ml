@@ -59,12 +59,6 @@ let user m ~work_us cb =
     ?attr:(attr_of ~entry_us:0.0 ~entry_attr:a_user ~attr:a_user)
     ~prio:Cpu.prio_user ~work_us:(scaled m work_us) ~trigger:None cb
 
-let context_switch m cb =
-  Machine.submit_quantum m
-    ?attr:(attr_of ~entry_us:0.0 ~entry_attr:a_ctx_switch ~attr:a_ctx_switch)
-    ~prio:Cpu.prio_kernel
-    ~work_us:(Machine.profile m).Costs.context_switch_us ~trigger:None cb
-
 let step_syscall ?(work_us = 4.0) m =
   let entry = (Machine.profile m).Costs.syscall_entry_us in
   {
@@ -107,7 +101,8 @@ let step_ip_output ?(work_us = 7.0) m =
     entry_attr = a_ip_output;
   }
 
-let step_tcp_timer ?(work_us = 1.5) m =
+(* DEAD001: a step the script tests run. *)
+let[@lint.allow "DEAD001"] step_tcp_timer ?(work_us = 1.5) m =
   {
     prio = Cpu.prio_softintr;
     work_us = scaled m work_us;

@@ -36,10 +36,6 @@ val trap : Machine.t -> work_us:float -> (int -> unit) -> unit
 val user : Machine.t -> work_us:float -> (int -> unit) -> unit
 (** User-mode computation; no trigger state. *)
 
-val context_switch : Machine.t -> (int -> unit) -> unit
-(** A process context switch (kernel priority, no trigger state of its
-    own). *)
-
 (** {2 Scripts} *)
 
 val step_syscall : ?work_us:float -> Machine.t -> step

@@ -36,13 +36,10 @@ val total_busy_ns : t -> Time_ns.span
 (** Busy time summed over all CPUs. *)
 
 val profile : t -> Costs.profile
-val interrupts : t -> Interrupt.t
 
 val set_locality : t -> Cache.locality -> unit
 (** Declare the locality sensitivity of the running workload (scales
     interrupt pollution costs from now on). *)
-
-val locality : t -> Cache.locality
 
 (** {2 Trigger states} *)
 

@@ -4,7 +4,7 @@
     A packet handed to {!send} waits for earlier packets to finish
     serialising, occupies the wire for [bits / bandwidth], and is
     delivered [latency] after its serialisation completes.  The queue is
-    unbounded; bound it with {!Droptail} where loss matters. *)
+    unbounded. *)
 
 type 'a t
 
@@ -28,9 +28,6 @@ val in_flight : 'a t -> int
 
 val busy : 'a t -> bool
 (** Whether the transmitter is currently serialising. *)
-
-val serialization_time : 'a t -> 'a Packet.t -> Time_ns.span
-(** Time this packet occupies the wire. *)
 
 val sent : 'a t -> int
 (** Packets fully serialised so far. *)

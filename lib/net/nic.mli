@@ -70,7 +70,6 @@ type mode =
           re-enabled only when the ring is found empty. *)
 
 val set_mode : 'a t -> mode -> unit
-val mode : 'a t -> mode
 
 val hybrid_done : 'a t -> int
 (** In [Hybrid] mode: the stack finished processing a batch.  Drains any

@@ -25,5 +25,5 @@ let forward t p =
   end
 
 let drops t = t.drops
-let forwarded t = t.forwarded
-let queue_length t = Link.in_flight t.bottleneck
+(* DEAD001: a counter the net tests check. *)
+let[@lint.allow "DEAD001"] forwarded t = t.forwarded

@@ -27,4 +27,3 @@ val forward : 'a t -> 'a Packet.t -> unit
 
 val drops : 'a t -> int
 val forwarded : 'a t -> int
-val queue_length : 'a t -> int

@@ -31,10 +31,3 @@ let measure f =
    "major words/op" column wants (promoted words would double-count
    minor allocation). *)
 let major_alloc d = d.d_major_words -. d.d_promoted_words
-
-let to_json d =
-  Printf.sprintf
-    "{\"minor_words\":%.0f,\"major_words\":%.0f,\"promoted_words\":%.0f,\
-     \"heap_words\":%d,\"top_heap_words\":%d}"
-    d.d_minor_words d.d_major_words d.d_promoted_words d.d_heap_words
-    d.d_top_heap_words

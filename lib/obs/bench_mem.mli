@@ -22,6 +22,3 @@ val measure : (unit -> 'a) -> 'a * delta
 val major_alloc : delta -> float
 (** Major-heap words allocated net of promotion (promoted words would
     double-count minor allocation). *)
-
-val to_json : delta -> string
-(** JSON object with the five fields. *)

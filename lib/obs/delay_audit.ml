@@ -35,10 +35,10 @@
    that scanned but skipped it. *)
 
 let nklass = 6  (* Cpu work classes; mirrors Cpu.klass_count *)
-let seg_idle = 6
-let seg_other = 7
-let seg_check_skipped = 8
-let seg_batch_queue = 9
+(* DEAD001 here and below: readout the why-late tests check. *)
+let[@lint.allow "DEAD001"] seg_idle = 6
+let[@lint.allow "DEAD001"] seg_other = 7
+let[@lint.allow "DEAD001"] seg_check_skipped = 8
 let nseg = 10
 
 let klass_label = function
@@ -409,7 +409,7 @@ let on_event t ~at (ev : Trace.event) =
   | Trace.Mark _ ->
     ()
 
-let collect ?worst tr =
+let[@lint.allow "DEAD001"] collect ?worst tr =
   let t = create ?worst () in
   Trace.iter tr (fun { Trace.at; ev } -> on_event t ~at ev);
   t
@@ -421,13 +421,9 @@ let late t = t.late
 let ontime t = t.ontime
 let untracked t = t.untracked
 let violations t = t.violations
-let checks_seen t = t.checks_seen
-let skip_checks t = t.skip_checks
 let pending_at_exit t = t.abandoned + Hashtbl.length t.pending
 let cause_ns t k = t.cause_ns.(k)
-let cause_hdr t k = t.cause_hdr.(k)
-let delay_hdr t = t.delay_hdr
-let exemplars t = t.exemplars
+let[@lint.allow "DEAD001"] exemplars t = t.exemplars
 
 let total_late_ns t = Array.fold_left Int64.add 0L t.cause_ns
 

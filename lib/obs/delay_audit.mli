@@ -45,7 +45,6 @@ val nseg : int
 val seg_idle : int
 val seg_other : int
 val seg_check_skipped : int
-val seg_batch_queue : int
 
 val klass_label : int -> string
 (** [0..5] are the {!Cpu} work classes ([intr], [softintr], [kernel],
@@ -88,21 +87,10 @@ val pending_at_exit : t -> int
     including those abandoned at a [sim.start] reset.  The
     never-closed spans of {!Span}. *)
 
-val checks_seen : t -> int
-val skip_checks : t -> int
-(** Checks whose scanned count exceeded their fired count. *)
-
 val cause_ns : t -> int -> int64
 (** Total nanoseconds attributed to segment [k] over all late fires. *)
 
 val total_late_ns : t -> int64
-
-val cause_hdr : t -> int -> Hdr.t
-(** Per-late-fire distribution of segment [k], in microseconds
-    (recorded only when the fire's segment is non-zero). *)
-
-val delay_hdr : t -> Hdr.t
-(** Fire delay of {e every} fire, in microseconds. *)
 
 type exemplar = {
   x_id : int;

@@ -44,7 +44,6 @@ val record_us_of_ns : t -> int -> unit
 val clear : t -> unit
 
 val count : t -> int
-val sum : t -> float
 
 val mean : t -> float
 (** Exact (from the running sum), [nan] when empty. *)

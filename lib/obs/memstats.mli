@@ -20,19 +20,6 @@
     notes after a parallel fan-out returns, never inside a
     [Runner.map]/[map_sim] job. *)
 
-val registry : Metrics.t
-(** The observatory's own metrics registry: [gc.minor_words],
-    [gc.major_words], [gc.promoted_words], [gc.heap_words],
-    [gc.live_words], [gc.compactions], [gc.minor_collections],
-    [gc.major_collections], all pull-style probes. *)
-
-val live_words : unit -> int
-(** Exact words live on the major heap ([Gc.stat] — walks the heap;
-    report-time cost). *)
-
-val dump : unit -> string
-(** Human-readable table of {!registry}. *)
-
 (** {1 Census sources} *)
 
 val register : path:string list -> (unit -> int) -> unit
@@ -49,10 +36,6 @@ val note : path:string list -> int -> unit
     the main domain afterwards. *)
 
 val reset_census : unit -> unit
-
-val census : unit -> (int * string * int) list
-(** [(registry id, full path, words)] per source, registration order
-    (deterministic), providers sampled now. *)
 
 val attributed_words : unit -> int
 (** Sum of all providers (live and notes), sampled now. *)
@@ -81,25 +64,14 @@ type sample = {
 }
 
 val sample : label:string -> unit
-val samples : unit -> sample list
-val evicted_samples : unit -> int
 val reset_samples : unit -> unit
 
 (** {1 Renderers} *)
 
-val tree_table : unit -> string
-(** Indented live-word tree over the ["mem"] subtree, with per-node
-    share of the attributed total. *)
-
-val retention_table : unit -> string
-(** Per-source words, share of GC live words, attributed total and the
-    conservation verdict. *)
-
-val samples_table : unit -> string
-
 val report : unit -> string
-(** {!retention_table}, {!tree_table}, {!samples_table} and the GC
-    probe dump, concatenated. *)
+(** The retention table (per-source words against GC live words, and
+    the conservation verdict), the live-word tree under ["mem"], the GC
+    sample track and the GC probe dump, concatenated. *)
 
 val to_json : ?gc:bool -> unit -> string
 (** JSON object: census sources, attributed words and the conservation

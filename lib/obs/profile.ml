@@ -253,14 +253,15 @@ let dispatch ~source ~delay =
 (* ------------------------------------------------------------------ *)
 (* Readers                                                             *)
 
-let cpu_count p = Array.length p.cells
+(* DEAD001 here and below: readout the attribution tests check. *)
+let[@lint.allow "DEAD001"] cpu_count p = Array.length p.cells
 
-let attributed_ns p ~cpu =
+let[@lint.allow "DEAD001"] attributed_ns p ~cpu =
   if cpu >= Array.length p.cells then 0L
   else
     Array.fold_left (fun acc c -> Time_ns.(acc + c.self)) 0L p.cells.(cpu)
 
-let total_attributed_ns p =
+let[@lint.allow "DEAD001"] total_attributed_ns p =
   let total = ref 0L in
   for cpu = 0 to cpu_count p - 1 do
     total := Time_ns.(!total + attributed_ns p ~cpu)
@@ -283,12 +284,12 @@ let sum_cells p id f =
     p.cells;
   !acc
 
-let self_ns p segs =
+let[@lint.allow "DEAD001"] self_ns p segs =
   match id_of_path segs with
   | None -> 0L
   | Some id -> sum_cells p id (fun c -> c.self)
 
-let charges p segs =
+let[@lint.allow "DEAD001"] charges p segs =
   match id_of_path segs with
   | None -> 0
   | Some id -> Int64.to_int (sum_cells p id (fun c -> Int64.of_int c.charges))
@@ -299,7 +300,7 @@ let prefixed full child_full =
   && String.equal (String.sub child_full 0 n) full
   && Char.equal child_full.[n] ';'
 
-let subtree_ns p segs =
+let[@lint.allow "DEAD001"] subtree_ns p segs =
   match id_of_path segs with
   | None -> 0L
   | Some id ->
@@ -311,15 +312,10 @@ let subtree_ns p segs =
     done;
     !acc
 
-let event_count p segs =
-  match id_of_path segs with
-  | None -> 0
-  | Some id -> if id < Array.length p.events then p.events.(id) else 0
-
-let dispatch_rows p =
+let[@lint.allow "DEAD001"] dispatch_rows p =
   List.rev_map (fun r -> (r.source, r.fires)) p.disp
 
-let fired_total p = List.fold_left (fun acc r -> acc + r.fires) 0 p.disp
+let[@lint.allow "DEAD001"] fired_total p = List.fold_left (fun acc r -> acc + r.fires) 0 p.disp
 
 (* ------------------------------------------------------------------ *)
 (* Renderers                                                           *)
@@ -360,7 +356,7 @@ let rec node_total p id =
     (fun acc kid -> Time_ns.(acc + node_total p kid))
     self (children_of id)
 
-let roots_ns p =
+let[@lint.allow "DEAD001"] roots_ns p =
   let rows =
     List.filter_map
       (fun id ->
@@ -569,10 +565,8 @@ let to_json p =
 let intern_id = intern_path
 let id_name id = !reg.(id).name
 let id_full id = !reg.(id).full
-let id_parent id = !reg.(id).parent
 let id_children = children_of
-let id_roots = roots
-let registry_size () = Atomic.get reg_n
+let[@lint.allow "DEAD001"] registry_size () = Atomic.get reg_n
 
 (* Analytic footprint of the registry itself, in 64-bit words: the
    backing array, one 4-word info record and two string blocks per

@@ -46,7 +46,6 @@ val install : t -> unit
 (** Make [t] the live sink for {!charge}/{!event}/{!dispatch}. *)
 
 val uninstall : unit -> unit
-val installed : unit -> t option
 
 val enabled : unit -> bool
 (** [true] iff a profiler is installed in this domain.  Guard
@@ -89,8 +88,6 @@ val subtree_ns : t -> string list -> Time_ns.span
 val charges : t -> string list -> int
 (** Number of charges recorded against exactly this path. *)
 
-val event_count : t -> string list -> int
-
 val dispatch_rows : t -> (string * int) list
 (** [(trigger-state name, firings)] in first-dispatch order. *)
 
@@ -109,20 +106,10 @@ val to_collapsed : t -> string
 (** Collapsed-stack flamegraph lines ["cpuN;frame;frame <ns>"], sorted;
     compatible with inferno / flamegraph.pl / speedscope. *)
 
-val to_table : t -> string
-(** Indented attribution tree with total/self microseconds, percentage
-    of attributed time and charge counts, plus event counters. *)
-
-val trigger_table : t -> string
-(** Paper Table 1 / §4.1: firings, share and dispatch-latency
-    distribution (mean/p50/p99/max) per trigger state. *)
-
-val interrupt_table : t -> string
-(** Per-interrupt-line cost split: save/restore vs. cache/TLB pollution
-    vs. handler body, per delivery and in total (paper Tables 2-4). *)
-
 val report : t -> string
-(** {!to_table}, {!interrupt_table} and {!trigger_table} concatenated. *)
+(** The attribution tree (total/self microseconds, share, charge
+    counts), the per-interrupt-line cost split and the per-trigger-state
+    firing table (paper Table 1 / §4.1), concatenated. *)
 
 val to_json : t -> string
 (** One-line JSON object: total attributed ns, CPU count, fired total,
@@ -154,13 +141,8 @@ val id_name : int -> string
 val id_full : int -> string
 (** Full path, [";"]-separated. *)
 
-val id_parent : int -> int
-(** Parent id, or [-1] for a root. *)
-
 val id_children : int -> int list
 (** Children in registration order. *)
-
-val id_roots : unit -> int list
 
 val registry_size : unit -> int
 (** Nodes interned so far. *)

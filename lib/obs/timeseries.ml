@@ -94,7 +94,6 @@ let create ?(window = Time_ns.of_us 1000.0) ?(max_windows = 4096) () =
     events = 0;
   }
 
-let window_span t = t.window
 let epochs t = t.epoch + 1
 let evicted_windows t = t.evicted
 let event_count t = t.events

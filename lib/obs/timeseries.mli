@@ -36,8 +36,6 @@ val close : t -> unit
 (** Close the in-progress window (if any) so it appears in
     {!snapshots}.  Call once after the run completes. *)
 
-val window_span : t -> Time_ns.span
-
 val epochs : t -> int
 (** Number of distinct simulations observed (at least 1). *)
 

@@ -77,7 +77,8 @@ let uninstall () = set_consumer (Domain.DLS.get sink) None
 let set_tap f = set_consumer (Domain.DLS.get tap) f
 
 let installed () = if Atomic.get consumers = 0 then None else !(Domain.DLS.get sink)
-let enabled () = Option.is_some (installed ())
+(* DEAD001 here and below: ring control the trace tests drive. *)
+let[@lint.allow "DEAD001"] enabled () = Option.is_some (installed ())
 
 let tap_installed () =
   Atomic.get consumers > 0 && Option.is_some !(Domain.DLS.get tap)
@@ -87,7 +88,7 @@ let length t = t.len
 let dropped t = !(t.dropped)
 let total t = t.len + !(t.dropped)
 
-let clear t =
+let[@lint.allow "DEAD001"] clear t =
   t.head <- 0;
   t.len <- 0;
   t.dropped := 0
@@ -111,7 +112,7 @@ let iter t f =
     f t.buf.((t.head + i) mod cap)
   done
 
-let to_list t =
+let[@lint.allow "DEAD001"] to_list t =
   let acc = ref [] in
   iter t (fun r -> acc := r :: !acc);
   List.rev !acc
@@ -148,7 +149,7 @@ let soft_fire ~at ~id ~due =
   if armed () then emit ~at:(ns at) (Soft_fire { id; due = ns due; delay = ns (at - due) })
 [@@lint.allow "ALLOC002"]
 
-let soft_cancel ~at ~id ~due =
+let[@lint.allow "DEAD001"] soft_cancel ~at ~id ~due =
   if armed () then emit ~at:(ns at) (Soft_cancel { id; due = ns due })
 
 let soft_check ~at ~src ~scanned ~fired =
@@ -179,7 +180,7 @@ let pkt_drop ~at ~nic = if armed () then emit ~at:(ns at) (Pkt_drop { nic })
 [@@lint.allow "ALLOC002"]
 let poll ~at ~found = if armed () then emit ~at:(ns at) (Poll { found })
 let rbc_send ~at = if armed () then emit ~at:(ns at) Rbc_send
-let mark ~at s = if armed () then emit ~at:(ns at) (Mark s)
+let[@lint.allow "DEAD001"] mark ~at s = if armed () then emit ~at:(ns at) (Mark s)
 
 let sim_start_mark = "sim.start"
 let sim_start ~at = mark ~at sim_start_mark

@@ -74,12 +74,6 @@ val installed : unit -> t option
 val enabled : unit -> bool
 (** Whether a ring buffer is installed. *)
 
-val armed : unit -> bool
-(** Whether this domain has a consumer (ring or tap), i.e. whether an
-    emitter would record anything.  Callers guard event arguments that
-    cost work to build (boxed times, spans) with it.  While no domain
-    has a consumer this is one atomic load and a branch. *)
-
 val set_tap : (at:Time_ns.t -> event -> unit) option -> unit
 (** Install (or, with [None], remove) a synchronous tap.  The tap is
     called with every emitted event — whether or not a ring buffer is
@@ -111,13 +105,11 @@ val to_list : t -> record list
 (** {2 Emitters}
 
     Each is a no-op unless a trace is installed.  [at] is the current
-    simulation time.  {!emit} takes it as a {!Time_ns.t}, like the
-    records and the tap; the typed emitters after it take [at], [dur]
-    and a soft event's [due] as integer nanoseconds and box them only
-    while the trace is {!armed}, so the per-event path can call them
-    without boxing a time. *)
+    simulation time.  The emitters take [at], [dur] and a soft event's
+    [due] as integer nanoseconds and box them into the records' and the
+    tap's {!Time_ns.t} only while this domain has a consumer, so the
+    per-event path can call them without boxing a time. *)
 
-val emit : at:Time_ns.t -> event -> unit
 val trigger : at:int -> string -> unit
 val soft_sched : at:int -> id:int -> due:int -> unit
 val soft_fire : at:int -> id:int -> due:int -> unit
@@ -149,7 +141,7 @@ val sim_start : at:int -> unit
 
 val absorb : t -> unit
 (** [absorb src] replays every record of [src], oldest first, into the
-    calling domain's installed consumers (tap and ring) via {!emit},
+    calling domain's installed consumers (tap and ring) via [emit],
     then moves [dropped src] into the installed ring's drop count
     ([src] reads 0 afterwards).  Used by the parallel runner to merge
     per-worker rings in job order; the merged ring's contents,

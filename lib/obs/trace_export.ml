@@ -198,7 +198,8 @@ let add_flow_event b { Trace.at; ev } =
   | Trace.Soft_fire { id; _ } -> flow "f" ~id ~extra:",\"bp\":\"e\""
   | _ -> ()
 
-let to_chrome_json ?series ?spans t =
+(* DEAD001 here and below: tested directly; the CLI calls write_*. *)
+let[@lint.allow "DEAD001"] to_chrome_json ?series ?spans t =
   let b = Buffer.create 4096 in
   Buffer.add_string b "{\"traceEvents\":[";
   Buffer.add_string b
@@ -257,7 +258,7 @@ let csv_row { Trace.at; ev } =
   in
   Printf.sprintf "%Ld,%s" at (String.concat "," detail)
 
-let to_csv t =
+let[@lint.allow "DEAD001"] to_csv t =
   let b = Buffer.create 4096 in
   if Trace.dropped t > 0 then
     Buffer.add_string b

@@ -16,7 +16,8 @@ let set_default_jobs n =
   if n < 0 then invalid_arg "Runner.set_default_jobs: negative job count";
   Atomic.set default n
 
-let default_jobs () =
+(* DEAD001: the job count the tests read back. *)
+let[@lint.allow "DEAD001"] default_jobs () =
   match Atomic.get default with 0 -> recommended_jobs () | n -> n
 
 (* Nested [map] calls (a job that fans out again) must not spawn
@@ -28,7 +29,8 @@ let in_worker : bool ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref fals
 
 let sequential_map f xs = List.map f xs
 
-let map ?jobs f xs =
+(* DEAD001: the general fan-out, tested directly; [map_sim] wraps it. *)
+let[@lint.allow "DEAD001"] map ?jobs f xs =
   let n = List.length xs in
   let jobs = match jobs with Some j when j >= 1 -> j | Some _ | None -> default_jobs () in
   let jobs = min jobs n in

@@ -13,13 +13,9 @@
     installed (those sinks are domain-local, see {!Trace}), so jobs
     cannot race on the parent's observability state. *)
 
-val recommended_jobs : unit -> int
-(** [Domain.recommended_domain_count ()]: the runtime's estimate of
-    useful parallelism on this machine. *)
-
 val set_default_jobs : int -> unit
 (** Set the job count used when [?jobs] is omitted.  [0] (the initial
-    value) means {!recommended_jobs}; [1] forces sequential execution.
+    value) means [Domain.recommended_domain_count ()]; [1] forces sequential execution.
     Negative values raise [Invalid_argument].  This is what the
     [--jobs] flags of the CLI and bench harness set. *)
 

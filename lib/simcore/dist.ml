@@ -8,11 +8,18 @@ type t =
   | Mixture of (float * t) list
   | Shifted of float * t
 
+(* A uniform double in [0, 1) from 53 raw bits (exact).  Converted here
+   rather than in [Prng], so the float never crosses a call boundary and
+   is never boxed, inlined or not. *)
+let[@inline] uniform rng = Float.of_int (Prng.bits53 rng) *. 0x1.0p-53
+
+let[@inline] bernoulli rng p = uniform rng < p
+
 (* Box–Muller; one variate per call keeps the generator state simple.
    Inlined into [leaf], so its result stays unboxed. *)
 let[@inline] normal rng =
-  let u1 = 1.0 -. Prng.float rng in
-  let u2 = Prng.float rng in
+  let u1 = 1.0 -. uniform rng in
+  let u2 = uniform rng in
   sqrt (-2.0 *. log u1) *. cos (2.0 *. Float.pi *. u2)
 
 (* The mixture branch a uniform [u] from [rng] selects: the first whose
@@ -20,7 +27,7 @@ let[@inline] normal rng =
    otherwise.  The uniform is drawn here, and loops over refs keep the
    float sums unboxed, so a pick allocates no closure or float. *)
 let pick_branch branches rng =
-  let u = Prng.float rng in
+  let u = uniform rng in
   let total = ref 0.0 and l = ref branches in
   while
     match !l with
@@ -66,19 +73,21 @@ let rec resolve t rng =
 let[@inline] leaf t rng =
   match t with
   | Constant c -> c
-  | Uniform (lo, hi) -> Prng.float_range rng lo hi
+  | Uniform (lo, hi) ->
+    if hi < lo then invalid_arg "Dist: Uniform hi < lo";
+    lo +. ((hi -. lo) *. uniform rng)
   | Exponential mean ->
-    let u = 1.0 -. Prng.float rng in
+    let u = 1.0 -. uniform rng in
     -.mean *. log u
   | Pareto { scale; shape } ->
-    let u = 1.0 -. Prng.float rng in
+    let u = 1.0 -. uniform rng in
     scale /. (u ** (1.0 /. shape))
   | Lognormal { mu; sigma } -> exp (mu +. (sigma *. normal rng))
   | Erlang { k; mean } ->
     let rate = float_of_int k /. mean in
     let acc = ref 0.0 in
     for _ = 1 to k do
-      let u = 1.0 -. Prng.float rng in
+      let u = 1.0 -. uniform rng in
       acc := !acc -. (log u /. rate)
     done;
     !acc
@@ -113,7 +122,8 @@ let[@hot] draw_ns t rng =
   in
   Float.to_int (Float.round (clamp us *. 1e3))
 
-let rec mean = function
+(* DEAD001: the mean the draw tests compare against. *)
+let[@lint.allow "DEAD001"] rec mean = function
   | Constant c -> c
   | Uniform (lo, hi) -> (lo +. hi) /. 2.0
   | Exponential m -> m

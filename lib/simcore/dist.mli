@@ -22,6 +22,11 @@ type t =
           normalised at draw time *)
   | Shifted of float * t  (** [Shifted (c, d)] draws [c + draw d] *)
 
+val bernoulli : Prng.t -> float -> bool
+(** [bernoulli rng p] is [true] with probability [p]: one uniform draw
+    [u] in [\[0, 1)], compared [u < p].  A [bool], so nothing is boxed
+    on the way. *)
+
 val draw : t -> Prng.t -> float
 (** [draw t rng] samples one variate.  Results are clamped below at
     [0.] for every constructor except [Shifted] with a negative shift,
@@ -31,8 +36,7 @@ val draw_into : t -> Prng.t -> float array -> int -> unit
 (** [draw_into t rng a i] stores the next {!draw} in [a.(i)]: the same
     value, from the same draws of [rng], with no float boxed on the
     way, so a workload can fill a script's variates without
-    allocating (beyond what [Prng.float] boxes when it is not inlined,
-    as in builds with [-opaque]). *)
+    allocating. *)
 
 val draw_ns : t -> Prng.t -> int
 (** The next {!draw} read as microseconds and rounded to integer

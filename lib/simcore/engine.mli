@@ -135,11 +135,6 @@ val schedule_after : t -> Time_ns.span -> (unit -> unit) -> unit
 (** [schedule_after t d f] is [schedule_at t (now t + max d 0)], the
     sum saturating at [max_int] ns. *)
 
-val schedule_after_i : t -> int -> (unit -> unit) -> unit
-(** [schedule_after] with the delay in integer nanoseconds: the entry
-    point for callers that keep their spans as ints, so scheduling
-    boxes no [Int64]. *)
-
 val run_until : t -> Time_ns.t -> unit
 (** Execute events in order until the queue is exhausted or the next
     event lies strictly beyond the limit, then set the clock to the

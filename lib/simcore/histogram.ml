@@ -36,10 +36,11 @@ let add t x =
   else t.counts.(index t x) <- t.counts.(index t x) + 1;
   t.total <- t.total + 1
 
-let count t = t.total
-let underflow_count t = t.underflow
+(* DEAD001 here and below: introspection the histogram tests check. *)
+let[@lint.allow "DEAD001"] count t = t.total
+let[@lint.allow "DEAD001"] underflow_count t = t.underflow
 
-let bin_count t i =
+let[@lint.allow "DEAD001"] bin_count t i =
   if i < 0 || i > t.bins then invalid_arg "Histogram.bin_count: index out of range";
   t.counts.(i)
 
@@ -48,7 +49,7 @@ let bin_edges t i =
   if i = t.bins then (t.hi, infinity)
   else (t.lo +. (float_of_int i *. t.width), t.lo +. (float_of_int (i + 1) *. t.width))
 
-let cdf_at t x =
+let[@lint.allow "DEAD001"] cdf_at t x =
   if t.total = 0 then 0.0
   else begin
     (* The underflow bucket covers (-inf, lo): entirely at or below [x]
@@ -61,7 +62,7 @@ let cdf_at t x =
     float_of_int !acc /. float_of_int t.total
   end
 
-let cdf_points t =
+let[@lint.allow "DEAD001"] cdf_points t =
   let acc = ref t.underflow in
   let frac n = if t.total = 0 then 0.0 else float_of_int n /. float_of_int t.total in
   let points = ref [ (t.lo, frac t.underflow) ] in

@@ -24,10 +24,6 @@ val bin_count : t -> int -> int
 (** Observations in bin [i] (the overflow bin is index [bins]).
     @raise Invalid_argument for out-of-range indices. *)
 
-val bin_edges : t -> int -> float * float
-(** [bin_edges t i] is the half-open value interval covered by bin [i];
-    the overflow bin's upper edge is [infinity]. *)
-
 val cdf_at : t -> float -> float
 (** [cdf_at t x] is the fraction of observations in bins entirely at or
     below [x] — a staircase approximation of the empirical CDF with

@@ -3,7 +3,7 @@
    four allocations and four write barriers per draw.  Reading and
    writing the words through [Bytes.get/set_int64_ne] keeps the whole
    step in registers, so a draw whose result is consumed unboxed (as
-   [float] and [int] do) allocates nothing. *)
+   [bits53] and [int] do) allocates nothing. *)
 type t = Bytes.t
 
 (* splitmix64: used only to expand the seed into the xoshiro state, per
@@ -29,9 +29,10 @@ let create ~seed = of_splitmix (ref (Int64.of_int seed))
 let[@inline] rotl x k = Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
 [@@lint.allow "ALLOC003"]
 
-(* [@inline] so callers ([float], [int], [bool]) consume the result
-   unboxed: every Int64 here is an unboxed temporary. *)
-let[@inline] [@hot] bits64 t =
+(* [@inline] so callers ([bits53], [int]) consume the result unboxed:
+   every Int64 here is an unboxed temporary.  DEAD001 here and below:
+   stream control the PRNG tests pin. *)
+let[@inline][@lint.allow "DEAD001"] [@hot] bits64 t =
   let open Int64 in
   let s0 = Bytes.get_int64_ne t 0 in
   let s1 = Bytes.get_int64_ne t 8 in
@@ -51,31 +52,15 @@ let[@inline] [@hot] bits64 t =
   Bytes.set_int64_ne t 24 s3;
   result
 
-let split t = of_splitmix (ref (bits64 t))
-let copy t = Bytes.copy t
+let[@lint.allow "DEAD001"] split t = of_splitmix (ref (bits64 t))
+let[@lint.allow "DEAD001"] copy t = Bytes.copy t
 
-(* 53 high bits -> uniform double in [0,1).  ALLOC003: as in [bits64]. *)
-let[@inline] [@hot] float t =
-  Int64.to_float (Int64.shift_right_logical (bits64 t) 11) *. 0x1.0p-53
+(* The 53 high bits, an immediate int.  ALLOC003: as in [bits64]. *)
+let[@inline] [@hot] bits53 t = Int64.to_int (Int64.shift_right_logical (bits64 t) 11)
 [@@lint.allow "ALLOC003"]
-
-(* [@inline] so a caller consumes the result unboxed. *)
-let[@inline] float_range t lo hi =
-  if hi < lo then invalid_arg "Prng.float_range: hi < lo";
-  lo +. ((hi -. lo) *. float t)
 
 let int t n =
   if n <= 0 then invalid_arg "Prng.int: bound must be positive";
   (* Rejection-free for our purposes: modulo bias is negligible for the
      bounds used in this project (all far below 2^63). *)
   Int64.to_int (Int64.rem (Int64.shift_right_logical (bits64 t) 1) (Int64.of_int n))
-
-let bool t = Int64.logand (bits64 t) 1L = 1L
-
-let shuffle t a =
-  for i = Array.length a - 1 downto 1 do
-    let j = int t (i + 1) in
-    let tmp = a.(i) in
-    a.(i) <- a.(j);
-    a.(j) <- tmp
-  done

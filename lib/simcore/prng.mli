@@ -26,19 +26,12 @@ val copy : t -> t
 val bits64 : t -> int64
 (** Next raw 64-bit output. *)
 
-val float : t -> float
-(** [float t] is uniform in [\[0, 1)]. *)
-
-val float_range : t -> float -> float -> float
-(** [float_range t lo hi] is uniform in [\[lo, hi)].
-    @raise Invalid_argument if [hi < lo]. *)
+val bits53 : t -> int
+(** The next output's 53 high bits, uniform in [\[0, 2^53)].  An int,
+    so a call that is not inlined boxes nothing; [Float.of_int b *.
+    0x1.0p-53] is then an exact uniform double in [\[0, 1)], converted
+    where it is consumed ({!Dist}). *)
 
 val int : t -> int -> int
 (** [int t n] is uniform in [\[0, n)].  @raise Invalid_argument if
     [n <= 0]. *)
-
-val bool : t -> bool
-(** Fair coin. *)
-
-val shuffle : t -> 'a array -> unit
-(** In-place Fisher–Yates shuffle. *)

@@ -24,8 +24,6 @@ let add t time v =
   t.values.(t.size) <- v;
   t.size <- t.size + 1
 
-let length t = t.size
-
 let windowed t ~window ~reduce =
   if Time_ns.(window <= 0L) then invalid_arg "Series.windowed: window must be positive";
   if t.size = 0 then []
@@ -62,8 +60,4 @@ let median_of_list vs =
   let n = Array.length a in
   if n mod 2 = 1 then a.(n / 2) else (a.((n / 2) - 1) +. a.(n / 2)) /. 2.0
 
-let mean_of_list vs =
-  List.fold_left ( +. ) 0.0 vs /. float_of_int (List.length vs)
-
 let windowed_medians t ~window = windowed t ~window ~reduce:median_of_list
-let windowed_means t ~window = windowed t ~window ~reduce:mean_of_list

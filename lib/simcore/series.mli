@@ -12,13 +12,8 @@ val add : t -> Time_ns.t -> float -> unit
 (** [add t time v] records observation [v] at [time].  Times must be
     non-decreasing; out-of-order points raise [Invalid_argument]. *)
 
-val length : t -> int
-
 val windowed_medians : t -> window:Time_ns.span -> (Time_ns.t * float) list
 (** Partition the time axis into consecutive windows of the given span,
     starting at the first observation, and return
     [(window_start, median_within_window)] for every non-empty window.
     @raise Invalid_argument if [window <= 0]. *)
-
-val windowed_means : t -> window:Time_ns.span -> (Time_ns.t * float) list
-(** Same partition, mean instead of median. *)

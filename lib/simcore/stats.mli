@@ -30,9 +30,6 @@ module Online : sig
   val stddev : t -> float
   val min : t -> float
   val max : t -> float
-  val sum : t -> float
-  val merge : t -> t -> t
-  (** Combine two collectors as if all points were added to one. *)
 end
 
 module Sample : sig

@@ -66,8 +66,6 @@ let render t =
   horizontal ();
   Buffer.contents buf
 
-let print t = print_string (render t)
-
 let cell_f ?(decimals = 2) f =
   if Float.is_nan f then "-" else Printf.sprintf "%.*f" decimals f
 

@@ -20,9 +20,6 @@ val add_rule : t -> unit
 val render : t -> string
 (** The formatted table, trailing newline included. *)
 
-val print : t -> unit
-(** [print t] writes [render t] to stdout. *)
-
 val cell_f : ?decimals:int -> float -> string
 (** Format a float cell ([decimals] defaults to 2). *)
 

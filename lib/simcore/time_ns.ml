@@ -4,7 +4,6 @@ type span = int64
 let zero = 0L
 let ( + ) = Int64.add
 let ( - ) = Int64.sub
-let compare = Int64.compare
 let ( < ) a b = Int64.compare a b < 0
 let ( <= ) a b = Int64.compare a b <= 0
 let ( > ) a b = Int64.compare a b > 0
@@ -31,7 +30,6 @@ let to_us d = Int64.to_float d /. 1e3
 let to_ms d = Int64.to_float d /. 1e6
 let to_sec d = Int64.to_float d /. 1e9
 let mul d k = Int64.mul d (Int64.of_int k)
-let divide d k = Int64.div d (Int64.of_int k)
 let scale d f = round_float (Int64.to_float d *. f)
 
 let pp ppf t =

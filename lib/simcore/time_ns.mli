@@ -34,9 +34,6 @@ val ( + ) : t -> span -> t
 val ( - ) : t -> t -> span
 (** [t1 - t2] is the (possibly negative) span from [t2] to [t1]. *)
 
-val compare : t -> t -> int
-(** Total order on instants. *)
-
 val ( < ) : t -> t -> bool
 val ( <= ) : t -> t -> bool
 val ( > ) : t -> t -> bool
@@ -83,15 +80,8 @@ val to_sec : span -> float
 val mul : span -> int -> span
 (** [mul d k] is [d] repeated [k] times. *)
 
-val divide : span -> int -> span
-(** [divide d k] is [d / k] using integer division.  @raise Division_by_zero
-    when [k = 0]. *)
-
 val scale : span -> float -> span
 (** [scale d f] is [d] scaled by [f], rounded to the nearest nanosecond. *)
-
-val pp : Format.formatter -> t -> unit
-(** Human-readable rendering with an adaptive unit (ns, us, ms or s). *)
 
 val to_string : t -> string
 (** [to_string t] is [Format.asprintf "%a" pp t]. *)

@@ -1,11 +1,12 @@
-let exact : (module Timer_store.S) list =
+(* DEAD001 here and below: the lists the store tests iterate. *)
+let[@lint.allow "DEAD001"] exact : (module Timer_store.S) list =
   [
     Timer_store.wheel ~slots:512 ();
     (module Eventq_store);
     (module Lawn);
   ]
 
-let approximate : (module Timer_store.S) list = [ (module Pacing_wheel) ]
+let[@lint.allow "DEAD001"] approximate : (module Timer_store.S) list = [ (module Pacing_wheel) ]
 
 let all = exact @ approximate
 

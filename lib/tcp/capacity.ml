@@ -36,7 +36,8 @@ let estimate_bps t =
     Some median
   end
 
-let pacing_interval t ~packet_bits =
+(* DEAD001: the interval the capacity tests check. *)
+let[@lint.allow "DEAD001"] pacing_interval t ~packet_bits =
   match estimate_bps t with
   | None -> None
   | Some bps -> Some (Time_ns.of_sec (float_of_int packet_bits /. bps))

@@ -17,15 +17,16 @@ let create (p : Tcp_types.params) =
 let[@inline] cwnd t = Float.Array.get t.cwnd 0
 let[@inline] set_cwnd t w = Float.Array.set t.cwnd 0 w
 let window t = max 1 (int_of_float (cwnd t))
-let in_slow_start t = cwnd t < float_of_int t.ssthresh
+(* DEAD001 here and below: window state the TCP tests check. *)
+let[@lint.allow "DEAD001"] in_slow_start t = cwnd t < float_of_int t.ssthresh
 
 let on_ack t =
   t.acks <- t.acks + 1;
   let w = cwnd t in
   if in_slow_start t then set_cwnd t (w +. 1.0) else set_cwnd t (w +. (1.0 /. w))
 
-let acks_seen t = t.acks
-let ssthresh t = t.ssthresh
+let[@lint.allow "DEAD001"] acks_seen t = t.acks
+let[@lint.allow "DEAD001"] ssthresh t = t.ssthresh
 
 let halve t ~flight = t.ssthresh <- max (flight / 2) 2
 

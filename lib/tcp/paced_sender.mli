@@ -80,23 +80,17 @@ module Fleet (M : Timer_store.S) : sig
   (** Begin the flow's train: first segment due immediately, sent on
       the next {!check}. *)
 
-  val stop : t -> int -> unit
-
   val check : t -> now:Time_ns.t -> limit:int -> Fire_outcome.t
   (** Dispatch due transmissions across all flows — the fleet's trigger
       state.  A flow's train ends by itself when its transfer
       completes. *)
 
-  val flows : t -> int
   val active : t -> int
   val sends : t -> int
   val catch_ups : t -> int
   val sent : t -> int -> int
   val complete : t -> int -> bool
   val completed : t -> int
-
-  val intervals : t -> Hdr.t
-  (** Cohort inter-send gaps, µs (sampled; see {!Rate_clock.Pool}). *)
 
   val delays : t -> Hdr.t
   (** Cohort fire delay vs requested deadline, µs — for an approximate
@@ -117,5 +111,4 @@ module Fleet (M : Timer_store.S) : sig
       allocation-free steady-state witness). *)
 
   val packet_reuses : t -> int
-  val store_name : string
 end

@@ -29,9 +29,6 @@ val next_expected : t -> int
 val delivered : t -> int
 (** Segments received in order so far (= {!next_expected}). *)
 
-val acks_sent : t -> int
-(** Includes duplicate ACKs sent in response to out-of-order data. *)
-
 val biggest_ack : t -> int
 (** Largest number of segments covered by a single ACK (big-ACK
     detector; > [ack_every] indicates ACK aggregation). *)

@@ -65,7 +65,8 @@ let acquire t ~total_segments =
   t.live_n <- t.live_n + 1;
   sid
 
-let release t sid =
+(* DEAD001 here and below: arena state the pacing tests check. *)
+let[@lint.allow "DEAD001"] release t sid =
   if t.s.((sid lsl 2) + o_live) = 0 then
     invalid_arg "Session_arena.release: session is not live";
   t.s.((sid lsl 2) + o_live) <- 0;
@@ -75,7 +76,7 @@ let release t sid =
 
 (* One segment leaves the session: the fleet's per-send bookkeeping.
    Pure int-array state — this sits inside every pool fire. *)
-let[@hot] on_send t sid =
+let[@hot][@lint.allow "DEAD001"] on_send t sid =
   let base = sid lsl 2 in
   if t.s.(base + o_live) = 1 && t.s.(base + o_sent) < t.s.(base + o_total) then begin
     let sent = t.s.(base + o_sent) + 1 in
@@ -102,16 +103,16 @@ let note_sends t sid k =
       t.completed <- t.completed + 1
   end
 
-let complete t sid =
+let[@lint.allow "DEAD001"] complete t sid =
   let base = sid lsl 2 in
   t.s.(base + o_live) = 1 && t.s.(base + o_sent) >= t.s.(base + o_total)
 
-let live_session t sid = t.s.((sid lsl 2) + o_live) = 1
-let sent t sid = t.s.((sid lsl 2) + o_sent)
+let[@lint.allow "DEAD001"] live_session t sid = t.s.((sid lsl 2) + o_live) = 1
+let[@lint.allow "DEAD001"] sent t sid = t.s.((sid lsl 2) + o_sent)
 let total t sid = t.s.((sid lsl 2) + o_total)
-let remaining t sid = t.s.((sid lsl 2) + o_total) - t.s.((sid lsl 2) + o_sent)
-let live t = t.live_n
-let slots t = t.n
-let capacity t = t.cap
-let sends t = t.total_sends
-let completed t = t.completed
+let[@lint.allow "DEAD001"] remaining t sid =
+  t.s.((sid lsl 2) + o_total) - t.s.((sid lsl 2) + o_sent)
+let[@lint.allow "DEAD001"] live t = t.live_n
+let[@lint.allow "DEAD001"] slots t = t.n
+let[@lint.allow "DEAD001"] sends t = t.total_sends
+let[@lint.allow "DEAD001"] completed t = t.completed

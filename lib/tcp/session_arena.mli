@@ -54,6 +54,5 @@ val live : t -> int
 val slots : t -> int
 (** High-water slot count (arena rows ever used). *)
 
-val capacity : t -> int
 val sends : t -> int
 val completed : t -> int

@@ -5,9 +5,6 @@
 val set_bit : int array -> int -> unit
 val clear_bit : int array -> int -> unit
 
-val lsb : int -> int
-(** Index of the lowest set bit of a nonzero 32-bit word. *)
-
 val ffs_in_range : int array -> from:int -> upto:int -> int
 (** First set bit in the inclusive index range [from, upto], or -1.
     The scan never wraps: it masks the first word below [from] and

@@ -6,7 +6,7 @@
     generation at offset {!gen} and the location at offset {!loc}; the
     wheels' shared fields (deadline, tie, chain links) are
     {!Wheel_core}'s, and any further offsets mean whatever the owner
-    says.  A location is {!loc_free} for a free row and any other value
+    says.  A location is [loc_free] for a free row and any other value
     the owner chooses for a live one.  The number of live rows is the
     wheels' pending count ({!live}).
 
@@ -30,9 +30,6 @@ val gen : int
 val loc : int
 (** Row offset of the location. *)
 
-val loc_free : int
-(** The location of a free row, [-1]. *)
-
 val create : stride:int -> 'a t
 (** An empty slab of rows of [stride] ints.
     @raise Invalid_argument if [stride] leaves no room for {!gen} and
@@ -41,7 +38,7 @@ val create : stride:int -> 'a t
 val alloc : 'a t -> 'a -> int
 (** [alloc s v] takes a free row, growing the slab when none is left,
     stores [v] as its value and returns the row.  The row's location is
-    still {!loc_free}: the caller sets it.  A freed row keeps its last
+    still [loc_free]: the caller sets it.  A freed row keeps its last
     value alive until reuse, bounded by the capacity: the price of a
     non-optional value array.
     @raise Failure beyond 2^24 rows. *)

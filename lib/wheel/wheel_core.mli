@@ -8,7 +8,7 @@
     A wheel row holds its deadline at offset 0, its tie position at 1
     and its chain links at 2 (previous) and 3 (next), beside the slab's
     generation (4) and location (5).  A chained row's location is its
-    chain's index, a row in a batch in flight has {!loc_batch}, and a
+    chain's index, a row in a batch in flight has [loc_batch], and a
     wheel may give other rows locations of its own outside both.
 
     A set created with [~tails:true] appends at a chain's tail, so each
@@ -20,9 +20,6 @@
     ({!gather}) before any callback runs, then {!fire} dispatches them.
     Batches stack, so a [fire_due] nested in a callback gathers above
     the outer batch. *)
-
-val loc_batch : int
-(** [-2]. *)
 
 val least_unknown : int
 (** [-1]. *)

@@ -167,4 +167,5 @@ let[@hot] run s k =
   s.k <- k;
   advance s
 
-let discard = release
+(* DEAD001: frees a script built through For_testing. *)
+let[@lint.allow "DEAD001"] discard = release

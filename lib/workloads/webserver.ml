@@ -233,7 +233,6 @@ type t = {
   draws : float array;  (* one script's variates, in draw order *)
 }
 
-let config t = t.cfg
 let engine t = t.engine
 let machine t = t.machine
 let facility t = t.facility
@@ -435,7 +434,7 @@ let[@hot] get_script t conn =
    page-fault coin, then syscalls, then user. *)
 let[@hot] setup_script t =
   let a = t.anatomy in
-  let trap = Prng.float t.rng < a.setup_traps in
+  let trap = Dist.bernoulli t.rng a.setup_traps in
   let su = a.setup_syscalls in
   draw_n t a.setup_syscall_body 0 a.setup_syscalls;
   draw_n t a.setup_user su a.setup_user_segments;
@@ -544,7 +543,7 @@ let[@hot] on_rx_batch t _now batch n =
   let sc = Exec.script t.exec in
   for i = 0 to n - 1 do
     let pkt = batch.(i) in
-    let trig = Prng.float t.rng < t.anatomy.p_tcpip_trigger in
+    let trig = Dist.bernoulli t.rng t.anatomy.p_tcpip_trigger in
     Exec.quantum sc t.q_rx.((if i = 0 then 0 else 2) + if trig then 1 else 0);
     let a = pkt.Packet.meta in
     if code_of t a <= k_last_ack then Exec.emit sc t.e_dispatch a 0;
@@ -775,6 +774,7 @@ let run t ~warmup ~measure =
   t.measuring <- false
 
 module For_testing = struct
-  let get_script = get_script
-  let packets t = t.packets
+  (* DEAD001 here and below: the server's test surface. *)
+  let[@lint.allow "DEAD001"] get_script = get_script
+  let[@lint.allow "DEAD001"] packets t = t.packets
 end

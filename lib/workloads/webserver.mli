@@ -67,7 +67,6 @@ val default_config : config
 type t
 
 val create : config -> t
-val config : t -> config
 val engine : t -> Engine.t
 val machine : t -> Machine.t
 

@@ -60,7 +60,7 @@ let start machine ~seed =
           let b = Dist.draw body rng in
           (* Compilation alternates syscalls with page-fault traps. *)
           let entry k =
-            if phase = Exec_storm && Prng.float rng < 0.45 then
+            if phase = Exec_storm && Dist.bernoulli rng 0.45 then
               Kernel.trap machine ~work_us:(b +. 4.0) k
             else Kernel.syscall machine ~work_us:b k
           in

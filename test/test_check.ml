@@ -186,7 +186,7 @@ let digest_of_run seed =
       let noop = Softtimer.register st ~name:"noop" (fun _ _ -> ()) in
       for _ = 1 to 50 do
         ignore
-          (Softtimer.schedule_after st (us (Prng.float_range rng 10.0 5000.0)) noop 0
+          (Softtimer.schedule_after st (us (Dist.draw (Dist.Uniform (10.0, 5000.0)) rng)) noop 0
             : Softtimer.handle)
       done;
       let rec churn n =

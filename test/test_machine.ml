@@ -150,10 +150,10 @@ let test_preemption_leaves_no_dead_entries () =
     let gap = ius (9.0 +. float_of_int (n mod 5)) in
     if n > 0 then begin
       incr storm_pending;
-      Engine.schedule_after_i e gap (storm (n - 1))
+      Engine.schedule_after e (Time_ns.of_ns gap) (storm (n - 1))
     end
   in
-  Engine.schedule_after_i e (ius 3.0) (storm 2_000);
+  Engine.schedule_after e (us 3.0) (storm 2_000);
   let quanta = ref 0 and stretched = ref 0 in
   let rec next i _ =
     if i < 2_000 then begin
@@ -218,12 +218,6 @@ let test_spl_windows_defer_and_lose () =
   Alcotest.(check bool) "some ticks lost in windows" true (Interrupt.lost ln > 0);
   Alcotest.(check bool) "most ticks delivered" true
     (Interrupt.delivered ln > 9 * Interrupt.raised ln / 10)
-
-let test_cache_batch_cost () =
-  let l = { Cache.sensitivity = 1.0; warm_fraction = 0.5 } in
-  Alcotest.(check (float 1e-9)) "empty batch" 0.0 (Cache.batch_cost l ~per_packet_us:10.0 ~packets:0);
-  Alcotest.(check (float 1e-9)) "single" 10.0 (Cache.batch_cost l ~per_packet_us:10.0 ~packets:1);
-  Alcotest.(check (float 1e-9)) "warm follow-ons" 25.0 (Cache.batch_cost l ~per_packet_us:10.0 ~packets:4)
 
 let test_costs_calibration () =
   Alcotest.(check (float 1e-9)) "P-II total 4.45us" 4.45
@@ -713,7 +707,6 @@ let () =
           Alcotest.test_case "pollution scales with locality" `Quick
             test_interrupt_pollution_scales_with_locality;
           Alcotest.test_case "spl windows defer and lose" `Quick test_spl_windows_defer_and_lose;
-          Alcotest.test_case "batch cost" `Quick test_cache_batch_cost;
           Alcotest.test_case "cost calibration" `Quick test_costs_calibration;
         ] );
       ( "machine",

@@ -102,20 +102,6 @@ let test_link_send_deliver_words () =
     true (per <= 0.5)
 
 (* ------------------------------------------------------------------ *)
-(* Droptail *)
-
-let test_droptail_bounds () =
-  let q = Droptail.create ~capacity:2 in
-  Alcotest.(check bool) "push 1" true (Droptail.push q 1);
-  Alcotest.(check bool) "push 2" true (Droptail.push q 2);
-  Alcotest.(check bool) "push 3 drops" false (Droptail.push q 3);
-  Alcotest.(check int) "drops" 1 (Droptail.drops q);
-  Alcotest.(check int) "accepted" 2 (Droptail.accepted q);
-  Alcotest.(check (option int)) "fifo pop" (Some 1) (Droptail.pop q);
-  Alcotest.(check bool) "room again" true (Droptail.push q 4);
-  Alcotest.(check int) "length" 2 (Droptail.length q)
-
-(* ------------------------------------------------------------------ *)
 (* Wan *)
 
 let test_wan_delay_and_bandwidth () =
@@ -392,7 +378,6 @@ let () =
           Alcotest.test_case "idle restart" `Quick test_link_idle_restarts;
           Alcotest.test_case "send -> deliver words" `Quick test_link_send_deliver_words;
         ] );
-      ("droptail", [ Alcotest.test_case "bounds" `Quick test_droptail_bounds ]);
       ( "wan",
         [
           Alcotest.test_case "delay and bandwidth" `Quick test_wan_delay_and_bandwidth;

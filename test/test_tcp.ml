@@ -286,7 +286,7 @@ let test_paced_sender_with_jitter_monotone () =
   let times = ref [] in
   let s =
     Paced_sender.create e Tcp_types.default ~total_segments:50 ~interval:(us 100.0)
-      ~jitter:(fun () -> Time_ns.of_us (Prng.float_range rng 0.0 30.0))
+      ~jitter:(fun () -> Time_ns.of_us (Dist.draw (Dist.Uniform (0.0, 30.0)) rng))
       ~transmit:(fun now _ -> times := now :: !times)
       ()
   in
@@ -393,7 +393,7 @@ let test_session_jitter_mode_completes () =
   let rng = Prng.create ~seed:9 in
   let r =
     Session.run_transfer ~bottleneck_bps:50e6 ~one_way_delay:(ms 50.0) ~segments:50
-      (`Paced_jitter (fun () -> Time_ns.of_us (Prng.float_range rng 0.0 60.0)))
+      (`Paced_jitter (fun () -> Time_ns.of_us (Dist.draw (Dist.Uniform (0.0, 60.0)) rng)))
   in
   Alcotest.(check int) "all delivered" 50 r.Session.segments;
   Alcotest.(check bool) "slower than exact pacing but sane" true

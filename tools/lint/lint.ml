@@ -15,6 +15,9 @@
                Rules_race   RACE001..RACE004        (domain safety)
                Rules_alloc  ALLOC001..ALLOC003,     (hot-path allocs)
                             HOT001                  (hot-path DLS lookups)
+               Rules_dead   DEAD001                 (lib/ exports no root
+                                                     reaches; also reads
+                                                     test/ and perfbench/)
                ALLOW001  an allowance that suppresses no finding
      pass 4  report: text (default) / --json / --sarif, ratcheted
              against the committed BASELINE.json
@@ -142,6 +145,12 @@ let () =
       Rules_race.scan graph f)
     sources;
   Rules_alloc.scan_all graph;
+  (* DEAD001 also reads test/ and perfbench/ for their references. *)
+  let readers =
+    List.filter (fun p -> not (List.mem p files)) (walk "test" [] @ walk "perfbench" [])
+    |> List.sort_uniq String.compare
+  in
+  Rules_dead.scan (sources @ List.map Lint_source.load readers);
   (* After every rule has run: allowances no finding consulted. *)
   List.iter
     (fun (f : Lint_source.file) ->

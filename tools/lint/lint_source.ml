@@ -5,9 +5,11 @@
    - file-level  [@@@lint.allow "RULE"]   (whole-file suppression)
    - per-node    [@lint.allow "RULE"]     (suppresses the rule on the
      lines spanned by the annotated expression / let-binding)
-   - toplevel    module X = Path          aliases, resolved before any
-     rule predicate runs so [module R = Random  let x = R.int 3] cannot
-     evade DET002 (and likewise DET001/DET004)
+   - module aliases at any depth ([module X = P.Q], [module X = P.F (A)],
+     [let module X = ...]; an application names its functor), resolved
+     before any rule predicate runs so [module R = Random  let x =
+     R.int 3] cannot evade DET002 (and likewise DET001/DET004), and the
+     toplevel [open]s
    - record labels declared [mutable] anywhere in the file's type
      declarations (the RACE rules use them to recognise mutable record
      literals without type information)
@@ -30,7 +32,8 @@ type file = {
   parse_failed : bool;
   file_allows : allow list;
   line_allows : (allow * int * int) list;  (* allowance, first line, last line *)
-  aliases : (string * string list) list;  (* toplevel [module X = P.Q] -> X, [P;Q] *)
+  aliases : (string * string list) list;  (* [module X = P.Q] -> X, [P;Q] *)
+  opens : string list list;  (* toplevel [open P.Q] -> [P;Q] *)
   mutable_labels : string list;
 }
 
@@ -116,20 +119,42 @@ let line_allows_of tbl (str : structure) =
   it.structure it str;
   !acc
 
-(* ---------- toplevel module aliases ---------- *)
+(* ---------- module aliases and opens ---------- *)
 
+let rec module_path (me : module_expr) =
+  match me.pmod_desc with
+  | Pmod_ident { txt; _ } -> flatten_opt txt
+  | Pmod_apply (fn, _) | Pmod_constraint (fn, _) -> module_path fn
+  | _ -> None
+
+(* In source order, so the first binding of a reused name wins. *)
 let aliases_of (str : structure) =
+  let acc = ref [] in
+  let bind name me =
+    match (name, module_path me) with
+    | Some n, Some parts -> acc := (n, parts) :: !acc
+    | _ -> ()
+  in
+  let it =
+    {
+      Ast_iterator.default_iterator with
+      module_binding =
+        (fun self mb ->
+          bind mb.pmb_name.txt mb.pmb_expr;
+          Ast_iterator.default_iterator.module_binding self mb);
+      expr =
+        (fun self e ->
+          (match e.pexp_desc with Pexp_letmodule (n, me, _) -> bind n.txt me | _ -> ());
+          Ast_iterator.default_iterator.expr self e);
+    }
+  in
+  it.structure it str;
+  List.rev !acc
+
+let opens_of (str : structure) =
   List.filter_map
     (fun item ->
-      match item.pstr_desc with
-      | Pstr_module
-          {
-            pmb_name = { txt = Some name; _ };
-            pmb_expr = { pmod_desc = Pmod_ident { txt = target; _ }; _ };
-            _;
-          } ->
-        (match flatten_opt target with Some parts -> Some (name, parts) | None -> None)
-      | _ -> None)
+      match item.pstr_desc with Pstr_open { popen_expr; _ } -> module_path popen_expr | _ -> None)
     str
 
 (* ---------- mutable record labels ---------- *)
@@ -181,6 +206,7 @@ let load path =
         file_allows = file_allows_of allows str;
         line_allows = line_allows_of allows str;
         aliases = aliases_of str;
+        opens = opens_of str;
         mutable_labels = mutable_labels_of str;
       }
     in
@@ -189,8 +215,8 @@ let load path =
 
 (* ---------- alias resolution + suppression checks ---------- *)
 
-(* Expand the head of a flattened path through the file's toplevel
-   module aliases (chains resolve too, with a depth cap against
+(* Expand the head of a flattened path through the file's module
+   aliases (chains resolve too, with a depth cap against
    cycles). *)
 let resolve_parts (f : file) (parts : string list) =
   let rec go depth parts =

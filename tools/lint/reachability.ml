@@ -3,13 +3,21 @@
    Nodes are (Module, value) pairs — the innermost enclosing module
    name, which for these unwrapped libraries is how call sites actually
    spell references ([Eventq.push], [Hdr.record]).  Edges are syntactic
-   mentions: an identifier inside a binding's body that resolves (after
-   toplevel-alias expansion) to another known binding.
+   mentions: an identifier inside a binding's body that resolves to
+   another known binding.  Resolution expands the file's module aliases
+   (Lint_source: [module F = Paced_sender.Fleet (M)] names [Fleet]) and
+   tries an unqualified name against the enclosing module, the file's
+   module and every module opened around it ([open M], [let open M in],
+   [M.( ... )]).  A module packed as a
+   first-class value, passed to a functor or [include]d uses its whole
+   signature: the edge goes to every binding of that module.
 
    The graph deliberately over-approximates: a local [let] shadowing a
-   toplevel name still produces the edge, and calls through closures or
-   functor parameters produce none.  Over-approximation only widens the
-   checked set (safe for ALLOC/RACE, which scan reachable bodies);
+   toplevel name still produces the edge, and nested modules of the
+   same name share their nodes.  Calls through closures or functor
+   parameters produce no edge.  Over-approximation only widens the
+   checked set (safe for ALLOC/RACE, which scan reachable bodies, and
+   for DEAD001, which reports what nothing reaches);
    under-approximation through higher-order calls is the documented
    limit of a syntactic tool.
 
@@ -43,6 +51,8 @@ type state = {
 
 type t = {
   defs : (string * string, def) Hashtbl.t;
+  all_defs : def list;  (* every binding in file order, shadowed ones included *)
+  members : (string, string) Hashtbl.t;  (* module -> its binding names *)
   states : (string * string, state) Hashtbl.t;
   files : Lint_source.file list;
 }
@@ -139,8 +149,17 @@ let creates_mutable (f : Lint_source.file) (e : expression) =
 
 (* ---------- graph construction ---------- *)
 
+(* The innermost module a (resolved) module path names. *)
+let last_module (f : Lint_source.file) parts =
+  match List.rev (Lint_source.resolve_parts f parts) with m :: _ -> Some m | [] -> None
+
+let named_module (f : Lint_source.file) (me : module_expr) =
+  Option.bind (Lint_source.module_path me) (last_module f)
+
 let build (files : Lint_source.file list) : t =
   let defs = Hashtbl.create 512 in
+  let all_defs = ref [] in
+  let members = Hashtbl.create 256 in
   let states = Hashtbl.create 64 in
   List.iter
     (fun (f : Lint_source.file) ->
@@ -165,11 +184,14 @@ let build (files : Lint_source.file list) : t =
                         d_hot = Lint_source.is_hot_attrs vb.pvb_attributes;
                       }
                     in
+                    all_defs := d :: !all_defs;
                     (* First binding wins on duplicate names (e.g. a
                        shadowing re-definition): close enough for an
                        over-approximating graph. *)
-                    if not (Hashtbl.mem defs (modname, name)) then
-                      Hashtbl.replace defs (modname, name) d)
+                    if not (Hashtbl.mem defs (modname, name)) then begin
+                      Hashtbl.replace defs (modname, name) d;
+                      Hashtbl.add members modname name
+                    end)
                 vbs
             | Pstr_module { pmb_name = { txt = Some sub; _ }; pmb_expr; _ } ->
               walk_module_expr sub pmb_expr
@@ -231,40 +253,102 @@ let build (files : Lint_source.file list) : t =
             }
       end)
     defs;
-  { defs; states; files }
+  { defs; all_defs = List.rev !all_defs; members; states; files }
 
 (* ---------- reference extraction ---------- *)
 
-(* Resolved references from an expression to known defs.  Unqualified
-   names resolve within [current_module] (and, for nested modules, the
-   enclosing file's toplevel module); [M.x] resolves through the
-   innermost module segment. *)
+(* The known defs an identifier may name, most likely first: an
+   unqualified name against [current_module], the file's module, then
+   [opened] (innermost first) and the file's toplevel opens; [M.x]
+   against the innermost module segment. *)
+let resolve (t : t) (f : Lint_source.file) ~current_module ?(opened = []) lid =
+  let known key = Hashtbl.mem t.defs key in
+  match Lint_source.resolve_lid f lid with
+  | Some [ x ] ->
+    (current_module :: f.Lint_source.modname
+     :: (opened @ List.filter_map (last_module f) f.Lint_source.opens))
+    |> List.fold_left (fun acc m -> if List.mem m acc then acc else m :: acc) []
+    |> List.rev_map (fun m -> (m, x))
+    |> List.filter known
+  | Some parts when List.length parts >= 2 ->
+    let n = List.length parts in
+    List.filter known [ (List.nth parts (n - 2), List.nth parts (n - 1)) ]
+  | _ -> []
+
+(* Every binding of the module a module expression names (for a functor
+   application, the functor's): the edges of a first-class pack, a
+   functor argument or an [include]. *)
+let whole_module (t : t) (f : Lint_source.file) (me : module_expr) =
+  match named_module f me with
+  | Some m -> List.map (fun x -> (m, x)) (Hashtbl.find_all t.members m)
+  | None -> []
+
+(* An AST iterator that adds every reference it meets to [note]. *)
+let ref_iterator (t : t) (f : Lint_source.file) ~current_module note =
+  let opened = ref [] in
+  let whole me = List.iter note (whole_module t f me) in
+  {
+    Ast_iterator.default_iterator with
+    expr =
+      (fun self ex ->
+        match ex.pexp_desc with
+        | Pexp_ident { txt; _ } ->
+          List.iter note (resolve t f ~current_module ~opened:!opened txt)
+        | Pexp_open ({ popen_expr; _ }, body) ->
+          let saved = !opened in
+          Option.iter (fun m -> opened := m :: saved) (named_module f popen_expr);
+          self.expr self body;
+          opened := saved
+        | Pexp_pack me ->
+          whole me;
+          Ast_iterator.default_iterator.expr self ex
+        | _ -> Ast_iterator.default_iterator.expr self ex);
+    module_expr =
+      (fun self me ->
+        (match me.pmod_desc with Pmod_apply (_, arg) -> whole arg | _ -> ());
+        Ast_iterator.default_iterator.module_expr self me);
+    structure_item =
+      (fun self si ->
+        (match si.pstr_desc with Pstr_include { pincl_mod; _ } -> whole pincl_mod | _ -> ());
+        Ast_iterator.default_iterator.structure_item self si);
+  }
+
+(* Resolved references from an expression to known defs. *)
 let refs_of_expr (t : t) (f : Lint_source.file) ~current_module (e : expression) :
     (string * string) list =
   let acc = ref [] in
-  let note key = if Hashtbl.mem t.defs key then acc := key :: !acc in
-  let check lid =
-    match Lint_source.resolve_lid f lid with
-    | Some [ x ] ->
-      note (current_module, x);
-      if current_module <> f.Lint_source.modname then note (f.Lint_source.modname, x)
-    | Some parts when List.length parts >= 2 ->
-      let n = List.length parts in
-      let m = List.nth parts (n - 2) in
-      let x = List.nth parts (n - 1) in
-      note (m, x)
-    | _ -> ()
-  in
-  let it =
-    {
-      Ast_iterator.default_iterator with
-      expr =
-        (fun self ex ->
-          (match ex.pexp_desc with Pexp_ident { txt; _ } -> check txt | _ -> ());
-          Ast_iterator.default_iterator.expr self ex);
-    }
-  in
+  let it = ref_iterator t f ~current_module (fun key -> acc := key :: !acc) in
   it.expr it e;
+  List.sort_uniq compare !acc
+
+(* References made by a file's module initialisers: everything outside
+   its named toplevel bindings ([let () = ...], bare expressions,
+   functor applications, [include]s, packs in module expressions). *)
+let init_refs (t : t) (f : Lint_source.file) : (string * string) list =
+  let acc = ref [] in
+  let note key = acc := key :: !acc in
+  let rec items modname str =
+    let it = ref_iterator t f ~current_module:modname note in
+    List.iter
+      (fun item ->
+        match item.pstr_desc with
+        | Pstr_value (_, vbs) ->
+          List.iter (fun vb -> if binding_name vb = None then it.expr it vb.pvb_expr) vbs
+        | Pstr_module { pmb_name = { txt = Some sub; _ }; pmb_expr; _ } -> module_expr it sub pmb_expr
+        | Pstr_recmodule mbs ->
+          List.iter
+            (fun mb -> Option.iter (fun sub -> module_expr it sub mb.pmb_expr) mb.pmb_name.txt)
+            mbs
+        | Pstr_eval _ | Pstr_include _ -> it.structure_item it item
+        | _ -> ())
+      str
+  and module_expr it sub (me : module_expr) =
+    match me.pmod_desc with
+    | Pmod_structure str -> items sub str
+    | Pmod_functor (_, body) | Pmod_constraint (body, _) -> module_expr it sub body
+    | _ -> it.module_expr it me
+  in
+  items f.Lint_source.modname f.Lint_source.str;
   List.sort_uniq compare !acc
 
 (* BFS closure from [roots]; the result maps every reached node to its

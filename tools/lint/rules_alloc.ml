@@ -80,18 +80,9 @@ let rec strip_params (e : expression) =
   | _ -> e
 
 let resolve_def (g : Reachability.t) (f : Lint_source.file) ~current_module lid =
-  match Lint_source.resolve_lid f lid with
-  | Some [ x ] -> (
-    match Reachability.find_def g (current_module, x) with
-    | Some d -> Some d
-    | None ->
-      if current_module <> f.Lint_source.modname then
-        Reachability.find_def g (f.Lint_source.modname, x)
-      else None)
-  | Some parts when List.length parts >= 2 ->
-    let n = List.length parts in
-    Reachability.find_def g (List.nth parts (n - 2), List.nth parts (n - 1))
-  | _ -> None
+  match Reachability.resolve g f ~current_module lid with
+  | key :: _ -> Reachability.find_def g key
+  | [] -> None
 
 (* Scan the body of one reachable def. *)
 let scan_def (g : Reachability.t) parent ~(root : Reachability.def) (d : Reachability.def) =

@@ -1,8 +1,8 @@
-(* Domain-race rules for the coming SMP / domain-sharded work
-   (ROADMAP item 2): once simulation state moves under OCaml 5 domains,
-   a single unprotected [ref] or [Hashtbl] silently breaks the
-   byte-identical [--jobs N] guarantee.  These rules make the hazard a
-   compile-time failure instead of a replay-diff surprise.
+(* Domain-race rules for the SMP / domain-sharded work: once simulation
+   state moves under OCaml 5 domains, a single unprotected [ref] or
+   [Hashtbl] silently breaks the byte-identical [--jobs N] guarantee.
+   These rules make the hazard a compile-time failure instead of a
+   replay-diff surprise.
 
    RACE001  a closure passed to [Parallel.Runner.map]/[map_sim]
             directly references mutable toplevel state (ref / Hashtbl /
@@ -36,37 +36,11 @@ let is_domain_spawn parts = parts = [ "Domain"; "spawn" ]
 let has_prefix prefix s =
   String.length s >= String.length prefix && String.sub s 0 (String.length prefix) = prefix
 
-(* States directly referenced by [e], resolved like reachability edges:
-   unqualified names against the enclosing module(s), [M.x] through the
-   innermost segment. *)
+(* States directly referenced by [e], resolved like reachability edges. *)
 let state_refs (g : Reachability.t) (f : Lint_source.file) ~current_module e =
-  let acc = ref [] in
-  let note key =
-    match Reachability.find_state g key with
-    | Some s -> acc := (key, s) :: !acc
-    | None -> ()
-  in
-  let check lid =
-    match Lint_source.resolve_lid f lid with
-    | Some [ x ] ->
-      note (current_module, x);
-      if current_module <> f.Lint_source.modname then note (f.Lint_source.modname, x)
-    | Some parts when List.length parts >= 2 ->
-      let n = List.length parts in
-      note (List.nth parts (n - 2), List.nth parts (n - 1))
-    | _ -> ()
-  in
-  let it =
-    {
-      Ast_iterator.default_iterator with
-      expr =
-        (fun self ex ->
-          (match ex.pexp_desc with Pexp_ident { txt; _ } -> check txt | _ -> ());
-          Ast_iterator.default_iterator.expr self ex);
-    }
-  in
-  it.expr it e;
-  List.sort_uniq compare !acc
+  List.filter_map
+    (fun key -> Option.map (fun s -> (key, s)) (Reachability.find_state g key))
+    (Reachability.refs_of_expr g f ~current_module e)
 
 (* Suppression for RACE001/002 consults both ends: the closure site and
    the state definition (both, so each counts as used). *)

@@ -68,7 +68,7 @@ type t = {
   intr_hz : int64;
   ns_per_tick : float;
   check_budget : int;  (* max handler dispatches per trigger-state check *)
-  fire_work_us : float;  (* dispatch cost charged per fire (boxed once, here) *)
+  fire_work_ns : int;  (* dispatch cost charged per fire *)
   mutable fire_now : int;  (* [now] of the check in progress, ns *)
   mutable fire_kind : Trigger.kind;  (* its trigger state, an immediate *)
   mutable on_fire : int -> int -> unit;  (* [fire t slab], built once *)
@@ -179,9 +179,9 @@ let[@hot] fire t slab due row =
     Profile.dispatch ~source:(Trigger.name t.fire_kind)
       ~delay:(Int64.of_int delay [@lint.allow "ALLOC003"]);
   Hdr.record_us_of_ns t.fire_delays delay;
-  Machine.submit_quantum t.machine
+  Machine.submit_work_ns t.machine
     ?attr:(if Profile.enabled () then fire_attr else None)
-    ~prio:Cpu.prio_intr ?klass:klass_timer ~work_us:t.fire_work_us ~trigger:None ignore;
+    ~prio:Cpu.prio_intr ?klass:klass_timer ~work_ns:t.fire_work_ns ignore;
   t.handlers.(kind) now payload
 
 (* The per-trigger-state check: compare the cached earliest deadline with
@@ -245,7 +245,7 @@ let attach ?store ?(wheel_tick = Time_ns.of_us 10.0) ?(wheel_slots = 512) machin
       intr_hz = Int64.of_float profile.Costs.interrupt_clock_hz;
       ns_per_tick = 1e9 /. (profile.Costs.cpu_mhz *. 1e6);
       check_budget = Atomic.get default_check_budget;
-      fire_work_us = profile.Costs.softtimer_fire_us;
+      fire_work_ns = Time_ns.to_int (Time_ns.of_us profile.Costs.softtimer_fire_us);
       fire_now = 0;
       fire_kind = Trigger.Idle;
       on_fire = (fun _ _ -> ());
@@ -296,8 +296,7 @@ let[@lint.allow "DEAD001"] store_name t =
 
 (* If this event became the earliest, an idle checking CPU may be armed
    for a later (or no) deadline: wake it up for this one. *)
-let notify_if_earliest t due =
-  if t.attached && Int.equal (next_deadline t) due then Machine.notify_deadline_changed t.machine
+let notify_if_earliest t due = if t.attached then Machine.notify_deadline_changed t.machine ~due
 
 let grown a n fill =
   let b = Array.make (if n = 0 then 8 else 2 * n) fill in

@@ -116,11 +116,18 @@ let submit_ns t ~cpu ~attr ~klass ~prio ~checked ~work ~trigger cb =
   in
   Cpu.submit t.cpus.(cpu) ?attr ?klass ~prio ~work ~trigger cb
 
+(* A quantum that ends in no trigger state is never checked. *)
+let[@hot] submit_work_ns t ?(cpu = 0) ?attr ?klass ~prio ~work_ns cb =
+  if cpu < 0 || cpu >= Array.length t.cpus then invalid_arg "Machine.submit_quantum: bad cpu";
+  Cpu.submit t.cpus.(cpu) ?attr ?klass ~prio ~work:work_ns ~trigger:None cb
+
 let[@hot] submit_quantum t ?(cpu = 0) ?attr ?klass ~prio ~work_us ~trigger cb =
-  if cpu < 0 || cpu >= Array.length t.cpus then
-    invalid_arg "Machine.submit_quantum: bad cpu";
   let checked = wants_check t trigger in
-  submit_ns t ~cpu ~attr ~klass ~prio ~checked ~work:(quantum_ns t ~checked work_us) ~trigger cb
+  if Option.is_none trigger then
+    submit_work_ns t ~cpu ?attr ?klass ~prio ~work_ns:(quantum_ns t ~checked work_us) cb
+  else if cpu < 0 || cpu >= Array.length t.cpus then
+    invalid_arg "Machine.submit_quantum: bad cpu"
+  else submit_ns t ~cpu ~attr ~klass ~prio ~checked ~work:(quantum_ns t ~checked work_us) ~trigger cb
 
 (* The work is read from the array here, so no float crosses a call. *)
 let[@hot] submit_quantum_at t ?attr ~prio works i ~trigger cb =
@@ -286,7 +293,11 @@ let start_interrupt_clock t =
 
 let[@lint.allow "DEAD001"] interrupt_clock_running t = t.clock_running
 
-let notify_deadline_changed t = if t.checker >= 0 then assign_checker t
+let notify_deadline_changed t ~due =
+  if t.checker >= 0 then
+    match t.idle_deadline_fn with
+    | Some next_deadline when Int.equal (next_deadline ()) due -> assign_checker t
+    | _ -> ()
 
 let set_idle_poll t poll =
   t.idle_poll <- poll;

@@ -93,6 +93,12 @@ val submit_quantum :
     @raise Invalid_argument if [work_us] is NaN or infinite (negative
     work counts as zero). *)
 
+val submit_work_ns :
+  t -> ?cpu:int -> ?attr:Profile.attr -> ?klass:int -> prio:int -> work_ns:int -> (int -> unit) -> unit
+(** [submit_quantum ~trigger:None] of work already in integer
+    nanoseconds, for a caller that submits the same work many times.
+    @raise Invalid_argument if [work_ns] is negative. *)
+
 val submit_quantum_at :
   t ->
   ?attr:Profile.attr ->
@@ -163,10 +169,10 @@ val set_idle_poll : t -> Time_ns.span option -> unit
 val checking_cpu : t -> int option
 (** The idle CPU currently checking for soft-timer events, if any. *)
 
-val notify_deadline_changed : t -> unit
-(** The facility's earliest pending deadline moved earlier (a new event
-    was scheduled ahead of everything armed).  Re-arms the checking
-    CPU's wake-up; a no-op when no CPU is idle. *)
+val notify_deadline_changed : t -> due:int -> unit
+(** The facility scheduled an event at [due] (int ns).  When a CPU is
+    checking and the idle-deadline oracle reports [due] as the earliest,
+    re-arm its wake-up; the oracle is not read when no CPU is idle. *)
 
 val set_idle_deadline_fn : t -> (unit -> int) option -> unit
 (** The facility's "earliest pending soft-timer deadline" oracle, in

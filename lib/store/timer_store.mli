@@ -61,7 +61,11 @@
       pending, the same value an entry at [max_int] reports: both mean
       nothing is due before the end of time.  A boxed [Time_ns.t]
       enters a store through [Time_ns.to_int], which saturates rather
-      than wraps. *)
+      than wraps.
+    - [now] may be any int up to [max_int]: a [fire_due] at
+      [max_int - 1] fires exactly the entries reported at most
+      [max_int - 1], lone or batched, and one at [max_int] fires the
+      rest, after which every call's [now] is [max_int]. *)
 
 exception Time_went_backwards of { previous : int; now : int }
 (** Raised by [fire_due] on a [now] earlier than the previous call's

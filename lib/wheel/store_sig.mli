@@ -57,7 +57,12 @@ module type S = sig
     limit:int ->
     (int -> 'a -> unit) ->
     Fire_outcome.t
-  (** [?prefetch] is a memory-warming hint, not a semantic hook: a store
+  (** Fires the due snapshot ({!Timer_store}'s contract) for any [now]
+      up to [max_int]: within one tick of the end of time, as elsewhere,
+      an entry fires once its reported deadline is at most [now],
+      whether it is {!Timing_wheel}'s lone due entry or in a batch.
+
+      [?prefetch] is a memory-warming hint, not a semantic hook: a store
       {e may} call it with the payload of an entry it expects to dispatch
       a few iterations from now, so the callback's state (e.g. a
       flow-id-indexed row in {!Rate_clock.Pool}) is in cache by the time

@@ -163,13 +163,26 @@ let handle_deadline t h = if Slab.valid t.slab h then s_at t (Slab.row_of h) els
 
 (* Snapshot-batch contract: the due rows of every slot the sweep
    passes leave for the core's scratch stack before any callback runs.
-   A row the batch withholds goes back into the horizon's slot. *)
+   A row the batch withholds goes back into the horizon's slot.  A due
+   minimum that is the only pending row is a batch of one: it leaves
+   what the batch would (horizon at [now_tick], row freed, minimum
+   unknown) with no gather, sort or re-check, and no rest to withhold. *)
 let[@hot] fire_due t ?prefetch:_ ~now ~limit f =
   let now_i = Fire_outcome.checked_now ~previous:t.last_now now in
   t.last_now <- now_i;
   let now_tick = link_tick t now_i in
   let m = if Slab.live t.slab = 0 then Wheel_core.least_none else known_min t in
-  if m >= 0 && s_at t m <= now_i then begin
+  let due = m >= 0 && s_at t m <= now_i in
+  if due && Slab.live t.slab = 1 && limit > 0 then begin
+    t.last_tick <- now_tick;
+    Wheel_core.unlink t.slab t.core m;
+    t.core.least <- Wheel_core.least_unknown;
+    let d = s_at t m and v = t.slab.vals.(m) in
+    Slab.free t.slab m;
+    f d v;
+    Fire_outcome.pack ~scanned:1 ~fired:1
+  end
+  else if due then begin
     let n = slots t in
     let first = t.last_tick in
     let span = now_tick - first in

@@ -729,14 +729,14 @@ let create cfg =
        pacing and TCP state, whose cache footprint costs more on a
        locality-sensitive server - the residual 2-6% overhead of the
        paper's Table 3. *)
-    let handler_touch_us = 0.5 *. anatomy.locality.Cache.sensitivity in
+    let touch_ns = Time_ns.(to_int (of_us (0.5 *. anatomy.locality.Cache.sensitivity))) in
     let touch_attr = Some a_pace_touch in
     let kind = ref Softtimer.null_kind in
     let arm () = ignore (Softtimer.schedule_soft_event st ~ticks:0L !kind 0 : Softtimer.handle) in
     kind :=
       Softtimer.register st ~name:"web.pace" (fun now _ ->
-          Machine.submit_quantum machine ?attr:touch_attr ~prio:Cpu.prio_intr
-            ~work_us:handler_touch_us ~trigger:None ignore;
+          Machine.submit_work_ns machine ?attr:touch_attr ~prio:Cpu.prio_intr
+            ~work_ns:touch_ns ignore;
           ignore (pace_send t now : bool);
           arm ());
     arm ()

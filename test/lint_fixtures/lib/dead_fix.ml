@@ -24,3 +24,9 @@ module Via_local_open = struct let ( +! ) a b = a + b end
 module Via_include = struct let included = 2 end
 module Via_pack = struct let packed = 3 end
 module Via_functor = struct let argument = 4 end
+
+(* Each named only where a local of the same name shadows it, in the
+   root's [shadowing] under [let open Dead_fix]: used nowhere. *)
+let by_let x = x + 6
+let by_fun x = x + 7
+let by_match x = x + 8

@@ -13,3 +13,6 @@ module Via_local_open : sig val ( +! ) : int -> int -> int end
 module Via_include : sig val included : int end
 module Via_pack : sig val packed : int end
 module Via_functor : sig val argument : int end
+val by_let : int -> int
+val by_fun : int -> int
+val by_match : int -> int

@@ -592,6 +592,71 @@ let test_edge_deadlines () =
      :: List.map (fun m -> (true, m)) Store_registry.exact)
     @ List.map (fun m -> (false, m)) Store_registry.approximate)
 
+(* The batch of one, on every store: a raising callback on the only
+   due entry leaves its handle stale and the store empty and working,
+   and a budget of zero withholds that entry with its deadline. *)
+let test_lone_entry () =
+  List.iter
+    (fun (label, (module M : Timer_store.S)) ->
+      let t = M.create ~tick:(us 10.0) () in
+      let h = M.schedule t ~at:(us 20.0) "a" in
+      let raised =
+        match M.fire_due t ~now:(us 30.0) ~limit:max_int (fun _ _ -> raise Boom) with
+        | _ -> false
+        | exception Boom -> true
+      in
+      Alcotest.(check bool) (label ^ ": the raise propagates") true raised;
+      Alcotest.(check bool) (label ^ ": stale handle") false (M.handle_pending t h);
+      Alcotest.(check int) (label ^ ": nothing pending") 0 (M.pending t);
+      Alcotest.(check int) (label ^ ": no deadline") max_int (M.next_deadline t);
+      let b = M.schedule t ~at:(us 40.0) "b" in
+      let o = M.fire_due t ~now:(us 50.0) ~limit:0 (fun _ _ -> Alcotest.fail "fired") in
+      Alcotest.(check (pair int int)) (label ^ ": limit 0 withholds") (1, 0)
+        (Fire_outcome.scanned o, Fire_outcome.fired o);
+      Alcotest.(check bool) (label ^ ": withheld entry pending") true (M.handle_pending t b);
+      Alcotest.(check int) (label ^ ": its deadline kept") (us 40.0) (M.next_deadline t);
+      let fired = ref [] in
+      ignore (M.fire_due t ~now:(us 50.0) ~limit:max_int (fun _ v -> fired := v :: !fired)
+              : Fire_outcome.t);
+      Alcotest.(check (list string)) (label ^ ": the later schedule fires") [ "b" ] !fired;
+      Alcotest.(check int) (label ^ ": drained") 0 (M.pending t))
+    (("reference", (module Timer_store.Reference : Timer_store.S))
+     :: ("wheel[8]", Timer_store.wheel ~slots:8 ())
+     :: List.map (fun (module M : Timer_store.S) -> (M.name, (module M : Timer_store.S)))
+          Store_registry.all)
+
+(* [now] within one tick of the end of time, through a lone entry and
+   through a batch: a call at [max_int - 1] fires exactly the entries
+   whose reported deadline is at most [max_int - 1], in (deadline, tie)
+   order, and a call at [max_int] fires the rest. *)
+let test_now_at_end_of_time () =
+  List.iter
+    (fun (module M : Timer_store.S) ->
+      List.iter
+        (fun deadlines ->
+          let label = Printf.sprintf "%s, %d entries" M.name (List.length deadlines) in
+          let t = M.create ~tick:(us 10.0) () in
+          ignore (M.fire_due t ~now:(max_int - 2) ~limit:max_int (fun _ _ -> ()) : Fire_outcome.t);
+          let reported =
+            List.mapi (fun tie d -> (M.handle_deadline t (M.schedule t ~at:d tie), tie)) deadlines
+          in
+          let fire now =
+            let fired = ref [] in
+            ignore (M.fire_due t ~now ~limit:max_int (fun at v -> fired := (at, v) :: !fired)
+                    : Fire_outcome.t);
+            List.rev !fired
+          in
+          let want now = List.sort compare (List.filter (fun (d, _) -> d <= now) reported) in
+          Alcotest.(check (list (pair int int))) (label ^ ": at max_int - 1")
+            (want (max_int - 1)) (fire (max_int - 1));
+          Alcotest.(check (list (pair int int))) (label ^ ": at max_int")
+            (List.filter (fun (d, _) -> d = max_int) (want max_int)) (fire max_int);
+          Alcotest.(check int) (label ^ ": drained") 0 (M.pending t);
+          Alcotest.(check int) (label ^ ": no deadline") max_int (M.next_deadline t))
+        [ [ max_int - 1 ]; [ max_int; max_int - 1; max_int - 2; max_int - 1 ] ])
+    ((module Timer_store.Reference : Timer_store.S) :: Timer_store.wheel ~slots:8 ()
+     :: Store_registry.all)
+
 (* Determinism: the facility's observable behaviour — the full trace of
    soft_sched/soft_cancel/soft_fire events, digested — must not depend
    on which store backs it.  Runs a trigger-driven machine with a
@@ -722,6 +787,8 @@ let () =
           Alcotest.test_case "withheld entry stays the minimum" `Quick test_withheld_minimum;
           Alcotest.test_case "stale handle after reuse" `Quick test_stale_handle_after_reuse;
           Alcotest.test_case "edge deadlines" `Quick test_edge_deadlines;
+          Alcotest.test_case "lone due entry" `Quick test_lone_entry;
+          Alcotest.test_case "now at the end of time" `Quick test_now_at_end_of_time;
           Alcotest.test_case "cancel churn bounded" `Quick test_cancel_churn_bounded;
           Alcotest.test_case "rearm churn bounded" `Quick test_rearm_churn_bounded;
           Alcotest.test_case "digest independent of store" `Quick test_digest_store_independent;

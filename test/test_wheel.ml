@@ -225,6 +225,66 @@ let test_schedule_i_extremes () =
     fired;
   Alcotest.(check int) "empty" 0 (Timing_wheel.pending w)
 
+(* The batch of one: a due minimum that is the only pending row fires
+   without the snapshot batch, and leaves what the batch would.  A
+   raising callback finds its row already freed: the handle is stale,
+   nothing is pending, and the wheel takes the next schedule. *)
+exception Boom
+
+let test_lone_row_raises () =
+  let w = Timing_wheel.create_sized ~slots:8 ~tick:(us 10.0) () in
+  let h = Timing_wheel.schedule w ~at:(us 20.0) "a" in
+  let raised =
+    match Timing_wheel.fire_due w ~now:(us 30.0) ~limit:max_int (fun _ _ -> raise Boom) with
+    | _ -> false
+    | exception Boom -> true
+  in
+  Alcotest.(check bool) "the raise propagates" true raised;
+  Alcotest.(check bool) "the handle is stale" false (Timing_wheel.handle_pending w h);
+  Alcotest.(check bool) "rearm refused" false (Timing_wheel.rearm w h ~at:(us 500.0));
+  Alcotest.(check int) "nothing pending" 0 (Timing_wheel.pending w);
+  Alcotest.(check int) "nothing resident" 0 (Timing_wheel.resident w);
+  Alcotest.(check int) "no deadline" max_int (Timing_wheel.next_deadline w);
+  let b = Timing_wheel.schedule w ~at:(us 40.0) "b" in
+  Alcotest.(check bool) "the old handle stays stale" false (Timing_wheel.handle_pending w h);
+  Alcotest.(check int) "b is the minimum" (us 40.0) (Timing_wheel.next_deadline w);
+  let n, fired = collect_fired w ~now:(us 50.0) in
+  Alcotest.(check int) "b fires" 1 n;
+  Alcotest.(check (list string)) "only b" [ "b" ] (List.map snd fired);
+  Alcotest.(check bool) "b's handle is stale" false (Timing_wheel.handle_pending w b)
+
+(* A budget of zero withholds the lone due row with its deadline. *)
+let test_lone_row_limit_zero () =
+  let w = Timing_wheel.create_sized ~slots:8 ~tick:(us 10.0) () in
+  let h = Timing_wheel.schedule w ~at:(us 20.0) "a" in
+  let o = Timing_wheel.fire_due w ~now:(us 30.0) ~limit:0 (fun _ _ -> Alcotest.fail "fired") in
+  Alcotest.(check (pair int int)) "scanned 1, fired 0" (1, 0)
+    (Fire_outcome.scanned o, Fire_outcome.fired o);
+  Alcotest.(check bool) "still pending" true (Timing_wheel.handle_pending w h);
+  Alcotest.(check int) "deadline kept" (us 20.0) (Timing_wheel.next_deadline w);
+  let _, fired = collect_fired w ~now:(us 30.0) in
+  Alcotest.(check (list (pair int string))) "fires next call" [ (us 20.0, "a") ] fired;
+  Alcotest.(check int) "drained" 0 (Timing_wheel.pending w)
+
+(* A lone row at [max_int - 1] fires at [now = max_int - 1], on a
+   1 ns tick (its tick index is [max_int - 1] itself) and a 10 us one. *)
+let test_lone_row_end_of_time () =
+  List.iter
+    (fun tick ->
+      let w = Timing_wheel.create_sized ~slots:8 ~tick () in
+      ignore (collect_fired w ~now:(max_int - 2) : int * (int * string) list);
+      ignore (Timing_wheel.schedule w ~at:(max_int - 1) "last" : _ Timing_wheel.handle);
+      let n, fired = collect_fired w ~now:(max_int - 2) in
+      Alcotest.(check int) "not before its time" 0 n;
+      Alcotest.(check (list string)) "nothing early" [] (List.map snd fired);
+      let _, fired = collect_fired w ~now:(max_int - 1) in
+      Alcotest.(check (list (pair int string))) "fires at max_int - 1"
+        [ (max_int - 1, "last") ] fired;
+      Alcotest.(check int) "empty" max_int (Timing_wheel.next_deadline w);
+      let n, _ = collect_fired w ~now:max_int in
+      Alcotest.(check int) "nothing at max_int" 0 n)
+    [ 1; us 10.0 ]
+
 (* One schedule plus a [fire_due] that fires it allocates nothing: the
    deadline handed to the callback is an int.  It was 3 words while that
    deadline was a boxed int64, and 19 with the list-bucket wheel's
@@ -269,6 +329,30 @@ let op_gen =
         (3, map (fun d -> Advance d) (int_range 1 500));
       ])
 
+(* A phase that keeps at most one row pending, so that its fires take
+   the batch of one: an advance past every deadline (offsets are at
+   most 2,000 us) drains the wheel, then each schedule is fired by one
+   or two advances before the next, perhaps re-armed on the way. *)
+let lone_phase_gen =
+  QCheck.Gen.(
+    let one =
+      map3
+        (fun d early rearm ->
+          let fire = [ Advance (d + 1 + early) ] in
+          match rearm with
+          | Some (i, d') -> Schedule d :: Advance (1 + early) :: Rearm (i, d') :: Advance 2_001 :: []
+          | None -> if early mod 2 = 0 then Schedule d :: fire else Schedule d :: Advance 1 :: fire)
+        (int_range 0 300) (int_range 0 100)
+        (opt ~ratio:0.2 (pair (int_range 0 50) (int_range 0 1_000)))
+    in
+    map (fun l -> Advance 2_001 :: List.concat l) (list_size (int_range 1 15) one))
+
+let ops_gen =
+  QCheck.Gen.(
+    map List.concat
+      (list_size (int_range 1 6)
+         (frequency [ (1, list_size (int_range 1 30) op_gen); (2, lone_phase_gen) ])))
+
 let ops_arbitrary =
   QCheck.make
     ~print:(fun ops ->
@@ -280,7 +364,7 @@ let ops_arbitrary =
              | Rearm (i, d) -> Printf.sprintf "R%d,%d" i d
              | Advance d -> Printf.sprintf "A%d" d)
            ops))
-    QCheck.Gen.(list_size (int_range 1 120) op_gen)
+    ops_gen
 
 type model = {
   id : int;
@@ -381,6 +465,9 @@ let () =
           Alcotest.test_case "stale handle after row reuse" `Quick test_stale_handle;
           Alcotest.test_case "schedule_i at the int range's ends" `Quick test_schedule_i_extremes;
           Alcotest.test_case "withheld entry rejoins the minimum" `Quick test_withheld_rejoins_minimum;
+          Alcotest.test_case "lone due row raises" `Quick test_lone_row_raises;
+          Alcotest.test_case "lone due row under limit 0" `Quick test_lone_row_limit_zero;
+          Alcotest.test_case "lone row at the end of time" `Quick test_lone_row_end_of_time;
           Alcotest.test_case "schedule + fire allocation" `Quick test_cycle_alloc;
         ] );
       ("property", [ qc test_oracle_equivalence; qc test_next_deadline_always_min ]);

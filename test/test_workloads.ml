@@ -393,6 +393,43 @@ let test_closure_events_per_request () =
         true (per <= 0.05))
     [ ("web-soft", web_soft); ("web-irq", web_irq) ]
 
+(* The engine's run count per event kind over one simulated second of
+   each web workload (seed 41, no warm-up): a change to the host cost
+   of the request path must leave every count as it is.  The names
+   repeat per link and NIC, in registration order. *)
+let kind_runs_golden =
+  [
+    ( "web-soft",
+      Webserver.Soft_pacing,
+      [
+        ("closure", 5); ("cpu.complete", 111009); ("machine.idle_poll", 0);
+        ("machine.idle_deadline", 85); ("machine.periodic_tick", 1000); ("irq.spl", 2190);
+        ("link.serialised", 3207); ("link.deliver", 3205); ("nic.rx_intr", 1703);
+        ("link.serialised", 2685); ("link.deliver", 2685); ("nic.rx_intr", 1455);
+        ("link.serialised", 2680); ("link.deliver", 2679); ("nic.rx_intr", 1442);
+        ("web.client", 7026);
+      ] );
+    ( "web-irq",
+      Webserver.Hw_pacing (Time_ns.of_us 20.0),
+      [
+        ("closure", 5); ("cpu.complete", 128026); ("machine.idle_poll", 0);
+        ("machine.idle_deadline", 0); ("machine.periodic_tick", 1000); ("irq.spl", 2190);
+        ("link.serialised", 2387); ("link.deliver", 2387); ("nic.rx_intr", 1293);
+        ("link.serialised", 1990); ("link.deliver", 1990); ("nic.rx_intr", 1090);
+        ("link.serialised", 1990); ("link.deliver", 1990); ("nic.rx_intr", 1080);
+        ("web.client", 5248); ("hw_pacer.tick", 50000);
+      ] );
+  ]
+
+let test_kind_runs_golden () =
+  List.iter
+    (fun (name, pacing, want) ->
+      let t = run_server ~warmup:0.0 ~measure:1.0 { (web_cfg pacing) with Webserver.seed = 41 } in
+      Alcotest.(check (list (pair string int)))
+        (name ^ " kind runs") want
+        (Engine.kind_runs (Webserver.engine t)))
+    kind_runs_golden
+
 let () =
   Alcotest.run "workloads"
     [
@@ -414,6 +451,7 @@ let () =
           Alcotest.test_case "promoted words per request" `Quick test_promoted_per_request;
           Alcotest.test_case "closure events per request" `Quick
             test_closure_events_per_request;
+          Alcotest.test_case "kind runs golden" `Quick test_kind_runs_golden;
         ] );
       ( "webserver-triggers",
         [

@@ -12,12 +12,13 @@
    first-class value, passed to a functor or [include]d uses its whole
    signature: the edge goes to every binding of that module.
 
-   The graph deliberately over-approximates: a local [let] shadowing a
-   toplevel name still produces the edge, and nested modules of the
-   same name share their nodes.  Calls through closures or functor
-   parameters produce no edge.  Over-approximation only widens the
-   checked set (safe for ALLOC/RACE, which scan reachable bodies, and
-   for DEAD001, which reports what nothing reaches);
+   A name bound by an enclosing [let], [fun] or pattern is that local
+   and produces no edge.  The graph deliberately over-approximates
+   elsewhere: nested modules of the same name share their nodes.
+   Calls through closures or functor parameters produce no edge.
+   Over-approximation only widens the checked set (safe for ALLOC/RACE,
+   which scan reachable bodies, and for DEAD001, which reports what
+   nothing reaches);
    under-approximation through higher-order calls is the documented
    limit of a syntactic tool.
 
@@ -283,17 +284,66 @@ let whole_module (t : t) (f : Lint_source.file) (me : module_expr) =
   | Some m -> List.map (fun x -> (m, x)) (Hashtbl.find_all t.members m)
   | None -> []
 
-(* An AST iterator that adds every reference it meets to [note]. *)
+(* The variables a pattern binds. *)
+let pat_vars (p : pattern) =
+  let acc = ref [] in
+  let it =
+    {
+      Ast_iterator.default_iterator with
+      pat =
+        (fun self p ->
+          (match p.ppat_desc with
+          | Ppat_var { txt; _ } | Ppat_alias (_, { txt; _ }) -> acc := txt :: !acc
+          | _ -> ());
+          Ast_iterator.default_iterator.pat self p);
+    }
+  in
+  it.pat it p;
+  !acc
+
+(* An AST iterator that adds every reference it meets to [note].  An
+   unqualified name bound by an enclosing [let], [fun], [function],
+   [match], [try] or [for] inside the expression is that local, not a
+   toplevel binding. *)
 let ref_iterator (t : t) (f : Lint_source.file) ~current_module note =
   let opened = ref [] in
+  let locals = ref [] in
   let whole me = List.iter note (whole_module t f me) in
+  let scoped vars k =
+    let saved = !locals in
+    locals := vars @ saved;
+    k ();
+    locals := saved
+  in
+  let case self (c : case) =
+    scoped (pat_vars c.pc_lhs) (fun () ->
+        Option.iter (self.Ast_iterator.expr self) c.pc_guard;
+        self.expr self c.pc_rhs)
+  in
   {
     Ast_iterator.default_iterator with
     expr =
       (fun self ex ->
         match ex.pexp_desc with
+        | Pexp_ident { txt = Lident x; _ } when List.mem x !locals -> ()
         | Pexp_ident { txt; _ } ->
           List.iter note (resolve t f ~current_module ~opened:!opened txt)
+        | Pexp_let (rec_flag, vbs, body) ->
+          let vars = List.concat_map (fun vb -> pat_vars vb.pvb_pat) vbs in
+          let bind () = List.iter (fun vb -> self.expr self vb.pvb_expr) vbs in
+          if rec_flag = Asttypes.Recursive then scoped vars bind else bind ();
+          scoped vars (fun () -> self.expr self body)
+        | Pexp_fun (_, default, p, body) ->
+          Option.iter (self.expr self) default;
+          scoped (pat_vars p) (fun () -> self.expr self body)
+        | Pexp_function cases -> List.iter (case self) cases
+        | Pexp_match (e, cases) | Pexp_try (e, cases) ->
+          self.expr self e;
+          List.iter (case self) cases
+        | Pexp_for (p, lo, hi, _, body) ->
+          self.expr self lo;
+          self.expr self hi;
+          scoped (pat_vars p) (fun () -> self.expr self body)
         | Pexp_open ({ popen_expr; _ }, body) ->
           let saved = !opened in
           Option.iter (fun m -> opened := m :: saved) (named_module f popen_expr);

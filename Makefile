@@ -134,7 +134,7 @@ trace-smoke: build
 # Static-analysis suite (tools/lint): determinism (DET001..DET005,
 # MLI001), domain races
 # (RACE001..RACE004), hot-path allocations and lookups
-# (ALLOC001..ALLOC003, HOT001) and lib/ exports no root reaches
+# (ALLOC001..ALLOC003, HOT001, HOT002) and lib/ exports no root reaches
 # (DEAD001, reading test/ and perfbench/ for references), plus stale
 # allowances (ALLOW001), over lib/ bin/ examples/ bench/ tools/, with
 # file:line:RULE diagnostics,

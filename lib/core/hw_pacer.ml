@@ -2,7 +2,7 @@ type t = {
   machine : Machine.t;
   interval_i : int;  (* ns *)
   send : int -> bool;
-  dispatch_work_us : float;
+  dispatch_work_ns : int;
   mutable line : Interrupt.line option;
   mutable running : bool;
   mutable dispatch_pending : bool;
@@ -35,8 +35,8 @@ let on_tick t _now =
     Profile.event e_coalesced
   else begin
     t.dispatch_pending <- true;
-    Machine.submit_quantum t.machine ?attr:dispatch_attr ~prio:Cpu.prio_softintr
-      ~work_us:t.dispatch_work_us ~trigger:None t.dispatch
+    Machine.submit_work_ns t.machine ?attr:dispatch_attr ~prio:Cpu.prio_softintr
+      ~work_ns:t.dispatch_work_ns t.dispatch
   end
 
 let the_line t = match t.line with Some l -> l | None -> assert false
@@ -44,17 +44,18 @@ let the_line t = match t.line with Some l -> l | None -> assert false
 (* One tick: [stop] disarms the timer, so it fires only while running,
    and it re-arms only while still running after the raise. *)
 let[@hot] on_timer t _ =
-  ignore (Machine.raise_irq t.machine (the_line t) ~handler_work_us:0.4 () : bool);
+  ignore (Machine.raise_irq t.machine (the_line t) : bool);
   if t.running then Engine.arm_after (Machine.engine t.machine) t.tick t.interval_i
 
 let create machine ~interval ~send ?(dispatch_work_us = 1.2) () =
   if Time_ns.(interval <= 0L) then invalid_arg "Hw_pacer.create: interval must be positive";
+  if not (Float.is_finite dispatch_work_us) then invalid_arg "Hw_pacer.create: non-finite work";
   let t =
     {
       machine;
       interval_i = Time_ns.to_int interval;
       send;
-      dispatch_work_us;
+      dispatch_work_ns = Machine.work_ns machine ~checked:false dispatch_work_us;
       line = None;
       running = false;
       dispatch_pending = false;
@@ -67,8 +68,7 @@ let create machine ~interval ~send ?(dispatch_work_us = 1.2) () =
   in
   let line =
     Machine.interrupt_line machine ~name:"pacer-8253" ~source:Trigger.Clock_tick ~latch_depth:1
-      ~spl_blockable:true
-      ~handler:(fun now -> on_tick t now)
+      ~spl_blockable:true ~handler_work_us:0.4 ~handler:(fun now -> on_tick t now)
       ()
   in
   t.line <- Some line;

@@ -22,7 +22,9 @@ val create :
 (** [send now] transmits one pending packet at [now] (integer
     nanoseconds); [false] = nothing pending, the tick is then idle but
     still paid for.  [dispatch_work_us] is the
-    software-interrupt dispatch cost per tick (default 1.2). *)
+    software-interrupt dispatch cost per tick (default 1.2).
+    @raise Invalid_argument if [interval] is not positive or
+    [dispatch_work_us] is NaN or infinite. *)
 
 val start : t -> unit
 (** Start the tick: the first fires one interval from now.  The tick is

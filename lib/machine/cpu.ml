@@ -43,14 +43,17 @@ let no_cb (_ : int) = ()
    is a ring deque of slot indices.  Every ring is as long as the arena
    (a slot sits in at most one ring), so a ring never overflows and all
    of them grow with it; the length is a power of two, so ring indices
-   wrap with a mask.  A new quantum joins the back of its ring; a
-   preempted one goes back to the front, which is where it resumes —
-   at most one quantum per priority is ever preempted, since another of
-   that priority can only start after it.  Only the callback, and an
+   wrap with a mask.  A new quantum joins the back of its ring, unless
+   it would be the next popped and starts at once; a preempted one goes
+   back to the front, which is where it resumes — at most one quantum
+   per priority is ever preempted, since another of that priority can
+   only start after it.  Only the callback, and an
    attribution passed explicitly, are pointers: trigger states and
    flags are immediates, so a quantum writes no other pointer into the
-   arena.  Freeing a slot resets its callback, so a finished quantum's
-   closure is not kept reachable. *)
+   arena.  A freed slot keeps its callback until the slot is reused, as
+   the engine's timer slots do: resetting it would cost a write barrier
+   per quantum, and what it keeps reachable is bounded by the arena's
+   peak. *)
 type t = {
   engine : Engine.t;
   cpu_id : int;
@@ -129,7 +132,6 @@ let[@hot] alloc_slot t =
   t.free.(t.n_free)
 
 let[@hot] free_slot t slot =
-  t.s_cb.(slot) <- no_cb;
   t.free.(t.n_free) <- slot;
   t.n_free <- t.n_free + 1
 
@@ -152,6 +154,9 @@ let[@hot] pop_front t prio =
   t.lens.(prio) <- t.lens.(prio) - 1;
   ring.(h)
 
+(* No quantum of priority [p .. prio] is queued. *)
+let rec ahead_of_queue t p prio = p > prio || (t.lens.(p) = 0 && ahead_of_queue t (p + 1) prio)
+
 (* Most urgent priority with a queued quantum; -1 if none. *)
 let rec ready_prio t prio =
   if prio >= prio_count then -1 else if t.lens.(prio) > 0 then prio else ready_prio t (prio + 1)
@@ -170,8 +175,14 @@ let[@hot] charge t slot span =
     Profile.charge
       (if t.s_has_attr.(slot) then t.s_attr.(slot) else default_attr prio)
       ~cpu:t.cpu_id (Int64.of_int span [@lint.allow "ALLOC003"]);
-  if span > 0 then
+  if span > 0 && Trace.on () then
     Trace.cpu_run ~at:(Engine.now_i t.engine) ~cpu:t.cpu_id ~klass:t.s_klass.(slot) ~dur:span
+
+let[@hot] start t prio slot =
+  t.current <- slot;
+  t.cur_prio <- prio;
+  t.started <- Engine.now_i t.engine;
+  Engine.arm_after t.engine t.quantum t.s_remaining.(slot)
 
 let[@hot] rec dispatch t =
   let prio = ready_prio t 0 in
@@ -184,16 +195,15 @@ let[@hot] rec dispatch t =
   else begin
     let slot = pop_front t prio in
     t.depth <- t.depth - 1;
-    t.current <- slot;
-    t.cur_prio <- prio;
-    t.started <- Engine.now_i t.engine;
-    Engine.arm_after t.engine t.quantum t.s_remaining.(slot)
+    start t prio slot
   end
 
 (* The completion of [current]: preemption disarms the CPU's quantum
    timer, so the occurrence that fires is always the running quantum's.
    The slot is freed before the hook and callback run, so work they
-   submit may reuse it. *)
+   submit may reuse it.  They may have submitted work and dispatched it;
+   only dispatch here if the CPU is still unoccupied, also when one of
+   them raises, so the queued work still runs. *)
 and[@hot] complete t =
   let slot = t.current in
   charge t slot t.s_remaining.(slot);
@@ -201,11 +211,15 @@ and[@hot] complete t =
   let cb = t.s_cb.(slot) in
   t.current <- -1;
   free_slot t slot;
-  if has_trigger then t.trigger_hook trigger;
-  cb (Engine.now_i t.engine);
-  (* The callback may have submitted work and triggered a dispatch; only
-     dispatch here if the CPU is still unoccupied. *)
-  if not (running t) then dispatch t
+  match
+    if has_trigger then t.trigger_hook trigger;
+    cb (Engine.now_i t.engine)
+  with
+  | () -> if not (running t) then dispatch t
+  | exception e ->
+    let bt = Printexc.get_raw_backtrace () in
+    if not (running t) then dispatch t;
+    Printexc.raise_with_backtrace e bt
 
 let initial_slots = 16
 
@@ -271,15 +285,19 @@ let[@hot] submit t ?attr ?klass ~prio ~work ~trigger cb =
     t.s_trigger.(slot) <- kind
   | None -> t.s_has_trigger.(slot) <- false);
   t.s_cb.(slot) <- cb;
-  push_back t prio slot;
-  t.depth <- t.depth + 1;
-  if was_idle then begin
-    let now = Engine.now_i t.engine in
-    Trace.cpu_busy ~at:now ~cpu:t.cpu_id;
-    t.resume_hook now
-  end;
-  if not (running t) then dispatch t
-  else if preemptible t.cur_prio && prio < t.cur_prio then begin
-    preempt t;
-    dispatch t
+  if running t && preemptible t.cur_prio && prio < t.cur_prio then preempt t;
+  (* A quantum the CPU would pop next, ahead of everything queued, starts
+     without the round trip through its ring: a preempting one, or one a
+     completion submits.  A CPU leaving idle takes the ring, so its
+     resume hook sees the quantum queued. *)
+  if (not (running t)) && (not was_idle) && ahead_of_queue t 0 prio then start t prio slot
+  else begin
+    push_back t prio slot;
+    t.depth <- t.depth + 1;
+    if was_idle then begin
+      let now = Engine.now_i t.engine in
+      Trace.cpu_busy ~at:now ~cpu:t.cpu_id;
+      t.resume_hook now
+    end;
+    if not (running t) then dispatch t
   end

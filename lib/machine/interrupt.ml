@@ -11,6 +11,7 @@ type line = {
   spl_blockable : bool;
   cpu : int;
   handler : int -> unit;  (* receives the completion instant, ns *)
+  handler_work : int;  (* the handler's own work per delivery, ns *)
   mutable in_flight : int;  (* delivered-but-unfinished, at most latch_depth *)
   works : int array;
       (* work (ns) of the deliveries in flight, a ring from [oldest]:
@@ -18,7 +19,6 @@ type line = {
   mutable oldest : int;
   mutable complete : int -> unit;  (* the deliveries' callback, built once *)
   mutable deferred : bool;  (* a tick is waiting for the spl window to end *)
-  mutable deferred_work : int;  (* its handler work, ns *)
   raised : int ref;
   lost : int ref;
   delivered : int ref;
@@ -33,12 +33,13 @@ type t = {
   engine : Engine.t;
   cpus : Cpu.t array;
   profile : Costs.profile;
+  save : Time_ns.span;  (* the profile's save/restore, for the profiler's split *)
   on_trigger : Trigger.kind -> int -> unit;
   mutable overhead_ns : int;  (* per-delivery overhead at the current locality *)
   mutable spl_until : int;  (* end of the current disabled window, ns *)
   (* The lines whose tick the window deferred, oldest first in
      [spl_deferred.(0 .. n_deferred - 1)]; a line defers at most one
-     tick per window, and keeps its work itself. *)
+     tick per window. *)
   mutable spl_deferred : line array;
   mutable n_deferred : int;
 }
@@ -54,6 +55,7 @@ let create ~engine ~cpus ~profile ~on_trigger () =
     engine;
     cpus;
     profile;
+    save = Time_ns.of_us profile.Costs.intr_save_restore_us;
     on_trigger;
     overhead_ns = delivery_overhead_ns profile Cache.neutral;
     spl_until = 0;
@@ -69,11 +71,12 @@ let complete t ln now =
   ln.oldest <- (if ln.oldest + 1 = ln.latch_depth then 0 else ln.oldest + 1);
   ln.in_flight <- ln.in_flight - 1;
   incr ln.delivered;
-  Trace.irq ~at:now ~line:ln.name ~cpu:ln.cpu ~dur:work;
+  if Trace.on () then Trace.irq ~at:now ~line:ln.name ~cpu:ln.cpu ~dur:work;
   ln.handler now;
   t.on_trigger ln.source now
 
-let line t ~name ~source ?(latch_depth = 2) ?(spl_blockable = false) ?(cpu = 0) ~handler () =
+let line t ~name ~source ?(latch_depth = 2) ?(spl_blockable = false) ?(cpu = 0) ~handler
+    ~handler_work_ns () =
   if latch_depth < 1 then invalid_arg "Interrupt.line: latch_depth must be >= 1";
   if cpu < 0 || cpu >= Array.length t.cpus then invalid_arg "Interrupt.line: bad cpu";
   let m = Metrics.current () in
@@ -85,12 +88,12 @@ let line t ~name ~source ?(latch_depth = 2) ?(spl_blockable = false) ?(cpu = 0) 
       spl_blockable;
       cpu;
       handler;
+      handler_work = Int.max handler_work_ns 0;
       in_flight = 0;
       works = Array.make latch_depth 0;
       oldest = 0;
       complete = ignore;
       deferred = false;
-      deferred_work = 0;
       raised = Metrics.cell m m_raised;
       lost = Metrics.cell m m_lost;
       delivered = Metrics.cell m m_delivered;
@@ -104,9 +107,9 @@ let line t ~name ~source ?(latch_depth = 2) ?(spl_blockable = false) ?(cpu = 0) 
 
 (* Work stays in int ns and the completion callback is the line's, so a
    delivery allocates nothing beyond its quantum. *)
-let[@hot] deliver t ln handler_work =
+let[@hot] deliver t ln =
   let overhead = t.overhead_ns in
-  let work = overhead + Int.max handler_work 0 in
+  let work = overhead + ln.handler_work in
   let slot = ln.oldest + ln.in_flight in
   ln.works.(if slot >= ln.latch_depth then slot - ln.latch_depth else slot) <- work;
   ln.in_flight <- ln.in_flight + 1;
@@ -117,9 +120,7 @@ let[@hot] deliver t ln handler_work =
        ALLOC002: only while profiling. *)
     if Profile.enabled () then begin
       let overhead = Time_ns.of_ns overhead in
-      let save =
-        Time_ns.min (Time_ns.of_us t.profile.Costs.intr_save_restore_us) overhead
-      in
+      let save = Time_ns.min t.save overhead in
       Some
         (Profile.seq
            [ (ln.a_save, save); (ln.a_pollution, Time_ns.(overhead - save)) ]
@@ -141,10 +142,10 @@ let grow_deferred t ln =
   Array.blit t.spl_deferred 0 a 0 t.n_deferred;
   t.spl_deferred <- a
 
-let[@hot] raise_irq t ln ~handler_work_ns:handler_work =
+let[@hot] raise_irq t ln =
   incr ln.raised;
   let now_i = Engine.now_i t.engine in
-  Trace.irq_raised ~at:now_i ~line:ln.name;
+  if Trace.on () then Trace.irq_raised ~at:now_i ~line:ln.name;
   if ln.spl_blockable && now_i < t.spl_until then begin
     (* Interrupts disabled: latch one tick; further ticks are gone. *)
     if ln.deferred then begin
@@ -153,7 +154,6 @@ let[@hot] raise_irq t ln ~handler_work_ns:handler_work =
     end
     else begin
       ln.deferred <- true;
-      ln.deferred_work <- handler_work;
       if t.n_deferred = Array.length t.spl_deferred then grow_deferred t ln;
       t.spl_deferred.(t.n_deferred) <- ln;
       t.n_deferred <- t.n_deferred + 1;
@@ -165,7 +165,7 @@ let[@hot] raise_irq t ln ~handler_work_ns:handler_work =
     false
   end
   else begin
-    deliver t ln handler_work;
+    deliver t ln;
     true
   end
 
@@ -177,7 +177,7 @@ let[@hot] flush_spl t =
     let ln = t.spl_deferred.(i) in
     ln.deferred <- false;
     if ln.in_flight >= ln.latch_depth then lose ln ~at:(Engine.now_i t.engine)
-    else deliver t ln ln.deferred_work
+    else deliver t ln
   done
 
 (* Disabled windows: one engine kind whose payload says which edge is

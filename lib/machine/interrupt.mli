@@ -40,11 +40,14 @@ val line :
   ?spl_blockable:bool ->
   ?cpu:int ->
   handler:(int -> unit) ->
+  handler_work_ns:int ->
   unit ->
   line
 (** Register an interrupt line.  [source] is the trigger-state kind
     observed when the handler returns; [handler] receives the completion
     time of each delivered interrupt, in integer nanoseconds.
+    [handler_work_ns] is the device handler's own processing time per
+    delivery (negative counts as zero).
     [latch_depth] is the number of in-flight interrupts the line can
     hold before losing new ones:
     2 (default) for ordinary device lines (one in service + one latched
@@ -65,10 +68,9 @@ val start_spl_sections :
     (callout processing, scheduler, console).  Only [spl_blockable]
     lines are affected. *)
 
-val raise_irq : t -> line -> handler_work_ns:int -> bool
+val raise_irq : t -> line -> bool
 (** Assert the line.  Returns [false] when the interrupt was lost to
-    the latch limit.  [handler_work_ns] is the device handler's own
-    processing time in ns. *)
+    the latch limit. *)
 
 val raised : line -> int
 (** Interrupts asserted on this line so far. *)

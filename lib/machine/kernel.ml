@@ -19,17 +19,6 @@ type step = {
   entry_attr : Profile.attr;
 }
 
-(* A Profile.seq consumes its parts statefully, so it must be built
-   fresh for every submitted quantum — steps are reusable values.
-   ALLOC002: only while profiling. *)
-let[@lint.allow "ALLOC002"] step_attr s =
-  if Profile.enabled () then
-    Some
-      (if s.entry_us > 0.0 then
-         Profile.seq [ (s.entry_attr, Time_ns.of_us s.entry_us) ] ~tail:s.attr
-       else s.attr)
-  else None
-
 let attr_of ~entry_us ~entry_attr ~attr =
   if Profile.enabled () && entry_us > 0.0 then
     Some (Profile.seq [ (entry_attr, Time_ns.of_us entry_us) ] ~tail:attr)
@@ -38,86 +27,48 @@ let attr_of ~entry_us ~entry_attr ~attr =
 
 let scaled m us = Costs.scale_us (Machine.profile m) us
 
-let syscall m ~work_us cb =
-  let entry = (Machine.profile m).Costs.syscall_entry_us in
+(* A kernel entry: its cost, split out for the profiler, then the body. *)
+let enter m ~entry_us ~entry_attr ~attr ~work_us ~trigger cb =
   Machine.submit_quantum m
-    ?attr:(attr_of ~entry_us:entry ~entry_attr:a_syscall_entry ~attr:a_syscall_body)
-    ~prio:Cpu.prio_kernel
-    ~work_us:(entry +. scaled m work_us)
-    ~trigger:(Some Trigger.Syscall) cb
+    ?attr:(attr_of ~entry_us ~entry_attr ~attr)
+    ~prio:Cpu.prio_kernel ~work_us:(entry_us +. scaled m work_us) ~trigger cb
+
+let syscall m ~work_us cb =
+  enter m ~entry_us:(Machine.profile m).Costs.syscall_entry_us ~entry_attr:a_syscall_entry
+    ~attr:a_syscall_body ~work_us ~trigger:(Some Trigger.Syscall) cb
 
 let trap m ~work_us cb =
-  let entry = (Machine.profile m).Costs.trap_entry_us in
-  Machine.submit_quantum m
-    ?attr:(attr_of ~entry_us:entry ~entry_attr:a_trap_entry ~attr:a_trap_body)
-    ~prio:Cpu.prio_kernel
-    ~work_us:(entry +. scaled m work_us)
-    ~trigger:(Some Trigger.Trap) cb
+  enter m ~entry_us:(Machine.profile m).Costs.trap_entry_us ~entry_attr:a_trap_entry
+    ~attr:a_trap_body ~work_us ~trigger:(Some Trigger.Trap) cb
 
 let user m ~work_us cb =
   Machine.submit_quantum m
     ?attr:(attr_of ~entry_us:0.0 ~entry_attr:a_user ~attr:a_user)
     ~prio:Cpu.prio_user ~work_us:(scaled m work_us) ~trigger:None cb
 
+let step ~prio ~trigger ~attr ?(entry_us = 0.0) ?(entry_attr = attr) work_us =
+  { prio; work_us; trigger; attr; entry_us; entry_attr }
+
 let step_syscall ?(work_us = 4.0) m =
-  let entry = (Machine.profile m).Costs.syscall_entry_us in
-  {
-    prio = Cpu.prio_kernel;
-    work_us = entry +. scaled m work_us;
-    trigger = Some Trigger.Syscall;
-    attr = a_syscall_body;
-    entry_us = entry;
-    entry_attr = a_syscall_entry;
-  }
+  let entry_us = (Machine.profile m).Costs.syscall_entry_us in
+  step ~prio:Cpu.prio_kernel ~trigger:(Some Trigger.Syscall) ~attr:a_syscall_body ~entry_us
+    ~entry_attr:a_syscall_entry (entry_us +. scaled m work_us)
 
 let step_trap ?(work_us = 12.0) m =
-  let entry = (Machine.profile m).Costs.trap_entry_us in
-  {
-    prio = Cpu.prio_kernel;
-    work_us = entry +. scaled m work_us;
-    trigger = Some Trigger.Trap;
-    attr = a_trap_body;
-    entry_us = entry;
-    entry_attr = a_trap_entry;
-  }
+  let entry_us = (Machine.profile m).Costs.trap_entry_us in
+  step ~prio:Cpu.prio_kernel ~trigger:(Some Trigger.Trap) ~attr:a_trap_body ~entry_us
+    ~entry_attr:a_trap_entry (entry_us +. scaled m work_us)
 
-let step_user m ~work_us =
-  {
-    prio = Cpu.prio_user;
-    work_us = scaled m work_us;
-    trigger = None;
-    attr = a_user;
-    entry_us = 0.0;
-    entry_attr = a_user;
-  }
+let step_user m ~work_us = step ~prio:Cpu.prio_user ~trigger:None ~attr:a_user (scaled m work_us)
 
 let step_ip_output ?(work_us = 7.0) m =
-  {
-    prio = Cpu.prio_kernel;
-    work_us = scaled m work_us;
-    trigger = Some Trigger.Ip_output;
-    attr = a_ip_output;
-    entry_us = 0.0;
-    entry_attr = a_ip_output;
-  }
+  step ~prio:Cpu.prio_kernel ~trigger:(Some Trigger.Ip_output) ~attr:a_ip_output (scaled m work_us)
 
 (* DEAD001: a step the script tests run. *)
 let[@lint.allow "DEAD001"] step_tcp_timer ?(work_us = 1.5) m =
-  {
-    prio = Cpu.prio_softintr;
-    work_us = scaled m work_us;
-    trigger = Some Trigger.Tcpip_other;
-    attr = a_tcp_timer;
-    entry_us = 0.0;
-    entry_attr = a_tcp_timer;
-  }
+  step ~prio:Cpu.prio_softintr ~trigger:(Some Trigger.Tcpip_other) ~attr:a_tcp_timer
+    (scaled m work_us)
 
 let step_ctx_switch m =
-  {
-    prio = Cpu.prio_kernel;
-    work_us = (Machine.profile m).Costs.context_switch_us;
-    trigger = None;
-    attr = a_ctx_switch;
-    entry_us = 0.0;
-    entry_attr = a_ctx_switch;
-  }
+  step ~prio:Cpu.prio_kernel ~trigger:None ~attr:a_ctx_switch
+    (Machine.profile m).Costs.context_switch_us

@@ -19,12 +19,6 @@ type step = {
   entry_attr : Profile.attr;
 }
 
-val step_attr : step -> Profile.attr option
-(** Per-submission attribution for a step: [Some] (a fresh entry/body
-    split when [entry_us > 0.]) while profiling is enabled, [None]
-    otherwise.  Must be called once per submitted quantum — seqs consume
-    their parts statefully. *)
-
 val syscall : Machine.t -> work_us:float -> (int -> unit) -> unit
 (** One system call: kernel entry cost + [work_us] of kernel work, ends
     in a [Syscall] trigger state.  Like every entry point below, the

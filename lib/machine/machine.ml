@@ -13,6 +13,7 @@ let m_triggers = Metrics.counter "machine.triggers"
 type t = {
   engine : Engine.t;
   profile : Costs.profile;
+  check_span : Time_ns.span;  (* the profile's [softtimer_check_us] *)
   cpus : Cpu.t array;
   idle : bool array;  (* per-CPU idle state *)
   mutable checker : int;  (* the one idle CPU checking (§5.2); -1 if none *)
@@ -60,7 +61,7 @@ let set_locality t l =
 let fire_trigger t kind =
   let now = Engine.now_i t.engine in
   incr t.counts.(kind_index kind);
-  Trace.trigger ~at:now (Trigger.name kind);
+  if Trace.on () then Trace.trigger ~at:now (Trigger.name kind);
   for i = 0 to t.n_observers - 1 do
     t.observers.(i) kind now
   done;
@@ -84,18 +85,25 @@ let check_attr = Profile.intern [ "softtimer"; "check" ]
 
 (* Microseconds of work to integer nanoseconds, as [Time_ns.of_us] of
    the work clamped at zero.  NaN and infinity have no conversion, so
-   they are rejected before it. *)
-let[@inline] ns_of_work_us ~what us =
+   they are rejected before it.  HOT002: fixed work comes here once,
+   where it is defined; per quantum, only work given as a float does
+   (drawn work, and [submit_quantum]'s callers). *)
+let[@inline] [@lint.allow "HOT002"] ns_of_work_us ~what us =
   if not (Float.is_finite us) then invalid_arg what;
   Float.to_int (Float.round ((if us > 0.0 then us else 0.0) *. 1e3))
 
 (* A quantum's work in int ns: [work_us], plus the trigger-state check
-   surcharge when [checked].  Each branch converts on its own: joined
-   into one float, the sum would be boxed to match [work_us]. *)
-let[@inline] quantum_ns t ~checked work_us =
-  let what = "Machine.submit_quantum: non-finite work" in
+   surcharge when [checked], rounded once.  Each branch converts on its
+   own: joined into one float, the sum would be boxed to match
+   [work_us]. *)
+let[@inline] quantum_ns t ~what ~checked work_us =
   if checked then ns_of_work_us ~what (work_us +. t.profile.Costs.softtimer_check_us)
   else ns_of_work_us ~what work_us
+
+let work_ns t ~checked work_us =
+  quantum_ns t ~what:"Machine.work_ns: non-finite work" ~checked work_us
+
+let submit_what = "Machine.submit_quantum: non-finite work"
 
 (* Whether the quantum ends in a trigger state that runs the check hook. *)
 let[@inline] wants_check t trigger = Option.is_some trigger && Option.is_some t.check_hook
@@ -107,11 +115,7 @@ let submit_ns t ~cpu ~attr ~klass ~prio ~checked ~work ~trigger cb =
        own category.  Only allocate the seq when profiling is live. *)
     if checked && Profile.enabled () then
       let base = match attr with Some a -> a | None -> Cpu.default_attr prio in
-      Some
-        (Profile.seq
-           [ (check_attr, Time_ns.of_us t.profile.Costs.softtimer_check_us) ]
-           ~tail:base)
-      [@lint.allow "ALLOC002"]
+      Some (Profile.seq [ (check_attr, t.check_span) ] ~tail:base) [@lint.allow "ALLOC002"]
     else attr
   in
   Cpu.submit t.cpus.(cpu) ?attr ?klass ~prio ~work ~trigger cb
@@ -123,29 +127,39 @@ let[@hot] submit_work_ns t ?(cpu = 0) ?attr ?klass ~prio ~work_ns cb =
 
 let[@hot] submit_quantum t ?(cpu = 0) ?attr ?klass ~prio ~work_us ~trigger cb =
   let checked = wants_check t trigger in
-  if Option.is_none trigger then
-    submit_work_ns t ~cpu ?attr ?klass ~prio ~work_ns:(quantum_ns t ~checked work_us) cb
+  let work = quantum_ns t ~what:submit_what ~checked work_us in
+  if Option.is_none trigger then submit_work_ns t ~cpu ?attr ?klass ~prio ~work_ns:work cb
   else if cpu < 0 || cpu >= Array.length t.cpus then
     invalid_arg "Machine.submit_quantum: bad cpu"
-  else submit_ns t ~cpu ~attr ~klass ~prio ~checked ~work:(quantum_ns t ~checked work_us) ~trigger cb
+  else submit_ns t ~cpu ~attr ~klass ~prio ~checked ~work ~trigger cb
+
+(* Fixed work, converted where it was defined: the hook attached now
+   picks which of the two roundings the quantum charges. *)
+let[@hot] submit_fixed_ns t ?attr ~prio ~work_ns ~checked_ns ~trigger cb =
+  let checked = wants_check t trigger in
+  submit_ns t ~cpu:0 ~attr ~klass:None ~prio ~checked
+    ~work:(if checked then checked_ns else work_ns)
+    ~trigger cb
 
 (* The work is read from the array here, so no float crosses a call. *)
 let[@hot] submit_quantum_at t ?attr ~prio works i ~trigger cb =
   let checked = wants_check t trigger in
   submit_ns t ~cpu:0 ~attr ~klass:None ~prio ~checked
-    ~work:(quantum_ns t ~checked works.(i))
+    ~work:(quantum_ns t ~what:submit_what ~checked works.(i))
     ~trigger cb
 
-let interrupt_line t ~name ~source ?latch_depth ?spl_blockable ?cpu ~handler () =
-  Interrupt.line (interrupts t) ~name ~source ?latch_depth ?spl_blockable ?cpu ~handler ()
+let interrupt_line t ~name ~source ?latch_depth ?spl_blockable ?cpu ?(handler_work_us = 0.0)
+    ~handler () =
+  Interrupt.line (interrupts t) ~name ~source ?latch_depth ?spl_blockable ?cpu ~handler
+    ~handler_work_ns:
+      (ns_of_work_us ~what:"Machine.interrupt_line: non-finite work" handler_work_us)
+    ()
 
 let start_spl_sections t ?rate_per_sec ?duration_us ~seed () =
   Interrupt.start_spl_sections (interrupts t) ~rng:(Prng.create ~seed) ?rate_per_sec
     ?duration_us ()
 
-let raise_irq t ln ?(handler_work_us = 0.0) () =
-  Interrupt.raise_irq (interrupts t) ln
-    ~handler_work_ns:(ns_of_work_us ~what:"Machine.raise_irq: non-finite work" handler_work_us)
+let raise_irq t ln = Interrupt.raise_irq (interrupts t) ln
 
 (* Idle-loop machinery.  At most one idle CPU -- the checker (§5.2) --
    polls for soft-timer events and runs the idle measurement poll; the
@@ -220,6 +234,7 @@ let create ?(profile = Costs.pentium_ii_300) ?(cpus = 1) engine =
     {
       engine;
       profile;
+      check_span = Time_ns.of_us profile.Costs.softtimer_check_us;
       cpus = cpu_arr;
       idle = Array.make cpus true;
       checker = -1;
@@ -257,27 +272,25 @@ let create ?(profile = Costs.pentium_ii_300) ?(cpus = 1) engine =
     cpu_arr;
   t
 
-let[@hot] periodic_tick t ln ~handler_work_ns ~period_i kind =
-  ignore (Interrupt.raise_irq (interrupts t) ln ~handler_work_ns : bool);
+let[@hot] periodic_tick t ln ~period_i kind =
+  ignore (Interrupt.raise_irq (interrupts t) ln : bool);
   Engine.post_after_i t.engine period_i kind 0
 
 let add_periodic_timer t ~hz ?(handler_work_us = 0.0) handler =
   if hz <= 0.0 then invalid_arg "Machine.add_periodic_timer: hz must be positive";
-  let period = Time_ns.of_sec (1.0 /. hz) in
   if not (Float.is_finite handler_work_us) then
     invalid_arg "Machine.add_periodic_timer: non-finite work";
-  let handler_work_ns = Time_ns.to_int (Time_ns.of_us handler_work_us) in
   let ln =
     (* A fast-interrupt handler: serviced even inside spl sections, like
        the paper's null-handler measurement timer (Â§5.1). *)
     interrupt_line t ~name:(Printf.sprintf "timer-%.0fHz" hz) ~source:Trigger.Clock_tick
-      ~latch_depth:1 ~handler ()
+      ~latch_depth:1 ~handler_work_us ~handler ()
   in
-  let period_i = Time_ns.to_int period in
+  let period_i = Time_ns.to_int (Time_ns.of_sec (1.0 /. hz)) in
   let kind = ref Engine.null_kind in
   kind :=
     Engine.register t.engine ~name:"machine.periodic_tick" (fun _ ->
-        periodic_tick t ln ~handler_work_ns ~period_i !kind);
+        periodic_tick t ln ~period_i !kind);
   Engine.post_after_i t.engine period_i !kind 0;
   ln
 

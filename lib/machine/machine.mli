@@ -99,6 +99,26 @@ val submit_work_ns :
     nanoseconds, for a caller that submits the same work many times.
     @raise Invalid_argument if [work_ns] is negative. *)
 
+val work_ns : t -> checked:bool -> float -> int
+(** [work_us] in integer nanoseconds as {!submit_quantum} charges it:
+    with the profile's [softtimer_check_us] added before the one
+    rounding when [checked].  For work fixed where it is defined, which
+    {!submit_fixed_ns} then submits.
+    @raise Invalid_argument if [work_us] is NaN or infinite. *)
+
+val submit_fixed_ns :
+  t ->
+  ?attr:Profile.attr ->
+  prio:int ->
+  work_ns:int ->
+  checked_ns:int ->
+  trigger:Trigger.kind option ->
+  (int -> unit) ->
+  unit
+(** {!submit_quantum} on CPU 0 of work converted once by {!work_ns}:
+    the quantum charges [checked_ns] when a check hook is attached and
+    [trigger] is [Some _], else [work_ns]. *)
+
 val submit_quantum_at :
   t ->
   ?attr:Profile.attr ->
@@ -122,19 +142,21 @@ val interrupt_line :
   ?latch_depth:int ->
   ?spl_blockable:bool ->
   ?cpu:int ->
+  ?handler_work_us:float ->
   handler:(int -> unit) ->
   unit ->
   Interrupt.line
-(** Register a device interrupt line (see {!Interrupt.line}). *)
+(** Register a device interrupt line (see {!Interrupt.line}) whose
+    handler does [handler_work_us] of work per delivery (default 0).
+    @raise Invalid_argument if [handler_work_us] is NaN or infinite. *)
 
 val start_spl_sections : t -> ?rate_per_sec:float -> ?duration_us:Dist.t -> seed:int -> unit -> unit
 (** Generate the kernel's interrupt-disabled critical sections (see
     {!Interrupt.start_spl_sections}); they defer and occasionally lose
     ticks of spl-blockable timer lines. *)
 
-val raise_irq : t -> Interrupt.line -> ?handler_work_us:float -> unit -> bool
-(** Assert a line; [false] when the interrupt was lost.
-    @raise Invalid_argument if [handler_work_us] is NaN or infinite. *)
+val raise_irq : t -> Interrupt.line -> bool
+(** Assert a line; [false] when the interrupt was lost. *)
 
 (** {2 Clocks} *)
 

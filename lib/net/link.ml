@@ -26,8 +26,9 @@ let[@inline] at t i =
   let cap = Array.length t.ring in
   if j >= cap then j - cap else j
 
-(* Serialisation time in int ns, rounded as [Time_ns.of_sec] rounds. *)
-let ser_ns t p =
+(* Serialisation time in int ns, rounded as [Time_ns.of_sec] rounds.
+   HOT002: it depends on each packet's size. *)
+let[@lint.allow "HOT002"] ser_ns t p =
   Float.to_int (Float.round (float_of_int (Packet.bits p) /. t.bandwidth_bps *. 1e9))
 
 let[@hot] start_next t =

@@ -22,7 +22,6 @@ type 'a t = {
   on_rx_batch : int -> 'a Packet.t array -> int -> unit;
   on_drop : 'a Packet.t -> unit;
   tx_intr_coalesce : int;
-  rx_handler_work_us : float option;  (* [Some] built once, not per interrupt *)
   rx_intr_delay : Time_ns.span;
   rx_ring_capacity : int;
   mutable rx_intr_armed : bool;
@@ -66,8 +65,7 @@ let[@lint.allow "DEAD001"] tx_line t = match t.tx_line with Some l -> l | None -
 let[@hot] fire_rx_intr t =
   t.rx_intr_armed <- false;
   if t.rx_len > 0 then
-    ignore
-      (Machine.raise_irq t.machine (rx_line t) ?handler_work_us:t.rx_handler_work_us () : bool)
+    ignore (Machine.raise_irq t.machine (rx_line t) : bool)
 
 let create machine ~name ~bandwidth_bps ~wire_latency ~tx_deliver ~on_rx_batch
     ?(on_drop = ignore) ?(tx_intr_coalesce = 0) ?(rx_handler_work_us = 1.0) ?(rx_intr_delay = 0L)
@@ -88,7 +86,6 @@ let create machine ~name ~bandwidth_bps ~wire_latency ~tx_deliver ~on_rx_batch
       on_rx_batch;
       on_drop;
       tx_intr_coalesce;
-      rx_handler_work_us = Some rx_handler_work_us;
       rx_intr_delay;
       rx_ring_capacity;
       rx_intr_armed = false;
@@ -103,12 +100,13 @@ let create machine ~name ~bandwidth_bps ~wire_latency ~tx_deliver ~on_rx_batch
   in
   let rx_line =
     Machine.interrupt_line machine ~name:(name ^ "-rx") ~source:Trigger.Ip_intr
-      ~handler:(fun now -> ignore (drain_ring t now : int))
+      ~handler_work_us:rx_handler_work_us ~handler:(fun now -> ignore (drain_ring t now : int))
       ()
   in
   let tx_line =
+    (* Freeing transmitted buffers is cheap. *)
     Machine.interrupt_line machine ~name:(name ^ "-tx") ~source:Trigger.Ip_intr
-      ~handler:(fun _now -> ())
+      ~handler_work_us:1.0 ~handler:(fun _now -> ())
       ()
   in
   let on_sent now _p =
@@ -118,8 +116,7 @@ let create machine ~name ~bandwidth_bps ~wire_latency ~tx_deliver ~on_rx_batch
       t.tx_since_intr <- t.tx_since_intr + 1;
       if t.tx_since_intr >= t.tx_intr_coalesce then begin
         t.tx_since_intr <- 0;
-        (* Freeing transmitted buffers is cheap. *)
-        ignore (Machine.raise_irq machine tx_line ~handler_work_us:1.0 () : bool)
+        ignore (Machine.raise_irq machine tx_line : bool)
       end
     end
   in

@@ -52,7 +52,8 @@ val create :
     be released there.  [tx_intr_coalesce] = raise a transmit-complete
     interrupt every k serialisation completions in interrupt mode (0,
     the default, disables transmit interrupts).  [rx_handler_work_us] is the receive
-    interrupt handler's own ring-drain work (default 1.0).
+    interrupt handler's own ring-drain work (default 1.0; NaN or
+    infinity raise [Invalid_argument]).
     [rx_intr_delay] models hardware interrupt mitigation: the receive
     interrupt is asserted this long after the first packet lands in an
     empty ring, so closely-spaced arrivals share one interrupt

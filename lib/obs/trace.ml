@@ -77,6 +77,7 @@ let uninstall () = set_consumer (Domain.DLS.get sink) None
 let set_tap f = set_consumer (Domain.DLS.get tap) f
 
 let installed () = if Atomic.get consumers = 0 then None else !(Domain.DLS.get sink)
+let[@inline] on () = Atomic.get consumers > 0
 (* DEAD001 here and below: ring control the trace tests drive. *)
 let[@lint.allow "DEAD001"] enabled () = Option.is_some (installed ())
 

@@ -71,6 +71,12 @@ val uninstall : unit -> unit
 
 val installed : unit -> t option
 
+val on : unit -> bool
+(** Whether some domain traces: one atomic load, inlined.  A per-event
+    call site tests it before calling its emitter, which is then not
+    called at all while nothing traces; the emitter still checks its
+    own domain's consumers. *)
+
 val enabled : unit -> bool
 (** Whether a ring buffer is installed. *)
 

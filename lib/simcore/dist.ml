@@ -115,8 +115,9 @@ let[@hot] draw_into t rng (a : float array) i =
   a.(i) <- clamp a.(i)
 
 (* A shift's sum needs its inner variate first, so a shifted draw goes
-   through the boxed [draw_raw]; the int-ns callers draw no shift. *)
-let[@hot] draw_ns t rng =
+   through the boxed [draw_raw]; the int-ns callers draw no shift.
+   HOT002: each draw is a fresh variate. *)
+let[@hot] [@lint.allow "HOT002"] draw_ns t rng =
   let us =
     match resolve t rng with Shifted _ as d -> draw_raw d rng | d -> leaf d rng
   in

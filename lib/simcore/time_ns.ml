@@ -14,7 +14,7 @@ let max a b = if a >= b then a else b
 (* ALLOC003: a [Time_ns.t] result is boxed by contract; hot paths that
    must not box keep their spans in int nanoseconds instead. *)
 let of_ns n = Int64.of_int n [@@lint.allow "ALLOC003"]
-let round_float f = Int64.of_float (Float.round f) [@@lint.allow "ALLOC003"]
+let round_float f = Int64.of_float (Float.round f)
 let of_us us = round_float (us *. 1e3)
 let of_ms ms = round_float (ms *. 1e6)
 let of_sec s = round_float (s *. 1e9)

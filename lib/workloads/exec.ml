@@ -2,8 +2,9 @@
    [st] with the step's own work, [2 * st + 1] for one whose drawn work
    sits at the same index of [work], or [-1 - e] for emitter [e], whose
    arguments sit at the same index of [arg_a] and [arg_b].  A step's own
-   work is handed on in the step's own float box and a drawn quantum's
-   as the [work] array and its index, so no quantum boxes its work.  A
+   work is converted to int ns when the step is registered, with and
+   without the check surcharge, and a drawn quantum's is handed on as the
+   [work] array and its index, so no quantum boxes its work.  A
    script record and its arrays are reused from one script to the next;
    [on_step], the completion callback every quantum of the script
    shares, is built once per record. *)
@@ -23,6 +24,11 @@ and t = {
   machine : Machine.t;
   engine : Engine.t;
   mutable steps : Kernel.step array;
+  (* Per registered step, converted at registration: its own work in
+     ns without and with the check surcharge, and its entry span. *)
+  mutable work_ns : int array;
+  mutable checked_ns : int array;
+  mutable entry_spans : Time_ns.span array;
   mutable n_steps : int;
   mutable emitters : (int -> int -> int -> unit) array;
   mutable n_emitters : int;
@@ -41,6 +47,9 @@ let create machine =
     machine;
     engine = Machine.engine machine;
     steps = [||];
+    work_ns = [||];
+    checked_ns = [||];
+    entry_spans = [||];
     n_steps = 0;
     emitters = [||];
     n_emitters = 0;
@@ -59,10 +68,17 @@ let grown a n x =
   end
 
 let step t s =
-  t.steps <- grown t.steps t.n_steps s;
-  t.steps.(t.n_steps) <- s;
-  t.n_steps <- t.n_steps + 1;
-  t.n_steps - 1
+  let n = t.n_steps in
+  t.steps <- grown t.steps n s;
+  t.work_ns <- grown t.work_ns n 0;
+  t.checked_ns <- grown t.checked_ns n 0;
+  t.entry_spans <- grown t.entry_spans n Time_ns.zero;
+  t.steps.(n) <- s;
+  t.entry_spans.(n) <- Time_ns.of_us s.Kernel.entry_us;
+  t.work_ns.(n) <- Machine.work_ns t.machine ~checked:false s.Kernel.work_us;
+  t.checked_ns.(n) <- Machine.work_ns t.machine ~checked:true s.Kernel.work_us;
+  t.n_steps <- n + 1;
+  n
 
 let emitter t f =
   t.emitters <- grown t.emitters t.n_emitters no_emit;
@@ -72,6 +88,18 @@ let emitter t f =
 
 let initial_items = 16
 
+(* A step's attribution while profiling: a Profile.seq consumes its
+   parts statefully, so an entry/body split is built fresh for every
+   submitted quantum.  ALLOC002: only while profiling. *)
+let[@lint.allow "ALLOC002"] step_attr t j =
+  if Profile.enabled () then
+    let st = t.steps.(j) in
+    Some
+      (if st.Kernel.entry_us > 0.0 then
+         Profile.seq [ (st.Kernel.entry_attr, t.entry_spans.(j)) ] ~tail:st.Kernel.attr
+       else st.Kernel.attr)
+  else None
+
 let[@hot] rec advance s =
   if s.pos >= s.len then finish s
   else begin
@@ -80,11 +108,12 @@ let[@hot] rec advance s =
     let c = s.code.(i) in
     let t = s.arena in
     if c >= 0 then begin
-      let st = t.steps.(c lsr 1) in
-      let attr = Kernel.step_attr st and prio = st.Kernel.prio in
+      let j = c lsr 1 in
+      let st = t.steps.(j) in
+      let attr = step_attr t j and prio = st.Kernel.prio in
       if c land 1 = 0 then
-        Machine.submit_quantum t.machine ?attr ~prio ~work_us:st.Kernel.work_us
-          ~trigger:st.Kernel.trigger s.on_step
+        Machine.submit_fixed_ns t.machine ?attr ~prio ~work_ns:t.work_ns.(j)
+          ~checked_ns:t.checked_ns.(j) ~trigger:st.Kernel.trigger s.on_step
       else
         Machine.submit_quantum_at t.machine ?attr ~prio s.work i ~trigger:st.Kernel.trigger
           s.on_step

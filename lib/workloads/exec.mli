@@ -32,7 +32,11 @@ val create : Machine.t -> t
 
 val step : t -> Kernel.step -> step
 (** Register a step: its priority, trigger and attribution, and its
-    work unless an item gives another. *)
+    work unless an item gives another, converted here to integer
+    nanoseconds once with and once without the check surcharge
+    ({!Machine.work_ns}).
+    @raise Invalid_argument if the step's [work_us] is NaN or
+    infinite. *)
 
 val emitter : t -> (int -> int -> int -> unit) -> emitter
 (** Register an emit handler; it receives the instant in integer

@@ -26,7 +26,7 @@ let start machine ~seed =
   let engine = Machine.engine machine in
   let disk_line =
     Machine.interrupt_line machine ~name:"build-disk" ~source:Trigger.Dev_intr
-      ~handler:(fun _ -> ())
+      ~handler_work_us:5.0 ~handler:(fun _ -> ())
       ()
   in
   let next_phase = function
@@ -45,7 +45,7 @@ let start machine ~seed =
     | Disk_wait ->
       (* CPU idle; the idle loop polls.  A disk completion ends it. *)
       Engine.schedule_at engine deadline (fun () ->
-          ignore (Machine.raise_irq machine disk_line ~handler_work_us:5.0 () : bool);
+          ignore (Machine.raise_irq machine disk_line : bool);
           run_phase (next_phase phase))
     | Exec_storm | Compile ->
       let user, body =

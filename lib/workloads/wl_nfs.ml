@@ -20,12 +20,12 @@ let start machine ~seed =
   let rng = Prng.create ~seed in
   let engine = Machine.engine machine in
   let rx_line =
-    Machine.interrupt_line machine ~name:"nfs-rx" ~source:Trigger.Ip_intr
+    Machine.interrupt_line machine ~name:"nfs-rx" ~source:Trigger.Ip_intr ~handler_work_us:4.0
       ~handler:(fun _ -> ())
       ()
   in
   let disk_line =
-    Machine.interrupt_line machine ~name:"nfs-disk" ~source:Trigger.Dev_intr
+    Machine.interrupt_line machine ~name:"nfs-disk" ~source:Trigger.Dev_intr ~handler_work_us:5.0
       ~handler:(fun _ -> ())
       ()
   in
@@ -52,7 +52,7 @@ let start machine ~seed =
     Exec.drawn sc q_syscall draws i
   in
   let serve_request () =
-    ignore (Machine.raise_irq machine rx_line ~handler_work_us:4.0 () : bool);
+    ignore (Machine.raise_irq machine rx_line : bool);
     (* The request's variates, drawn last item first. *)
     Dist.draw_into nfsd_syscall_body rng draws 2;
     Dist.draw_into kernel_segment rng draws 1;
@@ -64,7 +64,7 @@ let start machine ~seed =
     Exec.run sc (fun _ ->
         let wait = Dist.span disk_latency rng in
         Engine.schedule_after engine wait (fun () ->
-            ignore (Machine.raise_irq machine disk_line ~handler_work_us:5.0 () : bool);
+            ignore (Machine.raise_irq machine disk_line : bool);
             (* Completion: hand the reply back and send it. *)
             let sc = Exec.script exec in
             Exec.quantum sc q_ip_output;

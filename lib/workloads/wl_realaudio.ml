@@ -25,7 +25,7 @@ let start machine ~seed =
   loop 0;
   (* The live audio stream: ~40 packets/s of receive interrupts. *)
   let line =
-    Machine.interrupt_line machine ~name:"audio-rx" ~source:Trigger.Ip_intr
+    Machine.interrupt_line machine ~name:"audio-rx" ~source:Trigger.Ip_intr ~handler_work_us:3.0
       ~handler:(fun _ -> ())
       ()
   in
@@ -33,7 +33,7 @@ let start machine ~seed =
   let rec stream () =
     let gap = Dist.span (Dist.Exponential 25_000.0) rng in
     Engine.schedule_after engine gap (fun () ->
-        ignore (Machine.raise_irq machine line ~handler_work_us:3.0 () : bool);
+        ignore (Machine.raise_irq machine line : bool);
         stream ())
   in
   stream ()

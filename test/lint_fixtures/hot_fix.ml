@@ -21,3 +21,17 @@ let[@hot] guarded () = Atomic.get consumers > 0 && !(Domain.DLS.get key) > 0
 
 (* Not flagged: a cold path may look the context up. *)
 let create () = Domain.DLS.get key
+
+(* HOT002: a [Float.round] on a [@hot] path, directly and through a
+   helper.  Work fixed where it is defined is converted there, once. *)
+let ns_of_us us = Float.to_int (Float.round (us *. 1e3))
+
+let[@hot] submit_us us = ns_of_us us + 1
+
+let[@hot] draw_ns x = Float.to_int (Stdlib.Float.round x)
+
+(* Not flagged: a per-event variate, allowed with its reason. *)
+let[@hot] [@lint.allow "HOT002"] variate_ns x = Float.to_int (Float.round x)
+
+(* Not flagged: a cold path converts once. *)
+let create us = ns_of_us us

@@ -107,8 +107,12 @@ let test_cpu_invalid_args () =
 
 let test_interrupt_costs_charged () =
   let e, m = fresh () in
-  let ln = Machine.interrupt_line m ~name:"dev" ~source:Trigger.Dev_intr ~handler:(fun _ -> ()) () in
-  ignore (Machine.raise_irq m ln ~handler_work_us:2.0 () : bool);
+  let ln =
+    Machine.interrupt_line m ~name:"dev" ~source:Trigger.Dev_intr ~handler_work_us:2.0
+      ~handler:(fun _ -> ())
+      ()
+  in
+  ignore (Machine.raise_irq m ln : bool);
   Engine.run e;
   (* P-II profile at neutral locality: 1.95 + 2.50 + 2.0 handler. *)
   Alcotest.(check int64) "cost = overhead + handler" (us 6.45) (Cpu.busy_ns (Machine.cpu m));
@@ -124,9 +128,9 @@ let test_interrupt_latch_limit () =
   in
   (* Block the CPU so raised interrupts stay in flight. *)
   Cpu.submit (Machine.cpu m) ~prio:Cpu.prio_intr ~work:(ius 50.0) ~trigger:None (fun _ -> ());
-  let r1 = Machine.raise_irq m ln () in
-  let r2 = Machine.raise_irq m ln () in
-  let r3 = Machine.raise_irq m ln () in
+  let r1 = Machine.raise_irq m ln in
+  let r2 = Machine.raise_irq m ln in
+  let r3 = Machine.raise_irq m ln in
   Alcotest.(check (list bool)) "third is lost" [ true; true; false ] [ r1; r2; r3 ];
   Engine.run e;
   Alcotest.(check int) "raised" 3 (Interrupt.raised ln);
@@ -142,11 +146,14 @@ let test_interrupt_latch_limit () =
 let test_preemption_leaves_no_dead_entries () =
   let e, m = fresh () in
   let cpu = Machine.cpu m in
-  let ln = Machine.interrupt_line m ~name:"dev" ~source:Trigger.Dev_intr ~handler:ignore () in
+  let ln =
+    Machine.interrupt_line m ~name:"dev" ~source:Trigger.Dev_intr ~handler_work_us:1.0
+      ~handler:ignore ()
+  in
   let storm_pending = ref 1 in
   let rec storm n () =
     decr storm_pending;
-    ignore (Machine.raise_irq m ln ~handler_work_us:1.0 () : bool);
+    ignore (Machine.raise_irq m ln : bool);
     let gap = ius (9.0 +. float_of_int (n mod 5)) in
     if n > 0 then begin
       incr storm_pending;
@@ -186,7 +193,7 @@ let test_interrupt_pollution_scales_with_locality () =
     let e, m = fresh () in
     Machine.set_locality m locality;
     let ln = Machine.interrupt_line m ~name:"d" ~source:Trigger.Dev_intr ~handler:(fun _ -> ()) () in
-    ignore (Machine.raise_irq m ln () : bool);
+    ignore (Machine.raise_irq m ln : bool);
     Engine.run e;
     Cpu.busy_ns (Machine.cpu m)
   in
@@ -209,7 +216,7 @@ let test_spl_windows_defer_and_lose () =
   let rec tick () =
     if !raised < 300_000 then begin
       incr raised;
-      ignore (Machine.raise_irq m ln () : bool);
+      ignore (Machine.raise_irq m ln : bool);
       Engine.schedule_after e (us 10.0) tick
     end
   in
@@ -302,13 +309,22 @@ let test_non_finite_work_rejected () =
         (Invalid_argument "Machine.submit_quantum: non-finite work") (fun () ->
           Machine.submit_quantum m ~prio:Cpu.prio_kernel ~work_us:w ~trigger:None ignore))
     [ nan; infinity; neg_infinity ];
-  let ln = Machine.interrupt_line m ~name:"dev" ~source:Trigger.Dev_intr ~handler:ignore () in
-  Alcotest.check_raises "raise_irq" (Invalid_argument "Machine.raise_irq: non-finite work")
-    (fun () -> ignore (Machine.raise_irq m ln ~handler_work_us:nan () : bool));
+  Alcotest.check_raises "interrupt_line"
+    (Invalid_argument "Machine.interrupt_line: non-finite work") (fun () ->
+      ignore
+        (Machine.interrupt_line m ~name:"dev" ~source:Trigger.Dev_intr ~handler_work_us:nan
+           ~handler:ignore ()
+          : Interrupt.line));
   Alcotest.check_raises "add_periodic_timer"
     (Invalid_argument "Machine.add_periodic_timer: non-finite work") (fun () ->
       ignore (Machine.add_periodic_timer m ~hz:1000.0 ~handler_work_us:infinity ignore
               : Interrupt.line));
+  Alcotest.check_raises "Hw_pacer.create" (Invalid_argument "Hw_pacer.create: non-finite work")
+    (fun () ->
+      ignore (Hw_pacer.create m ~interval:(us 20.0) ~send:(fun _ -> true) ~dispatch_work_us:nan ()
+              : Hw_pacer.t));
+  Alcotest.check_raises "Exec.step" (Invalid_argument "Machine.work_ns: non-finite work")
+    (fun () -> ignore (Exec.step (Exec.create m) (Kernel.step_user m ~work_us:infinity) : Exec.step));
   Alcotest.(check bool) "nothing submitted" true (Cpu.is_idle (Machine.cpu m));
   let done_at = ref (-1L) in
   Machine.submit_quantum m ~prio:Cpu.prio_kernel ~work_us:(-5.0) ~trigger:None (fun t ->
@@ -318,6 +334,70 @@ let test_non_finite_work_rejected () =
   Alcotest.check_raises "int-ns path keeps the negative-work check"
     (Invalid_argument "Cpu.submit: negative work") (fun () ->
       Cpu.submit (Machine.cpu m) ~prio:Cpu.prio_kernel ~work:(-1) ~trigger:None ignore)
+
+(* A registered step's work is converted once, with and without the
+   check surcharge, and the hook attached at submission picks which one
+   the quantum charges.  With a 50.4 ns check, 3000.3 ns of work rounds
+   to 3051 ns as one sum (what [submit_quantum] charges) but to
+   3000 + 50 ns as two roundings. *)
+let test_fixed_work_rounding_and_hook_switch () =
+  let e = Engine.create () in
+  let profile = { Costs.pentium_ii_300 with Costs.softtimer_check_us = 0.0504 } in
+  let m = Machine.create ~profile e in
+  let x = Exec.create m in
+  let a = Profile.intern [ "test"; "fixed" ] in
+  let q =
+    Exec.step x
+      {
+        Kernel.prio = Cpu.prio_kernel;
+        work_us = 3.0003;
+        trigger = Some Trigger.Syscall;
+        attr = a;
+        entry_us = 0.0;
+        entry_attr = a;
+      }
+  in
+  (* Wall-clock length of one quantum submitted now, run to completion. *)
+  let charged submit =
+    let start = Engine.now_i e and done_at = ref (-1) in
+    submit (fun t -> done_at := t);
+    Engine.run_until e (Int64.of_int (start + 100_000));
+    !done_at - start
+  in
+  let step_ns () =
+    charged (fun k ->
+        let sc = Exec.script x in
+        Exec.quantum sc q;
+        Exec.run sc k)
+  in
+  Alcotest.(check int) "no facility: plain work" 3000 (step_ns ());
+  let st = Softtimer.attach m in
+  Alcotest.(check int) "attached: one rounding of the sum" 3051 (step_ns ());
+  Alcotest.(check int) "the float path charges the same" 3051
+    (charged (fun k ->
+         Machine.submit_quantum m ~prio:Cpu.prio_kernel ~work_us:3.0003
+           ~trigger:(Some Trigger.Syscall) k));
+  Softtimer.detach st;
+  Alcotest.(check int) "detached: plain work again" 3000 (step_ns ());
+  ignore (Softtimer.attach m : Softtimer.t);
+  Alcotest.(check int) "re-attached: checked work again" 3051 (step_ns ())
+
+(* A completion whose callback raises still dispatches the queued work
+   before the exception leaves the engine, so the CPU does not stall
+   until something else submits. *)
+let test_raising_completion_dispatches_queue () =
+  let e, m = fresh () in
+  let b_done = ref (-1) in
+  Machine.submit_quantum m ~prio:Cpu.prio_kernel ~work_us:10.0 ~trigger:(Some Trigger.Syscall)
+    (fun _ -> failwith "quantum A");
+  Machine.submit_quantum m ~prio:Cpu.prio_kernel ~work_us:5.0 ~trigger:None (fun t ->
+      b_done := t);
+  Alcotest.check_raises "A's callback raises" (Failure "quantum A") (fun () ->
+      Engine.run_until e (us 100.0));
+  Alcotest.(check int) "B's completion armed" 1 (Engine.pending e);
+  Engine.run_until e (us 100.0);
+  Alcotest.(check int) "B completes after A" (ius 15.0) !b_done;
+  Alcotest.(check int) "A's trigger state ran" 1 (Machine.trigger_count m Trigger.Syscall)
 
 (* Minor words per iteration of [f], after a warm-up. *)
 let words_per ~n f =
@@ -365,7 +445,7 @@ let test_irq_delivery_alloc () =
   let ln = Machine.interrupt_line m ~name:"dev" ~source:Trigger.Dev_intr ~handler:ignore () in
   let per =
     words_per ~n:10_000 (fun () ->
-        ignore (Machine.raise_irq m ln () : bool);
+        ignore (Machine.raise_irq m ln : bool);
         Engine.run e)
   in
   Alcotest.(check bool)
@@ -518,7 +598,7 @@ let test_smp_interrupt_affinity () =
       ~handler:(fun _ -> ())
       ()
   in
-  ignore (Machine.raise_irq m ln () : bool);
+  ignore (Machine.raise_irq m ln : bool);
   Engine.run e;
   Alcotest.(check int64) "cpu0 untouched" 0L (Cpu.busy_ns (Machine.nth_cpu m 0));
   Alcotest.(check bool) "cpu1 paid" true Time_ns.(Cpu.busy_ns (Machine.nth_cpu m 1) > 0L)
@@ -697,6 +777,8 @@ let () =
           QCheck_alcotest.to_alcotest test_cpu_work_conservation;
           QCheck_alcotest.to_alcotest test_cpu_scheduling_order;
           QCheck_alcotest.to_alcotest test_engine_event_order_property;
+          Alcotest.test_case "raising completion dispatches queue" `Quick
+            test_raising_completion_dispatches_queue;
         ] );
       ( "interrupts",
         [
@@ -724,6 +806,8 @@ let () =
           Alcotest.test_case "extra timer frequency" `Quick test_extra_timer_frequency;
           Alcotest.test_case "idle poll triggers" `Quick test_idle_poll_generates_triggers;
           Alcotest.test_case "idle deadline poke" `Quick test_idle_deadline_fires_exactly;
+          Alcotest.test_case "fixed work rounding and hook switch" `Quick
+            test_fixed_work_rounding_and_hook_switch;
         ] );
       ( "smp",
         [

@@ -93,7 +93,7 @@ let test_conservation_property =
               Engine.schedule_at e
                 (Time_ns.of_us (float_of_int at_us))
                 (fun () ->
-                  if kind_ix = 7 then ignore (Machine.raise_irq m line () : bool)
+                  if kind_ix = 7 then ignore (Machine.raise_irq m line : bool)
                   else begin
                     if work_us mod 3 = 0 then
                       ignore (Softtimer.schedule_soft_event st ~ticks:1L noop 0 : Softtimer.handle);

@@ -14,7 +14,8 @@
                Rules_det    DET001..DET005, MLI001  (determinism)
                Rules_race   RACE001..RACE004        (domain safety)
                Rules_alloc  ALLOC001..ALLOC003,     (hot-path allocs)
-                            HOT001                  (hot-path DLS lookups)
+                            HOT001, HOT002          (hot-path DLS lookups
+                                                     and float-to-ns rounding)
                Rules_dead   DEAD001                 (lib/ exports no root
                                                      reaches; also reads
                                                      test/ and perfbench/)

@@ -31,6 +31,7 @@ let catalogue =
     ("ALLOC002", "tuple/record/list/array construction on a [@hot] path");
     ("ALLOC003", "boxing or formatting call on a [@hot] path");
     ("HOT001", "Domain.DLS.get lookup on a [@hot] path");
+    ("HOT002", "Float.round conversion on a [@hot] path");
     ("DEAD001", "lib/ export no root reaches: used nowhere, only in its module, or only by tests");
     ("ALLOW001", "[@lint.allow] that suppresses no finding");
     ("PARSE", "file does not parse");

@@ -29,6 +29,12 @@
              behind their process-wide [Atomic] consumer counts, each
              allowed with a reason.
 
+   HOT002    a [Float.round]: float microseconds turned into int ns per
+             event.  Fixed work is converted once, where it is defined
+             (a registered step, an interrupt line, a pacer); only work
+             drawn per event is converted on the path, each such site
+             allowed with a reason.
+
    Local [ref] cells are deliberately not flagged: the compiler's
    reference-unboxing pass ([Simplif.eliminate_ref]) compiles the
    non-escaping [let acc = ref 0 ... !acc] idiom to a mutable stack
@@ -155,6 +161,11 @@ let scan_def (g : Reachability.t) parent ~(root : Reachability.def) (d : Reachab
     | Pexp_ident { txt; _ }
       when Lint_source.resolve_lid f txt = Some [ "Domain"; "DLS"; "get" ] ->
       emit ~loc:ex.pexp_loc ~rule:"HOT001" "Domain.DLS.get lookup"
+    | Pexp_ident { txt; _ }
+      when match Lint_source.resolve_lid f txt with
+           | Some ([ "Float"; "round" ] | [ "Stdlib"; "Float"; "round" ]) -> true
+           | _ -> false ->
+      emit ~loc:ex.pexp_loc ~rule:"HOT002" "Float.round conversion"
     | Pexp_tuple _ ->
       if not (List.memq ex !payload_tuples) then
         emit ~loc:ex.pexp_loc ~rule:"ALLOC002" "tuple allocated"
